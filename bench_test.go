@@ -218,17 +218,11 @@ func BenchmarkQueryRelativeBound(b *testing.B) {
 	_ = buf
 }
 
-// --- Tentpole: per-tick allocations, legacy Compute vs scratch arenas ----
-
-// legacyOnly wraps an operator exposing nothing but the plain Operator
-// interface, forcing the tick path onto the allocating Compute shim —
-// the pre-scratch-arena behaviour, kept measurable for the before/after
-// comparison.
-type legacyOnly struct{ core.Operator }
+// --- Per-tick allocations: pooled scratch arenas --------------------------
 
 // tickAllocEnv builds an aggregator over 64 node units whose caches are
 // warm, the steady-state shape of a roll-up operator.
-func tickAllocEnv(b *testing.B, legacy bool) (*core.QueryEngine, core.Operator, core.Sink) {
+func tickAllocEnv(b *testing.B) (*core.QueryEngine, core.Operator, core.Sink) {
 	b.Helper()
 	nav := navigator.New()
 	caches := cache.NewSet()
@@ -241,8 +235,6 @@ func tickAllocEnv(b *testing.B, legacy bool) (*core.QueryEngine, core.Operator, 
 		}
 	}
 	qe := core.NewQueryEngine(nav, caches, nil)
-	// Keep this workload in sync with tickEnv in cmd/benchrunner/benchjson.go:
-	// the JSON trajectory numbers must stay comparable to `make bench`.
 	op, err := aggregator.New(aggregator.Config{
 		OperatorConfig: core.OperatorConfig{
 			Name:    "agg",
@@ -255,33 +247,15 @@ func tickAllocEnv(b *testing.B, legacy bool) (*core.QueryEngine, core.Operator, 
 	if err != nil {
 		b.Fatal(err)
 	}
-	sink := core.SinkFunc(func(sensor.Topic, sensor.Reading) {})
-	if legacy {
-		return qe, legacyOnly{op}, sink
-	}
-	return qe, op, sink
+	return qe, op, core.SinkFunc(func(sensor.Topic, sensor.Reading) {})
 }
 
-// BenchmarkTickComputeLegacy drives 64 sequential unit computations per
-// tick through the allocating Compute path (fresh context, fresh buffers
-// per unit).
-func BenchmarkTickComputeLegacy(b *testing.B) {
-	qe, op, sink := tickAllocEnv(b, true)
-	now := time.Unix(179, 0)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := core.Tick(op, qe, sink, now); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTickComputeScratch drives the same 64 computations through
-// ComputeInto with pooled scratch arenas and bound sensor handles: the
-// steady-state tick performs ~zero allocations.
+// BenchmarkTickComputeScratch drives 64 sequential unit computations per
+// tick through pooled scratch arenas and bound sensor handles: the
+// steady-state tick performs ~zero allocations (pinned by
+// TestTickSteadyStateAllocs in internal/plugins/aggregator).
 func BenchmarkTickComputeScratch(b *testing.B) {
-	qe, op, sink := tickAllocEnv(b, false)
+	qe, op, sink := tickAllocEnv(b)
 	now := time.Unix(179, 0)
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -400,13 +374,9 @@ type probeOp struct {
 	probe   time.Duration
 }
 
-func (o *probeOp) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time) ([]core.Output, error) {
-	return o.ComputeInto(qe, u, now, core.NewTickContext())
-}
-
-// ComputeInto runs the probe workload on the zero-allocation path: bound
+// Compute runs the probe workload on the zero-allocation path: bound
 // sensor handles and context scratch, like the production plugins.
-func (o *probeOp) ComputeInto(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
+func (o *probeOp) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
 	bu := qe.BindUnit(u)
 	buf := tc.Readings
 	for q := 0; q < o.queries; q++ {
@@ -424,37 +394,10 @@ func (o *probeOp) ComputeInto(qe *core.QueryEngine, u *units.Unit, now time.Time
 	return outs, nil
 }
 
-// legacyProbeOp is the pre-PR2 probe: per-call topic resolution through
-// the unbound Query Engine API and fresh buffers every computation. It is
-// kept as the before side of the hot-path before/after pair.
-type legacyProbeOp struct {
-	*core.Base
-	queries int
-	probe   time.Duration
-}
-
-func (o *legacyProbeOp) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time) ([]core.Output, error) {
-	buf := make([]sensor.Reading, 0, 256)
-	for q := 0; q < o.queries; q++ {
-		in := u.Inputs[q%len(u.Inputs)]
-		buf = qe.QueryRelative(in, 100*time.Second, buf[:0])
-	}
-	if o.probe > 0 {
-		time.Sleep(o.probe)
-	}
-	outs := make([]core.Output, 0, len(u.Outputs))
-	for _, topic := range u.Outputs {
-		outs = append(outs, core.Output{Topic: topic, Reading: sensor.At(float64(len(buf)), now)})
-	}
-	return outs, nil
-}
-
 type probeConfig struct {
 	Ops     int `json:"ops"`
 	Queries int `json:"queries"`
 	ProbeUs int `json:"probeUs"`
-	// Legacy selects the unbound, allocating computation path.
-	Legacy bool `json:"legacy"`
 }
 
 func init() {
@@ -476,11 +419,7 @@ func init() {
 				return nil, err
 			}
 			probe := time.Duration(c.ProbeUs) * time.Microsecond
-			if c.Legacy {
-				ops = append(ops, &legacyProbeOp{Base: base, queries: c.Queries, probe: probe})
-			} else {
-				ops = append(ops, &probeOp{Base: base, queries: c.Queries, probe: probe})
-			}
+			ops = append(ops, &probeOp{Base: base, queries: c.Queries, probe: probe})
 		}
 		return ops, nil
 	})
@@ -490,16 +429,9 @@ func init() {
 // units each) over one sharded cache.Set through Manager.TickAll, with the
 // manager's worker pool sized by threads. threads=1 is the sequential
 // baseline: every computation of every operator runs one after another,
-// like the pre-scheduler TickAll.
-func benchTickAllContention(b *testing.B, threads int) {
-	benchTickAllContentionCfg(b, threads, 100, false)
-}
-
-// benchTickAllContentionCfg drives the contention workload with a chosen
-// probe latency and computation path. probeUs=0 removes the fixed probe
-// sleep so the query and allocation costs dominate — the configuration
-// that isolates the hot-path gains of bound handles and scratch arenas.
-func benchTickAllContentionCfg(b *testing.B, threads, probeUs int, legacy bool) {
+// like the pre-scheduler TickAll. probeUs=0 removes the fixed probe sleep
+// so the query cost and cache-shard contention dominate.
+func benchTickAllContention(b *testing.B, threads, probeUs int) {
 	nav := navigator.New()
 	caches := cache.NewSet()
 	for n := 0; n < 16; n++ {
@@ -517,7 +449,7 @@ func benchTickAllContentionCfg(b *testing.B, threads, probeUs int, legacy bool) 
 	m := core.NewManager(qe, sink, core.Env{})
 	m.SetThreads(threads)
 	b.Cleanup(m.Close)
-	raw, _ := json.Marshal(probeConfig{Ops: 8, Queries: 25, ProbeUs: probeUs, Legacy: legacy})
+	raw, _ := json.Marshal(probeConfig{Ops: 8, Queries: 25, ProbeUs: probeUs})
 	if err := m.LoadPlugin("benchprobe", raw); err != nil {
 		b.Fatal(err)
 	}
@@ -533,25 +465,17 @@ func benchTickAllContentionCfg(b *testing.B, threads, probeUs int, legacy bool) 
 
 // BenchmarkTickAllContentionSequential is the pre-scheduler baseline: one
 // computation at a time.
-func BenchmarkTickAllContentionSequential(b *testing.B) { benchTickAllContention(b, 1) }
+func BenchmarkTickAllContentionSequential(b *testing.B) { benchTickAllContention(b, 1, 100) }
 
 // BenchmarkTickAllContentionPooled runs the same load on an 8-thread pool
 // (the paper's `threads` knob); 8 operators x 16 parallel units overlap
 // both their probe latencies and their cache queries.
-func BenchmarkTickAllContentionPooled(b *testing.B) { benchTickAllContention(b, 8) }
+func BenchmarkTickAllContentionPooled(b *testing.B) { benchTickAllContention(b, 8, 100) }
 
-// BenchmarkTickAllQueryContentionLegacy is the probe-free contention
-// workload on the pre-PR2 path: unbound queries and fresh buffers per
-// computation, 8 operators x 16 parallel units on an 8-thread pool.
-func BenchmarkTickAllQueryContentionLegacy(b *testing.B) {
-	benchTickAllContentionCfg(b, 8, 0, true)
-}
-
-// BenchmarkTickAllQueryContentionBound is the same workload on the bound
-// handle + scratch arena path — the paired after-measurement.
-func BenchmarkTickAllQueryContentionBound(b *testing.B) {
-	benchTickAllContentionCfg(b, 8, 0, false)
-}
+// BenchmarkTickAllQueryContentionBound is the probe-free contention
+// workload: 8 operators x 16 parallel units on an 8-thread pool, bound
+// handles and scratch arenas, nothing to overlap but the cache queries.
+func BenchmarkTickAllQueryContentionBound(b *testing.B) { benchTickAllContention(b, 8, 0) }
 
 // --- Figure 6: random forest ---------------------------------------------
 
@@ -1015,20 +939,17 @@ func BenchmarkDownsampleEngine(b *testing.B) {
 	}
 }
 
-// --- PR5: concurrent ingest, legacy single-lock WAL vs group commit ------
+// --- PR5: concurrent ingest through the group-commit WAL -----------------
 
 // benchIngestConcurrent measures sustained multi-writer InsertBatch
 // throughput: `writers` goroutines each appending 64-reading batches to
 // their own topic. One op is one batch, so ns/op is the sustained
-// per-batch cost across the whole writer cohort. legacy selects the
-// pre-PR5 path (WAL encode+write+fsync under one lock, global head
-// resolution); grouped is the group-commit WAL + sharded head map.
-func benchIngestConcurrent(b *testing.B, writers int, walSync, legacy bool, reg *telemetry.Registry) {
+// per-batch cost across the whole writer cohort.
+func benchIngestConcurrent(b *testing.B, writers int, walSync bool, reg *telemetry.Registry) {
 	db, err := tsdb.Open(b.TempDir(), tsdb.Options{
-		FlushEvery:   -1,
-		WALSync:      walSync,
-		LegacyIngest: legacy,
-		Metrics:      reg,
+		FlushEvery: -1,
+		WALSync:    walSync,
+		Metrics:    reg,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -1066,27 +987,14 @@ func benchIngestConcurrent(b *testing.B, writers int, walSync, legacy bool, reg 
 	b.StartTimer()
 }
 
-// BenchmarkIngestConcurrentLegacy is the before side of the PR5 pair:
-// every concurrent batch serializes on the WAL writer lock (encode +
-// write + per-batch fsync when sync is on) and a global head lookup.
-func BenchmarkIngestConcurrentLegacy(b *testing.B) {
-	for _, writers := range []int{8, 16, 32} {
-		for _, walSync := range []bool{false, true} {
-			b.Run(fmt.Sprintf("writers=%d/sync=%v", writers, walSync), func(b *testing.B) {
-				benchIngestConcurrent(b, writers, walSync, true, nil)
-			})
-		}
-	}
-}
-
-// BenchmarkIngestConcurrentGrouped is the after side: writers encode
-// outside the lock and share one write + one fsync per commit cohort,
-// and head resolution touches only the topic's shard.
+// BenchmarkIngestConcurrentGrouped: writers encode outside the lock and
+// share one write + one fsync per commit cohort, and head resolution
+// touches only the topic's shard.
 func BenchmarkIngestConcurrentGrouped(b *testing.B) {
 	for _, writers := range []int{8, 16, 32} {
 		for _, walSync := range []bool{false, true} {
 			b.Run(fmt.Sprintf("writers=%d/sync=%v", writers, walSync), func(b *testing.B) {
-				benchIngestConcurrent(b, writers, walSync, false, nil)
+				benchIngestConcurrent(b, writers, walSync, nil)
 			})
 		}
 	}
@@ -1199,7 +1107,7 @@ func BenchmarkDashboardQueryCached(b *testing.B) {
 func benchIngestTelemetry(b *testing.B, on bool) {
 	telemetry.SetEnabled(on)
 	b.Cleanup(func() { telemetry.SetEnabled(true) })
-	benchIngestConcurrent(b, 16, false, false, telemetry.NewRegistry())
+	benchIngestConcurrent(b, 16, false, telemetry.NewRegistry())
 }
 
 func BenchmarkIngestTelemetryOff(b *testing.B) { benchIngestTelemetry(b, false) }

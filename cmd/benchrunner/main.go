@@ -16,11 +16,7 @@
 //	fig8       fleet clustering on 2-week aggregates
 //	footprint  Pusher CPU/memory footprint
 //
-// With -bench-json <file>, benchrunner instead runs the hot-path
-// benchmark pairs and writes machine-readable results (the per-PR
-// performance trajectory, e.g. BENCH_PR2.json):
-//
-//	benchrunner -bench-json BENCH_PR2.json
+// The gated pipeline benchmark lives in ./bench (see BENCHMARK.json).
 package main
 
 import (
@@ -43,15 +39,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: all, fig5, fig6, fig7, fig8, footprint")
 	quick := flag.Bool("quick", false, "use scaled-down configurations")
 	out := flag.String("out", "", "directory for CSV output (optional)")
-	benchJSON := flag.String("bench-json", "", "run hot-path benchmark pairs and write JSON results to this file")
 	flag.Parse()
-
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON); err != nil {
-			log.Fatalf("bench-json: %v", err)
-		}
-		return
-	}
 
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {

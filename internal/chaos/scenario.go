@@ -101,8 +101,6 @@ type Scenario struct {
 	// The WAL always runs with per-group-commit fsync so the fsync
 	// faults actually bite.
 	Faults []FaultSpec
-	// WALGroupWindow is the group-commit linger (see collect.Config).
-	WALGroupWindow time.Duration
 	// IngestWorkers sizes the agent's ingest fan-in (see
 	// collect.Config).
 	IngestWorkers int
@@ -357,13 +355,12 @@ func (s Scenario) Run() (*Verdict, error) {
 	cfs := NewFS(nil, derive(s.Seed, "fs"))
 	reg := telemetry.NewRegistry()
 	agent, err := collect.New(collect.Config{
-		ListenMQTT:          "127.0.0.1:0",
-		StoreDir:            dir,
-		StoreFS:             cfs,
-		StoreWALSync:        true,
-		StoreWALGroupWindow: s.WALGroupWindow,
-		IngestWorkers:       s.IngestWorkers,
-		IngestQueueCap:      s.IngestQueueCap,
+		ListenMQTT:     "127.0.0.1:0",
+		StoreDir:       dir,
+		StoreFS:        cfs,
+		StoreWALSync:   true,
+		IngestWorkers:  s.IngestWorkers,
+		IngestQueueCap: s.IngestQueueCap,
 		// A small outbound queue and a short write deadline make the
 		// slow-reader fault bite within a smoke-length run: the stalled
 		// subscriber's queue fills in milliseconds (forwards shed with a

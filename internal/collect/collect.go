@@ -50,10 +50,6 @@ type Config struct {
 	// (durability against OS crashes; the fsync is amortized across all
 	// concurrently-ingesting connections).
 	StoreWALSync bool
-	// StoreWALGroupWindow makes a WAL group-commit leader linger this
-	// long before persisting, trading per-batch latency for larger
-	// commit groups (0: commit immediately).
-	StoreWALGroupWindow time.Duration
 	// IngestWorkers sizes the worker fan-in between the broker and the
 	// storage path: delivered messages are queued per topic shard and
 	// ingested by this many workers, so a slow WAL fsync never stalls a
@@ -173,12 +169,11 @@ func New(cfg Config) (*Agent, error) {
 	if cfg.StoreDir != "" {
 		var err error
 		db, err = tsdb.Open(cfg.StoreDir, tsdb.Options{
-			Retention:      cfg.StoreRetention,
-			WALSync:        cfg.StoreWALSync,
-			WALGroupWindow: cfg.StoreWALGroupWindow,
-			OnPrune:        func(int64, int) { rc.NotePrune() },
-			Metrics:        cfg.Metrics,
-			FS:             cfg.StoreFS,
+			Retention: cfg.StoreRetention,
+			WALSync:   cfg.StoreWALSync,
+			OnPrune:   func(int64, int) { rc.NotePrune() },
+			Metrics:   cfg.Metrics,
+			FS:        cfg.StoreFS,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("collect: opening storage backend: %w", err)

@@ -129,7 +129,7 @@ type avgOperator struct {
 	seen         []sensor.Topic
 }
 
-func (a *avgOperator) Compute(qe *QueryEngine, u *units.Unit, now time.Time) ([]Output, error) {
+func (a *avgOperator) Compute(qe *QueryEngine, u *units.Unit, now time.Time, _ *TickContext) ([]Output, error) {
 	a.mu.Lock()
 	a.computeCount++
 	a.seen = append(a.seen, u.Name)

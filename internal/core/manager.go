@@ -471,13 +471,13 @@ func (m *Manager) OnDemand(opName string, unitName sensor.Topic, now time.Time) 
 	if unitName != "" {
 		for _, u := range op.Units() {
 			if u.Name == sensor.Clean(string(unitName)).AsNode() {
-				return computeUnit(op, m.qe, u, now, tc)
+				return op.Compute(m.qe, u, now, tc)
 			}
 		}
 		return nil, fmt.Errorf("core: operator %q has no unit %q", opName, unitName)
 	}
 	for _, u := range op.Units() {
-		o, err := computeUnit(op, m.qe, u, now, tc)
+		o, err := op.Compute(m.qe, u, now, tc)
 		if err != nil {
 			return nil, err
 		}

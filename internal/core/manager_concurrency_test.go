@@ -22,7 +22,7 @@ type blockingOp struct {
 	peak   atomic.Int32
 }
 
-func (o *blockingOp) Compute(qe *QueryEngine, u *units.Unit, now time.Time) ([]Output, error) {
+func (o *blockingOp) Compute(qe *QueryEngine, u *units.Unit, now time.Time, _ *TickContext) ([]Output, error) {
 	a := o.active.Add(1)
 	for {
 		p := o.peak.Load()

@@ -62,8 +62,8 @@ func (f SinkFunc) Push(topic sensor.Topic, r sensor.Reading) { f(topic, r) }
 
 // TickContext carries reusable scratch buffers for one worker's unit
 // computations, eliminating the per-unit-per-tick heap churn of building
-// fresh reading and output slices in every Compute. The tick path hands
-// each computation a pooled context; ComputeInto implementations slice
+// fresh reading and output slices in every computation. The tick path
+// hands each computation a pooled context; Compute implementations slice
 // the buffers to zero length, use them, and store any growth back so the
 // capacity is retained for the next unit.
 //
@@ -73,7 +73,7 @@ func (f SinkFunc) Push(topic sensor.Topic, r sensor.Reading) { f(topic, r) }
 type TickContext struct {
 	// Readings is scratch space for Query Engine calls.
 	Readings []sensor.Reading
-	// Outputs is scratch space for the produced outputs; ComputeInto
+	// Outputs is scratch space for the produced outputs; Compute
 	// conventionally appends into Outputs[:0] and returns the result.
 	Outputs []Output
 	// Floats is scratch space for intermediate numeric vectors whose
@@ -83,9 +83,8 @@ type TickContext struct {
 }
 
 // NewTickContext returns a fresh, unpooled context for paths that hand
-// computation results to a caller (on-demand triggers, plugin Compute
-// shims): outputs alias the context, so it must not be reused while they
-// are live.
+// computation results to a caller (on-demand triggers): outputs alias the
+// context, so it must not be reused while they are live.
 func NewTickContext() *TickContext { return &TickContext{} }
 
 // tickCtxPool recycles contexts across ticks. sync.Pool gives effectively
@@ -115,28 +114,12 @@ type Operator interface {
 	// Units returns the operator's units.
 	Units() []*units.Unit
 	// Compute performs the analysis for one unit at the given time,
-	// returning readings for (a subset of) the unit's output sensors.
-	Compute(qe *QueryEngine, u *units.Unit, now time.Time) ([]Output, error)
-}
-
-// ContextOperator is implemented by operators whose computation can run
-// against a reusable TickContext. When implemented, ComputeInto replaces
-// Compute on the tick path: the returned outputs may alias the context's
-// buffers and are consumed (pushed to the sink) before the context is
-// handed to the next computation. All built-in plugins implement it; their
-// plain Compute delegates to ComputeInto with a fresh context.
-type ContextOperator interface {
-	Operator
-	ComputeInto(qe *QueryEngine, u *units.Unit, now time.Time, tc *TickContext) ([]Output, error)
-}
-
-// computeUnit performs one unit computation, preferring the scratch-buffer
-// path when the operator supports it.
-func computeUnit(op Operator, qe *QueryEngine, u *units.Unit, now time.Time, tc *TickContext) ([]Output, error) {
-	if co, ok := op.(ContextOperator); ok {
-		return co.ComputeInto(qe, u, now, tc)
-	}
-	return op.Compute(qe, u, now)
+	// returning readings for (a subset of) the unit's output sensors. It
+	// runs against the caller's TickContext: the returned outputs may
+	// alias the context's buffers and are consumed (pushed to the sink or
+	// handed to the on-demand caller) before the context is given to the
+	// next computation.
+	Compute(qe *QueryEngine, u *units.Unit, now time.Time, tc *TickContext) ([]Output, error)
 }
 
 // BatchOperator is implemented by operators whose analysis spans all units
@@ -272,7 +255,7 @@ func TickScheduled(op Operator, qe *QueryEngine, sink Sink, now time.Time, sched
 			var errs []error
 			tc := getTickContext()
 			for _, u := range us {
-				outs, cerr := computeUnit(op, qe, u, now, tc)
+				outs, cerr := op.Compute(qe, u, now, tc)
 				if cerr != nil {
 					errs = append(errs, fmt.Errorf("core: %s: unit %s: %w", op.Name(), u.Name, cerr))
 				}
@@ -293,7 +276,7 @@ func TickScheduled(op Operator, qe *QueryEngine, sink Sink, now time.Time, sched
 			return func() {
 				defer wg.Done()
 				tc := getTickContext()
-				outs, err := computeUnit(op, qe, u, now, tc)
+				outs, err := op.Compute(qe, u, now, tc)
 				if err != nil {
 					errs[i] = fmt.Errorf("core: %s: unit %s: %w", op.Name(), u.Name, err)
 				}

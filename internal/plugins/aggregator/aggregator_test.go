@@ -2,6 +2,7 @@ package aggregator
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"time"
 
@@ -56,7 +57,7 @@ func compute(t testing.TB, o *Operator, qe *core.QueryEngine) float64 {
 	if len(us) != 1 {
 		t.Fatalf("units = %d, want 1 rack unit", len(us))
 	}
-	outs, err := o.Compute(qe, us[0], time.Unix(100, 0))
+	outs, err := o.Compute(qe, us[0], time.Unix(100, 0), core.NewTickContext())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestNoDataError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := o.Compute(qe, o.Units()[0], time.Unix(1, 0)); err == nil {
+	if _, err := o.Compute(qe, o.Units()[0], time.Unix(1, 0), core.NewTickContext()); err == nil {
 		t.Error("empty inputs should error")
 	}
 }
@@ -178,5 +179,55 @@ func TestTickThroughSink(t *testing.T) {
 	}
 	if len(pushed) != 1 {
 		t.Fatalf("pushed = %d", len(pushed))
+	}
+}
+
+// TestTickSteadyStateAllocs pins the pooled-TickContext path: once the
+// bound handles and scratch arenas are warm, a 64-unit sequential
+// core.Tick allocates at most twice (the tick's own closure and error
+// bookkeeping), independent of the unit count.
+func TestTickSteadyStateAllocs(t *testing.T) {
+	nav := navigator.New()
+	caches := cache.NewSet()
+	for n := 0; n < 64; n++ {
+		topic := sensor.Topic("/r1/").JoinNode("n" + strconv.Itoa(n)).Join("power")
+		if err := nav.AddSensor(topic); err != nil {
+			t.Fatal(err)
+		}
+		c := caches.GetOrCreate(topic, 180, time.Second)
+		for k := 0; k < 180; k++ {
+			c.Store(sensor.Reading{Value: float64(k), Time: int64(k) * sec})
+		}
+	}
+	qe := core.NewQueryEngine(nav, caches, nil)
+	op, err := New(Config{
+		OperatorConfig: core.OperatorConfig{
+			Name:    "agg",
+			Inputs:  []string{"power"},
+			Outputs: []string{"<bottomup>power-agg"},
+		},
+		Operation: Mean,
+		WindowMs:  60000,
+	}, qe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(op.Units()); n != 64 {
+		t.Fatalf("units = %d, want 64", n)
+	}
+	pushed := 0
+	sink := core.SinkFunc(func(sensor.Topic, sensor.Reading) { pushed++ })
+	now := time.Unix(179, 0)
+	tick := func() {
+		if err := core.Tick(op, qe, sink, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tick() // warm: bind the units, grow the scratch buffers
+	if pushed != 64 {
+		t.Fatalf("warm-up tick pushed %d outputs, want 64", pushed)
+	}
+	if allocs := testing.AllocsPerRun(100, tick); allocs > 2 {
+		t.Fatalf("warm 64-unit tick allocates %.1f/op, want <= 2", allocs)
 	}
 }

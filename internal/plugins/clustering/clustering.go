@@ -144,7 +144,7 @@ func (o *Operator) aggregate(qe *core.QueryEngine, u *units.Unit, buf []sensor.R
 // Compute implements core.Operator but is never called directly: the
 // manager always uses ComputeBatch for batch operators. It exists to
 // satisfy the interface and computes the single unit via a batch pass.
-func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time) ([]core.Output, error) {
+func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, _ *core.TickContext) ([]core.Output, error) {
 	outs, err := o.ComputeBatch(qe, now)
 	if err != nil {
 		return nil, err

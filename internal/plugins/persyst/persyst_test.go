@@ -94,7 +94,7 @@ func TestComputeDeciles(t *testing.T) {
 		t.Fatal(err)
 	}
 	us := r.op.Units()
-	outs, err := r.op.Compute(r.qe, us[0], time.Unix(50, 0))
+	outs, err := r.op.Compute(r.qe, us[0], time.Unix(50, 0), core.NewTickContext())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,16 +146,10 @@ func (o *Operator) AvgRelError() float64 {
 // Compute implements core.Operator. The unit's first output receives the
 // prediction of the target's next-interval value; a second output, when
 // configured, receives the relative error of the previous prediction as it
-// is realised.
-func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time) ([]core.Output, error) {
-	return o.ComputeInto(qe, u, now, core.NewTickContext())
-}
-
-// ComputeInto implements core.ContextOperator. The reading buffer comes
-// from the tick context; the feature vector is freshly allocated on
-// purpose — it outlives the computation as training data or as the unit's
-// lastFeatures state.
-func (o *Operator) ComputeInto(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
+// is realised. The reading buffer comes from the tick context; the
+// feature vector is freshly allocated on purpose — it outlives the
+// computation as training data or as the unit's lastFeatures state.
+func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
 	bu := qe.BindUnit(u)
 	target, found := bu.InputNamed(o.cfg.Target)
 	if !found {

@@ -61,16 +61,11 @@ func (o *Operator) ReadingsRetrieved() uint64 {
 
 // Compute issues the configured number of queries round-robin over the
 // unit's input sensors and reports the number of readings retrieved on the
-// unit's outputs.
-func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time) ([]core.Output, error) {
-	return o.ComputeInto(qe, u, now, core.NewTickContext())
-}
-
-// ComputeInto implements core.ContextOperator: the query workload runs
-// through bound sensor handles against the context's reading scratch, so
-// a steady-state tick performs no per-query topic resolution and no
-// allocations — the configuration the paper's Figure 5 sweeps.
-func (o *Operator) ComputeInto(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
+// unit's outputs. The query workload runs through bound sensor handles
+// against the context's reading scratch, so a steady-state tick performs
+// no per-query topic resolution and no allocations — the configuration
+// the paper's Figure 5 sweeps.
+func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
 	if len(u.Inputs) == 0 {
 		return nil, nil
 	}

@@ -22,7 +22,7 @@ import (
 // doubler is a trivial operator: output = 2 * latest input.
 type doubler struct{ *core.Base }
 
-func (d *doubler) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time) ([]core.Output, error) {
+func (d *doubler) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, _ *core.TickContext) ([]core.Output, error) {
 	r, ok := qe.Latest(u.Inputs[0])
 	if !ok {
 		return nil, fmt.Errorf("no data for %s", u.Inputs[0])

@@ -97,7 +97,7 @@ func (s *segment) aggregate(topic sensor.Topic, t0, t1 int64) (store.AggResult, 
 	if !ok || ss.maxT < t0 || ss.minT > t1 {
 		return a, nil
 	}
-	if ss.hasAgg && ss.minT >= t0 && ss.maxT <= t1 {
+	if ss.minT >= t0 && ss.maxT <= t1 {
 		return store.AggResult{Count: int64(ss.count), Sum: ss.vsum, Min: ss.vmin, Max: ss.vmax}, nil
 	}
 	it, err := s.readChunk(ss)
@@ -129,7 +129,7 @@ func (s *segment) downsample(topic sensor.Topic, t0, lo, t1, step int64, dst []s
 	if !ok || ss.maxT < lo || ss.minT > t1 {
 		return dst, nil
 	}
-	if ss.hasAgg && ss.minT >= lo && ss.maxT <= t1 {
+	if ss.minT >= lo && ss.maxT <= t1 {
 		if k := (ss.minT - t0) / step; k == (ss.maxT-t0)/step {
 			return append(dst, store.Bucket{Start: t0 + k*step, AggResult: store.AggResult{
 				Count: int64(ss.count), Sum: ss.vsum, Min: ss.vmin, Max: ss.vmax,

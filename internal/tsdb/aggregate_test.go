@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/dcdb/wintermute/internal/sensor"
@@ -197,83 +199,102 @@ func TestAggregateUsesChunkMetadata(t *testing.T) {
 	}
 }
 
-// writeSegmentV1 writes a version-1 segment (no per-chunk
-// pre-aggregates), byte-identical to the PR3 on-disk format, for the
-// compatibility test.
-func writeSegmentV1(t *testing.T, path string, coveredWAL uint64, data map[sensor.Topic][]sensor.Reading) {
+// forgeSegment writes a single-series segment file with a chosen header
+// version and a chosen index entry offset/length (off 0 means "where the
+// chunk really is"), always with a correct index CRC: what a decoder sees
+// when the bytes are intact but were not produced by writeSegment.
+func forgeSegment(t *testing.T, path string, version uint32, off, length uint64) {
 	t.Helper()
-	buf := append([]byte(nil), segMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, segVersionV1)
-	buf = binary.LittleEndian.AppendUint64(buf, coveredWAL)
-	index := binary.LittleEndian.AppendUint32(nil, uint32(len(data)))
-	for topic, rs := range data {
-		app := NewAppender()
-		for _, r := range rs {
-			app.Append(r)
-		}
-		chunk := app.Bytes()
-		off := len(buf)
-		buf = append(buf, chunk...)
-		index = binary.AppendUvarint(index, uint64(len(topic)))
-		index = append(index, topic...)
-		index = binary.AppendUvarint(index, uint64(len(rs)))
-		index = binary.AppendVarint(index, rs[0].Time)
-		index = binary.AppendVarint(index, rs[len(rs)-1].Time)
-		index = binary.AppendUvarint(index, uint64(off))
-		index = binary.AppendUvarint(index, uint64(len(chunk)))
+	const topic = "/n/power"
+	app := NewAppender()
+	for i := 0; i < 50; i++ {
+		app.Append(sensor.Reading{Time: int64(i * 10), Value: float64(i % 7)})
 	}
+	chunk := app.Bytes()
+	buf := append([]byte(nil), segMagic...)
+	buf = binary.LittleEndian.AppendUint32(buf, version)
+	buf = binary.LittleEndian.AppendUint64(buf, 0)
+	if off == 0 {
+		off, length = uint64(len(buf)), uint64(len(chunk))
+	}
+	buf = append(buf, chunk...)
+	index := binary.LittleEndian.AppendUint32(nil, 1)
+	index = binary.AppendUvarint(index, uint64(len(topic)))
+	index = append(index, topic...)
+	index = binary.AppendUvarint(index, 50)
+	index = binary.AppendVarint(index, 0)
+	index = binary.AppendVarint(index, 490)
+	index = binary.AppendUvarint(index, off)
+	index = binary.AppendUvarint(index, length)
+	index = append(index, make([]byte, 24)...) // min/max/sum
 	indexOff := len(buf)
 	buf = append(buf, index...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(indexOff))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(index))
 	buf = append(buf, segMagic...)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestSegmentV1Compatibility opens a database whose segment directory
-// holds a version-1 file: ranges, aggregates and downsampling must all
-// work (via the decode path — v1 series carry no pre-aggregates).
-func TestSegmentV1Compatibility(t *testing.T) {
-	dir := t.TempDir()
-	segDir := filepath.Join(dir, "seg")
-	if err := os.MkdirAll(segDir, 0o755); err != nil {
-		t.Fatal(err)
+// TestOpenRejectsUnsupportedSegmentVersion: a segment whose header
+// carries any version but the current one — the retired version 1
+// included — fails Open with an error naming the file and the version.
+func TestOpenRejectsUnsupportedSegmentVersion(t *testing.T) {
+	for _, version := range []uint32{1, segVersion + 1} {
+		dir := t.TempDir()
+		forgeSegment(t, segPath(filepath.Join(dir, "seg"), 1), version, 0, 0)
+		db, err := Open(dir, Options{FlushEvery: -1})
+		if err == nil {
+			db.Close()
+			t.Fatalf("Open accepted a version-%d segment", version)
+		}
+		for _, want := range []string{"00000001.seg", fmt.Sprintf("version %d", version)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("version %d: error %q does not mention %q", version, err, want)
+			}
+		}
 	}
-	rs := make([]sensor.Reading, 50)
-	for i := range rs {
-		rs[i] = sensor.Reading{Time: int64(i * 10), Value: float64(i % 7)}
-	}
-	writeSegmentV1(t, segPath(segDir, 1), 0, map[sensor.Topic][]sensor.Reading{"/n/power": rs})
+}
 
+// TestOpenRejectsOutOfBoundsIndexEntry forges CRC-valid indexes whose
+// chunk offset/length point outside the chunk area. Open must refuse
+// them: readChunk would otherwise allocate length bytes (a length of
+// 2^63 or more panics in make) or decode index bytes as chunk data.
+func TestOpenRejectsOutOfBoundsIndexEntry(t *testing.T) {
+	// The forger itself is sound: with the true offset the file opens.
+	dir := t.TempDir()
+	forgeSegment(t, segPath(filepath.Join(dir, "seg"), 1), segVersion, 0, 0)
 	db, err := Open(dir, Options{FlushEvery: -1})
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	db.mu.RLock()
-	ss := db.segs[0].series["/n/power"]
-	db.mu.RUnlock()
-	if ss.hasAgg {
-		t.Fatal("v1 series unexpectedly claims pre-aggregates")
+		t.Fatalf("well-formed forged segment: %v", err)
 	}
 	if got := db.Range("/n/power", 0, 490, nil); len(got) != 50 {
-		t.Fatalf("v1 Range returned %d readings, want 50", len(got))
+		t.Fatalf("well-formed forged segment: %d readings, want 50", len(got))
 	}
-	got := db.Aggregate("/n/power", 0, 490)
-	want := store.AggregateNaive(db, "/n/power", 0, 490)
-	if got != want || got.Count != 50 {
-		t.Fatalf("v1 Aggregate = %+v, naive = %+v", got, want)
-	}
-	gotB := db.Downsample("/n/power", 0, 490, 100, nil)
-	wantB := store.DownsampleNaive(db, "/n/power", 0, 490, 100, nil)
-	if len(gotB) != len(wantB) {
-		t.Fatalf("v1 Downsample: %d buckets, naive %d", len(gotB), len(wantB))
-	}
-	for i := range gotB {
-		if gotB[i] != wantB[i] {
-			t.Fatalf("v1 Downsample bucket %d = %+v, naive %+v", i, gotB[i], wantB[i])
+	db.Close()
+	for name, e := range map[string]struct{ off, length uint64 }{
+		"length>=2^63":       {segHeader, 1 << 63},
+		"length=max":         {segHeader, math.MaxUint64},
+		"off+length wraps":   {math.MaxUint64 - 1, 8},
+		"off inside header":  {segHeader - 1, 4},
+		"runs into index":    {segHeader, 1 << 20},
+		"off past the index": {1 << 40, 1},
+	} {
+		dir := t.TempDir()
+		forgeSegment(t, segPath(filepath.Join(dir, "seg"), 1), segVersion, e.off, e.length)
+		db, err := Open(dir, Options{FlushEvery: -1})
+		if err == nil {
+			db.Range("/n/power", 0, 490, nil)
+			db.Close()
+			t.Errorf("%s: Open accepted the forged index", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "corrupt index entry") {
+			t.Errorf("%s: error %q, want corrupt index entry", name, err)
 		}
 	}
 }

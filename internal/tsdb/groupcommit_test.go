@@ -209,55 +209,3 @@ func TestGroupCommitErrorPropagation(t *testing.T) {
 		t.Fatal("Close must surface the WAL failure")
 	}
 }
-
-// TestLegacyIngestPathStillCorrect keeps the benchmark-only legacy path
-// honest: same data in, same data out.
-func TestLegacyIngestPathStillCorrect(t *testing.T) {
-	dir := t.TempDir()
-	db := openTest(t, dir, Options{LegacyIngest: true, WALSync: true})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			topic := sensor.Topic(fmt.Sprintf("/l/n%02d/power", w))
-			for i := 0; i < 50; i++ {
-				db.InsertBatch(topic, []sensor.Reading{{Value: float64(i), Time: int64(i) * sec}})
-			}
-		}(w)
-	}
-	wg.Wait()
-	db.Abandon()
-	db2 := openTest(t, dir, Options{})
-	defer db2.Close()
-	if got := db2.TotalReadings(); got != 4*50 {
-		t.Fatalf("recovered %d readings, want 200", got)
-	}
-}
-
-// TestGroupWindowCoalesces sanity-checks the linger knob: with a window
-// set, concurrent appends from many goroutines land in few cohorts (and
-// none are lost).
-func TestGroupWindowCoalesces(t *testing.T) {
-	dir := t.TempDir()
-	db := openTest(t, dir, Options{WALGroupWindow: 2 * time.Millisecond})
-	const writers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			topic := sensor.Topic(fmt.Sprintf("/g/n%02d/power", w))
-			for i := 0; i < 20; i++ {
-				db.InsertBatch(topic, []sensor.Reading{{Value: float64(i), Time: int64(i) * sec}})
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := db.TotalReadings(); got != writers*20 {
-		t.Fatalf("TotalReadings = %d, want %d", got, writers*20)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -24,41 +24,35 @@ import (
 //	index:   u32le series count, then per series
 //	         uvarint topic len | topic | uvarint count |
 //	         varint minT | varint maxT | uvarint offset | uvarint length |
-//	         f64le min value | f64le max value | f64le value sum   (v2)
+//	         f64le min value | f64le max value | f64le value sum
 //	footer:  u64le index offset | u32le index CRC-32 | magic "WTSG"
 //
 // The covered WAL sequence records the newest WAL file whose contents are
 // fully represented by this segment and its predecessors; recovery uses
 // it to decide which WAL files still need replaying.
 //
-// Version 2 added the per-chunk value pre-aggregates (min/max/sum; the
-// count was in the index from the start), recorded once at flush time.
-// They let an aggregation query answer a fully-covered chunk from index
-// metadata in O(1) without touching the chunk bytes; only chunks the
-// window boundary or retention watermark cuts through are decoded.
-// Version 1 segments remain readable — their series carry no
-// pre-aggregates (hasAgg false) and always take the decode path.
+// The per-chunk value pre-aggregates (min/max/sum, beside the count) are
+// recorded once at flush time. They let an aggregation query answer a
+// fully-covered chunk from index metadata in O(1) without touching the
+// chunk bytes; only chunks the window boundary or retention watermark
+// cuts through are decoded. Open accepts segVersion only.
 
 const (
-	segMagic     = "WTSG"
-	segVersion   = 2
-	segVersionV1 = 1
-	segHeader    = 4 + 4 + 8
-	segFooter    = 8 + 4 + 4
+	segMagic   = "WTSG"
+	segVersion = 2
+	segHeader  = 4 + 4 + 8
+	segFooter  = 8 + 4 + 4
 )
 
 // segSeries locates one series' chunk inside a segment file, together
-// with the chunk's pre-aggregates (v2 segments).
+// with the chunk's pre-aggregates.
 type segSeries struct {
 	count      int
 	minT, maxT int64
 	off        int64
 	length     int64
 
-	// Per-chunk value pre-aggregates, recorded at flush time. hasAgg is
-	// false for series read from version-1 segments; those always
-	// decode.
-	hasAgg           bool
+	// Per-chunk value pre-aggregates, recorded at flush time.
 	vmin, vmax, vsum float64
 }
 
@@ -234,7 +228,7 @@ func openSegment(fs FS, path string, seq uint64) (*segment, error) {
 		return nil, fmt.Errorf("bad magic")
 	}
 	version := binary.LittleEndian.Uint32(hdr[4:])
-	if version != segVersion && version != segVersionV1 {
+	if version != segVersion {
 		f.Close()
 		return nil, fmt.Errorf("unsupported version %d", version)
 	}
@@ -312,24 +306,22 @@ func openSegment(fs FS, path string, seq uint64) (*segment, error) {
 		maxT, ok3 := svar()
 		off, ok4 := uvar()
 		length, ok5 := uvar()
-		if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 {
+		if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 || len(p) < 24 {
 			return bad()
 		}
-		ss := segSeries{
+		// The chunk must lie between the header and the index: readChunk
+		// allocates length bytes and reads them at off unchecked.
+		if off < segHeader || off > uint64(indexOff) || length > uint64(indexOff)-off {
+			return bad()
+		}
+		seg.series[topic] = segSeries{
 			count: int(count), minT: minT, maxT: maxT,
 			off: int64(off), length: int64(length),
+			vmin: math.Float64frombits(binary.LittleEndian.Uint64(p)),
+			vmax: math.Float64frombits(binary.LittleEndian.Uint64(p[8:])),
+			vsum: math.Float64frombits(binary.LittleEndian.Uint64(p[16:])),
 		}
-		if version >= segVersion {
-			if len(p) < 24 {
-				return bad()
-			}
-			ss.hasAgg = true
-			ss.vmin = math.Float64frombits(binary.LittleEndian.Uint64(p))
-			ss.vmax = math.Float64frombits(binary.LittleEndian.Uint64(p[8:]))
-			ss.vsum = math.Float64frombits(binary.LittleEndian.Uint64(p[16:]))
-			p = p[24:]
-		}
-		seg.series[topic] = ss
+		p = p[24:]
 		if first || minT < seg.minT {
 			seg.minT = minT
 		}

@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/dcdb/wintermute/internal/sensor"
 	"github.com/dcdb/wintermute/internal/telemetry"
@@ -87,11 +86,9 @@ var walRecPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // wal is the active write-ahead log file.
 type wal struct {
-	fs          FS
-	dir         string
-	syncEach    bool
-	groupWindow time.Duration
-	legacy      bool // pre-group-commit append path, kept for the paired bench
+	fs       FS
+	dir      string
+	syncEach bool
 
 	// m is the owning DB's telemetry bundle, set by Open before any
 	// Append can run; nil only when a wal is constructed bare in tests.
@@ -105,7 +102,6 @@ type wal struct {
 	f          File
 	seq        uint64
 	size       int64
-	buf        []byte // legacy-path record scratch
 }
 
 // newWAL starts a fresh WAL file with the given sequence number.
@@ -119,16 +115,15 @@ func newWAL(fs FS, dir string, seq uint64, syncEach bool) (*wal, error) {
 	return w, nil
 }
 
-// Append durably logs one topic's reading batch through the group
-// committer: the record is encoded outside the lock, staged into the
-// current cohort, and Append returns once a leader has persisted the
-// cohort with one write (+ one sync when syncEach is set).
+// Append durably logs one topic's reading batch: the record is encoded
+// outside the lock, staged into the current cohort, and Append returns
+// once a leader has persisted the cohort with one write (+ one sync when
+// syncEach is set). The WAL picks the commit shape from what it observes,
+// not from a setting: with no fsync to amortize and nobody committing, a
+// lone writer skips the cohort and writes inline.
 func (w *wal) Append(topic sensor.Topic, rs []sensor.Reading) error {
 	if len(rs) == 0 {
 		return nil
-	}
-	if w.legacy {
-		return w.appendLegacy(topic, rs)
 	}
 	rec := walRecPool.Get().(*[]byte)
 	*rec = appendWALRecord((*rec)[:0], topic, rs)
@@ -143,7 +138,7 @@ func (w *wal) Append(topic sensor.Topic, rs []sensor.Reading) error {
 		walRecPool.Put(rec)
 		return err
 	}
-	if !w.syncEach && w.groupWindow == 0 && !w.committing && w.staging == nil {
+	if !w.syncEach && !w.committing && w.staging == nil {
 		// No fsync to amortize: the bare write is cheaper than cohort
 		// coordination, so commit inline under the lock (the encode
 		// already happened outside it). Writers arriving mid-write
@@ -179,16 +174,10 @@ func (w *wal) Append(topic sensor.Topic, rs []sensor.Reading) error {
 		<-g.done
 		return g.err
 	}
-	// No commit in flight: this writer leads. Optionally linger so more
-	// concurrent writers join the cohort before it is persisted.
+	// No commit in flight: this writer leads.
 	w.committing = true
-	if w.groupWindow > 0 {
-		w.mu.Unlock()
-		time.Sleep(w.groupWindow)
-		w.mu.Lock()
-	}
 	for w.staging != nil && w.err == nil {
-		if w.syncEach && w.groupWindow == 0 {
+		if w.syncEach {
 			// An fsync dwarfs everything else on this path, so make each
 			// one count: yield until the cohort stops growing — writers
 			// woken by the previous commit (runnable, about to re-stage)
@@ -243,41 +232,6 @@ func (w *wal) Append(topic sensor.Topic, rs []sensor.Reading) error {
 	w.drained.Broadcast()
 	w.mu.Unlock()
 	return g.err
-}
-
-// appendLegacy is the pre-group-commit path: encode, write and sync all
-// under the writer lock, one fsync per batch. Kept selectable (see
-// Options.LegacyIngest) so the paired ingest benchmarks can measure the
-// before side.
-func (w *wal) appendLegacy(topic sensor.Topic, rs []sensor.Reading) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	w.buf = appendWALRecord(w.buf[:0], topic, rs)
-	commitStart := telemetry.Clock()
-	n, err := w.f.Write(w.buf)
-	w.size += int64(n)
-	if err != nil {
-		err = fmt.Errorf("tsdb: wal append: %w", err)
-		w.err = err
-		return err
-	}
-	if w.syncEach {
-		if err := w.f.Sync(); err != nil {
-			w.err = err
-			return err
-		}
-	}
-	if m := w.m; m != nil {
-		m.walCommitS.ObserveSince(commitStart)
-		m.walCommits.Inc()
-		m.walAppends.Inc()
-		m.walBytes.Add(uint64(n))
-		m.walCohort.Observe(1)
-	}
-	return nil
 }
 
 // waitDrainedLocked blocks until no cohort is staged or being committed.
