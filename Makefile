@@ -55,22 +55,25 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# Seeded chaos smoke (~10s): the fault-injected end-to-end scenario and
-# the integration-tier recovery case, both under the race detector. A
-# fixed WINTERMUTE_TEST_SEED keeps CI deterministic; drop the variable to
-# explore fresh seeds locally (failures log their replay incantation).
+# Seeded chaos smoke (~10s): the fault-injected end-to-end scenario,
+# the integration-tier recovery case and the ack-means-stored check
+# (a stalled WAL write must hold the PubAck back), all under the race
+# detector. A fixed WINTERMUTE_TEST_SEED keeps CI deterministic; drop
+# the variable to explore fresh seeds locally (failures log their
+# replay incantation).
 # See docs/TESTING.md for the harness design and verdict format.
 chaos-smoke:
 	WINTERMUTE_TEST_SEED=42 $(GO) test -race -count=1 \
-		-run 'TestScenarioSmoke|TestChaosSmokeRecovery' \
+		-run 'TestScenarioSmoke|TestChaosSmokeRecovery|TestAckImpliesStored' \
 		./internal/chaos/ ./internal/integration/
 
-# Full chaos run: 1000 simulated pushers, 30s of scheduled faults
-# (killed connections, torn/stalled/failed fsyncs, disk-full, slow
-# readers, OOO floods, clock skew) with the at-least-once spool on, so
-# the verdict requires zero lost readings, period. The JSON verdict goes
-# to stdout; the exit status is non-zero on a failed verdict.
-# Pre-merge gate for storage/transport/ingest changes.
+# Full chaos run: 1000 simulated pushers, 30s of the nine scheduled
+# fault classes (killed connections, stalled fsyncs, failed fsyncs, torn
+# WAL writes, failed segment writes, disk-full, slow readers, OOO floods,
+# clock skew) with the at-least-once spool on, so the verdict requires
+# zero lost readings, period. The JSON verdict goes to stdout; the exit
+# status is non-zero on a failed verdict. Pre-merge gate for
+# storage/transport/ingest changes.
 chaos:
 	$(GO) run ./cmd/chaosrunner -seed 42
 

@@ -4,9 +4,9 @@
 // The exit status is the gate: 0 when the accounting is clean — with
 // the default at-least-once spool that means zero lost readings, period
 // (nothing acked-lost, nothing unacked-dropped), plus zero duplicates,
-// phantoms, mismatches and a clean drain — 1 otherwise. `make chaos`
-// runs the full pre-merge configuration; `make chaos-smoke` runs the
-// seeded in-package smoke test under -race instead.
+// phantoms and mismatches — 1 otherwise. `make chaos` runs the full
+// pre-merge configuration; `make chaos-smoke` runs the seeded
+// in-package smoke test under -race instead.
 //
 // Usage:
 //
@@ -34,8 +34,6 @@ func main() {
 		rate      = flag.Float64("rate", 5, "batches per topic per second")
 		batch     = flag.Int("batch", 10, "readings per batch")
 		duration  = flag.Duration("duration", 30*time.Second, "publish window")
-		workers   = flag.Int("ingest-workers", 0, "agent ingest workers (0 = default)")
-		queueCap  = flag.Int("queue-cap", 2, "agent ingest queue capacity (tiny = standing backpressure)")
 		queryLoad = flag.Int("query-workers", 4, "concurrent REST query workers")
 		dir       = flag.String("dir", "", "store directory (empty = temp)")
 		out       = flag.String("out", "", "write the JSON verdict to this file (always printed to stdout)")
@@ -46,17 +44,15 @@ func main() {
 		*seed = time.Now().UnixNano()
 	}
 	v, err := chaos.Scenario{
-		Seed:           *seed,
-		Pushers:        *pushers,
-		Topics:         *topics,
-		Rate:           *rate,
-		BatchSize:      *batch,
-		Duration:       *duration,
-		IngestWorkers:  *workers,
-		IngestQueueCap: *queueCap,
-		QueryWorkers:   *queryLoad,
-		Dir:            *dir,
-		SpoolBatches:   *spool,
+		Seed:         *seed,
+		Pushers:      *pushers,
+		Topics:       *topics,
+		Rate:         *rate,
+		BatchSize:    *batch,
+		Duration:     *duration,
+		QueryWorkers: *queryLoad,
+		Dir:          *dir,
+		SpoolBatches: *spool,
 	}.Run()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chaosrunner: %v\n", err)

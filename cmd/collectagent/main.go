@@ -45,7 +45,6 @@ func main() {
 		storeDir   = flag.String("store-dir", "", "persistent storage backend directory (empty: in-memory store)")
 		storeRet   = flag.Duration("store-retention", 0, "persistent backend retention window (0: keep forever)")
 		storeSync  = flag.Bool("store-wal-sync", false, "fsync the storage WAL on every group commit")
-		ingestWrk  = flag.Int("ingest-workers", 0, "broker->storage ingest workers (0: min(4, GOMAXPROCS), negative: synchronous)")
 		storeMax   = flag.Int("store-max", 100000, "in-memory store: max readings per sensor (0: unlimited)")
 		configPath = flag.String("config", "", "Wintermute plugin configuration (JSON)")
 		threads    = flag.Int("threads", 0, "Wintermute worker pool size (0: GOMAXPROCS)")
@@ -68,7 +67,6 @@ func main() {
 		StoreDir:            *storeDir,
 		StoreRetention:      *storeRet,
 		StoreWALSync:        *storeSync,
-		IngestWorkers:       *ingestWrk,
 		StoreMax:            *storeMax,
 		ResultCacheSize:     *rcSize,
 		ResultCacheTTL:      *rcTTL,

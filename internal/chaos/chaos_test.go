@@ -162,9 +162,9 @@ func TestLedgerClassification(t *testing.T) {
 // TestScenarioSmoke is the in-package chaos smoke: a short seeded run
 // across every fault class (conn kill, fsync stall, fsync fail, torn
 // WAL writes, segment failures, disk-full, slow readers, OOO flood,
-// clock skew) plus standing backpressure via a one-slot ingest queue,
-// with the at-least-once spool on — asserting exact zero-loss
-// accounting: nothing lost, nothing duplicated, nothing corrupted.
+// clock skew) with the at-least-once spool on — asserting exact
+// zero-loss accounting: nothing lost, nothing duplicated, nothing
+// corrupted.
 // `make chaos-smoke` runs it under -race.
 func TestScenarioSmoke(t *testing.T) {
 	if testing.Short() {
@@ -172,16 +172,14 @@ func TestScenarioSmoke(t *testing.T) {
 	}
 	seed := testseed.Seed(t)
 	sc := Scenario{
-		Seed:           seed,
-		Pushers:        12,
-		Topics:         4,
-		Rate:           25,
-		BatchSize:      4,
-		Duration:       4 * time.Second,
-		IngestWorkers:  2,
-		IngestQueueCap: 1, // every enqueue exercises the backpressure path
-		QueryWorkers:   2,
-		Dir:            t.TempDir(),
+		Seed:         seed,
+		Pushers:      12,
+		Topics:       4,
+		Rate:         25,
+		BatchSize:    4,
+		Duration:     4 * time.Second,
+		QueryWorkers: 2,
+		Dir:          t.TempDir(),
 	}
 	v, err := sc.Run()
 	if err != nil {

@@ -3,13 +3,12 @@
 // broker → collect → tsdb → REST pipeline in one process, injects
 // faults underneath and around it — torn WAL writes, failed and
 // stalling fsyncs, a full disk (ENOSPC), killed pusher connections,
-// subscribers that stop reading, clock skew, out-of-order floods,
-// ingest backpressure — and reconciles every reading sent against what
-// the store reports afterwards. Pushers run with the transport's
-// at-least-once spool by default, and the agent's dedup keeps the
-// store exactly-once, so a passing verdict means zero lost readings,
-// period: nothing acked-lost, nothing unacked-dropped, nothing
-// duplicated, nothing corrupted.
+// subscribers that stop reading, clock skew, out-of-order floods — and
+// reconciles every reading sent against what the store reports
+// afterwards. Pushers run with the transport's at-least-once spool by
+// default, and the agent's dedup keeps the store exactly-once, so a
+// passing verdict means zero lost readings, period: nothing acked-lost,
+// nothing unacked-dropped, nothing duplicated, nothing corrupted.
 //
 // The three pieces are FS (a fault-injecting tsdb.FS), Ledger (the
 // exact per-reading accounting) and Scenario (the seeded, deterministic

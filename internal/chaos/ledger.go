@@ -32,7 +32,6 @@ type Ledger struct {
 	sent map[sensor.Topic]map[int64]*entry
 	// phantomDelivered counts delivered readings no pusher sent.
 	phantomDelivered uint64
-	deliveredCount   uint64
 }
 
 // NewLedger returns an empty ledger.
@@ -60,10 +59,8 @@ func (l *Ledger) RecordSent(topic sensor.Topic, rs []sensor.Reading) {
 // with Broker.SubscribeLocal("#", l.RecordDelivered) AFTER the collect
 // agent's own subscription, so a message is marked delivered if and
 // only if the agent's ingest handler ran for it in the same
-// synchronous route pass. Each reading is counted on its first
-// delivery only: an at-least-once pusher redelivers whole batches
-// after a reconnect, the agent's dedup admits just the first copy, and
-// deliveredCount must keep matching what the agent actually ingested.
+// synchronous route pass. Redelivered copies (an at-least-once pusher
+// resends whole batches after a reconnect) find the bit already set.
 func (l *Ledger) RecordDelivered(m transport.Message) {
 	l.mu.Lock()
 	byTS := l.sent[m.Topic]
@@ -73,21 +70,9 @@ func (l *Ledger) RecordDelivered(m transport.Message) {
 			l.phantomDelivered++
 			continue
 		}
-		if !e.delivered {
-			e.delivered = true
-			l.deliveredCount++
-		}
+		e.delivered = true
 	}
 	l.mu.Unlock()
-}
-
-// DeliveredReadings returns how many sent readings the broker has
-// delivered so far; the scenario polls it against the agent's ingest
-// counter to detect queue drain.
-func (l *Ledger) DeliveredReadings() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.deliveredCount
 }
 
 // SentTopics returns every topic with at least one sent reading.
@@ -139,8 +124,8 @@ func (a Accounting) Clean() bool {
 
 // Reconcile classifies every sent reading against the store. rangeAll
 // must return every stored reading of the topic (the scenario passes a
-// full-time-range Store.Range). Call it after the pipeline has drained:
-// readings still in flight would be misclassified as acked-lost.
+// full-time-range Store.Range). Call it after Broker.Close returned:
+// a reading still inside a serve loop would be misclassified.
 func (l *Ledger) Reconcile(rangeAll func(sensor.Topic) []sensor.Reading) Accounting {
 	l.mu.Lock()
 	defer l.mu.Unlock()

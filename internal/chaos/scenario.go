@@ -30,9 +30,7 @@ import (
 // FaultKind names one injectable fault class in a scenario schedule.
 type FaultKind string
 
-// The fault classes a scenario can schedule. Backpressure is not
-// scheduled — it is the standing IngestQueueCap configuration — but is
-// reported as an active class in the verdict when the cap is tiny.
+// The fault classes a scenario can schedule.
 const (
 	// FaultConnKill abruptly closes live pusher connections.
 	FaultConnKill FaultKind = "conn-kill"
@@ -95,18 +93,13 @@ type Scenario struct {
 	Rate float64
 	// BatchSize is the readings per published batch.
 	BatchSize int
-	// Duration is how long pushers publish before the drain phase.
+	// Duration is how long pushers publish before they close and drain
+	// their spools.
 	Duration time.Duration
 	// Faults is the fault schedule; nil selects DefaultFaults(Duration).
 	// The WAL always runs with per-group-commit fsync so the fsync
 	// faults actually bite.
 	Faults []FaultSpec
-	// IngestWorkers sizes the agent's ingest fan-in (see
-	// collect.Config).
-	IngestWorkers int
-	// IngestQueueCap bounds each ingest queue; 1 forces the
-	// backpressure path on every enqueue.
-	IngestQueueCap int
 	// SpoolBatches sizes each pusher's at-least-once client spool
 	// (default 256): batches survive killed connections in the spool and
 	// are redelivered after the automatic reconnect, with the agent's
@@ -120,9 +113,6 @@ type Scenario struct {
 	// Dir is the store directory; empty creates (and removes) a
 	// temporary one.
 	Dir string
-	// DrainTimeout bounds the post-run wait for ingest queues to empty
-	// (default 15s).
-	DrainTimeout time.Duration
 }
 
 // Verdict is the JSON result of a scenario run. Pass requires clean
@@ -185,12 +175,9 @@ type Verdict struct {
 	// queues (the slow-reader fault's intended effect).
 	SlowReaderDrops uint64 `json:"slow_reader_drops"`
 	// BrokerPubAcks counts publish acknowledgements the broker sent.
-	BrokerPubAcks uint64 `json:"broker_pubacks"`
-	// DrainedCleanly reports whether the ingest fan-in drained to the
-	// ledger's delivered count within DrainTimeout.
-	DrainedCleanly bool     `json:"drained_cleanly"`
-	Pass           bool     `json:"pass"`
-	Failures       []string `json:"failures,omitempty"`
+	BrokerPubAcks uint64   `json:"broker_pubacks"`
+	Pass          bool     `json:"pass"`
+	Failures      []string `json:"failures,omitempty"`
 }
 
 // DefaultFaults returns the canonical schedule covering every fault
@@ -245,9 +232,6 @@ func (s Scenario) withDefaults() Scenario {
 		s.QueryWorkers = 0
 	} else if s.QueryWorkers == 0 {
 		s.QueryWorkers = 2
-	}
-	if s.DrainTimeout <= 0 {
-		s.DrainTimeout = 15 * time.Second
 	}
 	return s
 }
@@ -355,12 +339,10 @@ func (s Scenario) Run() (*Verdict, error) {
 	cfs := NewFS(nil, derive(s.Seed, "fs"))
 	reg := telemetry.NewRegistry()
 	agent, err := collect.New(collect.Config{
-		ListenMQTT:     "127.0.0.1:0",
-		StoreDir:       dir,
-		StoreFS:        cfs,
-		StoreWALSync:   true,
-		IngestWorkers:  s.IngestWorkers,
-		IngestQueueCap: s.IngestQueueCap,
+		ListenMQTT:   "127.0.0.1:0",
+		StoreDir:     dir,
+		StoreFS:      cfs,
+		StoreWALSync: true,
 		// A small outbound queue and a short write deadline make the
 		// slow-reader fault bite within a smoke-length run: the stalled
 		// subscriber's queue fills in milliseconds (forwards shed with a
@@ -594,30 +576,12 @@ func (s Scenario) Run() (*Verdict, error) {
 	// Close the broker before reconciling: a closed pusher connection
 	// can still have complete frames sitting in the broker's read
 	// buffers, and Broker.Close waits for every serve loop to finish
-	// routing them. Without this barrier a last batch can reach the
-	// store mid-reconcile with its delivery recorded too late,
-	// misreporting it as stored-but-undelivered. Agent.Close re-closing
-	// the broker later is a no-op.
+	// routing them — which includes storing them, so the reconcile
+	// below needs no further wait: anything delivered and not in the
+	// store by now is acked-lost. Agent.Close re-closing the broker later
+	// is a no-op.
 	_ = agent.Broker.Close()
 
-	// Drain: the broker routed everything the pushers managed to send
-	// (their connections are closed), so the ingest fan-in is done once
-	// the agent's own counter matches the ledger's delivered count.
-	drained := true
-	if s.IngestWorkers >= 0 {
-		deadline := time.Now().Add(s.DrainTimeout)
-		for {
-			v, _ := reg.Value("dcdb_ingest_readings_total")
-			if uint64(v) >= ledger.DeliveredReadings() {
-				break
-			}
-			if time.Now().After(deadline) {
-				drained = false
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
 	// A final flush exercises the segment path post-chaos and re-arms a
 	// degraded WAL; its data stays query-visible either way.
 	if agent.DB != nil {
@@ -658,10 +622,9 @@ func (s Scenario) Run() (*Verdict, error) {
 		DupBatchesDropped:      uint64(dupBatches),
 		SlowReaderDrops:        uint64(slowDrops),
 		BrokerPubAcks:          uint64(pubAcks),
-		DrainedCleanly:         drained,
 	}
 	v.QueryP50Ms, v.QueryP99Ms = percentiles(lats)
-	v.Pass = acct.Clean() && drained
+	v.Pass = acct.Clean()
 	if spoolOn {
 		// At-least-once upstream + dedup downstream: zero lost, period.
 		// Every reading a pusher accepted is either in the store or the
@@ -685,9 +648,6 @@ func (s Scenario) Run() (*Verdict, error) {
 	}
 	if acct.ValueMismatch > 0 {
 		v.Failures = append(v.Failures, fmt.Sprintf("%d stored readings with corrupted values", acct.ValueMismatch))
-	}
-	if !drained {
-		v.Failures = append(v.Failures, "ingest fan-in did not drain within the timeout")
 	}
 	return v, nil
 }
@@ -806,8 +766,7 @@ func (s Scenario) faultActions(cfs *FS, broker *transport.Broker, db *tsdb.DB,
 	return func() {}, nil
 }
 
-// faultClasses lists the distinct fault classes a scenario applies,
-// including the standing backpressure configuration.
+// faultClasses lists the distinct fault classes a scenario applies.
 func faultClasses(s Scenario) []string {
 	seen := make(map[string]bool)
 	var out []string
@@ -816,9 +775,6 @@ func faultClasses(s Scenario) []string {
 			seen[string(f.Kind)] = true
 			out = append(out, string(f.Kind))
 		}
-	}
-	if s.IngestQueueCap > 0 && s.IngestQueueCap <= 4 {
-		out = append(out, "backpressure")
 	}
 	sort.Strings(out)
 	return out

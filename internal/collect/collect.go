@@ -4,6 +4,9 @@
 // caches, and embeds the Wintermute framework with visibility of the
 // entire system's sensor space (paper §IV-A).
 //
+// A delivered batch is stored on the delivering connection's own
+// goroutine, before the broker acknowledges it: an ack means stored.
+//
 // Operators instantiated in a Collect Agent read from the local caches
 // when possible and from the Storage Backend otherwise — the location
 // "optimal for system or infrastructure-level analysis and feedback
@@ -12,8 +15,6 @@ package collect
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"github.com/dcdb/wintermute/internal/cache"
@@ -50,18 +51,6 @@ type Config struct {
 	// (durability against OS crashes; the fsync is amortized across all
 	// concurrently-ingesting connections).
 	StoreWALSync bool
-	// IngestWorkers sizes the worker fan-in between the broker and the
-	// storage path: delivered messages are queued per topic shard and
-	// ingested by this many workers, so a slow WAL fsync never stalls a
-	// connection's read loop, and concurrent batches coalesce into
-	// shared group commits. 0 picks a default (min(4, GOMAXPROCS));
-	// negative ingests synchronously on the delivering goroutine.
-	IngestWorkers int
-	// IngestQueueCap bounds each ingest worker's queue (default 256).
-	// A full queue blocks the delivering connection — backpressure,
-	// never a drop. The chaos harness shrinks this to 1 to force the
-	// backpressure path under load.
-	IngestQueueCap int
 	// BrokerWriteDeadline bounds every broker frame write to a client
 	// connection (default 10s): a subscriber that stops reading is torn
 	// down instead of wedging the writer.
@@ -89,7 +78,7 @@ type Config struct {
 	// attach here).
 	Env core.Env
 	// Metrics, when set, instruments every subsystem the agent wires
-	// together (broker, ingest fan-in, tsdb, result cache, scheduler,
+	// together (broker, ingest path, tsdb, result cache, scheduler,
 	// storage stats) into the given telemetry registry. The daemons pass
 	// telemetry.Default; tests pass a private registry or nil.
 	Metrics *telemetry.Registry
@@ -132,24 +121,6 @@ type Agent struct {
 	// batches (same client epoch, sequence at or below the topic's
 	// high-water mark) are dropped before they reach the ingest path.
 	dedup *dedup
-
-	// Ingest fan-in between the broker and the sink: one bounded queue
-	// per worker, messages sharded by topic so per-topic batch order is
-	// preserved. batchPool recycles the copies the enqueue path must
-	// make (the broker reuses its decode buffers).
-	ingestQs    []chan ingestBatch
-	ingestWG    sync.WaitGroup
-	ingestClose sync.Once
-	batchPool   sync.Pool
-}
-
-// ingestBatch is one queued topic batch; buf returns to the pool after
-// the worker pushed it. enq stamps the enqueue time for the drain
-// latency histogram (zero when telemetry is disabled).
-type ingestBatch struct {
-	topic sensor.Topic
-	buf   *[]sensor.Reading
-	enq   time.Time
 }
 
 // New creates a Collect Agent and, when configured, starts its broker.
@@ -242,101 +213,33 @@ func New(cfg Config) (*Agent, error) {
 			return nil, fmt.Errorf("collect: starting broker: %w", err)
 		}
 		a.Broker = b
-		if workers := ingestWorkerCount(cfg.IngestWorkers); workers > 0 {
-			a.startIngestWorkers(workers, ingestQueueCap(cfg.IngestQueueCap))
-			b.SubscribeLocal("#", func(m transport.Message) {
-				// The broker owns m.Readings only for the duration of
-				// the call; copy into a pooled batch and hand it to the
-				// topic's worker. Per-topic order is preserved by the
-				// shard mapping; a full queue blocks the delivering
-				// connection (backpressure), never drops. Redelivered
-				// batches are dropped here, before they cost a copy.
-				if !a.admitBatch(m) {
-					return
-				}
-				a.enqueueIngest(m.Topic, m.Readings)
-			})
-		} else {
-			b.SubscribeLocal("#", func(m transport.Message) {
-				// One delivered message becomes one batched sink push: the
-				// topic's cache, store series and navigator registration are
-				// each touched once per message, not once per reading.
-				if !a.admitBatch(m) {
-					return
-				}
-				a.IngestBatch(m.Topic, m.Readings)
-			})
-		}
+		// The handler stores on the broker's per-connection goroutine and
+		// the broker acks only after it returned, so a PubAck means the
+		// batch is in the head and, unless the WAL is degraded, in the
+		// WAL (fsynced under StoreWALSync). m.Readings is the
+		// connection's decode buffer, valid for the duration of the call
+		// — which is all PushSeries needs. One connection is one
+		// goroutine, so a publisher's per-topic batch order is the ingest
+		// order; a slow store stalls that connection's reads
+		// (backpressure through TCP), never drops.
+		b.SubscribeLocal("#", func(m transport.Message) {
+			if !a.admitBatch(m) {
+				return
+			}
+			a.sink.PushSeries(m.Topic, m.Readings)
+			a.metrics.batches.Inc()
+			a.metrics.readings.Add(uint64(len(m.Readings)))
+			a.metrics.batchSize.Observe(float64(len(m.Readings)))
+		})
 	}
 	return a, nil
 }
 
-// ingestWorkerCount resolves the IngestWorkers knob: 0 = min(4,
-// GOMAXPROCS), negative = synchronous delivery (no fan-in).
-func ingestWorkerCount(cfg int) int {
-	if cfg < 0 {
-		return 0
-	}
-	if cfg > 0 {
-		return cfg
-	}
-	if n := runtime.GOMAXPROCS(0); n < 4 {
-		return n
-	}
-	return 4
-}
-
-// ingestQueueCap resolves the IngestQueueCap knob (0 = 256).
-func ingestQueueCap(cfg int) int {
-	if cfg > 0 {
-		return cfg
-	}
-	return 256
-}
-
-// startIngestWorkers launches the fan-in: one bounded queue of the
-// given capacity and one goroutine per worker.
-func (a *Agent) startIngestWorkers(n, cap int) {
-	a.batchPool.New = func() any {
-		rs := make([]sensor.Reading, 0, 64)
-		return &rs
-	}
-	a.ingestQs = make([]chan ingestBatch, n)
-	for i := range a.ingestQs {
-		q := make(chan ingestBatch, cap)
-		a.ingestQs[i] = q
-		a.ingestWG.Add(1)
-		go func() {
-			defer a.ingestWG.Done()
-			for m := range q {
-				a.metrics.drainSec.ObserveSince(m.enq)
-				a.sink.PushSeries(m.topic, *m.buf)
-				a.metrics.batches.Inc()
-				a.metrics.readings.Add(uint64(len(*m.buf)))
-				a.metrics.batchSize.Observe(float64(len(*m.buf)))
-				*m.buf = (*m.buf)[:0]
-				a.batchPool.Put(m.buf)
-			}
-		}()
-	}
-}
-
-// enqueueIngest copies one delivered batch into pooled storage and
-// queues it on its topic's worker.
-func (a *Agent) enqueueIngest(topic sensor.Topic, rs []sensor.Reading) {
-	buf := a.batchPool.Get().(*[]sensor.Reading)
-	*buf = append((*buf)[:0], rs...)
-	// The shared FNV-1a topic hash pins a topic to one worker, so its
-	// batches are always ingested in arrival order.
-	//
-	//lint:ignore poolescape ownership transfer by design: exactly one ingest worker receives buf and returns it to batchPool after PushSeries
-	a.ingestQs[topic.Hash()%uint32(len(a.ingestQs))] <- ingestBatch{topic: topic, buf: buf, enq: telemetry.Clock()}
-}
-
 // admitBatch consults the dedup high-water marks for one delivered
 // message, counting the duplicates it turns away. The broker still
-// acknowledges a duplicate — the first delivery already reached the
-// store, which is exactly what the ack promises.
+// acknowledges a duplicate: its first delivery was admitted, and has
+// either reached the store or is finishing on the connection that
+// carried it (Broker.Close waits for that one too).
 func (a *Agent) admitBatch(m transport.Message) bool {
 	if a.dedup.admit(m.Epoch, m.Topic, m.Seq) {
 		return true
@@ -378,13 +281,14 @@ func (a *Agent) TickOnce(now time.Time) error {
 func (a *Agent) Start() { a.Manager.Start() }
 
 // Close stops operators, shuts the Wintermute worker pool down, closes
-// the broker, drains the ingest fan-in queues, and, for a persistent
-// agent, flushes and closes the storage backend — in that order, so
-// every batch the broker acknowledged reaches the backend before its
-// final flush.
+// the broker and, for a persistent agent, flushes and closes the
+// storage backend — in that order: Broker.Close waits for every
+// connection's serve loop, and a serve loop stores a batch before it
+// moves on, so nothing is in flight when the backend takes its final
+// flush.
 func (a *Agent) Close() error {
 	// Self-monitoring stops first: its publishes go through the sink, so
-	// it must not race the drain/close sequence below.
+	// it must not race the close sequence below.
 	if a.SelfMon != nil {
 		a.SelfMon.Close()
 	}
@@ -393,17 +297,7 @@ func (a *Agent) Close() error {
 	if a.Broker != nil {
 		err = a.Broker.Close()
 	}
-	// The broker is closed: no handler can enqueue anymore. Drain what
-	// is queued so acknowledged deliveries land in the backend. Once-
-	// guarded like every other component here, so a second Close is a
-	// no-op instead of a close-of-closed-channel panic.
-	a.ingestClose.Do(func() {
-		for _, q := range a.ingestQs {
-			close(q)
-		}
-		a.ingestWG.Wait()
-	})
-	// Callback metrics read agent state (queue depths, backend stats);
+	// Callback metrics read agent state (dedup table, backend stats);
 	// unregister them before the backend goes away.
 	a.closeMetricHandles()
 	if a.DB != nil {

@@ -139,12 +139,12 @@ func TestPersistentAgentCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestIngestFanInPreservesPerTopicOrder drives many topics through the
-// broker -> worker fan-in and checks every batch lands, with each
-// topic's readings in arrival order (the shard mapping pins a topic to
-// one worker).
+// TestIngestFanInPreservesPerTopicOrder drives many topics from one
+// publisher into the agent and checks every batch lands, with each
+// topic's readings in arrival order (a connection is ingested by its
+// own serve goroutine, so its order is the ingest order).
 func TestIngestFanInPreservesPerTopicOrder(t *testing.T) {
-	a, err := New(Config{ListenMQTT: "127.0.0.1:0", IngestWorkers: 4})
+	a, err := New(Config{ListenMQTT: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +158,8 @@ func TestIngestFanInPreservesPerTopicOrder(t *testing.T) {
 	// Every reading of every batch carries the SAME timestamp: the store
 	// keeps equal-timestamp readings in arrival order (stable insert), so
 	// the Value sequence read back IS the ingest order — any cross-batch
-	// or cross-worker reorder of one topic shows up as a value out of
-	// place, which monotonic timestamps could never detect (the store
-	// sorts those).
+	// reorder of one topic shows up as a value out of place, which
+	// monotonic timestamps could never detect (the store sorts those).
 	const topics = 16
 	const batches = 25
 	const batchLen = 4
@@ -206,7 +205,7 @@ func TestIngestFanInPreservesPerTopicOrder(t *testing.T) {
 			t.Fatalf("%s missing from sensor tree", topic)
 		}
 	}
-	// Close must stay idempotent with the fan-in queues in place.
+	// Close must stay idempotent.
 	if err := a.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -216,11 +215,12 @@ func TestIngestFanInPreservesPerTopicOrder(t *testing.T) {
 }
 
 // TestIngestFanInDrainsOnClose publishes a burst and immediately closes
-// the agent: Close must drain the worker queues into the backend before
-// shutting it, so a persistent agent loses nothing it acknowledged.
+// the agent: Close must wait for the connection's serve loop to store
+// what it routed before shutting the backend, so a persistent agent
+// loses nothing it accepted.
 func TestIngestFanInDrainsOnClose(t *testing.T) {
 	dir := t.TempDir()
-	a, err := New(Config{ListenMQTT: "127.0.0.1:0", StoreDir: dir, IngestWorkers: 2})
+	a, err := New(Config{ListenMQTT: "127.0.0.1:0", StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,9 +234,8 @@ func TestIngestFanInDrainsOnClose(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Wait for the broker to have routed everything (delivery into the
-	// queues), then close immediately: queued-but-unprocessed batches
-	// must still land.
+	// Wait for the broker to have routed everything, then close
+	// immediately: the last batches may still be inside the store call.
 	deadline := time.Now().Add(5 * time.Second)
 	for a.Broker.Published() < msgs {
 		if time.Now().After(deadline) {
@@ -256,60 +255,5 @@ func TestIngestFanInDrainsOnClose(t *testing.T) {
 	defer a2.Close()
 	if got := a2.Store.Count("/drain/power"); got != msgs {
 		t.Fatalf("recovered %d readings, want %d", got, msgs)
-	}
-}
-
-// TestIngestQueueCapBackpressure: with the tiniest possible ingest queue
-// (cap 1), a burst far larger than the queue must still land completely —
-// a full queue blocks the publisher-side handler (backpressure), it never
-// drops. This is the configuration the chaos harness uses to keep the
-// pipeline permanently saturated.
-func TestIngestQueueCapBackpressure(t *testing.T) {
-	a, err := New(Config{ListenMQTT: "127.0.0.1:0", IngestWorkers: 2, IngestQueueCap: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	c, err := transport.Dial(a.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	const topics = 8
-	const batches = 50
-	for i := 0; i < batches; i++ {
-		for n := 0; n < topics; n++ {
-			topic := sensor.Topic(fmt.Sprintf("/bp/n%02d/power", n))
-			if err := c.Publish(topic, []sensor.Reading{{Value: float64(i), Time: int64(i + 1)}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		total := 0
-		for n := 0; n < topics; n++ {
-			total += a.Store.Count(sensor.Topic(fmt.Sprintf("/bp/n%02d/power", n)))
-		}
-		if total == topics*batches {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("ingested %d of %d readings through cap-1 queues", total, topics*batches)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestIngestQueueCapDefault(t *testing.T) {
-	if got := ingestQueueCap(0); got != 256 {
-		t.Fatalf("ingestQueueCap(0) = %d, want 256", got)
-	}
-	if got := ingestQueueCap(-5); got != 256 {
-		t.Fatalf("ingestQueueCap(-5) = %d, want 256", got)
-	}
-	if got := ingestQueueCap(3); got != 3 {
-		t.Fatalf("ingestQueueCap(3) = %d", got)
 	}
 }

@@ -4,14 +4,13 @@ import (
 	"github.com/dcdb/wintermute/internal/telemetry"
 )
 
-// agentMetrics instruments the broker-to-storage ingest fan-in. Always
+// agentMetrics instruments the broker-to-storage ingest handler. Always
 // non-nil on an Agent; without a registry the metrics are unattached
-// and the enqueue/drain hot paths stay unconditional.
+// and the handler's hot path stays unconditional.
 type agentMetrics struct {
-	batches     *telemetry.Counter   // batches drained by ingest workers
-	readings    *telemetry.Counter   // readings carried by drained batches
-	batchSize   *telemetry.Histogram // readings per drained batch
-	drainSec    *telemetry.Histogram // enqueue-to-worker-pickup latency
+	batches     *telemetry.Counter   // broker-delivered batches stored in the sink
+	readings    *telemetry.Counter   // readings carried by those batches
+	batchSize   *telemetry.Histogram // readings per stored batch
 	dupBatches  *telemetry.Counter   // redelivered batches dropped by dedup
 	dupReadings *telemetry.Counter   // readings carried by dropped duplicates
 
@@ -21,14 +20,11 @@ type agentMetrics struct {
 func newAgentMetrics(reg *telemetry.Registry, a *Agent) *agentMetrics {
 	m := &agentMetrics{
 		batches: reg.Counter("dcdb_ingest_batches_total",
-			"Reading batches drained by the ingest workers."),
+			"Broker-delivered reading batches stored in the sink."),
 		readings: reg.Counter("dcdb_ingest_readings_total",
-			"Readings ingested into the sink by the ingest workers."),
+			"Broker-delivered readings that reached the sink."),
 		batchSize: reg.Histogram("dcdb_ingest_batch_readings",
 			"Readings per ingested batch.", telemetry.DefSizeBuckets),
-		drainSec: reg.Histogram("dcdb_ingest_drain_seconds",
-			"Latency from broker enqueue to ingest-worker pickup.",
-			telemetry.DefDurationBuckets),
 		dupBatches: reg.Counter("dcdb_ingest_dup_batches_total",
 			"Redelivered batches dropped by the (epoch, topic) dedup high-water mark."),
 		dupReadings: reg.Counter("dcdb_ingest_dup_readings_total",
@@ -38,15 +34,6 @@ func newAgentMetrics(reg *telemetry.Registry, a *Agent) *agentMetrics {
 		m.handles = append(m.handles, reg.GaugeFunc("dcdb_ingest_dedup_epochs",
 			"Client epochs tracked by the ingest dedup table.",
 			func() float64 { return float64(a.dedup.size()) }))
-		m.handles = append(m.handles, reg.GaugeFunc("dcdb_ingest_queue_depth",
-			"Batches waiting in the ingest fan-in queues.",
-			func() float64 {
-				n := 0
-				for _, q := range a.ingestQs {
-					n += len(q)
-				}
-				return float64(n)
-			}))
 	}
 	return m
 }

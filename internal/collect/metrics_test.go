@@ -15,8 +15,9 @@ import (
 )
 
 // TestAgentMetricsRegistered wires an instrumented agent end to end:
-// broker-delivered batches must show up in the ingest series and the
-// storage gauges must reflect the backend after a scrape.
+// a batch published over TCP must show up in all three ingest series
+// (batches, readings, batch-size histogram) and the storage gauges must
+// reflect the backend after a scrape.
 func TestAgentMetricsRegistered(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	a, err := New(Config{
@@ -29,26 +30,27 @@ func TestAgentMetricsRegistered(t *testing.T) {
 	}
 	defer a.Close()
 
-	c, err := transport.Dial(a.Addr())
+	// A spooling client: Close returns once the batch is acked, and the
+	// ack is sent after the handler stored and counted it.
+	c, err := transport.DialOptions(a.Addr(), transport.Options{SpoolBatches: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
 	batch := []sensor.Reading{{Value: 1, Time: 1}, {Value: 2, Time: 2}, {Value: 3, Time: 3}}
 	if err := c.Publish("/rx/n1/temp", batch); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for a.Store.Count("/rx/n1/temp") < 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("store count = %d, want 3", a.Store.Count("/rx/n1/temp"))
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := a.Store.Count("/rx/n1/temp"); n != 3 {
+		t.Fatalf("store count = %d after the ack, want 3", n)
 	}
 
 	for name, want := range map[string]float64{
 		"dcdb_ingest_batches_total":   1,
 		"dcdb_ingest_readings_total":  3,
+		"dcdb_ingest_batch_readings":  1, // a histogram's Value is its observation count
 		"dcdb_broker_readings_total":  3,
 		"dcdb_tsdb_wal_appends_total": 1,
 	} {
@@ -56,6 +58,11 @@ func TestAgentMetricsRegistered(t *testing.T) {
 			t.Errorf("%s = %v (ok=%v), want %v", name, v, ok, want)
 		}
 	}
+	reg.Snapshot(func(s *telemetry.Sample) {
+		if s.Name == "dcdb_ingest_batch_readings" && s.Sum != 3 {
+			t.Errorf("dcdb_ingest_batch_readings sum = %v, want 3", s.Sum)
+		}
+	})
 	// Frame count includes the connection handshake; at least the
 	// publish frame plus something must have arrived.
 	if v, ok := reg.Value("dcdb_broker_frames_total"); !ok || v < 1 {

@@ -36,6 +36,13 @@ func TestSchedulerRunsAllTasks(t *testing.T) {
 	if done.Load() != n {
 		t.Fatalf("ran %d tasks, want %d", done.Load(), n)
 	}
+	// A task's deferred wg.Done runs before its worker retakes the lock
+	// to book it as completed, so Active:1 Completed:n-1 is a legal sight
+	// right after wg.Wait: wait for the bookkeeping, then check it.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().Completed != n && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
 	if st := s.Stats(); st.Completed != n || st.Active != 0 || st.Queued != 0 {
 		t.Fatalf("stats after drain = %+v", st)
 	}

@@ -32,7 +32,6 @@ func TestChaosSmokeRecovery(t *testing.T) {
 			{Kind: chaos.FaultConnKill, At: 1 * time.Second, Kill: 1},
 			{Kind: chaos.FaultFsyncStall, At: 1500 * time.Millisecond, For: time.Second, P: 1, Stall: 15 * time.Millisecond},
 		},
-		IngestWorkers: 2,
 	}
 	v, err := s.Run()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dcdb/wintermute/internal/chaos"
 	"github.com/dcdb/wintermute/internal/collect"
 	"github.com/dcdb/wintermute/internal/sensor"
 	"github.com/dcdb/wintermute/internal/telemetry"
@@ -71,17 +72,10 @@ func TestSpoolRecoveryAcrossAgentRestart(t *testing.T) {
 		t.Fatalf("draining replayed spool: %v", err)
 	}
 
-	// The ingest fan-in may still be flushing the last worker queues.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if v, _ := reg.Value("dcdb_ingest_readings_total"); uint64(v) >= batches {
-			break
-		}
-		if time.Now().After(deadline) {
-			v, _ := reg.Value("dcdb_ingest_readings_total")
-			t.Fatalf("ingested %v of %d replayed readings before timeout", v, batches)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Close returned, so every replayed batch was acked — and an ack
+	// means stored: no wait before looking.
+	if v, _ := reg.Value("dcdb_ingest_readings_total"); uint64(v) != batches {
+		t.Fatalf("ingested %v of %d replayed readings when the drain returned", v, batches)
 	}
 	got := agent2.Store.Range(topic, 0, int64(batches)+1, nil)
 	if len(got) != batches {
@@ -131,16 +125,6 @@ func TestDedupAcrossReconnect(t *testing.T) {
 		t.Fatal("kills produced no reconnects")
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if v, _ := reg.Value("dcdb_ingest_readings_total"); uint64(v) >= batches {
-			break
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 	got := agent.Store.Range(topic, 0, int64(batches)+1, nil)
 	if len(got) != batches {
 		t.Fatalf("store holds %d readings, want exactly %d (duplicates or loss)", len(got), batches)
@@ -158,5 +142,64 @@ func TestDedupAcrossReconnect(t *testing.T) {
 		if v, _ := reg.Value("dcdb_ingest_dup_batches_total"); v == 0 {
 			t.Logf("note: %d redeliveries, 0 dups dropped (first copies never routed)", st.Redeliveries)
 		}
+	}
+}
+
+// TestAckImpliesStored pins what a PubAck promises: the agent stores a
+// batch on the connection's own goroutine and the broker acks after
+// that returned, so while the WAL write is stalled the client sees no
+// ack, and the moment it does the batch is already in the store.
+func TestAckImpliesStored(t *testing.T) {
+	const stall = 300 * time.Millisecond
+	cfs := chaos.NewFS(nil, 1)
+	agent, err := collect.New(collect.Config{
+		ListenMQTT: "127.0.0.1:0",
+		StoreDir:   t.TempDir(),
+		StoreFS:    cfs,
+	})
+	if err != nil {
+		t.Fatalf("starting agent: %v", err)
+	}
+	defer agent.Close()
+	cfs.Set(chaos.OpWrite, chaos.ClassWAL, chaos.Fault{P: 1, Stall: stall, StallOnly: true})
+
+	client, err := transport.DialOptions(agent.Addr(), transport.Options{SpoolBatches: 8})
+	if err != nil {
+		t.Fatalf("dialling: %v", err)
+	}
+	defer client.Close()
+	topic := sensor.Topic("/r01/c01/n03/power")
+	batch := []sensor.Reading{{Time: 1, Value: 10}, {Time: 2, Value: 20}, {Time: 3, Value: 30}}
+	start := time.Now()
+	if err := client.Publish(topic, batch); err != nil {
+		t.Fatalf("publish: %v", err)
+	}
+
+	// The WAL write began after start and stalls for the full window, so
+	// any observation made before start+stall must see no ack. (A test
+	// goroutine descheduled past the window proves nothing either way.)
+	time.Sleep(stall / 2)
+	acked := client.Stats().Acked
+	if time.Since(start) < stall {
+		if acked != 0 {
+			t.Fatalf("acked %d batch(es) %v after publish with the WAL write stalled for %v: the ack ran ahead of the store", acked, time.Since(start), stall)
+		}
+	} else {
+		t.Logf("scheduler delayed the mid-stall observation past %v; only the post-ack check applies", stall)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for client.Stats().Acked == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no ack within 10s of the stall ending")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// No polling on the store: the ack is the barrier.
+	if got := agent.DB.Count(topic); got != len(batch) {
+		t.Fatalf("store holds %d of %d readings at the first observed ack", got, len(batch))
+	}
+	if cfs.Injected()["write/wal"] == 0 {
+		t.Fatal("the WAL write fault never fired; the test observed nothing")
 	}
 }

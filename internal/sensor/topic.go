@@ -224,8 +224,8 @@ func MatchFilter(f string, t Topic) bool {
 
 // Hash returns the FNV-1a hash of the topic bytes: the shared sharding
 // function for every topic-striped structure (cache set shards, tsdb
-// head stripes, collect-agent ingest workers), so one topic always
-// lands on the same stripe everywhere.
+// head stripes, result-cache version shards), so one topic always lands
+// on the same stripe everywhere.
 func (t Topic) Hash() uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(t); i++ {

@@ -426,9 +426,9 @@ func (b *Broker) serveConn(bc *brokerConn) {
 			b.route(msg, body)
 			if typ == framePublishV2 {
 				// Ack strictly after route returned: every local
-				// handler (the agent's ingest path) has accepted the
-				// batch, so an acked batch can no longer be lost by
-				// anything short of a storage bug. The ack itself is
+				// handler has run to completion, and the agent's
+				// stores the batch before it returns, so an acked
+				// batch is in the store. The ack itself is
 				// deferred (see flushAck): a later batch's ack covers
 				// this one cumulatively.
 				pendAck, pendEpoch, pendSeq = true, epoch, seq
