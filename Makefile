@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet doclint lint test race bench bench-smoke chaos chaos-smoke ci
+.PHONY: all build vet doclint lint test race bench bench-smoke chaos chaos-smoke fuzz-smoke ci
 
 all: build vet doclint lint test
 
@@ -42,8 +42,9 @@ race:
 # the group-commit WAL, the dashboard read-path pairs (uncached vs
 # result-cached queries, linear vs indexed wildcard expansion), the
 # telemetry overhead pairs (instrumented ingest and dashboard hot paths
-# with the switch off vs on) and the delivery pair (fire-and-forget
-# publish vs the spooled acked path). Numbers here are for working with;
+# with the switch off vs on) and the delivery pair (the one sender at
+# QoS 0 vs QoS 1: what retaining until acked costs). Numbers here are
+# for working with;
 # the gated record is `go run ./bench` (BENCHMARK.json, bench/README.md).
 # Full suite: go test -bench=. -benchmem .
 bench:
@@ -55,17 +56,28 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# Seeded chaos smoke (~10s): the fault-injected end-to-end scenario,
-# the integration-tier recovery case and the ack-means-stored check
-# (a stalled WAL write must hold the PubAck back), all under the race
-# detector. A fixed WINTERMUTE_TEST_SEED keeps CI deterministic; drop
+# Seeded chaos smoke (~15s): the fault-injected end-to-end scenario,
+# the integration-tier recovery case, the ack-means-stored check (a
+# stalled WAL write must hold the PubAck back) and the publish client's
+# model test (internal/transport), all under the race detector. A fixed WINTERMUTE_TEST_SEED keeps CI deterministic; drop
 # the variable to explore fresh seeds locally (failures log their
 # replay incantation).
 # See docs/TESTING.md for the harness design and verdict format.
 chaos-smoke:
 	WINTERMUTE_TEST_SEED=42 $(GO) test -race -count=1 \
-		-run 'TestScenarioSmoke|TestChaosSmokeRecovery|TestAckImpliesStored' \
-		./internal/chaos/ ./internal/integration/
+		-run 'TestScenarioSmoke|TestChaosSmokeRecovery|TestAckImpliesStored|TestClientModel' \
+		./internal/chaos/ ./internal/integration/ ./internal/transport/
+
+# Fuzz smoke (~40s): every native fuzz target for a few seconds from its
+# fixed seed corpus (f.Add plus testdata/fuzz; Go runs one target per
+# invocation). Not a search — that is `-fuzztime 5m` by hand, see
+# docs/TESTING.md — but enough that a decoder change which breaks a
+# property on near-seed inputs fails CI.
+fuzz-smoke:
+	@for t in FuzzDecodePublish FuzzReadFrame FuzzDiskSpoolScan; do \
+		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 3s ./internal/transport/ || exit 1; done
+	@for t in FuzzReplayWAL FuzzChunkIter FuzzOpenSegment; do \
+		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 3s ./internal/tsdb/ || exit 1; done
 
 # Full chaos run: 1000 simulated pushers, 30s of the nine scheduled
 # fault classes (killed connections, stalled fsyncs, failed fsyncs, torn
@@ -77,4 +89,4 @@ chaos-smoke:
 chaos:
 	$(GO) run ./cmd/chaosrunner -seed 42
 
-ci: build vet doclint lint test race bench-smoke bench chaos-smoke
+ci: build vet doclint lint test race bench-smoke bench chaos-smoke fuzz-smoke

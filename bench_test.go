@@ -650,12 +650,13 @@ func BenchmarkTransportPublish(b *testing.B) {
 // --- PR10: at-least-once delivery overhead ------------------------------
 
 // benchPublishDelivery measures sustained publish->local-delivery
-// throughput with the chosen client mode: the fire-and-forget v1
-// client, or the spooled at-least-once client whose batches travel as
-// acknowledged v2 frames. Publishes are pipelined (the production
-// shape: pushers never wait per batch) and one op is one batch fully
-// delivered. The pair bounds the ack machinery's no-fault throughput
-// overhead (acceptance: acked within 5% of unacked).
+// throughput at the chosen retention policy of the one sender: QoS 0
+// (v1 frames, a batch leaves the queue with its burst) or QoS 1 (v2
+// frames, retained until the broker's PubAck). Both queue in Publish
+// and leave in vectored bursts, so the pair isolates what the ack
+// machinery itself costs with no fault in play. Publishes are pipelined
+// (the production shape: pushers never wait per batch) and one op is
+// one batch fully delivered.
 func benchPublishDelivery(b *testing.B, spool int) {
 	broker, err := transport.NewBroker("127.0.0.1:0")
 	if err != nil {
@@ -670,12 +671,7 @@ func benchPublishDelivery(b *testing.B, spool int) {
 			done <- struct{}{}
 		}
 	})
-	var client *transport.Client
-	if spool > 0 {
-		client, err = transport.DialOptions(broker.Addr(), transport.Options{SpoolBatches: spool})
-	} else {
-		client, err = transport.Dial(broker.Addr())
-	}
+	client, err := transport.DialOptions(broker.Addr(), transport.Options{SpoolBatches: spool})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -694,11 +690,11 @@ func benchPublishDelivery(b *testing.B, spool int) {
 	<-done
 }
 
-// BenchmarkPublishUnacked is the fire-and-forget baseline of the pair.
+// BenchmarkPublishUnacked is the QoS 0 half of the pair.
 func BenchmarkPublishUnacked(b *testing.B) { benchPublishDelivery(b, 0) }
 
-// BenchmarkPublishAcked routes the same workload through the spool:
-// v2 frames, broker PubAcks, client-side ack tracking.
+// BenchmarkPublishAcked is the QoS 1 half: v2 frames, broker PubAcks,
+// client-side ack tracking.
 func BenchmarkPublishAcked(b *testing.B) { benchPublishDelivery(b, 1024) }
 
 // --- PR3: persistent storage backend (tsdb) vs in-memory store ----------

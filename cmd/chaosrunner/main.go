@@ -37,7 +37,7 @@ func main() {
 		queryLoad = flag.Int("query-workers", 4, "concurrent REST query workers")
 		dir       = flag.String("dir", "", "store directory (empty = temp)")
 		out       = flag.String("out", "", "write the JSON verdict to this file (always printed to stdout)")
-		spool     = flag.Int("spool", 0, "pusher spool size in batches (0 = default 256, negative = fire-and-forget)")
+		spool     = flag.Int("spool", 0, "pusher spool size in batches (0 = default 256, negative = QoS 0, at-most-once)")
 	)
 	flag.Parse()
 	if *seed == 0 {

@@ -42,7 +42,7 @@ func main() {
 		app        = flag.String("app", "idle", "simulated application (hpl, lammps, amg, kripke, nekbone, idle)")
 		cores      = flag.Int("cores", 16, "simulated cores")
 		mqttAddr   = flag.String("mqtt", "", "collect agent broker address (empty: standalone)")
-		spool      = flag.Int("spool", 256, "at-least-once spool size in batches (0: fire-and-forget forwarding)")
+		spool      = flag.Int("spool", 256, "at-least-once spool size in batches (0: QoS 0, at-most-once forwarding)")
 		spoolDir   = flag.String("spool-dir", "", "on-disk spool overflow directory (empty: memory-only spool)")
 		ackTimeout = flag.Duration("ack-timeout", 0, "broker acknowledgement timeout (0: transport default, 5s)")
 		retryMin   = flag.Duration("retry-min", 0, "initial reconnect backoff (0: transport default, 50ms)")

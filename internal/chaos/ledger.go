@@ -91,7 +91,7 @@ func (l *Ledger) SentTopics() []sensor.Topic {
 // ValueMismatch all zero. UnackedDropped counts readings handed to a
 // client but never routed: with the at-least-once spool active (the
 // default) the spool must redeliver them, so a passing verdict requires
-// zero; only a fire-and-forget run (Scenario.SpoolBatches < 0) tolerates
+// zero; only a QoS 0 run (Scenario.SpoolBatches < 0) tolerates
 // them as connection-kill collateral.
 type Accounting struct {
 	// Sent counts readings whose Publish returned nil.
@@ -105,7 +105,7 @@ type Accounting struct {
 	AckedLost uint64 `json:"acked_lost"`
 	// UnackedDropped counts readings handed to a client but never
 	// routed — the frames a killed connection ate. Forbidden when the
-	// at-least-once spool is on; allowed only in fire-and-forget runs.
+	// at-least-once spool is on; allowed only in QoS 0 runs.
 	UnackedDropped uint64 `json:"unacked_dropped"`
 	// Duplicates counts (topic, timestamp) keys the store returned more
 	// than once — an at-most-once violation.

@@ -103,9 +103,9 @@ type Scenario struct {
 	// SpoolBatches sizes each pusher's at-least-once client spool
 	// (default 256): batches survive killed connections in the spool and
 	// are redelivered after the automatic reconnect, with the agent's
-	// dedup keeping the store exactly-once. Negative reverts pushers to
-	// fire-and-forget clients, relaxing the verdict to tolerate unacked
-	// drops (the pre-spool contract).
+	// dedup keeping the store exactly-once. Negative runs the pushers at
+	// QoS 0 (at-most-once), relaxing the verdict to tolerate unacked
+	// drops as connection-kill collateral.
 	SpoolBatches int
 	// QueryWorkers is how many goroutines hammer the REST tier during
 	// the run to measure query latency under chaos (default 2).
@@ -119,8 +119,8 @@ type Scenario struct {
 // accounting: zero acked-lost, duplicate, phantom and value-mismatch
 // readings — and, with the at-least-once spool on (the default), zero
 // unacked drops too: every reading a pusher accepted must be in the
-// store, period. Only a fire-and-forget run (SpoolBatches < 0)
-// tolerates unacked drops as connection-kill collateral.
+// store, period. Only a QoS 0 run (SpoolBatches < 0) tolerates
+// unacked drops as connection-kill collateral.
 type Verdict struct {
 	Seed            int64             `json:"seed"`
 	Pushers         int               `json:"pushers"`
@@ -817,7 +817,7 @@ func (l *lcg) next() uint64 {
 // active.
 type pusher struct {
 	addr     string
-	spool    int    // at-least-once spool size; <= 0 is fire-and-forget
+	spool    int    // QoS 1 spool size; <= 0 is QoS 0
 	spoolDir string // disk overflow for the spool
 	topics   []sensor.Topic
 	node     *hardware.Node
@@ -926,18 +926,16 @@ func (p *pusher) flushReversed() {
 	p.pending = p.pending[:0]
 }
 
-// publish records the batch as sent, then writes it out. Recording
-// first is deliberate: the broker routes on its own goroutine, so a
-// delivery may be observed before Publish even returns; a reading the
-// ledger did not know about would be misclassified as phantom.
+// publish records the batch as sent, then hands it to the client.
+// Recording first is deliberate: the broker routes on its own goroutine,
+// so a delivery may be observed before Publish even returns; a reading
+// the ledger did not know about would be misclassified as phantom.
 //
-// In spooling mode Publish only enqueues — connection loss, redial and
-// redelivery are the reliable client's problem, and the only error is
-// the client being closed. In fire-and-forget mode a failed publish is
-// never retried: the frame may or may not have reached the broker, and
-// resending it on a fresh connection could deliver it twice — that
-// mode's at-most-once contract forbids it. The batch becomes an
-// unacked drop and the pusher redials for the next one.
+// Publish only enqueues — connection loss, redial and (at QoS 1)
+// redelivery are the client's problem at either policy, and the only
+// error is the client being closed, which never happens mid-run. A
+// QoS 0 batch the client drops or loses to a killed connection is never
+// re-sent: it becomes an unacked drop in the ledger.
 func (p *pusher) publish(b outBatch) {
 	p.ledger.RecordSent(b.topic, b.rs)
 	if p.client == nil {
@@ -950,36 +948,27 @@ func (p *pusher) publish(b outBatch) {
 		}
 		p.client = c
 	}
-	if err := p.client.Publish(b.topic, b.rs); err != nil {
-		// Fire-and-forget: dead connection (likely an injected kill) —
-		// drop the handle so the next batch redials. A reliable client
-		// only fails with ErrClosed, which never happens mid-run.
-		p.client.Close()
-		p.client = nil
-	}
+	_ = p.client.Publish(b.topic, b.rs)
 }
 
-// dial opens this pusher's client: at-least-once with disk overflow in
-// spooling mode, the plain fire-and-forget client otherwise.
+// dial opens this pusher's client: QoS 1 with disk overflow when spool
+// is positive, QoS 0 otherwise.
 func (p *pusher) dial() (*transport.Client, error) {
-	if p.spool > 0 {
-		// AckTimeout must sit well above the worst ack latency the
-		// injected faults can manufacture (disk-full and slow-write
-		// episodes stall the ingest path, and with it the broker's
-		// ack-after-route reply, for seconds at a time). Injected
-		// connection kills surface as socket errors immediately, so the
-		// stall detector is only a backstop for a silently wedged
-		// connection — but set too low it kills healthy-slow connections,
-		// and each kill redelivers the whole spool, feeding the very
-		// congestion that tripped it.
-		return transport.DialOptions(p.addr, transport.Options{
-			SpoolBatches: p.spool,
-			SpoolDir:     p.spoolDir,
-			AckTimeout:   10 * time.Second,
-			RetryMin:     10 * time.Millisecond,
-			RetryMax:     250 * time.Millisecond,
-			DrainTimeout: 30 * time.Second,
-		})
-	}
-	return transport.Dial(p.addr)
+	// AckTimeout must sit well above the worst ack latency the
+	// injected faults can manufacture (disk-full and slow-write
+	// episodes stall the ingest path, and with it the broker's
+	// ack-after-route reply, for seconds at a time). Injected
+	// connection kills surface as socket errors immediately, so the
+	// stall detector is only a backstop for a silently wedged
+	// connection — but set too low it kills healthy-slow connections,
+	// and each kill redelivers the whole spool, feeding the very
+	// congestion that tripped it.
+	return transport.DialOptions(p.addr, transport.Options{
+		SpoolBatches: max(p.spool, 0),
+		SpoolDir:     p.spoolDir,
+		AckTimeout:   10 * time.Second,
+		RetryMin:     10 * time.Millisecond,
+		RetryMax:     250 * time.Millisecond,
+		DrainTimeout: 30 * time.Second,
+	})
 }

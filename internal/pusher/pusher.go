@@ -37,17 +37,18 @@ type Config struct {
 	// Spool > 0 forwards with at-least-once delivery: up to Spool
 	// batches are held in an in-memory spool, streamed to the broker as
 	// acknowledged PUBLISH frames, and redelivered after reconnects.
-	// 0 keeps the historical fire-and-forget client (at-most-once).
+	// 0 forwards at most once: nothing is retained, and batches sampled
+	// while the broker is unreachable are dropped and counted.
 	Spool int
 	// SpoolDir, with Spool, adds on-disk overflow: batches beyond the
 	// in-memory high-water mark spill to a file there, and Stop
 	// persists whatever the broker never acknowledged so the next run
 	// (same SpoolDir) replays it.
 	SpoolDir string
-	// AckTimeout bounds broker-acknowledgement waits in spooling mode
-	// (0: the transport default, 5s).
+	// AckTimeout bounds broker-acknowledgement waits (0: the transport
+	// default, 5s).
 	AckTimeout time.Duration
-	// RetryMin and RetryMax bound the spooling client's reconnect
+	// RetryMin and RetryMax bound the client's reconnect
 	// backoff (0: transport defaults, 50ms and 2s).
 	RetryMin time.Duration
 	// RetryMax is the reconnect backoff ceiling (see RetryMin).
@@ -146,12 +147,9 @@ func New(cfg Config) (*Pusher, error) {
 	return p, nil
 }
 
-// dialBroker connects to the Collect Agent, in at-least-once spooling
-// mode when Config.Spool asks for it.
+// dialBroker connects to the Collect Agent; Config.Spool picks the
+// client's retention policy.
 func dialBroker(cfg Config) (*transport.Client, error) {
-	if cfg.Spool <= 0 {
-		return transport.Dial(cfg.MQTTAddr)
-	}
 	return transport.DialOptions(cfg.MQTTAddr, transport.Options{
 		SpoolBatches: cfg.Spool,
 		SpoolDir:     cfg.SpoolDir,
@@ -182,6 +180,9 @@ func (p *Pusher) registerClientMetrics(reg *telemetry.Registry) {
 		reg.CounterFunc("dcdb_pusher_redeliveries_total",
 			"Batches re-sent because a connection died with them unacknowledged.",
 			func() float64 { return float64(c.Stats().Redeliveries) }),
+		reg.CounterFunc("dcdb_pusher_dropped_batches_total",
+			"QoS 0 batches dropped because no broker connection was live.",
+			func() float64 { return float64(c.Stats().Dropped) }),
 	}
 }
 

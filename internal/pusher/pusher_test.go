@@ -181,3 +181,57 @@ func TestSpoolingPusherDelivers(t *testing.T) {
 		t.Fatalf("drained client stats %+v, want Acked == Published > 0", st)
 	}
 }
+
+// TestQoS0PusherCountsDrops runs the daemon at QoS 0 (Spool 0): readings
+// reach the agent while it is up, and once it is gone sampling carries
+// on unblocked while every batch that cannot be forwarded is counted in
+// ClientStats.Dropped and dcdb_pusher_dropped_batches_total.
+func TestQoS0PusherCountsDrops(t *testing.T) {
+	agent, err := collect.New(collect.Config{ListenMQTT: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+
+	reg := telemetry.NewRegistry()
+	p, err := New(Config{MQTTAddr: agent.Addr(), Metrics: reg, RetryMin: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Stop()
+	node := hardware.NewNode(hardware.Config{Cores: 2, Seed: 2})
+	node.SetApp(workload.MustNew("hpl", 1, 3600), 0)
+	if err := p.AddSampler(samplers.NewPowerSim(node, "/r1/n1/", time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	p.SampleOnce(time.Unix(0, 0))
+	deadline := time.Now().Add(2 * time.Second)
+	for agent.Store.Count("/r1/n1/power") != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("QoS 0 reading never reached the agent's store")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if v, _ := reg.Value("dcdb_pusher_dropped_batches_total"); v != 0 {
+		t.Fatalf("dropped-batches telemetry = %v with the agent up, want 0", v)
+	}
+
+	agent.Close()
+	for i := 1; ; i++ {
+		p.SampleOnce(time.Unix(int64(i), 0)) // must not block on the dead broker
+		if v, _ := reg.Value("dcdb_pusher_dropped_batches_total"); v > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no dropped batch counted after the agent went away")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	st, _ := p.ClientStats()
+	if v, _ := reg.Value("dcdb_pusher_dropped_batches_total"); st.Dropped == 0 || float64(st.Dropped) < v {
+		t.Fatalf("ClientStats.Dropped = %d, telemetry %v", st.Dropped, v)
+	}
+	if st.Acked != 0 || st.Redeliveries != 0 {
+		t.Fatalf("QoS 0 client acked or redelivered: %+v", st)
+	}
+}

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -22,7 +24,7 @@ var ErrAckTimeout = errors.New("transport: ack timeout")
 var ErrUnexpectedAck = errors.New("transport: unexpected ack type")
 
 // ErrNotConnected reports an operation that needs a live connection
-// while a reliable client is between redial attempts.
+// while the client is between redial attempts.
 var ErrNotConnected = errors.New("transport: not connected")
 
 // ErrSpoolNotDrained reports that Close abandoned unacknowledged
@@ -30,20 +32,31 @@ var ErrNotConnected = errors.New("transport: not connected")
 // configured to persist them.
 var ErrSpoolNotDrained = errors.New("transport: close: unacked spooled batches abandoned")
 
-// Options tunes a Client beyond the zero-value fire-and-forget
-// behaviour. The zero value reproduces the original client exactly.
+// maxBurst caps how many queued batches one vectored write gathers, and
+// is the whole send queue of a QoS 0 client: one burst.
+const maxBurst = 256
+
+// Options tunes a Client. There is one sender; SpoolBatches only
+// decides how long a published batch stays in its queue (zero: QoS 0).
 type Options struct {
-	// AckTimeout bounds every wait for a broker acknowledgement:
-	// CONNACK/SUBACK round trips and, in spooling mode, the
-	// head-of-line PubAck watchdog that declares a silent connection
-	// dead. Default 5s.
+	// AckTimeout bounds every wait for a broker acknowledgement: the
+	// CONNACK/SUBACK round trips and, at QoS 1, the ack-progress
+	// watchdog that declares a silent connection dead. Default 5s.
 	AckTimeout time.Duration
-	// SpoolBatches > 0 enables at-least-once delivery: Publish appends
-	// the batch to a bounded in-memory spool and returns immediately; a
-	// sender goroutine streams the spool to the broker as v2 PUBLISH
-	// frames, redials with exponential backoff after connection loss,
-	// and redelivers everything unacknowledged. Publish blocks
-	// (backpressure) only once SpoolBatches batches are in flight.
+	// SpoolBatches selects the retention policy. Either way Publish
+	// appends to a bounded queue and returns; the sender goroutine
+	// streams the queue to the broker in vectored bursts and redials
+	// with exponential backoff after connection loss.
+	//
+	// > 0 is QoS 1, at-least-once: a batch (a v2 PUBLISH frame) stays
+	// queued until the broker acknowledges it, everything unacknowledged
+	// is redelivered on the next connection, and Publish blocks
+	// (backpressure) once SpoolBatches batches are in flight.
+	//
+	// 0 is QoS 0, at-most-once: a batch (a v1 PUBLISH frame) leaves the
+	// queue with the burst that wrote it and is never re-sent; one
+	// published while no connection is live is dropped and counted
+	// (ClientStats.Dropped), so a dead broker never blocks sampling.
 	SpoolBatches int
 	// SpoolDir, when set with SpoolBatches, enables on-disk overflow:
 	// batches beyond the in-memory high-water mark spill to an
@@ -61,9 +74,9 @@ type Options struct {
 	// RetryMax is the reconnect backoff ceiling (see RetryMin).
 	RetryMax time.Duration
 	// DrainTimeout bounds how long Close keeps the sender alive waiting
-	// for outstanding batches to be acknowledged (default 5s). On
-	// expiry the remainder is persisted to SpoolDir when configured,
-	// otherwise abandoned with ErrSpoolNotDrained.
+	// for queued batches to leave (default 5s). On expiry a QoS 1
+	// remainder is persisted to SpoolDir when configured, otherwise
+	// abandoned with ErrSpoolNotDrained; a QoS 0 one is just dropped.
 	DrainTimeout time.Duration
 }
 
@@ -71,6 +84,9 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.AckTimeout <= 0 {
 		o.AckTimeout = 5 * time.Second
+	}
+	if o.SpoolBatches <= 0 {
+		o.SpoolBatches = maxBurst
 	}
 	if o.SpoolMaxBytes <= 0 {
 		o.SpoolMaxBytes = 64 << 20
@@ -91,92 +107,117 @@ func (o Options) withDefaults() Options {
 }
 
 // Client is the Pusher-side MQTT-style client: it publishes reading
-// batches to the broker and can subscribe to topic filters. A client
-// dialled with Options.SpoolBatches > 0 additionally provides
-// at-least-once delivery (see Options).
+// batches to the broker and can subscribe to topic filters: a bounded
+// batch queue with optional disk overflow, one sender goroutine that
+// owns dialling and redialling, and one receive loop per live
+// connection. Options.SpoolBatches picks the retention policy.
+//
+// Queue discipline: queue[:sendIdx] have been written to the current
+// connection; queue[sendIdx:] are unsent. At QoS 1 the sent batches
+// await acks. PubAcks are cumulative — TCP delivers frames in order, so
+// an ack for (epoch, seq) proves the broker routed every earlier batch
+// sent on the same connection — and pop from the head; when a
+// connection dies sendIdx rewinds to zero and everything unacknowledged
+// is redelivered. At QoS 0 the sent batches pop as soon as their
+// burst's write returns, whatever it reports, and a dead connection
+// rewinds nothing.
 type Client struct {
 	addr string
-	opts Options
+	opts Options // resolved: SpoolBatches is the queue bound at either QoS
+	// retain is the QoS 1 policy: batches stay queued until acked.
+	retain bool
+	epoch  uint64
 
-	// conn is the single connection of a fire-and-forget client; a
-	// reliable client's live connection is owned by rel instead.
-	conn net.Conn
+	mu      sync.Mutex
+	space   sync.Cond // signalled when queue space frees or state changes
+	subs    []localSub
+	queue   []*relBatch
+	sendIdx int
+	nextSeq uint64
+	conn    net.Conn // nil between redials
+	gen     uint64   // connection generation, guards stale teardowns
+	closed  bool
+	disk    *diskSpool // nil without SpoolDir
 
-	writeMu sync.Mutex
+	// lastProgress is the last moment this connection demonstrably moved
+	// acknowledgements forward: set at registration and on every ack that
+	// pops batches. The stall detector keys on it rather than on the
+	// head batch's send time — under sustained pipelining the head is
+	// re-stamped only on redelivery, so send age would condemn a healthy
+	// but merely slow connection and trigger a redelivery storm.
+	lastProgress time.Time
 
-	mu       sync.Mutex
-	subs     []localSub
-	closed   bool
+	stats ClientStats // counters; the depth fields are filled in by Stats
+
 	pingResp chan struct{}
-	ackCh    chan byte
+	subAck   chan struct{}
+	kickCh   chan struct{} // wakes the sender (cap 1)
+	stopCh   chan struct{} // closed when Close stops draining
+	wg       sync.WaitGroup
 
-	wg sync.WaitGroup
+	// Vectored-send scratch, owned by the sender goroutine: frame
+	// headers live in hdrs, iov alternates header/payload slices so a
+	// burst of queued batches leaves in one writev.
+	iov  net.Buffers
+	hdrs []byte
 
-	// rel is the at-least-once engine, nil in fire-and-forget mode.
-	rel *reliable
+	// writeMu serialises the sender's bursts with Subscribe, Ping and
+	// DISCONNECT frames on the shared connection. It sits away from mu:
+	// the sender holds it across a write while publishers take mu.
+	writeMu sync.Mutex
 }
 
 // Dial connects and performs the CONNECT handshake with default
-// options (fire-and-forget publishing).
+// options (QoS 0).
 func Dial(addr string) (*Client, error) {
 	return DialOptions(addr, Options{})
 }
 
-// DialOptions connects with explicit options. With SpoolBatches > 0 the
-// returned client delivers at-least-once: the initial dial must still
-// succeed (misconfiguration fails fast), but later connection loss is
-// absorbed by the spool and the redial loop.
+// DialOptions connects with explicit options: it replays any existing
+// disk spool, makes the initial connection (failing fast on
+// misconfiguration) and starts the sender, which absorbs later
+// connection loss by redialling.
 func DialOptions(addr string, opts Options) (*Client, error) {
 	c := &Client{
 		addr:     addr,
 		opts:     opts.withDefaults(),
+		retain:   opts.SpoolBatches > 0,
+		epoch:    newEpoch(),
 		pingResp: make(chan struct{}, 1),
-		ackCh:    make(chan byte, 4),
+		subAck:   make(chan struct{}, 1),
+		kickCh:   make(chan struct{}, 1),
+		stopCh:   make(chan struct{}),
 	}
-	if c.opts.SpoolBatches > 0 {
-		rel, err := newReliable(c)
+	c.space.L = &c.mu
+	if c.retain && opts.SpoolDir != "" {
+		d, err := openDiskSpool(filepath.Join(opts.SpoolDir, "pusher.spool"), c.opts.SpoolMaxBytes)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("transport: opening disk spool: %w", err)
 		}
-		c.rel = rel
-		return c, nil
+		c.disk = d
 	}
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	conn, err := c.dialOnce()
 	if err != nil {
+		if c.disk != nil {
+			c.disk.close()
+		}
 		return nil, err
 	}
 	c.conn = conn
-	if err := writeFrame(conn, frameConnect, nil); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	c.wg.Add(1)
-	go c.readLoop()
-	if err := c.waitAck(frameConnAck); err != nil {
-		c.Close()
-		return nil, err
-	}
+	c.gen = 1
+	c.lastProgress = time.Now()
+	c.wg.Add(2)
+	go c.recvLoop(conn, 1)
+	go c.sendLoop()
 	return c, nil
 }
 
-func (c *Client) readLoop() {
-	defer c.wg.Done()
-	for {
-		typ, payload, err := readFrame(c.conn)
-		if err != nil {
-			return
-		}
-		c.dispatch(typ, payload)
-	}
-}
-
-// dispatch routes one received frame; shared between the simple read
-// loop and the reliable engine's per-connection receive loops.
+// dispatch routes one received non-PubAck frame.
 func (c *Client) dispatch(typ byte, payload []byte) {
 	switch typ {
-	case frameConnAck, frameSubAck:
+	case frameSubAck:
 		select {
-		case c.ackCh <- typ:
+		case c.subAck <- struct{}{}:
 		default:
 		}
 	case framePingResp:
@@ -184,16 +225,8 @@ func (c *Client) dispatch(typ byte, payload []byte) {
 		case c.pingResp <- struct{}{}:
 		default:
 		}
-	case framePublish, framePublishV2:
-		body := payload
-		if typ == framePublishV2 {
-			_, _, off, derr := decodePublishV2Prefix(payload)
-			if derr != nil {
-				return
-			}
-			body = payload[off:]
-		}
-		msg, derr := DecodePublish(body)
+	case framePublish: // the broker forwards every publish as v1
+		msg, derr := DecodePublish(payload)
 		if derr != nil {
 			return
 		}
@@ -208,47 +241,92 @@ func (c *Client) dispatch(typ byte, payload []byte) {
 	}
 }
 
-func (c *Client) waitAck(want byte) error {
-	select {
-	case got := <-c.ackCh:
-		if got != want {
-			return ErrUnexpectedAck
-		}
-		return nil
-	case <-time.After(c.opts.AckTimeout):
-		return ErrAckTimeout
-	}
+// liveConn returns the current connection, nil between redials.
+func (c *Client) liveConn() net.Conn {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.conn
 }
 
-// Publish sends one batch of readings for a topic. It is safe for
-// concurrent use. The readings slice is fully encoded before Publish
-// returns and is never retained — callers (e.g. the Pusher's pooled
-// forwarding buffers) may reuse it immediately.
+// encodeLocked builds the queue entry for one publish: a v2 payload
+// carrying the next sequence number at QoS 1, the plain v1 payload at
+// QoS 0. Callers hold c.mu — sequences are assigned in queue order.
+func (c *Client) encodeLocked(topic sensor.Topic, readings []sensor.Reading) *relBatch {
+	if !c.retain {
+		return &relBatch{payload: EncodePublish(Message{Topic: topic, Readings: readings})}
+	}
+	c.nextSeq++
+	return &relBatch{epoch: c.epoch, seq: c.nextSeq, payload: EncodePublishV2(Message{
+		Topic: topic, Readings: readings, Epoch: c.epoch, Seq: c.nextSeq,
+	})}
+}
+
+// Publish queues one batch of readings for a topic and returns; the
+// sender goroutine writes it. It is safe for concurrent use. The
+// readings slice is fully encoded before Publish returns and is never
+// retained — callers (e.g. the Pusher's pooled forwarding buffers) may
+// reuse it immediately. The only error is ErrClosed.
 //
-// Fire-and-forget mode writes the frame synchronously and reports the
-// write error. Spooling mode enqueues the batch for the sender
-// goroutine and returns nil immediately, blocking only when the spool
-// is at its high-water mark; the only error is ErrClosed.
+// At QoS 1 Publish blocks only when both the disk overflow (if any) and
+// the in-memory queue are at capacity — backpressure, not loss. At
+// QoS 0 it blocks only while a full burst is mid-write, and a batch
+// published while no connection is live is dropped and counted.
 func (c *Client) Publish(topic sensor.Topic, readings []sensor.Reading) error {
-	if c.rel != nil {
-		return c.rel.publish(topic, readings)
-	}
 	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return ErrClosed
+	// Order is sacred: the agent's dedup watermark assumes per-topic
+	// sequence numbers arrive monotonically, so sequences are assigned
+	// at enqueue time under a continuously-held lock (never across a
+	// cond wait — a concurrent publisher could slip a later sequence in
+	// front), and a batch may only enter the memory queue behind every
+	// disk-resident batch. While the overflow file holds anything, all
+	// new batches go to its tail. Both destination checks live in ONE
+	// loop re-evaluated after every wait: a publisher that blocked on a
+	// full disk must return to the disk path whenever disk.pending rises
+	// again while it slept (a concurrent publisher's append succeeded),
+	// or its memory enqueue would jump ahead of a lower-sequence
+	// disk-resident batch — which the dedup watermark would then reject
+	// on replay even though the broker acked it: acked data loss.
+	for {
+		if c.closed {
+			c.mu.Unlock()
+			return ErrClosed
+		}
+		if !c.retain && c.conn == nil {
+			c.stats.Dropped++
+			c.mu.Unlock()
+			return nil
+		}
+		if c.disk != nil && (c.disk.pending > 0 || len(c.queue) >= c.opts.SpoolBatches) {
+			if err := c.disk.append(c.encodeLocked(topic, readings).payload); err == nil {
+				c.stats.Published++
+				c.mu.Unlock()
+				c.kick()
+				return nil
+			}
+			// Disk full (or failing): the sequence just burnt is
+			// discarded (gaps are harmless to a high-water mark) and the
+			// publisher waits for state to change before re-deciding
+			// where this batch may go.
+			c.space.Wait()
+			continue
+		}
+		if len(c.queue) >= c.opts.SpoolBatches {
+			c.space.Wait()
+			continue
+		}
+		break
 	}
-	payload := EncodePublish(Message{Topic: topic, Readings: readings})
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	return writeFrame(c.conn, framePublish, payload)
+	c.queue = append(c.queue, c.encodeLocked(topic, readings))
+	c.stats.Published++
+	c.mu.Unlock()
+	c.kick()
+	return nil
 }
 
 // Subscribe registers fn for all messages matching filter and waits for
-// the broker's acknowledgement. On a reliable client between redial
-// attempts the registration still succeeds — the filter is included in
-// the next reconnect handshake — but no ack is awaited.
+// the broker's acknowledgement. Between redial attempts the
+// registration still succeeds — the filter is included in the next
+// reconnect handshake — but no ack is awaited.
 func (c *Client) Subscribe(filter string, fn Handler) error {
 	c.mu.Lock()
 	if c.closed {
@@ -256,13 +334,10 @@ func (c *Client) Subscribe(filter string, fn Handler) error {
 		return ErrClosed
 	}
 	c.subs = append(c.subs, localSub{filter: filter, fn: fn})
-	c.mu.Unlock()
 	conn := c.conn
-	if c.rel != nil {
-		conn = c.rel.liveConn()
-		if conn == nil {
-			return nil // resubscribed by the next reconnect handshake
-		}
+	c.mu.Unlock()
+	if conn == nil {
+		return nil // resubscribed by the next reconnect handshake
 	}
 	c.writeMu.Lock()
 	err := writeFrame(conn, frameSubscribe, encodeString(filter))
@@ -270,17 +345,14 @@ func (c *Client) Subscribe(filter string, fn Handler) error {
 	if err != nil {
 		return err
 	}
-	return c.waitAck(frameSubAck)
+	return c.await(c.subAck)
 }
 
 // Ping performs a PINGREQ/PINGRESP round trip.
 func (c *Client) Ping() error {
-	conn := c.conn
-	if c.rel != nil {
-		conn = c.rel.liveConn()
-		if conn == nil {
-			return ErrNotConnected
-		}
+	conn := c.liveConn()
+	if conn == nil {
+		return ErrNotConnected
 	}
 	c.writeMu.Lock()
 	err := writeFrame(conn, framePingReq, nil)
@@ -288,42 +360,83 @@ func (c *Client) Ping() error {
 	if err != nil {
 		return err
 	}
+	return c.await(c.pingResp)
+}
+
+// await waits for the receive loop to signal a control-frame reply.
+func (c *Client) await(reply <-chan struct{}) error {
 	select {
-	case <-c.pingResp:
+	case <-reply:
 		return nil
 	case <-time.After(c.opts.AckTimeout):
 		return ErrAckTimeout
 	}
 }
 
-// Stats returns a snapshot of the client's delivery counters. All
-// fields are zero for a fire-and-forget client.
+// Stats returns a snapshot of the client's delivery counters.
 func (c *Client) Stats() ClientStats {
-	if c.rel == nil {
-		return ClientStats{}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.stats
+	st.SpoolDepth = len(c.queue)
+	if c.disk != nil {
+		st.SpoolDisk = c.disk.pending
+		st.SpoolDiskBytes = c.disk.size
 	}
-	return c.rel.stats()
+	return st
 }
 
-// Close tears the client down. A reliable client first drains its
-// spool (bounded by Options.DrainTimeout), then persists any remainder
-// to the disk spool when one is configured — the error reports batches
-// that could be neither delivered nor persisted.
+// Close drains the queue (bounded by Options.DrainTimeout), persists
+// any QoS 1 remainder to the disk spool when one is configured — the
+// error reports batches that could be neither delivered nor persisted —
+// then stops the sender and receiver.
 func (c *Client) Close() error {
-	if c.rel != nil {
-		return c.rel.close()
-	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil
 	}
 	c.closed = true
+	c.space.Broadcast() // publishers blocked on backpressure get ErrClosed
 	c.mu.Unlock()
-	c.writeMu.Lock()
-	_ = writeFrame(c.conn, frameDisconnect, nil)
-	c.writeMu.Unlock()
-	err := c.conn.Close()
+	c.kick()
+
+	var err error
+	deadline := time.Now().Add(c.opts.DrainTimeout)
+	for {
+		c.mu.Lock()
+		drained := len(c.queue) == 0 && (c.disk == nil || c.disk.pending == 0)
+		c.mu.Unlock()
+		if drained {
+			break
+		}
+		if time.Now().After(deadline) {
+			err = c.persistRemainder()
+			break
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	close(c.stopCh)
+	c.mu.Lock()
+	conn := c.conn
+	c.conn = nil
+	c.mu.Unlock()
+	if conn != nil {
+		// TryLock: the sender may be wedged mid-write on this very
+		// connection holding c.writeMu, and conn.Close() below is what
+		// unblocks it — so the courtesy DISCONNECT is skipped rather
+		// than deadlocking Close behind it.
+		if c.writeMu.TryLock() {
+			_ = writeFrame(conn, frameDisconnect, nil)
+			c.writeMu.Unlock()
+		}
+		conn.Close()
+	}
 	c.wg.Wait()
+	if c.disk != nil {
+		if derr := c.disk.close(); err == nil {
+			err = derr
+		}
+	}
 	return err
 }

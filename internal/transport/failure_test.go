@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -92,6 +93,7 @@ func TestSubscriberDisconnectDoesNotStallRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer dead.Close()
 	if err := dead.Subscribe("#", func(Message) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +106,9 @@ func TestSubscriberDisconnectDoesNotStallRouting(t *testing.T) {
 	if err := healthy.Subscribe("#", func(m Message) { got <- m }); err != nil {
 		t.Fatal(err)
 	}
-	// Kill the first subscriber abruptly.
-	dead.conn.Close()
+	// Kill the first subscriber's connection abruptly (it will redial;
+	// the broker still sees a subscriber session die mid-stream).
+	dead.liveConn().Close()
 
 	pub, err := Dial(b.Addr())
 	if err != nil {
@@ -130,8 +133,8 @@ func TestSubscriberDisconnectDoesNotStallRouting(t *testing.T) {
 
 // TestKillConnections: the chaos fault injector's connection killer must
 // sever exactly the requested number of live sessions (all with n < 0),
-// the victims must observe the break, and the broker must keep accepting
-// fresh connections afterwards.
+// the victims must observe the break — and redial, at either QoS — and
+// the broker must keep accepting fresh connections afterwards.
 func TestKillConnections(t *testing.T) {
 	b, err := NewBroker("127.0.0.1:0")
 	if err != nil {
@@ -141,7 +144,8 @@ func TestKillConnections(t *testing.T) {
 
 	clients := make([]*Client, 3)
 	for i := range clients {
-		c, err := Dial(b.Addr())
+		// A short AckTimeout: a Ping that raced a kill gives up quickly.
+		c, err := DialOptions(b.Addr(), Options{RetryMin: 5 * time.Millisecond, AckTimeout: 100 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,24 +156,39 @@ func TestKillConnections(t *testing.T) {
 		}
 	}
 
-	if n := b.KillConnections(1); n != 1 {
-		t.Fatalf("KillConnections(1) = %d", n)
-	}
-	if n := b.KillConnections(-1); n != 2 {
-		t.Fatalf("KillConnections(-1) after one kill = %d, want remaining 2", n)
-	}
-
-	// Every client observes the break: writes start failing once the RST
-	// lands (the first post-kill write may still land in the TCP buffer).
-	deadline := time.Now().Add(3 * time.Second)
-	for _, c := range clients {
-		for c.Publish("/probe", []sensor.Reading{{Value: 1, Time: 1}}) == nil {
+	// settled waits until the clients have redialled atLeast times in
+	// total, each answers a Ping, and the broker has deregistered the
+	// dead sessions: exactly the three live ones remain.
+	settled := func(atLeast uint64) {
+		t.Helper()
+		deadline := time.Now().Add(3 * time.Second)
+		for {
+			var reconnects uint64
+			ok := true
+			for _, c := range clients {
+				reconnects += c.Stats().Reconnects
+				ok = ok && c.Ping() == nil
+			}
+			b.mu.Lock()
+			live := len(b.conns)
+			b.mu.Unlock()
+			if ok && reconnects >= atLeast && live == len(clients) {
+				return
+			}
 			if time.Now().After(deadline) {
-				t.Fatal("client still writable after KillConnections(-1)")
+				t.Fatalf("clients did not all come back: %d reconnects (want >= %d), %d live sessions", reconnects, atLeast, live)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
+	if n := b.KillConnections(1); n != 1 {
+		t.Fatalf("KillConnections(1) = %d", n)
+	}
+	settled(1) // the victim observed the break and redialled on its own
+	if n := b.KillConnections(-1); n != 3 {
+		t.Fatalf("KillConnections(-1) = %d, want all 3 live sessions", n)
+	}
+	settled(4)
 
 	// The broker itself survives: fresh sessions connect and publish.
 	got := make(chan Message, 1)
@@ -195,7 +214,69 @@ func TestKillConnections(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("publish after kill not routed")
 	}
+	// The three redialled sessions plus the fresh one.
+	if n := b.KillConnections(-1); n != 4 {
+		t.Fatalf("KillConnections(-1) with three redialled sessions and one fresh = %d, want 4", n)
+	}
+}
+
+// TestQoS0SurvivesConnectionKill: a QoS 0 client whose connection is
+// lost keeps forwarding — it redials like any other client, so a batch
+// published after the kill reaches the broker. Batches published while
+// it is disconnected are dropped and counted, never an error.
+func TestQoS0SurvivesConnectionKill(t *testing.T) {
+	b, err := NewBroker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	var after atomic.Bool
+	got := make(chan Message, 1)
+	b.SubscribeLocal("#", func(m Message) {
+		if m.Epoch != 0 || m.Seq != 0 {
+			t.Errorf("QoS 0 publish carried a delivery identity: epoch %x seq %d", m.Epoch, m.Seq)
+		}
+		if after.Load() && m.Readings[0].Value == 2 {
+			select {
+			case got <- m:
+			default:
+			}
+		}
+	})
+
+	c, err := DialOptions(b.Addr(), Options{RetryMin: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
 	if n := b.KillConnections(-1); n != 1 {
-		t.Fatalf("KillConnections(-1) with one fresh conn = %d", n)
+		t.Fatalf("KillConnections(-1) = %d, want 1", n)
+	}
+	after.Store(true)
+	deadline := time.After(3 * time.Second)
+	for published := 0; ; published++ {
+		if err := c.Publish("/qos0/after", []sensor.Reading{{Value: 2, Time: int64(published)}}); err != nil {
+			t.Fatalf("publish after kill: %v", err)
+		}
+		select {
+		case <-got:
+			st := c.Stats()
+			if st.Reconnects == 0 {
+				t.Fatalf("batch delivered after the kill without a reconnect: %+v", st)
+			}
+			if st.Acked != 0 || st.Redeliveries != 0 {
+				t.Fatalf("QoS 0 client acked or redelivered: %+v", st)
+			}
+			if int(st.Published+st.Dropped) != published+1 {
+				t.Fatalf("published %d + dropped %d != %d Publish calls", st.Published, st.Dropped, published+1)
+			}
+			return
+		case <-deadline:
+			t.Fatalf("no batch published after the kill ever reached the broker: %+v", c.Stats())
+		case <-time.After(5 * time.Millisecond):
+		}
 	}
 }

@@ -1,0 +1,190 @@
+package transport
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"github.com/dcdb/wintermute/internal/sensor"
+)
+
+// The hand-written decoders of the wire protocol and the disk spool
+// (docs/FORMATS.md §1, §4) must be total over arbitrary bytes: never
+// panic, produce nothing larger than their input, and whatever they
+// accept must survive a re-encode.
+//
+// Seeds: the f.Add calls below (real encoder output) and the named
+// crashers under testdata/fuzz/. `make fuzz-smoke` runs each target for
+// a few seconds; plain `go test` replays the seeds.
+
+var fuzzMessage = Message{
+	Topic: "/r01/c01/s01/power",
+	Readings: []sensor.Reading{
+		{Value: 240.5, Time: 1_000_000_000}, {Value: math.NaN(), Time: -1}, {Value: math.Inf(-1), Time: math.MaxInt64},
+	},
+	Epoch: 0x1122334455667788,
+	Seq:   300,
+}
+
+func sameMessage(a, b Message) bool {
+	if a.Topic != b.Topic || a.Epoch != b.Epoch || a.Seq != b.Seq || len(a.Readings) != len(b.Readings) {
+		return false
+	}
+	for i := range a.Readings {
+		if a.Readings[i].Time != b.Readings[i].Time ||
+			math.Float64bits(a.Readings[i].Value) != math.Float64bits(b.Readings[i].Value) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzDecodePublish reads data as each payload the protocol carries: a
+// v1 PUBLISH, a v2 PUBLISH (delivery prefix + v1 body), a PubAck and a
+// SUBSCRIBE filter string.
+func FuzzDecodePublish(f *testing.F) {
+	f.Add(EncodePublish(fuzzMessage))
+	f.Add(EncodePublishV2(fuzzMessage))
+	f.Add(encodePubAck(nil, fuzzMessage.Epoch, fuzzMessage.Seq))
+	f.Add(encodeString("/r01/#"))
+	f.Add([]byte{2, '/', 'a', 1, 0x40, 0x45, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7}) // FORMATS.md §1 golden
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if m, err := DecodePublish(data); err == nil {
+			if len(m.Topic)+16*len(m.Readings) > len(data) {
+				t.Fatalf("v1: %d-byte topic and %d readings from %d bytes", len(m.Topic), len(m.Readings), len(data))
+			}
+			m2, err := DecodePublish(EncodePublish(m))
+			if err != nil || !sameMessage(m, m2) {
+				t.Fatalf("v1: message changed across re-encode (%v)", err)
+			}
+			// The broker's allocation-free variant must agree.
+			m3, err := decodePublishInto(data, make([]sensor.Reading, 0, 4), map[string]sensor.Topic{})
+			if err != nil || !sameMessage(m, m3) {
+				t.Fatalf("v1: decodePublishInto disagrees with DecodePublish (%v)", err)
+			}
+		}
+		if epoch, seq, off, err := decodePublishV2Prefix(data); err == nil {
+			if off > len(data) {
+				t.Fatalf("v2 prefix: body offset %d in %d bytes", off, len(data))
+			}
+			e2, s2, err := decodePubAck(encodePubAck(nil, epoch, seq))
+			if err != nil || e2 != epoch || s2 != seq {
+				t.Fatalf("puback: (%x, %d) changed across re-encode (%v)", epoch, seq, err)
+			}
+			if m, err := DecodePublish(data[off:]); err == nil {
+				m.Epoch, m.Seq = epoch, seq
+				enc := EncodePublishV2(m)
+				e3, s3, off3, err := decodePublishV2Prefix(enc)
+				if err != nil {
+					t.Fatalf("v2: re-encoded prefix: %v", err)
+				}
+				m2, err := DecodePublish(enc[off3:])
+				m2.Epoch, m2.Seq = e3, s3
+				if err != nil || !sameMessage(m, m2) {
+					t.Fatalf("v2: message changed across re-encode (%v)", err)
+				}
+			}
+		}
+		if s, err := decodeString(data); err == nil {
+			if len(s) > len(data) {
+				t.Fatalf("string: %d bytes from %d", len(s), len(data))
+			}
+			if s2, err := decodeString(encodeString(s)); err != nil || s2 != s {
+				t.Fatalf("string: %q changed across re-encode (%v)", s, err)
+			}
+		}
+	})
+}
+
+// FuzzReadFrame reads data as a stream of frames. Accepted frames
+// re-encode to exactly the bytes consumed. (readFrame allocates the
+// declared payload length, up to maxFrameSize, before the payload
+// arrives: bounded by that constant, not by the input.)
+func FuzzReadFrame(f *testing.F) {
+	var stream bytes.Buffer
+	_ = writeFrame(&stream, frameConnect, nil)
+	_ = writeFrame(&stream, framePublish, EncodePublish(fuzzMessage))
+	_ = writeFrame(&stream, framePubAck, encodePubAck(nil, 1, 2))
+	f.Add(stream.Bytes())
+	f.Add([]byte{framePublish, 0xff, 0xff, 0xff, 0xff}) // forged oversize length
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		var buf []byte
+		var again bytes.Buffer
+		for {
+			typ, payload, err := readFrameReuse(r, &buf)
+			if err != nil {
+				break
+			}
+			if err := writeFrame(&again, typ, payload); err != nil {
+				t.Fatalf("accepted frame does not re-encode: %v", err)
+			}
+		}
+		if !bytes.HasPrefix(data, again.Bytes()) {
+			t.Fatalf("re-encoded frames are not the consumed prefix of the input")
+		}
+	})
+}
+
+// spoolRecord frames payload as one disk spool record with a correct CRC.
+func spoolRecord(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, spoolMagic)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
+}
+
+// FuzzDiskSpoolScan writes data as a spool file — and again as the
+// payload of one CRC-valid record, which a coverage-guided fuzzer would
+// never forge — and opens it under a cap smaller than some records, as
+// a restarted client does: the scan keeps exactly the valid prefix,
+// loading every pending record either succeeds or reports an error, and
+// a second open finds what the first one left.
+func FuzzDiskSpoolScan(f *testing.F) {
+	two := spoolRecord(nil, EncodePublishV2(fuzzMessage))
+	f.Add(spoolRecord(two, EncodePublishV2(Message{Topic: "/t", Epoch: 1, Seq: 2})))
+	f.Add(append(two[:len(two):len(two)], two[:7]...)) // torn tail
+	path := filepath.Join(f.TempDir(), "pusher.spool") // one file per worker process, rewritten per input
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, file := range [][]byte{data, spoolRecord(nil, data)} {
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			d, err := openDiskSpool(path, 64)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			pending, size := d.pending, d.size
+			kept, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if size > int64(len(file)) || !bytes.Equal(kept, file[:size]) {
+				t.Fatalf("scan kept %d bytes that are not the input's %d-byte valid prefix", len(kept), size)
+			}
+			loaded, lerr := d.load(pending)
+			var bytesLoaded int64
+			for _, b := range loaded {
+				bytesLoaded += 12 + int64(len(b.payload))
+			}
+			if lerr == nil && (len(loaded) != pending || bytesLoaded != size) {
+				t.Fatalf("loaded %d of %d records, %d of %d bytes, without an error", len(loaded), pending, bytesLoaded, size)
+			}
+			if err := d.close(); err != nil {
+				t.Fatal(err)
+			}
+			d2, err := openDiskSpool(path, 64)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			if d2.pending != pending || d2.size != size {
+				t.Fatalf("reopen found %d records in %d bytes, first open %d in %d", d2.pending, d2.size, pending, size)
+			}
+			d2.close()
+		}
+	})
+}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -23,19 +24,25 @@ import (
 // FIFO, the live connection must have received and not yet seen acked.
 // A killed connection rewinds it — the next connection starts from the
 // head again — which the harness expresses by looking only at the
-// newest connection's frames.
+// newest connection's frames. At QoS 0 (retain false) nothing is held
+// past the write: the FIFO stays empty and a batch published while
+// disconnected is only counted.
 type clientModel struct {
-	window int   // Options.SpoolBatches: batches held in memory
-	fifo   []int // published, unacknowledged, in sequence order
-	loose  int   // trailing fifo entries whose mutual order is not yet observed
-	acked  int   // batches acknowledged since the last (re)open
-	pubs   int   // batches Publish accepted since the last (re)open
-	kills  int   // connections killed since the last (re)open
-	conns  int   // connections the peer must have accepted in total
+	retain  bool  // QoS 1: a batch stays in the FIFO until acked
+	window  int   // Options.SpoolBatches: batches held in memory
+	fifo    []int // published, unacknowledged, in sequence order
+	loose   int   // trailing fifo entries whose mutual order is not yet observed
+	acked   int   // batches acknowledged since the last (re)open
+	pubs    int   // batches Publish accepted since the last (re)open
+	dropped int   // QoS 0 batches published while disconnected since the last (re)open
+	kills   int   // connections killed since the last (re)open
+	conns   int   // connections the peer must have served in total
 }
 
 func (m *clientModel) publish(ids ...int) {
-	m.fifo = append(m.fifo, ids...)
+	if m.retain {
+		m.fifo = append(m.fifo, ids...)
+	}
 	m.pubs += len(ids)
 }
 
@@ -54,7 +61,7 @@ func (m *clientModel) reopen(persisted bool) {
 	if !persisted {
 		m.fifo = nil
 	}
-	m.acked, m.pubs, m.kills = 0, 0, 0
+	m.acked, m.pubs, m.dropped, m.kills = 0, 0, 0, 0
 	m.conns++
 }
 
@@ -77,13 +84,15 @@ type peerConn struct {
 
 // scriptedPeer is the test-owned broker side: it answers CONNECT,
 // SUBSCRIBE and PINGREQ, records every PUBLISH per connection, and
-// sends a PubAck only when the script says so.
+// sends a PubAck only when the script says so. While refuse is set it
+// hangs up on every new connection unanswered: an outage.
 type scriptedPeer struct {
-	t     *testing.T
-	ln    net.Listener
-	mu    sync.Mutex
-	conns []*peerConn
-	wg    sync.WaitGroup
+	t      *testing.T
+	ln     net.Listener
+	mu     sync.Mutex
+	conns  []*peerConn
+	refuse bool
+	wg     sync.WaitGroup
 }
 
 func newScriptedPeer(t *testing.T) *scriptedPeer {
@@ -102,6 +111,11 @@ func newScriptedPeer(t *testing.T) *scriptedPeer {
 			}
 			pc := &peerConn{conn: conn}
 			p.mu.Lock()
+			if p.refuse {
+				p.mu.Unlock()
+				conn.Close()
+				continue
+			}
 			p.conns = append(p.conns, pc)
 			p.mu.Unlock()
 			p.wg.Add(1)
@@ -119,6 +133,21 @@ func (p *scriptedPeer) close() {
 	}
 	p.mu.Unlock()
 	p.wg.Wait()
+}
+
+func (p *scriptedPeer) setRefuse(on bool) {
+	p.mu.Lock()
+	p.refuse = on
+	p.mu.Unlock()
+}
+
+// totalLocked counts every PUBLISH received on any connection; callers
+// hold p.mu.
+func (p *scriptedPeer) totalLocked() (n int) {
+	for _, pc := range p.conns {
+		n += len(pc.recv)
+	}
+	return n
 }
 
 func (p *scriptedPeer) reply(pc *peerConn, typ byte, payload []byte) {
@@ -183,9 +212,13 @@ type modelRun struct {
 	m    clientModel
 
 	nextID   int
-	accepted []int // every id Publish returned nil for
+	accepted []int // every id Publish queued (returned nil, not dropped)
 	laneA    []int // the last two-goroutine publish, per goroutine
 	laneB    []int
+	// order places each id in the publish partial order: {publish step,
+	// goroutine}. Steps are ordered; within one step only each
+	// goroutine's own ids are.
+	order map[int][2]int
 
 	// blocked is a Publish parked on backpressure: its id, and the
 	// channel its result arrives on.
@@ -281,7 +314,7 @@ func (r *modelRun) mismatch() (why string, observed []int) {
 	switch {
 	case st.SpoolDepth+st.SpoolDisk != len(r.m.fifo):
 		why = "backlog"
-	case st.SpoolDepth != r.m.sent() || len(cur.recv)-cur.acked != r.m.sent():
+	case st.SpoolDepth != r.m.sent() || r.m.retain && len(cur.recv)-cur.acked != r.m.sent():
 		why = "sent cursor"
 	case int(st.Acked) != r.m.acked:
 		why = "acked"
@@ -289,13 +322,19 @@ func (r *modelRun) mismatch() (why string, observed []int) {
 		why = "published"
 	case int(st.Reconnects) != r.m.kills:
 		why = "reconnects"
+	case int(st.Dropped) != r.m.dropped:
+		why = "dropped"
+	case !r.m.retain && r.peer.totalLocked() != len(r.accepted):
+		why = fmt.Sprintf("peer received %d frames in total, %d were queued", r.peer.totalLocked(), len(r.accepted))
 	}
 	if why != "" {
-		return fmt.Sprintf("%s: stats %+v, live connection holds %d unacked; model fifo %d sent %d acked %d published %d kills %d",
-			why, st, len(cur.recv)-cur.acked, len(r.m.fifo), r.m.sent(), r.m.acked, r.m.pubs, r.m.kills), nil
+		return fmt.Sprintf("%s: stats %+v, live connection holds %d unacked; model fifo %d sent %d acked %d published %d dropped %d kills %d",
+			why, st, len(cur.recv)-cur.acked, len(r.m.fifo), r.m.sent(), r.m.acked, r.m.pubs, r.m.dropped, r.m.kills), nil
 	}
 	for _, f := range cur.recv[cur.acked:] {
-		observed = append(observed, f.id)
+		if r.m.retain {
+			observed = append(observed, f.id)
+		}
 	}
 	return "", observed
 }
@@ -336,7 +375,7 @@ func (r *modelRun) settle(step string) {
 		copy(r.m.fifo[at:], observed[at:])
 		r.m.loose = 0
 	}
-	if fmt.Sprint(observed) != fmt.Sprint(r.m.fifo) {
+	if !slices.Equal(observed, r.m.fifo) {
 		r.t.Fatalf("after %s: retained backlog %v, model %v", step, observed, r.m.fifo)
 	}
 	r.peer.mu.Lock()
@@ -344,6 +383,9 @@ func (r *modelRun) settle(step string) {
 	for ci, pc := range r.peer.conns {
 		last := make(map[uint64]uint64)
 		for i, f := range pc.recv {
+			if (f.epoch != 0) != r.m.retain {
+				r.t.Fatalf("after %s: connection %d frame %d: epoch %x — wrong PUBLISH version for the policy", step, ci, i, f.epoch)
+			}
 			if f.seq <= last[f.epoch] && f.epoch != 0 {
 				r.t.Fatalf("after %s: connection %d frame %d: epoch %x seq %d after seq %d", step, ci, i, f.epoch, f.seq, last[f.epoch])
 			}
@@ -369,8 +411,8 @@ func isMerge(got, a, b []int) bool {
 
 // room is how many more small batches Publish accepts without blocking.
 func (r *modelRun) room() int {
-	if r.opts.SpoolDir != "" && !r.fileOverCap {
-		return 1 << 30 // the disk spool takes what memory cannot
+	if !r.m.retain || r.opts.SpoolDir != "" && !r.fileOverCap {
+		return 1 << 30 // QoS 0 holds nothing; the disk spool takes what memory cannot
 	}
 	return r.m.window - len(r.m.fifo)
 }
@@ -383,6 +425,7 @@ func (r *modelRun) stepPublish() string {
 	ids := make([]int, k)
 	for i := range ids {
 		ids[i] = r.newID()
+		r.order[ids[i]] = [2]int{ids[0], 0}
 	}
 	r.accepted = append(r.accepted, ids...)
 	if k < 2 || r.rng.Intn(2) == 0 {
@@ -395,6 +438,9 @@ func (r *modelRun) stepPublish() string {
 		return fmt.Sprintf("publish %v", ids)
 	}
 	r.laneA, r.laneB = ids[:k/2], ids[k/2:]
+	for _, id := range r.laneB {
+		r.order[id] = [2]int{ids[0], 1}
+	}
 	var wg sync.WaitGroup
 	for _, lane := range [][]int{r.laneA, r.laneB} {
 		wg.Add(1)
@@ -409,7 +455,9 @@ func (r *modelRun) stepPublish() string {
 	}
 	wg.Wait()
 	r.m.publish(ids...)
-	r.m.loose = k
+	if r.m.retain {
+		r.m.loose = k
+	}
 	return fmt.Sprintf("publish %v | %v from two goroutines", r.laneA, r.laneB)
 }
 
@@ -509,6 +557,28 @@ func (r *modelRun) stepAck(all bool) string {
 	return step
 }
 
+// stepOutage is the QoS 0 half of backpressure: the peer goes away, and
+// once the client has noticed, every Publish is dropped and counted —
+// never an error, never queued for later. Then the peer comes back.
+func (r *modelRun) stepOutage() string {
+	r.peer.setRefuse(true)
+	r.stepKill()
+	for deadline := time.Now().Add(10 * time.Second); r.c.liveConn() != nil; time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			r.t.Fatal("client never noticed its connection was killed")
+		}
+	}
+	k := 1 + r.rng.Intn(4)
+	for i := 0; i < k; i++ {
+		if err := r.c.Publish(modelTopic, r.batch(r.newID(), false)); err != nil {
+			r.t.Fatalf("publish during an outage: %v", err)
+		}
+	}
+	r.m.dropped += k
+	r.peer.setRefuse(false)
+	return fmt.Sprintf("outage: kill, %d publishes while disconnected, peer back", k)
+}
+
 func (r *modelRun) stepKill() string {
 	r.peer.mu.Lock()
 	cur := r.peer.conns[len(r.peer.conns)-1]
@@ -544,7 +614,7 @@ func (r *modelRun) stepReopen() string {
 			ids = append(ids, f.id)
 			r.fileOverCap = r.fileOverCap || r.bigIDs[f.id]
 		}
-		if fmt.Sprint(ids) != fmt.Sprint(r.m.fifo) {
+		if !slices.Equal(ids, r.m.fifo) {
 			r.t.Fatalf("after close: spool file holds %v, model %v", ids, r.m.fifo)
 		}
 	}
@@ -558,8 +628,9 @@ func runClientModel(t *testing.T, seed int64, opts Options, steps int) {
 	defer peer.close()
 	r := &modelRun{
 		t: t, rng: rand.New(rand.NewSource(seed)), peer: peer, opts: opts,
-		m:      clientModel{window: opts.SpoolBatches, conns: 1},
+		m:      clientModel{retain: opts.SpoolBatches > 0, window: opts.SpoolBatches, conns: 1},
 		bigIDs: make(map[int]bool),
+		order:  make(map[int][2]int),
 	}
 	r.open()
 	r.settle("open")
@@ -570,8 +641,10 @@ func runClientModel(t *testing.T, seed int64, opts Options, steps int) {
 			step = r.stepPublish()
 		case d < 12:
 			step = r.stepAck(false)
-		case d < 15:
+		case d < 15 && r.m.retain:
 			step = r.stepOverflow()
+		case d < 15:
+			step = r.stepOutage()
 		case d < 18:
 			step = r.stepKill()
 		default:
@@ -596,17 +669,25 @@ func runClientModel(t *testing.T, seed int64, opts Options, steps int) {
 	if left := r.spoolFile(); len(left) != 0 {
 		t.Fatalf("drained client left %d records in the spool file", len(left))
 	}
-	// At-least-once: every accepted batch reached the peer.
+	// QoS 1, at least once: every queued batch reached the peer. QoS 0,
+	// at most once: what reached the peer, over all connections in
+	// order, is a duplicate-free subsequence of what was published.
 	seen := make(map[int]bool)
+	lastStep, lastID := 0, make(map[[2]int]int)
 	peer.mu.Lock()
-	for _, pc := range peer.conns {
+	defer peer.mu.Unlock()
+	for ci, pc := range peer.conns {
 		for _, f := range pc.recv {
+			if at, ok := r.order[f.id]; !r.m.retain && (seen[f.id] || !ok || at[0] < lastStep || f.id <= lastID[at]) {
+				t.Fatalf("connection %d: batch %d arrived twice, out of publish order, or was never published", ci, f.id)
+			} else if !r.m.retain {
+				lastStep, lastID[at] = at[0], f.id
+			}
 			seen[f.id] = true
 		}
 	}
-	peer.mu.Unlock()
 	for _, id := range r.accepted {
-		if !seen[id] {
+		if r.m.retain && !seen[id] {
 			t.Fatalf("batch %d was accepted by Publish and never reached the peer", id)
 		}
 	}
@@ -615,10 +696,11 @@ func runClientModel(t *testing.T, seed int64, opts Options, steps int) {
 
 // TestClientModel drives the client with seeded interleavings of
 // publish (one and two goroutines), ack-up-to, connection kill,
-// backpressure/disk-full and close-reopen against a scripted peer, and
-// compares it with clientModel after every step: what the live
-// connection holds, the counters, the spool file, per-connection
-// sequence order, and at the end that nothing accepted went unsent.
+// backpressure/disk-full (QoS 1) or an outage (QoS 0) and close-reopen
+// against a scripted peer, and compares it with clientModel after every
+// step: what the live connection holds, the counters, the spool file,
+// per-connection sequence order, and at the end the policy's promise —
+// nothing queued went unsent (QoS 1), nothing arrived twice (QoS 0).
 func TestClientModel(t *testing.T) {
 	seed := testseed.Seed(t)
 	base := Options{
@@ -638,6 +720,6 @@ func TestClientModel(t *testing.T) {
 		runClientModel(t, testseed.Derive(seed, "mem"), opts, 150)
 	})
 	t.Run("qos0", func(t *testing.T) {
-		t.Skip("QoS 0 is a second client without a sender at this commit")
+		runClientModel(t, testseed.Derive(seed, "qos0"), base, 150)
 	})
 }

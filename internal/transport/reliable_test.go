@@ -6,6 +6,7 @@ import (
 	"net"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -304,8 +305,12 @@ func TestAckErrorTypes(t *testing.T) {
 			defer conn.Close()
 		}
 	}()
-	if _, err := DialOptions(silent.Addr().String(), Options{AckTimeout: 50 * time.Millisecond}); !errors.Is(err, ErrAckTimeout) {
-		t.Fatalf("silent broker: err = %v, want ErrAckTimeout", err)
+	// Both typed errors hold for both retention policies: the handshake
+	// is the same code.
+	for _, spool := range []int{0, 4} {
+		if _, err := DialOptions(silent.Addr().String(), Options{AckTimeout: 50 * time.Millisecond, SpoolBatches: spool}); !errors.Is(err, ErrAckTimeout) {
+			t.Fatalf("silent broker (SpoolBatches %d): err = %v, want ErrAckTimeout", spool, err)
+		}
 	}
 
 	// Confused peer: answers CONNECT with a SubAck.
@@ -331,12 +336,10 @@ func TestAckErrorTypes(t *testing.T) {
 			}(conn)
 		}
 	}()
-	if _, err := DialOptions(confused.Addr().String(), Options{AckTimeout: time.Second}); !errors.Is(err, ErrUnexpectedAck) {
-		t.Fatalf("confused broker: err = %v, want ErrUnexpectedAck", err)
-	}
-	// The reliable handshake path reports the same typed error.
-	if _, err := DialOptions(confused.Addr().String(), Options{AckTimeout: time.Second, SpoolBatches: 4}); !errors.Is(err, ErrUnexpectedAck) {
-		t.Fatalf("confused broker (reliable): err = %v, want ErrUnexpectedAck", err)
+	for _, spool := range []int{0, 4} {
+		if _, err := DialOptions(confused.Addr().String(), Options{AckTimeout: time.Second, SpoolBatches: spool}); !errors.Is(err, ErrUnexpectedAck) {
+			t.Fatalf("confused broker (SpoolBatches %d): err = %v, want ErrUnexpectedAck", spool, err)
+		}
 	}
 }
 
@@ -669,5 +672,89 @@ func TestControlFramesDoNotCorruptPublishStream(t *testing.T) {
 		if seqs[i] <= seqs[i-1] {
 			t.Fatalf("sequence inversion at delivery %d: %d after %d", i, seqs[i], seqs[i-1])
 		}
+	}
+}
+
+// gateConn parks the first SUBSCRIBE frame between its header and its
+// payload until release is closed, and counts PUBLISH headers written
+// while it is parked.
+type gateConn struct {
+	net.Conn
+	parked, release chan struct{}
+	once            sync.Once
+	early           atomic.Int32
+}
+
+func (g *gateConn) Write(p []byte) (int, error) {
+	if len(p) == 5 && (p[0] == framePublish || p[0] == framePublishV2) {
+		select {
+		case <-g.release:
+		case <-g.parked:
+			g.early.Add(1)
+		default:
+		}
+	}
+	n, err := g.Conn.Write(p)
+	if len(p) == 5 && p[0] == frameSubscribe {
+		g.once.Do(func() {
+			close(g.parked)
+			<-g.release
+		})
+	}
+	return n, err
+}
+
+// TestBurstWaitsForControlFrame is the deterministic half of the test
+// above: a SUBSCRIBE frame is two writes, and with its header on the
+// wire and its payload not yet, the sender's burst must wait on the
+// client write lock — at either retention policy — or the broker reads
+// PUBLISH bytes as the filter.
+func TestBurstWaitsForControlFrame(t *testing.T) {
+	for _, spool := range []int{0, 8} {
+		b, err := NewBroker("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := newRecorder()
+		b.SubscribeLocal("#", rec.handle)
+		c, err := DialOptions(b.Addr(), Options{SpoolBatches: spool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := &gateConn{parked: make(chan struct{}), release: make(chan struct{})}
+		c.mu.Lock()
+		g.Conn, c.conn = c.conn, g
+		c.mu.Unlock()
+
+		subscribed := make(chan error, 1)
+		go func() { subscribed <- c.Subscribe("/ctl/none", func(Message) {}) }()
+		<-g.parked
+		for i := 0; i < 3; i++ {
+			if err := c.Publish("/rel/gate", []sensor.Reading{{Value: float64(i), Time: int64(i)}}); err != nil {
+				t.Fatalf("publish %d: %v", i, err)
+			}
+		}
+		time.Sleep(50 * time.Millisecond) // room for a sender that does not wait
+		if n := g.early.Load(); n != 0 {
+			t.Fatalf("SpoolBatches %d: %d PUBLISH frames written inside a half-written SUBSCRIBE frame", spool, n)
+		}
+		close(g.release)
+		if err := <-subscribed; err != nil {
+			t.Fatalf("subscribe: %v", err)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for rec.count("/rel/gate") != 3 {
+			if time.Now().After(deadline) {
+				t.Fatalf("SpoolBatches %d: delivered %d of 3 batches", spool, rec.count("/rel/gate"))
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		if rc := c.Stats().Reconnects; rc != 0 {
+			t.Fatalf("SpoolBatches %d: %d reconnects: stream corrupted", spool, rc)
+		}
+		b.Close()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	crand "crypto/rand"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -11,16 +12,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
-
-	"github.com/dcdb/wintermute/internal/sensor"
 )
 
-// ClientStats is a snapshot of a reliable client's delivery counters,
-// exposed for telemetry (the pusher republishes them as gauges).
+// ClientStats is a snapshot of a client's delivery counters, exposed
+// for telemetry (the pusher republishes them as gauges).
 type ClientStats struct {
-	// SpoolDepth is the number of batches in the in-memory spool
+	// SpoolDepth is the number of batches in the in-memory queue
 	// (unsent plus sent-but-unacknowledged).
 	SpoolDepth int
 	// SpoolDisk is the number of overflow batches on disk not yet
@@ -30,73 +28,24 @@ type ClientStats struct {
 	SpoolDiskBytes int64
 	// Published counts batches accepted by Publish.
 	Published uint64
-	// Acked counts batches the broker acknowledged.
+	// Acked counts batches the broker acknowledged (QoS 1 only).
 	Acked uint64
 	// Reconnects counts successful dials after the initial one.
 	Reconnects uint64
 	// Redeliveries counts batches re-sent after a connection died with
 	// them unacknowledged.
 	Redeliveries uint64
+	// Dropped counts QoS 0 batches published while no connection was
+	// live: discarded, never queued.
+	Dropped uint64
 }
 
-// relBatch is one spooled publish: the encoded v2 payload plus the
-// delivery identity it carries. fromDisk marks batches loaded from the
-// overflow file (already persisted — Close must not write them again).
+// relBatch is one queued publish: the encoded payload plus, at QoS 1,
+// the delivery identity it carries.
 type relBatch struct {
 	epoch, seq uint64
 	payload    []byte
-	fromDisk   bool
 	sentAt     time.Time
-}
-
-// reliable is the at-least-once engine behind a spooling Client: a
-// bounded in-memory batch queue with optional disk overflow, one sender
-// goroutine that owns dialling/redialling, and one receive loop per
-// live connection feeding acknowledgements back.
-//
-// Queue discipline: queue[:sendIdx] have been written to the current
-// connection and await acks; queue[sendIdx:] are unsent. PubAcks are
-// cumulative — TCP delivers frames in order, so an ack for (epoch, seq)
-// proves the broker routed every earlier batch sent on the same
-// connection — and pop from the head. When a connection dies sendIdx
-// rewinds to zero: everything unacknowledged is redelivered.
-type reliable struct {
-	c *Client
-
-	epoch uint64
-
-	mu      sync.Mutex
-	space   sync.Cond // signalled when spool space frees or state changes
-	queue   []*relBatch
-	sendIdx int
-	nextSeq uint64
-	conn    net.Conn
-	gen     uint64 // connection generation, guards stale teardowns
-	closed  bool
-	disk    *diskSpool // nil without SpoolDir
-
-	// lastProgress is the last moment this connection demonstrably moved
-	// acknowledgements forward: set at registration and on every ack that
-	// pops batches. The stall detector keys on it rather than on the
-	// head batch's send time — under sustained pipelining the head is
-	// re-stamped only on redelivery, so send age would condemn a healthy
-	// but merely slow connection and trigger a redelivery storm.
-	lastProgress time.Time
-
-	published    uint64
-	acked        uint64
-	reconnects   uint64
-	redeliveries uint64
-
-	kickCh chan struct{} // wakes the sender (cap 1)
-	stopCh chan struct{} // closed when Close stops draining
-	wg     sync.WaitGroup
-
-	// Vectored-send scratch, owned by the sender goroutine: frame
-	// headers live in hdrs, iov alternates header/payload slices so a
-	// burst of spooled batches leaves in one writev.
-	iov  net.Buffers
-	hdrs []byte
 }
 
 // newEpoch draws a random nonzero client-epoch. Uniqueness across all
@@ -117,228 +66,118 @@ func newEpoch() uint64 {
 	}
 }
 
-// newReliable builds the engine, replays any existing disk spool, makes
-// the initial connection (failing fast on misconfiguration) and starts
-// the sender.
-func newReliable(c *Client) (*reliable, error) {
-	r := &reliable{
-		c:      c,
-		epoch:  newEpoch(),
-		kickCh: make(chan struct{}, 1),
-		stopCh: make(chan struct{}),
-	}
-	r.space.L = &r.mu
-	if c.opts.SpoolDir != "" {
-		d, err := openDiskSpool(filepath.Join(c.opts.SpoolDir, "pusher.spool"), c.opts.SpoolMaxBytes)
-		if err != nil {
-			return nil, fmt.Errorf("transport: opening disk spool: %w", err)
-		}
-		r.disk = d
-	}
-	conn, err := r.dialOnce()
-	if err != nil {
-		if r.disk != nil {
-			r.disk.close()
-		}
-		return nil, err
-	}
-	r.conn = conn
-	r.gen = 1
-	r.lastProgress = time.Now()
-	r.wg.Add(2)
-	go r.recvLoop(conn, 1)
-	go r.sendLoop()
-	return r, nil
-}
-
-// liveConn returns the current connection, nil between redials.
-func (r *reliable) liveConn() net.Conn {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.conn
-}
-
-func (r *reliable) stats() ClientStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := ClientStats{
-		SpoolDepth:   len(r.queue),
-		Published:    r.published,
-		Acked:        r.acked,
-		Reconnects:   r.reconnects,
-		Redeliveries: r.redeliveries,
-	}
-	if r.disk != nil {
-		st.SpoolDisk = r.disk.pending
-		st.SpoolDiskBytes = r.disk.size
-	}
-	return st
-}
-
-// publish spools one batch. It blocks only when both the disk overflow
-// (if any) and the in-memory spool are at capacity — backpressure, not
-// loss.
-func (r *reliable) publish(topic sensor.Topic, readings []sensor.Reading) error {
-	r.mu.Lock()
-	// Order is sacred: the agent's dedup watermark assumes per-topic
-	// sequence numbers arrive monotonically, so sequences are assigned
-	// at enqueue time under a continuously-held lock (never across a
-	// cond wait — a concurrent publisher could slip a later sequence in
-	// front), and a batch may only enter the memory queue behind every
-	// disk-resident batch. While the overflow file holds anything, all
-	// new batches go to its tail. Both destination checks live in ONE
-	// loop re-evaluated after every wait: a publisher that blocked on a
-	// full disk must return to the disk path whenever disk.pending rises
-	// again while it slept (a concurrent publisher's append succeeded),
-	// or its memory enqueue would jump ahead of a lower-sequence
-	// disk-resident batch — which the dedup watermark would then reject
-	// on replay even though the broker acked it: acked data loss.
-	for {
-		if r.closed {
-			r.mu.Unlock()
-			return ErrClosed
-		}
-		if r.disk != nil && (r.disk.pending > 0 || len(r.queue) >= r.c.opts.SpoolBatches) {
-			r.nextSeq++
-			payload := EncodePublishV2(Message{
-				Topic: topic, Readings: readings, Epoch: r.epoch, Seq: r.nextSeq,
-			})
-			if err := r.disk.append(payload); err == nil {
-				r.published++
-				r.mu.Unlock()
-				r.kick()
-				return nil
-			}
-			// Disk full (or failing): the sequence just burnt is
-			// discarded (gaps are harmless to a high-water mark) and the
-			// publisher waits for state to change before re-deciding
-			// where this batch may go.
-			r.space.Wait()
-			continue
-		}
-		if len(r.queue) >= r.c.opts.SpoolBatches {
-			r.space.Wait()
-			continue
-		}
-		break
-	}
-	r.nextSeq++
-	payload := EncodePublishV2(Message{
-		Topic: topic, Readings: readings, Epoch: r.epoch, Seq: r.nextSeq,
-	})
-	r.queue = append(r.queue, &relBatch{epoch: r.epoch, seq: r.nextSeq, payload: payload})
-	r.published++
-	r.mu.Unlock()
-	r.kick()
-	return nil
-}
-
 // kick wakes the sender without blocking.
-func (r *reliable) kick() {
+func (c *Client) kick() {
 	select {
-	case r.kickCh <- struct{}{}:
+	case c.kickCh <- struct{}{}:
 	default:
 	}
 }
 
 // sendLoop owns the connection lifecycle: dial (with backoff + jitter),
 // stream unsent batches, watch the head-of-line ack deadline, redial on
-// failure. It exits when the client is closed and the spool is drained,
+// failure. It exits when the client is closed and the queue is drained,
 // or when Close abandons the drain (stopCh).
-func (r *reliable) sendLoop() {
-	defer r.wg.Done()
-	backoff := r.c.opts.RetryMin
+func (c *Client) sendLoop() {
+	defer c.wg.Done()
+	frameType := byte(framePublishV2)
+	if !c.retain {
+		frameType = framePublish
+	}
+	backoff := c.opts.RetryMin
 	for {
-		r.mu.Lock()
-		if r.closed && len(r.queue) == 0 && (r.disk == nil || r.disk.pending == 0) {
-			r.mu.Unlock()
+		c.mu.Lock()
+		if !c.retain && c.sendIdx > 0 {
+			// QoS 0: the burst's write has returned, so its batches are
+			// gone whatever it reported — at most once.
+			c.popLocked(c.sendIdx)
+		}
+		if c.closed && len(c.queue) == 0 && (c.disk == nil || c.disk.pending == 0) {
+			c.mu.Unlock()
 			return
 		}
-		conn, gen := r.conn, r.gen
+		conn, gen := c.conn, c.gen
 		if conn == nil {
-			r.mu.Unlock()
+			c.mu.Unlock()
 			select {
-			case <-r.stopCh:
+			case <-c.stopCh:
 				return
 			default:
 			}
-			c2, err := r.dialOnce()
+			c2, err := c.dialOnce()
 			if err != nil {
 				select {
 				case <-time.After(jitter(backoff)):
-				case <-r.stopCh:
+				case <-c.stopCh:
 					return
 				}
-				if backoff *= 2; backoff > r.c.opts.RetryMax {
-					backoff = r.c.opts.RetryMax
+				if backoff *= 2; backoff > c.opts.RetryMax {
+					backoff = c.opts.RetryMax
 				}
 				continue
 			}
-			backoff = r.c.opts.RetryMin
-			r.mu.Lock()
-			// Registration races with close(): stopCh is closed strictly
-			// before close() tears down r.conn, so if the dial completed
+			backoff = c.opts.RetryMin
+			c.mu.Lock()
+			// Registration races with Close: stopCh is closed strictly
+			// before Close tears down c.conn, so if the dial completed
 			// after that teardown this check (under the same lock) sees it
 			// and abandons c2 — registering would orphan a receiver on a
-			// connection nobody will ever close, wedging close()'s Wait.
+			// connection nobody will ever close, wedging Close's Wait.
 			select {
-			case <-r.stopCh:
-				r.mu.Unlock()
+			case <-c.stopCh:
+				c.mu.Unlock()
 				c2.Close()
 				return
 			default:
 			}
-			r.conn = c2
-			r.gen++
-			r.sendIdx = 0 // redeliver everything unacknowledged
-			r.lastProgress = time.Now()
-			r.reconnects++
-			gen = r.gen
-			r.mu.Unlock()
-			r.wg.Add(1)
-			go r.recvLoop(c2, gen)
+			c.conn = c2
+			c.gen++
+			c.sendIdx = 0 // redeliver everything unacknowledged
+			c.lastProgress = time.Now()
+			c.stats.Reconnects++
+			gen = c.gen
+			c.mu.Unlock()
+			c.wg.Add(1)
+			go c.recvLoop(c2, gen)
 			continue
 		}
-		r.refillLocked()
-		if r.sendIdx < len(r.queue) {
+		c.refillLocked()
+		if c.sendIdx < len(c.queue) {
 			// Gather every unsent batch (capped to keep each writev's
 			// iovec list bounded) into one vectored write: under
-			// sustained load many frames leave per syscall, which is
-			// what keeps the acked path's throughput at the
-			// fire-and-forget client's level.
-			const maxBurst = 256
+			// sustained load many frames leave per syscall.
 			now := time.Now()
-			r.iov = r.iov[:0]
-			r.hdrs = r.hdrs[:0]
+			c.iov = c.iov[:0]
+			c.hdrs = c.hdrs[:0]
 			n := 0
-			for r.sendIdx < len(r.queue) && n < maxBurst {
-				b := r.queue[r.sendIdx]
+			for c.sendIdx < len(c.queue) && n < maxBurst {
+				b := c.queue[c.sendIdx]
 				if !b.sentAt.IsZero() {
-					r.redeliveries++
+					c.stats.Redeliveries++
 				}
 				b.sentAt = now
-				r.sendIdx++
-				r.hdrs = append(r.hdrs, framePublishV2, 0, 0, 0, 0)
-				binary.BigEndian.PutUint32(r.hdrs[len(r.hdrs)-4:], uint32(len(b.payload)))
-				r.iov = append(r.iov, nil, b.payload)
+				c.sendIdx++
+				c.hdrs = append(c.hdrs, frameType, 0, 0, 0, 0)
+				binary.BigEndian.PutUint32(c.hdrs[len(c.hdrs)-4:], uint32(len(b.payload)))
+				c.iov = append(c.iov, nil, b.payload)
 				n++
 			}
 			// Headers slice into hdrs only after it stops growing: append
 			// may reallocate the arena mid-gather.
 			for i := 0; i < n; i++ {
-				r.iov[2*i] = r.hdrs[5*i : 5*i+5]
+				c.iov[2*i] = c.hdrs[5*i : 5*i+5]
 			}
-			r.mu.Unlock()
+			c.mu.Unlock()
 			// The burst shares the connection with Subscribe/Ping frames
 			// written under c.writeMu; hold it across the vectored write
 			// (which may span several writev syscalls) so a concurrent
 			// control frame can never interleave bytes mid-frame and
 			// desync the broker's stream.
-			r.c.writeMu.Lock()
-			_, err := r.iov.WriteTo(conn)
-			r.c.writeMu.Unlock()
+			c.writeMu.Lock()
+			_, err := c.iov.WriteTo(conn)
+			c.writeMu.Unlock()
 			if err != nil {
-				r.connDead(gen)
+				c.connDead(gen)
 			}
 			continue
 		}
@@ -348,74 +187,89 @@ func (r *reliable) sendLoop() {
 		// popping batches (however slowly) is healthy and must not be
 		// torn down: every teardown rewinds sendIdx and redelivers the
 		// whole spool, so a false positive feeds itself.
-		wait := r.c.opts.AckTimeout
-		if r.sendIdx > 0 {
-			if d := time.Until(r.lastProgress.Add(r.c.opts.AckTimeout)); d < wait {
+		wait := c.opts.AckTimeout
+		if c.sendIdx > 0 {
+			if d := time.Until(c.lastProgress.Add(c.opts.AckTimeout)); d < wait {
 				wait = d
 			}
 		}
-		r.mu.Unlock()
+		c.mu.Unlock()
 		if wait < time.Millisecond {
 			wait = time.Millisecond
 		}
 		select {
-		case <-r.kickCh:
+		case <-c.kickCh:
 		case <-time.After(wait):
-			r.mu.Lock()
-			stuck := r.gen == gen && r.conn != nil && r.sendIdx > 0 &&
-				time.Since(r.lastProgress) >= r.c.opts.AckTimeout
-			r.mu.Unlock()
+			c.mu.Lock()
+			stuck := c.gen == gen && c.conn != nil && c.sendIdx > 0 &&
+				time.Since(c.lastProgress) >= c.opts.AckTimeout
+			c.mu.Unlock()
 			if stuck {
 				conn.Close()
-				r.connDead(gen)
+				c.connDead(gen)
 			}
-		case <-r.stopCh:
+		case <-c.stopCh:
 			return
 		}
 	}
 }
 
 // refillLocked loads overflow batches into the tail of the memory
-// queue. Callers hold r.mu.
-func (r *reliable) refillLocked() {
-	if r.disk == nil || r.disk.pending == 0 || len(r.queue) >= r.c.opts.SpoolBatches {
+// queue. Callers hold c.mu.
+func (c *Client) refillLocked() {
+	if c.disk == nil || c.disk.pending == 0 || len(c.queue) >= c.opts.SpoolBatches {
 		return
 	}
-	loaded, err := r.disk.load(r.c.opts.SpoolBatches - len(r.queue))
+	loaded, err := c.disk.load(c.opts.SpoolBatches - len(c.queue))
 	if err != nil {
 		// A torn or unreadable overflow tail: drop what cannot be
 		// parsed rather than wedging the sender. The loss is bounded to
 		// batches that were never acknowledged anyway.
-		r.disk.abandonPending()
-		r.space.Broadcast()
+		c.disk.abandonPending()
+		c.space.Broadcast()
 		return
 	}
-	r.queue = append(r.queue, loaded...)
+	c.queue = append(c.queue, loaded...)
 }
 
-// connDead retires generation gen's connection: everything sent on it
-// but unacknowledged rewinds to unsent for redelivery on the next dial.
-func (r *reliable) connDead(gen uint64) {
-	r.mu.Lock()
-	if r.gen != gen || r.conn == nil {
-		r.mu.Unlock()
+// connDead retires generation gen's connection. At QoS 1 everything
+// sent on it but unacknowledged rewinds to unsent for redelivery on the
+// next dial; at QoS 0 what was sent stays sent (the sender pops it) and
+// publishers waiting for queue space wake to find no connection.
+func (c *Client) connDead(gen uint64) {
+	c.mu.Lock()
+	if c.gen != gen || c.conn == nil {
+		c.mu.Unlock()
 		return
 	}
-	conn := r.conn
-	r.conn = nil
-	r.sendIdx = 0
-	r.mu.Unlock()
+	conn := c.conn
+	c.conn = nil
+	if c.retain {
+		c.sendIdx = 0
+	}
+	c.space.Broadcast()
+	c.mu.Unlock()
 	conn.Close()
-	r.kick()
+	c.kick()
+}
+
+// popLocked removes the first n batches — all of them sent — from the
+// queue. Callers hold c.mu.
+func (c *Client) popLocked(n int) {
+	kept := copy(c.queue, c.queue[n:])
+	clear(c.queue[kept:])
+	c.queue = c.queue[:kept]
+	c.sendIdx -= n
+	c.space.Broadcast()
 }
 
 // ack applies one cumulative PubAck: every batch at or before
-// (epoch, seq) in send order is confirmed routed and leaves the spool.
-func (r *reliable) ack(epoch, seq uint64) {
-	r.mu.Lock()
+// (epoch, seq) in send order is confirmed routed and leaves the queue.
+func (c *Client) ack(epoch, seq uint64) {
+	c.mu.Lock()
 	n := 0
-	for n < r.sendIdx {
-		b := r.queue[n]
+	for n < c.sendIdx {
+		b := c.queue[n]
 		if b.epoch == epoch && b.seq > seq {
 			break
 		}
@@ -425,31 +279,25 @@ func (r *reliable) ack(epoch, seq uint64) {
 		}
 	}
 	if n > 0 {
-		r.acked += uint64(n)
-		r.lastProgress = time.Now()
-		copy(r.queue, r.queue[n:])
-		for i := len(r.queue) - n; i < len(r.queue); i++ {
-			r.queue[i] = nil
+		c.stats.Acked += uint64(n)
+		c.lastProgress = time.Now()
+		c.popLocked(n)
+		if c.disk != nil && len(c.queue) == 0 && c.disk.pending == 0 {
+			c.disk.reset()
 		}
-		r.queue = r.queue[:len(r.queue)-n]
-		r.sendIdx -= n
-		if r.disk != nil && len(r.queue) == 0 && r.disk.pending == 0 {
-			r.disk.reset()
-		}
-		r.space.Broadcast()
 	}
-	r.mu.Unlock()
+	c.mu.Unlock()
 	if n > 0 {
 		// The sender may be idle with the queue it saw fully sent; freed
 		// space lets it refill from the disk overflow.
-		r.kick()
+		c.kick()
 	}
 }
 
 // recvLoop reads one connection until it dies, feeding acks to the
-// spool and everything else to the shared client dispatch.
-func (r *reliable) recvLoop(conn net.Conn, gen uint64) {
-	defer r.wg.Done()
+// queue and everything else to dispatch.
+func (c *Client) recvLoop(conn net.Conn, gen uint64) {
+	defer c.wg.Done()
 	// This loop is the connection's only reader, so buffering is safe;
 	// it batches the small PubAck frames into one read syscall each
 	// time the broker's coalesced flush lands.
@@ -458,123 +306,63 @@ func (r *reliable) recvLoop(conn net.Conn, gen uint64) {
 	for {
 		typ, payload, err := readFrameReuse(br, &buf)
 		if err != nil {
-			r.connDead(gen)
+			c.connDead(gen)
 			return
 		}
 		if typ == framePubAck {
 			if e, s, derr := decodePubAck(payload); derr == nil {
-				r.ack(e, s)
+				c.ack(e, s)
 			}
 			continue
 		}
-		r.c.dispatch(typ, payload)
+		c.dispatch(typ, payload)
 	}
 }
 
 // dialOnce makes one connection attempt including the CONNECT handshake
 // and resubscription of every registered filter.
-func (r *reliable) dialOnce() (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", r.c.addr, 5*time.Second)
+func (c *Client) dialOnce() (net.Conn, error) {
+	conn, err := net.DialTimeout("tcp", c.addr, 5*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.handshake(conn); err != nil {
+	c.mu.Lock()
+	filters := make([]string, len(c.subs))
+	for i, s := range c.subs {
+		filters[i] = s.filter
+	}
+	c.mu.Unlock()
+	if err := handshake(conn, c.opts.AckTimeout, filters); err != nil {
 		conn.Close()
 		return nil, err
 	}
 	return conn, nil
 }
 
-// handshake runs CONNECT/CONNACK and re-sends the client's subscription
-// filters synchronously, all under one deadline, before the connection
-// is handed to the concurrent send/receive loops.
-func (r *reliable) handshake(conn net.Conn) error {
-	_ = conn.SetDeadline(time.Now().Add(r.c.opts.AckTimeout))
+// handshake runs CONNECT/CONNACK and then SUBSCRIBE/SUBACK for each
+// filter synchronously, all under one deadline, before the connection
+// is handed to concurrent readers and writers. A peer that stays silent
+// past the deadline yields ErrAckTimeout, one that answers with the
+// wrong frame type ErrUnexpectedAck.
+func handshake(conn net.Conn, timeout time.Duration, filters []string) error {
+	_ = conn.SetDeadline(time.Now().Add(timeout))
 	defer conn.SetDeadline(time.Time{})
-	if err := writeFrame(conn, frameConnect, nil); err != nil {
-		return err
-	}
-	typ, _, err := readFrame(conn)
-	if err != nil {
-		return err
-	}
-	if typ != frameConnAck {
-		return ErrUnexpectedAck
-	}
-	r.c.mu.Lock()
-	filters := make([]string, len(r.c.subs))
-	for i, s := range r.c.subs {
-		filters[i] = s.filter
-	}
-	r.c.mu.Unlock()
-	for _, f := range filters {
-		if err := writeFrame(conn, frameSubscribe, encodeString(f)); err != nil {
+	roundTrip := func(typ byte, payload []byte, want byte) error {
+		if err := writeFrame(conn, typ, payload); err != nil {
 			return err
 		}
-		typ, _, err := readFrame(conn)
-		if err != nil {
-			return err
+		got, _, err := readFrame(conn)
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			return ErrAckTimeout
 		}
-		if typ != frameSubAck {
+		if err == nil && got != want {
 			return ErrUnexpectedAck
 		}
+		return err
 	}
-	return nil
-}
-
-// close drains the spool (bounded by DrainTimeout), persists any
-// remainder to the disk spool, then stops the sender and receiver.
-func (r *reliable) close() error {
-	r.c.mu.Lock()
-	if r.c.closed {
-		r.c.mu.Unlock()
-		return nil
-	}
-	r.c.closed = true
-	r.c.mu.Unlock()
-
-	r.mu.Lock()
-	r.closed = true
-	r.space.Broadcast() // publishers blocked on backpressure get ErrClosed
-	r.mu.Unlock()
-	r.kick()
-
-	var err error
-	deadline := time.Now().Add(r.c.opts.DrainTimeout)
-	for {
-		r.mu.Lock()
-		drained := len(r.queue) == 0 && (r.disk == nil || r.disk.pending == 0)
-		r.mu.Unlock()
-		if drained {
-			break
-		}
-		if time.Now().After(deadline) {
-			err = r.persistRemainder()
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	close(r.stopCh)
-	r.mu.Lock()
-	conn := r.conn
-	r.conn = nil
-	r.mu.Unlock()
-	if conn != nil {
-		// TryLock: the sender may be wedged mid-write on this very
-		// connection holding c.writeMu, and conn.Close() below is what
-		// unblocks it — so the courtesy DISCONNECT is skipped rather
-		// than deadlocking Close behind it.
-		if r.c.writeMu.TryLock() {
-			_ = writeFrame(conn, frameDisconnect, nil)
-			r.c.writeMu.Unlock()
-		}
-		conn.Close()
-	}
-	r.wg.Wait()
-	if r.disk != nil {
-		if derr := r.disk.close(); err == nil {
-			err = derr
-		}
+	err := roundTrip(frameConnect, nil, frameConnAck)
+	for i := 0; err == nil && i < len(filters); i++ {
+		err = roundTrip(frameSubscribe, encodeString(filters[i]), frameSubAck)
 	}
 	return err
 }
@@ -584,23 +372,23 @@ func (r *reliable) close() error {
 // (its older, memory-born batches precede any disk-loaded ones), then
 // the overflow records never loaded — so a restart replays everything
 // in the original sequence order the dedup watermark depends on.
-// Without a disk spool the remainder is abandoned and reported.
-func (r *reliable) persistRemainder() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.disk == nil {
-		if n := len(r.queue); n > 0 {
+// Without a disk spool a QoS 1 remainder is abandoned and reported.
+func (c *Client) persistRemainder() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.disk == nil {
+		if n := len(c.queue); n > 0 && c.retain {
 			return fmt.Errorf("%w: %d batches", ErrSpoolNotDrained, n)
 		}
 		return nil
 	}
-	payloads := make([][]byte, len(r.queue))
-	for i, b := range r.queue {
+	payloads := make([][]byte, len(c.queue))
+	for i, b := range c.queue {
 		payloads[i] = b.payload
 	}
-	err := r.disk.rewrite(payloads)
-	r.queue = nil
-	r.sendIdx = 0
+	err := c.disk.rewrite(payloads)
+	c.queue = nil
+	c.sendIdx = 0
 	if err != nil {
 		return fmt.Errorf("transport: persisting spool remainder: %w", err)
 	}
@@ -751,7 +539,7 @@ func (d *diskSpool) load(n int) ([]*relBatch, error) {
 		}
 		d.readOff += 12 + int64(sz)
 		d.pending--
-		out = append(out, &relBatch{epoch: epoch, seq: seq, payload: payload, fromDisk: true})
+		out = append(out, &relBatch{epoch: epoch, seq: seq, payload: payload})
 	}
 	return out, nil
 }

@@ -18,39 +18,9 @@ func NewStalledSubscriber(addr, filter string) (io.Closer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := stalledHandshake(conn, filter); err != nil {
+	if err := handshake(conn, 5*time.Second, []string{filter}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("transport: stalled subscriber handshake: %w", err)
 	}
 	return conn, nil
-}
-
-// stalledHandshake performs CONNECT and SUBSCRIBE under one deadline;
-// after it returns the caller stops reading forever.
-func stalledHandshake(conn net.Conn, filter string) error {
-	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		return err
-	}
-	defer conn.SetDeadline(time.Time{})
-	if err := writeFrame(conn, frameConnect, nil); err != nil {
-		return err
-	}
-	typ, _, err := readFrame(conn)
-	if err != nil {
-		return err
-	}
-	if typ != frameConnAck {
-		return ErrUnexpectedAck
-	}
-	if err := writeFrame(conn, frameSubscribe, encodeString(filter)); err != nil {
-		return err
-	}
-	typ, _, err = readFrame(conn)
-	if err != nil {
-		return err
-	}
-	if typ != frameSubAck {
-		return ErrUnexpectedAck
-	}
-	return nil
 }

@@ -6,6 +6,13 @@
 // codebase needs exactly the subset implemented here — CONNECT, PUBLISH of
 // reading batches to slash-separated topics, SUBSCRIBE with the '#'
 // multi-level wildcard, and PING — over length-prefixed binary frames.
+//
+// There is one Client: Publish queues, a sender goroutine writes the
+// queue in vectored bursts and redials after connection loss. MQTT's
+// QoS level is its retention policy, chosen by Options.SpoolBatches —
+// QoS 0 forgets a batch once written (at most once), QoS 1 keeps it
+// until the Broker's cumulative PubAck (at least once, with optional
+// disk overflow). docs/FORMATS.md §1 and §4 specify the bytes.
 package transport
 
 import (
@@ -18,13 +25,12 @@ import (
 	"github.com/dcdb/wintermute/internal/sensor"
 )
 
-// Frame types. framePublishV2 and framePubAck extend the original
-// protocol with at-least-once delivery: a v2 PUBLISH prefixes the v1
-// payload with a (client-epoch, sequence) pair, and the broker answers
-// each one with a PubAck echoing that pair. Peers that predate the
-// extension keep speaking framePublish and receive no acks — both sides
-// ignore frame types they do not know, so mixed-version pairs degrade
-// to the old fire-and-forget behaviour instead of desyncing.
+// Frame types. framePublishV2 and framePubAck carry at-least-once
+// delivery: a v2 PUBLISH prefixes the v1 payload with a (client-epoch,
+// sequence) pair, and the broker answers with PubAcks echoing such a
+// pair. A QoS 0 client speaks framePublish and receives no acks; the
+// broker also forwards every publish to subscribers as framePublish.
+// Both sides ignore frame types they do not know.
 const (
 	frameConnect    = 1
 	frameConnAck    = 2

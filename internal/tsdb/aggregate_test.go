@@ -3,7 +3,6 @@ package tsdb
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -200,38 +199,23 @@ func TestAggregateUsesChunkMetadata(t *testing.T) {
 }
 
 // forgeSegment writes a single-series segment file with a chosen header
-// version and a chosen index entry offset/length (off 0 means "where the
-// chunk really is"), always with a correct index CRC: what a decoder sees
-// when the bytes are intact but were not produced by writeSegment.
-func forgeSegment(t *testing.T, path string, version uint32, off, length uint64) {
+// version and a chosen index entry count and offset/length (off 0 means
+// "where the chunk really is"; the true count is 50), always with a
+// correct index CRC: what a decoder sees when the bytes are intact but
+// were not produced by writeSegment.
+func forgeSegment(t *testing.T, path string, version uint32, count, off, length uint64) {
 	t.Helper()
-	const topic = "/n/power"
 	app := NewAppender()
 	for i := 0; i < 50; i++ {
 		app.Append(sensor.Reading{Time: int64(i * 10), Value: float64(i % 7)})
 	}
 	chunk := app.Bytes()
-	buf := append([]byte(nil), segMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, version)
-	buf = binary.LittleEndian.AppendUint64(buf, 0)
 	if off == 0 {
-		off, length = uint64(len(buf)), uint64(len(chunk))
+		off, length = segHeader, uint64(len(chunk))
 	}
-	buf = append(buf, chunk...)
-	index := binary.LittleEndian.AppendUint32(nil, 1)
-	index = binary.AppendUvarint(index, uint64(len(topic)))
-	index = append(index, topic...)
-	index = binary.AppendUvarint(index, 50)
-	index = binary.AppendVarint(index, 0)
-	index = binary.AppendVarint(index, 490)
-	index = binary.AppendUvarint(index, off)
-	index = binary.AppendUvarint(index, length)
-	index = append(index, make([]byte, 24)...) // min/max/sum
-	indexOff := len(buf)
-	buf = append(buf, index...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(indexOff))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(index))
-	buf = append(buf, segMagic...)
+	index := fuzzIndexEntry(binary.LittleEndian.AppendUint32(nil, 1), "/n/power", count, 0, 490, off, length)
+	buf := fuzzSegmentFile(chunk, index)
+	binary.LittleEndian.PutUint32(buf[4:], version)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +230,7 @@ func forgeSegment(t *testing.T, path string, version uint32, off, length uint64)
 func TestOpenRejectsUnsupportedSegmentVersion(t *testing.T) {
 	for _, version := range []uint32{1, segVersion + 1} {
 		dir := t.TempDir()
-		forgeSegment(t, segPath(filepath.Join(dir, "seg"), 1), version, 0, 0)
+		forgeSegment(t, segPath(filepath.Join(dir, "seg"), 1), version, 50, 0, 0)
 		db, err := Open(dir, Options{FlushEvery: -1})
 		if err == nil {
 			db.Close()
@@ -261,13 +245,16 @@ func TestOpenRejectsUnsupportedSegmentVersion(t *testing.T) {
 }
 
 // TestOpenRejectsOutOfBoundsIndexEntry forges CRC-valid indexes whose
-// chunk offset/length point outside the chunk area. Open must refuse
-// them: readChunk would otherwise allocate length bytes (a length of
-// 2^63 or more panics in make) or decode index bytes as chunk data.
+// chunk offset/length point outside the chunk area, or whose reading
+// count the chunk could not hold. Open must refuse them: readChunk would
+// otherwise allocate length bytes (a length of 2^63 or more panics in
+// make) or decode index bytes as chunk data, and Count, TotalReadings
+// and the O(1) aggregate path report the index count unchecked (2^63
+// reads back as -9223372036854775808).
 func TestOpenRejectsOutOfBoundsIndexEntry(t *testing.T) {
 	// The forger itself is sound: with the true offset the file opens.
 	dir := t.TempDir()
-	forgeSegment(t, segPath(filepath.Join(dir, "seg"), 1), segVersion, 0, 0)
+	forgeSegment(t, segPath(filepath.Join(dir, "seg"), 1), segVersion, 50, 0, 0)
 	db, err := Open(dir, Options{FlushEvery: -1})
 	if err != nil {
 		t.Fatalf("well-formed forged segment: %v", err)
@@ -276,25 +263,46 @@ func TestOpenRejectsOutOfBoundsIndexEntry(t *testing.T) {
 		t.Fatalf("well-formed forged segment: %d readings, want 50", len(got))
 	}
 	db.Close()
-	for name, e := range map[string]struct{ off, length uint64 }{
-		"length>=2^63":       {segHeader, 1 << 63},
-		"length=max":         {segHeader, math.MaxUint64},
-		"off+length wraps":   {math.MaxUint64 - 1, 8},
-		"off inside header":  {segHeader - 1, 4},
-		"runs into index":    {segHeader, 1 << 20},
-		"off past the index": {1 << 40, 1},
+	for name, e := range map[string]struct{ count, off, length uint64 }{
+		"length>=2^63":       {50, segHeader, 1 << 63},
+		"length=max":         {50, segHeader, math.MaxUint64},
+		"off+length wraps":   {50, math.MaxUint64 - 1, 8},
+		"off inside header":  {50, segHeader - 1, 4},
+		"runs into index":    {50, segHeader, 1 << 20},
+		"off past the index": {50, 1 << 40, 1},
+		"count=2^63":         {1 << 63, 0, 0},
+		"count=max":          {math.MaxUint64, 0, 0},
+		"count=0":            {0, 0, 0},
+		"count past 8*len":   {1 << 20, 0, 0},
 	} {
 		dir := t.TempDir()
-		forgeSegment(t, segPath(filepath.Join(dir, "seg"), 1), segVersion, e.off, e.length)
+		forgeSegment(t, segPath(filepath.Join(dir, "seg"), 1), segVersion, e.count, e.off, e.length)
 		db, err := Open(dir, Options{FlushEvery: -1})
 		if err == nil {
 			db.Range("/n/power", 0, 490, nil)
+			n := db.Count("/n/power")
 			db.Close()
-			t.Errorf("%s: Open accepted the forged index", name)
+			t.Errorf("%s: Open accepted the forged index (Count = %d)", name, n)
 			continue
 		}
 		if !strings.Contains(err.Error(), "corrupt index entry") {
 			t.Errorf("%s: error %q, want corrupt index entry", name, err)
 		}
+	}
+	// A count the chunk could hold but does not passes Open — only the
+	// chunk knows — and is caught at the first read: the series
+	// contributes nothing rather than 50 readings under a count of 51.
+	dir = t.TempDir()
+	forgeSegment(t, segPath(filepath.Join(dir, "seg"), 1), segVersion, 51, 0, 0)
+	if db, err = Open(dir, Options{FlushEvery: -1}); err != nil {
+		t.Fatalf("plausible forged count: %v", err)
+	}
+	defer db.Close()
+	if got := db.Range("/n/power", 0, 490, nil); len(got) != 0 {
+		t.Errorf("chunk of 50 under an index count of 51: Range returned %d readings, want the chunk skipped", len(got))
+	}
+	// A chunk header count its own bits could not hold.
+	if _, err := NewIter(binary.AppendUvarint(nil, 1<<63)); err == nil {
+		t.Error("NewIter accepted a count of 2^63 over an empty bit stream")
 	}
 }

@@ -271,7 +271,9 @@ type Iter struct {
 // NewIter parses the chunk header and returns a sample iterator.
 func NewIter(chunk []byte) (*Iter, error) {
 	count, n := binary.Uvarint(chunk)
-	if n <= 0 {
+	// Every sample takes at least one bit: a count past that is forged,
+	// and converted to int it could wrap negative and read as empty.
+	if n <= 0 || count > 8*uint64(len(chunk)-n) {
 		return nil, fmt.Errorf("tsdb: bad chunk header")
 	}
 	return &Iter{r: bitReader{b: chunk[n:]}, n: int(count), leading: invalidWindow}, nil

@@ -314,6 +314,13 @@ func openSegment(fs FS, path string, seq uint64) (*segment, error) {
 		if off < segHeader || off > uint64(indexOff) || length > uint64(indexOff)-off {
 			return bad()
 		}
+		// The count feeds Count, TotalReadings and the O(1) aggregate
+		// path without the chunk ever being read: it must be a number of
+		// samples the chunk could hold (each takes at least one bit;
+		// length is bounded by the file size, so 8*length cannot wrap).
+		if count == 0 || count > 8*length {
+			return bad()
+		}
 		seg.series[topic] = segSeries{
 			count: int(count), minT: minT, maxT: maxT,
 			off: int64(off), length: int64(length),
@@ -342,7 +349,11 @@ func (s *segment) readChunk(ss segSeries) (*Iter, error) {
 	if _, err := s.f.ReadAt(chunk, ss.off); err != nil {
 		return nil, err
 	}
-	return NewIter(chunk)
+	it, err := NewIter(chunk)
+	if err == nil && it.Count() != ss.count {
+		err = fmt.Errorf("tsdb: chunk holds %d samples, index says %d", it.Count(), ss.count)
+	}
+	return it, err
 }
 
 // appendRange appends the series' readings within [t0, t1] to dst.
