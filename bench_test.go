@@ -627,7 +627,11 @@ func BenchmarkTransportPublish(b *testing.B) {
 	}
 	defer broker.Close()
 	recv := make(chan struct{}, 1024)
-	broker.SubscribeLocal("#", func(m transport.Message) { recv <- struct{}{} })
+	broker.SubscribeLocal("#", func(ms []transport.Message) {
+		for range ms {
+			recv <- struct{}{}
+		}
+	})
 	client, err := transport.Dial(broker.Addr())
 	if err != nil {
 		b.Fatal(err)
@@ -666,8 +670,8 @@ func benchPublishDelivery(b *testing.B, spool int) {
 	target := int64(b.N)
 	var delivered atomic.Int64
 	done := make(chan struct{}, 1)
-	broker.SubscribeLocal("#", func(m transport.Message) {
-		if delivered.Add(1) == target {
+	broker.SubscribeLocal("#", func(ms []transport.Message) {
+		if n := delivered.Add(int64(len(ms))); n >= target && n-int64(len(ms)) < target {
 			done <- struct{}{}
 		}
 	})

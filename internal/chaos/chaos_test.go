@@ -134,11 +134,11 @@ func TestLedgerClassification(t *testing.T) {
 		{Time: 4, Value: 4.5}, // stored twice: duplicate
 		{Time: 5, Value: 5.5}, // stored with wrong value: mismatch
 	})
-	l.RecordDelivered(transport.Message{Topic: topic, Readings: []sensor.Reading{
+	l.RecordDelivered([]transport.Message{{Topic: topic, Readings: []sensor.Reading{
 		{Time: 1, Value: 1.5}, {Time: 2, Value: 2.5}, {Time: 4, Value: 4.5}, {Time: 5, Value: 5.5},
-	}})
+	}}})
 	// A delivered reading nobody sent is a phantom.
-	l.RecordDelivered(transport.Message{Topic: topic, Readings: []sensor.Reading{{Time: 99, Value: 0}}})
+	l.RecordDelivered([]transport.Message{{Topic: topic, Readings: []sensor.Reading{{Time: 99, Value: 0}}}})
 	stored := []sensor.Reading{
 		{Time: 1, Value: 1.5},
 		{Time: 4, Value: 4.5}, {Time: 4, Value: 4.5},

@@ -57,20 +57,23 @@ func (l *Ledger) RecordSent(topic sensor.Topic, rs []sensor.Reading) {
 
 // RecordDelivered is the broker-side observation hook: register it
 // with Broker.SubscribeLocal("#", l.RecordDelivered) AFTER the collect
-// agent's own subscription, so a message is marked delivered if and
-// only if the agent's ingest handler ran for it in the same
-// synchronous route pass. Redelivered copies (an at-least-once pusher
-// resends whole batches after a reconnect) find the bit already set.
-func (l *Ledger) RecordDelivered(m transport.Message) {
+// agent's own subscription, so a burst's messages are marked delivered
+// if and only if the agent's ingest handler ran for that burst in the
+// same synchronous route pass. Redelivered copies (an at-least-once
+// pusher resends whole batches after a reconnect) find the bit already
+// set.
+func (l *Ledger) RecordDelivered(ms []transport.Message) {
 	l.mu.Lock()
-	byTS := l.sent[m.Topic]
-	for _, r := range m.Readings {
-		e := byTS[r.Time]
-		if e == nil {
-			l.phantomDelivered++
-			continue
+	for _, m := range ms {
+		byTS := l.sent[m.Topic]
+		for _, r := range m.Readings {
+			e := byTS[r.Time]
+			if e == nil {
+				l.phantomDelivered++
+				continue
+			}
+			e.delivered = true
 		}
-		e.delivered = true
 	}
 	l.mu.Unlock()
 }

@@ -4,8 +4,9 @@
 // caches, and embeds the Wintermute framework with visibility of the
 // entire system's sensor space (paper §IV-A).
 //
-// A delivered batch is stored on the delivering connection's own
-// goroutine, before the broker acknowledges it: an ack means stored.
+// A delivered burst of batches is stored on the delivering connection's
+// own goroutine, in one call into the backend, before the broker
+// acknowledges any of it: an ack means stored.
 //
 // Operators instantiated in a Collect Agent read from the local caches
 // when possible and from the Storage Backend otherwise — the location
@@ -15,6 +16,7 @@ package collect
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/dcdb/wintermute/internal/cache"
@@ -214,39 +216,57 @@ func New(cfg Config) (*Agent, error) {
 		}
 		a.Broker = b
 		// The handler stores on the broker's per-connection goroutine and
-		// the broker acks only after it returned, so a PubAck means the
-		// batch is in the head and, unless the WAL is degraded, in the
-		// WAL (fsynced under StoreWALSync). m.Readings is the
-		// connection's decode buffer, valid for the duration of the call
-		// — which is all PushSeries needs. One connection is one
-		// goroutine, so a publisher's per-topic batch order is the ingest
-		// order; a slow store stalls that connection's reads
-		// (backpressure through TCP), never drops.
-		b.SubscribeLocal("#", func(m transport.Message) {
-			if !a.admitBatch(m) {
-				return
+		// the broker acks only after it returned, so a PubAck means every
+		// batch of the burst is in the head and, unless the WAL is
+		// degraded, in the WAL (fsynced under StoreWALSync). The burst and
+		// its readings are the connection's decode buffers, valid for the
+		// duration of the call — which is all PushBurst needs. One
+		// connection is one goroutine, so a publisher's per-topic batch
+		// order is the ingest order; a slow store stalls that connection's
+		// reads (backpressure through TCP), never drops.
+		b.SubscribeLocal("#", func(ms []transport.Message) {
+			bp := burstPool.Get().(*[]store.Batch)
+			batches := a.admitBurst(ms, (*bp)[:0])
+			a.sink.PushBurst(batches)
+			readings := 0
+			for _, bt := range batches {
+				readings += len(bt.Readings)
+				a.metrics.batchSize.Observe(float64(len(bt.Readings)))
 			}
-			a.sink.PushSeries(m.Topic, m.Readings)
-			a.metrics.batches.Inc()
-			a.metrics.readings.Add(uint64(len(m.Readings)))
-			a.metrics.batchSize.Observe(float64(len(m.Readings)))
+			a.metrics.batches.Add(uint64(len(batches)))
+			a.metrics.readings.Add(uint64(readings))
+			*bp = batches[:0]
+			burstPool.Put(bp)
 		})
 	}
 	return a, nil
 }
 
-// admitBatch consults the dedup high-water marks for one delivered
-// message, counting the duplicates it turns away. The broker still
-// acknowledges a duplicate: its first delivery was admitted, and has
-// either reached the store or is finishing on the connection that
-// carried it (Broker.Close waits for that one too).
-func (a *Agent) admitBatch(m transport.Message) bool {
-	if a.dedup.admit(m.Epoch, m.Topic, m.Seq) {
-		return true
+// burstPool recycles the admitted-batch lists the ingest handler builds,
+// one per burst in flight.
+var burstPool = sync.Pool{New: func() any {
+	s := make([]store.Batch, 0, 64)
+	return &s
+}}
+
+// admitBurst appends to dst the batches of a delivered burst that the
+// dedup high-water marks have not seen, in order, counting the
+// duplicates it turns away. The broker still acknowledges a duplicate:
+// its first delivery was admitted, and has either reached the store or
+// is finishing on the connection that carried it (Broker.Close waits
+// for that one too).
+func (a *Agent) admitBurst(ms []transport.Message, dst []store.Batch) []store.Batch {
+	a.dedup.mu.Lock()
+	for _, m := range ms {
+		if a.dedup.admitLocked(m.Epoch, m.Topic, m.Seq) {
+			dst = append(dst, store.Batch{Topic: m.Topic, Readings: m.Readings})
+			continue
+		}
+		a.metrics.dupBatches.Inc()
+		a.metrics.dupReadings.Add(uint64(len(m.Readings)))
 	}
-	a.metrics.dupBatches.Inc()
-	a.metrics.dupReadings.Add(uint64(len(m.Readings)))
-	return false
+	a.dedup.mu.Unlock()
+	return dst
 }
 
 // Addr returns the broker address, or "" when no broker is running.
@@ -267,7 +287,8 @@ func (a *Agent) Ingest(topic sensor.Topic, r sensor.Reading) {
 }
 
 // IngestBatch feeds a series of readings for one topic into the agent,
-// taking the cache and store locks once for the whole batch.
+// taking the cache and store locks once for the whole batch: a burst of
+// one, through the same sink call a delivered burst takes.
 func (a *Agent) IngestBatch(topic sensor.Topic, rs []sensor.Reading) {
 	a.sink.PushSeries(topic, rs)
 }

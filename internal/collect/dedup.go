@@ -42,11 +42,17 @@ func newDedup() *dedup {
 // admit reports whether the batch (epoch, seq) on topic has not been
 // ingested before, advancing the topic's mark when it has not.
 func (d *dedup) admit(epoch uint64, topic sensor.Topic, seq uint64) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.admitLocked(epoch, topic, seq)
+}
+
+// admitLocked is admit for a caller that holds d.mu — the ingest handler
+// takes it once per burst.
+func (d *dedup) admitLocked(epoch uint64, topic sensor.Topic, seq uint64) bool {
 	if epoch == 0 {
 		return true
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	e := d.epochs[epoch]
 	if e == nil {
 		if len(d.epochs) >= maxDedupEpochs {

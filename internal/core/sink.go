@@ -48,12 +48,15 @@ func PushOutputs(sink Sink, outs []Output) {
 	}
 }
 
-// readingScratch recycles the contiguous reading slices PushBatch needs
-// when regrouping outputs into per-topic series.
-var readingScratch = sync.Pool{New: func() any {
-	s := make([]sensor.Reading, 0, 64)
-	return &s
-}}
+// burstScratch is what PushBatch needs to regroup a unit's outputs into
+// one burst: the readings laid out contiguously and the per-topic
+// batches that slice them.
+type burstScratch struct {
+	rs []sensor.Reading
+	bs []store.Batch
+}
+
+var burstScratchPool = sync.Pool{New: func() any { return new(burstScratch) }}
 
 // CacheSink routes readings into a cache set — creating caches on demand —
 // and optionally registers new output sensors in the navigator and
@@ -65,7 +68,8 @@ var readingScratch = sync.Pool{New: func() any {
 //
 // CacheSink implements BatchSink and SeriesSink: batches take the cache,
 // store and transport locks once per topic run instead of once per
-// reading.
+// reading, and PushBurst takes the store's write path once for several
+// topics' batches.
 type CacheSink struct {
 	Caches   *cache.Set
 	Nav      *navigator.Navigator // optional: register output topics
@@ -109,56 +113,70 @@ func (s *CacheSink) Push(topic sensor.Topic, r sensor.Reading) {
 
 // PushSeries implements SeriesSink: all readings of one topic land in the
 // cache under one lock, reach the store in one insert batch, and are
-// forwarded in one message when the forwarder supports series.
+// forwarded in one message when the forwarder supports series. It is
+// PushBurst of one batch.
 func (s *CacheSink) PushSeries(topic sensor.Topic, rs []sensor.Reading) {
-	if len(rs) == 0 {
-		return
-	}
-	c := s.cacheFor(topic)
-	c.StoreBatch(rs)
-	if s.Store != nil {
-		s.Store.InsertBatch(topic, rs)
-	}
-	if s.Results != nil {
-		minT, maxT := rs[0].Time, rs[0].Time
-		for _, r := range rs[1:] {
-			if r.Time < minT {
-				minT = r.Time
-			}
-			if r.Time > maxT {
-				maxT = r.Time
-			}
+	s.PushBurst([]store.Batch{{Topic: topic, Readings: rs}})
+}
+
+// PushBurst delivers several topics' batches, in order, as one unit —
+// what one read burst off a publisher's connection carries. Every batch
+// lands in its cache, the whole burst reaches the store through one
+// InsertBatches call (one WAL write for a persistent backend), and only
+// then are the result-cache marks published and the batches forwarded.
+// The slices may come from recycled buffers: nothing is retained.
+func (s *CacheSink) PushBurst(bs []store.Batch) {
+	for _, b := range bs {
+		if len(b.Readings) > 0 {
+			s.cacheFor(b.Topic).StoreBatch(b.Readings)
 		}
-		s.Results.Note(topic, minT, maxT)
 	}
-	if s.Forward != nil {
-		forwardSeries(s.Forward, topic, rs)
+	if s.Store != nil {
+		s.Store.InsertBatches(bs)
+	}
+	for _, b := range bs {
+		rs := b.Readings
+		if len(rs) == 0 {
+			continue
+		}
+		if s.Results != nil {
+			minT, maxT := rs[0].Time, rs[0].Time
+			for _, r := range rs[1:] {
+				if r.Time < minT {
+					minT = r.Time
+				}
+				if r.Time > maxT {
+					maxT = r.Time
+				}
+			}
+			s.Results.Note(b.Topic, minT, maxT)
+		}
+		if s.Forward != nil {
+			forwardSeries(s.Forward, b.Topic, rs)
+		}
 	}
 }
 
-// PushBatch implements BatchSink. Outputs are delivered in order; runs of
-// consecutive outputs sharing a topic collapse into one series push.
+// PushBatch implements BatchSink. Outputs are delivered in order, as one
+// burst: runs of consecutive outputs sharing a topic collapse into one
+// batch, and the store logs the whole unit's outputs with one write.
 func (s *CacheSink) PushBatch(outs []Output) {
+	sc := burstScratchPool.Get().(*burstScratch)
+	rs, bs := sc.rs[:0], sc.bs[:0]
+	for _, o := range outs {
+		rs = append(rs, o.Reading)
+	}
 	for i := 0; i < len(outs); {
 		j := i + 1
 		for j < len(outs) && outs[j].Topic == outs[i].Topic {
 			j++
 		}
-		if j-i == 1 {
-			s.Push(outs[i].Topic, outs[i].Reading)
-			i = j
-			continue
-		}
-		bufp := readingScratch.Get().(*[]sensor.Reading)
-		rs := (*bufp)[:0]
-		for _, o := range outs[i:j] {
-			rs = append(rs, o.Reading)
-		}
-		s.PushSeries(outs[i].Topic, rs)
-		*bufp = rs[:0]
-		readingScratch.Put(bufp)
+		bs = append(bs, store.Batch{Topic: outs[i].Topic, Readings: rs[i:j]})
 		i = j
 	}
+	s.PushBurst(bs)
+	sc.rs, sc.bs = rs[:0], bs[:0]
+	burstScratchPool.Put(sc)
 }
 
 // cacheFor returns the topic's cache, creating it — and registering the

@@ -146,16 +146,22 @@ func TestDedupAcrossReconnect(t *testing.T) {
 }
 
 // TestAckImpliesStored pins what a PubAck promises: the agent stores a
-// batch on the connection's own goroutine and the broker acks after
+// burst on the connection's own goroutine and the broker acks after
 // that returned, so while the WAL write is stalled the client sees no
-// ack, and the moment it does the batch is already in the store.
+// ack, and the moment it does every batch the ack covers is already in
+// the store. First for a burst of one, then for the five batches that
+// queued up in the read buffer behind it: they are one burst, so one WAL
+// write — stalled again — holds back the ack for every one of their
+// sequences, and when it returns a single PubAck covers all five.
 func TestAckImpliesStored(t *testing.T) {
 	const stall = 300 * time.Millisecond
 	cfs := chaos.NewFS(nil, 1)
+	reg := telemetry.NewRegistry()
 	agent, err := collect.New(collect.Config{
 		ListenMQTT: "127.0.0.1:0",
 		StoreDir:   t.TempDir(),
 		StoreFS:    cfs,
+		Metrics:    reg,
 	})
 	if err != nil {
 		t.Fatalf("starting agent: %v", err)
@@ -169,37 +175,74 @@ func TestAckImpliesStored(t *testing.T) {
 	}
 	defer client.Close()
 	topic := sensor.Topic("/r01/c01/n03/power")
-	batch := []sensor.Reading{{Time: 1, Value: 10}, {Time: 2, Value: 20}, {Time: 3, Value: 30}}
+	batch := func(i int64) []sensor.Reading {
+		return []sensor.Reading{{Time: 10*i + 1, Value: 10}, {Time: 10*i + 2, Value: 20}, {Time: 10*i + 3, Value: 30}}
+	}
+	const perBatch, behind = 3, 5
 	start := time.Now()
-	if err := client.Publish(topic, batch); err != nil {
+	if err := client.Publish(topic, batch(0)); err != nil {
 		t.Fatalf("publish: %v", err)
 	}
-
-	// The WAL write began after start and stalls for the full window, so
-	// any observation made before start+stall must see no ack. (A test
-	// goroutine descheduled past the window proves nothing either way.)
-	time.Sleep(stall / 2)
-	acked := client.Stats().Acked
-	if time.Since(start) < stall {
-		if acked != 0 {
-			t.Fatalf("acked %d batch(es) %v after publish with the WAL write stalled for %v: the ack ran ahead of the store", acked, time.Since(start), stall)
-		}
-	} else {
-		t.Logf("scheduler delayed the mid-stall observation past %v; only the post-ack check applies", stall)
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for client.Stats().Acked == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no ack within 10s of the stall ending")
+	// These arrive while the connection's goroutine sits in the first
+	// batch's stalled WAL write: the next pass over the read buffer finds
+	// all five whole.
+	for cfs.Injected()["write/wal"] == 0 {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("the WAL write fault never fired; the test observed nothing")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// No polling on the store: the ack is the barrier.
-	if got := agent.DB.Count(topic); got != len(batch) {
-		t.Fatalf("store holds %d of %d readings at the first observed ack", got, len(batch))
+	for i := int64(1); i <= behind; i++ {
+		if err := client.Publish(topic, batch(i)); err != nil {
+			t.Fatalf("publish %d: %v", i, err)
+		}
 	}
-	if cfs.Injected()["write/wal"] == 0 {
-		t.Fatal("the WAL write fault never fired; the test observed nothing")
+
+	// waitAcked polls until more than have batches are acked and returns
+	// the first larger count observed, with the time it was observed.
+	waitAcked := func(have uint64) (uint64, time.Time) {
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			if n := client.Stats().Acked; n > have {
+				return n, time.Now()
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("no ack beyond %d within 10s of the stall ending", have)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// midStall observes the ack count halfway into a stall that began at
+	// or after from: it must still be want. (A test goroutine
+	// descheduled past the window proves nothing either way.)
+	midStall := func(from time.Time, want uint64) {
+		time.Sleep(time.Until(from.Add(stall / 2)))
+		acked := client.Stats().Acked
+		if time.Since(from) >= stall {
+			t.Logf("scheduler delayed the mid-stall observation past %v; only the post-ack checks apply", stall)
+		} else if acked != want {
+			t.Fatalf("acked %d batch(es), want %d, %v into a WAL write stalled for %v: the ack ran ahead of the store", acked, want, time.Since(from), stall)
+		}
+	}
+
+	midStall(start, 0)
+	acked, first := waitAcked(0)
+	// No polling on the store: the ack is the barrier.
+	if got := agent.DB.Count(topic); acked != 1 || got != perBatch {
+		t.Fatalf("first ack covers %d batch(es) with %d readings stored, want 1 and %d", acked, got, perBatch)
+	}
+
+	// The five behind it are now inside one stalled WAL write.
+	midStall(first, 1)
+	acked, _ = waitAcked(1)
+	if got := agent.DB.Count(topic); acked != 1+behind || got != (1+behind)*perBatch {
+		t.Fatalf("second ack brought the count to %d with %d readings stored, want %d and %d: the burst was not acked as one, or ahead of its store",
+			acked, got, 1+behind, (1+behind)*perBatch)
+	}
+	if n := cfs.Injected()["write/wal"]; n != 2 {
+		t.Fatalf("%d stalled WAL writes for a burst of 1 and a burst of %d, want 2", n, behind)
+	}
+	if n, _ := reg.Value("dcdb_broker_pubacks_total"); n != 2 {
+		t.Fatalf("%v PubAcks for two bursts, want 2", n)
 	}
 }

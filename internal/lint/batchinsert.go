@@ -11,17 +11,22 @@ import (
 // seams: store.Backend/tsdb.DB grew InsertBatch, cache.Cache grew
 // StoreBatch and the sink layer grew PushBatch/PushSeries so the hot
 // ingest and tick paths take each lock once per batch instead of once
-// per reading.
+// per reading; one level up, the backends grew InsertBatches and the
+// sink PushBurst, so a burst of batches takes the write-ahead log and
+// the ingest lock once instead of once per batch.
 var batchSiblings = map[string][]string{
-	"Insert": {"InsertBatch"},
-	"Store":  {"StoreBatch"},
-	"Push":   {"PushBatch", "PushSeries"},
+	"Insert":      {"InsertBatch"},
+	"Store":       {"StoreBatch"},
+	"Push":        {"PushBatch", "PushSeries"},
+	"InsertBatch": {"InsertBatches"},
+	"PushSeries":  {"PushBurst"},
 }
 
-// BatchInsert flags per-element Insert/Store/Push calls inside loops
-// when the receiver's method set offers a batched sibling
-// (InsertBatch/StoreBatch/PushBatch/PushSeries): each per-element call
-// pays the receiver's lock and lookup once per reading, which is
+// BatchInsert flags per-element Insert/Store/Push calls — and per-batch
+// InsertBatch/PushSeries calls — inside loops when the receiver's method
+// set offers a batched sibling (InsertBatch/StoreBatch/PushBatch/
+// PushSeries, InsertBatches/PushBurst): each such call pays the
+// receiver's lock, lookup or log write once per element, which is
 // exactly the convoying the batched entry points were built to remove.
 //
 // The batched sibling's own implementation is exempt — a PushBatch that
@@ -30,7 +35,7 @@ var batchSiblings = map[string][]string{
 func BatchInsert() *Analyzer {
 	return &Analyzer{
 		Name: "batchinsert",
-		Doc:  "per-element Insert/Store/Push in a loop where a batched sibling exists",
+		Doc:  "per-element Insert/Store/Push (or per-batch InsertBatch/PushSeries) in a loop where a batched sibling exists",
 		Run:  runBatchInsert,
 	}
 }

@@ -25,10 +25,11 @@ import (
 // append(dst, x...) element spreads, copy(dst, x), and len/cap queries
 // never retain the pooled memory.
 //
-// The same rule covers the transport Handler contract: inside a
-// function literal passed to SubscribeLocal, the message parameter's
-// Readings slice is broker-owned pooled memory, valid only for the
-// duration of the call.
+// The same rule covers the transport BurstHandler contract: inside a
+// function literal passed to SubscribeLocal, the burst parameter — the
+// message slice and every Readings slice in it — is connection-owned
+// recycled memory, valid only for the duration of the call. Ranging
+// over pooled memory makes the element variable pooled too.
 func PoolEscape() *Analyzer {
 	return &Analyzer{
 		Name: "poolescape",
@@ -110,40 +111,45 @@ type poolEscapePass struct {
 	accessors map[*types.Func]bool
 	// pooled holds the variables currently known to alias pool memory.
 	pooled map[types.Object]bool
-	// handlerParams holds SubscribeLocal-literal message parameters whose
-	// Readings field is broker-owned.
-	handlerParams map[types.Object]bool
-	out           *[]Finding
+	out    *[]Finding
 }
 
 func (pe *poolEscapePass) run(body *ast.BlockStmt) {
-	pe.handlerParams = map[types.Object]bool{}
 	// Pass 1: seed pooled variables (and handler params), with a fixpoint
-	// so local aliases (y := x) and aliases of msg.Readings are caught
-	// regardless of statement order in nested closures.
+	// so local aliases (y := x), range variables over pooled slices and
+	// aliases of a burst's messages are caught regardless of statement
+	// order in nested closures.
 	pe.markHandlerLiterals(body)
 	for changed := true; changed; {
 		changed = false
-		ast.Inspect(body, func(n ast.Node) bool {
-			assign, ok := n.(*ast.AssignStmt)
-			if !ok || len(assign.Lhs) != len(assign.Rhs) {
-				return true
+		mark := func(lhs, rhs ast.Expr) {
+			id, ok := lhs.(*ast.Ident)
+			if !ok {
+				return
 			}
-			for i, lhs := range assign.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok {
-					continue
+			obj := pe.pkg.Info.Defs[id]
+			if obj == nil {
+				obj = pe.pkg.Info.Uses[id]
+			}
+			if obj == nil || pe.pooled[obj] {
+				return
+			}
+			if isPoolSource(pe.pkg.Info, rhs, pe.accessors) || pe.isPooledAlias(rhs) {
+				pe.pooled[obj] = true
+				changed = true
+			}
+		}
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if len(n.Lhs) == len(n.Rhs) {
+					for i, lhs := range n.Lhs {
+						mark(lhs, n.Rhs[i])
+					}
 				}
-				obj := pe.pkg.Info.Defs[id]
-				if obj == nil {
-					obj = pe.pkg.Info.Uses[id]
-				}
-				if obj == nil || pe.pooled[obj] {
-					continue
-				}
-				if isPoolSource(pe.pkg.Info, assign.Rhs[i], pe.accessors) || pe.isPooledAlias(assign.Rhs[i]) {
-					pe.pooled[obj] = true
-					changed = true
+			case *ast.RangeStmt:
+				if n.Value != nil {
+					mark(n.Value, n.X)
 				}
 			}
 			return true
@@ -153,8 +159,8 @@ func (pe *poolEscapePass) run(body *ast.BlockStmt) {
 	pe.checkEscapes(body)
 }
 
-// markHandlerLiterals records the message parameters of function
-// literals passed to SubscribeLocal: their Readings field is pooled.
+// markHandlerLiterals records the burst parameters of function literals
+// passed to SubscribeLocal: they are recycled memory.
 func (pe *poolEscapePass) markHandlerLiterals(body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -173,7 +179,7 @@ func (pe *poolEscapePass) markHandlerLiterals(body *ast.BlockStmt) {
 			for _, field := range lit.Type.Params.List {
 				for _, name := range field.Names {
 					if obj := pe.pkg.Info.Defs[name]; obj != nil {
-						pe.handlerParams[obj] = true
+						pe.pooled[obj] = true
 					}
 				}
 			}
@@ -183,8 +189,7 @@ func (pe *poolEscapePass) markHandlerLiterals(body *ast.BlockStmt) {
 }
 
 // isPooledAlias reports whether expr is directly derived from a pooled
-// variable: x, &x, *x, x.field, x[i], a type assertion over one, or a
-// handler parameter's Readings selector.
+// variable: x, &x, *x, x.field, x[i] or a type assertion over one.
 func (pe *poolEscapePass) isPooledAlias(expr ast.Expr) bool {
 	switch e := ast.Unparen(expr).(type) {
 	case *ast.Ident:
@@ -201,11 +206,6 @@ func (pe *poolEscapePass) isPooledAlias(expr ast.Expr) bool {
 	case *ast.TypeAssertExpr:
 		return pe.isPooledAlias(e.X)
 	case *ast.SelectorExpr:
-		if id, ok := ast.Unparen(e.X).(*ast.Ident); ok && e.Sel.Name == "Readings" {
-			if obj := pe.pkg.Info.Uses[id]; obj != nil && pe.handlerParams[obj] {
-				return true
-			}
-		}
 		return pe.isPooledAlias(e.X)
 	}
 	return false

@@ -19,6 +19,22 @@ func (sink) Push(v int)          {}
 func (sink) PushBatch(vs []int)  {}
 func (sink) PushSeries(vs []int) {}
 
+// burstDB offers the burst call one level above InsertBatch.
+type burstDB struct{}
+
+func (burstDB) InsertBatch(vs []int) {}
+
+func (d burstDB) InsertBatches(vss [][]int) {
+	for _, vs := range vss {
+		d.InsertBatch(vs) // clean: the burst call's own implementation
+	}
+}
+
+type burstSink struct{}
+
+func (burstSink) PushSeries(vs []int)   {}
+func (burstSink) PushBurst(vss [][]int) {}
+
 type plain struct{}
 
 func (plain) Insert(v int) {}
@@ -40,6 +56,24 @@ func nestedLoop(d db, vs [][]int) {
 		for _, v := range row {
 			d.Insert(v) // want "per-element Insert call in a loop"
 		}
+	}
+}
+
+func loopInsertBatch(d burstDB, vss [][]int) {
+	for _, vs := range vss {
+		d.InsertBatch(vs) // want "per-element InsertBatch call in a loop"
+	}
+}
+
+func loopPushSeries(s burstSink, vss [][]int) {
+	for _, vs := range vss {
+		s.PushSeries(vs) // want "per-element PushSeries call in a loop"
+	}
+}
+
+func batchNoBurst(d db, vss [][]int) {
+	for _, vs := range vss {
+		d.InsertBatch(vs) // clean: this receiver has no InsertBatches
 	}
 }
 

@@ -1,6 +1,6 @@
 // Fixture for the poolescape analyzer: every way pooled memory can
 // outlive its acquiring call, plus the sanctioned copy-out patterns and
-// the SubscribeLocal handler contract.
+// the SubscribeLocal burst-handler contract.
 package fixture
 
 import "sync"
@@ -70,27 +70,40 @@ func okScoped() int {
 	return len(w.buf) // clean: len retains nothing
 }
 
-// The transport Handler contract: readings handed to a SubscribeLocal
-// handler are broker-owned pooled memory.
+// The transport BurstHandler contract: the burst handed to a
+// SubscribeLocal handler — the message slice and the readings in it — is
+// connection-owned recycled memory.
 
 type message struct{ Readings []int }
 
 type bus struct{}
 
-func (bus) SubscribeLocal(h func(message)) {}
+func (bus) SubscribeLocal(h func([]message)) {}
 
 var keptReadings []int
+var keptBurst []message
 
 func leakHandler(b bus) {
-	b.SubscribeLocal(func(m message) {
-		keptReadings = m.Readings // want "stored into package variable keptReadings"
+	b.SubscribeLocal(func(ms []message) {
+		keptBurst = ms // want "stored into package variable keptBurst"
+		for _, m := range ms {
+			keptReadings = m.Readings // want "stored into package variable keptReadings"
+		}
+	})
+}
+
+func leakHandlerIndexed(b bus) {
+	b.SubscribeLocal(func(ms []message) {
+		keptReadings = ms[0].Readings // want "stored into package variable keptReadings"
 	})
 }
 
 func okHandler(b bus) {
-	b.SubscribeLocal(func(m message) {
-		tmp := make([]int, len(m.Readings))
-		copy(tmp, m.Readings) // clean: handler copies before retaining
-		keptReadings = tmp
+	b.SubscribeLocal(func(ms []message) {
+		for _, m := range ms {
+			tmp := make([]int, len(m.Readings))
+			copy(tmp, m.Readings) // clean: handler copies before retaining
+			keptReadings = tmp
+		}
 	})
 }

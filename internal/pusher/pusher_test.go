@@ -149,30 +149,32 @@ func TestSpoolingPusherDelivers(t *testing.T) {
 	}
 	node := hardware.NewNode(hardware.Config{Cores: 2, Seed: 2})
 	node.SetApp(workload.MustNew("hpl", 1, 3600), 0)
-	if err := p.AddSampler(samplers.NewPowerSim(node, "/r1/n1/", time.Second)); err != nil {
+	sim := samplers.NewPowerSim(node, "/r1/n1/", time.Second)
+	if err := p.AddSampler(sim); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
 		p.SampleOnce(time.Unix(int64(i), 0))
 	}
 	// Await the asynchronous acked delivery, visible through telemetry
-	// (the func-metric handles are live until Stop).
+	// (the func-metric handles are live until Stop): one batch per sensor
+	// per sample, and an ack means stored.
+	want := float64(5 * len(sim.Sensors()))
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if v, _ := reg.Value("dcdb_pusher_acked_batches_total"); v >= 5 {
+		if v, _ := reg.Value("dcdb_pusher_acked_batches_total"); v >= want {
 			break
 		}
 		if time.Now().After(deadline) {
 			v, _ := reg.Value("dcdb_pusher_acked_batches_total")
-			t.Fatalf("acked-batches telemetry reached %v, want >= 5", v)
+			t.Fatalf("acked-batches telemetry reached %v, want >= %v", v, want)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// Stop drains the spool, so everything sampled is already stored.
-	p.Stop()
 	if got := agent.Store.Count("/r1/n1/power"); got != 5 {
-		t.Fatalf("store has %d readings after drain, want 5", got)
+		t.Fatalf("store has %d readings with every batch acked, want 5", got)
 	}
+	p.Stop()
 	st, ok := p.ClientStats()
 	if !ok {
 		t.Fatal("ClientStats not ok with MQTT configured")

@@ -16,8 +16,15 @@ type Backend interface {
 	Insert(topic sensor.Topic, r sensor.Reading)
 	// InsertBatch appends several readings of one topic in one call,
 	// amortising locking (and, for persistent backends, write-ahead
-	// logging) over the batch.
+	// logging) over the batch. It is InsertBatches of one batch.
 	InsertBatch(topic sensor.Topic, rs []sensor.Reading)
+	// InsertBatches appends a burst — several topics' batches, in
+	// order — in one call: a persistent backend logs the whole burst
+	// with one write before any of it becomes visible, and a returned
+	// call is as durable as a returned InsertBatch per element. The
+	// slices may come from recycled buffers: implementations consume
+	// them before returning and retain nothing.
+	InsertBatches(bs []Batch)
 	// Range appends the topic's readings with timestamps in [t0, t1]
 	// (inclusive) to dst, in timestamp order, and returns the extended
 	// slice.
@@ -31,6 +38,13 @@ type Backend interface {
 	// Prune drops all readings strictly older than cutoff (nanoseconds)
 	// and returns the number of readings removed.
 	Prune(cutoff int64) int
+}
+
+// Batch is one topic's readings inside a burst: the unit the transport
+// delivers (one PUBLISH) and a WAL record logs.
+type Batch struct {
+	Topic    sensor.Topic
+	Readings []sensor.Reading
 }
 
 // BackendStats is a point-in-time summary of a Storage Backend, served

@@ -111,22 +111,30 @@ func (s *Store) Insert(topic sensor.Topic, r sensor.Reading) {
 // ingest path of the Collect Agent (one lock per delivered MQTT message
 // or operator-unit batch instead of one per reading).
 func (s *Store) InsertBatch(topic sensor.Topic, rs []sensor.Reading) {
-	if len(rs) == 0 {
-		return
-	}
-	for {
-		se := s.get(topic, true)
-		se.mu.Lock()
-		if se.dead {
-			se.mu.Unlock()
+	s.InsertBatches([]Batch{{Topic: topic, Readings: rs}})
+}
+
+// InsertBatches appends a burst of batches in order, each under one
+// acquisition of its series lock.
+func (s *Store) InsertBatches(bs []Batch) {
+	for _, b := range bs {
+		if len(b.Readings) == 0 {
 			continue
 		}
-		for _, r := range rs {
-			se.insert(r)
+		for {
+			se := s.get(b.Topic, true)
+			se.mu.Lock()
+			if se.dead {
+				se.mu.Unlock()
+				continue
+			}
+			for _, r := range b.Readings {
+				se.insert(r)
+			}
+			se.trim(s.maxPerSeries)
+			se.mu.Unlock()
+			break
 		}
-		se.trim(s.maxPerSeries)
-		se.mu.Unlock()
-		return
 	}
 }
 

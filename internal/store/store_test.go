@@ -194,6 +194,16 @@ func TestInsertBatch(t *testing.T) {
 	if s.Count("/x") != 2 {
 		t.Fatalf("Count = %d", s.Count("/x"))
 	}
+	// A burst lands in order, skips empty batches and sorts a late one in.
+	s.InsertBatches([]Batch{
+		{Topic: "/x", Readings: []sensor.Reading{{Value: 4, Time: 4}}},
+		{Topic: "/y", Readings: nil},
+		{Topic: "/x", Readings: []sensor.Reading{{Value: 3, Time: 3}}},
+	})
+	got := s.Range("/x", 0, 10, nil)
+	if len(got) != 4 || got[2].Time != 3 || got[3].Time != 4 || s.Count("/y") != 0 {
+		t.Fatalf("after burst: /x = %v, /y count %d", got, s.Count("/y"))
+	}
 }
 
 func TestConcurrentInsertAndQuery(t *testing.T) {

@@ -159,6 +159,7 @@ func (p plainBackend) Insert(topic sensor.Topic, r sensor.Reading) { p.s.Insert(
 func (p plainBackend) InsertBatch(topic sensor.Topic, rs []sensor.Reading) {
 	p.s.InsertBatch(topic, rs)
 }
+func (p plainBackend) InsertBatches(bs []Batch) { p.s.InsertBatches(bs) }
 func (p plainBackend) Range(topic sensor.Topic, t0, t1 int64, dst []sensor.Reading) []sensor.Reading {
 	return p.s.Range(topic, t0, t1, dst)
 }

@@ -12,14 +12,70 @@ import (
 	"github.com/dcdb/wintermute/internal/telemetry"
 )
 
-// Handler consumes published messages delivered to a subscription.
-//
-// Broker-side local handlers receive a Message whose Readings slice is
-// owned by the broker and reused for the next frame: it is valid only
-// for the duration of the call. A handler that hands the batch to
-// another goroutine (or stores it) must copy it first. Client-side
-// subscription handlers receive a private slice and may retain it.
+// Handler consumes published messages delivered to a client-side
+// subscription. It receives a private Readings slice and may retain it.
 type Handler func(Message)
+
+// BurstHandler consumes what a broker-side local subscription is
+// delivered: a burst — the matching PUBLISH messages one pass over a
+// publisher's read buffer decoded, in arrival order, at most
+// maxDeliverBurst of them. The slice and every Readings slice in it are
+// owned by the connection and reused for the next burst: they are valid
+// only for the duration of the call, and a handler that hands any of it
+// to another goroutine (or stores it) must copy it first. The broker
+// acknowledges the burst's versioned publishes only after every handler
+// returned.
+type BurstHandler func([]Message)
+
+// maxDeliverBurst caps the PUBLISH frames delivered, stored and
+// acknowledged as one unit. PubAcks are cumulative, so one ack per burst
+// confirms all of it; the cap keeps ack progress steady for a publisher
+// that never lets the read buffer drain, or its stall detector would
+// kill a perfectly healthy connection.
+const maxDeliverBurst = 64
+
+// burst is one connection's decoded, not yet delivered PUBLISH frames.
+// It lives between two blocking reads: bodies alias the connection's
+// read buffer, which stays put until the serve loop next waits on the
+// socket — and the loop delivers the burst before it does.
+type burst struct {
+	msgs   []Message
+	bodies [][]byte         // each message's v1 payload, for subscriber forwards
+	arena  []sensor.Reading // backs every msgs[i].Readings
+	match  []Message        // scratch: the subset a filtered handler is handed
+
+	// The newest versioned publish in the burst; one PubAck for it
+	// confirms every one before it.
+	acked      bool
+	epoch, seq uint64
+}
+
+// add decodes one v1 PUBLISH payload onto the burst; versioned marks it
+// as the body of a v2 publish carrying the delivery identity (epoch, seq).
+func (bu *burst) add(body []byte, versioned bool, epoch, seq uint64, intern map[string]sensor.Topic) error {
+	start := len(bu.arena)
+	msg, err := decodePublishInto(body, bu.arena, intern)
+	if err != nil {
+		return err
+	}
+	bu.arena = msg.Readings
+	// Capacity stops at the batch's end: a handler appending to one
+	// message's readings cannot write into the next one's.
+	msg.Readings = bu.arena[start:len(bu.arena):len(bu.arena)]
+	msg.Epoch, msg.Seq = epoch, seq
+	bu.msgs = append(bu.msgs, msg)
+	bu.bodies = append(bu.bodies, body)
+	if versioned {
+		bu.acked, bu.epoch, bu.seq = true, epoch, seq
+	}
+	return nil
+}
+
+// reset empties the burst, keeping its buffers.
+func (bu *burst) reset() {
+	clear(bu.bodies) // an oversize frame's own buffer is garbage from here
+	bu.msgs, bu.bodies, bu.arena, bu.acked = bu.msgs[:0], bu.bodies[:0], bu.arena[:0], false
+}
 
 // outFrame is one frame queued for a connection's writer goroutine; buf
 // is pooled and returns to outBufPool after the write (or the drop).
@@ -163,11 +219,12 @@ func (o BrokerOptions) withDefaults() BrokerOptions {
 
 // Broker is the message broker at the heart of a Collect Agent: it
 // accepts Pusher connections, routes published reading batches to network
-// subscribers whose filters match, and delivers them to local handlers
-// registered in-process (the Collect Agent's storage path). Versioned
-// (v2) publishes are acknowledged with a PubAck after the message has
-// been routed to every local handler, which is what makes a spooling
-// client's at-least-once delivery land exactly-once in the store.
+// subscribers whose filters match, and delivers them, a burst at a time,
+// to local handlers registered in-process (the Collect Agent's storage
+// path). Versioned (v2) publishes are acknowledged with one cumulative
+// PubAck per burst after every local handler returned, which is what
+// makes a spooling client's at-least-once delivery land exactly-once in
+// the store.
 type Broker struct {
 	ln   net.Listener
 	opts BrokerOptions
@@ -193,7 +250,7 @@ type Broker struct {
 
 type localSub struct {
 	filter string
-	fn     Handler
+	fn     BurstHandler
 }
 
 // NewBroker starts a broker listening on addr (e.g. "127.0.0.1:0").
@@ -228,9 +285,9 @@ func (b *Broker) Published() uint64 { return b.published.Load() }
 
 // SubscribeLocal registers an in-process handler for every message whose
 // topic matches filter ('#' wildcard supported). Used by the Collect Agent
-// to receive data without a network hop. See Handler for the ownership
-// rules of the delivered Message.
-func (b *Broker) SubscribeLocal(filter string, fn Handler) {
+// to receive data without a network hop. See BurstHandler for the
+// delivery unit and the ownership rules of what is delivered.
+func (b *Broker) SubscribeLocal(filter string, fn BurstHandler) {
 	b.mu.Lock()
 	var locals []localSub
 	if cur := b.locals.Load(); cur != nil {
@@ -345,39 +402,33 @@ func (b *Broker) serveConn(bc *brokerConn) {
 		}
 		b.mu.Unlock()
 	}()
-	// Per-connection scratch, reused frame to frame: the buffered
-	// reader, the frame payload buffer, the decoded readings, an intern
-	// table for this publisher's (few, recurring) topics and the PubAck
-	// encode buffer. The steady-state publish path allocates nothing
-	// outside the pooled outbound copies.
+	// Per-connection scratch, reused burst to burst: the buffered reader
+	// whose buffer frames are parsed in, the burst with its decoded
+	// readings, an intern table for this publisher's (few, recurring)
+	// topics and the PubAck encode buffer. The steady-state publish path
+	// allocates nothing outside the pooled outbound copies.
 	br := bufio.NewReaderSize(bc.conn, 32<<10)
 	var (
-		payloadBuf []byte
-		readings   []sensor.Reading
-		ackBuf     []byte
+		bu     burst
+		ackBuf []byte
 	)
 	topics := make(map[string]sensor.Topic, 64)
-	// PubAcks are cumulative, so while more frames from a pipelining
-	// publisher sit in the read buffer the ack is only deferred: one
-	// PubAck for the newest routed batch confirms the whole burst. The
-	// pending ack is flushed before the loop can block on the socket
-	// (and before any other ack type, keeping the reply stream ordered),
-	// and at latest every maxAckDefer publishes: a publisher that keeps
-	// the read buffer full must still see steady ack progress, or its
-	// stall detector would kill a perfectly healthy connection.
-	const maxAckDefer = 64
-	var (
-		pendAck            bool
-		pendN              int
-		pendEpoch, pendSeq uint64
-	)
-	flushAck := func() bool {
-		if !pendAck {
+	// deliver hands the pending burst to the local handlers and the
+	// subscribers, then sends its one PubAck: strictly after route
+	// returned, so every local handler has run to completion — and the
+	// agent's handler stores the burst before it returns, so an acked
+	// batch is in the store.
+	deliver := func() bool {
+		if len(bu.msgs) == 0 {
 			return true
 		}
-		pendAck = false
-		pendN = 0
-		ackBuf = encodePubAck(ackBuf, pendEpoch, pendSeq)
+		b.route(&bu)
+		acked, epoch, seq := bu.acked, bu.epoch, bu.seq
+		bu.reset()
+		if !acked {
+			return true
+		}
+		ackBuf = encodePubAck(ackBuf, epoch, seq)
 		if !bc.enqueueAck(framePubAck, ackBuf) {
 			return false
 		}
@@ -385,115 +436,140 @@ func (b *Broker) serveConn(bc *brokerConn) {
 		return true
 	}
 	for {
-		if br.Buffered() == 0 && !flushAck() {
+		// The burst ends where the loop would have to wait: with no whole
+		// frame left in the read buffer — not even when half of one is —
+		// it is delivered and acked before the socket is touched. Every
+		// return below therefore leaves nothing decoded behind: a read
+		// error comes only from a read that had to wait, and the other
+		// exits follow a deliver.
+		if !frameBuffered(br) && !deliver() {
 			return
 		}
-		typ, payload, err := readFrameReuse(br, &payloadBuf)
+		typ, payload, held, err := awaitFrame(br)
 		if err != nil {
 			return
 		}
 		b.metrics.frames.Inc()
 		b.metrics.bytesIn.Add(uint64(len(payload)))
-		if typ != framePublishV2 && !flushAck() {
-			return
-		}
 		ok := true
 		switch typ {
-		case frameConnect:
-			ok = bc.enqueueAck(frameConnAck, nil)
 		case framePublish, framePublishV2:
-			var epoch, seq uint64
-			body := payload
-			if typ == framePublishV2 {
+			var (
+				epoch, seq uint64
+				derr       error
+			)
+			body, versioned := payload, typ == framePublishV2
+			if versioned {
 				var off int
-				var derr error
-				epoch, seq, off, derr = decodePublishV2Prefix(payload)
-				if derr != nil {
-					b.metrics.dropped.Inc()
-					log.Printf("transport: broker: dropping bad publish: %v", derr)
-					continue
+				if epoch, seq, off, derr = decodePublishV2Prefix(payload); derr == nil {
+					body = payload[off:]
+					// One ack covers one epoch: a new client incarnation
+					// starts a new burst.
+					if bu.acked && epoch != bu.epoch && !deliver() {
+						return
+					}
 				}
-				body = payload[off:]
 			}
-			msg, derr := decodePublishInto(body, readings[:0], topics)
+			if derr == nil {
+				derr = bu.add(body, versioned, epoch, seq, topics)
+			}
 			if derr != nil {
 				b.metrics.dropped.Inc()
 				log.Printf("transport: broker: dropping bad publish: %v", derr)
-				continue
 			}
-			msg.Epoch, msg.Seq = epoch, seq
-			readings = msg.Readings[:0]
-			b.route(msg, body)
-			if typ == framePublishV2 {
-				// Ack strictly after route returned: every local
-				// handler has run to completion, and the agent's
-				// stores the batch before it returns, so an acked
-				// batch is in the store. The ack itself is
-				// deferred (see flushAck): a later batch's ack covers
-				// this one cumulatively.
-				pendAck, pendEpoch, pendSeq = true, epoch, seq
-				if pendN++; pendN >= maxAckDefer && !flushAck() {
-					return
-				}
+			// A frame too large for the read buffer was read out into a
+			// buffer of its own (held == 0): deliver it now and let that go.
+			if len(bu.msgs) >= maxDeliverBurst || held == 0 {
+				ok = deliver()
 			}
-		case frameSubscribe:
-			filter, derr := decodeString(payload)
-			if derr != nil {
-				return
-			}
-			b.mu.Lock()
-			bc.filters = append(bc.filters, filter)
-			b.rebuildSubs()
-			b.mu.Unlock()
-			ok = bc.enqueueAck(frameSubAck, nil)
-		case framePingReq:
-			ok = bc.enqueueAck(framePingResp, nil)
-		case frameDisconnect:
-			return
+		default:
+			// Any other frame ends the burst first, keeping the reply
+			// stream in request order.
+			ok = deliver() && b.control(bc, typ, payload)
 		}
 		if !ok {
 			return
 		}
+		_, _ = br.Discard(held) // held bytes are buffered: cannot fail
 	}
 }
 
-// route delivers a message to local handlers and matching subscribers.
-// The payload is the unversioned (v1) encoding — for a v2 publish the
-// caller already sliced the delivery prefix off — so subscribers of any
-// protocol vintage can decode the forward. The subscriber and
-// local-handler snapshots are copy-on-write, so the steady-state
-// routing path takes no lock; forwards copy into pooled buffers to
-// cross into each subscriber's writer goroutine.
-func (b *Broker) route(msg Message, payload []byte) {
-	b.published.Add(1)
-	b.metrics.routed.Inc()
-	b.metrics.readings.Add(uint64(len(msg.Readings)))
+// control handles one non-PUBLISH frame, reporting false when the
+// connection is to be closed.
+func (b *Broker) control(bc *brokerConn, typ byte, payload []byte) bool {
+	switch typ {
+	case frameConnect:
+		return bc.enqueueAck(frameConnAck, nil)
+	case frameSubscribe:
+		filter, err := decodeString(payload)
+		if err != nil {
+			return false
+		}
+		b.mu.Lock()
+		bc.filters = append(bc.filters, filter)
+		b.rebuildSubs()
+		b.mu.Unlock()
+		return bc.enqueueAck(frameSubAck, nil)
+	case framePingReq:
+		return bc.enqueueAck(framePingResp, nil)
+	case frameDisconnect:
+		return false
+	}
+	return true
+}
+
+// route delivers a burst to the local handlers — each is handed the
+// messages its filter matches, in one call — and then forwards every
+// message to the matching network subscribers. The forwarded payload is
+// the unversioned (v1) encoding — for a v2 publish the delivery prefix is
+// already sliced off — so subscribers of any protocol vintage can decode
+// it. The subscriber and local-handler snapshots are copy-on-write, so
+// the steady-state routing path takes no lock; forwards copy into pooled
+// buffers to cross into each subscriber's writer goroutine.
+func (b *Broker) route(bu *burst) {
+	n := uint64(len(bu.msgs))
+	b.published.Add(n)
+	b.metrics.routed.Add(n)
+	b.metrics.readings.Add(uint64(len(bu.arena)))
 	if locals := b.locals.Load(); locals != nil {
 		for _, ls := range *locals {
-			if sensor.MatchFilter(ls.filter, msg.Topic) {
-				ls.fn(msg)
+			ms := bu.msgs
+			if ls.filter != "#" {
+				ms = bu.match[:0]
+				for _, m := range bu.msgs {
+					if sensor.MatchFilter(ls.filter, m.Topic) {
+						ms = append(ms, m)
+					}
+				}
+				bu.match = ms
+			}
+			if len(ms) > 0 {
+				ls.fn(ms)
 			}
 		}
 	}
 	subs := b.subs.Load()
-	if subs == nil {
+	if subs == nil || len(*subs) == 0 {
 		return
 	}
-	for _, s := range *subs {
-		for _, f := range s.filters {
-			if !sensor.MatchFilter(f, msg.Topic) {
-				continue
+	for i, m := range bu.msgs {
+		payload := bu.bodies[i]
+		for _, s := range *subs {
+			for _, f := range s.filters {
+				if !sensor.MatchFilter(f, m.Topic) {
+					continue
+				}
+				if s.c.enqueueForward(framePublish, payload) {
+					b.metrics.forwarded.Inc()
+					b.metrics.bytesOut.Add(uint64(len(payload)))
+				} else {
+					// Slow reader: its queue is full (or it is dead).
+					// Dropping the forward here is the load-shedding
+					// contract; acks are never dropped.
+					b.metrics.slowDrops.Inc()
+				}
+				break
 			}
-			if s.c.enqueueForward(framePublish, payload) {
-				b.metrics.forwarded.Inc()
-				b.metrics.bytesOut.Add(uint64(len(payload)))
-			} else {
-				// Slow reader: its queue is full (or it is dead).
-				// Dropping the forward here is the load-shedding
-				// contract; acks are never dropped.
-				b.metrics.slowDrops.Inc()
-			}
-			break
 		}
 	}
 }

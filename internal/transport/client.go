@@ -106,6 +106,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// clientSub is one client-side subscription.
+type clientSub struct {
+	filter string
+	fn     Handler
+}
+
 // Client is the Pusher-side MQTT-style client: it publishes reading
 // batches to the broker and can subscribe to topic filters: a bounded
 // batch queue with optional disk overflow, one sender goroutine that
@@ -130,7 +136,7 @@ type Client struct {
 
 	mu      sync.Mutex
 	space   sync.Cond // signalled when queue space frees or state changes
-	subs    []localSub
+	subs    []clientSub
 	queue   []*relBatch
 	sendIdx int
 	nextSeq uint64
@@ -333,7 +339,7 @@ func (c *Client) Subscribe(filter string, fn Handler) error {
 		c.mu.Unlock()
 		return ErrClosed
 	}
-	c.subs = append(c.subs, localSub{filter: filter, fn: fn})
+	c.subs = append(c.subs, clientSub{filter: filter, fn: fn})
 	conn := c.conn
 	c.mu.Unlock()
 	if conn == nil {

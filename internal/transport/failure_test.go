@@ -48,10 +48,10 @@ func TestBrokerDropsBadPublishKeepsConnection(t *testing.T) {
 	}
 	defer b.Close()
 	got := make(chan Message, 1)
-	b.SubscribeLocal("#", func(m Message) {
+	b.SubscribeLocal("#", each(func(m Message) {
 		m.Readings = append([]sensor.Reading(nil), m.Readings...)
 		got <- m
-	})
+	}))
 
 	raw, err := net.Dial("tcp", b.Addr())
 	if err != nil {
@@ -192,12 +192,12 @@ func TestKillConnections(t *testing.T) {
 
 	// The broker itself survives: fresh sessions connect and publish.
 	got := make(chan Message, 1)
-	b.SubscribeLocal("#", func(m Message) {
+	b.SubscribeLocal("#", each(func(m Message) {
 		select {
 		case got <- m:
 		default:
 		}
-	})
+	}))
 	fresh, err := Dial(b.Addr())
 	if err != nil {
 		t.Fatalf("dial after kill: %v", err)
@@ -232,7 +232,7 @@ func TestQoS0SurvivesConnectionKill(t *testing.T) {
 	defer b.Close()
 	var after atomic.Bool
 	got := make(chan Message, 1)
-	b.SubscribeLocal("#", func(m Message) {
+	b.SubscribeLocal("#", each(func(m Message) {
 		if m.Epoch != 0 || m.Seq != 0 {
 			t.Errorf("QoS 0 publish carried a delivery identity: epoch %x seq %d", m.Epoch, m.Seq)
 		}
@@ -242,7 +242,7 @@ func TestQoS0SurvivesConnectionKill(t *testing.T) {
 			default:
 			}
 		}
-	})
+	}))
 
 	c, err := DialOptions(b.Addr(), Options{RetryMin: 5 * time.Millisecond})
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"github.com/dcdb/wintermute/internal/sensor"
@@ -101,9 +102,10 @@ func FuzzDecodePublish(f *testing.F) {
 }
 
 // FuzzReadFrame reads data as a stream of frames. Accepted frames
-// re-encode to exactly the bytes consumed. (readFrame allocates the
-// declared payload length, up to maxFrameSize, before the payload
-// arrives: bounded by that constant, not by the input.)
+// re-encode to exactly the bytes consumed, and reading allocates in
+// proportion to the bytes that arrived, never to a length a header only
+// declares: at most 4·len(data) + 2·frameReadStep bytes (a body is read
+// in steps that double what has arrived, starting at frameReadStep).
 func FuzzReadFrame(f *testing.F) {
 	var stream bytes.Buffer
 	_ = writeFrame(&stream, frameConnect, nil)
@@ -111,10 +113,14 @@ func FuzzReadFrame(f *testing.F) {
 	_ = writeFrame(&stream, framePubAck, encodePubAck(nil, 1, 2))
 	f.Add(stream.Bytes())
 	f.Add([]byte{framePublish, 0xff, 0xff, 0xff, 0xff}) // forged oversize length
+	f.Add([]byte{framePublish, 0x01, 0x00, 0x00, 0x00}) // 5 bytes declaring maxFrameSize: must not buy 16 MiB
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		var buf []byte
 		var again bytes.Buffer
+		again.Grow(len(data))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		for {
 			typ, payload, err := readFrameReuse(r, &buf)
 			if err != nil {
@@ -123,6 +129,10 @@ func FuzzReadFrame(f *testing.F) {
 			if err := writeFrame(&again, typ, payload); err != nil {
 				t.Fatalf("accepted frame does not re-encode: %v", err)
 			}
+		}
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(data)+2*frameReadStep); got > limit {
+			t.Fatalf("reading %d bytes of input allocated %d bytes, limit %d", len(data), got, limit)
 		}
 		if !bytes.HasPrefix(data, again.Bytes()) {
 			t.Fatalf("re-encoded frames are not the consumed prefix of the input")

@@ -57,7 +57,7 @@ func TestReliablePublishAckDrain(t *testing.T) {
 	}
 	defer b.Close()
 	rec := newRecorder()
-	b.SubscribeLocal("#", rec.handle)
+	b.SubscribeLocal("#", each(rec.handle))
 
 	c, err := DialOptions(b.Addr(), Options{SpoolBatches: 8})
 	if err != nil {
@@ -100,7 +100,7 @@ func TestReliableRedeliveryAfterKill(t *testing.T) {
 	}
 	defer b.Close()
 	rec := newRecorder()
-	b.SubscribeLocal("#", rec.handle)
+	b.SubscribeLocal("#", each(rec.handle))
 
 	c, err := DialOptions(b.Addr(), Options{
 		SpoolBatches: 64,
@@ -196,7 +196,7 @@ func TestReliableDiskSpoolRestart(t *testing.T) {
 	}
 	defer b2.Close()
 	rec := newRecorder()
-	b2.SubscribeLocal("#", rec.handle)
+	b2.SubscribeLocal("#", each(rec.handle))
 	c2, err := DialOptions(addr, Options{
 		SpoolBatches: 4,
 		SpoolDir:     dir,
@@ -360,7 +360,7 @@ func TestSlowReaderShedsLoad(t *testing.T) {
 	defer b.Close()
 	var delivered int
 	var mu sync.Mutex
-	b.SubscribeLocal("#", func(Message) { mu.Lock(); delivered++; mu.Unlock() })
+	b.SubscribeLocal("#", each(func(Message) { mu.Lock(); delivered++; mu.Unlock() }))
 
 	// Raw subscriber that subscribes to everything and then goes silent.
 	conn, err := net.Dial("tcp", b.Addr())
@@ -561,7 +561,7 @@ func TestPublishNoReorderAroundFullDisk(t *testing.T) {
 	}
 	defer b.Close()
 	rec := newRecorder()
-	b.SubscribeLocal("#", rec.handle)
+	b.SubscribeLocal("#", each(rec.handle))
 
 	c, err := DialOptions(b.Addr(), Options{
 		SpoolBatches:  1,
@@ -623,7 +623,7 @@ func TestControlFramesDoNotCorruptPublishStream(t *testing.T) {
 	}
 	defer b.Close()
 	rec := newRecorder()
-	b.SubscribeLocal("#", rec.handle)
+	b.SubscribeLocal("#", each(rec.handle))
 
 	c, err := DialOptions(b.Addr(), Options{SpoolBatches: 64, RetryMin: 5 * time.Millisecond})
 	if err != nil {
@@ -716,7 +716,7 @@ func TestBurstWaitsForControlFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := newRecorder()
-		b.SubscribeLocal("#", rec.handle)
+		b.SubscribeLocal("#", each(rec.handle))
 		c, err := DialOptions(b.Addr(), Options{SpoolBatches: spool})
 		if err != nil {
 			t.Fatal(err)

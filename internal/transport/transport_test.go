@@ -120,14 +120,14 @@ func TestBrokerLocalDelivery(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []Message
-	b.SubscribeLocal("/r1/#", func(m Message) {
+	b.SubscribeLocal("/r1/#", each(func(m Message) {
 		// The broker owns m.Readings only for the duration of the call
 		// (see Handler); retaining the batch requires a copy.
 		m.Readings = append([]sensor.Reading(nil), m.Readings...)
 		mu.Lock()
 		got = append(got, m)
 		mu.Unlock()
-	})
+	}))
 
 	c, err := Dial(b.Addr())
 	if err != nil {
@@ -253,11 +253,11 @@ func TestConcurrentPublishers(t *testing.T) {
 	var count sync.WaitGroup
 	var mu sync.Mutex
 	total := 0
-	b.SubscribeLocal("#", func(m Message) {
+	b.SubscribeLocal("#", each(func(m Message) {
 		mu.Lock()
 		total += len(m.Readings)
 		mu.Unlock()
-	})
+	}))
 
 	const publishers = 4
 	const msgs = 50

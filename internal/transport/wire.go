@@ -16,11 +16,13 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"github.com/dcdb/wintermute/internal/sensor"
 )
@@ -59,7 +61,7 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	if len(payload) > maxFrameSize {
 		return ErrFrameTooLarge
 	}
-	hdr := [5]byte{typ}
+	hdr := [frameHeader]byte{typ}
 	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
@@ -72,6 +74,14 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return nil
 }
 
+// frameHeader is the size of a frame's type byte and length word.
+const frameHeader = 5
+
+// frameReadStep bounds what a frame body may make a reader allocate
+// ahead of the bytes that have arrived, and is the largest buffer
+// readFrameReuse keeps from one call to the next.
+const frameReadStep = 64 << 10
+
 // readFrame reads one frame into a fresh payload slice the caller owns.
 func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	var payloadBuf []byte
@@ -80,24 +90,73 @@ func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 
 // readFrameReuse reads one frame into *buf, growing it as needed and
 // reusing its capacity across calls. The returned payload aliases *buf
-// and is only valid until the next call.
+// and is only valid until the next call. Memory follows the input, not
+// the header: a body longer than frameReadStep is read in steps that at
+// most double what has already arrived, and a buffer grown past
+// frameReadStep is given up on the next call instead of being kept for
+// the connection's life — so a 5-byte header declaring 16 MiB buys
+// frameReadStep bytes, not 16 MiB.
 func readFrameReuse(r io.Reader, buf *[]byte) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
+	var hdr [frameHeader]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
+	n := int(binary.BigEndian.Uint32(hdr[1:]))
 	if n > maxFrameSize {
 		return 0, nil, ErrFrameTooLarge
 	}
-	if uint32(cap(*buf)) < n {
-		*buf = make([]byte, n)
+	if cap(*buf) > frameReadStep && n <= frameReadStep {
+		*buf = nil
 	}
-	payload = (*buf)[:n]
-	if _, err = io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	b := (*buf)[:0]
+	for len(b) < n {
+		step := min(n-len(b), max(len(b), frameReadStep))
+		b = slices.Grow(b, step)
+		m, rerr := io.ReadFull(r, b[len(b):len(b)+step])
+		b = b[:len(b)+m]
+		if rerr != nil {
+			*buf = b
+			return 0, nil, rerr
+		}
 	}
-	return hdr[0], payload, nil
+	*buf = b
+	return hdr[0], b, nil
+}
+
+// frameBuffered reports whether the next frame sits whole in br's
+// buffer, so that awaitFrame returns it without touching the connection.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < frameHeader {
+		return false
+	}
+	hdr, _ := br.Peek(frameHeader)
+	return uint64(binary.BigEndian.Uint32(hdr[1:])) <= uint64(br.Buffered()-frameHeader)
+}
+
+// awaitFrame blocks until the next frame has arrived whole. A frame that
+// fits br's buffer is parsed in place: payload aliases the buffer, valid
+// until the next read that has to wait, and the frame is not consumed —
+// the caller Discards held bytes when done with it. A larger frame is
+// read out into a buffer of its own (readFrame) and held is 0.
+func awaitFrame(br *bufio.Reader) (typ byte, payload []byte, held int, err error) {
+	hdr, err := br.Peek(frameHeader)
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	n := binary.BigEndian.Uint32(hdr[1:])
+	if n > maxFrameSize {
+		return 0, nil, 0, ErrFrameTooLarge
+	}
+	held = frameHeader + int(n)
+	if held > br.Size() {
+		typ, payload, err = readFrame(br)
+		return typ, payload, 0, err
+	}
+	frame, err := br.Peek(held)
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	return frame[0], frame[frameHeader:], held, nil
 }
 
 // Message is one published batch of readings for a topic. Epoch and Seq

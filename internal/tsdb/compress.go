@@ -33,37 +33,43 @@ import (
 // zero bit per sample). Values store the XOR against the previous value,
 // reusing the previous leading/trailing-zero window when it still fits.
 
-// bitWriter appends bits MSB-first to a byte slice.
+// bitWriter appends bits MSB-first to a byte slice through a 64-bit
+// accumulator: bits collect left-aligned in acc and spill to b eight
+// bytes at a time, so a sample costs a few shifts instead of a loop over
+// its bytes.
 type bitWriter struct {
-	b    []byte
-	free uint8 // unused low bits in the last byte
+	b   []byte
+	acc uint64 // pending bits, left-aligned; the bits below them are zero
+	n   uint8  // pending bit count, always < 64
 }
 
 func (w *bitWriter) writeBit(bit uint64) {
-	if w.free == 0 {
-		w.b = append(w.b, 0)
-		w.free = 8
-	}
-	w.free--
 	if bit != 0 {
-		w.b[len(w.b)-1] |= 1 << w.free
+		w.acc |= 1 << (63 - w.n)
+	}
+	if w.n++; w.n == 64 {
+		w.b = binary.BigEndian.AppendUint64(w.b, w.acc)
+		w.acc, w.n = 0, 0
 	}
 }
 
-// writeBits appends the n low bits of v, most significant first.
+// writeBits appends the n low bits of v (n <= 64), most significant
+// first.
 func (w *bitWriter) writeBits(v uint64, n uint8) {
-	for n > 0 {
-		if w.free == 0 {
-			w.b = append(w.b, 0)
-			w.free = 8
-		}
-		take := w.free
-		if n < take {
-			take = n
-		}
-		n -= take
-		w.free -= take
-		w.b[len(w.b)-1] |= byte(v>>n&(1<<take-1)) << w.free
+	if n < 64 {
+		v &= 1<<n - 1
+	}
+	free := 64 - w.n
+	if n < free {
+		w.acc |= v << (free - n)
+		w.n += n
+		return
+	}
+	rem := n - free // bits of v that do not fit the accumulator
+	w.b = binary.BigEndian.AppendUint64(w.b, w.acc|v>>rem)
+	w.acc, w.n = 0, rem
+	if rem > 0 {
+		w.acc = v << (64 - rem)
 	}
 }
 
@@ -76,47 +82,82 @@ func (w *bitWriter) writeVarint(v int64) {
 	}
 }
 
-// bitReader consumes bits MSB-first from a byte slice.
+// appendTo appends the stream written so far to dst, the last byte
+// padded with zero bits. The writer's state is untouched.
+func (w *bitWriter) appendTo(dst []byte) []byte {
+	dst = append(dst, w.b...)
+	for acc, n := w.acc, int(w.n); n > 0; n -= 8 {
+		dst = append(dst, byte(acc>>56))
+		acc <<= 8
+	}
+	return dst
+}
+
+// reset empties the writer, keeping its buffer.
+func (w *bitWriter) reset() { w.b, w.acc, w.n = w.b[:0], 0, 0 }
+
+// bitReader consumes bits MSB-first from a byte slice through a 64-bit
+// window, refilled a whole word at a time whenever it runs empty.
 type bitReader struct {
-	b    []byte
-	off  int   // next byte
-	used uint8 // consumed high bits of b[off]
+	b   []byte
+	off int    // next byte of b to load
+	acc uint64 // loaded, unread bits, left-aligned; the bits below them are zero
+	n   uint8  // count of those bits
 }
 
 var errShortChunk = fmt.Errorf("tsdb: truncated chunk")
 
+// refill loads the next (up to) eight bytes into the empty window.
+func (r *bitReader) refill() {
+	if r.off+8 <= len(r.b) {
+		r.acc, r.n = binary.BigEndian.Uint64(r.b[r.off:]), 64
+		r.off += 8
+		return
+	}
+	for ; r.off < len(r.b); r.off++ {
+		r.acc |= uint64(r.b[r.off]) << (56 - r.n)
+		r.n += 8
+	}
+}
+
 func (r *bitReader) readBit() (uint64, error) {
-	if r.off >= len(r.b) {
-		return 0, errShortChunk
+	if r.n == 0 {
+		if r.refill(); r.n == 0 {
+			return 0, errShortChunk
+		}
 	}
-	bit := uint64(r.b[r.off]>>(7-r.used)) & 1
-	r.used++
-	if r.used == 8 {
-		r.used = 0
-		r.off++
-	}
+	bit := r.acc >> 63
+	r.acc <<= 1
+	r.n--
 	return bit, nil
 }
 
+// readBits consumes n <= 64 bits.
 func (r *bitReader) readBits(n uint8) (uint64, error) {
-	var v uint64
-	for n > 0 {
-		if r.off >= len(r.b) {
-			return 0, errShortChunk
-		}
-		avail := 8 - r.used
-		take := avail
-		if n < take {
-			take = n
-		}
-		v = v<<take | uint64(r.b[r.off]>>(avail-take))&(1<<take-1)
-		r.used += take
-		n -= take
-		if r.used == 8 {
-			r.used = 0
-			r.off++
-		}
+	if n > r.n {
+		return r.readBitsRefill(n)
 	}
+	v := r.acc >> (64 - n)
+	r.acc <<= n
+	r.n -= n
+	return v, nil
+}
+
+// readBitsRefill is readBits across a window boundary: it drains the
+// window, refills it and takes the rest.
+func (r *bitReader) readBitsRefill(n uint8) (uint64, error) {
+	var v uint64
+	need := n - r.n
+	if r.n > 0 {
+		v = r.acc >> (64 - r.n)
+	}
+	r.acc, r.n = 0, 0
+	if r.refill(); need > r.n {
+		return 0, errShortChunk
+	}
+	v = v<<need | r.acc>>(64-need)
+	r.acc <<= need
+	r.n -= need
 	return v, nil
 }
 
@@ -158,7 +199,8 @@ const invalidWindow = 0xff
 
 // Appender encodes one series chunk sample by sample. Samples must be
 // appended in non-decreasing time order (segment writers flush sorted
-// head blocks, so this holds by construction).
+// head blocks, so this holds by construction). Reset readies it for the
+// next chunk with its buffer kept.
 type Appender struct {
 	w        bitWriter
 	n        int
@@ -172,6 +214,12 @@ type Appender struct {
 // NewAppender returns an empty chunk appender.
 func NewAppender() *Appender {
 	return &Appender{leading: invalidWindow}
+}
+
+// Reset empties the appender for a new chunk, reusing its buffer.
+func (a *Appender) Reset() {
+	a.w.reset()
+	*a = Appender{w: a.w, leading: invalidWindow}
 }
 
 // Count returns the number of samples appended so far.
@@ -248,11 +296,12 @@ func (a *Appender) writeValue(v uint64) {
 // the bit stream. The appender may keep receiving samples afterwards;
 // Bytes snapshots the current state.
 func (a *Appender) Bytes() []byte {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(a.n))
-	out := make([]byte, 0, n+len(a.w.b))
-	out = append(out, hdr[:n]...)
-	return append(out, a.w.b...)
+	return a.AppendTo(make([]byte, 0, binary.MaxVarintLen64+len(a.w.b)+8))
+}
+
+// AppendTo appends the chunk Bytes would return to dst.
+func (a *Appender) AppendTo(dst []byte) []byte {
+	return a.w.appendTo(binary.AppendUvarint(dst, uint64(a.n)))
 }
 
 // Iter decodes a chunk produced by Appender.

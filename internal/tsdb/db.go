@@ -82,7 +82,7 @@ func (o Options) withDefaults() Options {
 const headShardCount = 64
 
 // headShard is one stripe of the head map: an independent lock + map so
-// concurrent InsertBatch calls for different topics never contend.
+// concurrent inserts for different topics never contend.
 type headShard struct {
 	mu    sync.RWMutex
 	heads map[sensor.Topic]*head
@@ -350,12 +350,26 @@ func (db *DB) Insert(topic sensor.Topic, r sensor.Reading) {
 	db.InsertBatch(topic, []sensor.Reading{r})
 }
 
-// InsertBatch logs and buffers one topic's reading batch: one staged
-// group-commit record, one head-shard lock. Concurrent batches for
-// different topics share a single WAL write (+ fsync) and never touch a
-// common lock beyond the shared ingest read-lock.
+// InsertBatch logs and buffers one topic's reading batch: InsertBatches
+// of one batch.
 func (db *DB) InsertBatch(topic sensor.Topic, rs []sensor.Reading) {
-	if len(rs) == 0 {
+	db.InsertBatches([]store.Batch{{Topic: topic, Readings: rs}})
+}
+
+// InsertBatches logs and buffers a burst of batches: their WAL records
+// go out in one staged group-commit write under one shared ingest lock,
+// then each batch takes its head's lock. Concurrent bursts share a
+// single WAL write (+ fsync) and never touch a common lock beyond the
+// shared ingest read-lock. When the call returns every batch is in its
+// head and, unless the WAL is degraded, in the WAL (fsynced under
+// Options.WALSync) — exactly what a returned InsertBatch per element
+// would mean.
+func (db *DB) InsertBatches(bs []store.Batch) {
+	n := 0
+	for _, b := range bs {
+		n += len(b.Readings)
+	}
+	if n == 0 {
 		return
 	}
 	db.ingest.RLock()
@@ -368,18 +382,24 @@ func (db *DB) InsertBatch(topic sensor.Topic, rs []sensor.Reading) {
 		// mid-file, and replay would stop there, silently dropping any
 		// record written after it. A later successful Flush covers the
 		// un-logged heads with a segment and re-arms the fresh WAL.
-		if err := db.wal.Append(topic, rs); err != nil {
+		if err := db.wal.Append(bs); err != nil {
 			db.noteWALError(err)
 		}
 	}
-	h := db.headFor(topic)
-	h.insert(rs)
-	db.headN.Add(int64(len(rs)))
-	db.headSince.CompareAndSwap(0, time.Now().UnixNano())
-	// Index after the data is live: should this Add serialise after a
-	// concurrent prune rebuild, the rebuild's snapshot already saw the
-	// readings, and either ordering leaves the topic indexed.
-	db.idx.Add(topic)
+	for _, b := range bs {
+		if len(b.Readings) == 0 {
+			continue
+		}
+		db.headFor(b.Topic).insert(b.Readings)
+		// Index after the data is live: should this Add serialise after a
+		// concurrent prune rebuild, the rebuild's snapshot already saw the
+		// readings, and either ordering leaves the topic indexed.
+		db.idx.Add(b.Topic)
+	}
+	db.headN.Add(int64(n))
+	if db.headSince.Load() == 0 {
+		db.headSince.CompareAndSwap(0, time.Now().UnixNano())
+	}
 }
 
 func (db *DB) noteWALError(err error) {

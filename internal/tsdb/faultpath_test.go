@@ -7,6 +7,8 @@
 package tsdb_test
 
 import (
+	"fmt"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -262,4 +264,168 @@ func TestFsyncStallBlocksButCommits(t *testing.T) {
 	}
 	defer re.Close()
 	expectRange(t, re, topic, next)
+}
+
+// nthFaultFS fails the n-th occurrence of one operation on the segment
+// directory's files — a Write or Sync on an open segment file, or a
+// Create, Rename or SyncDir — and counts every occurrence, so a clean
+// run tells how many there are to fail.
+type nthFaultFS struct {
+	tsdb.FS
+	op    string
+	n     int // 1-based occurrence to fail; 0 fails nothing
+	count map[string]int
+}
+
+func (f *nthFaultFS) hit(op string) error {
+	f.count[op]++
+	if op == f.op && f.count[op] == f.n {
+		return chaos.ErrInjected
+	}
+	return nil
+}
+
+func isSegPath(name string) bool {
+	return strings.HasSuffix(name, ".seg") || strings.HasSuffix(name, ".seg.tmp")
+}
+
+func (f *nthFaultFS) Create(name string) (tsdb.File, error) {
+	if !isSegPath(name) {
+		return f.FS.Create(name)
+	}
+	if err := f.hit("create"); err != nil {
+		return nil, err
+	}
+	file, err := f.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &nthFaultFile{File: file, fs: f}, nil
+}
+
+func (f *nthFaultFS) Rename(oldpath, newpath string) error {
+	if isSegPath(newpath) {
+		if err := f.hit("rename"); err != nil {
+			return err
+		}
+	}
+	return f.FS.Rename(oldpath, newpath)
+}
+
+func (f *nthFaultFS) SyncDir(name string) error {
+	if strings.HasSuffix(name, "seg") {
+		if err := f.hit("syncdir"); err != nil {
+			return err
+		}
+	}
+	return f.FS.SyncDir(name)
+}
+
+type nthFaultFile struct {
+	tsdb.File
+	fs *nthFaultFS
+}
+
+func (f *nthFaultFile) Write(p []byte) (int, error) {
+	if err := f.fs.hit("write"); err != nil {
+		n, _ := f.File.Write(p[:len(p)/2]) // a torn write, as a full disk leaves it
+		return n, err
+	}
+	return f.File.Write(p)
+}
+
+func (f *nthFaultFile) Sync() error {
+	if err := f.fs.hit("sync"); err != nil {
+		return err
+	}
+	return f.File.Sync()
+}
+
+// TestSegmentWriterFailsCleanAtEveryStep: the streamed segment writer
+// makes several writes per segment, so it can fail with part of the
+// file on disk. Whichever step fails — Create, the k-th Write for every
+// k, Sync, Rename, SyncDir — the flush reports it, no .tmp and no
+// segment survives, the heads are restored whole, and the next flush
+// lands every reading exactly once, in memory and after a reopen.
+func TestSegmentWriterFailsCleanAtEveryStep(t *testing.T) {
+	topics := []sensor.Topic{"/n01/power", "/n02/power", "/n03/power"}
+	const perTopic = 40_000
+	// Values are a scramble of the timestamp: checkable, and too random
+	// for the codec to shrink, so the segment spans several writes.
+	value := func(ts int64) float64 { return float64(uint64(ts) * 0x9E3779B97F4A7C15 >> 11) }
+	load := func(db *tsdb.DB) {
+		rs := make([]sensor.Reading, 1000)
+		for _, topic := range topics {
+			for from := int64(0); from < perTopic; from += int64(len(rs)) {
+				for i := range rs {
+					rs[i] = sensor.Reading{Time: from + int64(i), Value: value(from + int64(i))}
+				}
+				db.InsertBatch(topic, rs)
+			}
+		}
+	}
+	expectAllOnce := func(db *tsdb.DB, when string) {
+		t.Helper()
+		for _, topic := range topics {
+			got := db.Range(topic, 0, perTopic, nil)
+			if len(got) != perTopic {
+				t.Fatalf("%s: %s holds %d readings, want %d", when, topic, len(got), perTopic)
+			}
+			for i, r := range got {
+				if r.Time != int64(i) || r.Value != value(int64(i)) {
+					t.Fatalf("%s: %s reading %d = {t:%d v:%g}: lost, duplicated or corrupt", when, topic, i, r.Time, r.Value)
+				}
+			}
+		}
+	}
+	run := func(op string, n int) map[string]int {
+		dir := t.TempDir()
+		fs := &nthFaultFS{FS: tsdb.OSFS, op: op, n: n, count: map[string]int{}}
+		db, err := tsdb.Open(dir, tsdb.Options{FS: fs, FlushEvery: -1})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		load(db)
+		when := fmt.Sprintf("failing %s #%d", op, n)
+		if n > 0 {
+			if err := db.Flush(); err == nil {
+				t.Fatalf("%s: flush succeeded", when)
+			}
+			left, _ := filepath.Glob(filepath.Join(dir, "seg", "*"))
+			if len(left) != 0 || db.Stats().Segments != 0 {
+				t.Fatalf("%s: the failed flush left %v behind (%d segments registered)", when, left, db.Stats().Segments)
+			}
+			expectAllOnce(db, when+", heads restored")
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatalf("%s: next flush: %v", when, err)
+		}
+		if st := db.Stats(); st.Segments != 1 || st.HeadReadings != 0 {
+			t.Fatalf("%s: after the next flush %d segments, %d head readings", when, st.Segments, st.HeadReadings)
+		}
+		expectAllOnce(db, when+", after the next flush")
+		if err := db.Close(); err != nil {
+			t.Fatalf("%s: close: %v", when, err)
+		}
+		re, err := tsdb.Open(dir, tsdb.Options{FlushEvery: -1})
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", when, err)
+		}
+		defer re.Close()
+		expectAllOnce(re, when+", reopened")
+		return fs.count
+	}
+	clean := run("", 0)
+	t.Logf("clean flush: %v", clean)
+	if clean["write"] < 3 {
+		t.Fatalf("a clean flush made %d segment writes: the input no longer spans several", clean["write"])
+	}
+	for _, op := range []string{"create", "write", "sync", "rename", "syncdir"} {
+		if clean[op] == 0 {
+			t.Fatalf("a clean flush never reached %s", op)
+		}
+		for n := 1; n <= clean[op]; n++ {
+			run(op, n)
+		}
+	}
 }

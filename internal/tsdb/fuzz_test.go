@@ -84,7 +84,8 @@ func FuzzReplayWAL(f *testing.F) {
 			var again []byte
 			total := 0
 			err := replayWAL(memFS{data: file}, "", func(topic sensor.Topic, rs []sensor.Reading) {
-				recs = append(recs, rec{topic, rs})
+				// rs is replay's decode buffer, reused for the next record.
+				recs = append(recs, rec{topic, append([]sensor.Reading(nil), rs...)})
 				again = appendWALRecord(again, topic, rs)
 				total += len(topic) + 9*len(rs)
 			})

@@ -15,7 +15,7 @@ type dbMetrics struct {
 	walAppends *telemetry.Counter   // records staged through Append
 	walBytes   *telemetry.Counter   // bytes written to the active WAL file
 	walCommits *telemetry.Counter   // physical write (+sync) operations
-	walCohort  *telemetry.Histogram // records persisted per commit cohort
+	walCohort  *telemetry.Histogram // records persisted per write: bursts × cohort
 	walCommitS *telemetry.Histogram // seconds per commit write (+fsync)
 
 	flushes        *telemetry.Counter
@@ -33,8 +33,9 @@ type dbMetrics struct {
 	handles []*telemetry.FuncHandle
 }
 
-// walCohortBuckets sizes the cohort histogram: group commit coalesces
-// from 1 (uncontended) to hundreds of records per fsync under load.
+// walCohortBuckets sizes the cohort histogram: a write carries from 1
+// record (a lone batch) through one ingest burst's up to 64 to the
+// hundreds a group-commit cohort of bursts coalesces under load.
 var walCohortBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
 // newDBMetrics registers the DB's metric families in reg (which may be
@@ -49,7 +50,7 @@ func newDBMetrics(reg *telemetry.Registry, db *DB) *dbMetrics {
 		walCommits: reg.Counter("dcdb_tsdb_wal_commits_total",
 			"Physical WAL commit operations (one write, plus one fsync in sync mode)."),
 		walCohort: reg.Histogram("dcdb_tsdb_wal_cohort_records",
-			"Records persisted per group-commit cohort.", walCohortBuckets),
+			"Records persisted per WAL write: the batches of an ingest burst, times the bursts a group-commit cohort joined.", walCohortBuckets),
 		walCommitS: reg.Histogram("dcdb_tsdb_wal_commit_seconds",
 			"Seconds per WAL commit write (includes the fsync in sync mode).",
 			telemetry.DefDurationBuckets),

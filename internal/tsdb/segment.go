@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -79,9 +80,19 @@ func segPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%08d.seg", seq))
 }
 
+// segWriteBuf is the segment writer's buffer: the most of a segment a
+// flush holds in memory beyond the heads it is draining, whatever the
+// segment's size.
+const segWriteBuf = 256 << 10
+
 // writeSegment persists data as segment file seq, fsyncing file and
-// directory before the atomic rename, and returns the opened segment.
-// Series chunks are encoded in sorted topic order for determinism.
+// directory around the atomic rename, and returns the opened segment.
+// Series chunks are encoded in sorted topic order for determinism. The
+// file is streamed: nothing proportional to its size is built in
+// memory. A failure at any step leaves no file behind — neither the
+// .tmp staging twin nor, past the rename, the live segment — so the
+// flush's error path can restore the same readings into heads without
+// the next flush duplicating them.
 func writeSegment(fs FS, dir string, seq, coveredWAL uint64, data map[sensor.Topic][]sensor.Reading) (*segment, error) {
 	topics := make([]sensor.Topic, 0, len(data))
 	for t, rs := range data {
@@ -94,54 +105,24 @@ func writeSegment(fs FS, dir string, seq, coveredWAL uint64, data map[sensor.Top
 	}
 	sort.Slice(topics, func(i, j int) bool { return topics[i] < topics[j] })
 
-	buf := make([]byte, 0, 1<<16)
-	buf = append(buf, segMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, segVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, coveredWAL)
-
-	index := make([]byte, 0, len(topics)*56)
-	index = binary.LittleEndian.AppendUint32(index, uint32(len(topics)))
-	for _, topic := range topics {
-		rs := data[topic]
-		app := NewAppender()
-		var agg store.AggResult
-		for _, r := range rs {
-			app.Append(r)
-			agg.Observe(r.Value)
-		}
-		chunk := app.Bytes()
-		off := len(buf)
-		buf = append(buf, chunk...)
-		index = binary.AppendUvarint(index, uint64(len(topic)))
-		index = append(index, topic...)
-		index = binary.AppendUvarint(index, uint64(len(rs)))
-		index = binary.AppendVarint(index, rs[0].Time)
-		index = binary.AppendVarint(index, rs[len(rs)-1].Time)
-		index = binary.AppendUvarint(index, uint64(off))
-		index = binary.AppendUvarint(index, uint64(len(chunk)))
-		index = binary.LittleEndian.AppendUint64(index, math.Float64bits(agg.Min))
-		index = binary.LittleEndian.AppendUint64(index, math.Float64bits(agg.Max))
-		index = binary.LittleEndian.AppendUint64(index, math.Float64bits(agg.Sum))
-	}
-	indexOff := len(buf)
-	buf = append(buf, index...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(indexOff))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(index))
-	buf = append(buf, segMagic...)
-
 	path := segPath(dir, seq)
 	tmp := path + ".tmp"
-	if err := writeFileSync(fs, tmp, buf); err != nil {
+	f, err := fs.Create(tmp)
+	if err == nil {
+		if err = streamSegment(f, coveredWAL, topics, data); err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		err = fs.Rename(tmp, path)
+	}
+	if err != nil {
 		fs.Remove(tmp)
 		return nil, err
 	}
-	if err := fs.Rename(tmp, path); err != nil {
-		fs.Remove(tmp)
-		return nil, err
-	}
-	// Past the rename the file is live: any later failure must take it
-	// back out, or the flush's error path restores the same readings
-	// into heads and the next flush duplicates them all.
 	if err := fs.SyncDir(dir); err != nil {
 		fs.Remove(path)
 		return nil, err
@@ -154,20 +135,57 @@ func writeSegment(fs FS, dir string, seq, coveredWAL uint64, data map[sensor.Top
 	return seg, nil
 }
 
-func writeFileSync(fs FS, path string, data []byte) error {
-	f, err := fs.Create(path)
-	if err != nil {
+// streamSegment writes header, chunks, index and footer to f through one
+// fixed-size buffer and one reused chunk encoder, stopping at the first
+// failed write.
+func streamSegment(f File, coveredWAL uint64, topics []sensor.Topic, data map[sensor.Topic][]sensor.Reading) error {
+	bw := bufio.NewWriterSize(f, segWriteBuf)
+	hdr := append(make([]byte, 0, segHeader), segMagic...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, segVersion)
+	hdr = binary.LittleEndian.AppendUint64(hdr, coveredWAL)
+	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
+	off := uint64(segHeader)
+
+	index := make([]byte, 0, len(topics)*56)
+	index = binary.LittleEndian.AppendUint32(index, uint32(len(topics)))
+	app := NewAppender()
+	var chunk []byte
+	for _, topic := range topics {
+		rs := data[topic]
+		app.Reset()
+		var agg store.AggResult
+		for _, r := range rs {
+			app.Append(r)
+			agg.Observe(r.Value)
+		}
+		chunk = app.AppendTo(chunk[:0])
+		if _, err := bw.Write(chunk); err != nil {
+			return err
+		}
+		index = binary.AppendUvarint(index, uint64(len(topic)))
+		index = append(index, topic...)
+		index = binary.AppendUvarint(index, uint64(len(rs)))
+		index = binary.AppendVarint(index, rs[0].Time)
+		index = binary.AppendVarint(index, rs[len(rs)-1].Time)
+		index = binary.AppendUvarint(index, off)
+		index = binary.AppendUvarint(index, uint64(len(chunk)))
+		index = binary.LittleEndian.AppendUint64(index, math.Float64bits(agg.Min))
+		index = binary.LittleEndian.AppendUint64(index, math.Float64bits(agg.Max))
+		index = binary.LittleEndian.AppendUint64(index, math.Float64bits(agg.Sum))
+		off += uint64(len(chunk))
+	}
+	if _, err := bw.Write(index); err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	foot := binary.LittleEndian.AppendUint64(make([]byte, 0, segFooter), off)
+	foot = binary.LittleEndian.AppendUint32(foot, crc32.ChecksumIEEE(index))
+	foot = append(foot, segMagic...)
+	if _, err := bw.Write(foot); err != nil {
 		return err
 	}
-	return f.Close()
+	return bw.Flush()
 }
 
 // listSegments opens every segment file in dir, sorted by sequence.

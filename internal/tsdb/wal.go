@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"github.com/dcdb/wintermute/internal/sensor"
+	"github.com/dcdb/wintermute/internal/store"
 	"github.com/dcdb/wintermute/internal/telemetry"
 )
 
@@ -24,16 +25,18 @@ import (
 //	u32le payload length | u32le CRC-32 (IEEE) of payload | payload
 //
 // with the payload holding the topic and a delta-varint-compressed run of
-// readings. Persistence uses group commit: each writer encodes its record
-// outside any lock, stages it into the current commit cohort, and one
-// writer — the cohort's leader — flushes every staged record with a
-// single Write (and, with syncEach, a single Sync) before waking the
-// whole cohort. Append therefore keeps its durability meaning (a
-// returned Append survives a process kill; with syncEach an OS crash
-// too) while the write/fsync cost is amortized across every concurrent
-// batch. Records are written whole, so replay stops at the first torn or
-// corrupt record — by construction that can only be the interrupted
-// tail.
+// readings. The unit of an append is the burst: a writer encodes the
+// records of every batch it was handed, concatenated, outside any lock,
+// and the whole group reaches the file in one Write. Persistence uses
+// group commit on top: a writer stages its group into the current commit
+// cohort, and one writer — the cohort's leader — flushes every staged
+// group with a single Write (and, with syncEach, a single Sync) before
+// waking the whole cohort. Append therefore keeps its durability meaning
+// (a returned Append survives a process kill; with syncEach an OS crash
+// too) while the write/fsync cost is amortized across every batch of the
+// burst and every concurrent burst. Each record carries its own CRC, so
+// replay stops at the first torn or corrupt record — by construction
+// that can only be the interrupted tail, wherever in a group it falls.
 
 const walHeaderSize = 8
 
@@ -69,10 +72,10 @@ func walPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%08d.wal", seq))
 }
 
-// walGroup is one commit cohort: the concatenated records of every
-// writer that staged while the previous cohort was being persisted.
-// done is closed once the cohort's single write (+ sync) finished; err
-// is its shared outcome.
+// walGroup is one commit cohort: the concatenated record groups of
+// every writer that staged while the previous cohort was being
+// persisted. done is closed once the cohort's single write (+ sync)
+// finished; err is its shared outcome.
 type walGroup struct {
 	buf  []byte
 	n    int // records staged
@@ -115,18 +118,27 @@ func newWAL(fs FS, dir string, seq uint64, syncEach bool) (*wal, error) {
 	return w, nil
 }
 
-// Append durably logs one topic's reading batch: the record is encoded
-// outside the lock, staged into the current cohort, and Append returns
-// once a leader has persisted the cohort with one write (+ one sync when
-// syncEach is set). The WAL picks the commit shape from what it observes,
-// not from a setting: with no fsync to amortize and nobody committing, a
-// lone writer skips the cohort and writes inline.
-func (w *wal) Append(topic sensor.Topic, rs []sensor.Reading) error {
-	if len(rs) == 0 {
+// Append durably logs a burst of reading batches: their records are
+// encoded back to back outside the lock, staged into the current cohort
+// as one group, and Append returns once a leader has persisted the
+// cohort with one write (+ one sync when syncEach is set). The WAL picks
+// the commit shape from what it observes, not from a setting: with no
+// fsync to amortize and nobody committing, a lone writer skips the
+// cohort and writes inline. Empty batches log nothing.
+func (w *wal) Append(bs []store.Batch) error {
+	rec := walRecPool.Get().(*[]byte)
+	buf, nrec := (*rec)[:0], 0
+	for _, b := range bs {
+		if len(b.Readings) > 0 {
+			buf = appendWALRecord(buf, b.Topic, b.Readings)
+			nrec++
+		}
+	}
+	*rec = buf
+	if nrec == 0 {
+		walRecPool.Put(rec)
 		return nil
 	}
-	rec := walRecPool.Get().(*[]byte)
-	*rec = appendWALRecord((*rec)[:0], topic, rs)
 
 	w.mu.Lock()
 	if w.err != nil {
@@ -143,7 +155,7 @@ func (w *wal) Append(topic sensor.Topic, rs []sensor.Reading) error {
 		// coordination, so commit inline under the lock (the encode
 		// already happened outside it). Writers arriving mid-write
 		// queue on the mutex exactly as cohort followers would.
-		n, err := w.f.Write(*rec)
+		n, err := w.f.Write(buf)
 		w.size += int64(n)
 		if err != nil {
 			err = fmt.Errorf("tsdb: wal append: %w", err)
@@ -152,10 +164,10 @@ func (w *wal) Append(topic sensor.Topic, rs []sensor.Reading) error {
 		w.mu.Unlock()
 		walRecPool.Put(rec)
 		if m := w.m; m != nil && err == nil {
-			m.walAppends.Inc()
+			m.walAppends.Add(uint64(nrec))
 			m.walCommits.Inc()
 			m.walBytes.Add(uint64(n))
-			m.walCohort.Observe(1)
+			m.walCohort.Observe(float64(nrec))
 		}
 		return err
 	}
@@ -164,8 +176,8 @@ func (w *wal) Append(topic sensor.Topic, rs []sensor.Reading) error {
 		g = &walGroup{done: make(chan struct{})}
 		w.staging = g
 	}
-	g.buf = append(g.buf, *rec...)
-	g.n++
+	g.buf = append(g.buf, buf...)
+	g.n += nrec
 	walRecPool.Put(rec)
 	if w.committing {
 		// A leader is persisting the previous cohort; it will take this
@@ -318,12 +330,15 @@ func appendWALRecord(dst []byte, topic sensor.Topic, rs []sensor.Reading) []byte
 // replayWAL streams every intact record of one WAL file into fn. A torn
 // or corrupt tail record ends the replay silently: it is the expected
 // shape of a crash interrupting Append, and everything before it is
-// protected by its own CRC.
+// protected by its own CRC. The readings slice handed to fn is reused
+// for the next record: fn may reorder or truncate it but must copy what
+// it keeps.
 func replayWAL(fs FS, path string, fn func(topic sensor.Topic, rs []sensor.Reading)) error {
 	data, err := fs.ReadFile(path)
 	if err != nil {
 		return err
 	}
+	var rs []sensor.Reading
 	for len(data) > 0 {
 		if len(data) < walHeaderSize {
 			return nil // torn header
@@ -338,8 +353,8 @@ func replayWAL(fs FS, path string, fn func(topic sensor.Topic, rs []sensor.Readi
 		if crc32.ChecksumIEEE(payload) != crc {
 			return nil // corrupt tail
 		}
-		topic, rs, err := decodeWALPayload(payload)
-		if err != nil {
+		var topic sensor.Topic
+		if topic, rs, err = decodeWALPayload(payload, rs[:0]); err != nil {
 			return nil // structurally invalid tail
 		}
 		fn(topic, rs)
@@ -348,30 +363,31 @@ func replayWAL(fs FS, path string, fn func(topic sensor.Topic, rs []sensor.Readi
 	return nil
 }
 
-func decodeWALPayload(p []byte) (sensor.Topic, []sensor.Reading, error) {
+// decodeWALPayload parses one record payload, appending its readings to
+// rs (whose capacity carries over from record to record).
+func decodeWALPayload(p []byte, rs []sensor.Reading) (sensor.Topic, []sensor.Reading, error) {
 	tlen, n := binary.Uvarint(p)
 	if n <= 0 || uint64(len(p)-n) < tlen {
-		return "", nil, io.ErrUnexpectedEOF
+		return "", rs, io.ErrUnexpectedEOF
 	}
 	topic := sensor.Topic(p[n : n+int(tlen)])
 	p = p[n+int(tlen):]
 	count, n := binary.Uvarint(p)
 	if n <= 0 {
-		return "", nil, io.ErrUnexpectedEOF
+		return "", rs, io.ErrUnexpectedEOF
 	}
 	p = p[n:]
 	// Every reading needs at least 9 payload bytes (1-byte varint delta +
 	// 8-byte value); a count beyond that bound is a corrupt record, not a
 	// preallocation request.
 	if count > uint64(len(p))/9 {
-		return "", nil, io.ErrUnexpectedEOF
+		return "", rs, io.ErrUnexpectedEOF
 	}
-	rs := make([]sensor.Reading, 0, count)
 	prev := int64(0)
 	for i := uint64(0); i < count; i++ {
 		dt, n := binary.Varint(p)
 		if n <= 0 || len(p) < n+8 {
-			return "", nil, io.ErrUnexpectedEOF
+			return "", rs, io.ErrUnexpectedEOF
 		}
 		prev += dt
 		v := binary.LittleEndian.Uint64(p[n:])
