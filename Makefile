@@ -38,20 +38,14 @@ race:
 	$(GO) test -race -count=1 ./internal/...
 	$(GO) test -race -run '^$$' -bench . -benchtime 1x .
 
-# Short benchmark run: the tick-path contention workloads, the cache
-# view micro-benches, the storage backend pairs (in-memory store vs tsdb
-# insert/range plus crash recovery), the aggregation pairs (naive
-# Range+reduce vs the chunk-metadata engine), concurrent ingest through
-# the group-commit WAL, the dashboard read-path pairs (uncached vs
-# result-cached queries, linear vs indexed wildcard expansion), the
-# telemetry overhead pairs (instrumented ingest and dashboard hot paths
-# with the switch off vs on) and the delivery pair (the one sender at
-# QoS 0 vs QoS 1: what retaining until acked costs). Numbers here are
-# for working with;
-# the gated record is `go run ./bench` (BENCHMARK.json, bench/README.md).
+# Short benchmark run over the micro-benches no `go run ./bench` rung
+# covers: the tick-path contention workloads, the cache view modes,
+# concurrent ingest through the group-commit WAL and indexed wildcard
+# expansion. Numbers here are for working with; the gated record is
+# `go run ./bench` (BENCHMARK.json, bench/README.md).
 # Full suite: go test -bench=. -benchmem .
 bench:
-	$(GO) test -run '^$$' -bench 'TickAllContention|QueryContention|CacheView|BackendInsertBatch|BackendRange|TSDBRecovery|Aggregate|Downsample|IngestConcurrent|DashboardQuery|WildcardExpand|Telemetry|PublishUnacked|PublishAcked' -benchtime 10x -benchmem .
+	$(GO) test -run '^$$' -bench 'TickAllContention|QueryContention|CacheView|IngestConcurrent|WildcardExpand' -benchtime 10x -benchmem .
 
 # One-iteration smoke over the ENTIRE benchmark suite: every benchmark
 # must still compile and execute, so the paired workloads cannot
@@ -59,19 +53,20 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# Seeded chaos smoke (~20s): the fault-injected end-to-end scenario,
+# Seeded chaos smoke (~35s): the fault-injected end-to-end scenario,
 # the integration-tier recovery case, the ack-means-stored check (a
 # stalled WAL write must hold back the PubAck of every batch of the
 # burst), the publish client's model test and the broker's scripted-peer
 # burst tests (internal/transport), and the store's burst and
-# segment-writer fault tests (internal/tsdb), all under the race
+# segment-writer fault tests, its tier model test and the failed-flush
+# reader-stall regression (internal/tsdb), all under the race
 # detector. A fixed WINTERMUTE_TEST_SEED keeps CI deterministic; drop
 # the variable to explore fresh seeds locally (failures log their
 # replay incantation).
 # See docs/TESTING.md for the harness design and verdict format.
 chaos-smoke:
 	WINTERMUTE_TEST_SEED=42 $(GO) test -race -count=1 \
-		-run 'TestScenarioSmoke|TestChaosSmokeRecovery|TestAckImpliesStored|TestClientModel|TestBurst|TestOversizeFrame|TestKilledConnection|TestInsertBatchesMatches|TestTornBurst|TestSegmentWriterFailsClean' \
+		-run 'TestScenarioSmoke|TestChaosSmokeRecovery|TestAckImpliesStored|TestClientModel|TestBurst|TestOversizeFrame|TestKilledConnection|TestInsertBatchesMatches|TestTornBurst|TestSegmentWriterFailsClean|TestTierModel|TestFailedFlushDoesNotStallReaders' \
 		./internal/chaos/ ./internal/integration/ ./internal/transport/ ./internal/tsdb/
 
 # Fuzz smoke (~40s): every native fuzz target for a few seconds from its

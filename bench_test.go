@@ -9,11 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,12 +23,9 @@ import (
 	"github.com/dcdb/wintermute/internal/navigator"
 	"github.com/dcdb/wintermute/internal/plugins/aggregator"
 	"github.com/dcdb/wintermute/internal/plugins/tester"
-	"github.com/dcdb/wintermute/internal/rest"
-	"github.com/dcdb/wintermute/internal/resultcache"
 	"github.com/dcdb/wintermute/internal/sensor"
 	"github.com/dcdb/wintermute/internal/sim/cluster"
 	"github.com/dcdb/wintermute/internal/store"
-	"github.com/dcdb/wintermute/internal/telemetry"
 	"github.com/dcdb/wintermute/internal/transport"
 	"github.com/dcdb/wintermute/internal/tsdb"
 
@@ -651,59 +643,9 @@ func BenchmarkTransportPublish(b *testing.B) {
 	}
 }
 
-// --- PR10: at-least-once delivery overhead ------------------------------
+// --- PR5: concurrent ingest through the group-commit WAL -----------------
 
-// benchPublishDelivery measures sustained publish->local-delivery
-// throughput at the chosen retention policy of the one sender: QoS 0
-// (v1 frames, a batch leaves the queue with its burst) or QoS 1 (v2
-// frames, retained until the broker's PubAck). Both queue in Publish
-// and leave in vectored bursts, so the pair isolates what the ack
-// machinery itself costs with no fault in play. Publishes are pipelined
-// (the production shape: pushers never wait per batch) and one op is
-// one batch fully delivered.
-func benchPublishDelivery(b *testing.B, spool int) {
-	broker, err := transport.NewBroker("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer broker.Close()
-	target := int64(b.N)
-	var delivered atomic.Int64
-	done := make(chan struct{}, 1)
-	broker.SubscribeLocal("#", func(ms []transport.Message) {
-		if n := delivered.Add(int64(len(ms))); n >= target && n-int64(len(ms)) < target {
-			done <- struct{}{}
-		}
-	})
-	client, err := transport.DialOptions(broker.Addr(), transport.Options{SpoolBatches: spool})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-	batch := make([]sensor.Reading, 10)
-	for i := range batch {
-		batch[i] = sensor.Reading{Value: float64(i), Time: int64(i)}
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := client.Publish("/r1/n1/power", batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-	<-done
-}
-
-// BenchmarkPublishUnacked is the QoS 0 half of the pair.
-func BenchmarkPublishUnacked(b *testing.B) { benchPublishDelivery(b, 0) }
-
-// BenchmarkPublishAcked is the QoS 1 half: v2 frames, broker PubAcks,
-// client-side ack tracking.
-func BenchmarkPublishAcked(b *testing.B) { benchPublishDelivery(b, 1024) }
-
-// --- PR3: persistent storage backend (tsdb) vs in-memory store ----------
-
-// tsdbBenchSeries generates the paired-bench workload: regularly sampled
+// tsdbBenchSeries generates the ingest workload: regularly sampled
 // integer-ish sensor values, the shape the Gorilla compressor is built
 // for.
 func tsdbBenchSeries(n int) []sensor.Reading {
@@ -718,238 +660,14 @@ func tsdbBenchSeries(n int) []sensor.Reading {
 	return rs
 }
 
-// BenchmarkBackendInsertBatchMemory / ...TSDB pair the batched ingest
-// path of both store.Backend implementations: 64-reading batches, the
-// shape one delivered MQTT message produces.
-func BenchmarkBackendInsertBatchMemory(b *testing.B) {
-	st := store.New(0)
-	benchBackendInsertBatch(b, st)
-}
-
-func BenchmarkBackendInsertBatchTSDB(b *testing.B) {
-	db, err := tsdb.Open(b.TempDir(), tsdb.Options{FlushEvery: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchBackendInsertBatch(b, db)
-	// Close flushes everything inserted (cost scales with b.N): keep it
-	// out of the timed window or it pollutes the insert ns/op.
-	b.StopTimer()
-	db.Close()
-	b.StartTimer()
-}
-
-func benchBackendInsertBatch(b *testing.B, backend store.Backend) {
-	batch := tsdbBenchSeries(64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range batch {
-			batch[j].Time = int64(i*64+j) * sec
-		}
-		backend.InsertBatch("/n/power", batch)
-	}
-}
-
-// BenchmarkBackendRangeMemory / ...TSDB pair a 300-reading range query
-// against 100k stored readings; the tsdb variant answers from a
-// compressed segment (decode included).
-func BenchmarkBackendRangeMemory(b *testing.B) {
-	st := store.New(0)
-	st.InsertBatch("/n/power", tsdbBenchSeries(100000))
-	benchBackendRange(b, st)
-}
-
-func BenchmarkBackendRangeTSDB(b *testing.B) {
-	db, err := tsdb.Open(b.TempDir(), tsdb.Options{FlushEvery: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	db.InsertBatch("/n/power", tsdbBenchSeries(100000))
-	if err := db.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	benchBackendRange(b, db)
-	b.StopTimer()
-	db.Close()
-	b.StartTimer()
-}
-
-func benchBackendRange(b *testing.B, backend store.Backend) {
-	buf := make([]sensor.Reading, 0, 512)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = backend.Range("/n/power", 50000*sec, 50300*sec, buf[:0])
-	}
-	if len(buf) != 301 {
-		b.Fatalf("range = %d readings", len(buf))
-	}
-}
-
-// BenchmarkTSDBRecoveryOpen measures crash recovery: opening a database
-// whose WAL holds 64 topics x 256 readings with no prior flush. Each
-// iteration recovers a fresh copy of the crash directory (copied outside
-// the timer) so the measured state never accumulates WAL files or open
-// descriptors across iterations.
-func BenchmarkTSDBRecoveryOpen(b *testing.B) {
-	crashDir := b.TempDir()
-	db, err := tsdb.Open(crashDir, tsdb.Options{FlushEvery: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rs := tsdbBenchSeries(256)
-	for n := 0; n < 64; n++ {
-		db.InsertBatch(sensor.Topic(fmt.Sprintf("/r1/n%02d/power", n)), rs)
-	}
-	// db is never Closed: crashDir is the post-kill on-disk state.
-	copies := b.TempDir()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dir := fmt.Sprintf("%s/i%d", copies, i)
-		copyCrashState(b, crashDir, dir)
-		b.StartTimer()
-		db2, err := tsdb.Open(dir, tsdb.Options{FlushEvery: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if db2.TotalReadings() != 64*256 {
-			b.Fatalf("recovered %d readings", db2.TotalReadings())
-		}
-		b.StopTimer()
-		db2.Close()
-		os.RemoveAll(dir)
-		b.StartTimer()
-	}
-}
-
-// copyCrashState clones a tsdb directory tree (wal/ and seg/ files).
-func copyCrashState(b *testing.B, src, dst string) {
-	b.Helper()
-	for _, sub := range []string{"wal", "seg"} {
-		if err := os.MkdirAll(filepath.Join(dst, sub), 0o755); err != nil {
-			b.Fatal(err)
-		}
-		entries, err := os.ReadDir(filepath.Join(src, sub))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, e := range entries {
-			data, err := os.ReadFile(filepath.Join(src, sub, e.Name()))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dst, sub, e.Name()), data, 0o644); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// --- PR4: aggregation engine vs naive Range+reduce -----------------------
-
-// aggBenchDB builds the PR4 acceptance corpus: 100k+ readings across 64
-// topics, flushed into segments so the per-chunk pre-aggregates exist.
-func aggBenchDB(b *testing.B) (*tsdb.DB, []sensor.Topic) {
-	b.Helper()
-	db, err := tsdb.Open(b.TempDir(), tsdb.Options{FlushEvery: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rs := tsdbBenchSeries(1600) // 64 x 1600 = 102,400 readings
-	topics := make([]sensor.Topic, 64)
-	for n := range topics {
-		topics[n] = sensor.Topic(fmt.Sprintf("/r%02d/n%02d/power", n/8, n%8))
-		db.InsertBatch(topics[n], rs)
-	}
-	if err := db.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	return db, topics
-}
-
-// BenchmarkAggregateNaiveRange is the before side of the PR4 pair: an
-// average over every topic's full history computed the pre-engine way —
-// materialize the raw range into a slice, reduce it in the caller, throw
-// the slice away.
-func BenchmarkAggregateNaiveRange(b *testing.B) {
-	db, topics := aggBenchDB(b)
-	defer db.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var total store.AggResult
-		for _, tp := range topics {
-			total.Merge(store.AggregateNaive(db, tp, 0, 1600*sec))
-		}
-		if total.Count != 102400 {
-			b.Fatalf("aggregated %d readings", total.Count)
-		}
-	}
-}
-
-// BenchmarkAggregateEngine is the after side: the same query through the
-// tsdb aggregation engine — fully-covered chunks answer from index
-// pre-aggregates in O(1), no reading is materialized.
-func BenchmarkAggregateEngine(b *testing.B) {
-	db, topics := aggBenchDB(b)
-	defer db.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var total store.AggResult
-		for _, tp := range topics {
-			total.Merge(db.Aggregate(tp, 0, 1600*sec))
-		}
-		if total.Count != 102400 {
-			b.Fatalf("aggregated %d readings", total.Count)
-		}
-	}
-}
-
-// BenchmarkDownsampleNaiveRange / ...Engine pair 60-second bucketed
-// averages over one topic's 1600-reading history: materialize+bucket in
-// the caller vs the engine's streaming chunk decode.
-func BenchmarkDownsampleNaiveRange(b *testing.B) {
-	db, topics := aggBenchDB(b)
-	defer db.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var buckets []store.Bucket
-	for i := 0; i < b.N; i++ {
-		buckets = store.DownsampleNaive(db, topics[i%len(topics)], 0, 1600*sec, 60*sec, buckets[:0])
-		if len(buckets) != 27 {
-			b.Fatalf("%d buckets", len(buckets))
-		}
-	}
-}
-
-func BenchmarkDownsampleEngine(b *testing.B) {
-	db, topics := aggBenchDB(b)
-	defer db.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var buckets []store.Bucket
-	for i := 0; i < b.N; i++ {
-		buckets = db.Downsample(topics[i%len(topics)], 0, 1600*sec, 60*sec, buckets[:0])
-		if len(buckets) != 27 {
-			b.Fatalf("%d buckets", len(buckets))
-		}
-	}
-}
-
-// --- PR5: concurrent ingest through the group-commit WAL -----------------
-
 // benchIngestConcurrent measures sustained multi-writer InsertBatch
 // throughput: `writers` goroutines each appending 64-reading batches to
 // their own topic. One op is one batch, so ns/op is the sustained
 // per-batch cost across the whole writer cohort.
-func benchIngestConcurrent(b *testing.B, writers int, walSync bool, reg *telemetry.Registry) {
+func benchIngestConcurrent(b *testing.B, writers int, walSync bool) {
 	db, err := tsdb.Open(b.TempDir(), tsdb.Options{
 		FlushEvery: -1,
 		WALSync:    walSync,
-		Metrics:    reg,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -994,159 +712,27 @@ func BenchmarkIngestConcurrentGrouped(b *testing.B) {
 	for _, writers := range []int{8, 16, 32} {
 		for _, walSync := range []bool{false, true} {
 			b.Run(fmt.Sprintf("writers=%d/sync=%v", writers, walSync), func(b *testing.B) {
-				benchIngestConcurrent(b, writers, walSync, nil)
+				benchIngestConcurrent(b, writers, walSync)
 			})
 		}
 	}
 }
 
-// --- PR7: dashboard read path — result cache + wildcard topic index ------
-
-// dashReadings sizes each sensor's history: a dashboard-scale window
-// (2000 points per sensor, 64 sensors) so the uncached side pays a
-// realistic recompute per request.
-const dashReadings = 2000
-
-// dashBenchStack builds a Collect-Agent-shaped serving stack: 64 sensors
-// x dashReadings readings in the in-memory backend, write-through invalidation
-// wired when a result cache is supplied, and the REST handler on top.
-func dashBenchStack(b *testing.B, rc *resultcache.Cache, reg *telemetry.Registry) (http.Handler, *core.CacheSink, []sensor.Topic) {
-	b.Helper()
-	nav := navigator.New()
-	caches := cache.NewSet()
-	st := store.New(0)
-	sink := core.NewCacheSink(caches, nav, 16, time.Second)
-	sink.Store = st
-	sink.Results = rc
-	rs := make([]sensor.Reading, dashReadings)
-	for i := range rs {
-		rs[i] = sensor.Reading{Value: float64(i), Time: int64(i) * sec}
-	}
-	topics := make([]sensor.Topic, 64)
-	for n := range topics {
-		topics[n] = sensor.Topic(fmt.Sprintf("/r%02d/n%02d/power", n/8, n%8))
-		sink.PushSeries(topics[n], rs)
-	}
-	qe := core.NewQueryEngine(nav, caches, st)
-	m := core.NewManager(qe, sink, core.Env{})
-	b.Cleanup(func() { m.Close() })
-	if reg != nil {
-		// Full production instrumentation: backend gauges, result-cache
-		// counters, scheduler gauges, per-route HTTP metrics and traces.
-		store.RegisterBackendMetrics(reg, st)
-		if rc != nil {
-			rc.RegisterMetrics(reg)
-		}
-		m.EnableTelemetry(reg)
-		return rest.NewHandler(m, qe, rest.Options{ResultCache: rc, Metrics: reg}), sink, topics
-	}
-	if rc != nil {
-		return rest.NewHandler(m, qe, rest.Options{ResultCache: rc}), sink, topics
-	}
-	return rest.NewHandler(m, qe), sink, topics
-}
-
-// benchDashboardQuery measures the dashboard steady state: one hot
-// wildcard aggregate (64 sensors, step-aligned absolute window) issued
-// repeatedly while a writer keeps ingesting in-order readings beyond
-// the window — the shape where the frontier shortcut keeps the memoized
-// entry valid. One op is one full HTTP round trip through the handler.
-func benchDashboardQuery(b *testing.B, rc *resultcache.Cache, reg *telemetry.Registry) {
-	h, sink, topics := dashBenchStack(b, rc, reg)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for t := int64(dashReadings); ; t++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for _, tp := range topics {
-				sink.Push(tp, sensor.Reading{Value: 1, Time: t * sec})
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	target := "/query?op=avg&sensor=/%23&start=0&end=" + strconv.FormatInt((dashReadings-1)*sec, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest("GET", target, nil)
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, req)
-		if w.Code != 200 {
-			b.Fatalf("status %d: %s", w.Code, w.Body.String())
-		}
-	}
-	b.StopTimer()
-	close(stop)
-	<-done
-}
-
-// BenchmarkDashboardQueryUncached is the before side of the PR7 pair:
-// every request re-expands the wildcard and re-aggregates 64 windows.
-func BenchmarkDashboardQueryUncached(b *testing.B) { benchDashboardQuery(b, nil, nil) }
-
-// BenchmarkDashboardQueryCached is the after side: the same requests
-// served from the memoized op-independent payload, revalidated against
-// the ingest frontier per lookup.
-func BenchmarkDashboardQueryCached(b *testing.B) {
-	benchDashboardQuery(b, resultcache.New(1024, 0), nil)
-}
-
-// --- PR8: telemetry overhead — instrumented hot paths, switch on vs off --
-
-// benchIngestTelemetry re-runs the PR5 grouped-ingest shape (16 writers,
-// no WAL sync — the configuration where fixed per-batch cost is smallest
-// and instrumentation overhead proportionally largest) with a registry
-// attached to the engine. `on` toggles the global telemetry switch: the
-// off side still executes every instrumented call site and pays exactly
-// the one-atomic-load gate the disabled path promises.
-func benchIngestTelemetry(b *testing.B, on bool) {
-	telemetry.SetEnabled(on)
-	b.Cleanup(func() { telemetry.SetEnabled(true) })
-	benchIngestConcurrent(b, 16, false, telemetry.NewRegistry())
-}
-
-func BenchmarkIngestTelemetryOff(b *testing.B) { benchIngestTelemetry(b, false) }
-func BenchmarkIngestTelemetryOn(b *testing.B)  { benchIngestTelemetry(b, true) }
-
-// benchDashboardTelemetry re-runs the PR7 cached dashboard scenario with
-// the serving tier fully instrumented: per-route counters and latency
-// histogram, in-flight gauge, request traces, result-cache and backend
-// series. One op remains one HTTP round trip.
-func benchDashboardTelemetry(b *testing.B, on bool) {
-	telemetry.SetEnabled(on)
-	b.Cleanup(func() { telemetry.SetEnabled(true) })
-	benchDashboardQuery(b, resultcache.New(1024, 0), telemetry.NewRegistry())
-}
-
-func BenchmarkDashboardTelemetryOff(b *testing.B) { benchDashboardTelemetry(b, false) }
-func BenchmarkDashboardTelemetryOn(b *testing.B)  { benchDashboardTelemetry(b, true) }
-
-// linearScanBackend hides the in-memory store's PrefixMatcher, forcing
-// the dispatcher's filter-everything fallback (the pre-PR7 cost shape).
-type linearScanBackend struct{ store.Backend }
+// --- PR7: wildcard expansion through the topic index ---------------------
 
 // benchWildcardExpand measures '#' expansion of one 8-sensor rack while
 // the namespace holds n topics: with the sorted prefix index the cost
-// tracks the match count, without it the full (re-sorted) topic listing.
-func benchWildcardExpand(b *testing.B, n int, indexed bool) {
+// tracks the match count, not the namespace.
+func benchWildcardExpand(b *testing.B, n int) {
 	st := store.New(0)
 	for i := 0; i < n; i++ {
 		st.Insert(sensor.Topic(fmt.Sprintf("/r%03d/n%d/power", i/8, i%8)),
 			sensor.Reading{Value: 1, Time: 1})
 	}
-	var be store.Backend = st
-	if !indexed {
-		be = linearScanBackend{st}
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := store.TopicsPrefix(be, "/r000"); len(got) != 8 {
+		if got := st.TopicsPrefix("/r000"); len(got) != 8 {
 			b.Fatalf("%d matches", len(got))
 		}
 	}
@@ -1154,10 +740,5 @@ func benchWildcardExpand(b *testing.B, n int, indexed bool) {
 
 // BenchmarkWildcardExpandIndexed64 / ...4096 are the acceptance pair:
 // expansion cost must be independent of namespace size.
-func BenchmarkWildcardExpandIndexed64(b *testing.B)   { benchWildcardExpand(b, 64, true) }
-func BenchmarkWildcardExpandIndexed4096(b *testing.B) { benchWildcardExpand(b, 4096, true) }
-
-// BenchmarkWildcardExpandLinear64 / ...4096 show the fallback scaling
-// with namespace size instead.
-func BenchmarkWildcardExpandLinear64(b *testing.B)   { benchWildcardExpand(b, 64, false) }
-func BenchmarkWildcardExpandLinear4096(b *testing.B) { benchWildcardExpand(b, 4096, false) }
+func BenchmarkWildcardExpandIndexed64(b *testing.B)   { benchWildcardExpand(b, 64) }
+func BenchmarkWildcardExpandIndexed4096(b *testing.B) { benchWildcardExpand(b, 4096) }

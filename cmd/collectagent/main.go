@@ -29,7 +29,6 @@ import (
 	"github.com/dcdb/wintermute/internal/core"
 	_ "github.com/dcdb/wintermute/internal/plugins/all"
 	"github.com/dcdb/wintermute/internal/rest"
-	"github.com/dcdb/wintermute/internal/store"
 	"github.com/dcdb/wintermute/internal/telemetry"
 )
 
@@ -48,7 +47,6 @@ func main() {
 		storeMax   = flag.Int("store-max", 100000, "in-memory store: max readings per sensor (0: unlimited)")
 		configPath = flag.String("config", "", "Wintermute plugin configuration (JSON)")
 		threads    = flag.Int("threads", 0, "Wintermute worker pool size (0: GOMAXPROCS)")
-		snapshot   = flag.String("snapshot", "", "in-memory store snapshot file: loaded at start, written at shutdown")
 		rcSize     = flag.Int("result-cache-size", 4096, "query result cache entries (0: disable memoization)")
 		rcTTL      = flag.Duration("result-cache-ttl", 0, "bounded staleness for memoized query results (0: strict)")
 		rateLimit  = flag.Float64("rate-limit", 0, "REST requests per second per client (0: unlimited)")
@@ -81,27 +79,6 @@ func main() {
 		st := agent.DB.Stats()
 		log.Printf("storage backend: tsdb at %s (%d readings, %d topics, %d segments recovered)",
 			*storeDir, st.TotalReadings, st.Topics, st.Segments)
-		if *snapshot != "" {
-			log.Fatal("-snapshot applies to the in-memory store only; the tsdb backend is durable by itself")
-		}
-	}
-
-	if *snapshot != "" {
-		ms := agent.Store.(*store.Store)
-		switch err := ms.LoadFile(*snapshot); {
-		case err == nil:
-			// Restore the sensor tree so pattern units bind immediately.
-			for _, topic := range ms.Topics() {
-				if err := agent.Nav.AddSensor(topic); err != nil {
-					log.Printf("restoring sensor %s: %v", topic, err)
-				}
-			}
-			log.Printf("restored %d readings from %s", ms.TotalReadings(), *snapshot)
-		case os.IsNotExist(err):
-			log.Printf("no snapshot at %s, starting fresh", *snapshot)
-		default:
-			log.Fatalf("loading snapshot: %v", err)
-		}
 	}
 
 	if *configPath != "" {
@@ -156,12 +133,4 @@ func main() {
 	}
 	_ = srv.Close()
 	_ = agent.Close() // flushes and closes the tsdb backend, if any
-	if *snapshot != "" {
-		ms := agent.Store.(*store.Store)
-		if err := ms.SaveFile(*snapshot); err != nil {
-			log.Printf("saving snapshot: %v", err)
-		} else {
-			log.Printf("saved %d readings to %s", ms.TotalReadings(), *snapshot)
-		}
-	}
 }

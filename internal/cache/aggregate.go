@@ -54,7 +54,7 @@ func (c *Cache) AggregateAbsolute(t0, t1 int64) store.AggResult {
 // DownsampleAbsolute reduces the readings with timestamps in [t0, t1]
 // into consecutive buckets of width step aligned to t0, appending only
 // non-empty buckets to dst in time order (the semantics of
-// store.Aggregator.Downsample).
+// store.Backend.Downsample).
 func (c *Cache) DownsampleAbsolute(t0, t1, step int64, dst []store.Bucket) []store.Bucket {
 	if step <= 0 || t1 < t0 {
 		return dst

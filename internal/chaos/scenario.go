@@ -709,7 +709,7 @@ func (s Scenario) faultActions(cfs *FS, broker *transport.Broker, db *tsdb.DB,
 				cfs.Set(OpCreate, ClassSeg, Fault{P: p})
 				// Force flushes while the rule is live: the segment
 				// write path only runs on flush, and a failed flush
-				// must restore its staged heads without loss. A
+				// must leave the heads their readings without loss. A
 				// successful rotate also re-arms a WAL degraded by an
 				// earlier fsync-fail window.
 				go func() {
@@ -728,7 +728,7 @@ func (s Scenario) faultActions(cfs *FS, broker *transport.Broker, db *tsdb.DB,
 	case FaultDiskFull:
 		// The disk fills: everything the storage tier writes gets
 		// ENOSPC. The WAL degrades (memory-only), forced flushes fail
-		// and restore their staged heads, and both re-arm when the
+		// and leave the heads their readings, and both re-arm when the
 		// window closes and the post-chaos flush succeeds.
 		full := Fault{P: p, Err: syscall.ENOSPC}
 		return func() {

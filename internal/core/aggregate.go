@@ -11,11 +11,9 @@ import (
 // Aggregation queries of the Query Engine. Like the raw-reading query
 // modes they follow the cache-first discipline — a covering sensor
 // cache reduces its ring buffer in place — and otherwise delegate to
-// the Storage Backend through the store.Aggregate/store.Downsample
-// dispatchers, which use the backend's native streaming engine (the
-// tsdb per-chunk pre-aggregates) when it has one and fall back to
-// Range+reduce when it does not. No path materializes raw readings
-// into the caller's memory.
+// the Storage Backend's own Aggregate/Downsample (for the tsdb engine:
+// per-chunk pre-aggregates and streaming decodes). No path materializes
+// raw readings into the caller's memory.
 
 // AggregateRelative reduces the window [latest-lookback, latest] of
 // topic to an AggResult, cache-first. The result is empty (Count 0)
@@ -35,7 +33,7 @@ func (qe *QueryEngine) aggregateRelativeIn(c *cache.Cache, topic sensor.Topic, l
 	}
 	if qe.store != nil {
 		if latest, ok := qe.store.Latest(topic); ok {
-			return store.Aggregate(qe.store, topic, latest.Time-int64(lookback), latest.Time)
+			return qe.store.Aggregate(topic, latest.Time-int64(lookback), latest.Time)
 		}
 	}
 	return store.AggResult{}
@@ -59,7 +57,7 @@ func (qe *QueryEngine) aggregateAbsoluteIn(c *cache.Cache, topic sensor.Topic, t
 		}
 	}
 	if qe.store != nil {
-		return store.Aggregate(qe.store, topic, t0, t1)
+		return qe.store.Aggregate(topic, t0, t1)
 	}
 	return store.AggResult{}
 }
@@ -82,7 +80,7 @@ func (qe *QueryEngine) downsampleIn(c *cache.Cache, topic sensor.Topic, t0, t1, 
 		}
 	}
 	if qe.store != nil {
-		return store.Downsample(qe.store, topic, t0, t1, step, dst)
+		return qe.store.Downsample(topic, t0, t1, step, dst)
 	}
 	return dst
 }

@@ -64,7 +64,7 @@ func (qe *QueryEngine) Navigator() *navigator.Navigator { return qe.nav }
 // (Pushers) fall back to walking the navigator tree.
 func (qe *QueryEngine) TopicsPrefix(prefix sensor.Topic) []sensor.Topic {
 	if qe.store != nil {
-		return store.TopicsPrefix(qe.store, prefix)
+		return qe.store.TopicsPrefix(prefix)
 	}
 	if prefix == "" || prefix == sensor.Root {
 		return qe.nav.AllSensors()

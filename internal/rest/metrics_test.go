@@ -221,10 +221,9 @@ func TestTraceHeaderAndSlowQueryLog(t *testing.T) {
 	}
 }
 
-// TestStatusStorageConsistentWithMetrics re-sources /status and
-// /storage from the registry and cross-checks them against a /metrics
-// scrape: the numbers come from the same snapshot machinery, so they
-// must agree.
+// TestStatusStorageConsistentWithMetrics cross-checks /status (sourced
+// from the registry) and /storage (the backend's own Stats) against a
+// /metrics scrape: on a quiet system they must agree.
 func TestStatusStorageConsistentWithMetrics(t *testing.T) {
 	srv, reg := newTelemetryServer(t, Options{})
 
@@ -257,13 +256,10 @@ func TestStatusStorageConsistentWithMetrics(t *testing.T) {
 	if st.Kind != "tsdb" || st.TotalReadings != 40 {
 		t.Fatalf("/storage = %+v", st)
 	}
+	reg.Snapshot(func(*telemetry.Sample) {}) // a scrape: runs the storage updater
 	readings, ok := reg.Value("dcdb_storage_readings")
 	if !ok || int(readings) != st.TotalReadings {
 		t.Fatalf("/storage readings %d != metrics %v (ok=%v)", st.TotalReadings, readings, ok)
-	}
-	cached, ok := store.LastBackendStats(reg)
-	if !ok || cached != st {
-		t.Fatalf("/storage did not serve the snapshot-cached stats: %+v vs %+v", st, cached)
 	}
 }
 

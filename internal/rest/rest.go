@@ -207,28 +207,7 @@ func (a *API) storage(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, store.BackendStats{Kind: "none"})
 		return
 	}
-	if sp, ok := backend.(store.StatsProvider); ok {
-		// With a registry attached, refresh it (one snapshot runs the
-		// storage updater) and serve the exact BackendStats that snapshot
-		// captured — the numbers a concurrent /metrics scrape would show.
-		if a.reg != nil {
-			a.reg.Snapshot(func(*telemetry.Sample) {})
-			if st, ok := store.LastBackendStats(a.reg); ok {
-				writeJSON(w, http.StatusOK, st)
-				return
-			}
-		}
-		writeJSON(w, http.StatusOK, sp.Stats())
-		return
-	}
-	// A backend without native statistics still has the Backend surface:
-	// derive the counts.
-	st := store.BackendStats{Kind: "unknown"}
-	for _, topic := range backend.Topics() {
-		st.Topics++
-		st.TotalReadings += backend.Count(topic)
-	}
-	writeJSON(w, http.StatusOK, st)
+	writeJSON(w, http.StatusOK, backend.Stats())
 }
 
 func (a *API) units(w http.ResponseWriter, r *http.Request) {

@@ -12,11 +12,11 @@ import (
 // consume aggregated sensor data — averages, extrema, rates over
 // windows — not raw readings (paper §IV-d: the aggregator plugin and
 // the unit system exist precisely so analytics never rescan raw
-// streams). The Aggregator interface lets a backend answer such
-// queries natively, streaming over its storage representation (for
-// the tsdb engine: over compressed chunks, or O(1) from per-chunk
-// pre-aggregates) instead of materializing the raw range into a slice
-// that the caller then reduces and throws away.
+// streams). Backend.Aggregate and Backend.Downsample answer such
+// queries natively, streaming over the backend's storage
+// representation (for the tsdb engine: over compressed chunks, or O(1)
+// from per-chunk pre-aggregates) instead of materializing the raw range
+// into a slice that the caller then reduces and throws away.
 
 // AggOp names a supported aggregation function over a reading window.
 type AggOp uint8
@@ -136,47 +136,10 @@ type Bucket struct {
 	AggResult
 }
 
-// Aggregator is the aggregation extension of the Backend contract. A
-// backend implementing it answers windowed aggregates natively —
-// without materializing raw readings for the caller. Use the package
-// dispatchers Aggregate and Downsample to query any Backend: they pick
-// the native path when available and fall back to Range+reduce.
-type Aggregator interface {
-	// Aggregate reduces the readings of topic with timestamps in
-	// [t0, t1] (inclusive) to an AggResult.
-	Aggregate(topic sensor.Topic, t0, t1 int64) AggResult
-	// Downsample reduces the readings of topic in [t0, t1] into
-	// consecutive buckets of width step (nanoseconds) aligned to t0,
-	// appending only non-empty buckets to dst in time order. A
-	// non-positive step yields no buckets.
-	Downsample(topic sensor.Topic, t0, t1, step int64, dst []Bucket) []Bucket
-}
-
-// Aggregate answers an aggregation query against any Backend: natively
-// when the backend implements Aggregator, otherwise via the naive
-// Range+reduce fallback.
-func Aggregate(b Backend, topic sensor.Topic, t0, t1 int64) AggResult {
-	if agg, ok := b.(Aggregator); ok {
-		return agg.Aggregate(topic, t0, t1)
-	}
-	return AggregateNaive(b, topic, t0, t1)
-}
-
-// Downsample answers a downsampling query against any Backend:
-// natively when the backend implements Aggregator, otherwise via the
-// naive Range+reduce fallback.
-func Downsample(b Backend, topic sensor.Topic, t0, t1, step int64, dst []Bucket) []Bucket {
-	if agg, ok := b.(Aggregator); ok {
-		return agg.Downsample(topic, t0, t1, step, dst)
-	}
-	return DownsampleNaive(b, topic, t0, t1, step, dst)
-}
-
 // AggregateNaive is the materializing reference path: Range the raw
 // readings into a slice and reduce it. It defines the semantics every
-// native Aggregator implementation must reproduce (the tsdb property
-// tests assert the equivalence) and serves backends without native
-// aggregation.
+// Backend.Aggregate implementation must reproduce (the tsdb property
+// tests assert the equivalence).
 func AggregateNaive(b Backend, topic sensor.Topic, t0, t1 int64) AggResult {
 	var a AggResult
 	for _, r := range b.Range(topic, t0, t1, nil) {
@@ -198,8 +161,8 @@ func DownsampleNaive(b Backend, topic sensor.Topic, t0, t1, step int64, dst []Bu
 
 // AggregateSorted reduces the readings of a time-sorted slice with
 // timestamps in [t0, t1] in one pass. It is the shared reduction every
-// sorted tier uses: the in-memory store's series, the tsdb's head
-// blocks and flushing stage.
+// sorted tier uses: the in-memory store's series and the two runs of a
+// tsdb head block.
 func AggregateSorted(rs []sensor.Reading, t0, t1 int64) AggResult {
 	var a AggResult
 	lo := sort.Search(len(rs), func(i int) bool { return rs[i].Time >= t0 })
@@ -234,9 +197,7 @@ func DownsampleSorted(rs []sensor.Reading, t0, lo, t1, step int64, dst []Bucket)
 	return dst
 }
 
-var _ Aggregator = (*Store)(nil)
-
-// Aggregate implements Aggregator natively for the in-memory store:
+// Aggregate implements Backend natively for the in-memory store:
 // one binary search for the window bounds, then a single streaming pass
 // over the series slice — no copy of the readings.
 func (s *Store) Aggregate(topic sensor.Topic, t0, t1 int64) AggResult {
@@ -249,7 +210,7 @@ func (s *Store) Aggregate(topic sensor.Topic, t0, t1 int64) AggResult {
 	return AggregateSorted(se.data, t0, t1)
 }
 
-// Downsample implements Aggregator natively for the in-memory store,
+// Downsample implements Backend natively for the in-memory store,
 // emitting buckets in one streaming pass over the sorted series.
 func (s *Store) Downsample(topic sensor.Topic, t0, t1, step int64, dst []Bucket) []Bucket {
 	se := s.get(topic, false)

@@ -63,14 +63,9 @@ func TestParseAggOp(t *testing.T) {
 	}
 }
 
-// opaque hides Store's native Aggregator implementation, forcing the
-// dispatchers onto the naive fallback.
-type opaque struct{ *Store }
-
 // TestStoreAggregateMatchesNaive drives the in-memory store's native
 // streaming implementation against the materializing reference over
-// randomized series, and checks the dispatchers serve both backend
-// shapes.
+// randomized series.
 func TestStoreAggregateMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := New(0)
@@ -89,9 +84,6 @@ func TestStoreAggregateMatchesNaive(t *testing.T) {
 		want := AggregateNaive(s, "/n/power", t0, t1)
 		if got != want {
 			t.Fatalf("Aggregate(%d, %d) = %+v, naive %+v", t0, t1, got, want)
-		}
-		if via := Aggregate(opaque{s}, "/n/power", t0, t1); via != want {
-			t.Fatalf("dispatcher on opaque backend = %+v, naive %+v", via, want)
 		}
 		step := []int64{1, 9, 250, 5000}[rng.Intn(4)]
 		gotB := s.Downsample("/n/power", t0, t1, step, nil)

@@ -4,12 +4,13 @@ import "github.com/dcdb/wintermute/internal/sensor"
 
 // Backend is the Storage Backend contract every persistent or in-memory
 // reading store satisfies: ordered per-topic inserts, inclusive
-// time-range and latest-reading queries, topic enumeration and
-// time-based retention. The Query Engine's store fallback, the cache
-// sinks and the Collect Agent all program against this interface, so a
-// component can swap the in-memory Store for the embedded tsdb engine
-// (or, in the production deployment, Cassandra) without touching its
-// consumers.
+// time-range and latest-reading queries, windowed aggregates answered
+// over the backend's own representation, topic enumeration by prefix,
+// time-based retention and a statistics summary. The Query Engine's
+// store fallback, the cache sinks, the REST tier and the Collect Agent
+// all program against this one interface, so a component can swap the
+// in-memory Store for the embedded tsdb engine (or, in the production
+// deployment, Cassandra) without touching its consumers.
 type Backend interface {
 	// Insert appends one reading to the topic's series, placing
 	// out-of-order arrivals at their sorted position.
@@ -33,11 +34,28 @@ type Backend interface {
 	Latest(topic sensor.Topic) (sensor.Reading, bool)
 	// Count returns the number of readings stored for topic.
 	Count(topic sensor.Topic) int
+	// Aggregate reduces the readings of topic with timestamps in
+	// [t0, t1] (inclusive) to an AggResult, without materializing raw
+	// readings for the caller. AggregateNaive defines the semantics.
+	Aggregate(topic sensor.Topic, t0, t1 int64) AggResult
+	// Downsample reduces the readings of topic in [t0, t1] into
+	// consecutive buckets of width step (nanoseconds) aligned to t0,
+	// appending only non-empty buckets to dst in time order. A
+	// non-positive step yields no buckets. DownsampleNaive defines the
+	// semantics.
+	Downsample(topic sensor.Topic, t0, t1, step int64, dst []Bucket) []Bucket
 	// Topics returns all topics with at least one stored reading, sorted.
 	Topics() []sensor.Topic
+	// TopicsPrefix returns the sorted topics at or below prefix that
+	// hold at least one stored reading, from the backend's topic index
+	// in O(matches). An empty prefix (or the root) returns every topic.
+	TopicsPrefix(prefix sensor.Topic) []sensor.Topic
 	// Prune drops all readings strictly older than cutoff (nanoseconds)
 	// and returns the number of readings removed.
 	Prune(cutoff int64) int
+	// Stats reports the backend's storage statistics: one consistent
+	// summary per call.
+	Stats() BackendStats
 }
 
 // Batch is one topic's readings inside a burst: the unit the transport
@@ -73,17 +91,9 @@ type BackendStats struct {
 	Error string `json:"error,omitempty"`
 }
 
-// StatsProvider is implemented by backends that can report storage
-// statistics.
-type StatsProvider interface {
-	Stats() BackendStats
-}
-
 var _ Backend = (*Store)(nil)
-var _ StatsProvider = (*Store)(nil)
-var _ PrefixMatcher = (*Store)(nil)
 
-// Stats implements StatsProvider for the in-memory store.
+// Stats implements Backend for the in-memory store.
 func (s *Store) Stats() BackendStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -1,10 +1,6 @@
 package store
 
-import (
-	"sync"
-
-	"github.com/dcdb/wintermute/internal/telemetry"
-)
+import "github.com/dcdb/wintermute/internal/telemetry"
 
 // DecodeStatsProvider is implemented by backends that count storage
 // chunk decodes (the tsdb engine); the REST slow-query log samples it
@@ -16,17 +12,11 @@ type DecodeStatsProvider interface {
 
 // RegisterBackendMetrics exposes a backend's statistics through the
 // registry as dcdb_storage_* gauges, refreshed by one Stats() call per
-// scrape via a registry updater — so every derived series (and the
-// REST /storage endpoint reading the same registry) reflects a single
-// consistent snapshot. The returned handles must be closed before the
-// backend is; a nil backend, a nil registry or a backend without
-// StatsProvider registers nothing.
+// scrape via a registry updater — so every derived series reflects a
+// single consistent snapshot. The returned handles must be closed before
+// the backend is; a nil backend or a nil registry registers nothing.
 func RegisterBackendMetrics(reg *telemetry.Registry, be Backend) []*telemetry.FuncHandle {
 	if reg == nil || be == nil {
-		return nil
-	}
-	sp, ok := be.(StatsProvider)
-	if !ok {
 		return nil
 	}
 	topics := reg.Gauge("dcdb_storage_topics",
@@ -46,13 +36,8 @@ func RegisterBackendMetrics(reg *telemetry.Registry, be Backend) []*telemetry.Fu
 	degraded := reg.Gauge("dcdb_storage_degraded",
 		"1 when the backend reports an error state, else 0.")
 
-	// The updater also caches the last full BackendStats so the REST
-	// tier can re-serve /storage from the exact numbers /metrics
-	// exposed (see LastBackendStats).
-	cache := &backendStatsCache{}
 	upd := reg.AddUpdater(func() {
-		st := sp.Stats()
-		cache.set(st)
+		st := be.Stats()
 		topics.Set(float64(st.Topics))
 		total.Set(float64(st.TotalReadings))
 		disk.Set(float64(st.DiskBytes))
@@ -66,48 +51,5 @@ func RegisterBackendMetrics(reg *telemetry.Registry, be Backend) []*telemetry.Fu
 			degraded.Set(0)
 		}
 	})
-	registerStatsCache(reg, cache)
 	return []*telemetry.FuncHandle{upd}
-}
-
-// backendStatsCache holds the BackendStats captured by the most recent
-// registry snapshot.
-type backendStatsCache struct {
-	mu sync.Mutex
-	st BackendStats
-	ok bool
-}
-
-func (c *backendStatsCache) set(st BackendStats) {
-	c.mu.Lock()
-	c.st, c.ok = st, true
-	c.mu.Unlock()
-}
-
-func (c *backendStatsCache) get() (BackendStats, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.st, c.ok
-}
-
-// statsCaches maps a registry to its backend stats cache; registries
-// are few (one per process in production, one per test), so a global
-// map keyed by pointer is fine.
-var statsCaches sync.Map // *telemetry.Registry -> *backendStatsCache
-
-func registerStatsCache(reg *telemetry.Registry, c *backendStatsCache) {
-	statsCaches.Store(reg, c)
-}
-
-// LastBackendStats returns the BackendStats captured by the most
-// recent snapshot of reg (a /metrics scrape, Snapshot call or
-// self-monitor pass), and false if no snapshot has run yet or no
-// backend is registered. The REST tier uses it to serve /storage from
-// the same numbers /metrics last exposed.
-func LastBackendStats(reg *telemetry.Registry) (BackendStats, bool) {
-	v, ok := statsCaches.Load(reg)
-	if !ok {
-		return BackendStats{}, false
-	}
-	return v.(*backendStatsCache).get()
 }

@@ -225,7 +225,7 @@ func (s *Store) Prune(cutoff int64) int {
 	return removed
 }
 
-// TopicsPrefix implements PrefixMatcher: the sorted topics at or below
+// TopicsPrefix implements Backend: the sorted topics at or below
 // prefix, answered from the incrementally-maintained prefix index in
 // O(log n + matches).
 func (s *Store) TopicsPrefix(prefix sensor.Topic) []sensor.Topic {

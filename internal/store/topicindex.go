@@ -139,32 +139,3 @@ func prefixBounds(sorted []sensor.Topic, prefix sensor.Topic) (lo, hi int, exact
 	exact = i < lo && sorted[i] == sensor.Topic(p)
 	return lo, hi, exact
 }
-
-// PrefixMatcher is implemented by backends that maintain a topic index
-// and can resolve a prefix in O(matches). The store dispatcher
-// TopicsPrefix uses it when available and falls back to a linear scan
-// over Topics() for foreign backends.
-type PrefixMatcher interface {
-	// TopicsPrefix returns the sorted topics at or below prefix that
-	// hold at least one stored reading. An empty prefix (or the root)
-	// returns every topic.
-	TopicsPrefix(prefix sensor.Topic) []sensor.Topic
-}
-
-// TopicsPrefix resolves the topics of b at or below prefix: through the
-// backend's own index when it implements PrefixMatcher, otherwise by
-// filtering the full (already sorted) Topics listing. Mirrors the
-// Aggregate/Downsample dispatcher pattern: consumers program against
-// the capability, any store.Backend keeps working.
-func TopicsPrefix(b Backend, prefix sensor.Topic) []sensor.Topic {
-	if pm, ok := b.(PrefixMatcher); ok {
-		return pm.TopicsPrefix(prefix)
-	}
-	var out []sensor.Topic
-	for _, t := range b.Topics() {
-		if t.HasPrefix(prefix) {
-			out = append(out, t)
-		}
-	}
-	return out
-}

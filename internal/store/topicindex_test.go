@@ -151,35 +151,22 @@ func TestTopicIndexConcurrency(t *testing.T) {
 	}
 }
 
-// plainBackend hides the Store's PrefixMatcher so the dispatcher's
-// linear-scan fallback is exercised.
-type plainBackend struct{ s *Store }
-
-func (p plainBackend) Insert(topic sensor.Topic, r sensor.Reading) { p.s.Insert(topic, r) }
-func (p plainBackend) InsertBatch(topic sensor.Topic, rs []sensor.Reading) {
-	p.s.InsertBatch(topic, rs)
-}
-func (p plainBackend) InsertBatches(bs []Batch) { p.s.InsertBatches(bs) }
-func (p plainBackend) Range(topic sensor.Topic, t0, t1 int64, dst []sensor.Reading) []sensor.Reading {
-	return p.s.Range(topic, t0, t1, dst)
-}
-func (p plainBackend) Latest(topic sensor.Topic) (sensor.Reading, bool) { return p.s.Latest(topic) }
-func (p plainBackend) Count(topic sensor.Topic) int                     { return p.s.Count(topic) }
-func (p plainBackend) Topics() []sensor.Topic                           { return p.s.Topics() }
-func (p plainBackend) Prune(cutoff int64) int                           { return p.s.Prune(cutoff) }
-
-// TestTopicsPrefixDispatcher checks the capability dispatch: the indexed
-// path and the Topics() fallback must agree.
-func TestTopicsPrefixDispatcher(t *testing.T) {
+// TestStoreTopicsPrefixMatchesScan: the indexed answer is the one a
+// linear HasPrefix scan over the sorted Topics() listing gives.
+func TestStoreTopicsPrefixMatchesScan(t *testing.T) {
 	s := New(0)
 	for _, tp := range []sensor.Topic{"/r1/n0/power", "/r1/n1/power", "/r10/n0/power", "/r2/n0/power"} {
 		s.Insert(tp, sensor.Reading{Value: 1, Time: 1})
 	}
 	for _, prefix := range []sensor.Topic{"", "/r1", "/r10", "/r2/n0/power", "/r9"} {
-		fast := TopicsPrefix(s, prefix)
-		slow := TopicsPrefix(plainBackend{s}, prefix)
-		if !reflect.DeepEqual(fast, slow) {
-			t.Errorf("prefix %q: indexed %v != fallback %v", prefix, fast, slow)
+		var scan []sensor.Topic
+		for _, tp := range s.Topics() {
+			if tp.HasPrefix(prefix) {
+				scan = append(scan, tp)
+			}
+		}
+		if got := s.TopicsPrefix(prefix); len(got)+len(scan) > 0 && !reflect.DeepEqual(got, scan) {
+			t.Errorf("prefix %q: indexed %v != scan %v", prefix, got, scan)
 		}
 	}
 }

@@ -5,20 +5,19 @@ import (
 	"github.com/dcdb/wintermute/internal/store"
 )
 
-// This file implements store.Aggregator for the tsdb engine: windowed
-// aggregates and time-bucketed downsampling evaluated directly over the
-// storage tiers — per-chunk pre-aggregates and streaming chunk decodes
-// for segments, binary-searched streaming passes for the flushing stage
-// and head blocks. Raw readings are never materialized into a slice;
-// a fully-covered v2 chunk is answered from index metadata in O(1).
+// This file implements the aggregation half of store.Backend for the
+// tsdb engine: windowed aggregates and time-bucketed downsampling
+// evaluated directly over the storage tiers — per-chunk pre-aggregates
+// and streaming chunk decodes for segments, binary-searched streaming
+// passes for head blocks. Raw readings are never materialized into a
+// slice; a fully-covered v2 chunk is answered from index metadata in
+// O(1).
 
-var _ store.Aggregator = (*DB)(nil)
-
-// Aggregate implements store.Aggregator. Per segment chunk it merges
+// Aggregate implements store.Backend. Per segment chunk it merges
 // the flush-time pre-aggregates when the window (clamped to the
 // retention watermark) fully covers the chunk, and streams the decoder
-// over boundary chunks; the flushing stage and head block are reduced
-// in one pass each. Like Range, a corrupt chunk is skipped whole, and
+// over boundary chunks; the head block's runs are reduced in one pass
+// each. Like Range, a corrupt chunk is skipped whole, and
 // the epoch-retry loop guarantees a concurrent flush or prune can never
 // make readings invisible (or visible twice) to the accumulator.
 func (db *DB) Aggregate(topic sensor.Topic, t0, t1 int64) store.AggResult {
@@ -39,18 +38,17 @@ func (db *DB) Aggregate(topic sensor.Topic, t0, t1 int64) store.AggResult {
 			}
 			a.Merge(part)
 		}
-		a.Merge(store.AggregateSorted(v.fl, lo, t1))
-		if v.h != nil {
-			a.Merge(v.h.aggregate(lo, t1))
-		}
+		v.sh.mu.RLock()
+		a.Merge(v.sh.heads[topic].aggregate(lo, t1))
+		v.sh.mu.RUnlock()
 		if db.stable(v) {
 			return a
 		}
 	}
 }
 
-// Downsample implements store.Aggregator. Every tier yields its buckets
-// in Start order (chunks, the flushing stage and head blocks are all
+// Downsample implements store.Backend. Every tier yields its buckets
+// in Start order (chunks and a head block's two runs are all
 // time-sorted), so the tiers are combined by pairwise ordered merges —
 // no dense bucket array whose size scales with the window instead of
 // the data. A chunk that the window fully covers and that falls into a
@@ -75,12 +73,12 @@ func (db *DB) Downsample(topic sensor.Topic, t0, t1, step int64, dst []store.Buc
 			}
 			cur, merged = mergeBuckets(cur, tier, merged[:0]), cur
 		}
-		tier = store.DownsampleSorted(v.fl, t0, lo, t1, step, tier[:0])
-		cur, merged = mergeBuckets(cur, tier, merged[:0]), cur
-		if v.h != nil {
-			tier = v.h.downsample(t0, lo, t1, step, tier[:0])
+		v.sh.mu.RLock()
+		for _, run := range v.sh.heads[topic].runs() {
+			tier = store.DownsampleSorted(run, t0, lo, t1, step, tier[:0])
 			cur, merged = mergeBuckets(cur, tier, merged[:0]), cur
 		}
+		v.sh.mu.RUnlock()
 		if db.stable(v) {
 			return append(dst, cur...)
 		}
@@ -166,21 +164,6 @@ func (s *segment) downsample(topic sensor.Topic, t0, lo, t1, step int64, dst []s
 		dst = append(dst, store.Bucket{Start: t0 + k*step, AggResult: a})
 	}
 	return dst, nil
-}
-
-// aggregate reduces the head block's readings within [t0, t1] in one
-// pass under the read lock.
-func (h *head) aggregate(t0, t1 int64) store.AggResult {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return store.AggregateSorted(h.data, t0, t1)
-}
-
-// downsample appends the head block's buckets within [lo, t1] to dst.
-func (h *head) downsample(t0, lo, t1, step int64, dst []store.Bucket) []store.Bucket {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return store.DownsampleSorted(h.data, t0, lo, t1, step, dst)
 }
 
 // mergeBuckets merges two Start-ordered bucket lists into dst,

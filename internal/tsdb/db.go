@@ -27,12 +27,6 @@ type Options struct {
 	// FlushEvery is the janitor pass interval (default 10s; negative
 	// disables the janitor entirely — tests drive Flush/Prune manually).
 	FlushEvery time.Duration
-	// MaxHeadReadings flushes heads to a segment once this many readings
-	// are buffered across all series (default 65536).
-	MaxHeadReadings int
-	// MaxHeadAge flushes heads once the oldest buffered reading's
-	// arrival is this old (default 60s), bounding WAL replay time.
-	MaxHeadAge time.Duration
 	// WALSync fsyncs the write-ahead log on every group commit. Off by
 	// default: an OS crash may then lose the last moments of data, but a
 	// process kill loses nothing, matching the paper's "near-line"
@@ -64,12 +58,6 @@ func (o Options) withDefaults() Options {
 	if o.FlushEvery == 0 {
 		o.FlushEvery = 10 * time.Second
 	}
-	if o.MaxHeadReadings <= 0 {
-		o.MaxHeadReadings = 65536
-	}
-	if o.MaxHeadAge <= 0 {
-		o.MaxHeadAge = 60 * time.Second
-	}
 	if o.FS == nil {
 		o.FS = OSFS
 	}
@@ -82,7 +70,8 @@ func (o Options) withDefaults() Options {
 const headShardCount = 64
 
 // headShard is one stripe of the head map: an independent lock + map so
-// concurrent inserts for different topics never contend.
+// concurrent inserts for different topics never contend. The lock guards
+// the map and every head in it.
 type headShard struct {
 	mu    sync.RWMutex
 	heads map[sensor.Topic]*head
@@ -101,7 +90,7 @@ func headShardIdx(topic sensor.Topic) uint32 {
 // cmd/invlint (see docs/ANALYSIS.md): any function holding a lock may
 // only acquire locks that come later in a chain.
 //
-//lint:lockorder DB.flushMu < DB.ingest < DB.mu < headShard.mu < head.mu
+//lint:lockorder DB.flushMu < DB.ingest < DB.mu < headShard.mu
 //lint:lockorder DB.mu < wal.mu
 //lint:lockorder DB.ingest < wal.mu
 //lint:lockorder DB.ingest < DB.walErrMu
@@ -112,43 +101,40 @@ type DB struct {
 
 	// ingest serialises flushes against the append path: inserts hold it
 	// shared while writing WAL record + head so a flush (exclusive) can
-	// atomically pair "heads drained" with "WAL rotated" — no reading is
-	// ever in a deleted WAL file but missing from both heads and
-	// segments.
+	// atomically pair "heads sealed" with "WAL rotated" — the segment
+	// covers exactly the WAL files it retires, and no reading is ever in
+	// a deleted WAL file but missing from both heads and segments.
 	ingest sync.RWMutex
 
 	// flushMu serialises whole flush and prune cycles against each
-	// other; queries and inserts never take it.
+	// other; queries and inserts never take it. It alone guards segSeq,
+	// and a head's sealed run is non-nil only while Flush holds it.
 	flushMu sync.Mutex
+	segSeq  uint64
 
-	mu     sync.RWMutex // guards segs, segSeq, floor, flushing, epoch
-	segs   []*segment
-	segSeq uint64
-	floor  int64 // retention watermark: readings < floor are pruned
+	mu    sync.RWMutex // guards segs, floor, epoch
+	segs  []*segment
+	floor int64 // retention watermark: readings < floor are pruned
 
 	// shards stripe the head map so the insert hot path touches only its
-	// topic's lock; db.mu is never taken by InsertBatch. Relocation
-	// (flush detach) locks every stripe while holding db.mu exclusively,
-	// so the epoch-retry read protocol still detects data moving tiers.
+	// topic's lock; db.mu is never taken by InsertBatch. The one place
+	// both are held is segment registration, which clears every stripe's
+	// sealed runs while holding db.mu exclusively, so the epoch-retry
+	// read protocol detects the readings moving tiers.
 	shards [headShardCount]headShard
 
-	headN     atomic.Int64 // total readings across heads
+	headN     atomic.Int64 // unsealed readings across heads
+	sealedN   atomic.Int64 // readings the flush in progress is writing
 	headSince atomic.Int64 // unix nanos of the oldest buffered arrival, 0 = empty
 
-	// epoch counts data-relocation events: flush detach/registration,
-	// restore, prune. A query snapshots the epoch with its tier
-	// pointers, reads lock-free, and retries on a mismatch — so a flush
-	// moving readings between heads, the flushing stage and segments can
-	// never make them transiently invisible (or visible twice) to a
-	// concurrent reader. Plain data arrival does not bump the epoch.
+	// epoch counts data-relocation events: segment registration and
+	// prune. A query snapshots the epoch with its segment list, reads
+	// without db.mu, and retries on a mismatch — so a flush moving
+	// readings from heads to a segment can never make them transiently
+	// invisible (or visible twice) to a concurrent reader. Plain data
+	// arrival does not bump the epoch, and neither does sealing or
+	// unsealing: what a head holds for its topic does not change.
 	epoch uint64
-
-	// flushing stages head data detached by an in-progress Flush: the
-	// readings stay query-visible here for the whole segment
-	// compress+write+fsync window, until the segment is registered in
-	// segs (or, on failure, the data is restored into heads). Slices in
-	// the map are sorted and immutable.
-	flushing map[sensor.Topic][]sensor.Reading
 
 	wal *wal
 	// walErr is the first WAL append failure (sticky): once set, the DB
@@ -188,8 +174,6 @@ type DB struct {
 }
 
 var _ store.Backend = (*DB)(nil)
-var _ store.StatsProvider = (*DB)(nil)
-var _ store.PrefixMatcher = (*DB)(nil)
 
 // Open creates or recovers a database in dir. Recovery loads every
 // segment index, discards WAL files already covered by segments (a crash
@@ -280,7 +264,7 @@ func Open(dir string, opts Options) (*DB, error) {
 			if len(rs) == 0 {
 				return
 			}
-			db.headFor(topic).insert(rs)
+			db.insertHead(topic, rs)
 			db.headN.Add(int64(len(rs)))
 		}); err != nil {
 			db.metrics.closeMetrics()
@@ -316,33 +300,20 @@ func Open(dir string, opts Options) (*DB, error) {
 // Dir returns the database directory.
 func (db *DB) Dir() string { return db.dir }
 
-// headFor returns the topic's head block, creating it on first sight.
-// Only the topic's shard lock is taken; creation upgrades internally.
-func (db *DB) headFor(topic sensor.Topic) *head {
+// insertHead places rs in the topic's head, creating it on first sight:
+// lookup-or-create and append under one hold of the shard's lock, so a
+// flush dropping empty heads can never strand an insert in a head the
+// map no longer reaches.
+func (db *DB) insertHead(topic sensor.Topic, rs []sensor.Reading) {
 	sh := &db.shards[headShardIdx(topic)]
-	sh.mu.RLock()
-	h := sh.heads[topic]
-	sh.mu.RUnlock()
-	if h != nil {
-		return h
-	}
 	sh.mu.Lock()
-	if h = sh.heads[topic]; h == nil {
+	h := sh.heads[topic]
+	if h == nil {
 		h = &head{}
 		sh.heads[topic] = h
 	}
+	h.insert(rs)
 	sh.mu.Unlock()
-	return h
-}
-
-// headLookup returns the topic's head block, or nil, without creating
-// one.
-func (db *DB) headLookup(topic sensor.Topic) *head {
-	sh := &db.shards[headShardIdx(topic)]
-	sh.mu.RLock()
-	h := sh.heads[topic]
-	sh.mu.RUnlock()
-	return h
 }
 
 // Insert appends one reading.
@@ -358,7 +329,7 @@ func (db *DB) InsertBatch(topic sensor.Topic, rs []sensor.Reading) {
 
 // InsertBatches logs and buffers a burst of batches: their WAL records
 // go out in one staged group-commit write under one shared ingest lock,
-// then each batch takes its head's lock. Concurrent bursts share a
+// then each batch takes its head shard's lock. Concurrent bursts share a
 // single WAL write (+ fsync) and never touch a common lock beyond the
 // shared ingest read-lock. When the call returns every batch is in its
 // head and, unless the WAL is degraded, in the WAL (fsynced under
@@ -390,7 +361,7 @@ func (db *DB) InsertBatches(bs []store.Batch) {
 		if len(b.Readings) == 0 {
 			continue
 		}
-		db.headFor(b.Topic).insert(b.Readings)
+		db.insertHead(b.Topic, b.Readings)
 		// Index after the data is live: should this Add serialise after a
 		// concurrent prune rebuild, the rebuild's snapshot already saw the
 		// readings, and either ordering leaves the topic indexed.
@@ -445,7 +416,7 @@ func (db *DB) noteFlushError(err error) {
 }
 
 // clearFlushError re-arms after a successful flush — space returned (or
-// the device recovered) and the staged data reached a segment.
+// the device recovered) and the sealed data reached a segment.
 func (db *DB) clearFlushError() {
 	db.walErrMu.Lock()
 	db.flushErr = nil
@@ -500,30 +471,26 @@ func saveFloor(fs FS, dir string, floor int64) {
 }
 
 // tierView is one epoch-stamped snapshot of where a topic's readings
-// live: immutable segments, the immutable flushing stage and the
-// mutable head block.
+// live: the immutable segments and the shard holding its head.
 type tierView struct {
 	epoch uint64
 	floor int64
 	segs  []*segment
-	fl    []sensor.Reading
-	h     *head
+	sh    *headShard
 }
 
 func (db *DB) view(topic sensor.Topic) tierView {
 	db.mu.RLock()
-	v := tierView{
+	defer db.mu.RUnlock()
+	// The head is read after db.mu is released, under the shard lock
+	// alone; if a flush registers its segment between the snapshot and
+	// that read, the epoch check catches it and the read retries.
+	return tierView{
 		epoch: db.epoch,
 		floor: db.floor,
 		segs:  db.segs,
-		fl:    db.flushing[topic],
+		sh:    &db.shards[headShardIdx(topic)],
 	}
-	db.mu.RUnlock()
-	// The head pointer is resolved outside db.mu (shard lock only); if a
-	// flush relocates it between the snapshot above and this lookup, the
-	// epoch check catches it and the read retries.
-	v.h = db.headLookup(topic)
-	return v
 }
 
 // stable reports whether no data relocation happened since the view was
@@ -535,18 +502,9 @@ func (db *DB) stable(v tierView) bool {
 	return ok
 }
 
-// appendSortedRange appends the readings of a sorted slice with
-// timestamps in [t0, t1] to dst.
-func appendSortedRange(rs []sensor.Reading, t0, t1 int64, dst []sensor.Reading) []sensor.Reading {
-	lo := sort.Search(len(rs), func(i int) bool { return rs[i].Time >= t0 })
-	hi := sort.Search(len(rs), func(i int) bool { return rs[i].Time > t1 })
-	return append(dst, rs[lo:hi]...)
-}
-
 // Range implements store.Backend: segments first (oldest flush to
-// newest), then the flushing stage, then the head block. The merged
-// result is re-sorted only when an out-of-order insert straddled a flush
-// boundary.
+// newest), then the head block. The merged result is re-sorted only when
+// an out-of-order insert straddled a flush boundary.
 func (db *DB) Range(topic sensor.Topic, t0, t1 int64, dst []sensor.Reading) []sensor.Reading {
 	if t1 < t0 {
 		return dst
@@ -571,10 +529,9 @@ func (db *DB) Range(topic sensor.Topic, t0, t1 int64, dst []sensor.Reading) []se
 			}
 			out = res
 		}
-		out = appendSortedRange(v.fl, lo, t1, out)
-		if v.h != nil {
-			out = v.h.appendRange(lo, t1, out)
-		}
+		v.sh.mu.RLock()
+		out = v.sh.heads[topic].appendRange(lo, t1, out)
+		v.sh.mu.RUnlock()
 		if !db.stable(v) {
 			dst = out[:base]
 			continue
@@ -603,17 +560,9 @@ func sortedFrom(rs []sensor.Reading, start int) bool {
 func (db *DB) Latest(topic sensor.Topic) (sensor.Reading, bool) {
 	for {
 		v := db.view(topic)
-		var best sensor.Reading
-		found := false
-		if v.h != nil {
-			if r, ok := v.h.latest(v.floor); ok {
-				best, found = r, true
-			}
-		}
-		if n := len(v.fl); n > 0 && v.fl[n-1].Time >= v.floor &&
-			(!found || v.fl[n-1].Time > best.Time) {
-			best, found = v.fl[n-1], true
-		}
+		v.sh.mu.RLock()
+		best, found := v.sh.heads[topic].latest(v.floor)
+		v.sh.mu.RUnlock()
 		for i := len(v.segs) - 1; i >= 0; i-- {
 			ss, ok := v.segs[i].series[topic]
 			if !ok || ss.maxT < v.floor || (found && ss.maxT <= best.Time) {
@@ -641,12 +590,9 @@ func (db *DB) Count(topic sensor.Topic) int {
 				n += c
 			}
 		}
-		n += len(v.fl) - sort.Search(len(v.fl), func(i int) bool {
-			return v.fl[i].Time >= v.floor
-		})
-		if v.h != nil {
-			n += v.h.countFrom(v.floor)
-		}
+		v.sh.mu.RLock()
+		n += v.sh.heads[topic].countFrom(v.floor)
+		v.sh.mu.RUnlock()
 		if db.stable(v) {
 			return n
 		}
@@ -654,17 +600,15 @@ func (db *DB) Count(topic sensor.Topic) int {
 }
 
 // topicSet returns the set of topics with at least one live reading.
-// Heads are striped, so the scan cannot read heads and the flushing
-// stage under one lock anymore; the epoch retry makes the combined
-// snapshot consistent (a flush draining a head into the stage mid-scan
-// bumps the epoch and the scan reruns).
+// Heads are striped, so the scan cannot read them all under one lock;
+// the epoch retry makes the combined snapshot consistent (a flush
+// registering its segment mid-scan bumps the epoch and the scan reruns).
 func (db *DB) topicSet() map[sensor.Topic]bool {
 	for {
 		db.mu.RLock()
 		epoch := db.epoch
 		floor := db.floor
 		segs := db.segs
-		flushing := db.flushing
 		db.mu.RUnlock()
 		var seen map[sensor.Topic]bool
 		for i := range db.shards {
@@ -679,11 +623,6 @@ func (db *DB) topicSet() map[sensor.Topic]bool {
 				}
 			}
 			sh.mu.RUnlock()
-		}
-		for t, rs := range flushing {
-			if !seen[t] && len(rs) > 0 && rs[len(rs)-1].Time >= floor {
-				seen[t] = true
-			}
 		}
 		for _, s := range segs {
 			for t, ss := range s.series {
@@ -709,19 +648,6 @@ func (db *DB) Topics() []sensor.Topic {
 	return out
 }
 
-// collectHeads snapshots every live head block across the shards.
-func (db *DB) collectHeads(dst []*head) []*head {
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		for _, h := range sh.heads {
-			dst = append(dst, h)
-		}
-		sh.mu.RUnlock()
-	}
-	return dst
-}
-
 // TotalReadings returns the number of live readings across all series.
 func (db *DB) TotalReadings() int {
 	for {
@@ -737,16 +663,14 @@ func (db *DB) TotalReadings() int {
 			}
 			n -= s.prunedCount
 		}
-		flushing := db.flushing
 		db.mu.RUnlock()
-		heads := db.collectHeads(nil)
-		for _, rs := range flushing {
-			n += len(rs) - sort.Search(len(rs), func(i int) bool {
-				return rs[i].Time >= floor
-			})
-		}
-		for _, h := range heads {
-			n += h.countFrom(floor)
+		for i := range db.shards {
+			sh := &db.shards[i]
+			sh.mu.RLock()
+			for _, h := range sh.heads {
+				n += h.countFrom(floor)
+			}
+			sh.mu.RUnlock()
 		}
 		if db.stable(tierView{epoch: epoch}) {
 			return n
@@ -754,11 +678,11 @@ func (db *DB) TotalReadings() int {
 	}
 }
 
-// Flush drains every head block into one new immutable segment and
+// Flush writes every head block into one new immutable segment and
 // retires the WAL files the segment now covers. A flush with empty heads
 // only rotates the WAL. Safe to call concurrently with inserts and
-// queries: the detached data stays visible through the flushing stage
-// for the entire segment-write window.
+// queries: the readings stay in their heads, sealed, for the entire
+// segment-write window, and leave them only as the segment is registered.
 func (db *DB) Flush() error {
 	db.flushMu.Lock()
 	defer db.flushMu.Unlock()
@@ -766,72 +690,61 @@ func (db *DB) Flush() error {
 	defer db.metrics.flushSeconds.ObserveSince(flushStart)
 	db.metrics.flushes.Inc()
 	db.ingest.Lock()
-	// Atomically: detach head data into the flushing stage, rotate the
-	// WAL. Inserts resume into fresh heads + the new WAL file while the
-	// segment is written from the stage. The shard locks nest inside
-	// db.mu (the one place both are held), so the detach is invisible to
-	// epoch-checked readers until db.mu is released with the epoch
-	// bumped.
-	db.mu.Lock()
-	data := make(map[sensor.Topic][]sensor.Reading)
+	// Atomically: seal every head's readings in place, rotate the WAL.
+	// Inserts resume into the heads' data runs + the new WAL file while
+	// the segment is written from the sealed runs. What a reader finds
+	// for a topic does not change, so neither db.mu nor the epoch is
+	// involved.
+	sealed := make(map[sensor.Topic][]sensor.Reading)
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.Lock()
 		for t, h := range sh.heads {
-			h.mu.Lock() // a janitor-less Prune may be trimming concurrently
 			if len(h.data) > 0 {
-				data[t] = h.data
-				h.data = nil
+				h.sealed, h.data = h.data, nil
+				sealed[t] = h.sealed
 			}
-			h.mu.Unlock()
 		}
-		sh.heads = make(map[sensor.Topic]*head, len(sh.heads))
 		sh.mu.Unlock()
 	}
-	db.headN.Store(0)
+	db.sealedN.Store(db.headN.Swap(0))
 	db.headSince.Store(0)
-	db.flushing = data
 	segSeq := db.segSeq
 	db.segSeq++
-	db.epoch++
-	db.mu.Unlock()
 	retiredWAL, err := db.wal.rotate()
 	// A degraded WAL re-arms here, before inserts resume: the rotate
 	// produced a fresh untorn file, and everything the old WAL missed is
-	// in the detached stage bound for the segment. Clearing later (after
-	// the segment write) would let inserts racing that window skip the
-	// WAL and then report healthy.
+	// sealed and bound for the segment. Clearing later (after the
+	// segment write) would let inserts racing that window skip the WAL
+	// and then report healthy.
 	var prevWALErr error
 	if err == nil {
 		prevWALErr = db.clearWALError()
 	}
 	db.ingest.Unlock()
 	if err != nil {
-		db.restoreFlushing()
+		db.unseal()
 		ferr := fmt.Errorf("tsdb: rotating WAL: %w", err)
 		db.noteFlushError(ferr)
 		return ferr
 	}
 
 	walDir := filepath.Join(db.dir, "wal")
-	if len(data) == 0 {
+	if len(sealed) == 0 {
 		// Nothing buffered: the retired WAL files hold nothing beyond
 		// what segments already cover.
-		db.mu.Lock()
-		db.flushing = nil
-		db.epoch++
-		db.mu.Unlock()
 		db.removeWALThrough(walDir, retiredWAL)
 		db.clearFlushError()
 		return nil
 	}
-	seg, err := writeSegment(db.fs, filepath.Join(db.dir, "seg"), segSeq, retiredWAL, data)
+	seg, err := writeSegment(db.fs, filepath.Join(db.dir, "seg"), segSeq, retiredWAL, sealed)
 	if err != nil {
-		// Segment write failed: put the data back into heads so memory
-		// still serves it; the retired WAL files stay for recovery. If
-		// the WAL had been degraded, the restored heads contain readings
-		// in no log or segment — stay degraded until a flush succeeds.
-		db.restoreFlushing()
+		// Segment write failed: the heads take their sealed runs back and
+		// memory keeps serving them; the retired WAL files stay for
+		// recovery. If the WAL had been degraded, the heads contain
+		// readings in no log or segment — stay degraded until a flush
+		// succeeds.
+		db.unseal()
 		if prevWALErr != nil {
 			db.noteWALError(prevWALErr)
 		}
@@ -840,14 +753,25 @@ func (db *DB) Flush() error {
 		return ferr
 	}
 	seg.decodes = db.metrics.chunkDecodes
-	flushed := 0
-	for _, rs := range data {
-		flushed += len(rs)
-	}
-	db.metrics.flushedRead.Add(uint64(flushed))
+	db.metrics.flushedRead.Add(uint64(db.sealedN.Load()))
+	// Register the segment and clear the sealed runs it now holds, as one
+	// relocation: the shard locks nest inside db.mu (the one place both
+	// are held), so an epoch-checked reader sees the readings in exactly
+	// one tier. Heads left with nothing leave their maps.
 	db.mu.Lock()
 	db.segs = append(db.segs, seg)
-	db.flushing = nil
+	for i := range db.shards {
+		sh := &db.shards[i]
+		sh.mu.Lock()
+		for t, h := range sh.heads {
+			h.sealed = nil
+			if len(h.data) == 0 {
+				delete(sh.heads, t)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	db.sealedN.Store(0)
 	db.epoch++
 	db.mu.Unlock()
 	db.removeWALThrough(walDir, retiredWAL)
@@ -855,23 +779,23 @@ func (db *DB) Flush() error {
 	return nil
 }
 
-// restoreFlushing moves staged flush data back into the head blocks
-// after a failed flush, so live queries keep answering from memory and
-// the next flush retries.
-func (db *DB) restoreFlushing() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	n := 0
-	for t, rs := range db.flushing {
-		db.headFor(t).insert(rs)
-		n += len(rs)
+// unseal ends a failed flush: every head takes its sealed run back in
+// front of what arrived meanwhile, so the next flush retries with all of
+// it. A topic's readings are the same before and after, shard by shard,
+// so readers are neither blocked on db.mu nor made to retry.
+func (db *DB) unseal() {
+	for i := range db.shards {
+		sh := &db.shards[i]
+		sh.mu.Lock()
+		for _, h := range sh.heads {
+			h.unseal()
+		}
+		sh.mu.Unlock()
 	}
-	db.flushing = nil
-	db.headN.Add(int64(n))
-	if n > 0 {
+	if n := db.sealedN.Swap(0); n > 0 {
+		db.headN.Add(n)
 		db.headSince.CompareAndSwap(0, time.Now().UnixNano())
 	}
-	db.epoch++
 }
 
 // removeWALThrough deletes WAL files with sequence <= maxSeq. Failures
@@ -890,10 +814,9 @@ func (db *DB) removeWALThrough(walDir string, maxSeq uint64) {
 
 // Prune implements store.Backend: it advances the retention watermark,
 // physically trims head blocks, deletes fully-expired segment files and
-// returns the number of readings newly removed. Data in the flushing
-// stage is left for its segment; the watermark hides it. The watermark
-// persists across restarts (meta.json), so expired readings do not
-// resurrect when segments and WAL are reloaded.
+// returns the number of readings newly removed. The watermark persists
+// across restarts (meta.json), so expired readings do not resurrect when
+// segments and WAL are reloaded.
 func (db *DB) Prune(cutoff int64) int {
 	db.flushMu.Lock() // serialise against Flush: segs/head bookkeeping
 	defer db.flushMu.Unlock()
@@ -908,7 +831,6 @@ func (db *DB) Prune(cutoff int64) int {
 	db.floor = cutoff
 	segs := db.segs
 	db.mu.Unlock()
-	heads := db.collectHeads(nil)
 
 	// Chunk decodes (countBelow) run without any db-wide lock: segments
 	// are immutable and flushMu keeps the set stable. Inserts and
@@ -935,8 +857,16 @@ func (db *DB) Prune(cutoff int64) int {
 		kept = append(kept, s)
 	}
 	headDropped := 0
-	for _, h := range heads {
-		headDropped += h.prune(cutoff)
+	for i := range db.shards {
+		sh := &db.shards[i]
+		sh.mu.Lock()
+		for t, h := range sh.heads {
+			headDropped += h.prune(cutoff)
+			if len(h.data) == 0 {
+				delete(sh.heads, t)
+			}
+		}
+		sh.mu.Unlock()
 	}
 	removed += headDropped
 
@@ -984,7 +914,7 @@ func (db *DB) Prune(cutoff int64) int {
 	return removed
 }
 
-// TopicsPrefix implements store.PrefixMatcher: the sorted live topics at
+// TopicsPrefix implements store.Backend: the sorted live topics at
 // or below prefix, answered from the incrementally-maintained prefix
 // index in O(log n + matches). Between retention passes the index may
 // briefly retain a topic whose last readings the watermark already
@@ -993,19 +923,16 @@ func (db *DB) TopicsPrefix(prefix sensor.Topic) []sensor.Topic {
 	return db.idx.Prefix(prefix, nil)
 }
 
-// Stats implements store.StatsProvider.
+// Stats implements store.Backend.
 func (db *DB) Stats() store.BackendStats {
 	db.mu.RLock()
 	segs := db.segs
-	headN := int(db.headN.Load())
-	for _, rs := range db.flushing {
-		headN += len(rs) // staged mid-flush: still memory-resident
-	}
 	db.mu.RUnlock()
 	st := store.BackendStats{
-		Kind:         "tsdb",
-		Segments:     len(segs),
-		HeadReadings: headN,
+		Kind:     "tsdb",
+		Segments: len(segs),
+		// Sealed mid-flush is still memory-resident.
+		HeadReadings: int(db.headN.Load() + db.sealedN.Load()),
 	}
 	if err := db.walError(); err != nil {
 		st.Error = fmt.Sprintf("WAL degraded, recent data not durable: %v", err)

@@ -198,9 +198,8 @@ func TestStats(t *testing.T) {
 func TestJanitorFlushesAndPrunes(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{
-		FlushEvery:      time.Hour, // passes driven manually below
-		MaxHeadReadings: 10,
-		Retention:       time.Minute,
+		FlushEvery: time.Hour, // passes driven manually below
+		Retention:  10 * time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +209,13 @@ func TestJanitorFlushesAndPrunes(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		db.Insert("/x", sensor.Reading{Value: float64(i), Time: now.Add(time.Duration(i-19) * time.Second).UnixNano()})
 	}
+	// Twenty readings are far below the size threshold and a moment old:
+	// a pass now leaves them buffered, a pass maxHeadAge later flushes.
 	db.janitorPass(now)
+	if st := db.Stats(); st.Segments != 0 || st.HeadReadings != 20 {
+		t.Fatalf("after an early janitor pass: %+v", st)
+	}
+	db.janitorPass(now.Add(maxHeadAge + time.Second))
 	st := db.Stats()
 	if st.Segments != 1 || st.HeadReadings != 0 {
 		t.Fatalf("after janitor pass: %+v", st)
@@ -318,9 +323,9 @@ func TestLatestPrefersNewestAcrossTiers(t *testing.T) {
 }
 
 // TestQueriesNeverMissDataDuringFlush hammers Range/Latest/Count while
-// flushes relocate readings between heads, the flushing stage and
-// segments: a query must never observe fewer readings than have been
-// fully inserted, and never duplicates.
+// flushes seal readings in their heads and relocate them to segments: a
+// query must never observe fewer readings than have been fully
+// inserted, and never duplicates.
 func TestQueriesNeverMissDataDuringFlush(t *testing.T) {
 	db := openTest(t, t.TempDir(), Options{})
 	defer db.Close()
@@ -361,5 +366,51 @@ func TestQueriesNeverMissDataDuringFlush(t *testing.T) {
 	}
 	if got := db.Range("/x", 0, total*sec, nil); len(got) != total {
 		t.Fatalf("final Range = %d readings, want %d", len(got), total)
+	}
+}
+
+// headCount returns how many head blocks the shard maps hold.
+func headCount(db *DB) int {
+	n := 0
+	for i := range db.shards {
+		sh := &db.shards[i]
+		sh.mu.RLock()
+		n += len(sh.heads)
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
+// TestEmptyHeadsLeaveShards: a head exists only while it holds readings.
+// A flush drops the heads its segment emptied, a prune the ones it
+// trimmed to nothing — so topic churn cannot grow the shard maps.
+func TestEmptyHeadsLeaveShards(t *testing.T) {
+	db := openTest(t, t.TempDir(), Options{})
+	defer db.Close()
+	for n := 0; n < 200; n++ {
+		db.Insert(sensor.Topic(fmt.Sprintf("/job%03d/power", n)), sensor.Reading{Value: 1, Time: int64(n) * sec})
+	}
+	db.Insert("/busy", sensor.Reading{Value: 1, Time: 0})
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := headCount(db); n != 0 {
+		t.Fatalf("%d heads left after a flush wrote all of them", n)
+	}
+	db.Insert("/busy", sensor.Reading{Value: 2, Time: 300 * sec})
+	db.Insert("/idle", sensor.Reading{Value: 2, Time: 1 * sec})
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	db.Insert("/busy", sensor.Reading{Value: 3, Time: 301 * sec})
+	db.Insert("/idle", sensor.Reading{Value: 3, Time: 2 * sec})
+	if removed := db.Prune(100 * sec); removed != 103 { // 100 jobs, /busy@0, /idle@1s and @2s
+		t.Fatalf("Prune removed %d readings, want 103", removed)
+	}
+	if n := headCount(db); n != 1 {
+		t.Fatalf("%d heads after the prune emptied /idle, want /busy's only", n)
+	}
+	if db.Count("/busy") != 2 || db.Count("/idle") != 0 {
+		t.Fatalf("Count(/busy) = %d, Count(/idle) = %d after flushes and prune", db.Count("/busy"), db.Count("/idle"))
 	}
 }

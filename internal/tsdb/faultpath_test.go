@@ -1,7 +1,7 @@
 // Fault-path tests: a real database on a chaos filesystem, verifying
 // the WAL and segment error contracts the chaos harness relies on —
 // no insert is ever dropped in-process, torn WAL tails recover to a
-// clean prefix, and failed flushes restore their staged data. External
+// clean prefix, and failed flushes leave the heads their data. External
 // test package: internal/chaos imports tsdb, so these live outside the
 // tsdb package proper.
 package tsdb_test
@@ -119,7 +119,7 @@ func TestTornWALRecoversCleanPrefix(t *testing.T) {
 }
 
 // TestSegmentWriteFailureKeepsData: a failed segment write must abort
-// the flush, restore the staged heads (queries keep answering) and
+// the flush, leave the heads their readings (queries keep answering) and
 // retain the retired WAL for recovery; a retried flush succeeds.
 func TestSegmentWriteFailureKeepsData(t *testing.T) {
 	dir := t.TempDir()
@@ -136,7 +136,7 @@ func TestSegmentWriteFailureKeepsData(t *testing.T) {
 	if err := db.Flush(); err == nil {
 		t.Fatal("flush under segment faults succeeded, want error")
 	}
-	expectRange(t, db, topic, next) // restored heads still serve
+	expectRange(t, db, topic, next) // unsealed heads still serve
 
 	fs.Clear(chaos.OpCreate, chaos.ClassSeg)
 	fs.Clear(chaos.OpWrite, chaos.ClassSeg)
@@ -269,16 +269,22 @@ func TestFsyncStallBlocksButCommits(t *testing.T) {
 // nthFaultFS fails the n-th occurrence of one operation on the segment
 // directory's files — a Write or Sync on an open segment file, or a
 // Create, Rename or SyncDir — and counts every occurrence, so a clean
-// run tells how many there are to fail.
+// run tells how many there are to fail. during, when set, runs at every
+// occurrence before its outcome is decided: on the flushing goroutine,
+// in the middle of the segment write.
 type nthFaultFS struct {
 	tsdb.FS
-	op    string
-	n     int // 1-based occurrence to fail; 0 fails nothing
-	count map[string]int
+	op     string
+	n      int // 1-based occurrence to fail; 0 fails nothing
+	count  map[string]int
+	during func(op string)
 }
 
 func (f *nthFaultFS) hit(op string) error {
 	f.count[op]++
+	if f.during != nil {
+		f.during(op)
+	}
 	if op == f.op && f.count[op] == f.n {
 		return chaos.ErrInjected
 	}

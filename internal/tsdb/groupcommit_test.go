@@ -38,7 +38,7 @@ func TestConcurrentWritersFlushRotate(t *testing.T) {
 	stop := make(chan struct{})
 	var aux sync.WaitGroup
 	aux.Add(2)
-	go func() { // flush cycles (detach + rotate + segment write)
+	go func() { // flush cycles (seal + rotate + segment write)
 		defer aux.Done()
 		for {
 			select {
@@ -198,7 +198,7 @@ func TestGroupCommitErrorPropagation(t *testing.T) {
 		t.Fatalf("Count = %d, want 3 (memory-resident)", got)
 	}
 	// The fail-safe rotate cannot sync the broken file, so the flush
-	// fails, data is restored into heads and the DB stays degraded.
+	// fails, the heads keep the data and the DB stays degraded.
 	if err := db.Flush(); err == nil {
 		t.Fatal("Flush over a broken WAL file must fail")
 	}

@@ -57,11 +57,11 @@ func newDBMetrics(reg *telemetry.Registry, db *DB) *dbMetrics {
 		flushes: reg.Counter("dcdb_tsdb_flushes_total",
 			"Head-to-segment flush cycles."),
 		flushFailures: reg.Counter("dcdb_tsdb_flush_failures_total",
-			"Flush cycles that failed (disk full, write errors); staged data restored to heads."),
+			"Flush cycles that failed (disk full, write errors); the heads kept their readings."),
 		walDegrades: reg.Counter("dcdb_tsdb_wal_degrade_episodes_total",
 			"Times the WAL entered degraded (memory-only) mode on a sticky append failure."),
 		flushSeconds: reg.Histogram("dcdb_tsdb_flush_seconds",
-			"Seconds per flush cycle (detach, segment write, WAL retirement).",
+			"Seconds per flush cycle (seal, segment write, WAL retirement).",
 			telemetry.DefDurationBuckets),
 		flushedRead: reg.Counter("dcdb_tsdb_flushed_readings_total",
 			"Readings moved from heads into segments by flushes."),
@@ -80,7 +80,7 @@ func newDBMetrics(reg *telemetry.Registry, db *DB) *dbMetrics {
 	if reg != nil && db != nil {
 		m.handles = append(m.handles,
 			reg.GaugeFunc("dcdb_tsdb_head_readings",
-				"Readings buffered in mutable heads (flushing stage excluded).",
+				"Readings buffered in mutable heads (those a flush in progress has sealed excluded).",
 				func() float64 { return float64(db.headN.Load()) }),
 			reg.GaugeFunc("dcdb_tsdb_segments",
 				"Open immutable segment files.",

@@ -91,7 +91,7 @@ const segWriteBuf = 256 << 10
 // file is streamed: nothing proportional to its size is built in
 // memory. A failure at any step leaves no file behind — neither the
 // .tmp staging twin nor, past the rename, the live segment — so the
-// flush's error path can restore the same readings into heads without
+// flush's error path can unseal the same readings in their heads without
 // the next flush duplicating them.
 func writeSegment(fs FS, dir string, seq, coveredWAL uint64, data map[sensor.Topic][]sensor.Reading) (*segment, error) {
 	topics := make([]sensor.Topic, 0, len(data))
