@@ -182,12 +182,13 @@ func (s *CacheSink) PushBatch(outs []Output) {
 // cacheFor returns the topic's cache, creating it — and registering the
 // sensor in the navigator — on first sight.
 func (s *CacheSink) cacheFor(topic sensor.Topic) *cache.Cache {
+	if c, known := s.Caches.Get(topic); known {
+		return c
+	}
 	if s.Nav != nil {
-		if _, known := s.Caches.Get(topic); !known {
-			// AddSensor is idempotent; registering once per new topic keeps
-			// the sensor tree in sync with the data flowing through.
-			_ = s.Nav.AddSensor(topic)
-		}
+		// AddSensor is idempotent; registering once per new topic keeps
+		// the sensor tree in sync with the data flowing through.
+		_ = s.Nav.AddSensor(topic)
 	}
 	return s.Caches.GetOrCreate(topic, s.Capacity, s.Interval)
 }

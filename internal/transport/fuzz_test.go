@@ -153,20 +153,33 @@ func spoolRecord(dst, payload []byte) []byte {
 // never forge — and opens it under a cap smaller than some records, as
 // a restarted client does: the scan keeps exactly the valid prefix,
 // loading every pending record either succeeds or reports an error, and
-// a second open finds what the first one left.
+// a second open finds what the first one left. Opening allocates the
+// scan's 64 KiB read buffer and bookkeeping, never a length a record
+// header only declares.
 func FuzzDiskSpoolScan(f *testing.F) {
 	two := spoolRecord(nil, EncodePublishV2(fuzzMessage))
 	f.Add(spoolRecord(two, EncodePublishV2(Message{Topic: "/t", Epoch: 1, Seq: 2})))
 	f.Add(append(two[:len(two):len(two)], two[:7]...)) // torn tail
+	// A 12-byte header declaring maxFrameSize and nothing after it: must
+	// not buy 16 MiB.
+	forged := binary.LittleEndian.AppendUint32(nil, spoolMagic)
+	forged = binary.LittleEndian.AppendUint32(forged, maxFrameSize)
+	f.Add(binary.LittleEndian.AppendUint32(forged, 0))
 	path := filepath.Join(f.TempDir(), "pusher.spool") // one file per worker process, rewritten per input
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, file := range [][]byte{data, spoolRecord(nil, data)} {
 			if err := os.WriteFile(path, file, 0o644); err != nil {
 				t.Fatal(err)
 			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			d, err := openDiskSpool(path, 64)
+			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatalf("open: %v", err)
+			}
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(128<<10); got > limit {
+				t.Fatalf("scanning a %d-byte spool allocated %d bytes, limit %d", len(file), got, limit)
 			}
 			pending, size := d.pending, d.size
 			kept, err := os.ReadFile(path)

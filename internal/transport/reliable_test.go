@@ -507,11 +507,13 @@ func TestDiskSpoolScanSurvivesUnboundedRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Also longer than the scan's 64 KiB read buffer, so its checksum is
+	// taken over several reads.
 	big := EncodePublishV2(Message{
-		Topic: "/spool/big", Readings: make([]sensor.Reading, 16), Epoch: 7, Seq: 1,
+		Topic: "/spool/big", Readings: make([]sensor.Reading, 8192), Epoch: 7, Seq: 1,
 	})
-	if int64(len(big)) <= d.max {
-		t.Fatalf("test needs a record above the %d-byte cap, got %d bytes", d.max, len(big))
+	if int64(len(big)) <= max(d.max, 64<<10) {
+		t.Fatalf("test needs a record above the %d-byte cap and the read buffer, got %d bytes", d.max, len(big))
 	}
 	if err := d.append(big); err == nil {
 		t.Fatal("capped append above SpoolMaxBytes must fail")

@@ -451,13 +451,14 @@ func openDiskSpool(path string, max int64) (*diskSpool, error) {
 }
 
 // scan validates the file record by record, counting replayable entries
-// and truncating any torn tail.
+// and truncating any torn tail. A body is checksummed as it passes
+// through the read buffer and kept nowhere, so the scan's memory is that
+// buffer whatever length a header declares.
 func (d *diskSpool) scan() error {
 	br := bufio.NewReaderSize(io.NewSectionReader(d.f, 0, 1<<62), 64<<10)
 	var (
-		off  int64
-		hdr  [12]byte
-		body []byte
+		off int64
+		hdr [12]byte
 	)
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -470,14 +471,17 @@ func (d *diskSpool) scan() error {
 		if int64(n) > maxSpoolRecord {
 			break
 		}
-		if cap(body) < int(n) {
-			body = make([]byte, n)
+		crc, left := uint32(0), int(n)
+		for left > 0 {
+			chunk, _ := br.Peek(min(left, br.Size()))
+			if len(chunk) == 0 {
+				break // torn body
+			}
+			crc = crc32.Update(crc, crc32.IEEETable, chunk)
+			br.Discard(len(chunk))
+			left -= len(chunk)
 		}
-		body = body[:n]
-		if _, err := io.ReadFull(br, body); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(hdr[8:12]) {
+		if left > 0 || crc != binary.LittleEndian.Uint32(hdr[8:12]) {
 			break
 		}
 		off += int64(len(hdr)) + int64(n)

@@ -164,8 +164,12 @@ type DB struct {
 
 	janitorStop chan struct{}
 	janitorDone chan struct{}
-	closeOnce   sync.Once
-	closeErr    error
+	// headFull wakes the janitor between passes: InsertBatches sends,
+	// without blocking, when headN crosses maxHeadReadings. One slot is
+	// enough, the janitor re-reads headN. Nil without a janitor.
+	headFull  chan struct{}
+	closeOnce sync.Once
+	closeErr  error
 
 	// metrics is never nil on an opened DB; without Options.Metrics it
 	// holds unattached metrics so instrumentation sites stay
@@ -292,6 +296,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	if opts.FlushEvery > 0 {
 		db.janitorStop = make(chan struct{})
 		db.janitorDone = make(chan struct{})
+		db.headFull = make(chan struct{}, 1)
 		go db.janitor()
 	}
 	return db, nil
@@ -367,7 +372,16 @@ func (db *DB) InsertBatches(bs []store.Batch) {
 		// readings, and either ordering leaves the topic indexed.
 		db.idx.Add(b.Topic)
 	}
-	db.headN.Add(int64(n))
+	if now := db.headN.Add(int64(n)); now >= maxHeadReadings && now-int64(n) < maxHeadReadings {
+		// This burst took the heads across their bound: have the janitor
+		// flush now rather than at its next pass. Only the crossing sends,
+		// so a flush that fails is retried on the timer, not in a loop;
+		// without a janitor the channel is nil and nothing is sent.
+		select {
+		case db.headFull <- struct{}{}:
+		default:
+		}
+	}
 	if db.headSince.Load() == 0 {
 		db.headSince.CompareAndSwap(0, time.Now().UnixNano())
 	}
@@ -683,13 +697,26 @@ func (db *DB) TotalReadings() int {
 // only rotates the WAL. Safe to call concurrently with inserts and
 // queries: the readings stay in their heads, sealed, for the entire
 // segment-write window, and leave them only as the segment is registered.
+// Ingest is shut out only while the heads are sealed and the WAL handle
+// swapped — memory operations; every file operation (creating the next
+// WAL file, syncing the retired one, the segment write) runs with inserts
+// flowing.
 func (db *DB) Flush() error {
 	db.flushMu.Lock()
 	defer db.flushMu.Unlock()
 	flushStart := telemetry.Clock()
 	defer db.metrics.flushSeconds.ObserveSince(flushStart)
 	db.metrics.flushes.Inc()
+	nextWAL, err := db.wal.openNext()
+	if err != nil {
+		// Nothing is sealed or switched yet: the heads and the active WAL
+		// file are as they were.
+		ferr := fmt.Errorf("tsdb: rotating WAL: %w", err)
+		db.noteFlushError(ferr)
+		return ferr
+	}
 	db.ingest.Lock()
+	held := telemetry.Clock()
 	// Atomically: seal every head's readings in place, rotate the WAL.
 	// Inserts resume into the heads' data runs + the new WAL file while
 	// the segment is written from the sealed runs. What a reader finds
@@ -700,9 +727,8 @@ func (db *DB) Flush() error {
 		sh := &db.shards[i]
 		sh.mu.Lock()
 		for t, h := range sh.heads {
-			if len(h.data) > 0 {
-				h.sealed, h.data = h.data, nil
-				sealed[t] = h.sealed
+			if run := h.seal(); len(run) > 0 {
+				sealed[t] = run
 			}
 		}
 		sh.mu.Unlock()
@@ -711,35 +737,32 @@ func (db *DB) Flush() error {
 	db.headSince.Store(0)
 	segSeq := db.segSeq
 	db.segSeq++
-	retiredWAL, err := db.wal.rotate()
+	retired, retiredWAL := db.wal.rotate(nextWAL)
 	// A degraded WAL re-arms here, before inserts resume: the rotate
 	// produced a fresh untorn file, and everything the old WAL missed is
 	// sealed and bound for the segment. Clearing later (after the
 	// segment write) would let inserts racing that window skip the WAL
 	// and then report healthy.
-	var prevWALErr error
-	if err == nil {
-		prevWALErr = db.clearWALError()
-	}
+	prevWALErr := db.clearWALError()
 	db.ingest.Unlock()
-	if err != nil {
-		db.unseal()
-		ferr := fmt.Errorf("tsdb: rotating WAL: %w", err)
-		db.noteFlushError(ferr)
-		return ferr
-	}
+	db.metrics.flushExclusive.ObserveSince(held)
 
+	// The retired WAL file is made durable before the segment that covers
+	// it is written, and deleted only after that segment is registered.
 	walDir := filepath.Join(db.dir, "wal")
-	if len(sealed) == 0 {
-		// Nothing buffered: the retired WAL files hold nothing beyond
-		// what segments already cover.
-		db.removeWALThrough(walDir, retiredWAL)
-		db.clearFlushError()
-		return nil
-	}
-	seg, err := writeSegment(db.fs, filepath.Join(db.dir, "seg"), segSeq, retiredWAL, sealed)
+	var seg *segment
+	err = retired.Sync()
+	retired.Close() // synced, or the flush fails: a close error changes neither
 	if err != nil {
-		// Segment write failed: the heads take their sealed runs back and
+		err = fmt.Errorf("tsdb: syncing retired WAL: %w", err)
+	} else if len(sealed) > 0 {
+		seg, err = writeSegment(db.fs, filepath.Join(db.dir, "seg"), segSeq, retiredWAL, sealed)
+		if err != nil {
+			err = fmt.Errorf("tsdb: writing segment: %w", err)
+		}
+	}
+	if err != nil {
+		// The flush failed: the heads take their sealed runs back and
 		// memory keeps serving them; the retired WAL files stay for
 		// recovery. If the WAL had been degraded, the heads contain
 		// readings in no log or segment — stay degraded until a flush
@@ -748,32 +771,36 @@ func (db *DB) Flush() error {
 		if prevWALErr != nil {
 			db.noteWALError(prevWALErr)
 		}
-		ferr := fmt.Errorf("tsdb: writing segment: %w", err)
-		db.noteFlushError(ferr)
-		return ferr
+		db.noteFlushError(err)
+		return err
 	}
-	seg.decodes = db.metrics.chunkDecodes
-	db.metrics.flushedRead.Add(uint64(db.sealedN.Load()))
-	// Register the segment and clear the sealed runs it now holds, as one
-	// relocation: the shard locks nest inside db.mu (the one place both
-	// are held), so an epoch-checked reader sees the readings in exactly
-	// one tier. Heads left with nothing leave their maps.
-	db.mu.Lock()
-	db.segs = append(db.segs, seg)
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.Lock()
-		for t, h := range sh.heads {
-			h.sealed = nil
-			if len(h.data) == 0 {
-				delete(sh.heads, t)
+	if seg != nil {
+		seg.decodes = db.metrics.chunkDecodes
+		db.metrics.flushedRead.Add(uint64(db.sealedN.Load()))
+		// Register the segment and release the sealed runs it now holds, as
+		// one relocation: the shard locks nest inside db.mu (the one place
+		// both are held), so an epoch-checked reader sees the readings in
+		// exactly one tier. Heads left with nothing leave their maps, and
+		// their spare arrays go with them.
+		db.mu.Lock()
+		db.segs = append(db.segs, seg)
+		for i := range db.shards {
+			sh := &db.shards[i]
+			sh.mu.Lock()
+			for t, h := range sh.heads {
+				h.release()
+				if len(h.data) == 0 {
+					delete(sh.heads, t)
+				}
 			}
+			sh.mu.Unlock()
 		}
-		sh.mu.Unlock()
+		db.sealedN.Store(0)
+		db.epoch++
+		db.mu.Unlock()
 	}
-	db.sealedN.Store(0)
-	db.epoch++
-	db.mu.Unlock()
+	// With nothing sealed, the retired WAL files hold nothing beyond what
+	// segments already cover.
 	db.removeWALThrough(walDir, retiredWAL)
 	db.clearFlushError()
 	return nil

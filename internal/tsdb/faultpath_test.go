@@ -8,8 +8,12 @@ package tsdb_test
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -434,4 +438,231 @@ func TestSegmentWriterFailsCleanAtEveryStep(t *testing.T) {
 			run(op, n)
 		}
 	}
+}
+
+// walHookFS runs hooks on the write-ahead log's files: open before every
+// OpenFile of one, sync inside every Sync of one (its error fails the
+// Sync), write likewise for Write.
+type walHookFS struct {
+	tsdb.FS
+	open  func()
+	sync  func() error
+	write func() error
+}
+
+func (f *walHookFS) OpenFile(name string, flag int, perm os.FileMode) (tsdb.File, error) {
+	if !strings.HasSuffix(name, ".wal") {
+		return f.FS.OpenFile(name, flag, perm)
+	}
+	if f.open != nil {
+		f.open()
+	}
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &walHookFile{File: file, fs: f}, nil
+}
+
+type walHookFile struct {
+	tsdb.File
+	fs *walHookFS
+}
+
+func (f *walHookFile) Sync() error {
+	if f.fs.sync != nil {
+		if err := f.fs.sync(); err != nil {
+			return err
+		}
+	}
+	return f.File.Sync()
+}
+
+func (f *walHookFile) Write(p []byte) (int, error) {
+	if f.fs.write != nil {
+		if err := f.fs.write(); err != nil {
+			return 0, err
+		}
+	}
+	return f.File.Write(p)
+}
+
+// exclusiveHoldMax returns the upper bound of the highest bucket of
+// dcdb_tsdb_flush_exclusive_seconds that holds an observation, and how
+// many observations there are.
+func exclusiveHoldMax(reg *telemetry.Registry) (le float64, n uint64) {
+	reg.Snapshot(func(s *telemetry.Sample) {
+		if s.Name != "dcdb_tsdb_flush_exclusive_seconds" {
+			return
+		}
+		n = s.Count
+		prev := uint64(0)
+		for _, b := range s.Buckets { // cumulative
+			if b.Count > prev {
+				le = b.Le
+			}
+			prev = b.Count
+		}
+	})
+	return le, n
+}
+
+// TestFlushHoldsIngestForNoIO: a flush does its file operations with
+// ingest admitted. With creating a WAL file and syncing one each taking
+// 300 ms, a Flush takes 600 ms and more — and every insert issued
+// meanwhile returns within 50 ms, as does the flush's exclusive hold of
+// the ingest lock by its own histogram.
+func TestFlushHoldsIngestForNoIO(t *testing.T) {
+	const stall, limit = 300 * time.Millisecond, 50 * time.Millisecond
+	fs := &walHookFS{FS: tsdb.OSFS}
+	reg := telemetry.NewRegistry()
+	db, err := tsdb.Open(t.TempDir(), tsdb.Options{FS: fs, FlushEvery: -1, Metrics: reg})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer db.Close()
+	topic := sensor.Topic("/n01/power")
+	next := fill(db, topic, 0, 1000)
+	fs.open = func() { time.Sleep(stall) }
+	fs.sync = func() error { time.Sleep(stall); return nil }
+
+	var stop atomic.Bool
+	var inserts int
+	var longest time.Duration
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			start := time.Now()
+			next = fill(db, topic, next, 10)
+			longest = max(longest, time.Since(start))
+			inserts++
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	flushStart := time.Now()
+	err = db.Flush()
+	took := time.Since(flushStart)
+	stop.Store(true)
+	<-done
+	fs.open, fs.sync = nil, nil
+	if err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	t.Logf("Flush took %v; %d inserts meanwhile, the longest %v", took, inserts, longest)
+	if took < 2*stall {
+		t.Fatalf("Flush took %v: the stalls (2 × %v) were not in its path", took, stall)
+	}
+	if inserts < 100 {
+		t.Errorf("only %d inserts completed during a %v flush", inserts, took)
+	}
+	if longest >= limit {
+		t.Errorf("an insert took %v during the flush, limit %v", longest, limit)
+	}
+	if le, n := exclusiveHoldMax(reg); n != 1 || le >= limit.Seconds() {
+		t.Errorf("dcdb_tsdb_flush_exclusive_seconds: %d observations, the largest in the bucket up to %vs; want 1 below %v", n, le, limit)
+	}
+	expectRange(t, db, topic, next)
+}
+
+// TestRetiredWALSyncFailure: the retired WAL file is synced after ingest
+// is readmitted, so by the time that sync fails the WAL has already been
+// switched and inserts have gone on. The flush must fail as a failed
+// segment write does: heads unsealed with arrival order intact, retired
+// file kept — so that a crash now recovers everything, or the next flush
+// covers everything and retires both files — and a WAL that was degraded
+// before the flush degraded again.
+func TestRetiredWALSyncFailure(t *testing.T) {
+	topic := sensor.Topic("/n01/power")
+	// failedFlush leaves a database whose last Flush failed at the retired
+	// file's sync, with readings before, during and after it; want is the
+	// series in the order readers must return it.
+	failedFlush := func(t *testing.T, dir string, degradeFirst bool) (db *tsdb.DB, want []sensor.Reading) {
+		fs := &walHookFS{FS: tsdb.OSFS}
+		db, err := tsdb.Open(dir, tsdb.Options{FS: fs, FlushEvery: -1})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		put := func(rs ...sensor.Reading) {
+			db.InsertBatch(topic, rs)
+			want = append(want, rs...)
+		}
+		for i := int64(0); i < 100; i++ {
+			put(sensor.Reading{Time: i, Value: float64(i)})
+		}
+		if degradeFirst {
+			fs.write = func() error { return chaos.ErrInjected }
+			put(sensor.Reading{Time: 100, Value: 100})
+			fs.write = nil
+			if st := db.Stats(); !strings.Contains(st.Error, "WAL degraded") {
+				t.Fatalf("stats after a failed WAL write = %q, want WAL degraded", st.Error)
+			}
+		}
+		put(sensor.Reading{Time: 200, Value: 1})
+		fs.sync = func() error {
+			// Sealed and switched, ingest readmitted: an equal timestamp
+			// arrives after the sealed one, and a reading older than the
+			// sealed tail forces the merge.
+			put(sensor.Reading{Time: 200, Value: 2})
+			put(sensor.Reading{Time: 150, Value: 3})
+			return chaos.ErrInjected
+		}
+		if err := db.Flush(); err == nil {
+			t.Fatal("Flush succeeded with the retired WAL file's sync failing")
+		}
+		fs.sync = nil
+		put(sensor.Reading{Time: 200, Value: 4})
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Time < want[j].Time })
+		return db, want
+	}
+	expect := func(t *testing.T, db *tsdb.DB, when string, want []sensor.Reading) {
+		t.Helper()
+		if got := db.Range(topic, 0, 1000, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Range = %v\nwant %v", when, got, want)
+		}
+	}
+
+	t.Run("retry", func(t *testing.T) {
+		db, want := failedFlush(t, t.TempDir(), false)
+		defer db.Close()
+		expect(t, db, "after the failed flush", want)
+		st := db.Stats()
+		if st.Segments != 0 || st.HeadReadings != len(want) || st.WALFiles != 2 ||
+			!strings.Contains(st.Error, "last flush failed") || strings.Contains(st.Error, "WAL degraded") {
+			t.Fatalf("after the failed flush: %+v; want no segment, every reading in the heads, the retired and the active WAL file, a flush error only", st)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatalf("next flush: %v", err)
+		}
+		if st := db.Stats(); st.Segments != 1 || st.HeadReadings != 0 || st.WALFiles != 1 || st.Error != "" {
+			t.Fatalf("after the next flush: %+v; want one segment, empty heads, only the active WAL file, no error", st)
+		}
+		expect(t, db, "after the next flush", want)
+	})
+	t.Run("crash", func(t *testing.T) {
+		dir := t.TempDir()
+		db, want := failedFlush(t, dir, false)
+		db.Abandon()
+		re, err := tsdb.Open(dir, tsdb.Options{FlushEvery: -1})
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer re.Close()
+		expect(t, re, "recovered from the retired and the active WAL file", want)
+	})
+	t.Run("degraded stays degraded", func(t *testing.T) {
+		db, want := failedFlush(t, t.TempDir(), true)
+		defer db.Close()
+		if st := db.Stats(); !strings.Contains(st.Error, "WAL degraded") || !strings.Contains(st.Error, "last flush failed") {
+			t.Fatalf("stats after the failed flush = %q: the heads hold readings no log has, want WAL degraded and a flush error", st.Error)
+		}
+		expect(t, db, "after the failed flush", want)
+		if err := db.Flush(); err != nil {
+			t.Fatalf("next flush: %v", err)
+		}
+		if st := db.Stats(); st.Error != "" || st.Segments != 1 || st.WALFiles != 1 {
+			t.Fatalf("after the next flush: %+v; want re-armed, one segment, only the active WAL file", st)
+		}
+		expect(t, db, "after the next flush", want)
+	})
 }

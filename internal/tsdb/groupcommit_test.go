@@ -60,10 +60,21 @@ func TestConcurrentWritersFlushRotate(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := db.wal.rotate(); err != nil {
-				t.Errorf("rotate: %v", err)
+			// A rotation outside Flush takes flushMu as Flush does: openNext
+			// and rotate read and advance one sequence number.
+			db.flushMu.Lock()
+			next, err := db.wal.openNext()
+			if err != nil {
+				db.flushMu.Unlock()
+				t.Errorf("openNext: %v", err)
 				return
 			}
+			retired, _ := db.wal.rotate(next)
+			db.flushMu.Unlock()
+			if err := retired.Sync(); err != nil {
+				t.Errorf("syncing the retired file: %v", err)
+			}
+			retired.Close()
 			time.Sleep(time.Millisecond)
 		}
 	}()
@@ -178,8 +189,9 @@ func TestOrderedShutdownDrainsCommitQueue(t *testing.T) {
 // TestGroupCommitErrorPropagation exercises the WAL-level sticky error:
 // once a cohort fails, later appends fail fast without touching the
 // (possibly torn) file, the DB reports degraded, keeps serving from
-// memory, and a failed rotate keeps it degraded (matching the pre-PR
-// fail-safe rotate semantics).
+// memory, and a flush that cannot sync the broken file fails and keeps it
+// degraded. The rotation itself happened, so the broken handle is gone:
+// the next flush covers everything with a segment and re-arms the WAL.
 func TestGroupCommitErrorPropagation(t *testing.T) {
 	db := openTest(t, t.TempDir(), Options{})
 	db.InsertBatch("/x", []sensor.Reading{{Value: 1, Time: 1}})
@@ -197,15 +209,22 @@ func TestGroupCommitErrorPropagation(t *testing.T) {
 	if got := db.Count("/x"); got != 3 {
 		t.Fatalf("Count = %d, want 3 (memory-resident)", got)
 	}
-	// The fail-safe rotate cannot sync the broken file, so the flush
-	// fails, the heads keep the data and the DB stays degraded.
+	// The retired file cannot be synced, so the flush fails, the heads
+	// keep the data and the DB stays degraded.
 	if err := db.Flush(); err == nil {
 		t.Fatal("Flush over a broken WAL file must fail")
 	}
 	if got := db.Count("/x"); got != 3 {
 		t.Fatalf("Count after failed flush = %d, want 3", got)
 	}
-	if err := db.Close(); err == nil {
-		t.Fatal("Close must surface the WAL failure")
+	if db.walError() == nil {
+		t.Fatal("a failed flush re-armed a WAL whose heads hold unlogged readings")
+	}
+	// Close flushes again, over the file the failed flush switched to.
+	if err := db.Close(); err != nil {
+		t.Fatalf("Close after the broken file was rotated away: %v", err)
+	}
+	if st := db.Stats(); st.Segments != 1 || st.HeadReadings != 0 || st.WALFiles != 1 || st.Error != "" {
+		t.Fatalf("after Close: %+v, want one segment, empty heads, one WAL file, no error", st)
 	}
 }

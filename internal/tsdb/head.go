@@ -12,12 +12,42 @@ import (
 // is what an in-progress Flush is writing — set from data when the flush
 // starts, immutable until the flush clears it (segment registered) or
 // merges it back (segment write failed), and nil whenever no flush is
-// running. A head has no lock of its own: it belongs to its shard and
+// running. spare is an empty buffer no run uses: the array of the run
+// the last flush wrote, which the next seal hands to data, so a series
+// with a steady rate alternates between two arrays and insert allocates
+// nothing. A head has no lock of its own: it belongs to its shard and
 // every access happens under headShard.mu. The read methods accept a nil
 // head — a topic the shard's map does not hold — as an empty one.
 type head struct {
 	sealed []sensor.Reading
 	data   []sensor.Reading
+	spare  []sensor.Reading
+}
+
+// spareSlack is how many times the readings of the cycle just flushed a
+// run's array may hold and still be kept as the spare: a series whose
+// rate fell gives its oversized arrays back within two flushes.
+const spareSlack = 4
+
+// seal starts a flush: data becomes the sealed run and the spare takes
+// the inserts. It returns the sealed run, empty when there is nothing to
+// flush (the head is then left as it was).
+func (h *head) seal() []sensor.Reading {
+	if len(h.data) == 0 {
+		return nil
+	}
+	h.sealed, h.data, h.spare = h.data, h.spare[:0], nil
+	return h.sealed
+}
+
+// release ends a successful flush: the sealed run is in a segment, and
+// its array — which the segment writer is done reading — becomes the
+// spare unless the cycle used too little of it.
+func (h *head) release() {
+	if n := len(h.sealed); n > 0 && cap(h.sealed) <= spareSlack*n {
+		h.spare = h.sealed[:0]
+	}
+	h.sealed = nil
 }
 
 // runs returns the two sorted runs, older arrivals first: readers visit
@@ -48,12 +78,17 @@ func (h *head) insert(rs []sensor.Reading) {
 // unseal ends a failed flush: sealed goes back in front of whatever
 // arrived meanwhile, by one linear merge that keeps sealed before data
 // on equal timestamps (arrival order). With nothing newer — or nothing
-// older than the sealed tail — no reading is moved at all.
+// older than the sealed tail — no reading is moved at all. Either way
+// everything ends up in one array, and the one data was using goes back
+// to being the spare.
 func (h *head) unseal() {
 	a, b := h.sealed, h.data
 	h.sealed = nil
+	if len(a) == 0 {
+		return
+	}
+	h.spare = b[:0]
 	switch {
-	case len(a) == 0:
 	case len(b) == 0:
 		h.data = a
 	case a[len(a)-1].Time <= b[0].Time:

@@ -22,6 +22,7 @@ type dbMetrics struct {
 	flushFailures  *telemetry.Counter // flush cycles that returned an error
 	walDegrades    *telemetry.Counter // WAL degrade episodes (first sticky error)
 	flushSeconds   *telemetry.Histogram
+	flushExclusive *telemetry.Histogram // seconds Flush held DB.ingest exclusively
 	flushedRead    *telemetry.Counter
 	pruneSeconds   *telemetry.Histogram
 	prunedReadings *telemetry.Counter
@@ -62,6 +63,9 @@ func newDBMetrics(reg *telemetry.Registry, db *DB) *dbMetrics {
 			"Times the WAL entered degraded (memory-only) mode on a sticky append failure."),
 		flushSeconds: reg.Histogram("dcdb_tsdb_flush_seconds",
 			"Seconds per flush cycle (seal, segment write, WAL retirement).",
+			telemetry.DefDurationBuckets),
+		flushExclusive: reg.Histogram("dcdb_tsdb_flush_exclusive_seconds",
+			"Seconds a flush held the ingest lock exclusively (heads sealed, WAL handle swapped): every insert waits this long.",
 			telemetry.DefDurationBuckets),
 		flushedRead: reg.Counter("dcdb_tsdb_flushed_readings_total",
 			"Readings moved from heads into segments by flushes."),

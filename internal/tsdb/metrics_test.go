@@ -69,6 +69,7 @@ func TestDBMetrics(t *testing.T) {
 		"dcdb_tsdb_wal_cohort_records",
 		"dcdb_tsdb_wal_commit_seconds",
 		"dcdb_tsdb_flush_seconds",
+		"dcdb_tsdb_flush_exclusive_seconds",
 	} {
 		if v, ok := reg.Value(name); !ok || v < 1 {
 			t.Errorf("%s observations = %v (ok=%v), want >= 1", name, v, ok)

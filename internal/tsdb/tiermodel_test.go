@@ -110,7 +110,16 @@ func (m *tierModel) flush(op string, n int) {
 	label := fmt.Sprintf("flush failing %q #%d", op, n)
 	m.fs.op, m.fs.n, m.fs.count = op, n, map[string]int{}
 	m.sealed = len(m.head)
+	var sealedSum uint64
 	m.fs.during = func(at string) {
+		// The sealed runs are the segment writer's input from its first
+		// step, create, to registration, which follows its last, syncdir:
+		// nothing the inserts below do may change them.
+		if sum := m.db.SealedChecksum(); at == "create" {
+			sealedSum = sum
+		} else if sum != sealedSum {
+			m.t.Fatalf("%s, at %s #%d: the sealed runs changed while the segment was being written", label, at, m.fs.count[at])
+		}
 		if at != "write" && at != "rename" {
 			return
 		}

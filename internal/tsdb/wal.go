@@ -104,7 +104,6 @@ type wal struct {
 	err        error      // sticky commit failure; cleared by rotate
 	f          File
 	seq        uint64
-	size       int64
 }
 
 // newWAL starts a fresh WAL file with the given sequence number.
@@ -156,7 +155,6 @@ func (w *wal) Append(bs []store.Batch) error {
 		// already happened outside it). Writers arriving mid-write
 		// queue on the mutex exactly as cohort followers would.
 		n, err := w.f.Write(buf)
-		w.size += int64(n)
 		if err != nil {
 			err = fmt.Errorf("tsdb: wal append: %w", err)
 			w.err = err
@@ -226,7 +224,6 @@ func (w *wal) Append(bs []store.Batch) error {
 			m.walCohort.Observe(float64(cur.n))
 		}
 		w.mu.Lock()
-		w.size += int64(n)
 		if err != nil && w.err == nil {
 			w.err = err
 		}
@@ -254,33 +251,34 @@ func (w *wal) waitDrainedLocked() {
 	}
 }
 
-// rotate starts the next WAL file and retires the active one, returning
-// the retired sequence number. It waits out any in-flight group commit,
-// and is fail-safe: the next file is opened and the old one synced
-// before anything is switched, so on error the old file stays active
-// and appends keep working. A successful rotate also clears the sticky
-// commit error — the fresh file cannot end in a torn record.
-func (w *wal) rotate() (retired uint64, err error) {
+// openNext creates the file the next rotate switches to. It is the half
+// of a rotation that touches the disk before the switch, and holds w.mu
+// only to read the sequence number: appends proceed while the file is
+// created. Rotations are serialised by their caller (DB.flushMu), so the
+// sequence read here is still current when rotate runs.
+func (w *wal) openNext() (File, error) {
+	w.mu.Lock()
+	seq := w.seq + 1
+	w.mu.Unlock()
+	return w.fs.OpenFile(walPath(w.dir, seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+}
+
+// rotate switches appends to next (from openNext) and hands back the
+// retired file and its sequence number. It does no I/O — it waits out
+// any in-flight group commit, swaps the handle and clears the sticky
+// commit error, since the fresh file cannot end in a torn record — so
+// Flush can call it with ingest shut out. The retired file comes back
+// open and unsynced: the caller syncs and closes it once ingest runs
+// again.
+func (w *wal) rotate(next File) (retired File, seq uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.waitDrainedLocked()
-	next := walPath(w.dir, w.seq+1)
-	f, err := w.fs.OpenFile(next, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	if err := w.f.Sync(); err != nil {
-		f.Close()
-		w.fs.Remove(next)
-		return 0, err
-	}
-	w.f.Close() // contents are synced; a close error loses nothing
-	retired = w.seq
+	retired, seq = w.f, w.seq
+	w.f = next
 	w.seq++
-	w.f = f
-	w.size = 0
 	w.err = nil
-	return retired, nil
+	return retired, seq
 }
 
 // Close drains any in-flight group commit, then syncs and closes the
