@@ -220,53 +220,93 @@ func New(cfg Config) (*Agent, error) {
 		// batch of the burst is in the head and, unless the WAL is
 		// degraded, in the WAL (fsynced under StoreWALSync). The burst and
 		// its readings are the connection's decode buffers, valid for the
-		// duration of the call — which is all PushBurst needs. One
+		// duration of the call — which is all PushResolved needs. One
 		// connection is one goroutine, so a publisher's per-topic batch
 		// order is the ingest order; a slow store stalls that connection's
 		// reads (backpressure through TCP), never drops.
-		b.SubscribeLocal("#", func(ms []transport.Message) {
-			bp := burstPool.Get().(*[]store.Batch)
-			batches := a.admitBurst(ms, (*bp)[:0])
-			a.sink.PushBurst(batches)
-			readings := 0
-			for _, bt := range batches {
-				readings += len(bt.Readings)
-				a.metrics.batchSize.Observe(float64(len(bt.Readings)))
-			}
-			a.metrics.batches.Add(uint64(len(batches)))
-			a.metrics.readings.Add(uint64(readings))
-			*bp = batches[:0]
-			burstPool.Put(bp)
-		})
+		b.SubscribeLocal("#", a.ingestBurst)
 	}
 	return a, nil
 }
 
-// burstPool recycles the admitted-batch lists the ingest handler builds,
-// one per burst in flight.
+// series is what the agent hangs off a connection's topic handle
+// (transport.TopicRef) the first time that connection publishes the
+// topic: the sink's resolved Series, which lives as long as the agent,
+// and the dedup mark of the epoch the connection last published under,
+// which admitLocked re-resolves when the epoch changes. Like the handle
+// it belongs to the connection's goroutine.
+type series struct {
+	core.Series
+	mark markRef
+}
+
+// admitted is one burst's admitted batches with, in step, the resolved
+// series of each (nil where the message carried no topic handle).
+type admitted struct {
+	batches []store.Batch
+	series  []*core.Series
+}
+
+// burstPool recycles the admitted lists the ingest handler builds, one
+// per burst in flight.
 var burstPool = sync.Pool{New: func() any {
-	s := make([]store.Batch, 0, 64)
-	return &s
+	return &admitted{batches: make([]store.Batch, 0, 64), series: make([]*core.Series, 0, 64)}
 }}
+
+// ingestBurst is the agent's broker handler: dedup, then the sink, then
+// the counters.
+func (a *Agent) ingestBurst(ms []transport.Message) {
+	ad := burstPool.Get().(*admitted)
+	a.admitBurst(ms, ad)
+	a.sink.PushResolved(ad.batches, ad.series)
+	readings := 0
+	for _, bt := range ad.batches {
+		readings += len(bt.Readings)
+		a.metrics.batchSize.Observe(float64(len(bt.Readings)))
+	}
+	a.metrics.batches.Add(uint64(len(ad.batches)))
+	a.metrics.readings.Add(uint64(readings))
+	ad.batches, ad.series = ad.batches[:0], ad.series[:0]
+	burstPool.Put(ad)
+}
 
 // admitBurst appends to dst the batches of a delivered burst that the
 // dedup high-water marks have not seen, in order, counting the
-// duplicates it turns away. The broker still acknowledges a duplicate:
-// its first delivery was admitted, and has either reached the store or
-// is finishing on the connection that carried it (Broker.Close waits
-// for that one too).
-func (a *Agent) admitBurst(ms []transport.Message, dst []store.Batch) []store.Batch {
+// duplicates it turns away; a message that carries a topic handle is
+// resolved through it — by lookup only the first time the connection
+// sends the topic. The broker still acknowledges a duplicate: its first
+// delivery was admitted, and has either reached the store or is finishing
+// on the connection that carried it (Broker.Close waits for that one
+// too).
+func (a *Agent) admitBurst(ms []transport.Message, dst *admitted) {
 	a.dedup.mu.Lock()
 	for _, m := range ms {
-		if a.dedup.admitLocked(m.Epoch, m.Topic, m.Seq) {
-			dst = append(dst, store.Batch{Topic: m.Topic, Readings: m.Readings})
+		var (
+			sr   *core.Series
+			mark *markRef
+		)
+		if m.Ref != nil {
+			st, _ := m.Ref.State(a).(*series)
+			if st == nil {
+				// First sight: resolving takes the cache set's, the
+				// navigator's and the result cache's locks, and the dedup
+				// lock stays a leaf.
+				a.dedup.mu.Unlock()
+				st = &series{Series: a.sink.Resolve(m.Topic)}
+				m.Ref.Attach(a, st)
+				a.dedup.mu.Lock()
+			}
+			sr, mark = &st.Series, &st.mark
+		}
+		if a.dedup.admitLocked(m.Epoch, m.Topic, m.Seq, mark) {
+			dst.batches = append(dst.batches, store.Batch{Topic: m.Topic, Readings: m.Readings})
+			dst.series = append(dst.series, sr)
 			continue
 		}
 		a.metrics.dupBatches.Inc()
 		a.metrics.dupReadings.Add(uint64(len(m.Readings)))
 	}
 	a.dedup.mu.Unlock()
-	return dst
 }
 
 // Addr returns the broker address, or "" when no broker is running.

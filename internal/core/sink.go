@@ -119,22 +119,58 @@ func (s *CacheSink) PushSeries(topic sensor.Topic, rs []sensor.Reading) {
 	s.PushBurst([]store.Batch{{Topic: topic, Readings: rs}})
 }
 
+// Series is what a CacheSink resolved for one topic: its sensor cache
+// and its result-cache version state — the two per-topic objects a
+// delivered batch touches outside the store. Neither is ever dropped by
+// its owner (cache.Set and resultcache.Cache only ever add), so a Series
+// stays valid for as long as the sink does and an ingest path that sees
+// a topic again and again may resolve it once and keep the pointer.
+type Series struct {
+	cache *cache.Cache
+	ver   *resultcache.TopicVersion
+}
+
+// Resolve returns the topic's Series, creating its cache — and
+// registering the sensor in the navigator — on first sight.
+func (s *CacheSink) Resolve(topic sensor.Topic) Series {
+	return Series{cache: s.cacheFor(topic), ver: s.Results.Version(topic)}
+}
+
 // PushBurst delivers several topics' batches, in order, as one unit —
 // what one read burst off a publisher's connection carries. Every batch
 // lands in its cache, the whole burst reaches the store through one
 // InsertBatches call (one WAL write for a persistent backend), and only
 // then are the result-cache marks published and the batches forwarded.
 // The slices may come from recycled buffers: nothing is retained.
-func (s *CacheSink) PushBurst(bs []store.Batch) {
-	for _, b := range bs {
-		if len(b.Readings) > 0 {
+func (s *CacheSink) PushBurst(bs []store.Batch) { s.PushResolved(bs, nil) }
+
+// PushResolved is PushBurst for a caller that has resolved some or all
+// of the burst's topics already: resolved[i], when non-nil, is this
+// sink's Series for bs[i].Topic and spares the batch its lookups. A nil
+// entry, or a resolved slice shorter than bs, has the topic looked up —
+// operator output, self-monitoring and any publish that arrived without
+// a topic handle take that way through the same body.
+func (s *CacheSink) PushResolved(bs []store.Batch, resolved []*Series) {
+	at := func(i int) *Series {
+		if i < len(resolved) {
+			return resolved[i]
+		}
+		return nil
+	}
+	for i, b := range bs {
+		if len(b.Readings) == 0 {
+			continue
+		}
+		if sr := at(i); sr != nil {
+			sr.cache.StoreBatch(b.Readings)
+		} else {
 			s.cacheFor(b.Topic).StoreBatch(b.Readings)
 		}
 	}
 	if s.Store != nil {
 		s.Store.InsertBatches(bs)
 	}
-	for _, b := range bs {
+	for i, b := range bs {
 		rs := b.Readings
 		if len(rs) == 0 {
 			continue
@@ -149,7 +185,11 @@ func (s *CacheSink) PushBurst(bs []store.Batch) {
 					maxT = r.Time
 				}
 			}
-			s.Results.Note(b.Topic, minT, maxT)
+			if sr := at(i); sr != nil {
+				sr.ver.Note(minT, maxT)
+			} else {
+				s.Results.Note(b.Topic, minT, maxT)
+			}
 		}
 		if s.Forward != nil {
 			forwardSeries(s.Forward, b.Topic, rs)

@@ -103,10 +103,12 @@ type Stamp struct {
 	MinHWM int64
 }
 
-// topicVersion is one topic's write-visibility state. The counters are
-// atomics so Begin reads them without the owning shard's write lock;
-// Note still updates them under mu so ver/ooo/hwm stay a unit.
-type topicVersion struct {
+// TopicVersion is one topic's write-visibility state. The counters are
+// atomics so Begin reads them without the writers' lock; Note still
+// updates them under mu so ver/ooo/hwm stay a unit. A cache never drops
+// a topic's state once created, so the ingest path may resolve it once
+// (Cache.Version) and hold the pointer for as long as the cache lives.
+type TopicVersion struct {
 	mu  sync.Mutex
 	ver atomic.Uint64
 	ooo atomic.Uint64
@@ -116,7 +118,7 @@ type topicVersion struct {
 // verShard is one stripe of the per-topic version registry.
 type verShard struct {
 	mu sync.RWMutex
-	m  map[sensor.Topic]*topicVersion
+	m  map[sensor.Topic]*TopicVersion
 }
 
 // entry is one cached result with its invalidation stamp.
@@ -150,12 +152,9 @@ type Stats struct {
 // Cache is a sharded LRU of memoized query results with write-through
 // invalidation. All methods are safe for concurrent use.
 //
-// The lock hierarchy below is enforced by cmd/invlint: version-registry
-// locks nest around the per-topic state, and the LRU stripe lock is a
-// leaf never held across either (Get revalidates after releasing it).
-//
-//lint:lockorder verShard.mu < topicVersion.mu
-//lint:lockorder topicVersion.mu < lruShard.mu
+// No two of its locks are ever held together: a version-registry stripe
+// is released before the topic state it resolved is touched, and Get
+// revalidates after releasing its LRU stripe.
 type Cache struct {
 	maxPerShard int
 	ttl         time.Duration
@@ -183,7 +182,7 @@ func New(size int, ttl time.Duration) *Cache {
 	per := (size + shardCount - 1) / shardCount
 	c := &Cache{maxPerShard: per, ttl: ttl}
 	for i := range c.vers {
-		c.vers[i].m = make(map[sensor.Topic]*topicVersion)
+		c.vers[i].m = make(map[sensor.Topic]*TopicVersion)
 	}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[Key]*list.Element)
@@ -193,36 +192,44 @@ func New(size int, ttl time.Duration) *Cache {
 }
 
 // Note publishes one ingested batch for topic covering timestamps
-// [minT, maxT]: the write-through invalidation feed. Call it AFTER the
-// readings are visible in the backend, so a reader that observes the
-// new version also observes the data. A batch at or below the topic's
-// previous high-water mark counts as out of order.
+// [minT, maxT]: Version(topic).Note(minT, maxT), for a caller that has
+// not resolved the topic.
 func (c *Cache) Note(topic sensor.Topic, minT, maxT int64) {
+	c.Version(topic).Note(minT, maxT)
+}
+
+// Version returns the topic's write-visibility state, creating it on
+// first sight; nil on a nil cache.
+func (c *Cache) Version(topic sensor.Topic) *TopicVersion {
 	if c == nil {
-		return
+		return nil
 	}
 	vs := &c.vers[topic.Hash()&(shardCount-1)]
 	vs.mu.RLock()
 	tv := vs.m[topic]
-	if tv != nil {
-		tv.note(minT, maxT)
-		vs.mu.RUnlock()
-		return
-	}
 	vs.mu.RUnlock()
+	if tv != nil {
+		return tv
+	}
 	vs.mu.Lock()
+	defer vs.mu.Unlock()
 	if tv = vs.m[topic]; tv == nil {
-		tv = &topicVersion{}
+		tv = &TopicVersion{}
 		tv.hwm.Store(math.MinInt64)
 		vs.m[topic] = tv
 	}
-	tv.note(minT, maxT)
-	vs.mu.Unlock()
+	return tv
 }
 
-// note updates one topic's version state for a batch spanning
-// [minT, maxT].
-func (tv *topicVersion) note(minT, maxT int64) {
+// Note publishes one ingested batch covering timestamps [minT, maxT]:
+// the write-through invalidation feed. Call it AFTER the readings are
+// visible in the backend, so a reader that observes the new version also
+// observes the data. A batch at or below the topic's previous high-water
+// mark counts as out of order. A nil state (no cache) ignores the call.
+func (tv *TopicVersion) Note(minT, maxT int64) {
+	if tv == nil {
+		return
+	}
 	tv.mu.Lock()
 	tv.ver.Add(1)
 	if minT <= tv.hwm.Load() {

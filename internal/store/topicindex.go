@@ -51,9 +51,10 @@ func (ix *TopicIndex) Has(topic sensor.Topic) bool {
 	return ok
 }
 
-// Add indexes a topic, reporting whether it was newly added. Adding an
-// indexed topic is a cheap no-op (one shared-lock map probe), so ingest
-// hot paths may call it per batch.
+// Add indexes a topic, reporting whether it was newly added. Backends
+// call it when they create a series' in-memory state, not per batch;
+// that still re-adds an indexed topic now and then (tsdb drops a head at
+// flush and creates it again), which costs one shared-lock map probe.
 func (ix *TopicIndex) Add(topic sensor.Topic) bool {
 	ix.mu.RLock()
 	_, ok := ix.has[topic]

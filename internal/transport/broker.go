@@ -22,7 +22,9 @@ type Handler func(Message)
 // maxDeliverBurst of them. The slice and every Readings slice in it are
 // owned by the connection and reused for the next burst: they are valid
 // only for the duration of the call, and a handler that hands any of it
-// to another goroutine (or stores it) must copy it first. The broker
+// to another goroutine (or stores it) must copy it first. The topic
+// handles (Message.Ref) are the connection's too: they outlive the call
+// but not the connection, and are for its goroutine only. The broker
 // acknowledges the burst's versioned publishes only after every handler
 // returned.
 type BurstHandler func([]Message)
@@ -52,7 +54,7 @@ type burst struct {
 
 // add decodes one v1 PUBLISH payload onto the burst; versioned marks it
 // as the body of a v2 publish carrying the delivery identity (epoch, seq).
-func (bu *burst) add(body []byte, versioned bool, epoch, seq uint64, intern map[string]sensor.Topic) error {
+func (bu *burst) add(body []byte, versioned bool, epoch, seq uint64, intern map[string]*TopicRef) error {
 	start := len(bu.arena)
 	msg, err := decodePublishInto(body, bu.arena, intern)
 	if err != nil {
@@ -404,15 +406,18 @@ func (b *Broker) serveConn(bc *brokerConn) {
 	}()
 	// Per-connection scratch, reused burst to burst: the buffered reader
 	// whose buffer frames are parsed in, the burst with its decoded
-	// readings, an intern table for this publisher's (few, recurring)
-	// topics and the PubAck encode buffer. The steady-state publish path
-	// allocates nothing outside the pooled outbound copies.
+	// readings, the intern table resolving this publisher's (few,
+	// recurring) topics to their handles — the one string lookup a publish
+	// costs in this package, and the local handlers find what they hung
+	// off the handle without one of their own — and the PubAck encode
+	// buffer. The steady-state publish path allocates nothing outside the
+	// pooled outbound copies.
 	br := bufio.NewReaderSize(bc.conn, 32<<10)
 	var (
 		bu     burst
 		ackBuf []byte
 	)
-	topics := make(map[string]sensor.Topic, 64)
+	topics := make(map[string]*TopicRef, 64)
 	// deliver hands the pending burst to the local handlers and the
 	// subscribers, then sends its one PubAck: strictly after route
 	// returned, so every local handler has run to completion — and the
@@ -476,6 +481,8 @@ func (b *Broker) serveConn(bc *brokerConn) {
 			if derr != nil {
 				b.metrics.dropped.Inc()
 				log.Printf("transport: broker: dropping bad publish: %v", derr)
+			} else if bu.msgs[len(bu.msgs)-1].Ref == nil {
+				b.metrics.uninterned.Inc()
 			}
 			// A frame too large for the read buffer was read out into a
 			// buffer of its own (held == 0): deliver it now and let that go.

@@ -116,7 +116,7 @@ func TestRouteSteadyStateAllocFree(t *testing.T) {
 		EncodePublish(Message{Topic: "/b/n1/power", Readings: []sensor.Reading{{Value: 3, Time: 3}}}),
 	}
 	var bu burst
-	topics := make(map[string]sensor.Topic)
+	topics := make(map[string]*TopicRef)
 	warm := func() {
 		for i, p := range payloads {
 			if err := bu.add(p, true, 7, uint64(i), topics); err != nil {

@@ -63,7 +63,7 @@ func FuzzDecodePublish(f *testing.F) {
 				t.Fatalf("v1: message changed across re-encode (%v)", err)
 			}
 			// The broker's allocation-free variant must agree.
-			m3, err := decodePublishInto(data, make([]sensor.Reading, 0, 4), map[string]sensor.Topic{})
+			m3, err := decodePublishInto(data, make([]sensor.Reading, 0, 4), map[string]*TopicRef{})
 			if err != nil || !sameMessage(m, m3) {
 				t.Fatalf("v1: decodePublishInto disagrees with DecodePublish (%v)", err)
 			}
@@ -79,6 +79,9 @@ func FuzzDecodePublish(f *testing.F) {
 			if m, err := DecodePublish(data[off:]); err == nil {
 				m.Epoch, m.Seq = epoch, seq
 				enc := EncodePublishV2(m)
+				if !bytes.Equal(enc, append(encodePubAck(nil, epoch, seq), refEncodePublish(m)...)) {
+					t.Fatal("v2: not the (epoch, seq) uvarints followed by the reference v1 encoding")
+				}
 				e3, s3, off3, err := decodePublishV2Prefix(enc)
 				if err != nil {
 					t.Fatalf("v2: re-encoded prefix: %v", err)

@@ -21,6 +21,7 @@ type brokerMetrics struct {
 	connsTotal *telemetry.Counter // connections accepted since start
 	acks       *telemetry.Counter // PubAcks sent for v2 publishes
 	slowDrops  *telemetry.Counter // forwards dropped on full outbound queues
+	uninterned *telemetry.Counter // publishes delivered without a topic handle
 
 	handles []*telemetry.FuncHandle
 }
@@ -43,6 +44,8 @@ func newBrokerMetrics(reg *telemetry.Registry, b *Broker) *brokerMetrics {
 			"PubAck frames sent acknowledging versioned publishes."),
 		slowDrops: reg.Counter("dcdb_broker_slow_reader_drops_total",
 			"Subscriber forwards dropped because the connection's outbound queue was full."),
+		uninterned: reg.Counter("dcdb_transport_uninterned_publishes_total",
+			"Publishes whose topic the connection's intern table did not hold (table full, or topic longer than 256 B): delivered and stored, but resolved by lookup at every layer."),
 		bytesIn: reg.Counter("dcdb_broker_bytes_received_total",
 			"Frame payload bytes received from clients."),
 		bytesOut: reg.Counter("dcdb_broker_bytes_forwarded_total",

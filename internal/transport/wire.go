@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 
 	"github.com/dcdb/wintermute/internal/sensor"
@@ -163,33 +164,101 @@ func awaitFrame(br *bufio.Reader) (typ byte, payload []byte, held int, err error
 // are the at-least-once delivery identity carried by v2 PUBLISH frames:
 // Epoch identifies one client incarnation and Seq increases by one per
 // published batch within it. Both are zero for messages that arrived as
-// unversioned (v1) publishes, which receive no ack and no dedup.
+// unversioned (v1) publishes, which receive no ack and no dedup. Ref is
+// the delivering connection's handle for the topic (see TopicRef): set on
+// messages a broker delivers to its local handlers, nil when the topic
+// was not interned and everywhere else.
 type Message struct {
 	Topic    sensor.Topic
 	Readings []sensor.Reading
 	Epoch    uint64
 	Seq      uint64
+	Ref      *TopicRef
 }
 
-// EncodePublish serialises a message into a PUBLISH payload: uvarint topic
+// Bounds of a connection's intern table: how many topics it pins and how
+// long a pinned topic may be. A publisher beyond either still has every
+// publish delivered, with a nil Message.Ref and one string allocation
+// per message.
+const (
+	maxInternTopics   = 4096
+	maxInternTopicLen = 256
+)
+
+// TopicRef is one connection's handle for a topic it publishes: the
+// broker resolves a PUBLISH's topic bytes to it with the one string
+// lookup the message costs in this package, and every later message of
+// that topic on that connection carries the same handle. Local handlers
+// hang what they resolved for the topic off it (Attach) and find it again
+// (State) without a lookup of their own.
+//
+// A handle belongs to its connection's goroutine — the one that decodes
+// the publishes and runs the local handlers — so it needs no lock, must
+// not be handed to another goroutine, and dies with the connection. What
+// is attached must therefore be either state that outlives any
+// connection or state its handler re-validates when it uses it.
+type TopicRef struct {
+	// Topic is the interned topic string.
+	Topic sensor.Topic
+	// attached holds one cell per handler that attached something: a
+	// broker has one or two local handlers, so a scan beats a map.
+	attached []refState
+}
+
+type refState struct{ owner, state any }
+
+// State returns what the handler identified by owner attached to the
+// handle, nil if nothing yet.
+func (r *TopicRef) State(owner any) any {
+	for i := range r.attached {
+		if r.attached[i].owner == owner {
+			return r.attached[i].state
+		}
+	}
+	return nil
+}
+
+// Attach hangs state off the handle under owner, a comparable value that
+// identifies the attaching handler (a pointer to its own state, say), so
+// that handlers sharing a broker cannot touch each other's cells. A
+// second Attach under one owner replaces the first.
+func (r *TopicRef) Attach(owner, state any) {
+	for i := range r.attached {
+		if r.attached[i].owner == owner {
+			r.attached[i].state = state
+			return
+		}
+	}
+	r.attached = append(r.attached, refState{owner, state})
+}
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// publishSize is the length of m's v1 PUBLISH payload.
+func publishSize(m Message) int {
+	return uvarintLen(uint64(len(m.Topic))) + len(m.Topic) +
+		uvarintLen(uint64(len(m.Readings))) + 16*len(m.Readings)
+}
+
+// appendPublish appends m's v1 PUBLISH payload to buf: uvarint topic
 // length, topic bytes, uvarint reading count, then (value, time) pairs as
 // fixed 16-byte records.
-func EncodePublish(m Message) []byte {
-	topic := []byte(m.Topic)
-	buf := make([]byte, 0, len(topic)+10+16*len(m.Readings))
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(topic)))
-	buf = append(buf, tmp[:n]...)
-	buf = append(buf, topic...)
-	n = binary.PutUvarint(tmp[:], uint64(len(m.Readings)))
-	buf = append(buf, tmp[:n]...)
-	var rec [16]byte
+func appendPublish(buf []byte, m Message) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(m.Topic)))
+	buf = append(buf, m.Topic...)
+	buf = binary.AppendUvarint(buf, uint64(len(m.Readings)))
 	for _, r := range m.Readings {
-		binary.BigEndian.PutUint64(rec[0:8], math.Float64bits(r.Value))
-		binary.BigEndian.PutUint64(rec[8:16], uint64(r.Time))
-		buf = append(buf, rec[:]...)
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(r.Value))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Time))
 	}
 	return buf
+}
+
+// EncodePublish serialises a message into a PUBLISH payload (see
+// appendPublish for the layout).
+func EncodePublish(m Message) []byte {
+	return appendPublish(make([]byte, 0, publishSize(m)), m)
 }
 
 // DecodePublish parses a PUBLISH payload into freshly-allocated storage
@@ -203,8 +272,9 @@ func DecodePublish(payload []byte) (Message, error) {
 // table when one is given — so a connection's steady-state decode
 // allocates nothing once its topics and batch size have been seen. The
 // intern table is bounded: a publisher cycling through unbounded topics
-// degrades to one string allocation per message, not unbounded memory.
-func decodePublishInto(payload []byte, rs []sensor.Reading, intern map[string]sensor.Topic) (Message, error) {
+// degrades to one string allocation per message and a nil Ref, not
+// unbounded memory.
+func decodePublishInto(payload []byte, rs []sensor.Reading, intern map[string]*TopicRef) (Message, error) {
 	var m Message
 	tl, n := binary.Uvarint(payload)
 	if n <= 0 || uint64(len(payload)-n) < tl {
@@ -227,12 +297,13 @@ func decodePublishInto(payload []byte, rs []sensor.Reading, intern map[string]se
 	// only short topics are pinned in the table — a hostile publisher
 	// can neither poison the intern table with malformed frames nor grow
 	// it by megabytes per entry.
-	if t, ok := intern[string(rawTopic)]; ok {
-		m.Topic = t
+	if ref, ok := intern[string(rawTopic)]; ok {
+		m.Topic, m.Ref = ref.Topic, ref
 	} else {
 		m.Topic = sensor.Topic(rawTopic)
-		if intern != nil && len(rawTopic) <= 256 && len(intern) < 4096 {
-			intern[string(m.Topic)] = m.Topic
+		if intern != nil && len(rawTopic) <= maxInternTopicLen && len(intern) < maxInternTopics {
+			m.Ref = &TopicRef{Topic: m.Topic}
+			intern[string(m.Topic)] = m.Ref
 		}
 	}
 	for i := uint64(0); i < cnt; i++ {
@@ -251,13 +322,10 @@ func decodePublishInto(payload []byte, rs []sensor.Reading, intern map[string]se
 // The layout lets the broker forward a v2 publish to unversioned
 // subscribers by re-slicing past the prefix — no re-encoding.
 func EncodePublishV2(m Message) []byte {
-	var tmp [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], m.Epoch)
-	n += binary.PutUvarint(tmp[n:], m.Seq)
-	v1 := EncodePublish(m)
-	buf := make([]byte, 0, n+len(v1))
-	buf = append(buf, tmp[:n]...)
-	return append(buf, v1...)
+	buf := make([]byte, 0, uvarintLen(m.Epoch)+uvarintLen(m.Seq)+publishSize(m))
+	buf = binary.AppendUvarint(buf, m.Epoch)
+	buf = binary.AppendUvarint(buf, m.Seq)
+	return appendPublish(buf, m)
 }
 
 // decodePublishV2Prefix parses the (epoch, seq) prefix of a v2 PUBLISH

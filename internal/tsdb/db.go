@@ -153,7 +153,7 @@ type DB struct {
 
 	// idx is the sorted prefix table over live topics answering wildcard
 	// expansion in O(matches): built from the recovered topic set at
-	// Open, extended by InsertBatch on first sight of a topic, and
+	// Open, extended by InsertBatches when it creates a topic's head, and
 	// reconciled by Prune (ResetWith) so retention leaves no ghosts.
 	// Its mutex slots between DB.ingest and DB.mu in the cross-package
 	// lock order (inserts hold ingest when adding; the prune rebuild's
@@ -305,20 +305,22 @@ func Open(dir string, opts Options) (*DB, error) {
 // Dir returns the database directory.
 func (db *DB) Dir() string { return db.dir }
 
-// insertHead places rs in the topic's head, creating it on first sight:
-// lookup-or-create and append under one hold of the shard's lock, so a
-// flush dropping empty heads can never strand an insert in a head the
-// map no longer reaches.
-func (db *DB) insertHead(topic sensor.Topic, rs []sensor.Reading) {
+// insertHead places rs in the topic's head, creating it on first sight —
+// which it reports: lookup-or-create and append under one hold of the
+// shard's lock, so a flush dropping empty heads can never strand an
+// insert in a head the map no longer reaches.
+func (db *DB) insertHead(topic sensor.Topic, rs []sensor.Reading) (created bool) {
 	sh := &db.shards[headShardIdx(topic)]
 	sh.mu.Lock()
 	h := sh.heads[topic]
-	if h == nil {
+	created = h == nil
+	if created {
 		h = &head{}
 		sh.heads[topic] = h
 	}
 	h.insert(rs)
 	sh.mu.Unlock()
+	return created
 }
 
 // Insert appends one reading.
@@ -366,11 +368,17 @@ func (db *DB) InsertBatches(bs []store.Batch) {
 		if len(b.Readings) == 0 {
 			continue
 		}
-		db.insertHead(b.Topic, b.Readings)
-		// Index after the data is live: should this Add serialise after a
-		// concurrent prune rebuild, the rebuild's snapshot already saw the
-		// readings, and either ordering leaves the topic indexed.
-		db.idx.Add(b.Topic)
+		if db.insertHead(b.Topic, b.Readings) {
+			// A topic is indexed when its head is created, not per batch: a
+			// head in its map means its topic is indexed (or about to be,
+			// here). A flush that drops an empty head leaves the topic
+			// indexed, for its segment; a prune that drops one may unlist
+			// it, and the insert that revives it comes through here. Index
+			// after the data is live: should this Add serialise after a
+			// concurrent prune rebuild, the rebuild's snapshot already saw
+			// the head, and either ordering leaves the topic indexed.
+			db.idx.Add(b.Topic)
+		}
 	}
 	if now := db.headN.Add(int64(n)); now >= maxHeadReadings && now-int64(n) < maxHeadReadings {
 		// This burst took the heads across their bound: have the janitor
@@ -613,11 +621,13 @@ func (db *DB) Count(topic sensor.Topic) int {
 	}
 }
 
-// topicSet returns the set of topics with at least one live reading.
-// Heads are striped, so the scan cannot read them all under one lock;
-// the epoch retry makes the combined snapshot consistent (a flush
-// registering its segment mid-scan bumps the epoch and the scan reruns).
-func (db *DB) topicSet() map[sensor.Topic]bool {
+// topicSet returns the set of topics with at least one live reading —
+// and, with anyHead, those whose head holds only readings the retention
+// floor hides (see indexTopics). Heads are striped, so the scan cannot
+// read them all under one lock; the epoch retry makes the combined
+// snapshot consistent (a flush registering its segment mid-scan bumps the
+// epoch and the scan reruns).
+func (db *DB) topicSet(anyHead bool) map[sensor.Topic]bool {
 	for {
 		db.mu.RLock()
 		epoch := db.epoch
@@ -632,7 +642,7 @@ func (db *DB) topicSet() map[sensor.Topic]bool {
 				seen = make(map[sensor.Topic]bool, (len(sh.heads)+1)*headShardCount)
 			}
 			for t, h := range sh.heads {
-				if h.countFrom(floor) > 0 {
+				if anyHead || h.countFrom(floor) > 0 {
 					seen[t] = true
 				}
 			}
@@ -652,8 +662,17 @@ func (db *DB) topicSet() map[sensor.Topic]bool {
 }
 
 // Topics implements store.Backend.
-func (db *DB) Topics() []sensor.Topic {
-	seen := db.topicSet()
+func (db *DB) Topics() []sensor.Topic { return sortedTopics(db.topicSet(false)) }
+
+// indexTopics is what Prune rebuilds the prefix index from: the live
+// topics plus every topic that has a head at all. InsertBatches indexes a
+// topic only when it creates the head, so a head the rebuild unlisted —
+// one holding nothing but readings older than the floor, inserted as the
+// prune ran — would stay unlisted when live readings joined it. Such a
+// topic is listed until the next prune trims its head away instead.
+func (db *DB) indexTopics() []sensor.Topic { return sortedTopics(db.topicSet(true)) }
+
+func sortedTopics(seen map[sensor.Topic]bool) []sensor.Topic {
 	out := make([]sensor.Topic, 0, len(seen))
 	for t := range seen {
 		out = append(out, t)
@@ -930,7 +949,7 @@ func (db *DB) Prune(cutoff int64) int {
 		// snapshot runs under the index lock: an insert reviving a topic
 		// either lands before the snapshot (and is seen) or re-adds
 		// itself right after — never lost, never a ghost.
-		db.idx.ResetWith(db.Topics)
+		db.idx.ResetWith(db.indexTopics)
 		if db.opts.OnPrune != nil {
 			db.opts.OnPrune(cutoff, removed)
 		}
@@ -970,7 +989,7 @@ func (db *DB) Stats() store.BackendStats {
 		}
 		st.Error += fmt.Sprintf("last flush failed, head data retained in memory: %v", err)
 	}
-	st.Topics = len(db.topicSet())
+	st.Topics = len(db.topicSet(false))
 	st.TotalReadings = db.TotalReadings()
 	for _, s := range segs {
 		st.DiskBytes += s.size

@@ -1,7 +1,10 @@
 package tsdb
 
 import (
+	"os"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -96,5 +99,103 @@ func TestTopicsPrefixPruneGhosts(t *testing.T) {
 	db.Insert("/old/x", sensor.Reading{Value: 2, Time: 2 * int64(time.Hour)})
 	if got := db.TopicsPrefix("/old"); !reflect.DeepEqual(got, []sensor.Topic{"/old/x"}) {
 		t.Fatalf("re-insert did not re-index: %v", got)
+	}
+}
+
+// hasHead reports whether the topic's head is in its shard's map.
+func (db *DB) hasHead(topic sensor.Topic) bool {
+	sh := &db.shards[headShardIdx(topic)]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.heads[topic] != nil
+}
+
+// metaWriteFS runs a hook as Prune persists the floor: after it trimmed
+// and dropped the heads, before it rebuilds the prefix index.
+type metaWriteFS struct {
+	FS
+	hook func()
+}
+
+func (f *metaWriteFS) WriteFile(name string, data []byte, perm os.FileMode) error {
+	if f.hook != nil && strings.HasSuffix(name, "meta.json.tmp") {
+		f.hook()
+	}
+	return f.FS.WriteFile(name, data, perm)
+}
+
+// TestTopicListedAcrossHeadDrops: a topic is indexed when its head is
+// created, not per batch, so it has to stay listed by TopicsPrefix
+// through everything that takes the head out of its map — a flush that
+// finds it empty afterwards, a prune that empties it — and come back
+// with the insert that revives it, also when that insert races the
+// prune's index rebuild (run under -race in chaos-smoke).
+func TestTopicListedAcrossHeadDrops(t *testing.T) {
+	const topic = sensor.Topic("/idx/t")
+	fs := &metaWriteFS{FS: OSFS}
+	db := openTest(t, t.TempDir(), Options{FS: fs})
+	defer db.Close()
+	listed := func() bool { return len(db.TopicsPrefix("/idx")) == 1 }
+
+	db.Insert(topic, sensor.Reading{Value: 1, Time: 1 * sec})
+	db.Insert(topic, sensor.Reading{Value: 2, Time: 2 * sec}) // head exists: not indexed again
+	if !listed() {
+		t.Fatal("not listed after its first inserts")
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if db.hasHead(topic) || !listed() {
+		t.Fatalf("after a flush: head kept %v, listed %v; want dropped and listed", db.hasHead(topic), listed())
+	}
+	db.Insert(topic, sensor.Reading{Value: 3, Time: 3 * sec}) // head created again
+	if !db.hasHead(topic) || !listed() {
+		t.Fatal("not listed after the insert that re-created its head")
+	}
+	if n := db.Prune(10 * sec); n != 3 {
+		t.Fatalf("pruned %d readings, want 3", n)
+	}
+	if db.hasHead(topic) || listed() {
+		t.Fatalf("after a prune that emptied it: head kept %v, listed %v; want neither", db.hasHead(topic), listed())
+	}
+	db.Insert(topic, sensor.Reading{Value: 4, Time: 11 * sec})
+	if !listed() {
+		t.Fatal("not listed after the insert that revived it")
+	}
+
+	// A prune that drops the head races the insert that revives it:
+	// whichever way the index rebuild and the insert's Add interleave,
+	// the topic holds a live reading afterwards and must be listed.
+	at := 11 * sec
+	for i := 0; i < 200; i++ {
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); db.Prune(at + 1) }()
+		go func() { defer wg.Done(); db.Insert(topic, sensor.Reading{Value: 5, Time: at + 2}) }()
+		wg.Wait()
+		at += 2
+		if db.Count(topic) != 1 || !listed() {
+			t.Fatalf("round %d: %d live readings, listed %v", i, db.Count(topic), listed())
+		}
+	}
+
+	// Readings older than the floor arrive between the prune's head pass
+	// and its rebuild: their head holds nothing live, yet it must keep
+	// its topic listed, or the live readings that join it — finding the
+	// head there, they do not index — would be stored and not listed.
+	fs.hook = func() { db.Insert(topic, sensor.Reading{Value: 6, Time: at}) }
+	db.Prune(at + 3)
+	fs.hook = nil
+	if !db.hasHead(topic) || db.Count(topic) != 0 {
+		t.Fatalf("the late insert: head %v, %d live readings; want a head with none", db.hasHead(topic), db.Count(topic))
+	}
+	db.Insert(topic, sensor.Reading{Value: 7, Time: at + 4})
+	if db.Count(topic) != 1 || !listed() {
+		t.Fatalf("live reading in a head of expired ones: %d live, listed %v", db.Count(topic), listed())
+	}
+	// The next prune trims the expired readings away and the topic stays.
+	db.Prune(at + 4)
+	if db.Count(topic) != 1 || !listed() {
+		t.Fatalf("after the next prune: %d live, listed %v", db.Count(topic), listed())
 	}
 }
