@@ -82,10 +82,10 @@ fuzz-smoke:
 	@for t in FuzzReplayWAL FuzzChunkIter FuzzOpenSegment; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 3s ./internal/tsdb/ || exit 1; done
 
-# Full chaos run: 1000 simulated pushers, 30s of the nine scheduled
+# Full chaos run: 1000 simulated pushers, 30s of the eight scheduled
 # fault classes (killed connections, stalled fsyncs, failed fsyncs, torn
-# WAL writes, failed segment writes, disk-full, slow readers, OOO floods,
-# clock skew) with the at-least-once spool on, so the verdict requires
+# WAL writes, failed segment writes, disk-full, OOO floods, clock skew)
+# with the at-least-once spool on, so the verdict requires
 # zero lost readings, period. The JSON verdict goes to stdout; the exit
 # status is non-zero on a failed verdict. Pre-merge gate for
 # storage/transport/ingest changes.

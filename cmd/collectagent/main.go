@@ -37,8 +37,6 @@ func main() {
 	log.SetPrefix("collectagent: ")
 	var (
 		mqttAddr   = flag.String("mqtt", "127.0.0.1:1883", "broker listen address")
-		brokerWD   = flag.Duration("broker-write-deadline", 0, "per-frame write deadline for broker connections (0: 10s)")
-		brokerOutQ = flag.Int("broker-out-queue", 0, "per-connection outbound frame queue; slow subscribers drop beyond it (0: 1024)")
 		httpAddr   = flag.String("http", "127.0.0.1:0", "REST API listen address")
 		retention  = flag.Duration("retention", 180*time.Second, "sensor cache retention")
 		storeDir   = flag.String("store-dir", "", "persistent storage backend directory (empty: in-memory store)")
@@ -58,19 +56,17 @@ func main() {
 	flag.Parse()
 
 	agent, err := collect.New(collect.Config{
-		ListenMQTT:          *mqttAddr,
-		BrokerWriteDeadline: *brokerWD,
-		BrokerOutQueue:      *brokerOutQ,
-		CacheRetention:      *retention,
-		StoreDir:            *storeDir,
-		StoreRetention:      *storeRet,
-		StoreWALSync:        *storeSync,
-		StoreMax:            *storeMax,
-		ResultCacheSize:     *rcSize,
-		ResultCacheTTL:      *rcTTL,
-		Threads:             *threads,
-		Metrics:             telemetry.Default,
-		SelfMonitorEvery:    *selfMon,
+		ListenMQTT:       *mqttAddr,
+		CacheRetention:   *retention,
+		StoreDir:         *storeDir,
+		StoreRetention:   *storeRet,
+		StoreWALSync:     *storeSync,
+		StoreMax:         *storeMax,
+		ResultCacheSize:  *rcSize,
+		ResultCacheTTL:   *rcTTL,
+		Threads:          *threads,
+		Metrics:          telemetry.Default,
+		SelfMonitorEvery: *selfMon,
 	})
 	if err != nil {
 		log.Fatal(err)

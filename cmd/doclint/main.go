@@ -8,7 +8,10 @@
 //     against)
 //     document every exported symbol: types, functions, methods on
 //     exported types, and exported const/var specs (a doc comment on
-//     the enclosing const/var block covers the whole block).
+//     the enclosing const/var block covers the whole block), and
+//   - the metric catalog in docs/OBSERVABILITY.md matches the code:
+//     every "dcdb_…" series registered by non-test code under internal/
+//     has a table row there, and every row names a registered series.
 //
 // Findings print as file:line messages; any finding fails the run.
 package main
@@ -22,6 +25,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -54,14 +58,21 @@ func main() {
 	for _, d := range surfaceDirs {
 		surface[filepath.Clean(d)] = true
 	}
+	series := make(map[string]string)
 	for _, dir := range pkgDirs {
-		fs, err := lintDir(dir, surface[filepath.Clean(dir)])
+		fs, err := lintDir(dir, surface[filepath.Clean(dir)], series)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
 			os.Exit(2)
 		}
 		findings = append(findings, fs...)
 	}
+	fs, err := catalogFindings(series)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+		os.Exit(2)
+	}
+	findings = append(findings, fs...)
 	if len(findings) > 0 {
 		sort.Strings(findings)
 		for _, f := range findings {
@@ -97,8 +108,9 @@ func goPackageDirs(root string) ([]string, error) {
 }
 
 // lintDir checks one package directory: the package doc always, the
-// exported surface when surface is set.
-func lintDir(dir string, surface bool) ([]string, error) {
+// exported surface when surface is set. It records every series the
+// package registers in series.
+func lintDir(dir string, surface bool, series map[string]string) ([]string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -117,11 +129,11 @@ func lintDir(dir string, surface bool) ([]string, error) {
 		if !hasDoc {
 			findings = append(findings, fmt.Sprintf("%s: package %s has no package doc comment", dir, name))
 		}
-		if !surface {
-			continue
-		}
 		for path, f := range pkg.Files {
-			findings = append(findings, lintFile(fset, path, f)...)
+			registeredSeries(fset, f, series)
+			if surface {
+				findings = append(findings, lintFile(fset, path, f)...)
+			}
 		}
 	}
 	return findings, nil
@@ -200,4 +212,71 @@ func receiverTypeName(recv *ast.FieldList) string {
 			return ""
 		}
 	}
+}
+
+// catalogPath is the metric catalog the registered series are checked
+// against.
+const catalogPath = "docs/OBSERVABILITY.md"
+
+// registerFuncs are the telemetry.Registry methods that register a
+// series under the name given as their first argument.
+var registerFuncs = map[string]bool{
+	"Counter": true, "Gauge": true, "Histogram": true,
+	"CounterFunc": true, "GaugeFunc": true,
+	"NewCounterVec": true, "NewGaugeVec": true, "NewHistogramVec": true,
+}
+
+// registeredSeries records where f registers each "dcdb_…" series: a
+// registerFuncs call whose first argument is that string literal.
+func registeredSeries(fset *token.FileSet, f *ast.File, series map[string]string) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		lit, isLit := call.Args[0].(*ast.BasicLit)
+		if !ok || !registerFuncs[sel.Sel.Name] || !isLit || lit.Kind != token.STRING {
+			return true
+		}
+		name, err := strconv.Unquote(lit.Value)
+		if _, seen := series[name]; err == nil && !seen && strings.HasPrefix(name, "dcdb_") {
+			series[name] = fset.Position(lit.Pos()).String()
+		}
+		return true
+	})
+}
+
+// catalogFindings checks the registered series against the catalog's
+// table rows — those whose first cell is a backticked "dcdb_…" name,
+// labels in braces ignored: every registered series needs a row, and
+// every row must name a registered series.
+func catalogFindings(series map[string]string) ([]string, error) {
+	raw, err := os.ReadFile(catalogPath)
+	if err != nil {
+		return nil, err
+	}
+	var findings []string
+	rows := make(map[string]bool)
+	for i, line := range strings.Split(string(raw), "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || strings.TrimSpace(cells[0]) != "" {
+			continue
+		}
+		first := strings.TrimSpace(cells[1])
+		if !strings.HasPrefix(first, "`dcdb_") {
+			continue
+		}
+		name, _, _ := strings.Cut(strings.Trim(first, "`"), "{")
+		rows[name] = true
+		if _, ok := series[name]; !ok {
+			findings = append(findings, fmt.Sprintf("%s:%d: catalog row names %s, which nothing registers", catalogPath, i+1, name))
+		}
+	}
+	for name, pos := range series {
+		if !rows[name] {
+			findings = append(findings, fmt.Sprintf("%s: series %s has no row in %s", pos, name, catalogPath))
+		}
+	}
+	return findings, nil
 }

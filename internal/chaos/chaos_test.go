@@ -161,8 +161,7 @@ func TestLedgerClassification(t *testing.T) {
 
 // TestScenarioSmoke is the in-package chaos smoke: a short seeded run
 // across every fault class (conn kill, fsync stall, fsync fail, torn
-// WAL writes, segment failures, disk-full, slow readers, OOO flood,
-// clock skew) with the at-least-once spool on — asserting exact
+// WAL writes, segment failures, disk-full, OOO flood, clock skew) with the at-least-once spool on — asserting exact
 // zero-loss accounting: nothing lost, nothing duplicated, nothing
 // corrupted.
 // `make chaos-smoke` runs it under -race.
@@ -185,10 +184,10 @@ func TestScenarioSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("scenario: %v", err)
 	}
-	t.Logf("verdict: sent=%d delivered=%d stored=%d dropped=%d reconnects=%d redeliveries=%d dups=%d slowdrops=%d rps=%.0f p99=%.1fms injected=%v killed=%d",
+	t.Logf("verdict: sent=%d delivered=%d stored=%d dropped=%d reconnects=%d redeliveries=%d dups=%d rps=%.0f p99=%.1fms injected=%v killed=%d",
 		v.Accounting.Sent, v.Accounting.Delivered, v.Accounting.Stored,
 		v.Accounting.UnackedDropped, v.PusherReconnects, v.PusherRedeliveries,
-		v.DupBatchesDropped, v.SlowReaderDrops,
+		v.DupBatchesDropped,
 		v.ReadingsPerSec, v.QueryP99Ms, v.InjectedFS, v.ConnsKilled)
 	if !v.Pass {
 		t.Fatalf("chaos verdict failed: %v (accounting %+v)", v.Failures, v.Accounting)

@@ -3,7 +3,7 @@
 // broker → collect → tsdb → REST pipeline in one process, injects
 // faults underneath and around it — torn WAL writes, failed and
 // stalling fsyncs, a full disk (ENOSPC), killed pusher connections,
-// subscribers that stop reading, clock skew, out-of-order floods — and
+// clock skew, out-of-order floods — and
 // reconciles every reading sent against what the store reports
 // afterwards. Pushers run with the transport's at-least-once spool by
 // default, and the agent's dedup keeps the store exactly-once, so a

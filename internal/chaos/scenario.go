@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
 	"net/http"
 	"net/url"
@@ -52,10 +51,6 @@ const (
 	// — the storage tier must degrade to memory-only serving and re-arm
 	// when space returns.
 	FaultDiskFull FaultKind = "disk-full"
-	// FaultSlowReader attaches a subscriber that matches every topic
-	// and never reads: its outbound queue fills and the broker must
-	// shed forwards to it without stalling publishers or acks.
-	FaultSlowReader FaultKind = "slow-reader"
 )
 
 // FaultSpec schedules one fault: Kind activates At after scenario start
@@ -171,9 +166,6 @@ type Verdict struct {
 	// DupBatchesDropped is the agent's dedup counter: redelivered
 	// batches turned away before ingest.
 	DupBatchesDropped uint64 `json:"dup_batches_dropped"`
-	// SlowReaderDrops counts broker forwards shed on full outbound
-	// queues (the slow-reader fault's intended effect).
-	SlowReaderDrops uint64 `json:"slow_reader_drops"`
 	// BrokerPubAcks counts publish acknowledgements the broker sent.
 	BrokerPubAcks uint64   `json:"broker_pubacks"`
 	Pass          bool     `json:"pass"`
@@ -190,7 +182,6 @@ func DefaultFaults(d time.Duration) []FaultSpec {
 	frac := func(f float64) time.Duration { return time.Duration(f * float64(d)) }
 	return []FaultSpec{
 		{Kind: FaultFsyncStall, At: frac(0.05), For: frac(0.15), P: 0.5, Stall: 20 * time.Millisecond},
-		{Kind: FaultSlowReader, At: frac(0.10), For: frac(0.35)},
 		{Kind: FaultConnKill, At: frac(0.20), Kill: 2},
 		{Kind: FaultOOOFlood, At: frac(0.25), For: frac(0.25)},
 		{Kind: FaultWALTorn, At: frac(0.30), For: frac(0.15), P: 0.3},
@@ -339,20 +330,12 @@ func (s Scenario) Run() (*Verdict, error) {
 	cfs := NewFS(nil, derive(s.Seed, "fs"))
 	reg := telemetry.NewRegistry()
 	agent, err := collect.New(collect.Config{
-		ListenMQTT:   "127.0.0.1:0",
-		StoreDir:     dir,
-		StoreFS:      cfs,
-		StoreWALSync: true,
-		// A small outbound queue and a short write deadline make the
-		// slow-reader fault bite within a smoke-length run: the stalled
-		// subscriber's queue fills in milliseconds (forwards shed with a
-		// counter) and the deadline tears it down — while publish acks,
-		// which may block but never drop, stay bounded by the same
-		// deadline.
-		BrokerOutQueue:      64,
-		BrokerWriteDeadline: 2 * time.Second,
-		ResultCacheSize:     512,
-		Metrics:             reg,
+		ListenMQTT:      "127.0.0.1:0",
+		StoreDir:        dir,
+		StoreFS:         cfs,
+		StoreWALSync:    true,
+		ResultCacheSize: 512,
+		Metrics:         reg,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: starting agent: %w", err)
@@ -401,9 +384,7 @@ func (s Scenario) Run() (*Verdict, error) {
 		dialDrops    atomic.Uint64
 		persisted    atomic.Uint64
 		replayed     atomic.Uint64
-		slow         slowConns
 	)
-	defer slow.closeAll()
 	spoolRoot := filepath.Join(dir, "spool")
 	pushers := make([]*pusher, 0, s.Pushers)
 	for i := 0; i < s.Pushers; i++ {
@@ -507,7 +488,7 @@ func (s Scenario) Run() (*Verdict, error) {
 		var events []event
 		for _, spec := range s.Faults {
 			spec := spec
-			on, off := s.faultActions(cfs, agent.Broker, agent.DB, &oooActive, &skewActive, &connsKilled, &slow, spec)
+			on, off := s.faultActions(cfs, agent.Broker, agent.DB, &oooActive, &skewActive, &connsKilled, spec)
 			events = append(events, event{at: spec.At, fn: on})
 			if off != nil {
 				events = append(events, event{at: spec.At + spec.For, fn: off})
@@ -593,7 +574,6 @@ func (s Scenario) Run() (*Verdict, error) {
 	})
 	ingested, _ := reg.Value("dcdb_ingest_readings_total")
 	dupBatches, _ := reg.Value("dcdb_ingest_dup_batches_total")
-	slowDrops, _ := reg.Value("dcdb_broker_slow_reader_drops_total")
 	pubAcks, _ := reg.Value("dcdb_broker_pubacks_total")
 	spoolOn := s.SpoolBatches > 0
 
@@ -620,7 +600,6 @@ func (s Scenario) Run() (*Verdict, error) {
 		PusherPersistedBatches: persisted.Load(),
 		PusherReplayedBatches:  replayed.Load(),
 		DupBatchesDropped:      uint64(dupBatches),
-		SlowReaderDrops:        uint64(slowDrops),
 		BrokerPubAcks:          uint64(pubAcks),
 	}
 	v.QueryP50Ms, v.QueryP99Ms = percentiles(lats)
@@ -652,33 +631,9 @@ func (s Scenario) Run() (*Verdict, error) {
 	return v, nil
 }
 
-// slowConns tracks the slow-reader fault's stalled subscriber
-// connections so the run can guarantee their teardown.
-type slowConns struct {
-	mu sync.Mutex
-	cs []io.Closer
-}
-
-func (s *slowConns) add(c io.Closer) {
-	s.mu.Lock()
-	s.cs = append(s.cs, c)
-	s.mu.Unlock()
-}
-
-// closeAll closes every tracked connection; double closes (the fault's
-// own off action already ran) are harmless on net.Conn.
-func (s *slowConns) closeAll() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.cs {
-		_ = c.Close()
-	}
-	s.cs = nil
-}
-
 // faultActions maps one FaultSpec to its activate/deactivate closures.
 func (s Scenario) faultActions(cfs *FS, broker *transport.Broker, db *tsdb.DB,
-	ooo, skew *atomic.Bool, connsKilled *int, slow *slowConns, spec FaultSpec) (on, off func()) {
+	ooo, skew *atomic.Bool, connsKilled *int, spec FaultSpec) (on, off func()) {
 	p := spec.P
 	if p <= 0 {
 		p = 0.5
@@ -744,23 +699,6 @@ func (s Scenario) faultActions(cfs *FS, broker *transport.Broker, db *tsdb.DB,
 				cfs.Clear(OpWrite, ClassWAL)
 				cfs.Clear(OpWrite, ClassSeg)
 				cfs.Clear(OpCreate, ClassSeg)
-			}
-	case FaultSlowReader:
-		// A subscriber that matches everything and never reads: its
-		// bounded outbound queue fills, forwards to it drop with a
-		// counter, and the write deadline eventually tears it down.
-		var conn io.Closer
-		return func() {
-				c, err := transport.NewStalledSubscriber(broker.Addr(), "#")
-				if err != nil {
-					return // broker gone mid-run; nothing to stall
-				}
-				conn = c
-				slow.add(c)
-			}, func() {
-				if conn != nil {
-					_ = conn.Close()
-				}
 			}
 	}
 	return func() {}, nil

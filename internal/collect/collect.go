@@ -53,14 +53,6 @@ type Config struct {
 	// (durability against OS crashes; the fsync is amortized across all
 	// concurrently-ingesting connections).
 	StoreWALSync bool
-	// BrokerWriteDeadline bounds every broker frame write to a client
-	// connection (default 10s): a subscriber that stops reading is torn
-	// down instead of wedging the writer.
-	BrokerWriteDeadline time.Duration
-	// BrokerOutQueue bounds each broker connection's outbound frame
-	// queue (default 1024). Publish acks block on a full queue;
-	// subscriber forwards drop with a counter.
-	BrokerOutQueue int
 	// StoreFS, when set with StoreDir, replaces the storage backend's
 	// filesystem (tsdb.Options.FS). Nil selects the real one; the chaos
 	// harness injects a fault-injecting implementation here.
@@ -198,11 +190,7 @@ func New(cfg Config) (*Agent, error) {
 		a.SelfMon.Start()
 	}
 	if cfg.ListenMQTT != "" {
-		b, err := transport.NewBrokerOpts(cfg.ListenMQTT, transport.BrokerOptions{
-			WriteDeadline: cfg.BrokerWriteDeadline,
-			OutQueue:      cfg.BrokerOutQueue,
-			Metrics:       cfg.Metrics,
-		})
+		b, err := transport.NewBroker(cfg.ListenMQTT, cfg.Metrics)
 		if err != nil {
 			if a.SelfMon != nil {
 				a.SelfMon.Close()

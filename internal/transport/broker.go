@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"encoding/binary"
 	"log"
 	"net"
 	"sync"
@@ -11,10 +12,6 @@ import (
 	"github.com/dcdb/wintermute/internal/sensor"
 	"github.com/dcdb/wintermute/internal/telemetry"
 )
-
-// Handler consumes published messages delivered to a client-side
-// subscription. It receives a private Readings slice and may retain it.
-type Handler func(Message)
 
 // BurstHandler consumes what a broker-side local subscription is
 // delivered: a burst — the matching PUBLISH messages one pass over a
@@ -36,15 +33,21 @@ type BurstHandler func([]Message)
 // kill a perfectly healthy connection.
 const maxDeliverBurst = 64
 
+// Bounds of a connection's reply path: the replies queued for its writer
+// goroutine (the serve loop blocks beyond them), and how long one write
+// may take before the connection is torn down.
+const (
+	ackQueueLen      = 1024
+	ackWriteDeadline = 10 * time.Second
+)
+
 // burst is one connection's decoded, not yet delivered PUBLISH frames.
-// It lives between two blocking reads: bodies alias the connection's
-// read buffer, which stays put until the serve loop next waits on the
-// socket — and the loop delivers the burst before it does.
+// It lives between two blocking reads: the serve loop delivers it before
+// it next waits on the socket.
 type burst struct {
-	msgs   []Message
-	bodies [][]byte         // each message's v1 payload, for subscriber forwards
-	arena  []sensor.Reading // backs every msgs[i].Readings
-	match  []Message        // scratch: the subset a filtered handler is handed
+	msgs  []Message
+	arena []sensor.Reading // backs every msgs[i].Readings
+	match []Message        // scratch: the subset a filtered handler is handed
 
 	// The newest versioned publish in the burst; one PubAck for it
 	// confirms every one before it.
@@ -66,7 +69,6 @@ func (bu *burst) add(body []byte, versioned bool, epoch, seq uint64, intern map[
 	msg.Readings = bu.arena[start:len(bu.arena):len(bu.arena)]
 	msg.Epoch, msg.Seq = epoch, seq
 	bu.msgs = append(bu.msgs, msg)
-	bu.bodies = append(bu.bodies, body)
 	if versioned {
 		bu.acked, bu.epoch, bu.seq = true, epoch, seq
 	}
@@ -75,40 +77,26 @@ func (bu *burst) add(body []byte, versioned bool, epoch, seq uint64, intern map[
 
 // reset empties the burst, keeping its buffers.
 func (bu *burst) reset() {
-	clear(bu.bodies) // an oversize frame's own buffer is garbage from here
-	bu.msgs, bu.bodies, bu.arena, bu.acked = bu.msgs[:0], bu.bodies[:0], bu.arena[:0], false
+	bu.msgs, bu.arena, bu.acked = bu.msgs[:0], bu.arena[:0], false
 }
 
-// outFrame is one frame queued for a connection's writer goroutine; buf
-// is pooled and returns to outBufPool after the write (or the drop).
+// outFrame is one reply queued for a connection's writer goroutine, held
+// by value: every frame the broker sends — CONNACK, PINGRESP, a PubAck's
+// two uvarints — fits in payload, so queueing one allocates nothing and
+// shares nothing with the serve loop.
 type outFrame struct {
-	typ byte
-	buf *[]byte
+	typ     byte
+	n       uint8
+	payload [2 * binary.MaxVarintLen64]byte
 }
 
-// outBufPool recycles outbound frame payload copies. A frame must be
-// copied to cross into the writer goroutine: the serve loop's decode
-// buffer is reused for the next frame the moment route returns.
-var outBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 512)
-	return &b
-}}
-
-// makeOutFrame copies payload into a pooled buffer.
-func makeOutFrame(typ byte, payload []byte) outFrame {
-	buf := outBufPool.Get().(*[]byte)
-	*buf = append((*buf)[:0], payload...)
-	//lint:ignore poolescape ownership transfer by design: the frame crosses to the connection's single writer goroutine, which returns buf to outBufPool after the write or the drop
-	return outFrame{typ: typ, buf: buf}
-}
-
-// brokerConn is one client connection's broker-side state. All writes
-// go through a bounded outbound queue drained by a single writer
-// goroutine under a per-frame write deadline, so a stalled reader can
-// neither interleave frames nor wedge the broker: acknowledgements
-// enqueue blocking (backpressure on that connection's own serve loop,
-// never a drop), subscriber forwards enqueue non-blocking and are
-// dropped with a counter when the queue is full.
+// brokerConn is one client connection's broker-side state. The serve
+// goroutine reads, decodes and stores; every reply goes through a bounded
+// queue to the connection's writer goroutine, which writes it under a
+// per-frame deadline. The split is for throughput, not safety: it lets
+// an ack's write(2) overlap the serve loop's decode and store of the next
+// burst. The deadline keeps a peer that stops reading from wedging
+// either goroutine.
 type brokerConn struct {
 	conn net.Conn
 	bw   *bufio.Writer
@@ -117,48 +105,27 @@ type brokerConn struct {
 	dead     chan struct{}
 	dieOnce  sync.Once
 	deadline time.Duration
-
-	filters []string // network subscriptions; guarded by Broker.mu
 }
 
 // die marks the connection dead exactly once and closes the socket,
-// releasing the writer goroutine, pending ack enqueuers and the serve
+// releasing the writer goroutine, a pending enqueueAck and the serve
 // loop wherever they block.
 func (c *brokerConn) die() {
 	c.dieOnce.Do(func() { close(c.dead) })
 	c.conn.Close()
 }
 
-// enqueueAck queues a protocol acknowledgement (CONNACK, SUBACK,
-// PINGRESP, PUBACK). It blocks while the queue is full — an ack is a
-// delivery promise and must never be dropped — and returns false only
-// when the connection died, which the writer's deadline guarantees
-// happens in bounded time.
+// enqueueAck queues a reply (CONNACK, PINGRESP, PUBACK). It blocks while
+// the queue is full — an ack is a delivery promise and is never dropped
+// — and returns false only when the connection died, which the writer's
+// deadline guarantees happens in bounded time.
 func (c *brokerConn) enqueueAck(typ byte, payload []byte) bool {
-	f := makeOutFrame(typ, payload)
+	f := outFrame{typ: typ}
+	f.n = uint8(copy(f.payload[:], payload))
 	select {
 	case c.out <- f:
 		return true
 	case <-c.dead:
-		outBufPool.Put(f.buf)
-		return false
-	}
-}
-
-// enqueueForward queues a publish forward without blocking: a slow
-// subscriber sheds load by losing forwards, not by stalling routing.
-func (c *brokerConn) enqueueForward(typ byte, payload []byte) bool {
-	select {
-	case <-c.dead:
-		return false
-	default:
-	}
-	f := makeOutFrame(typ, payload)
-	select {
-	case c.out <- f:
-		return true
-	default:
-		outBufPool.Put(f.buf)
 		return false
 	}
 }
@@ -166,17 +133,17 @@ func (c *brokerConn) enqueueForward(typ byte, payload []byte) bool {
 // writeLoop is the connection's single writer: it drains the outbound
 // queue, arming a fresh write deadline per frame and flushing whenever
 // the queue momentarily empties. A write error (including a deadline
-// expiry against a stalled reader) kills the connection.
+// expiry against a peer that stopped reading) kills the connection.
 func (c *brokerConn) writeLoop(m *brokerMetrics) {
+	var f outFrame // the write's payload escapes: one per connection, not per frame
 	for {
 		select {
-		case f := <-c.out:
+		case f = <-c.out:
 			_ = c.conn.SetWriteDeadline(time.Now().Add(c.deadline))
-			err := writeFrame(c.bw, f.typ, *f.buf)
+			err := writeFrame(c.bw, f.typ, f.payload[:f.n])
 			if err == nil && len(c.out) == 0 {
 				err = c.bw.Flush()
 			}
-			outBufPool.Put(f.buf)
 			if err != nil {
 				m.writeFails.Inc()
 				c.die()
@@ -188,57 +155,28 @@ func (c *brokerConn) writeLoop(m *brokerMetrics) {
 	}
 }
 
-// netSub is one entry of the copy-on-write subscriber snapshot: a
-// connection and an immutable copy of its filters at snapshot time.
-type netSub struct {
-	c       *brokerConn
-	filters []string
-}
-
-// BrokerOptions tunes a broker beyond its defaults.
-type BrokerOptions struct {
-	// WriteDeadline bounds every frame write to a client connection
-	// (default 10s): a subscriber that stops reading is torn down
-	// instead of wedging the writer.
-	WriteDeadline time.Duration
-	// OutQueue bounds each connection's outbound frame queue (default
-	// 1024). Acks block on a full queue; subscriber forwards drop.
-	OutQueue int
-	// Metrics, when set, instruments the broker into this registry.
-	Metrics *telemetry.Registry
-}
-
-// withDefaults resolves zero option fields.
-func (o BrokerOptions) withDefaults() BrokerOptions {
-	if o.WriteDeadline <= 0 {
-		o.WriteDeadline = 10 * time.Second
-	}
-	if o.OutQueue <= 0 {
-		o.OutQueue = 1024
-	}
-	return o
-}
-
 // Broker is the message broker at the heart of a Collect Agent: it
-// accepts Pusher connections, routes published reading batches to network
-// subscribers whose filters match, and delivers them, a burst at a time,
-// to local handlers registered in-process (the Collect Agent's storage
-// path). Versioned (v2) publishes are acknowledged with one cumulative
-// PubAck per burst after every local handler returned, which is what
-// makes a spooling client's at-least-once delivery land exactly-once in
-// the store.
+// accepts Pusher connections and delivers their publishes, a burst at a
+// time, to local handlers registered in-process (the Collect Agent's
+// storage path). Versioned (v2) publishes are acknowledged with one
+// cumulative PubAck per burst after every local handler returned, which
+// is what makes a spooling client's at-least-once delivery land
+// exactly-once in the store.
 type Broker struct {
-	ln   net.Listener
-	opts BrokerOptions
+	ln net.Listener
 
 	mu     sync.Mutex
 	conns  map[*brokerConn]struct{}
 	closed bool
+	// Read under mu as each connection is accepted: its write deadline
+	// (ackWriteDeadline) and, when non-zero, its socket send buffer.
+	// In-package tests shrink both to make a deaf peer bite quickly.
+	writeDeadline time.Duration
+	sendBuffer    int
 
-	// subs and locals are copy-on-write snapshots rebuilt under mu on
-	// every (rare) subscription change, so the per-message route path
-	// reads them with one atomic load — no lock, no allocation.
-	subs   atomic.Pointer[[]netSub]
+	// locals is a copy-on-write snapshot rebuilt under mu on every (rare)
+	// SubscribeLocal, so the per-burst route path reads it with one
+	// atomic load — no lock, no allocation.
 	locals atomic.Pointer[[]localSub]
 
 	wg sync.WaitGroup
@@ -259,21 +197,16 @@ type localSub struct {
 // An optional telemetry registry instruments the broker (frame/byte
 // counters, connection gauge); at most one may be given.
 func NewBroker(addr string, reg ...*telemetry.Registry) (*Broker, error) {
-	var o BrokerOptions
-	if len(reg) > 0 {
-		o.Metrics = reg[0]
-	}
-	return NewBrokerOpts(addr, o)
-}
-
-// NewBrokerOpts starts a broker with explicit options.
-func NewBrokerOpts(addr string, opts BrokerOptions) (*Broker, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	b := &Broker{ln: ln, opts: opts.withDefaults(), conns: make(map[*brokerConn]struct{})}
-	b.metrics = newBrokerMetrics(b.opts.Metrics, b)
+	b := &Broker{ln: ln, conns: make(map[*brokerConn]struct{}), writeDeadline: ackWriteDeadline}
+	var r *telemetry.Registry
+	if len(reg) > 0 {
+		r = reg[0]
+	}
+	b.metrics = newBrokerMetrics(r, b)
 	b.wg.Add(1)
 	go b.acceptLoop()
 	return b, nil
@@ -298,20 +231,6 @@ func (b *Broker) SubscribeLocal(filter string, fn BurstHandler) {
 	locals = append(locals, localSub{filter: filter, fn: fn})
 	b.locals.Store(&locals)
 	b.mu.Unlock()
-}
-
-// rebuildSubs regenerates the network-subscriber snapshot. Callers hold
-// b.mu. Filters are copied so a later subscribe on the same connection
-// cannot mutate a slice the lock-free route path is iterating.
-func (b *Broker) rebuildSubs() {
-	subs := make([]netSub, 0, len(b.conns))
-	for c := range b.conns {
-		if len(c.filters) == 0 {
-			continue
-		}
-		subs = append(subs, netSub{c: c, filters: append([]string(nil), c.filters...)})
-	}
-	b.subs.Store(&subs)
 }
 
 // KillConnections abruptly closes up to n live client connections
@@ -369,11 +288,10 @@ func (b *Broker) acceptLoop() {
 			return // listener closed
 		}
 		bc := &brokerConn{
-			conn:     conn,
-			bw:       bufio.NewWriterSize(conn, 4<<10),
-			out:      make(chan outFrame, b.opts.OutQueue),
-			dead:     make(chan struct{}),
-			deadline: b.opts.WriteDeadline,
+			conn: conn,
+			bw:   bufio.NewWriterSize(conn, 4<<10),
+			out:  make(chan outFrame, ackQueueLen),
+			dead: make(chan struct{}),
 		}
 		b.metrics.connsTotal.Inc()
 		b.mu.Lock()
@@ -383,7 +301,12 @@ func (b *Broker) acceptLoop() {
 			return
 		}
 		b.conns[bc] = struct{}{}
+		bc.deadline = b.writeDeadline
+		sendBuffer := b.sendBuffer
 		b.mu.Unlock()
+		if tc, ok := conn.(*net.TCPConn); ok && sendBuffer > 0 {
+			_ = tc.SetWriteBuffer(sendBuffer)
+		}
 		b.wg.Add(2)
 		go func() {
 			defer b.wg.Done()
@@ -399,9 +322,6 @@ func (b *Broker) serveConn(bc *brokerConn) {
 		bc.die()
 		b.mu.Lock()
 		delete(b.conns, bc)
-		if len(bc.filters) > 0 {
-			b.rebuildSubs()
-		}
 		b.mu.Unlock()
 	}()
 	// Per-connection scratch, reused burst to burst: the buffered reader
@@ -410,19 +330,17 @@ func (b *Broker) serveConn(bc *brokerConn) {
 	// recurring) topics to their handles — the one string lookup a publish
 	// costs in this package, and the local handlers find what they hung
 	// off the handle without one of their own — and the PubAck encode
-	// buffer. The steady-state publish path allocates nothing outside the
-	// pooled outbound copies.
+	// buffer. The steady-state publish path allocates nothing.
 	br := bufio.NewReaderSize(bc.conn, 32<<10)
 	var (
 		bu     burst
 		ackBuf []byte
 	)
 	topics := make(map[string]*TopicRef, 64)
-	// deliver hands the pending burst to the local handlers and the
-	// subscribers, then sends its one PubAck: strictly after route
-	// returned, so every local handler has run to completion — and the
-	// agent's handler stores the burst before it returns, so an acked
-	// batch is in the store.
+	// deliver hands the pending burst to the local handlers, then sends
+	// its one PubAck: strictly after route returned, so every local
+	// handler has run to completion — and the agent's handler stores the
+	// burst before it returns, so an acked batch is in the store.
 	deliver := func() bool {
 		if len(bu.msgs) == 0 {
 			return true
@@ -492,7 +410,7 @@ func (b *Broker) serveConn(bc *brokerConn) {
 		default:
 			// Any other frame ends the burst first, keeping the reply
 			// stream in request order.
-			ok = deliver() && b.control(bc, typ, payload)
+			ok = deliver() && b.control(bc, typ)
 		}
 		if !ok {
 			return
@@ -502,81 +420,47 @@ func (b *Broker) serveConn(bc *brokerConn) {
 }
 
 // control handles one non-PUBLISH frame, reporting false when the
-// connection is to be closed.
-func (b *Broker) control(bc *brokerConn, typ byte, payload []byte) bool {
+// connection is to be closed. A SUBSCRIBE closes it: network
+// subscription is gone, and a client still asking for it fails at once
+// instead of waiting out its ack timeout. Other unknown types are
+// ignored.
+func (b *Broker) control(bc *brokerConn, typ byte) bool {
 	switch typ {
 	case frameConnect:
 		return bc.enqueueAck(frameConnAck, nil)
-	case frameSubscribe:
-		filter, err := decodeString(payload)
-		if err != nil {
-			return false
-		}
-		b.mu.Lock()
-		bc.filters = append(bc.filters, filter)
-		b.rebuildSubs()
-		b.mu.Unlock()
-		return bc.enqueueAck(frameSubAck, nil)
 	case framePingReq:
 		return bc.enqueueAck(framePingResp, nil)
-	case frameDisconnect:
+	case frameSubscribe, frameDisconnect:
 		return false
 	}
 	return true
 }
 
 // route delivers a burst to the local handlers — each is handed the
-// messages its filter matches, in one call — and then forwards every
-// message to the matching network subscribers. The forwarded payload is
-// the unversioned (v1) encoding — for a v2 publish the delivery prefix is
-// already sliced off — so subscribers of any protocol vintage can decode
-// it. The subscriber and local-handler snapshots are copy-on-write, so
-// the steady-state routing path takes no lock; forwards copy into pooled
-// buffers to cross into each subscriber's writer goroutine.
+// messages its filter matches, in one call. The handler snapshot is
+// copy-on-write, so the steady-state routing path takes no lock.
 func (b *Broker) route(bu *burst) {
 	n := uint64(len(bu.msgs))
 	b.published.Add(n)
 	b.metrics.routed.Add(n)
 	b.metrics.readings.Add(uint64(len(bu.arena)))
-	if locals := b.locals.Load(); locals != nil {
-		for _, ls := range *locals {
-			ms := bu.msgs
-			if ls.filter != "#" {
-				ms = bu.match[:0]
-				for _, m := range bu.msgs {
-					if sensor.MatchFilter(ls.filter, m.Topic) {
-						ms = append(ms, m)
-					}
-				}
-				bu.match = ms
-			}
-			if len(ms) > 0 {
-				ls.fn(ms)
-			}
-		}
-	}
-	subs := b.subs.Load()
-	if subs == nil || len(*subs) == 0 {
+	locals := b.locals.Load()
+	if locals == nil {
 		return
 	}
-	for i, m := range bu.msgs {
-		payload := bu.bodies[i]
-		for _, s := range *subs {
-			for _, f := range s.filters {
-				if !sensor.MatchFilter(f, m.Topic) {
-					continue
+	for _, ls := range *locals {
+		ms := bu.msgs
+		if ls.filter != "#" {
+			ms = bu.match[:0]
+			for _, m := range bu.msgs {
+				if sensor.MatchFilter(ls.filter, m.Topic) {
+					ms = append(ms, m)
 				}
-				if s.c.enqueueForward(framePublish, payload) {
-					b.metrics.forwarded.Inc()
-					b.metrics.bytesOut.Add(uint64(len(payload)))
-				} else {
-					// Slow reader: its queue is full (or it is dead).
-					// Dropping the forward here is the load-shedding
-					// contract; acks are never dropped.
-					b.metrics.slowDrops.Inc()
-				}
-				break
 			}
+			bu.match = ms
+		}
+		if len(ms) > 0 {
+			ls.fn(ms)
 		}
 	}
 }

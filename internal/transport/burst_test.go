@@ -2,7 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -301,4 +303,41 @@ func TestKilledConnectionLeavesNoDecodedBatchBehind(t *testing.T) {
 			t.Fatalf("frame %d arrived on a connection killed before the store returned", typ)
 		}
 	})
+}
+
+// TestBurstSubscribeDisconnects: SUBSCRIBE (type 4) is reserved. The
+// burst ahead of it is stored, then the broker hangs up — a client that
+// still asks for a network subscription fails at once instead of waiting
+// out its ack timeout. The burst's PubAck may or may not leave before
+// the socket closes: stored and acked, or stored and redelivered.
+func TestBurstSubscribeDisconnects(t *testing.T) {
+	b, err := NewBroker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	var log burstLog
+	b.SubscribeLocal("#", log.handle)
+	conn := rawPeer(t, b)
+
+	var wire bytes.Buffer
+	wire.Write(publishFrame(9, 1))
+	_ = writeFrame(&wire, frameSubscribe, []byte{1, '#'})
+	if _, err := conn.Write(wire.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	log.waitMessages(t, 1)
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	for {
+		typ, _, err := readFrame(conn)
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatal("connection still open after SUBSCRIBE")
+		}
+		if err != nil {
+			return
+		}
+		if typ != framePubAck {
+			t.Fatalf("frame %d answered a SUBSCRIBE", typ)
+		}
+	}
 }

@@ -40,7 +40,7 @@ const maxBurst = 256
 // decides how long a published batch stays in its queue (zero: QoS 0).
 type Options struct {
 	// AckTimeout bounds every wait for a broker acknowledgement: the
-	// CONNACK/SUBACK round trips and, at QoS 1, the ack-progress
+	// CONNACK and PINGRESP round trips and, at QoS 1, the ack-progress
 	// watchdog that declares a silent connection dead. Default 5s.
 	AckTimeout time.Duration
 	// SpoolBatches selects the retention policy. Either way Publish
@@ -106,17 +106,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// clientSub is one client-side subscription.
-type clientSub struct {
-	filter string
-	fn     Handler
-}
-
 // Client is the Pusher-side MQTT-style client: it publishes reading
-// batches to the broker and can subscribe to topic filters: a bounded
-// batch queue with optional disk overflow, one sender goroutine that
-// owns dialling and redialling, and one receive loop per live
-// connection. Options.SpoolBatches picks the retention policy.
+// batches to the broker through a bounded batch queue with optional disk
+// overflow, one sender goroutine that owns dialling and redialling, and
+// one receive loop per live connection. Options.SpoolBatches picks the
+// retention policy.
 //
 // Queue discipline: queue[:sendIdx] have been written to the current
 // connection; queue[sendIdx:] are unsent. At QoS 1 the sent batches
@@ -136,7 +130,6 @@ type Client struct {
 
 	mu      sync.Mutex
 	space   sync.Cond // signalled when queue space frees or state changes
-	subs    []clientSub
 	queue   []*relBatch
 	sendIdx int
 	nextSeq uint64
@@ -156,7 +149,6 @@ type Client struct {
 	stats ClientStats // counters; the depth fields are filled in by Stats
 
 	pingResp chan struct{}
-	subAck   chan struct{}
 	kickCh   chan struct{} // wakes the sender (cap 1)
 	stopCh   chan struct{} // closed when Close stops draining
 	wg       sync.WaitGroup
@@ -167,9 +159,9 @@ type Client struct {
 	iov  net.Buffers
 	hdrs []byte
 
-	// writeMu serialises the sender's bursts with Subscribe, Ping and
-	// DISCONNECT frames on the shared connection. It sits away from mu:
-	// the sender holds it across a write while publishers take mu.
+	// writeMu serialises the sender's bursts with Ping and DISCONNECT
+	// frames on the shared connection. It sits away from mu: the sender
+	// holds it across a write while publishers take mu.
 	writeMu sync.Mutex
 }
 
@@ -190,7 +182,6 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 		retain:   opts.SpoolBatches > 0,
 		epoch:    newEpoch(),
 		pingResp: make(chan struct{}, 1),
-		subAck:   make(chan struct{}, 1),
 		kickCh:   make(chan struct{}, 1),
 		stopCh:   make(chan struct{}),
 	}
@@ -216,35 +207,6 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 	go c.recvLoop(conn, 1)
 	go c.sendLoop()
 	return c, nil
-}
-
-// dispatch routes one received non-PubAck frame.
-func (c *Client) dispatch(typ byte, payload []byte) {
-	switch typ {
-	case frameSubAck:
-		select {
-		case c.subAck <- struct{}{}:
-		default:
-		}
-	case framePingResp:
-		select {
-		case c.pingResp <- struct{}{}:
-		default:
-		}
-	case framePublish: // the broker forwards every publish as v1
-		msg, derr := DecodePublish(payload)
-		if derr != nil {
-			return
-		}
-		c.mu.Lock()
-		subs := c.subs
-		c.mu.Unlock()
-		for _, s := range subs {
-			if sensor.MatchFilter(s.filter, msg.Topic) {
-				s.fn(msg)
-			}
-		}
-	}
 }
 
 // liveConn returns the current connection, nil between redials.
@@ -329,31 +291,6 @@ func (c *Client) Publish(topic sensor.Topic, readings []sensor.Reading) error {
 	return nil
 }
 
-// Subscribe registers fn for all messages matching filter and waits for
-// the broker's acknowledgement. Between redial attempts the
-// registration still succeeds — the filter is included in the next
-// reconnect handshake — but no ack is awaited.
-func (c *Client) Subscribe(filter string, fn Handler) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	c.subs = append(c.subs, clientSub{filter: filter, fn: fn})
-	conn := c.conn
-	c.mu.Unlock()
-	if conn == nil {
-		return nil // resubscribed by the next reconnect handshake
-	}
-	c.writeMu.Lock()
-	err := writeFrame(conn, frameSubscribe, encodeString(filter))
-	c.writeMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return c.await(c.subAck)
-}
-
 // Ping performs a PINGREQ/PINGRESP round trip.
 func (c *Client) Ping() error {
 	conn := c.liveConn()
@@ -366,13 +303,8 @@ func (c *Client) Ping() error {
 	if err != nil {
 		return err
 	}
-	return c.await(c.pingResp)
-}
-
-// await waits for the receive loop to signal a control-frame reply.
-func (c *Client) await(reply <-chan struct{}) error {
 	select {
-	case <-reply:
+	case <-c.pingResp:
 		return nil
 	case <-time.After(c.opts.AckTimeout):
 		return ErrAckTimeout

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/dcdb/wintermute/internal/sensor"
+	"github.com/dcdb/wintermute/internal/telemetry"
 )
 
 // TestBrokerSurvivesGarbage injects malformed bytes on a raw TCP
@@ -77,57 +78,6 @@ func TestBrokerDropsBadPublishKeepsConnection(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("valid publish after corrupt one was not routed")
-	}
-}
-
-// TestSubscriberDisconnectDoesNotStallRouting: publishing continues for
-// healthy subscribers when one subscriber's connection dies.
-func TestSubscriberDisconnectDoesNotStallRouting(t *testing.T) {
-	b, err := NewBroker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	dead, err := Dial(b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dead.Close()
-	if err := dead.Subscribe("#", func(Message) {}); err != nil {
-		t.Fatal(err)
-	}
-	healthy, err := Dial(b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer healthy.Close()
-	got := make(chan Message, 16)
-	if err := healthy.Subscribe("#", func(m Message) { got <- m }); err != nil {
-		t.Fatal(err)
-	}
-	// Kill the first subscriber's connection abruptly (it will redial;
-	// the broker still sees a subscriber session die mid-stream).
-	dead.liveConn().Close()
-
-	pub, err := Dial(b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		if err := pub.Publish("/x", []sensor.Reading{{Value: 1, Time: 1}}); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-got:
-			return // healthy subscriber still served
-		case <-time.After(50 * time.Millisecond):
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("healthy subscriber starved after peer death")
-		}
 	}
 }
 
@@ -279,4 +229,80 @@ func TestQoS0SurvivesConnectionKill(t *testing.T) {
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
+}
+
+// TestDeafPublisherTornDownByWriteDeadline: a peer that stops reading
+// cannot wedge the broker. A v2 publisher that never reads its acks —
+// every publish a fresh epoch, so each earns a PubAck of its own — fills
+// its socket buffers, then its connection's reply queue; the write
+// deadline tears it down, and a second publisher's acks keep flowing the
+// whole time.
+func TestDeafPublisherTornDownByWriteDeadline(t *testing.T) {
+	const (
+		deadline = time.Second
+		slack    = 2 * time.Second
+	)
+	reg := telemetry.NewRegistry()
+	b, err := NewBroker("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.mu.Lock()
+	b.writeDeadline, b.sendBuffer = deadline, 4<<10
+	b.mu.Unlock()
+	failures := func() float64 {
+		v, _ := reg.Value("dcdb_broker_subscriber_write_failures_total")
+		return v
+	}
+
+	deaf := rawPeer(t, b)
+	var lastWrite atomic.Int64 // unix ns of the deaf publisher's last write that went through
+	deafDone := make(chan struct{})
+	go func() {
+		defer close(deafDone)
+		for epoch := uint64(1); ; epoch++ {
+			if _, err := deaf.Write(publishFrame(epoch, 1)); err != nil {
+				return
+			}
+			lastWrite.Store(time.Now().UnixNano())
+		}
+	}()
+
+	healthy := rawPeer(t, b)
+	var (
+		maxGap time.Duration
+		down   time.Time
+	)
+	start := time.Now()
+	last := start
+	for seq := uint64(1); down.IsZero(); seq++ {
+		if _, err := healthy.Write(publishFrame(7, seq)); err != nil {
+			t.Fatal(err)
+		}
+		expectAck(t, healthy, 7, seq)
+		now := time.Now()
+		maxGap, last = max(maxGap, now.Sub(last)), now
+		if failures() > 0 {
+			down = now
+		} else if now.Sub(start) > 30*time.Second {
+			t.Fatal("the deaf publisher was never torn down")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if took := down.Sub(time.Unix(0, lastWrite.Load())); took > deadline+slack {
+		t.Fatalf("torn down %v after its last write went through, want within %v", took, deadline+slack)
+	}
+	if maxGap >= deadline {
+		t.Fatalf("the healthy publisher waited %v for an ack, want under the %v write deadline", maxGap, deadline)
+	}
+	select {
+	case <-deafDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the deaf publisher's writes never failed")
+	}
+	if v := failures(); v != 1 {
+		t.Fatalf("write failures = %v, want 1", v)
+	}
+	t.Logf("torn down after %v; healthy publisher's longest ack gap %v", down.Sub(start), maxGap)
 }

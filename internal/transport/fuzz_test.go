@@ -45,13 +45,12 @@ func sameMessage(a, b Message) bool {
 }
 
 // FuzzDecodePublish reads data as each payload the protocol carries: a
-// v1 PUBLISH, a v2 PUBLISH (delivery prefix + v1 body), a PubAck and a
-// SUBSCRIBE filter string.
+// v1 PUBLISH, a v2 PUBLISH (delivery prefix + v1 body) and a PubAck.
 func FuzzDecodePublish(f *testing.F) {
 	f.Add(EncodePublish(fuzzMessage))
 	f.Add(EncodePublishV2(fuzzMessage))
 	f.Add(encodePubAck(nil, fuzzMessage.Epoch, fuzzMessage.Seq))
-	f.Add(encodeString("/r01/#"))
+	f.Add(EncodePublishV2(Message{Topic: fuzzMessage.Topic, Epoch: 1, Seq: 1}))         // an empty batch
 	f.Add([]byte{2, '/', 'a', 1, 0x40, 0x45, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7}) // FORMATS.md §1 golden
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if m, err := DecodePublish(data); err == nil {
@@ -91,14 +90,6 @@ func FuzzDecodePublish(f *testing.F) {
 				if err != nil || !sameMessage(m, m2) {
 					t.Fatalf("v2: message changed across re-encode (%v)", err)
 				}
-			}
-		}
-		if s, err := decodeString(data); err == nil {
-			if len(s) > len(data) {
-				t.Fatalf("string: %d bytes from %d", len(s), len(data))
-			}
-			if s2, err := decodeString(encodeString(s)); err != nil || s2 != s {
-				t.Fatalf("string: %q changed across re-encode (%v)", s, err)
 			}
 		}
 	})

@@ -14,13 +14,10 @@ type brokerMetrics struct {
 	routed     *telemetry.Counter // publish messages routed
 	readings   *telemetry.Counter // readings carried by routed messages
 	dropped    *telemetry.Counter // malformed publishes dropped
-	forwarded  *telemetry.Counter // publishes forwarded to network subscribers
 	writeFails *telemetry.Counter // connection write failures (connection torn down)
 	bytesIn    *telemetry.Counter // payload bytes received
-	bytesOut   *telemetry.Counter // payload bytes forwarded to subscribers
 	connsTotal *telemetry.Counter // connections accepted since start
 	acks       *telemetry.Counter // PubAcks sent for v2 publishes
-	slowDrops  *telemetry.Counter // forwards dropped on full outbound queues
 	uninterned *telemetry.Counter // publishes delivered without a topic handle
 
 	handles []*telemetry.FuncHandle
@@ -31,25 +28,21 @@ func newBrokerMetrics(reg *telemetry.Registry, b *Broker) *brokerMetrics {
 		frames: reg.Counter("dcdb_broker_frames_total",
 			"Frames read from client connections."),
 		routed: reg.Counter("dcdb_broker_messages_routed_total",
-			"Publish messages routed to local handlers and subscribers."),
+			"Publish messages delivered to local handlers."),
 		readings: reg.Counter("dcdb_broker_readings_total",
 			"Sensor readings carried by routed publish messages."),
 		dropped: reg.Counter("dcdb_broker_publishes_dropped_total",
 			"Malformed publish frames dropped before routing."),
-		forwarded: reg.Counter("dcdb_broker_messages_forwarded_total",
-			"Publish messages forwarded to matching network subscribers."),
+		// The name predates the removal of network subscription; it
+		// counts a failed write on any connection.
 		writeFails: reg.Counter("dcdb_broker_subscriber_write_failures_total",
 			"Write errors (including write-deadline expiries) that tore down a connection."),
 		acks: reg.Counter("dcdb_broker_pubacks_total",
 			"PubAck frames sent acknowledging versioned publishes."),
-		slowDrops: reg.Counter("dcdb_broker_slow_reader_drops_total",
-			"Subscriber forwards dropped because the connection's outbound queue was full."),
 		uninterned: reg.Counter("dcdb_transport_uninterned_publishes_total",
 			"Publishes whose topic the connection's intern table did not hold (table full, or topic longer than 256 B): delivered and stored, but resolved by lookup at every layer."),
 		bytesIn: reg.Counter("dcdb_broker_bytes_received_total",
 			"Frame payload bytes received from clients."),
-		bytesOut: reg.Counter("dcdb_broker_bytes_forwarded_total",
-			"Frame payload bytes forwarded to network subscribers."),
 		connsTotal: reg.Counter("dcdb_broker_connections_total",
 			"Client connections accepted since start."),
 	}

@@ -71,7 +71,7 @@ type peerFrame struct {
 	id         int    // batch identity: the first reading's value
 }
 
-// peerConn is one accepted connection; recv, acked, ready and subs are
+// peerConn is one accepted connection; recv, acked and ready are
 // guarded by the peer's mutex.
 type peerConn struct {
 	conn  net.Conn
@@ -79,13 +79,12 @@ type peerConn struct {
 	recv  []peerFrame // every PUBLISH, in arrival order
 	acked int         // recv[:acked] are covered by a PubAck
 	ready bool        // CONNECT answered
-	subs  int         // SUBSCRIBE frames answered
 }
 
-// scriptedPeer is the test-owned broker side: it answers CONNECT,
-// SUBSCRIBE and PINGREQ, records every PUBLISH per connection, and
-// sends a PubAck only when the script says so. While refuse is set it
-// hangs up on every new connection unanswered: an outage.
+// scriptedPeer is the test-owned broker side: it answers CONNECT and
+// PINGREQ, records every PUBLISH per connection, and sends a PubAck only
+// when the script says so. While refuse is set it hangs up on every new
+// connection unanswered: an outage.
 type scriptedPeer struct {
 	t      *testing.T
 	ln     net.Listener
@@ -168,11 +167,6 @@ func (p *scriptedPeer) serve(pc *peerConn) {
 			p.reply(pc, frameConnAck, nil)
 			p.mu.Lock()
 			pc.ready = true
-			p.mu.Unlock()
-		case frameSubscribe:
-			p.reply(pc, frameSubAck, nil)
-			p.mu.Lock()
-			pc.subs++
 			p.mu.Unlock()
 		case framePingReq:
 			p.reply(pc, framePingResp, nil)
@@ -257,9 +251,6 @@ func (r *modelRun) open() {
 		r.t.Fatalf("dial: %v", err)
 	}
 	r.c = c
-	if err := c.Subscribe("/model/#", func(Message) {}); err != nil {
-		r.t.Fatalf("subscribe: %v", err)
-	}
 }
 
 // spoolFile decodes the overflow file by hand (docs/FORMATS.md §4): it
@@ -308,8 +299,8 @@ func (r *modelRun) mismatch() (why string, observed []int) {
 		return fmt.Sprintf("peer accepted %d connections, model %d", len(r.peer.conns), r.m.conns), nil
 	}
 	cur := r.peer.conns[len(r.peer.conns)-1]
-	if !cur.ready || cur.subs != 1 {
-		return fmt.Sprintf("handshake incomplete (connack %v, %d subscriptions)", cur.ready, cur.subs), nil
+	if !cur.ready {
+		return "handshake incomplete", nil
 	}
 	switch {
 	case st.SpoolDepth+st.SpoolDisk != len(r.m.fifo):

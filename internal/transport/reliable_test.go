@@ -2,7 +2,6 @@ package transport
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"path/filepath"
 	"sync"
@@ -51,7 +50,7 @@ func (r *recorder) count(topic sensor.Topic) int {
 // acknowledged, Close drains cleanly, and the broker counted the acks.
 func TestReliablePublishAckDrain(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	b, err := NewBrokerOpts("127.0.0.1:0", BrokerOptions{Metrics: reg})
+	b, err := NewBroker("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +312,7 @@ func TestAckErrorTypes(t *testing.T) {
 		}
 	}
 
-	// Confused peer: answers CONNECT with a SubAck.
+	// Confused peer: answers CONNECT with a PINGRESP.
 	confused, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +330,7 @@ func TestAckErrorTypes(t *testing.T) {
 				if _, _, err := readFrameReuse(conn, &buf); err != nil {
 					return
 				}
-				_ = writeFrame(conn, frameSubAck, nil)
+				_ = writeFrame(conn, framePingResp, nil)
 				time.Sleep(time.Second)
 			}(conn)
 		}
@@ -340,75 +339,6 @@ func TestAckErrorTypes(t *testing.T) {
 		if _, err := DialOptions(confused.Addr().String(), Options{AckTimeout: time.Second, SpoolBatches: spool}); !errors.Is(err, ErrUnexpectedAck) {
 			t.Fatalf("confused broker (SpoolBatches %d): err = %v, want ErrUnexpectedAck", spool, err)
 		}
-	}
-}
-
-// TestSlowReaderShedsLoad: a subscriber that stops reading fills its
-// bounded outbound queue; forwards to it drop with a counter while
-// publishing and local delivery continue unimpeded, and the write
-// deadline eventually tears the stalled connection down.
-func TestSlowReaderShedsLoad(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	b, err := NewBrokerOpts("127.0.0.1:0", BrokerOptions{
-		Metrics:       reg,
-		OutQueue:      8,
-		WriteDeadline: 200 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	var delivered int
-	var mu sync.Mutex
-	b.SubscribeLocal("#", each(func(Message) { mu.Lock(); delivered++; mu.Unlock() }))
-
-	// Raw subscriber that subscribes to everything and then goes silent.
-	conn, err := net.Dial("tcp", b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := writeFrame(conn, frameConnect, nil); err != nil {
-		t.Fatal(err)
-	}
-	var buf []byte
-	if typ, _, err := readFrameReuse(conn, &buf); err != nil || typ != frameConnAck {
-		t.Fatalf("connack: %v %d", err, typ)
-	}
-	if err := writeFrame(conn, frameSubscribe, encodeString("#")); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := readFrameReuse(conn, &buf); err != nil || typ != frameSubAck {
-		t.Fatalf("suback: %v %d", err, typ)
-	}
-	// From here on the subscriber never reads again.
-
-	pub, err := Dial(b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	big := make([]sensor.Reading, 256) // large frames fill socket buffers fast
-	for i := range big {
-		big[i] = sensor.Reading{Value: 1, Time: int64(i)}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for i := 0; ; i++ {
-		if err := pub.Publish(sensor.Topic(fmt.Sprintf("/slow/t%d", i%4)), big); err != nil {
-			t.Fatalf("publish: %v", err)
-		}
-		if v, _ := reg.Value("dcdb_broker_slow_reader_drops_total"); v > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no slow-reader drops recorded")
-		}
-	}
-	mu.Lock()
-	got := delivered
-	mu.Unlock()
-	if got == 0 {
-		t.Fatal("local delivery stalled behind the slow reader")
 	}
 }
 
@@ -613,10 +543,10 @@ func TestPublishNoReorderAroundFullDisk(t *testing.T) {
 	}
 }
 
-// TestControlFramesDoNotCorruptPublishStream: Subscribe and Ping frames
-// share the connection with the reliable sender's vectored bursts, so
-// both must serialize on the client write lock — a control frame landing
-// mid-burst would desync the broker's framing and kill the connection.
+// TestControlFramesDoNotCorruptPublishStream: Ping frames share the
+// connection with the reliable sender's vectored bursts, so both must
+// serialize on the client write lock — a control frame landing mid-burst
+// would desync the broker's framing and kill the connection.
 // A clean run delivers every batch in order with zero reconnects.
 func TestControlFramesDoNotCorruptPublishStream(t *testing.T) {
 	b, err := NewBroker("127.0.0.1:0")
@@ -636,14 +566,13 @@ func TestControlFramesDoNotCorruptPublishStream(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
 			_ = c.Ping()
-			_ = c.Subscribe(fmt.Sprintf("/ctl/none%d", i), func(Message) {})
 		}
 	}()
 	const n = 1000
@@ -677,9 +606,9 @@ func TestControlFramesDoNotCorruptPublishStream(t *testing.T) {
 	}
 }
 
-// gateConn parks the first SUBSCRIBE frame between its header and its
-// payload until release is closed, and counts PUBLISH headers written
-// while it is parked.
+// gateConn parks the first burst after its first PUBLISH header until
+// release is closed, and counts PINGREQ headers written while it is
+// parked.
 type gateConn struct {
 	net.Conn
 	parked, release chan struct{}
@@ -688,7 +617,7 @@ type gateConn struct {
 }
 
 func (g *gateConn) Write(p []byte) (int, error) {
-	if len(p) == 5 && (p[0] == framePublish || p[0] == framePublishV2) {
+	if len(p) == frameHeader && p[0] == framePingReq {
 		select {
 		case <-g.release:
 		case <-g.parked:
@@ -697,7 +626,7 @@ func (g *gateConn) Write(p []byte) (int, error) {
 		}
 	}
 	n, err := g.Conn.Write(p)
-	if len(p) == 5 && p[0] == frameSubscribe {
+	if len(p) == frameHeader && (p[0] == framePublish || p[0] == framePublishV2) {
 		g.once.Do(func() {
 			close(g.parked)
 			<-g.release
@@ -707,10 +636,10 @@ func (g *gateConn) Write(p []byte) (int, error) {
 }
 
 // TestBurstWaitsForControlFrame is the deterministic half of the test
-// above: a SUBSCRIBE frame is two writes, and with its header on the
-// wire and its payload not yet, the sender's burst must wait on the
-// client write lock — at either retention policy — or the broker reads
-// PUBLISH bytes as the filter.
+// above: a burst is many writes, and with its first PUBLISH header on the
+// wire and the rest not yet, a concurrent Ping must wait on the client
+// write lock — at either retention policy — or the broker reads a PINGREQ
+// header as PUBLISH payload.
 func TestBurstWaitsForControlFrame(t *testing.T) {
 	for _, spool := range []int{0, 8} {
 		b, err := NewBroker("127.0.0.1:0")
@@ -728,21 +657,21 @@ func TestBurstWaitsForControlFrame(t *testing.T) {
 		g.Conn, c.conn = c.conn, g
 		c.mu.Unlock()
 
-		subscribed := make(chan error, 1)
-		go func() { subscribed <- c.Subscribe("/ctl/none", func(Message) {}) }()
-		<-g.parked
 		for i := 0; i < 3; i++ {
 			if err := c.Publish("/rel/gate", []sensor.Reading{{Value: float64(i), Time: int64(i)}}); err != nil {
 				t.Fatalf("publish %d: %v", i, err)
 			}
 		}
-		time.Sleep(50 * time.Millisecond) // room for a sender that does not wait
+		<-g.parked
+		pinged := make(chan error, 1)
+		go func() { pinged <- c.Ping() }()
+		time.Sleep(50 * time.Millisecond) // room for a Ping that does not wait
 		if n := g.early.Load(); n != 0 {
-			t.Fatalf("SpoolBatches %d: %d PUBLISH frames written inside a half-written SUBSCRIBE frame", spool, n)
+			t.Fatalf("SpoolBatches %d: %d PINGREQ frames written inside a half-written burst", spool, n)
 		}
 		close(g.release)
-		if err := <-subscribed; err != nil {
-			t.Fatalf("subscribe: %v", err)
+		if err := <-pinged; err != nil {
+			t.Fatalf("ping: %v", err)
 		}
 		deadline := time.Now().Add(2 * time.Second)
 		for rec.count("/rel/gate") != 3 {

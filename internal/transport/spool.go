@@ -168,11 +168,11 @@ func (c *Client) sendLoop() {
 				c.iov[2*i] = c.hdrs[5*i : 5*i+5]
 			}
 			c.mu.Unlock()
-			// The burst shares the connection with Subscribe/Ping frames
-			// written under c.writeMu; hold it across the vectored write
-			// (which may span several writev syscalls) so a concurrent
-			// control frame can never interleave bytes mid-frame and
-			// desync the broker's stream.
+			// The burst shares the connection with Ping and DISCONNECT
+			// frames written under c.writeMu; hold it across the vectored
+			// write (which may span several writev syscalls) so a
+			// concurrent control frame can never interleave bytes
+			// mid-frame and desync the broker's stream.
 			c.writeMu.Lock()
 			_, err := c.iov.WriteTo(conn)
 			c.writeMu.Unlock()
@@ -295,7 +295,7 @@ func (c *Client) ack(epoch, seq uint64) {
 }
 
 // recvLoop reads one connection until it dies, feeding acks to the
-// queue and everything else to dispatch.
+// queue and PINGRESPs to Ping; it ignores every other frame type.
 func (c *Client) recvLoop(conn net.Conn, gen uint64) {
 	defer c.wg.Done()
 	// This loop is the connection's only reader, so buffering is safe;
@@ -309,60 +309,49 @@ func (c *Client) recvLoop(conn net.Conn, gen uint64) {
 			c.connDead(gen)
 			return
 		}
-		if typ == framePubAck {
+		switch typ {
+		case framePubAck:
 			if e, s, derr := decodePubAck(payload); derr == nil {
 				c.ack(e, s)
 			}
-			continue
+		case framePingResp:
+			select {
+			case c.pingResp <- struct{}{}:
+			default:
+			}
 		}
-		c.dispatch(typ, payload)
 	}
 }
 
-// dialOnce makes one connection attempt including the CONNECT handshake
-// and resubscription of every registered filter.
+// dialOnce makes one connection attempt including the CONNECT handshake.
 func (c *Client) dialOnce() (net.Conn, error) {
 	conn, err := net.DialTimeout("tcp", c.addr, 5*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	filters := make([]string, len(c.subs))
-	for i, s := range c.subs {
-		filters[i] = s.filter
-	}
-	c.mu.Unlock()
-	if err := handshake(conn, c.opts.AckTimeout, filters); err != nil {
+	if err := handshake(conn, c.opts.AckTimeout); err != nil {
 		conn.Close()
 		return nil, err
 	}
 	return conn, nil
 }
 
-// handshake runs CONNECT/CONNACK and then SUBSCRIBE/SUBACK for each
-// filter synchronously, all under one deadline, before the connection
-// is handed to concurrent readers and writers. A peer that stays silent
-// past the deadline yields ErrAckTimeout, one that answers with the
-// wrong frame type ErrUnexpectedAck.
-func handshake(conn net.Conn, timeout time.Duration, filters []string) error {
+// handshake runs CONNECT/CONNACK synchronously under one deadline,
+// before the connection is handed to concurrent readers and writers. A
+// peer that stays silent past the deadline yields ErrAckTimeout, one
+// that answers with the wrong frame type ErrUnexpectedAck.
+func handshake(conn net.Conn, timeout time.Duration) error {
 	_ = conn.SetDeadline(time.Now().Add(timeout))
 	defer conn.SetDeadline(time.Time{})
-	roundTrip := func(typ byte, payload []byte, want byte) error {
-		if err := writeFrame(conn, typ, payload); err != nil {
-			return err
-		}
-		got, _, err := readFrame(conn)
-		if errors.Is(err, os.ErrDeadlineExceeded) {
-			return ErrAckTimeout
-		}
-		if err == nil && got != want {
-			return ErrUnexpectedAck
-		}
+	if err := writeFrame(conn, frameConnect, nil); err != nil {
 		return err
 	}
-	err := roundTrip(frameConnect, nil, frameConnAck)
-	for i := 0; err == nil && i < len(filters); i++ {
-		err = roundTrip(frameSubscribe, encodeString(filters[i]), frameSubAck)
+	got, _, err := readFrame(conn)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		return ErrAckTimeout
+	}
+	if err == nil && got != frameConnAck {
+		return ErrUnexpectedAck
 	}
 	return err
 }

@@ -1,11 +1,15 @@
 // Package transport implements the MQTT-flavoured push transport between
-// DCDB Pushers and Collect Agents: a minimal topic-based publish/subscribe
-// protocol over TCP.
+// DCDB Pushers and Collect Agents: Pushers publish reading batches over
+// TCP, and the agent's Broker hands each burst of them to in-process
+// handlers and acknowledges it.
 //
 // The production DCDB uses full MQTT brokers; every data path in this
 // codebase needs exactly the subset implemented here — CONNECT, PUBLISH of
-// reading batches to slash-separated topics, SUBSCRIBE with the '#'
-// multi-level wildcard, and PING — over length-prefixed binary frames.
+// reading batches to slash-separated topics, and PING — over
+// length-prefixed binary frames. Nothing subscribes over the network:
+// dashboards, operators and queries read the agent's caches and store,
+// which its local handler (Broker.SubscribeLocal, with the '#'
+// multi-level wildcard) feeds.
 //
 // There is one Client: Publish queues, a sender goroutine writes the
 // queue in vectored bursts and redials after connection loss. MQTT's
@@ -31,15 +35,15 @@ import (
 // Frame types. framePublishV2 and framePubAck carry at-least-once
 // delivery: a v2 PUBLISH prefixes the v1 payload with a (client-epoch,
 // sequence) pair, and the broker answers with PubAcks echoing such a
-// pair. A QoS 0 client speaks framePublish and receives no acks; the
-// broker also forwards every publish to subscribers as framePublish.
-// Both sides ignore frame types they do not know.
+// pair. A QoS 0 client speaks framePublish and receives no acks. Types 4
+// and 5 were SUBSCRIBE and SUBACK: they are reserved, never reused, and
+// a broker closes a connection that sends type 4. Past the CONNACK, both
+// sides ignore any other frame type they do not know.
 const (
 	frameConnect    = 1
 	frameConnAck    = 2
 	framePublish    = 3
-	frameSubscribe  = 4
-	frameSubAck     = 5
+	frameSubscribe  = 4 // reserved; SUBACK (5) likewise
 	framePingReq    = 6
 	framePingResp   = 7
 	frameDisconnect = 8
@@ -319,8 +323,8 @@ func decodePublishInto(payload []byte, rs []sensor.Reading, intern map[string]*T
 
 // EncodePublishV2 serialises a message into a v2 PUBLISH payload: the
 // uvarint (epoch, seq) delivery identity, then the v1 payload verbatim.
-// The layout lets the broker forward a v2 publish to unversioned
-// subscribers by re-slicing past the prefix — no re-encoding.
+// The layout lets the broker decode the body with the v1 decoder by
+// re-slicing past the prefix.
 func EncodePublishV2(m Message) []byte {
 	buf := make([]byte, 0, uvarintLen(m.Epoch)+uvarintLen(m.Seq)+publishSize(m))
 	buf = binary.AppendUvarint(buf, m.Epoch)
@@ -357,20 +361,4 @@ func encodePubAck(buf []byte, epoch, seq uint64) []byte {
 func decodePubAck(payload []byte) (epoch, seq uint64, err error) {
 	epoch, seq, _, err = decodePublishV2Prefix(payload)
 	return epoch, seq, err
-}
-
-// encodeString serialises a SUBSCRIBE filter.
-func encodeString(s string) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(s)))
-	return append(tmp[:n:n], s...)
-}
-
-// decodeString parses a SUBSCRIBE filter.
-func decodeString(payload []byte) (string, error) {
-	l, n := binary.Uvarint(payload)
-	if n <= 0 || uint64(len(payload)-n) != l {
-		return "", fmt.Errorf("%w: string field", ErrBadFrame)
-	}
-	return string(payload[n : n+int(l)]), nil
 }
