@@ -11,8 +11,10 @@ vet:
 	$(GO) vet ./...
 
 # Documentation lint: every internal package carries a package doc
-# comment, and the public surfaces of store, tsdb, cache, collect, core
-# and transport document every exported symbol (see cmd/doclint).
+# comment, the public surfaces of store, tsdb, cache, collect, core and
+# transport document every exported symbol, the registered dcdb_* series
+# match the docs/OBSERVABILITY.md catalog, and the flags of collectagent
+# and dcdbpusher match their docs/OPERATIONS.md tables (see cmd/doclint).
 doclint:
 	$(GO) run ./cmd/doclint
 

@@ -25,7 +25,6 @@ import (
 	"github.com/dcdb/wintermute/internal/plugins/tester"
 	"github.com/dcdb/wintermute/internal/sensor"
 	"github.com/dcdb/wintermute/internal/sim/cluster"
-	"github.com/dcdb/wintermute/internal/store"
 	"github.com/dcdb/wintermute/internal/transport"
 	"github.com/dcdb/wintermute/internal/tsdb"
 
@@ -129,10 +128,22 @@ func BenchmarkQueryEngineAbsolute(b *testing.B) { benchTesterOperator(b, true) }
 
 // --- Ablation: cache hit vs store fallback ------------------------------
 
+// benchDB opens the production Storage Backend in a temporary directory
+// with the janitor off, closed when the benchmark ends.
+func benchDB(b *testing.B) *tsdb.DB {
+	b.Helper()
+	db, err := tsdb.Open(b.TempDir(), tsdb.Options{FlushEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	return db
+}
+
 func BenchmarkQueryCacheHit(b *testing.B) {
 	nav := navigator.New()
 	caches := cache.NewSet()
-	st := store.New(0)
+	st := benchDB(b)
 	_ = nav.AddSensor("/n/power")
 	c := caches.GetOrCreate("/n/power", 180, time.Second)
 	for k := 0; k < 180; k++ {
@@ -152,7 +163,7 @@ func BenchmarkQueryCacheHit(b *testing.B) {
 func BenchmarkQueryStoreFallback(b *testing.B) {
 	nav := navigator.New()
 	caches := cache.NewSet()
-	st := store.New(0)
+	st := benchDB(b)
 	_ = nav.AddSensor("/n/power")
 	for k := 0; k < 180; k++ {
 		st.Insert("/n/power", sensor.Reading{Value: float64(k), Time: int64(k) * sec})
@@ -575,28 +586,6 @@ func BenchmarkBGMMFit148(b *testing.B) {
 
 // --- Substrate micro-benches ----------------------------------------------
 
-func BenchmarkStoreInsert(b *testing.B) {
-	st := store.New(0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		st.Insert("/n/power", sensor.Reading{Value: float64(i), Time: int64(i)})
-	}
-}
-
-func BenchmarkStoreRange(b *testing.B) {
-	st := store.New(0)
-	for i := 0; i < 100000; i++ {
-		st.Insert("/n/power", sensor.Reading{Value: float64(i), Time: int64(i) * sec})
-	}
-	buf := make([]sensor.Reading, 0, 512)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = st.Range("/n/power", 50000*sec, 50300*sec, buf[:0])
-	}
-	_ = buf
-}
-
 func BenchmarkNavigatorResolve(b *testing.B) {
 	nav := navigator.New()
 	if err := cluster.CooLMUC3().Populate(nav); err != nil {
@@ -721,10 +710,10 @@ func BenchmarkIngestConcurrentGrouped(b *testing.B) {
 // --- PR7: wildcard expansion through the topic index ---------------------
 
 // benchWildcardExpand measures '#' expansion of one 8-sensor rack while
-// the namespace holds n topics: with the sorted prefix index the cost
-// tracks the match count, not the namespace.
+// the tsdb namespace holds n topics: with the sorted prefix index the
+// cost tracks the match count, not the namespace.
 func benchWildcardExpand(b *testing.B, n int) {
-	st := store.New(0)
+	st := benchDB(b)
 	for i := 0; i < n; i++ {
 		st.Insert(sensor.Topic(fmt.Sprintf("/r%03d/n%d/power", i/8, i%8)),
 			sensor.Reading{Value: 1, Time: 1})

@@ -8,9 +8,9 @@
 //	collectagent -mqtt 127.0.0.1:1883 -http 127.0.0.1:8081 \
 //	             -config wintermute.json
 //
-// With -store-dir the agent runs the embedded persistent time-series
-// backend (WAL + Gorilla-compressed segments) instead of the in-memory
-// store; a killed agent recovers every acknowledged reading on restart:
+// The agent stores into the embedded time-series backend (WAL +
+// Gorilla-compressed segments) in -store-dir, ./data by default; a
+// killed agent recovers every acknowledged reading on restart:
 //
 //	collectagent -store-dir /var/lib/dcdb -store-retention 720h
 package main
@@ -39,10 +39,9 @@ func main() {
 		mqttAddr   = flag.String("mqtt", "127.0.0.1:1883", "broker listen address")
 		httpAddr   = flag.String("http", "127.0.0.1:0", "REST API listen address")
 		retention  = flag.Duration("retention", 180*time.Second, "sensor cache retention")
-		storeDir   = flag.String("store-dir", "", "persistent storage backend directory (empty: in-memory store)")
-		storeRet   = flag.Duration("store-retention", 0, "persistent backend retention window (0: keep forever)")
+		storeDir   = flag.String("store-dir", "./data", "storage backend directory (WAL + segments)")
+		storeRet   = flag.Duration("store-retention", 0, "storage backend retention window (0: keep forever)")
 		storeSync  = flag.Bool("store-wal-sync", false, "fsync the storage WAL on every group commit")
-		storeMax   = flag.Int("store-max", 100000, "in-memory store: max readings per sensor (0: unlimited)")
 		configPath = flag.String("config", "", "Wintermute plugin configuration (JSON)")
 		threads    = flag.Int("threads", 0, "Wintermute worker pool size (0: GOMAXPROCS)")
 		rcSize     = flag.Int("result-cache-size", 4096, "query result cache entries (0: disable memoization)")
@@ -61,7 +60,6 @@ func main() {
 		StoreDir:         *storeDir,
 		StoreRetention:   *storeRet,
 		StoreWALSync:     *storeSync,
-		StoreMax:         *storeMax,
 		ResultCacheSize:  *rcSize,
 		ResultCacheTTL:   *rcTTL,
 		Threads:          *threads,
@@ -69,13 +67,11 @@ func main() {
 		SelfMonitorEvery: *selfMon,
 	})
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("starting agent with -store-dir %q: %v", *storeDir, err)
 	}
-	if agent.DB != nil {
-		st := agent.DB.Stats()
-		log.Printf("storage backend: tsdb at %s (%d readings, %d topics, %d segments recovered)",
-			*storeDir, st.TotalReadings, st.Topics, st.Segments)
-	}
+	st := agent.DB.Stats()
+	log.Printf("storage backend: tsdb at %s (%d readings, %d topics, %d segments recovered)",
+		*storeDir, st.TotalReadings, st.Topics, st.Segments)
 
 	if *configPath != "" {
 		raw, err := os.ReadFile(*configPath)
@@ -128,5 +124,5 @@ func main() {
 		_ = dbg.Close()
 	}
 	_ = srv.Close()
-	_ = agent.Close() // flushes and closes the tsdb backend, if any
+	_ = agent.Close() // flushes and closes the tsdb backend
 }

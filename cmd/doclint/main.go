@@ -11,7 +11,11 @@
 //     the enclosing const/var block covers the whole block), and
 //   - the metric catalog in docs/OBSERVABILITY.md matches the code:
 //     every "dcdb_…" series registered by non-test code under internal/
-//     has a table row there, and every row names a registered series.
+//     has a table row there, and every row names a registered series,
+//     and
+//   - the flag tables in docs/OPERATIONS.md match the daemons: every
+//     flag cmd/collectagent and cmd/dcdbpusher register has a row in
+//     that binary's section, and every row names a registered flag.
 //
 // Findings print as file:line messages; any finding fails the run.
 package main
@@ -67,12 +71,17 @@ func main() {
 		}
 		findings = append(findings, fs...)
 	}
-	fs, err := catalogFindings(series)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
-		os.Exit(2)
+	for _, check := range []func() ([]string, error){
+		func() ([]string, error) { return catalogFindings(series) },
+		flagFindings,
+	} {
+		fs, err := check()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+			os.Exit(2)
+		}
+		findings = append(findings, fs...)
 	}
-	findings = append(findings, fs...)
 	if len(findings) > 0 {
 		sort.Strings(findings)
 		for _, f := range findings {
@@ -259,12 +268,8 @@ func catalogFindings(series map[string]string) ([]string, error) {
 	var findings []string
 	rows := make(map[string]bool)
 	for i, line := range strings.Split(string(raw), "\n") {
-		cells := strings.Split(line, "|")
-		if len(cells) < 3 || strings.TrimSpace(cells[0]) != "" {
-			continue
-		}
-		first := strings.TrimSpace(cells[1])
-		if !strings.HasPrefix(first, "`dcdb_") {
+		first, ok := firstCell(line)
+		if !ok || !strings.HasPrefix(first, "`dcdb_") {
 			continue
 		}
 		name, _, _ := strings.Cut(strings.Trim(first, "`"), "{")
@@ -279,4 +284,110 @@ func catalogFindings(series map[string]string) ([]string, error) {
 		}
 	}
 	return findings, nil
+}
+
+// firstCell returns the trimmed first cell of a markdown table row.
+func firstCell(line string) (string, bool) {
+	cells := strings.Split(line, "|")
+	if len(cells) < 3 || strings.TrimSpace(cells[0]) != "" {
+		return "", false
+	}
+	return strings.TrimSpace(cells[1]), true
+}
+
+// operationsPath is the runbook whose flag tables are checked against
+// the daemons; flagBinaries are the daemons, each documented under a
+// "## <name>" section there.
+const operationsPath = "docs/OPERATIONS.md"
+
+var flagBinaries = []string{"collectagent", "dcdbpusher"}
+
+// flagFindings checks each daemon's registered flags against the table
+// rows of its OPERATIONS.md section — those whose first cell is a
+// backticked "-flag": every flag needs a row, and every row must name a
+// registered flag.
+func flagFindings() ([]string, error) {
+	raw, err := os.ReadFile(operationsPath)
+	if err != nil {
+		return nil, err
+	}
+	rows := make(map[string]map[string]int) // section -> flag -> line
+	section := ""
+	for i, line := range strings.Split(string(raw), "\n") {
+		if h, ok := strings.CutPrefix(line, "## "); ok {
+			section = strings.TrimSpace(h)
+			continue
+		}
+		first, ok := firstCell(line)
+		if !ok || !strings.HasPrefix(first, "`-") {
+			continue
+		}
+		if rows[section] == nil {
+			rows[section] = make(map[string]int)
+		}
+		rows[section][strings.Trim(first, "`-")] = i + 1
+	}
+	var findings []string
+	for _, bin := range flagBinaries {
+		flags, err := registeredFlags(filepath.Join("cmd", bin))
+		if err != nil {
+			return nil, err
+		}
+		for name, pos := range flags {
+			if _, ok := rows[bin][name]; !ok {
+				findings = append(findings, fmt.Sprintf("%s: flag -%s has no row in %s section %q", pos, name, operationsPath, bin))
+			}
+		}
+		for name, line := range rows[bin] {
+			if _, ok := flags[name]; !ok {
+				findings = append(findings, fmt.Sprintf("%s:%d: row names -%s, which cmd/%s does not register", operationsPath, line, name, bin))
+			}
+		}
+	}
+	return findings, nil
+}
+
+// registeredFlags returns where the non-test code of one command
+// registers each flag: a call flag.X("name", ...) — or, for the
+// flag.XVar forms, flag.XVar(p, "name", ...).
+func registeredFlags(dir string) (map[string]string, error) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		return nil, err
+	}
+	flags := make(map[string]string)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "flag" {
+					return true
+				}
+				arg := 0
+				if strings.HasSuffix(sel.Sel.Name, "Var") {
+					arg = 1
+				}
+				if len(call.Args) <= arg {
+					return true
+				}
+				if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if name, err := strconv.Unquote(lit.Value); err == nil {
+						flags[name] = fset.Position(lit.Pos()).String()
+					}
+				}
+				return true
+			})
+		}
+	}
+	return flags, nil
 }

@@ -114,7 +114,7 @@ func main() {
 		}
 		log.Printf("GET %s -> %s", path, body)
 	}
-	if r, ok := agent2.Store.Latest(topics[0]); ok {
+	if r, ok := agent2.DB.Latest(topics[0]); ok {
 		log.Printf("latest %s = %.0f W at %s (the post-flush straggler survived the kill)",
 			topics[0], r.Value, r.T().Format(time.RFC3339))
 	}

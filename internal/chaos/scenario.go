@@ -565,12 +565,10 @@ func (s Scenario) Run() (*Verdict, error) {
 
 	// A final flush exercises the segment path post-chaos and re-arms a
 	// degraded WAL; its data stays query-visible either way.
-	if agent.DB != nil {
-		_ = agent.DB.Flush()
-	}
+	_ = agent.DB.Flush()
 
 	acct := ledger.Reconcile(func(t sensor.Topic) []sensor.Reading {
-		return agent.Store.Range(t, 0, math.MaxInt64, nil)
+		return agent.DB.Range(t, 0, math.MaxInt64, nil)
 	})
 	ingested, _ := reg.Value("dcdb_ingest_readings_total")
 	dupBatches, _ := reg.Value("dcdb_ingest_dup_batches_total")

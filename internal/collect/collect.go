@@ -4,9 +4,11 @@
 // caches, and embeds the Wintermute framework with visibility of the
 // entire system's sensor space (paper §IV-A).
 //
-// A delivered burst of batches is stored on the delivering connection's
-// own goroutine, in one call into the backend, before the broker
-// acknowledges any of it: an ack means stored.
+// The agent's Storage Backend is the embedded tsdb engine in
+// Config.StoreDir: a write-ahead log plus compressed segments, recovered
+// on start. A delivered burst of batches is stored on the delivering
+// connection's own goroutine, in one call into the backend, before the
+// broker acknowledges any of it: an ack means stored.
 //
 // Operators instantiated in a Collect Agent read from the local caches
 // when possible and from the Storage Backend otherwise — the location
@@ -38,24 +40,19 @@ type Config struct {
 	ListenMQTT string
 	// CacheRetention sizes the system-wide sensor caches (default 180 s).
 	CacheRetention time.Duration
-	// StoreDir selects the persistent Storage Backend: when set, the
-	// agent opens an embedded tsdb database in this directory (WAL +
-	// compressed segments, crash-recovered on start) instead of the
-	// bounded in-memory store.
+	// StoreDir is the Storage Backend's directory (required): the agent
+	// opens an embedded tsdb database there (WAL + compressed segments,
+	// crash-recovered on start).
 	StoreDir string
-	// StoreRetention is the time window the persistent backend keeps
-	// (0 = forever). Only meaningful with StoreDir.
+	// StoreRetention is the time window the backend keeps (0 = forever).
 	StoreRetention time.Duration
-	// StoreMax caps readings kept per sensor in the in-memory Storage
-	// Backend (0 = unlimited). Only meaningful without StoreDir.
-	StoreMax int
 	// StoreWALSync fsyncs the tsdb write-ahead log on every group commit
 	// (durability against OS crashes; the fsync is amortized across all
 	// concurrently-ingesting connections).
 	StoreWALSync bool
-	// StoreFS, when set with StoreDir, replaces the storage backend's
-	// filesystem (tsdb.Options.FS). Nil selects the real one; the chaos
-	// harness injects a fault-injecting implementation here.
+	// StoreFS, when set, replaces the storage backend's filesystem
+	// (tsdb.Options.FS). Nil selects the real one; the chaos harness
+	// injects a fault-injecting implementation here.
 	StoreFS tsdb.FS
 	// ResultCacheSize caps the serving tier's query result cache: the
 	// number of memoized hot-window aggregates/downsample/range results
@@ -87,12 +84,11 @@ type Config struct {
 type Agent struct {
 	Nav     *navigator.Navigator
 	Caches  *cache.Set
-	Store   store.Backend
 	QE      *core.QueryEngine
 	Manager *core.Manager
 	Broker  *transport.Broker
 
-	// DB is the persistent backend, nil when the agent runs in-memory.
+	// DB is the agent's Storage Backend.
 	DB *tsdb.DB
 
 	// Results is the serving tier's query result cache, nil when
@@ -117,8 +113,12 @@ type Agent struct {
 	dedup *dedup
 }
 
-// New creates a Collect Agent and, when configured, starts its broker.
+// New creates a Collect Agent, opening (or recovering) its Storage
+// Backend in cfg.StoreDir, and, when configured, starts its broker.
 func New(cfg Config) (*Agent, error) {
+	if cfg.StoreDir == "" {
+		return nil, fmt.Errorf("collect: StoreDir is empty: the agent needs a Storage Backend directory")
+	}
 	if cfg.CacheRetention <= 0 {
 		cfg.CacheRetention = 180 * time.Second
 	}
@@ -127,34 +127,23 @@ func New(cfg Config) (*Agent, error) {
 	// The result cache exists before the backend opens so the janitor's
 	// very first retention pass can already invalidate through it.
 	rc := resultcache.New(cfg.ResultCacheSize, cfg.ResultCacheTTL)
-	var (
-		st store.Backend
-		db *tsdb.DB
-	)
-	if cfg.StoreDir != "" {
-		var err error
-		db, err = tsdb.Open(cfg.StoreDir, tsdb.Options{
-			Retention: cfg.StoreRetention,
-			WALSync:   cfg.StoreWALSync,
-			OnPrune:   func(int64, int) { rc.NotePrune() },
-			Metrics:   cfg.Metrics,
-			FS:        cfg.StoreFS,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("collect: opening storage backend: %w", err)
-		}
-		st = db
-	} else {
-		st = store.New(cfg.StoreMax)
+	db, err := tsdb.Open(cfg.StoreDir, tsdb.Options{
+		Retention: cfg.StoreRetention,
+		WALSync:   cfg.StoreWALSync,
+		OnPrune:   func(int64, int) { rc.NotePrune() },
+		Metrics:   cfg.Metrics,
+		FS:        cfg.StoreFS,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("collect: opening storage backend: %w", err)
 	}
-	qe := core.NewQueryEngine(nav, caches, st)
+	qe := core.NewQueryEngine(nav, caches, db)
 	sink := core.NewCacheSink(caches, nav, int(cfg.CacheRetention/time.Second), time.Second)
-	sink.Store = st
+	sink.Store = db
 	sink.Results = rc
 	a := &Agent{
 		Nav:     nav,
 		Caches:  caches,
-		Store:   st,
 		DB:      db,
 		QE:      qe,
 		Results: rc,
@@ -163,14 +152,12 @@ func New(cfg Config) (*Agent, error) {
 	}
 	// A recovered backend already knows its sensors: rebuild the tree so
 	// pattern-based operator units bind immediately after a restart.
-	if db != nil {
-		for _, topic := range db.Topics() {
-			_ = nav.AddSensor(topic)
-		}
+	for _, topic := range db.Topics() {
+		_ = nav.AddSensor(topic)
 	}
 	a.metrics = newAgentMetrics(cfg.Metrics, a)
 	a.metricHandles = append(a.metricHandles,
-		store.RegisterBackendMetrics(cfg.Metrics, st)...)
+		store.RegisterBackendMetrics(cfg.Metrics, db)...)
 	a.metricHandles = append(a.metricHandles,
 		rc.RegisterMetrics(cfg.Metrics)...)
 	a.Manager = core.NewManager(qe, sink, cfg.Env)
@@ -197,9 +184,7 @@ func New(cfg Config) (*Agent, error) {
 			}
 			a.closeMetricHandles()
 			a.Manager.Close()
-			if db != nil {
-				db.Close() // release the janitor and directory lock
-			}
+			db.Close() // release the janitor and directory lock
 			return nil, fmt.Errorf("collect: starting broker: %w", err)
 		}
 		a.Broker = b
@@ -330,11 +315,10 @@ func (a *Agent) TickOnce(now time.Time) error {
 func (a *Agent) Start() { a.Manager.Start() }
 
 // Close stops operators, shuts the Wintermute worker pool down, closes
-// the broker and, for a persistent agent, flushes and closes the
-// storage backend — in that order: Broker.Close waits for every
-// connection's serve loop, and a serve loop stores a batch before it
-// moves on, so nothing is in flight when the backend takes its final
-// flush.
+// the broker and flushes and closes the storage backend — in that
+// order: Broker.Close waits for every connection's serve loop, and a
+// serve loop stores a batch before it moves on, so nothing is in flight
+// when the backend takes its final flush.
 func (a *Agent) Close() error {
 	// Self-monitoring stops first: its publishes go through the sink, so
 	// it must not race the close sequence below.
@@ -349,10 +333,8 @@ func (a *Agent) Close() error {
 	// Callback metrics read agent state (dedup table, backend stats);
 	// unregister them before the backend goes away.
 	a.closeMetricHandles()
-	if a.DB != nil {
-		if derr := a.DB.Close(); err == nil {
-			err = derr
-		}
+	if derr := a.DB.Close(); err == nil {
+		err = derr
 	}
 	return err
 }

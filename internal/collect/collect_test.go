@@ -2,6 +2,7 @@ package collect
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 )
 
 func TestIngestWithoutBroker(t *testing.T) {
-	a, err := New(Config{})
+	a, err := New(Config{StoreDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,8 +23,8 @@ func TestIngestWithoutBroker(t *testing.T) {
 		a.Ingest("/r1/n1/power", sensor.Reading{Value: float64(100 + i), Time: int64(i) * int64(time.Second)})
 	}
 	// Data lands in store, cache and tree.
-	if a.Store.Count("/r1/n1/power") != 10 {
-		t.Fatalf("store count = %d", a.Store.Count("/r1/n1/power"))
+	if a.DB.Count("/r1/n1/power") != 10 {
+		t.Fatalf("store count = %d", a.DB.Count("/r1/n1/power"))
 	}
 	if c, ok := a.Caches.Get("/r1/n1/power"); !ok || c.Len() != 10 {
 		t.Fatal("cache missing or short")
@@ -39,7 +40,7 @@ func TestIngestWithoutBroker(t *testing.T) {
 }
 
 func TestBrokerIngestion(t *testing.T) {
-	a, err := New(Config{ListenMQTT: "127.0.0.1:0"})
+	a, err := New(Config{ListenMQTT: "127.0.0.1:0", StoreDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,25 +55,24 @@ func TestBrokerIngestion(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for a.Store.Count("/rx/n1/temp") < 2 {
+	for a.DB.Count("/rx/n1/temp") < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("store count = %d, want 2", a.Store.Count("/rx/n1/temp"))
+			t.Fatalf("store count = %d, want 2", a.DB.Count("/rx/n1/temp"))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 }
 
-func TestStoreRetention(t *testing.T) {
-	a, err := New(Config{StoreMax: 3})
-	if err != nil {
-		t.Fatal(err)
+// TestNewRequiresStoreDir: the agent has one Storage Backend, the tsdb
+// in StoreDir, so a config without a directory is refused by name.
+func TestNewRequiresStoreDir(t *testing.T) {
+	a, err := New(Config{})
+	if err == nil {
+		a.Close()
+		t.Fatal("New without StoreDir succeeded")
 	}
-	defer a.Close()
-	for i := 0; i < 10; i++ {
-		a.Ingest("/s", sensor.Reading{Value: float64(i), Time: int64(i)})
-	}
-	if a.Store.Count("/s") != 3 {
-		t.Fatalf("store retention failed: %d", a.Store.Count("/s"))
+	if !strings.Contains(err.Error(), "StoreDir") {
+		t.Fatalf("error %q does not name StoreDir", err)
 	}
 }
 
@@ -102,7 +102,7 @@ func TestPersistentAgentCrashRecovery(t *testing.T) {
 	for _, tp := range topics {
 		r, _ := a.QE.Latest(tp)
 		want[tp] = answer{
-			rng:    a.Store.Range(tp, 0, 100*int64(time.Second), nil),
+			rng:    a.DB.Range(tp, 0, 100*int64(time.Second), nil),
 			latest: r,
 		}
 	}
@@ -118,7 +118,7 @@ func TestPersistentAgentCrashRecovery(t *testing.T) {
 	}
 	defer b.Close()
 	for _, tp := range topics {
-		got := b.Store.Range(tp, 0, 100*int64(time.Second), nil)
+		got := b.DB.Range(tp, 0, 100*int64(time.Second), nil)
 		if len(got) != len(want[tp].rng) {
 			t.Fatalf("%s: recovered %d readings, want %d", tp, len(got), len(want[tp].rng))
 		}
@@ -144,7 +144,7 @@ func TestPersistentAgentCrashRecovery(t *testing.T) {
 // topic's readings in arrival order (a connection is ingested by its
 // own serve goroutine, so its order is the ingest order).
 func TestIngestFanInPreservesPerTopicOrder(t *testing.T) {
-	a, err := New(Config{ListenMQTT: "127.0.0.1:0"})
+	a, err := New(Config{ListenMQTT: "127.0.0.1:0", StoreDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestIngestFanInPreservesPerTopicOrder(t *testing.T) {
 	for {
 		total := 0
 		for n := 0; n < topics; n++ {
-			total += a.Store.Count(sensor.Topic(fmt.Sprintf("/fan/n%02d/power", n)))
+			total += a.DB.Count(sensor.Topic(fmt.Sprintf("/fan/n%02d/power", n)))
 		}
 		if total == topics*batches*batchLen {
 			break
@@ -192,7 +192,7 @@ func TestIngestFanInPreservesPerTopicOrder(t *testing.T) {
 	}
 	for n := 0; n < topics; n++ {
 		topic := sensor.Topic(fmt.Sprintf("/fan/n%02d/power", n))
-		rs := a.Store.Range(topic, stamp, stamp, nil)
+		rs := a.DB.Range(topic, stamp, stamp, nil)
 		if len(rs) != batches*batchLen {
 			t.Fatalf("%s: %d readings", topic, len(rs))
 		}
@@ -216,8 +216,8 @@ func TestIngestFanInPreservesPerTopicOrder(t *testing.T) {
 
 // TestIngestFanInDrainsOnClose publishes a burst and immediately closes
 // the agent: Close must wait for the connection's serve loop to store
-// what it routed before shutting the backend, so a persistent agent
-// loses nothing it accepted.
+// what it routed before shutting the backend, so the agent loses
+// nothing it accepted.
 func TestIngestFanInDrainsOnClose(t *testing.T) {
 	dir := t.TempDir()
 	a, err := New(Config{ListenMQTT: "127.0.0.1:0", StoreDir: dir})
@@ -253,7 +253,7 @@ func TestIngestFanInDrainsOnClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a2.Close()
-	if got := a2.Store.Count("/drain/power"); got != msgs {
+	if got := a2.DB.Count("/drain/power"); got != msgs {
 		t.Fatalf("recovered %d readings, want %d", got, msgs)
 	}
 }

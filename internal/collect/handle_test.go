@@ -103,6 +103,7 @@ func (p *peer) send(pubs ...pub) {
 func newHandleAgent(t *testing.T, cfg Config) *Agent {
 	t.Helper()
 	cfg.ListenMQTT = "127.0.0.1:0"
+	cfg.StoreDir = t.TempDir()
 	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +132,7 @@ func TestHandleSurvivesEpochEviction(t *testing.T) {
 		t.Fatalf("epoch 7 still tracked (%v) among %d epochs: nothing was evicted", tracked, a.dedup.size())
 	}
 	idle.send(pub{7, 1, "/h/idle"}, pub{7, 2, "/h/idle"}, pub{7, 3, "/h/idle"})
-	if n := a.Store.Count("/h/idle"); n != 3 {
+	if n := a.DB.Count("/h/idle"); n != 3 {
 		t.Fatalf("%d readings stored, want 3: seq 1 and 2 were redeliveries", n)
 	}
 }
@@ -156,7 +157,7 @@ func TestHandleReResolvesOnNewEpoch(t *testing.T) {
 		{pub{12, 2, topic}, 4},
 	} {
 		p.send(step.pub)
-		if n := a.Store.Count(topic); n != step.stored {
+		if n := a.DB.Count(topic); n != step.stored {
 			t.Fatalf("step %d, (%d, %d): %d readings stored, want %d", i, step.epoch, step.seq, n, step.stored)
 		}
 	}
@@ -177,8 +178,8 @@ func TestHandlesOfTwoConnectionsShareSeries(t *testing.T) {
 	second.send(pub{21, 3, topic})
 	first.send(pub{21, 3, topic})
 	c, ok := a.Caches.Get(topic)
-	if !ok || c.Len() != 4 || a.Store.Count(topic) != 4 {
-		t.Fatalf("cache holds %d readings, store %d; want 4 in both", c.Len(), a.Store.Count(topic))
+	if !ok || c.Len() != 4 || a.DB.Count(topic) != 4 {
+		t.Fatalf("cache holds %d readings, store %d; want 4 in both", c.Len(), a.DB.Count(topic))
 	}
 	if st := a.Results.Begin([]sensor.Topic{topic}); st.VerSum != 4 || st.MinHWM != 3 {
 		t.Fatalf("result-cache state %+v, want 4 writes up to t=3", st)
@@ -207,7 +208,7 @@ func TestPublisherBeyondInternCap(t *testing.T) {
 	}
 	p.send(script...)
 	for _, i := range []int{0, internCap - 1, internCap, internCap + over - 1} {
-		if n := a.Store.Count(script[i].topic); n != 2 {
+		if n := a.DB.Count(script[i].topic); n != 2 {
 			t.Errorf("%s: %d readings stored, want 2", script[i].topic, n)
 		}
 	}
@@ -255,7 +256,7 @@ func TestSecondLocalHandlerLeavesSeriesAlone(t *testing.T) {
 	for total < 3 {
 		total = <-seen
 	}
-	if n := a.Store.Count(topic); n != 2 {
+	if n := a.DB.Count(topic); n != 2 {
 		t.Fatalf("%d readings stored, want 2", n)
 	}
 }

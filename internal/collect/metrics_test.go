@@ -43,7 +43,7 @@ func TestAgentMetricsRegistered(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := a.Store.Count("/rx/n1/temp"); n != 3 {
+	if n := a.DB.Count("/rx/n1/temp"); n != 3 {
 		t.Fatalf("store count = %d after the ack, want 3", n)
 	}
 
@@ -81,6 +81,7 @@ func TestAgentMetricsRegistered(t *testing.T) {
 func TestSelfMonitorRoundTrip(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	a, err := New(Config{
+		StoreDir:         t.TempDir(),
 		Metrics:          reg,
 		SelfMonitorEvery: time.Hour, // loop armed but driven manually
 	})
@@ -149,7 +150,7 @@ func TestSelfMonitorRoundTrip(t *testing.T) {
 	// A second pass keeps publishing into the same series (no duplicate
 	// sensor registration, newer timestamps win).
 	a.SelfMon.PublishOnce(time.Now().Add(time.Second))
-	if n := a.Store.Count(topic); n < 2 {
+	if n := a.DB.Count(topic); n < 2 {
 		t.Fatalf("expected repeated publishes to accumulate, count = %d", n)
 	}
 }
@@ -157,7 +158,7 @@ func TestSelfMonitorRoundTrip(t *testing.T) {
 // TestAgentNilRegistryInert pins the no-telemetry path: a nil registry
 // wires nothing, and closing the agent twice stays safe.
 func TestAgentNilRegistryInert(t *testing.T) {
-	a, err := New(Config{})
+	a, err := New(Config{StoreDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func aggEnv(t *testing.T) (*QueryEngine, int64) {
 	t.Helper()
 	nav := navigator.New()
 	caches := cache.NewSet()
-	st := store.New(0)
+	st := store.New()
 	sec := int64(time.Second)
 	if err := nav.AddSensor("/n/power"); err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ func testEnv(t testing.TB) (*navigator.Navigator, *cache.Set, *store.Store, *Que
 	t.Helper()
 	nav := navigator.New()
 	caches := cache.NewSet()
-	st := store.New(0)
+	st := store.New()
 	for r := 0; r < 2; r++ {
 		for n := 0; n < 2; n++ {
 			topic := sensor.Topic(fmt.Sprintf("/r%d/n%d/power", r, n))

@@ -32,9 +32,9 @@ type CacheProvider interface {
 // queries compute their cache view in O(1); absolute queries use binary
 // search in O(log N).
 //
-// The fallback is any store.Backend: the in-memory store, the embedded
-// tsdb engine, or nothing at all (Pushers run cache-only with a nil
-// store). Only the read half of the interface is exercised here.
+// The fallback is any store.Backend: the embedded tsdb engine in a
+// Collect Agent, the reference store.Store in tests, or nothing at all
+// (Pushers run cache-only with a nil store). Only the read half of the interface is exercised here.
 type QueryEngine struct {
 	nav    *navigator.Navigator
 	caches CacheProvider

@@ -65,7 +65,7 @@ func TestAverageStoreFallback(t *testing.T) {
 func TestBoundSensorLateCache(t *testing.T) {
 	nav := navigator.New()
 	caches := cache.NewSet()
-	st := store.New(0)
+	st := store.New()
 	qe := NewQueryEngine(nav, caches, st)
 
 	b := qe.Bind("/n0/derived")
@@ -169,7 +169,7 @@ func TestBindUnitIdentity(t *testing.T) {
 func TestCacheSinkPushBatch(t *testing.T) {
 	nav := navigator.New()
 	caches := cache.NewSet()
-	st := store.New(0)
+	st := store.New()
 	var forwarded []Output
 	sink := NewCacheSink(caches, nav, 16, time.Second)
 	sink.Store = st

@@ -40,7 +40,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestFullPipelineAcrossComponents(t *testing.T) {
 	// Collect Agent with broker and storage backend.
-	agent, err := collect.New(collect.Config{ListenMQTT: "127.0.0.1:0"})
+	agent, err := collect.New(collect.Config{ListenMQTT: "127.0.0.1:0", StoreDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +98,9 @@ func TestFullPipelineAcrossComponents(t *testing.T) {
 
 	// All raw and derived sensors must arrive in the agent's store.
 	waitFor(t, "store ingestion", func() bool {
-		return agent.Store.Count("/r01/c01/s01/power") >= 100 &&
-			agent.Store.Count("/r01/c01/s02/power") >= 100 &&
-			agent.Store.Count("/r01/c01/s01/power-avg") >= 100
+		return agent.DB.Count("/r01/c01/s01/power") >= 100 &&
+			agent.DB.Count("/r01/c01/s02/power") >= 100 &&
+			agent.DB.Count("/r01/c01/s01/power-avg") >= 100
 	})
 
 	// The pipeline's numbers are physical: HPL node hot, idle node cool.
@@ -164,7 +164,7 @@ func TestFullPipelineAcrossComponents(t *testing.T) {
 }
 
 func TestOnDemandAcrossREST(t *testing.T) {
-	agent, err := collect.New(collect.Config{})
+	agent, err := collect.New(collect.Config{StoreDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func TestSpoolRecoveryAcrossAgentRestart(t *testing.T) {
 	if v, _ := reg.Value("dcdb_ingest_readings_total"); uint64(v) != batches {
 		t.Fatalf("ingested %v of %d replayed readings when the drain returned", v, batches)
 	}
-	got := agent2.Store.Range(topic, 0, int64(batches)+1, nil)
+	got := agent2.DB.Range(topic, 0, int64(batches)+1, nil)
 	if len(got) != batches {
 		t.Fatalf("store holds %d readings after replay, want %d", len(got), batches)
 	}
@@ -94,7 +94,7 @@ func TestSpoolRecoveryAcrossAgentRestart(t *testing.T) {
 // the store ends up with each reading exactly once.
 func TestDedupAcrossReconnect(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	agent, err := collect.New(collect.Config{ListenMQTT: "127.0.0.1:0", Metrics: reg})
+	agent, err := collect.New(collect.Config{ListenMQTT: "127.0.0.1:0", StoreDir: t.TempDir(), Metrics: reg})
 	if err != nil {
 		t.Fatalf("starting agent: %v", err)
 	}
@@ -125,7 +125,7 @@ func TestDedupAcrossReconnect(t *testing.T) {
 		t.Fatal("kills produced no reconnects")
 	}
 
-	got := agent.Store.Range(topic, 0, int64(batches)+1, nil)
+	got := agent.DB.Range(topic, 0, int64(batches)+1, nil)
 	if len(got) != batches {
 		t.Fatalf("store holds %d readings, want exactly %d (duplicates or loss)", len(got), batches)
 	}

@@ -61,7 +61,7 @@ func TestCacheRetentionSizing(t *testing.T) {
 }
 
 func TestPusherToCollectAgentFlow(t *testing.T) {
-	agent, err := collect.New(collect.Config{ListenMQTT: "127.0.0.1:0"})
+	agent, err := collect.New(collect.Config{ListenMQTT: "127.0.0.1:0", StoreDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +82,9 @@ func TestPusherToCollectAgentFlow(t *testing.T) {
 	}
 	// Await asynchronous delivery into the agent's store.
 	deadline := time.Now().Add(2 * time.Second)
-	for agent.Store.Count("/r1/n1/power") < 5 {
+	for agent.DB.Count("/r1/n1/power") < 5 {
 		if time.Now().After(deadline) {
-			t.Fatalf("store has %d readings, want 5", agent.Store.Count("/r1/n1/power"))
+			t.Fatalf("store has %d readings, want 5", agent.DB.Count("/r1/n1/power"))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -131,7 +131,7 @@ func TestBadBrokerAddress(t *testing.T) {
 // spool on: forwarded readings reach the agent's store and the client's
 // delivery counters surface through both ClientStats and telemetry.
 func TestSpoolingPusherDelivers(t *testing.T) {
-	agent, err := collect.New(collect.Config{ListenMQTT: "127.0.0.1:0"})
+	agent, err := collect.New(collect.Config{ListenMQTT: "127.0.0.1:0", StoreDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestSpoolingPusherDelivers(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := agent.Store.Count("/r1/n1/power"); got != 5 {
+	if got := agent.DB.Count("/r1/n1/power"); got != 5 {
 		t.Fatalf("store has %d readings with every batch acked, want 5", got)
 	}
 	p.Stop()
@@ -189,7 +189,7 @@ func TestSpoolingPusherDelivers(t *testing.T) {
 // on unblocked while every batch that cannot be forwarded is counted in
 // ClientStats.Dropped and dcdb_pusher_dropped_batches_total.
 func TestQoS0PusherCountsDrops(t *testing.T) {
-	agent, err := collect.New(collect.Config{ListenMQTT: "127.0.0.1:0"})
+	agent, err := collect.New(collect.Config{ListenMQTT: "127.0.0.1:0", StoreDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestQoS0PusherCountsDrops(t *testing.T) {
 	}
 	p.SampleOnce(time.Unix(0, 0))
 	deadline := time.Now().Add(2 * time.Second)
-	for agent.Store.Count("/r1/n1/power") != 1 {
+	for agent.DB.Count("/r1/n1/power") != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("QoS 0 reading never reached the agent's store")
 		}

@@ -323,10 +323,10 @@ func TestStorageEndpoint(t *testing.T) {
 		t.Fatalf("cache-only kind = %q", none.Kind)
 	}
 
-	// In-memory backend.
+	// The reference backend.
 	nav := navigator.New()
 	caches := cache.NewSet()
-	st := store.New(0)
+	st := store.New()
 	st.Insert("/a", sensor.Reading{Value: 1, Time: 1})
 	st.Insert("/a", sensor.Reading{Value: 2, Time: 2})
 	st.Insert("/b", sensor.Reading{Value: 3, Time: 3})

@@ -35,7 +35,7 @@ func newCachedStack(t *testing.T, ttl time.Duration) *cachedStack {
 	t.Helper()
 	nav := navigator.New()
 	caches := cache.NewSet()
-	st := store.New(0)
+	st := store.New()
 	rc := resultcache.New(256, ttl)
 	sink := core.NewCacheSink(caches, nav, 16, time.Second)
 	sink.Store = st

@@ -7,16 +7,13 @@ import (
 	"github.com/dcdb/wintermute/internal/sensor"
 )
 
-// This file defines the aggregation query contract of the Storage
-// Backend layer. Wintermute's operators and on-demand REST queries
-// consume aggregated sensor data — averages, extrema, rates over
-// windows — not raw readings (paper §IV-d: the aggregator plugin and
-// the unit system exist precisely so analytics never rescan raw
-// streams). Backend.Aggregate and Backend.Downsample answer such
-// queries natively, streaming over the backend's storage
-// representation (for the tsdb engine: over compressed chunks, or O(1)
-// from per-chunk pre-aggregates) instead of materializing the raw range
-// into a slice that the caller then reduces and throws away.
+// This file defines the aggregation contract of the Storage Backend.
+// Wintermute's operators and REST queries consume aggregates over
+// windows, not raw readings (paper §IV-d). The tsdb engine answers
+// Backend.Aggregate and Backend.Downsample over its own representation
+// — streaming compressed chunks, or O(1) from per-chunk pre-aggregates —
+// and the naive functions below define the semantics by Range and
+// reduce.
 
 // AggOp names a supported aggregation function over a reading window.
 type AggOp uint8
@@ -153,16 +150,12 @@ func AggregateNaive(b Backend, topic sensor.Topic, t0, t1 int64) AggResult {
 // reading with timestamp t lands in bucket (t-t0)/step, and only
 // non-empty buckets are emitted, in time order.
 func DownsampleNaive(b Backend, topic sensor.Topic, t0, t1, step int64, dst []Bucket) []Bucket {
-	if step <= 0 || t1 < t0 {
-		return dst
-	}
 	return DownsampleSorted(b.Range(topic, t0, t1, nil), t0, t0, t1, step, dst)
 }
 
 // AggregateSorted reduces the readings of a time-sorted slice with
-// timestamps in [t0, t1] in one pass. It is the shared reduction every
-// sorted tier uses: the in-memory store's series and the two runs of a
-// tsdb head block.
+// timestamps in [t0, t1] in one pass: the reduction the tsdb head uses
+// over its sorted runs.
 func AggregateSorted(rs []sensor.Reading, t0, t1 int64) AggResult {
 	var a AggResult
 	lo := sort.Search(len(rs), func(i int) bool { return rs[i].Time >= t0 })
@@ -176,9 +169,9 @@ func AggregateSorted(rs []sensor.Reading, t0, t1 int64) AggResult {
 // DownsampleSorted buckets the readings of a time-sorted slice: buckets
 // aligned to t0, readings clamped to [lo, t1] (lo lets the tsdb apply
 // its retention watermark without disturbing bucket alignment), only
-// non-empty buckets appended to dst in time order. Every sorted-slice
-// Downsample implementation delegates here so the bucketing semantics
-// live in exactly one place.
+// non-empty buckets appended to dst in time order. DownsampleNaive and
+// the tsdb head both delegate here, so the bucketing semantics live in
+// exactly one place.
 func DownsampleSorted(rs []sensor.Reading, t0, lo, t1, step int64, dst []Bucket) []Bucket {
 	if step <= 0 || t1 < lo {
 		return dst
@@ -195,29 +188,4 @@ func DownsampleSorted(rs []sensor.Reading, t0, lo, t1, step int64, dst []Bucket)
 		dst = append(dst, Bucket{Start: t0 + k*step, AggResult: a})
 	}
 	return dst
-}
-
-// Aggregate implements Backend natively for the in-memory store:
-// one binary search for the window bounds, then a single streaming pass
-// over the series slice — no copy of the readings.
-func (s *Store) Aggregate(topic sensor.Topic, t0, t1 int64) AggResult {
-	se := s.get(topic, false)
-	if se == nil || t1 < t0 {
-		return AggResult{}
-	}
-	se.mu.RLock()
-	defer se.mu.RUnlock()
-	return AggregateSorted(se.data, t0, t1)
-}
-
-// Downsample implements Backend natively for the in-memory store,
-// emitting buckets in one streaming pass over the sorted series.
-func (s *Store) Downsample(topic sensor.Topic, t0, t1, step int64, dst []Bucket) []Bucket {
-	se := s.get(topic, false)
-	if se == nil {
-		return dst
-	}
-	se.mu.RLock()
-	defer se.mu.RUnlock()
-	return DownsampleSorted(se.data, t0, t0, t1, step, dst)
 }

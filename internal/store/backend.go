@@ -2,15 +2,14 @@ package store
 
 import "github.com/dcdb/wintermute/internal/sensor"
 
-// Backend is the Storage Backend contract every persistent or in-memory
-// reading store satisfies: ordered per-topic inserts, inclusive
-// time-range and latest-reading queries, windowed aggregates answered
-// over the backend's own representation, topic enumeration by prefix,
-// time-based retention and a statistics summary. The Query Engine's
-// store fallback, the cache sinks, the REST tier and the Collect Agent
-// all program against this one interface, so a component can swap the
-// in-memory Store for the embedded tsdb engine (or, in the production
-// deployment, Cassandra) without touching its consumers.
+// Backend is the Storage Backend contract: ordered per-topic inserts,
+// inclusive time-range and latest-reading queries, windowed aggregates
+// answered over the backend's own representation, topic enumeration by
+// prefix, time-based retention and a statistics summary. The Query
+// Engine's store fallback, the cache sinks, the REST tier and the Collect
+// Agent all program against this one interface. The agent runs the
+// embedded tsdb engine behind it (Cassandra in the upstream deployment);
+// tests run the reference Store, or a tsdb, behind the same consumers.
 type Backend interface {
 	// Insert appends one reading to the topic's series, placing
 	// out-of-order arrivals at their sorted position.
@@ -46,9 +45,10 @@ type Backend interface {
 	Downsample(topic sensor.Topic, t0, t1, step int64, dst []Bucket) []Bucket
 	// Topics returns all topics with at least one stored reading, sorted.
 	Topics() []sensor.Topic
-	// TopicsPrefix returns the sorted topics at or below prefix that
-	// hold at least one stored reading, from the backend's topic index
-	// in O(matches). An empty prefix (or the root) returns every topic.
+	// TopicsPrefix returns the sorted topics at or below prefix, matched
+	// segment by segment as sensor.Topic.HasPrefix does, that hold at
+	// least one stored reading. An empty prefix (or the root) returns
+	// every topic.
 	TopicsPrefix(prefix sensor.Topic) []sensor.Topic
 	// Prune drops all readings strictly older than cutoff (nanoseconds)
 	// and returns the number of readings removed.
@@ -67,9 +67,10 @@ type Batch struct {
 
 // BackendStats is a point-in-time summary of a Storage Backend, served
 // by the REST layer's /storage endpoint. Disk and WAL/segment fields are
-// zero for in-memory backends.
+// zero for the reference Store.
 type BackendStats struct {
-	// Kind identifies the backend implementation ("memory" or "tsdb").
+	// Kind identifies the backend implementation ("tsdb", or "memory" for
+	// the reference Store).
 	Kind string `json:"kind"`
 	// Topics is the number of series holding at least one reading.
 	Topics int `json:"topics"`
@@ -92,20 +93,3 @@ type BackendStats struct {
 }
 
 var _ Backend = (*Store)(nil)
-
-// Stats implements Backend for the in-memory store.
-func (s *Store) Stats() BackendStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st := BackendStats{Kind: "memory"}
-	for _, se := range s.series {
-		se.mu.RLock()
-		n := len(se.data)
-		se.mu.RUnlock()
-		if n > 0 {
-			st.Topics++
-			st.TotalReadings += n
-		}
-	}
-	return st
-}

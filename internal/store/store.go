@@ -1,12 +1,13 @@
-// Package store implements the DCDB Storage Backend as an embedded,
-// concurrency-safe time-series store.
+// Package store defines the DCDB Storage Backend contract (Backend), the
+// aggregation types every backend answers with, and Store, a reference
+// implementation the tests of other packages use.
 //
-// The production DCDB deployment uses Apache Cassandra; every consumer in
-// this codebase (Collect Agent inserts, Query Engine fallback reads, REST
-// queries) only relies on per-sensor ordered insert and time-range query
-// semantics, which this package provides in memory. Distribution and
-// replication are orthogonal to all of the paper's experiments (see
-// DESIGN.md, substitution table).
+// Production runs one backend: the Collect Agent always stores into the
+// embedded tsdb engine (internal/tsdb). Store is deliberately the
+// simplest correct backend — a map of sorted slices under one lock,
+// topics listed by sort, prefixes by filter, aggregates by Range and
+// reduce — so it can serve as an oracle that shares no index, cache or
+// streaming path with the engine it judges.
 package store
 
 import (
@@ -16,124 +17,42 @@ import (
 	"github.com/dcdb/wintermute/internal/sensor"
 )
 
-// Store holds one ordered reading series per sensor topic. The zero value
-// is not usable; construct with New.
-//
-//lint:lockorder Store.mu < series.mu
+// Store holds one time-sorted reading series per sensor topic under a
+// single lock. The zero value is not usable; construct with New.
 type Store struct {
-	mu           sync.RWMutex
-	series       map[sensor.Topic]*series
-	maxPerSeries int // readings retained per sensor; 0 means unlimited
-	// idx mirrors the series map as a sorted prefix table so wildcard
-	// fan-out resolves in O(matches); maintained under s.mu on series
-	// creation and prune (lock order: Store.mu < TopicIndex.mu).
-	idx *TopicIndex
+	mu     sync.RWMutex
+	series map[sensor.Topic][]sensor.Reading
 }
 
-type series struct {
-	mu   sync.RWMutex
-	data []sensor.Reading
-	// dead marks a series Prune has removed from the map. An insert that
-	// resolved the pointer before the removal detects the tombstone and
-	// re-resolves instead of appending to an orphan.
-	dead bool
+// New creates an empty store.
+func New() *Store {
+	return &Store{series: make(map[sensor.Topic][]sensor.Reading)}
 }
 
-// New creates a store retaining up to maxPerSeries readings per sensor
-// (the oldest are evicted first); 0 disables the bound.
-func New(maxPerSeries int) *Store {
-	return &Store{
-		series:       make(map[sensor.Topic]*series),
-		maxPerSeries: maxPerSeries,
-		idx:          NewTopicIndex(),
-	}
-}
-
-func (s *Store) get(topic sensor.Topic, create bool) *series {
-	s.mu.RLock()
-	se := s.series[topic]
-	s.mu.RUnlock()
-	if se != nil || !create {
-		return se
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if se = s.series[topic]; se == nil {
-		se = &series{}
-		s.series[topic] = se
-		s.idx.Add(topic)
-	}
-	return se
-}
-
-// insert places one reading at its sorted position. Callers must hold
-// se.mu.
-func (se *series) insert(r sensor.Reading) {
-	n := len(se.data)
-	if n == 0 || se.data[n-1].Time <= r.Time {
-		se.data = append(se.data, r)
-		return
-	}
-	i := sort.Search(n, func(i int) bool { return se.data[i].Time > r.Time })
-	se.data = append(se.data, sensor.Reading{})
-	copy(se.data[i+1:], se.data[i:])
-	se.data[i] = r
-}
-
-// trim enforces the per-series retention bound. Callers must hold se.mu.
-func (se *series) trim(max int) {
-	if max > 0 && len(se.data) > max {
-		drop := len(se.data) - max
-		se.data = append(se.data[:0], se.data[drop:]...)
-	}
-}
-
-// Insert appends a reading to the series of topic. Readings arriving out
-// of timestamp order are placed at their sorted position, so range queries
-// always observe a time-ordered series.
+// Insert is InsertBatches of one reading.
 func (s *Store) Insert(topic sensor.Topic, r sensor.Reading) {
-	for {
-		se := s.get(topic, true)
-		se.mu.Lock()
-		if se.dead {
-			se.mu.Unlock()
-			continue // pruned away between resolution and lock; re-resolve
-		}
-		se.insert(r)
-		se.trim(s.maxPerSeries)
-		se.mu.Unlock()
-		return
-	}
+	s.InsertBatches([]Batch{{Topic: topic, Readings: []sensor.Reading{r}}})
 }
 
-// InsertBatch appends several readings to one topic under a single lock
-// acquisition, trimming retention once at the end — the batched-sink
-// ingest path of the Collect Agent (one lock per delivered MQTT message
-// or operator-unit batch instead of one per reading).
+// InsertBatch is InsertBatches of one batch.
 func (s *Store) InsertBatch(topic sensor.Topic, rs []sensor.Reading) {
 	s.InsertBatches([]Batch{{Topic: topic, Readings: rs}})
 }
 
-// InsertBatches appends a burst of batches in order, each under one
-// acquisition of its series lock.
+// InsertBatches inserts a burst of batches in order, each reading at its
+// sorted position after any reading with an equal timestamp, so equal
+// timestamps keep arrival order.
 func (s *Store) InsertBatches(bs []Batch) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, b := range bs {
-		if len(b.Readings) == 0 {
-			continue
-		}
-		for {
-			se := s.get(b.Topic, true)
-			se.mu.Lock()
-			if se.dead {
-				se.mu.Unlock()
-				continue
-			}
-			for _, r := range b.Readings {
-				se.insert(r)
-			}
-			se.trim(s.maxPerSeries)
-			se.mu.Unlock()
-			break
+		for _, r := range b.Readings {
+			rs := s.series[b.Topic]
+			i := sort.Search(len(rs), func(i int) bool { return rs[i].Time > r.Time })
+			rs = append(rs, sensor.Reading{})
+			copy(rs[i+1:], rs[i:])
+			rs[i] = r
+			s.series[b.Topic] = rs
 		}
 	}
 }
@@ -141,106 +60,100 @@ func (s *Store) InsertBatches(bs []Batch) {
 // Range appends to dst the readings of topic with timestamps in [t0, t1]
 // (inclusive) and returns the extended slice.
 func (s *Store) Range(topic sensor.Topic, t0, t1 int64, dst []sensor.Reading) []sensor.Reading {
-	se := s.get(topic, false)
-	if se == nil || t1 < t0 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	rs := s.series[topic]
+	lo := sort.Search(len(rs), func(i int) bool { return rs[i].Time >= t0 })
+	hi := sort.Search(len(rs), func(i int) bool { return rs[i].Time > t1 })
+	if lo >= hi {
 		return dst
 	}
-	se.mu.RLock()
-	defer se.mu.RUnlock()
-	lo := sort.Search(len(se.data), func(i int) bool { return se.data[i].Time >= t0 })
-	hi := sort.Search(len(se.data), func(i int) bool { return se.data[i].Time > t1 })
-	return append(dst, se.data[lo:hi]...)
+	return append(dst, rs[lo:hi]...)
 }
 
 // Latest returns the most recent reading of topic, if any.
 func (s *Store) Latest(topic sensor.Topic) (sensor.Reading, bool) {
-	se := s.get(topic, false)
-	if se == nil {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	rs := s.series[topic]
+	if len(rs) == 0 {
 		return sensor.Reading{}, false
 	}
-	se.mu.RLock()
-	defer se.mu.RUnlock()
-	if len(se.data) == 0 {
-		return sensor.Reading{}, false
-	}
-	return se.data[len(se.data)-1], true
+	return rs[len(rs)-1], true
 }
 
 // Count returns the number of readings stored for topic.
 func (s *Store) Count(topic sensor.Topic) int {
-	se := s.get(topic, false)
-	if se == nil {
-		return 0
-	}
-	se.mu.RLock()
-	defer se.mu.RUnlock()
-	return len(se.data)
-}
-
-// Topics returns all topics with at least one stored reading, sorted.
-func (s *Store) Topics() []sensor.Topic {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return len(s.series[topic])
+}
+
+// Aggregate implements Backend by AggregateNaive.
+func (s *Store) Aggregate(topic sensor.Topic, t0, t1 int64) AggResult {
+	return AggregateNaive(s, topic, t0, t1)
+}
+
+// Downsample implements Backend by DownsampleNaive.
+func (s *Store) Downsample(topic sensor.Topic, t0, t1, step int64, dst []Bucket) []Bucket {
+	return DownsampleNaive(s, topic, t0, t1, step, dst)
+}
+
+// Topics returns all topics with at least one stored reading, sorted:
+// the keys of the series map.
+func (s *Store) Topics() []sensor.Topic {
+	s.mu.RLock()
 	out := make([]sensor.Topic, 0, len(s.series))
-	for t, se := range s.series {
-		se.mu.RLock()
-		n := len(se.data)
-		se.mu.RUnlock()
-		if n > 0 {
-			out = append(out, t)
-		}
+	for t := range s.series {
+		out = append(out, t)
 	}
+	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// Prune drops all readings strictly older than cutoff (nanoseconds) from
-// every series, implementing retention (the TTL of the Cassandra schema).
-// Series left empty are deleted outright — long-gone sensors must not
-// leak map entries (and their topic strings) forever. It returns the
-// number of readings removed.
+// TopicsPrefix implements Backend by filtering Topics with
+// sensor.Topic.HasPrefix.
+func (s *Store) TopicsPrefix(prefix sensor.Topic) []sensor.Topic {
+	var out []sensor.Topic
+	for _, t := range s.Topics() {
+		if t.HasPrefix(prefix) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// Prune drops all readings strictly older than cutoff (nanoseconds) and
+// deletes the series it empties. It returns the number of readings
+// removed.
 func (s *Store) Prune(cutoff int64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	removed := 0
-	for topic, se := range s.series {
-		se.mu.Lock()
-		lo := sort.Search(len(se.data), func(i int) bool { return se.data[i].Time >= cutoff })
-		if lo > 0 {
-			removed += lo
-			se.data = append(se.data[:0], se.data[lo:]...)
-		}
-		if len(se.data) == 0 {
-			se.dead = true // a racing Insert re-resolves via the tombstone
+	for topic, rs := range s.series {
+		lo := sort.Search(len(rs), func(i int) bool { return rs[i].Time >= cutoff })
+		removed += lo
+		if lo == len(rs) {
 			delete(s.series, topic)
-			se.mu.Unlock()
-			// Evict the topic from the prefix index too, so retention
-			// leaves no ghost topics behind in wildcard expansion. Still
-			// under s.mu: a racing Insert re-creates both entries.
-			s.idx.Remove(topic)
-			continue
+		} else if lo > 0 {
+			s.series[topic] = append(rs[:0], rs[lo:]...)
 		}
-		se.mu.Unlock()
 	}
 	return removed
 }
 
-// TopicsPrefix implements Backend: the sorted topics at or below
-// prefix, answered from the incrementally-maintained prefix index in
-// O(log n + matches).
-func (s *Store) TopicsPrefix(prefix sensor.Topic) []sensor.Topic {
-	return s.idx.Prefix(prefix, nil)
-}
-
 // TotalReadings returns the number of readings across all series.
-func (s *Store) TotalReadings() int {
+func (s *Store) TotalReadings() int { return s.Stats().TotalReadings }
+
+// Stats implements Backend. Every series holds at least one reading:
+// inserts add readings and Prune deletes the series it empties.
+func (s *Store) Stats() BackendStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := 0
-	for _, se := range s.series {
-		se.mu.RLock()
-		n += len(se.data)
-		se.mu.RUnlock()
+	st := BackendStats{Kind: "memory", Topics: len(s.series)}
+	for _, rs := range s.series {
+		st.TotalReadings += len(rs)
 	}
-	return n
+	return st
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestInsertAndRange(t *testing.T) {
-	s := New(0)
+	s := New()
 	for i := 0; i < 10; i++ {
 		s.Insert("/n/power", sensor.Reading{Value: float64(i), Time: int64(i * 100)})
 	}
@@ -30,7 +30,7 @@ func TestInsertAndRange(t *testing.T) {
 }
 
 func TestOutOfOrderInsert(t *testing.T) {
-	s := New(0)
+	s := New()
 	times := []int64{50, 10, 30, 20, 40, 25}
 	for _, ts := range times {
 		s.Insert("/x", sensor.Reading{Value: float64(ts), Time: ts})
@@ -48,7 +48,7 @@ func TestOutOfOrderInsert(t *testing.T) {
 
 func TestOrderInvariantProperty(t *testing.T) {
 	f := func(times []int16) bool {
-		s := New(0)
+		s := New()
 		for _, ts := range times {
 			s.Insert("/t", sensor.Reading{Time: int64(ts)})
 		}
@@ -69,7 +69,7 @@ func TestOrderInvariantProperty(t *testing.T) {
 }
 
 func TestLatest(t *testing.T) {
-	s := New(0)
+	s := New()
 	if _, ok := s.Latest("/x"); ok {
 		t.Fatal("missing topic should have no latest")
 	}
@@ -82,22 +82,8 @@ func TestLatest(t *testing.T) {
 	}
 }
 
-func TestRetentionBound(t *testing.T) {
-	s := New(5)
-	for i := 0; i < 20; i++ {
-		s.Insert("/x", sensor.Reading{Value: float64(i), Time: int64(i)})
-	}
-	if s.Count("/x") != 5 {
-		t.Fatalf("Count = %d, want 5", s.Count("/x"))
-	}
-	got := s.Range("/x", 0, 100, nil)
-	if got[0].Value != 15 || got[4].Value != 19 {
-		t.Fatalf("retained wrong window: %+v", got)
-	}
-}
-
 func TestTopicsSorted(t *testing.T) {
-	s := New(0)
+	s := New()
 	for _, tp := range []sensor.Topic{"/c", "/a", "/b"} {
 		s.Insert(tp, sensor.Reading{Time: 1})
 	}
@@ -108,7 +94,7 @@ func TestTopicsSorted(t *testing.T) {
 }
 
 func TestPrune(t *testing.T) {
-	s := New(0)
+	s := New()
 	for i := 0; i < 10; i++ {
 		s.Insert("/x", sensor.Reading{Time: int64(i)})
 		s.Insert("/y", sensor.Reading{Time: int64(i)})
@@ -129,7 +115,7 @@ func TestPrune(t *testing.T) {
 }
 
 func TestPruneDeletesEmptySeries(t *testing.T) {
-	s := New(0)
+	s := New()
 	for i := 0; i < 5; i++ {
 		s.Insert("/old", sensor.Reading{Time: int64(i)})
 		s.Insert("/live", sensor.Reading{Time: int64(100 + i)})
@@ -155,7 +141,7 @@ func TestPruneDeletesEmptySeries(t *testing.T) {
 }
 
 func TestPruneInsertRace(t *testing.T) {
-	s := New(0)
+	s := New()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -188,7 +174,7 @@ func TestPruneInsertRace(t *testing.T) {
 }
 
 func TestInsertBatch(t *testing.T) {
-	s := New(0)
+	s := New()
 	rs := []sensor.Reading{{Value: 1, Time: 1}, {Value: 2, Time: 2}}
 	s.InsertBatch("/x", rs)
 	if s.Count("/x") != 2 {
@@ -207,7 +193,7 @@ func TestInsertBatch(t *testing.T) {
 }
 
 func TestConcurrentInsertAndQuery(t *testing.T) {
-	s := New(1000)
+	s := New()
 	var wg sync.WaitGroup
 	topics := []sensor.Topic{"/a", "/b", "/c", "/d"}
 	for w := 0; w < 4; w++ {

@@ -94,6 +94,7 @@ func headShardIdx(topic sensor.Topic) uint32 {
 //lint:lockorder DB.mu < wal.mu
 //lint:lockorder DB.ingest < wal.mu
 //lint:lockorder DB.ingest < DB.walErrMu
+//lint:lockorder DB.ingest < topicIndex.mu < DB.mu
 type DB struct {
 	dir  string
 	opts Options
@@ -155,10 +156,10 @@ type DB struct {
 	// expansion in O(matches): built from the recovered topic set at
 	// Open, extended by InsertBatches when it creates a topic's head, and
 	// reconciled by Prune (ResetWith) so retention leaves no ghosts.
-	// Its mutex slots between DB.ingest and DB.mu in the cross-package
-	// lock order (inserts hold ingest when adding; the prune rebuild's
-	// snapshot callback takes db.mu under it) — see docs/ANALYSIS.md.
-	idx *store.TopicIndex
+	// Its mutex slots between DB.ingest and DB.mu in the lock order
+	// (inserts hold ingest when adding; the prune rebuild's snapshot
+	// callback takes db.mu under it) — see docs/ANALYSIS.md.
+	idx *topicIndex
 
 	lock *os.File // exclusive directory lock (LOCK file)
 
@@ -210,7 +211,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		segs:  segs,
 		floor: loadFloor(fs, dir),
 		lock:  lock,
-		idx:   store.NewTopicIndex(),
+		idx:   newTopicIndex(),
 	}
 	for i := range db.shards {
 		db.shards[i].heads = make(map[sensor.Topic]*head)

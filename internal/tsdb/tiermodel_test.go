@@ -4,7 +4,9 @@
 // segment write, retention passes, kills and restarts — run against a
 // tsdb.DB and a store.Store fed the same readings, with every reader
 // compared after every step and from inside the segment write itself,
-// where sealed and fresh data coexist in the heads.
+// where sealed and fresh data coexist in the heads. The reference is
+// independent of the engine: a map of sorted slices that lists topics by
+// sort and prefixes by filter, sharing no index with the DB.
 package tsdb_test
 
 import (
@@ -178,6 +180,13 @@ func (m *tierModel) check(when string) {
 	if got, want := m.db.Topics(), m.ref.Topics(); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
 		fail("Topics = %v, reference %v", got, want)
 	}
+	// Every rack, one node, one whole topic and an absent prefix; /rack10
+	// has /rack1 as a string prefix and must not be listed under it.
+	for _, p := range []sensor.Topic{"", "/rack0", "/rack1", "/rack10", "/rack1/node3", m.topics[m.rng.Intn(len(m.topics))], "/rack2"} {
+		if got, want := m.db.TopicsPrefix(p), m.ref.TopicsPrefix(p); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			fail("TopicsPrefix(%q) = %v, reference %v", p, got, want)
+		}
+	}
 	if got, want := m.db.TotalReadings(), m.ref.TotalReadings(); got != want {
 		fail("TotalReadings = %d, reference %d", got, want)
 	}
@@ -237,12 +246,13 @@ func TestTierModel(t *testing.T) {
 				rng:  rand.New(rand.NewSource(testseed.Derive(base, fmt.Sprintf("round%d", round)))),
 				dir:  t.TempDir(),
 				fs:   &nthFaultFS{FS: tsdb.OSFS, count: map[string]int{}},
-				ref:  store.New(0),
+				ref:  store.New(),
 				next: map[sensor.Topic]int64{},
 			}
 			for i := 0; i < 6; i++ {
 				m.topics = append(m.topics, sensor.Topic(fmt.Sprintf("/rack%d/node%d/power", i/3, i)))
 			}
+			m.topics = append(m.topics, "/rack10/node6/power")
 			m.open()
 			defer func() { m.db.Abandon() }()
 

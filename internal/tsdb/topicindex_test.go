@@ -1,8 +1,10 @@
 package tsdb
 
 import (
+	"fmt"
 	"os"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -197,5 +199,126 @@ func TestTopicListedAcrossHeadDrops(t *testing.T) {
 	db.Prune(at + 4)
 	if db.Count(topic) != 1 || !listed() {
 		t.Fatalf("after the next prune: %d live, listed %v", db.Count(topic), listed())
+	}
+}
+
+func TestTopicIndexAdd(t *testing.T) {
+	ix := newTopicIndex()
+	for _, tp := range []sensor.Topic{"/b", "/a", "/c", "/a"} {
+		ix.Add(tp)
+	}
+	if got := ix.Prefix("", nil); !reflect.DeepEqual(got, []sensor.Topic{"/a", "/b", "/c"}) {
+		t.Fatalf("after adds (one twice) = %v, want each once, sorted", got)
+	}
+	if got := ix.Prefix("/d", nil); len(got) != 0 {
+		t.Fatalf("Prefix(/d) = %v for a topic never added", got)
+	}
+}
+
+// TestTopicIndexPrefix pins the segment-aware interval trick: the
+// subtree below /p is exactly ["/p/", "/p0"), so the sibling /r10 never
+// leaks into /r1's expansion, and an exact sensor at the prefix itself
+// is included.
+func TestTopicIndexPrefix(t *testing.T) {
+	ix := newTopicIndex()
+	all := []sensor.Topic{"/r1", "/r1/a", "/r1/a/x", "/r10/b", "/r2"}
+	for _, tp := range all {
+		ix.Add(tp)
+	}
+	for _, tc := range []struct {
+		prefix sensor.Topic
+		want   []sensor.Topic
+	}{
+		{"", all},
+		{"/", all},
+		{"/r1", []sensor.Topic{"/r1", "/r1/a", "/r1/a/x"}},
+		{"/r1/", []sensor.Topic{"/r1", "/r1/a", "/r1/a/x"}},
+		{"/r1/a", []sensor.Topic{"/r1/a", "/r1/a/x"}},
+		{"/r10", []sensor.Topic{"/r10/b"}},
+		{"/r9", nil},
+		{"/r1/a/x", []sensor.Topic{"/r1/a/x"}},
+	} {
+		if got := ix.Prefix(tc.prefix, nil); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Prefix(%q) = %v, want %v", tc.prefix, got, tc.want)
+		}
+	}
+}
+
+// TestTopicIndexMatchesHasPrefix cross-checks the interval arithmetic
+// against the reference semantics: for every prefix, the index answer
+// must equal filtering the sorted namespace with Topic.HasPrefix.
+func TestTopicIndexMatchesHasPrefix(t *testing.T) {
+	ix := newTopicIndex()
+	var all []sensor.Topic
+	for r := 0; r < 3; r++ {
+		for n := 0; n < 12; n++ {
+			tp := sensor.Topic(fmt.Sprintf("/r%d/n%d/power", r, n))
+			all = append(all, tp)
+			ix.Add(tp)
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	for _, prefix := range []sensor.Topic{"", "/", "/r1", "/r1/", "/r1/n1", "/r1/n11", "/r3", "/r1/n1/power"} {
+		var want []sensor.Topic
+		for _, tp := range all {
+			if tp.HasPrefix(prefix) {
+				want = append(want, tp)
+			}
+		}
+		if got := ix.Prefix(prefix, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Prefix(%q) = %v, HasPrefix filter %v", prefix, got, want)
+		}
+	}
+}
+
+func TestTopicIndexResetWith(t *testing.T) {
+	ix := newTopicIndex()
+	ix.Add("/a")
+	ix.Add("/b")
+	ix.ResetWith(func() []sensor.Topic { return []sensor.Topic{"/c", "/b"} })
+	if got := ix.Prefix("", nil); !reflect.DeepEqual(got, []sensor.Topic{"/b", "/c"}) {
+		t.Fatalf("after reset = %v", got)
+	}
+	if got := ix.Prefix("/a", nil); len(got) != 0 {
+		t.Fatalf("reset kept dropped topic: %v", got)
+	}
+	ix.Add("/a")
+	if got := ix.Prefix("/a", nil); !reflect.DeepEqual(got, []sensor.Topic{"/a"}) {
+		t.Fatalf("re-add after reset = %v", got)
+	}
+}
+
+// TestTopicIndexConcurrency drives Add/Prefix/ResetWith from many
+// goroutines; run under -race this checks the locking, and the final
+// reconcile checks no topic is lost.
+func TestTopicIndexConcurrency(t *testing.T) {
+	ix := newTopicIndex()
+	var wg sync.WaitGroup
+	topics := make([]sensor.Topic, 64)
+	for i := range topics {
+		topics[i] = sensor.Topic(fmt.Sprintf("/r%d/n%d/power", i%4, i))
+	}
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(topics); i += 4 {
+				ix.Add(topics[i])
+				ix.Prefix("/r1", nil)
+				ix.Prefix(topics[i], nil)
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 8; i++ {
+			ix.ResetWith(func() []sensor.Topic { return topics })
+		}
+	}()
+	wg.Wait()
+	ix.ResetWith(func() []sensor.Topic { return topics })
+	if got := ix.Prefix("", nil); len(got) != len(topics) {
+		t.Fatalf("%d topics indexed, want %d", len(got), len(topics))
 	}
 }
