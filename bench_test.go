@@ -38,7 +38,7 @@ const sec = int64(time.Second)
 func filledCache(n int) *cache.Cache {
 	c := cache.New(n, time.Second)
 	for i := 0; i < n; i++ {
-		c.Store(sensor.Reading{Value: float64(i), Time: int64(i) * sec})
+		c.StoreBatch([]sensor.Reading{{Value: float64(i), Time: int64(i) * sec}})
 	}
 	return c
 }
@@ -81,7 +81,7 @@ func testerEnv(b *testing.B, sensors int) (*core.QueryEngine, *core.Manager) {
 		}
 		c := caches.GetOrCreate(topic, 180, time.Second)
 		for k := 0; k < 180; k++ {
-			c.Store(sensor.Reading{Value: float64(k), Time: int64(k) * sec})
+			c.StoreBatch([]sensor.Reading{{Value: float64(k), Time: int64(k) * sec}})
 		}
 	}
 	qe := core.NewQueryEngine(nav, caches, nil)
@@ -148,8 +148,8 @@ func BenchmarkQueryCacheHit(b *testing.B) {
 	c := caches.GetOrCreate("/n/power", 180, time.Second)
 	for k := 0; k < 180; k++ {
 		r := sensor.Reading{Value: float64(k), Time: int64(k) * sec}
-		c.Store(r)
-		st.Insert("/n/power", r)
+		c.StoreBatch([]sensor.Reading{r})
+		st.InsertBatch("/n/power", []sensor.Reading{r})
 	}
 	qe := core.NewQueryEngine(nav, caches, st)
 	buf := make([]sensor.Reading, 0, 256)
@@ -166,7 +166,7 @@ func BenchmarkQueryStoreFallback(b *testing.B) {
 	st := benchDB(b)
 	_ = nav.AddSensor("/n/power")
 	for k := 0; k < 180; k++ {
-		st.Insert("/n/power", sensor.Reading{Value: float64(k), Time: int64(k) * sec})
+		st.InsertBatch("/n/power", []sensor.Reading{{Value: float64(k), Time: int64(k) * sec}})
 	}
 	qe := core.NewQueryEngine(nav, caches, st) // no cache: store answers
 	buf := make([]sensor.Reading, 0, 256)
@@ -187,7 +187,7 @@ func boundQueryEnv(b *testing.B) *core.QueryEngine {
 	_ = nav.AddSensor("/n/power")
 	c := caches.GetOrCreate("/n/power", 180, time.Second)
 	for k := 0; k < 180; k++ {
-		c.Store(sensor.Reading{Value: float64(k), Time: int64(k) * sec})
+		c.StoreBatch([]sensor.Reading{{Value: float64(k), Time: int64(k) * sec}})
 	}
 	return core.NewQueryEngine(nav, caches, nil)
 }
@@ -234,7 +234,7 @@ func tickAllocEnv(b *testing.B) (*core.QueryEngine, core.Operator, core.Sink) {
 		_ = nav.AddSensor(topic)
 		c := caches.GetOrCreate(topic, 180, time.Second)
 		for k := 0; k < 180; k++ {
-			c.Store(sensor.Reading{Value: float64(k), Time: int64(k) * sec})
+			c.StoreBatch([]sensor.Reading{{Value: float64(k), Time: int64(k) * sec}})
 		}
 	}
 	qe := core.NewQueryEngine(nav, caches, nil)
@@ -250,7 +250,7 @@ func tickAllocEnv(b *testing.B) (*core.QueryEngine, core.Operator, core.Sink) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return qe, op, core.SinkFunc(func(sensor.Topic, sensor.Reading) {})
+	return qe, op, core.SinkFunc(func([]core.Output) {})
 }
 
 // BenchmarkTickComputeScratch drives 64 sequential unit computations per
@@ -320,7 +320,7 @@ func unitMgmtEnv(b *testing.B, parallel bool) (*core.QueryEngine, core.Operator,
 		_ = nav.AddSensor(topic)
 		c := caches.GetOrCreate(topic, 180, time.Second)
 		for k := 0; k < 180; k++ {
-			c.Store(sensor.Reading{Value: float64(k), Time: int64(k) * sec})
+			c.StoreBatch([]sensor.Reading{{Value: float64(k), Time: int64(k) * sec}})
 		}
 	}
 	qe := core.NewQueryEngine(nav, caches, nil)
@@ -338,7 +338,7 @@ func unitMgmtEnv(b *testing.B, parallel bool) (*core.QueryEngine, core.Operator,
 	if err != nil {
 		b.Fatal(err)
 	}
-	return qe, op, core.SinkFunc(func(sensor.Topic, sensor.Reading) {})
+	return qe, op, core.SinkFunc(func([]core.Output) {})
 }
 
 func BenchmarkUnitsSequential(b *testing.B) {
@@ -444,7 +444,7 @@ func benchTickAllContention(b *testing.B, threads, probeUs int) {
 		}
 		c := caches.GetOrCreate(topic, 180, time.Second)
 		for k := 0; k < 180; k++ {
-			c.Store(sensor.Reading{Value: float64(k), Time: int64(k) * sec})
+			c.StoreBatch([]sensor.Reading{{Value: float64(k), Time: int64(k) * sec}})
 		}
 	}
 	qe := core.NewQueryEngine(nav, caches, nil)
@@ -608,7 +608,7 @@ func BenchmarkTransportPublish(b *testing.B) {
 	}
 	defer broker.Close()
 	recv := make(chan struct{}, 1024)
-	broker.SubscribeLocal("#", func(ms []transport.Message) {
+	broker.SubscribeLocal(func(ms []transport.Message) {
 		for range ms {
 			recv <- struct{}{}
 		}
@@ -698,7 +698,7 @@ func benchIngestConcurrent(b *testing.B, writers int, walSync bool) {
 // share one write + one fsync per commit cohort, and head resolution
 // touches only the topic's shard.
 func BenchmarkIngestConcurrentGrouped(b *testing.B) {
-	for _, writers := range []int{8, 16, 32} {
+	for _, writers := range []int{2, 16, 64} {
 		for _, walSync := range []bool{false, true} {
 			b.Run(fmt.Sprintf("writers=%d/sync=%v", writers, walSync), func(b *testing.B) {
 				benchIngestConcurrent(b, writers, walSync)
@@ -715,8 +715,7 @@ func BenchmarkIngestConcurrentGrouped(b *testing.B) {
 func benchWildcardExpand(b *testing.B, n int) {
 	st := benchDB(b)
 	for i := 0; i < n; i++ {
-		st.Insert(sensor.Topic(fmt.Sprintf("/r%03d/n%d/power", i/8, i%8)),
-			sensor.Reading{Value: 1, Time: 1})
+		st.InsertBatch(sensor.Topic(fmt.Sprintf("/r%03d/n%d/power", i/8, i%8)), []sensor.Reading{{Value: 1, Time: 1}})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -63,8 +63,7 @@ func main() {
 		ns := t * int64(time.Second)
 		now := time.Unix(0, ns)
 		node.Advance(ns)
-		//lint:ignore batchinsert one reading per simulated second, and the Tick below must observe it before the next sample exists — there is no batch to form
-		sink.Push("/r01/n01/power", sensor.Reading{Value: node.Power(), Time: ns})
+		sink.PushBatch([]core.Output{{Topic: "/r01/n01/power", Reading: sensor.Reading{Value: node.Power(), Time: ns}}})
 		if err := core.Tick(op, qe, sink, now); err != nil {
 			log.Fatal(err)
 		}

@@ -72,8 +72,10 @@ func main() {
 		if in > prevIn {
 			cpi = (cy - prevCy) / (in - prevIn)
 		}
-		sink.Push(path.Join("cpi"), sensor.Reading{Value: cpi, Time: ns})
-		sink.Push(path.Join("miss-rate"), sensor.Reading{Value: ms - prevMs, Time: ns})
+		sink.PushBatch([]core.Output{
+			{Topic: path.Join("cpi"), Reading: sensor.Reading{Value: cpi, Time: ns}},
+			{Topic: path.Join("miss-rate"), Reading: sensor.Reading{Value: ms - prevMs, Time: ns}},
+		})
 		prevCy, prevIn, prevMs = cy, in, ms
 		if t > 2 {
 			if err := core.Tick(op, qe, sink, time.Unix(0, ns)); err != nil {

@@ -71,7 +71,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, tp := range topics {
-		agent.Ingest(tp, sensor.At(999, base.Add(25*time.Hour))) // post-flush stragglers
+		agent.IngestBatch(tp, []sensor.Reading{sensor.At(999, base.Add(25*time.Hour))}) // post-flush stragglers
 	}
 	st := agent.DB.Stats()
 	log.Printf("life 1: %d readings over %d topics; %d segment(s), %d B on disk (%.2f B/reading)",

@@ -27,16 +27,13 @@ func TestCacheAggregateMatchesViews(t *testing.T) {
 		t.Fatalf("empty cache aggregate = %+v", a)
 	}
 	for i := 0; i < 100; i++ {
-		c.Store(sensor.Reading{Time: int64(i) * int64(time.Second), Value: float64((i * 31) % 17)})
+		c.StoreBatch([]sensor.Reading{{Time: int64(i) * int64(time.Second), Value: float64((i * 31) % 17)}})
 	}
 	for _, lookback := range []time.Duration{0, time.Second, 10 * time.Second, 5 * time.Minute} {
 		got := c.AggregateRelative(lookback)
 		want := reduce(c.ViewRelative(lookback, nil))
 		if got != want {
 			t.Fatalf("AggregateRelative(%v) = %+v, view reduce %+v", lookback, got, want)
-		}
-		if avg, ok := c.Average(lookback); !ok || avg != got.Sum/float64(got.Count) {
-			t.Fatalf("Average(%v) = %v, %v; aggregate says %v", lookback, avg, ok, got.Sum/float64(got.Count))
 		}
 	}
 	sec := int64(time.Second)
@@ -55,7 +52,7 @@ func TestCacheDownsampleAbsolute(t *testing.T) {
 	c := New(128, time.Second)
 	sec := int64(time.Second)
 	for i := 0; i < 20; i++ {
-		c.Store(sensor.Reading{Time: int64(i) * sec, Value: float64(i)})
+		c.StoreBatch([]sensor.Reading{{Time: int64(i) * sec, Value: float64(i)}})
 	}
 	got := c.DownsampleAbsolute(0, 19*sec, 5*sec, nil)
 	if len(got) != 4 {

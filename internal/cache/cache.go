@@ -70,19 +70,11 @@ func (c *Cache) Len() int {
 	return c.size
 }
 
-// Store appends a reading, evicting the oldest one once the cache is full.
-// Readings are expected to arrive in non-decreasing timestamp order (the
-// pusher sampling loop guarantees this); out-of-order readings are still
-// stored but degrade absolute-mode lookups to the enclosing range.
-func (c *Cache) Store(r sensor.Reading) {
-	c.mu.Lock()
-	c.store(r)
-	c.mu.Unlock()
-}
-
-// StoreBatch appends several readings under a single lock acquisition —
-// the batched-sink entry point, one lock per delivery instead of one per
-// reading.
+// StoreBatch appends readings under a single lock acquisition, evicting
+// the oldest ones once the cache is full. Readings are expected to arrive
+// in non-decreasing timestamp order (the pusher sampling loop guarantees
+// this); out-of-order readings are still stored but degrade absolute-mode
+// lookups to the enclosing range.
 func (c *Cache) StoreBatch(rs []sensor.Reading) {
 	if len(rs) == 0 {
 		return
@@ -195,26 +187,6 @@ func (c *Cache) appendRange(dst []sensor.Reading, lo, hi int) []sensor.Reading {
 	return append(dst, c.buf[:last+1]...)
 }
 
-// Average returns the mean value over the relative window [latest-lookback,
-// latest]. It exists to back the REST /average endpoint that DCDB exposes
-// on caches. ok is false when the cache is empty.
-func (c *Cache) Average(lookback time.Duration) (avg float64, ok bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.size == 0 {
-		return 0, false
-	}
-	n := int(lookback/c.interval) + 1
-	if n > c.size {
-		n = c.size
-	}
-	var sum float64
-	for i := c.size - n; i < c.size; i++ {
-		sum += c.at(i).Value
-	}
-	return sum / float64(n), true
-}
-
 // setShards is the number of hash shards in a Set; a power of two so the
 // shard index is a mask. 64 shards keep the probability of two hot topics
 // colliding low even on many-core nodes, at ~64 map headers of overhead.
@@ -272,16 +244,6 @@ func (s *Set) Get(topic sensor.Topic) (*Cache, bool) {
 	defer sh.mu.RUnlock()
 	c, ok := sh.caches[topic]
 	return c, ok
-}
-
-// Store appends a reading to the cache for topic, if one exists. It
-// reports whether the reading was cached.
-func (s *Set) Store(topic sensor.Topic, r sensor.Reading) bool {
-	if c, ok := s.Get(topic); ok {
-		c.Store(r)
-		return true
-	}
-	return false
 }
 
 // Topics returns the topics of all caches in the set, in no particular

@@ -14,7 +14,7 @@ const sec = int64(time.Second)
 // fill stores n readings with value i and timestamp i seconds.
 func fill(c *Cache, n int) {
 	for i := 0; i < n; i++ {
-		c.Store(sensor.Reading{Value: float64(i), Time: int64(i) * sec})
+		c.StoreBatch([]sensor.Reading{{Value: float64(i), Time: int64(i) * sec}})
 	}
 }
 
@@ -179,23 +179,6 @@ func TestDstReuse(t *testing.T) {
 	}
 }
 
-func TestAverage(t *testing.T) {
-	c := New(16, time.Second)
-	fill(c, 10) // values 0..9
-	avg, ok := c.Average(3 * time.Second)
-	if !ok {
-		t.Fatal("Average not ok")
-	}
-	want := (6.0 + 7 + 8 + 9) / 4
-	if avg != want {
-		t.Fatalf("Average = %v, want %v", avg, want)
-	}
-	empty := New(4, time.Second)
-	if _, ok := empty.Average(time.Second); ok {
-		t.Error("Average of empty cache should not be ok")
-	}
-}
-
 func TestNewForRetention(t *testing.T) {
 	c := NewForRetention(180*time.Second, time.Second)
 	if c.Capacity() != 180 {
@@ -236,14 +219,11 @@ func TestSetBasics(t *testing.T) {
 	if c2.Capacity() != 8 {
 		t.Error("existing cache parameters must be preserved")
 	}
-	if !s.Store("/n1/power", sensor.Reading{Value: 1, Time: 1}) {
-		t.Error("Store to existing cache should succeed")
-	}
-	if s.Store("/nope", sensor.Reading{}) {
-		t.Error("Store to missing cache should report false")
-	}
 	if got, ok := s.Get("/n1/power"); !ok || got != c1 {
 		t.Error("Get mismatch")
+	}
+	if _, ok := s.Get("/nope"); ok {
+		t.Error("Get of a missing cache should report false")
 	}
 	if len(s.Topics()) != 1 {
 		t.Error("Topics length mismatch")
@@ -256,7 +236,7 @@ func TestConcurrentAccess(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 5000; i++ {
-			c.Store(sensor.Reading{Value: float64(i), Time: int64(i)})
+			c.StoreBatch([]sensor.Reading{{Value: float64(i), Time: int64(i)}})
 		}
 	}()
 	var buf []sensor.Reading
@@ -264,7 +244,7 @@ func TestConcurrentAccess(t *testing.T) {
 		buf = c.ViewRelative(time.Second, buf[:0])
 		c.ViewAbsolute(0, int64(i), nil)
 		c.Latest()
-		c.Average(time.Second)
+		c.AggregateRelative(time.Second)
 	}
 	<-done
 }
@@ -282,7 +262,9 @@ func TestSetConcurrent(t *testing.T) {
 	}()
 	for i := 0; i < 2000; i++ {
 		for _, tp := range topics {
-			s.Store(tp, sensor.Reading{Value: 1, Time: int64(i)})
+			if c, ok := s.Get(tp); ok {
+				c.StoreBatch([]sensor.Reading{{Value: 1, Time: int64(i)}})
+			}
 		}
 		s.Topics()
 	}

@@ -68,8 +68,10 @@ func TestSetConcurrentStoreQueryTopics(t *testing.T) {
 				}
 				topic := topics[(k+g)%n]
 				c := s.GetOrCreate(topic, 32, time.Second)
-				c.Store(sensor.Reading{Value: float64(k), Time: int64(k) * int64(time.Second)})
-				s.Store(topic, sensor.Reading{Value: float64(k), Time: int64(k+1) * int64(time.Second)})
+				c.StoreBatch([]sensor.Reading{{Value: float64(k), Time: int64(k) * int64(time.Second)}})
+				if c, ok := s.Get(topic); ok {
+					c.StoreBatch([]sensor.Reading{{Value: float64(k), Time: int64(k+1) * int64(time.Second)}})
+				}
 			}
 		}(g)
 	}

@@ -56,7 +56,7 @@ func (l *Ledger) RecordSent(topic sensor.Topic, rs []sensor.Reading) {
 }
 
 // RecordDelivered is the broker-side observation hook: register it
-// with Broker.SubscribeLocal("#", l.RecordDelivered) AFTER the collect
+// with Broker.SubscribeLocal(l.RecordDelivered) AFTER the collect
 // agent's own subscription, so a burst's messages are marked delivered
 // if and only if the agent's ingest handler ran for that burst in the
 // same synchronous route pass. Redelivered copies (an at-least-once

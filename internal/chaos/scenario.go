@@ -346,7 +346,7 @@ func (s Scenario) Run() (*Verdict, error) {
 	// Registered after collect.New wired the agent's own handler:
 	// route calls handlers in registration order, so "delivered" means
 	// the agent's ingest handler already ran for the same message.
-	agent.Broker.SubscribeLocal("#", ledger.RecordDelivered)
+	agent.Broker.SubscribeLocal(ledger.RecordDelivered)
 
 	api, err := rest.Serve("127.0.0.1:0", agent.Manager, agent.QE, rest.Options{
 		ResultCache: agent.Results,

@@ -169,10 +169,14 @@ func New(cfg Config) (*Agent, error) {
 		// The publish closure feeds the sink directly (not the broker):
 		// telemetry readings take the same cache+store path as any
 		// sensor, so /telemetry/# is queryable via GET /query and
-		// aggregatable by operators.
+		// aggregatable by operators. A pass is one burst: one WAL write.
 		a.SelfMon = telemetry.NewSelfMonitor(cfg.Metrics, "/telemetry",
-			cfg.SelfMonitorEvery, func(topic string, v float64, ts int64) {
-				sink.Push(sensor.Topic(topic), sensor.Reading{Value: v, Time: ts})
+			cfg.SelfMonitorEvery, func(ts int64, pts []telemetry.Point) {
+				outs := make([]core.Output, len(pts))
+				for i, p := range pts {
+					outs[i] = core.Output{Topic: sensor.Topic(p.Topic), Reading: sensor.Reading{Value: p.Value, Time: ts}}
+				}
+				sink.PushBatch(outs)
 			})
 		a.SelfMon.Start()
 	}
@@ -193,11 +197,11 @@ func New(cfg Config) (*Agent, error) {
 		// batch of the burst is in the head and, unless the WAL is
 		// degraded, in the WAL (fsynced under StoreWALSync). The burst and
 		// its readings are the connection's decode buffers, valid for the
-		// duration of the call — which is all PushResolved needs. One
+		// duration of the call — which is all PushBurst needs. One
 		// connection is one goroutine, so a publisher's per-topic batch
 		// order is the ingest order; a slow store stalls that connection's
 		// reads (backpressure through TCP), never drops.
-		b.SubscribeLocal("#", a.ingestBurst)
+		b.SubscribeLocal(a.ingestBurst)
 	}
 	return a, nil
 }
@@ -231,7 +235,7 @@ var burstPool = sync.Pool{New: func() any {
 func (a *Agent) ingestBurst(ms []transport.Message) {
 	ad := burstPool.Get().(*admitted)
 	a.admitBurst(ms, ad)
-	a.sink.PushResolved(ad.batches, ad.series)
+	a.sink.PushBurst(ad.batches, ad.series)
 	readings := 0
 	for _, bt := range ad.batches {
 		readings += len(bt.Readings)
@@ -293,17 +297,12 @@ func (a *Agent) Addr() string {
 // Sink returns the agent's reading sink (caches + store).
 func (a *Agent) Sink() core.Sink { return a.sink }
 
-// Ingest feeds one reading into the agent as if it had arrived over MQTT:
-// it lands in the sensor tree, the cache and the Storage Backend.
-func (a *Agent) Ingest(topic sensor.Topic, r sensor.Reading) {
-	a.sink.Push(topic, r)
-}
-
-// IngestBatch feeds a series of readings for one topic into the agent,
-// taking the cache and store locks once for the whole batch: a burst of
-// one, through the same sink call a delivered burst takes.
+// IngestBatch feeds a series of readings for one topic into the agent as
+// if it had arrived over MQTT: a burst of one, through the same sink call
+// a delivered burst takes, landing in the sensor tree, the cache and the
+// Storage Backend.
 func (a *Agent) IngestBatch(topic sensor.Topic, rs []sensor.Reading) {
-	a.sink.PushSeries(topic, rs)
+	a.sink.PushBurst([]store.Batch{{Topic: topic, Readings: rs}}, nil)
 }
 
 // TickOnce synchronously runs one Wintermute computation round.

@@ -20,7 +20,7 @@ func TestIngestWithoutBroker(t *testing.T) {
 		t.Error("no broker expected")
 	}
 	for i := 0; i < 10; i++ {
-		a.Ingest("/r1/n1/power", sensor.Reading{Value: float64(100 + i), Time: int64(i) * int64(time.Second)})
+		a.IngestBatch("/r1/n1/power", []sensor.Reading{{Value: float64(100 + i), Time: int64(i) * int64(time.Second)}})
 	}
 	// Data lands in store, cache and tree.
 	if a.DB.Count("/r1/n1/power") != 10 {

@@ -230,14 +230,14 @@ func TestPublisherBeyondInternCap(t *testing.T) {
 }
 
 // TestSecondLocalHandlerLeavesSeriesAlone: the chaos ledger subscribes
-// "#" beside the agent. It sees every message, duplicates included, and
+// beside the agent. It sees every message, duplicates included, and
 // whatever it attaches to the handles the agent's series stay the
 // agent's.
 func TestSecondLocalHandlerLeavesSeriesAlone(t *testing.T) {
 	a := newHandleAgent(t, Config{})
 	seen := make(chan int, 16) // one send per burst, far fewer than 16 here
 	var ledger struct{ total int }
-	a.Broker.SubscribeLocal("#", func(ms []transport.Message) {
+	a.Broker.SubscribeLocal(func(ms []transport.Message) {
 		for _, m := range ms {
 			if _, mine := m.Ref.State(a).(*series); !mine {
 				t.Errorf("%s: the agent's series is gone from the handle", m.Topic)

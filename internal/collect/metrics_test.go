@@ -95,9 +95,11 @@ func TestSelfMonitorRoundTrip(t *testing.T) {
 
 	// Feed some data so the ingest counters are non-zero, then publish
 	// one telemetry pass into the sink.
-	for i := 0; i < 5; i++ {
-		a.Ingest("/r1/n1/power", sensor.Reading{Value: float64(i), Time: int64(i)})
+	rs := make([]sensor.Reading, 5)
+	for i := range rs {
+		rs[i] = sensor.Reading{Value: float64(i), Time: int64(i)}
 	}
+	a.IngestBatch("/r1/n1/power", rs)
 	a.SelfMon.PublishOnce(time.Now())
 
 	// The registry's own series are now sensors: in the tree, the cache
@@ -155,6 +157,48 @@ func TestSelfMonitorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSelfMonitorPassIsOneBurst: a self-monitoring pass reaches the
+// store as one burst — one WAL commit for every series of the pass, not
+// one per series — and every series it cached is listed by the backend.
+func TestSelfMonitorPassIsOneBurst(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	a, err := New(Config{
+		StoreDir:         t.TempDir(),
+		Metrics:          reg,
+		SelfMonitorEvery: time.Hour, // loop armed but driven manually
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	a.IngestBatch("/r1/n1/power", []sensor.Reading{{Value: 1, Time: 1}, {Value: 2, Time: 2}})
+
+	before, _ := reg.Value("dcdb_tsdb_wal_commits_total")
+	a.SelfMon.PublishOnce(time.Now())
+	after, _ := reg.Value("dcdb_tsdb_wal_commits_total")
+	if after-before != 1 {
+		t.Errorf("one self-monitoring pass took %v WAL commits, want 1", after-before)
+	}
+
+	listed := map[sensor.Topic]bool{}
+	for _, tp := range a.DB.TopicsPrefix("/telemetry") {
+		listed[tp] = true
+	}
+	published := 0
+	for _, tp := range a.Caches.Topics() {
+		if !tp.HasPrefix("/telemetry") {
+			continue
+		}
+		published++
+		if !listed[tp] {
+			t.Errorf("%s is cached but not listed by TopicsPrefix(/telemetry)", tp)
+		}
+	}
+	if published == 0 || published != len(listed) {
+		t.Errorf("pass cached %d /telemetry topics, the backend lists %d", published, len(listed))
+	}
+}
+
 // TestAgentNilRegistryInert pins the no-telemetry path: a nil registry
 // wires nothing, and closing the agent twice stays safe.
 func TestAgentNilRegistryInert(t *testing.T) {
@@ -165,7 +209,7 @@ func TestAgentNilRegistryInert(t *testing.T) {
 	if a.SelfMon != nil {
 		t.Fatal("self-monitor must need an explicit interval and registry")
 	}
-	a.Ingest("/s", sensor.Reading{Value: 1, Time: 1})
+	a.IngestBatch("/s", []sensor.Reading{{Value: 1, Time: 1}})
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}

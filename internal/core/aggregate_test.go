@@ -28,11 +28,11 @@ func aggEnv(t *testing.T) (*QueryEngine, int64) {
 	c := caches.GetOrCreate("/n/power", 10, time.Second)
 	for i := 0; i < 100; i++ {
 		r := sensor.Reading{Time: int64(i) * sec, Value: float64(i)}
-		st.Insert("/n/power", r)
+		st.InsertBatch("/n/power", []sensor.Reading{r})
 		if i >= 90 {
-			c.Store(r) // cache holds only the newest 10
+			c.StoreBatch([]sensor.Reading{r}) // cache holds only the newest 10
 		}
-		st.Insert("/n/cold", sensor.Reading{Time: int64(i) * sec, Value: 2 * float64(i)})
+		st.InsertBatch("/n/cold", []sensor.Reading{{Time: int64(i) * sec, Value: 2 * float64(i)}})
 	}
 	return NewQueryEngine(nav, caches, st), sec
 }

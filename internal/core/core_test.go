@@ -34,9 +34,9 @@ func testEnv(t testing.TB) (*navigator.Navigator, *cache.Set, *store.Store, *Que
 			// Store holds 0..31; cache holds the last 16 (16..31).
 			for i := 0; i < 32; i++ {
 				rd := sensor.Reading{Value: float64(i), Time: int64(i) * sec}
-				st.Insert(topic, rd)
+				st.InsertBatch(topic, []sensor.Reading{rd})
 				if i >= 16 {
-					c.Store(rd)
+					c.StoreBatch([]sensor.Reading{rd})
 				}
 			}
 		}
@@ -56,8 +56,8 @@ func TestQueryRelativeFromCache(t *testing.T) {
 func TestQueryRelativeStoreFallback(t *testing.T) {
 	nav, caches, st, _ := testEnv(t)
 	// A sensor that exists only in the store.
-	st.Insert("/r9/n9/power", sensor.Reading{Value: 1, Time: 10 * sec})
-	st.Insert("/r9/n9/power", sensor.Reading{Value: 2, Time: 11 * sec})
+	st.InsertBatch("/r9/n9/power", []sensor.Reading{{Value: 1, Time: 10 * sec}})
+	st.InsertBatch("/r9/n9/power", []sensor.Reading{{Value: 2, Time: 11 * sec}})
 	qe := NewQueryEngine(nav, caches, st)
 	rs := qe.QueryRelative("/r9/n9/power", time.Second, nil)
 	if len(rs) != 2 || rs[1].Value != 2 {
@@ -105,7 +105,7 @@ func TestLatestAndAverage(t *testing.T) {
 		t.Fatalf("Average = %v, %v", avg, ok)
 	}
 	// Store-only sensor.
-	st.Insert("/only/store", sensor.Reading{Value: 5, Time: sec})
+	st.InsertBatch("/only/store", []sensor.Reading{{Value: 5, Time: sec}})
 	if r, ok := qe.Latest("/only/store"); !ok || r.Value != 5 {
 		t.Fatalf("store Latest = %+v, %v", r, ok)
 	}
@@ -358,7 +358,7 @@ func TestOnDemand(t *testing.T) {
 		return []Operator{&avgOperator{Base: base}}, nil
 	})
 	pushes := 0
-	sink := SinkFunc(func(sensor.Topic, sensor.Reading) { pushes++ })
+	sink := SinkFunc(func(outs []Output) { pushes += len(outs) })
 	m := NewManager(qe, sink, Env{})
 	raw, _ := json.Marshal(OperatorConfig{
 		Name: "od", Mode: "ondemand",

@@ -48,17 +48,20 @@ type Output struct {
 }
 
 // Sink receives the readings produced by operators (and, in a Pusher, by
-// sampler plugins). Implementations must be safe for concurrent use:
-// parallel unit management pushes from multiple goroutines.
+// sampler plugins), a batch at a time: one unit's outputs, one sampler
+// round. Implementations must be safe for concurrent use: parallel unit
+// management pushes from multiple goroutines. outs may alias a recycled
+// buffer (a TickContext): implementations consume it before returning
+// and retain nothing. It may be empty.
 type Sink interface {
-	Push(topic sensor.Topic, r sensor.Reading)
+	PushBatch(outs []Output)
 }
 
 // SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(topic sensor.Topic, r sensor.Reading)
+type SinkFunc func(outs []Output)
 
-// Push calls f(topic, r).
-func (f SinkFunc) Push(topic sensor.Topic, r sensor.Reading) { f(topic, r) }
+// PushBatch calls f(outs).
+func (f SinkFunc) PushBatch(outs []Output) { f(outs) }
 
 // TickContext carries reusable scratch buffers for one worker's unit
 // computations, eliminating the per-unit-per-tick heap churn of building
@@ -242,7 +245,7 @@ func TickScheduled(op Operator, qe *QueryEngine, sink Sink, now time.Time, sched
 		var outs []Output
 		var err error
 		run(func() { outs, err = b.ComputeBatch(qe, now) })
-		PushOutputs(sink, outs)
+		sink.PushBatch(outs)
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", op.Name(), err)
 		}
@@ -261,7 +264,7 @@ func TickScheduled(op Operator, qe *QueryEngine, sink Sink, now time.Time, sched
 				}
 				// Outputs may alias tc; deliver them before the next unit
 				// reuses the buffers.
-				PushOutputs(sink, outs)
+				sink.PushBatch(outs)
 			}
 			putTickContext(tc)
 			err = errors.Join(errs...)
@@ -280,7 +283,7 @@ func TickScheduled(op Operator, qe *QueryEngine, sink Sink, now time.Time, sched
 				if err != nil {
 					errs[i] = fmt.Errorf("core: %s: unit %s: %w", op.Name(), u.Name, err)
 				}
-				PushOutputs(sink, outs)
+				sink.PushBatch(outs)
 				putTickContext(tc)
 			}
 		}(i, u)

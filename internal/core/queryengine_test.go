@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -38,9 +37,9 @@ func TestQueryAbsolutePartialCoverageStoreFallback(t *testing.T) {
 // Backend is attached.
 func TestAverageStoreFallback(t *testing.T) {
 	nav, caches, st, _ := testEnv(t)
-	st.Insert("/r9/n9/power", sensor.Reading{Value: 10, Time: 100 * sec})
-	st.Insert("/r9/n9/power", sensor.Reading{Value: 20, Time: 101 * sec})
-	st.Insert("/r9/n9/power", sensor.Reading{Value: 30, Time: 102 * sec})
+	st.InsertBatch("/r9/n9/power", []sensor.Reading{{Value: 10, Time: 100 * sec}})
+	st.InsertBatch("/r9/n9/power", []sensor.Reading{{Value: 20, Time: 101 * sec}})
+	st.InsertBatch("/r9/n9/power", []sensor.Reading{{Value: 30, Time: 102 * sec}})
 	qe := NewQueryEngine(nav, caches, st)
 	avg, ok := qe.Average("/r9/n9/power", 2*time.Second)
 	if !ok || avg != 20 {
@@ -73,7 +72,7 @@ func TestBoundSensorLateCache(t *testing.T) {
 		t.Fatal("latest before any data should not be ok")
 	}
 	// Data reaches the store first (e.g. a remote component's history).
-	st.Insert("/n0/derived", sensor.Reading{Value: 1, Time: 1 * sec})
+	st.InsertBatch("/n0/derived", []sensor.Reading{{Value: 1, Time: 1 * sec}})
 	if r, ok := b.Latest(); !ok || r.Value != 1 {
 		t.Fatalf("store-served latest = %+v, %v", r, ok)
 	}
@@ -82,7 +81,7 @@ func TestBoundSensorLateCache(t *testing.T) {
 	}
 	// The cache appears later (first sink push) and takes over.
 	c := caches.GetOrCreate("/n0/derived", 16, time.Second)
-	c.Store(sensor.Reading{Value: 2, Time: 2 * sec})
+	c.StoreBatch([]sensor.Reading{{Value: 2, Time: 2 * sec}})
 	if r, ok := b.Latest(); !ok || r.Value != 2 {
 		t.Fatalf("cache-served latest = %+v, %v", r, ok)
 	}
@@ -98,7 +97,7 @@ func TestBoundSensorLateCache(t *testing.T) {
 // one over cache-hit and store-fallback sensors alike.
 func TestBoundQueryMatchesUnbound(t *testing.T) {
 	_, _, st, qe := testEnv(t)
-	st.Insert("/r9/n9/power", sensor.Reading{Value: 5, Time: 50 * sec})
+	st.InsertBatch("/r9/n9/power", []sensor.Reading{{Value: 5, Time: 50 * sec}})
 	for _, topic := range []sensor.Topic{"/r0/n0/power", "/r9/n9/power"} {
 		b := qe.Bind(topic)
 		br, bok := b.Latest()
@@ -163,19 +162,23 @@ func TestBindUnitIdentity(t *testing.T) {
 	}
 }
 
-// TestCacheSinkPushBatch checks that the batched sink path delivers the
-// same data as per-reading pushes, including topic-run grouping, store
-// persistence and series forwarding.
+// TestCacheSinkPushBatch checks that the batched sink path delivers every
+// reading, including topic-run grouping, store persistence and series
+// forwarding: one forwarded message per topic run.
 func TestCacheSinkPushBatch(t *testing.T) {
 	nav := navigator.New()
 	caches := cache.NewSet()
 	st := store.New()
 	var forwarded []Output
+	messages := 0
 	sink := NewCacheSink(caches, nav, 16, time.Second)
 	sink.Store = st
-	sink.Forward = SinkFunc(func(topic sensor.Topic, r sensor.Reading) {
-		forwarded = append(forwarded, Output{Topic: topic, Reading: r})
-	})
+	sink.Forward = func(topic sensor.Topic, rs []sensor.Reading) {
+		messages++
+		for _, r := range rs {
+			forwarded = append(forwarded, Output{Topic: topic, Reading: r})
+		}
+	}
 
 	outs := []Output{
 		{Topic: "/n0/a", Reading: sensor.Reading{Value: 1, Time: 1 * sec}},
@@ -186,7 +189,7 @@ func TestCacheSinkPushBatch(t *testing.T) {
 		{Topic: "/n0/c", Reading: sensor.Reading{Value: 4, Time: 2 * sec}},
 		{Topic: "/n0/c", Reading: sensor.Reading{Value: 5, Time: 3 * sec}},
 	}
-	PushOutputs(sink, outs)
+	sink.PushBatch(outs)
 
 	for topic, want := range map[sensor.Topic]int{"/n0/a": 1, "/n0/b": 1, "/n0/c": 3} {
 		c, ok := caches.Get(topic)
@@ -200,8 +203,8 @@ func TestCacheSinkPushBatch(t *testing.T) {
 			t.Fatalf("%s: not registered in navigator", topic)
 		}
 	}
-	if len(forwarded) != len(outs) {
-		t.Fatalf("forwarded %d readings, want %d", len(forwarded), len(outs))
+	if len(forwarded) != len(outs) || messages != 3 {
+		t.Fatalf("forwarded %d readings in %d messages, want %d in 3", len(forwarded), messages, len(outs))
 	}
 	cc, _ := caches.Get("/n0/c")
 	if rs := cc.ViewAbsolute(1*sec, 3*sec, nil); len(rs) != 3 || rs[2].Value != 5 {
@@ -209,19 +212,34 @@ func TestCacheSinkPushBatch(t *testing.T) {
 	}
 }
 
-// TestPushOutputsShimsPlainSinks verifies the default shim: sinks that
-// only implement Push still receive every reading of a batch, in order.
-func TestPushOutputsShimsPlainSinks(t *testing.T) {
-	var got []Output
-	sink := SinkFunc(func(topic sensor.Topic, r sensor.Reading) {
-		got = append(got, Output{Topic: topic, Reading: r})
-	})
-	outs := make([]Output, 5)
-	for i := range outs {
-		outs[i] = Output{Topic: sensor.Topic(fmt.Sprintf("/n/%d", i)), Reading: sensor.Reading{Value: float64(i)}}
+// burstCounter counts the bursts that reach a backend.
+type burstCounter struct {
+	store.Backend
+	bursts int
+}
+
+func (b *burstCounter) InsertBatches(bs []store.Batch) {
+	b.bursts++
+	b.Backend.InsertBatches(bs)
+}
+
+// TestCacheSinkEmptyBatchSkipsStore: an operator unit that emitted
+// nothing — most units on most ticks — costs the store nothing, while
+// any output at all is one burst.
+func TestCacheSinkEmptyBatchSkipsStore(t *testing.T) {
+	st := &burstCounter{Backend: store.New()}
+	sink := NewCacheSink(cache.NewSet(), nil, 16, time.Second)
+	sink.Store = st
+	sink.PushBatch(nil)
+	sink.PushBatch([]Output{})
+	if st.bursts != 0 {
+		t.Fatalf("empty batches reached the store %d times, want 0", st.bursts)
 	}
-	PushOutputs(sink, outs)
-	if len(got) != 5 || got[4].Reading.Value != 4 {
-		t.Fatalf("shimmed pushes = %+v", got)
+	sink.PushBatch([]Output{
+		{Topic: "/n/a", Reading: sensor.Reading{Value: 1, Time: sec}},
+		{Topic: "/n/b", Reading: sensor.Reading{Value: 2, Time: sec}},
+	})
+	if st.bursts != 1 {
+		t.Fatalf("a two-topic batch reached the store in %d bursts, want 1", st.bursts)
 	}
 }

@@ -11,43 +11,6 @@ import (
 	"github.com/dcdb/wintermute/internal/store"
 )
 
-// BatchSink is optionally implemented by sinks that can accept a whole
-// unit's outputs in one call, taking their internal locks once per batch
-// instead of once per reading. Sinks that only implement Push keep
-// working unchanged: PushOutputs shims the batch onto single pushes.
-type BatchSink interface {
-	Sink
-	PushBatch(outs []Output)
-}
-
-// SeriesSink is optionally implemented by sinks that can accept several
-// readings of one topic at once (one MQTT message, one store insert, one
-// cache lock). The transport-ingest path of the Collect Agent and the
-// MQTT forwarder of the Pusher use it. The rs slice may come from a
-// recycled buffer: implementations must consume it before returning and
-// must not retain it.
-type SeriesSink interface {
-	Sink
-	PushSeries(topic sensor.Topic, rs []sensor.Reading)
-}
-
-// PushOutputs delivers outs through sink, using the batched entry point
-// when the sink provides one. It is the default shim that lets the tick
-// path push batches while old single-push Sink implementations keep
-// working.
-func PushOutputs(sink Sink, outs []Output) {
-	if len(outs) == 0 {
-		return
-	}
-	if bs, ok := sink.(BatchSink); ok {
-		bs.PushBatch(outs)
-		return
-	}
-	for _, o := range outs {
-		sink.Push(o.Topic, o.Reading)
-	}
-}
-
 // burstScratch is what PushBatch needs to regroup a unit's outputs into
 // one burst: the readings laid out contiguously and the per-topic
 // batches that slice them.
@@ -66,17 +29,21 @@ var burstScratchPool = sync.Pool{New: func() any { return new(burstScratch) }}
 // operators can consume the output of other operators, forming the
 // analysis pipelines of paper §IV-d.
 //
-// CacheSink implements BatchSink and SeriesSink: batches take the cache,
-// store and transport locks once per topic run instead of once per
-// reading, and PushBurst takes the store's write path once for several
-// topics' batches.
+// Everything reaches it as a burst of per-topic batches: PushBatch
+// regroups operator and sampler output into one, and PushBurst — what the
+// agent's broker handler calls — takes the cache lock once per batch and
+// the store's write path once per burst.
 type CacheSink struct {
 	Caches   *cache.Set
 	Nav      *navigator.Navigator // optional: register output topics
 	Store    store.Backend        // optional: persist readings
 	Capacity int                  // cache capacity for new sensors
 	Interval time.Duration        // nominal interval for new sensors
-	Forward  Sink                 // optional: e.g. an MQTT publisher
+
+	// Forward, when set, receives every delivered batch after the caches,
+	// the store and the result cache have it: the Pusher's MQTT publisher.
+	// rs may come from a recycled buffer and must not be retained.
+	Forward func(topic sensor.Topic, rs []sensor.Reading)
 
 	// Results, when set, receives the write-through invalidation feed of
 	// the serving tier's query result cache: every delivered batch
@@ -96,27 +63,6 @@ func NewCacheSink(caches *cache.Set, nav *navigator.Navigator, capacity int, int
 		interval = time.Second
 	}
 	return &CacheSink{Caches: caches, Nav: nav, Capacity: capacity, Interval: interval}
-}
-
-// Push implements Sink.
-func (s *CacheSink) Push(topic sensor.Topic, r sensor.Reading) {
-	c := s.cacheFor(topic)
-	c.Store(r)
-	if s.Store != nil {
-		s.Store.Insert(topic, r)
-	}
-	s.Results.Note(topic, r.Time, r.Time)
-	if s.Forward != nil {
-		s.Forward.Push(topic, r)
-	}
-}
-
-// PushSeries implements SeriesSink: all readings of one topic land in the
-// cache under one lock, reach the store in one insert batch, and are
-// forwarded in one message when the forwarder supports series. It is
-// PushBurst of one batch.
-func (s *CacheSink) PushSeries(topic sensor.Topic, rs []sensor.Reading) {
-	s.PushBurst([]store.Batch{{Topic: topic, Readings: rs}})
 }
 
 // Series is what a CacheSink resolved for one topic: its sensor cache
@@ -141,16 +87,11 @@ func (s *CacheSink) Resolve(topic sensor.Topic) Series {
 // lands in its cache, the whole burst reaches the store through one
 // InsertBatches call (one WAL write for a persistent backend), and only
 // then are the result-cache marks published and the batches forwarded.
-// The slices may come from recycled buffers: nothing is retained.
-func (s *CacheSink) PushBurst(bs []store.Batch) { s.PushResolved(bs, nil) }
-
-// PushResolved is PushBurst for a caller that has resolved some or all
-// of the burst's topics already: resolved[i], when non-nil, is this
-// sink's Series for bs[i].Topic and spares the batch its lookups. A nil
-// entry, or a resolved slice shorter than bs, has the topic looked up —
-// operator output, self-monitoring and any publish that arrived without
-// a topic handle take that way through the same body.
-func (s *CacheSink) PushResolved(bs []store.Batch, resolved []*Series) {
+// resolved[i], when non-nil, is this sink's Series for bs[i].Topic and
+// spares the batch its lookups; a nil entry, or a resolved slice shorter
+// than bs (nil included), has the topic looked up. The slices may come
+// from recycled buffers: nothing is retained.
+func (s *CacheSink) PushBurst(bs []store.Batch, resolved []*Series) {
 	at := func(i int) *Series {
 		if i < len(resolved) {
 			return resolved[i]
@@ -192,15 +133,20 @@ func (s *CacheSink) PushResolved(bs []store.Batch, resolved []*Series) {
 			}
 		}
 		if s.Forward != nil {
-			forwardSeries(s.Forward, b.Topic, rs)
+			s.Forward(b.Topic, rs)
 		}
 	}
 }
 
-// PushBatch implements BatchSink. Outputs are delivered in order, as one
+// PushBatch implements Sink. Outputs are delivered in order, as one
 // burst: runs of consecutive outputs sharing a topic collapse into one
-// batch, and the store logs the whole unit's outputs with one write.
+// batch, and the store logs the whole unit's outputs with one write. An
+// empty outs returns at once: a unit that emitted nothing touches
+// neither the scratch pool nor the store.
 func (s *CacheSink) PushBatch(outs []Output) {
+	if len(outs) == 0 {
+		return
+	}
 	sc := burstScratchPool.Get().(*burstScratch)
 	rs, bs := sc.rs[:0], sc.bs[:0]
 	for _, o := range outs {
@@ -214,7 +160,7 @@ func (s *CacheSink) PushBatch(outs []Output) {
 		bs = append(bs, store.Batch{Topic: outs[i].Topic, Readings: rs[i:j]})
 		i = j
 	}
-	s.PushBurst(bs)
+	s.PushBurst(bs, nil)
 	sc.rs, sc.bs = rs[:0], bs[:0]
 	burstScratchPool.Put(sc)
 }
@@ -231,16 +177,4 @@ func (s *CacheSink) cacheFor(topic sensor.Topic) *cache.Cache {
 		_ = s.Nav.AddSensor(topic)
 	}
 	return s.Caches.GetOrCreate(topic, s.Capacity, s.Interval)
-}
-
-// forwardSeries hands a topic run to a forwarding sink, preferring its
-// series entry point.
-func forwardSeries(fw Sink, topic sensor.Topic, rs []sensor.Reading) {
-	if ss, ok := fw.(SeriesSink); ok {
-		ss.PushSeries(topic, rs)
-		return
-	}
-	for _, r := range rs {
-		fw.Push(topic, r)
-	}
 }

@@ -170,7 +170,7 @@ func TestOnDemandAcrossREST(t *testing.T) {
 	}
 	defer agent.Close()
 	for i := 0; i < 60; i++ {
-		agent.Ingest("/r1/n1/temp", sensor.Reading{Value: 40 + float64(i%5), Time: int64(i) * int64(time.Second)})
+		agent.IngestBatch("/r1/n1/temp", []sensor.Reading{{Value: 40 + float64(i%5), Time: int64(i) * int64(time.Second)}})
 	}
 	raw, _ := json.Marshal(aggregator.Config{
 		OperatorConfig: core.OperatorConfig{
@@ -242,7 +242,7 @@ func TestPersistentAgentRESTIdenticalAfterKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tp := range topics {
-		agent.Ingest(tp, sensor.Reading{Value: 9999, Time: 1000 * int64(time.Second)})
+		agent.IngestBatch(tp, []sensor.Reading{{Value: 9999, Time: 1000 * int64(time.Second)}})
 	}
 
 	queryURL := func(addr string, tp sensor.Topic) string {

@@ -7,35 +7,26 @@ import (
 )
 
 // batchSiblings maps a per-element method name to the batched entry
-// points that supersede it inside loops. These are the repo's batching
-// seams: store.Backend/tsdb.DB grew InsertBatch, cache.Cache grew
-// StoreBatch and the sink layer grew PushBatch/PushSeries so the hot
-// ingest and tick paths take each lock once per batch instead of once
-// per reading; one level up, the backends grew InsertBatches and the
-// sink PushBurst, so a burst of batches takes the write-ahead log and
-// the ingest lock once instead of once per batch.
+// points that supersede it inside loops. It lists only pairs some type in
+// the tree has: the burst seam, where store.Backend and tsdb.DB offer
+// InsertBatches so a burst of batches takes the write-ahead log and the
+// ingest lock once instead of once per batch.
 var batchSiblings = map[string][]string{
-	"Insert":      {"InsertBatch"},
-	"Store":       {"StoreBatch"},
-	"Push":        {"PushBatch", "PushSeries"},
 	"InsertBatch": {"InsertBatches"},
-	"PushSeries":  {"PushBurst"},
 }
 
-// BatchInsert flags per-element Insert/Store/Push calls — and per-batch
-// InsertBatch/PushSeries calls — inside loops when the receiver's method
-// set offers a batched sibling (InsertBatch/StoreBatch/PushBatch/
-// PushSeries, InsertBatches/PushBurst): each such call pays the
-// receiver's lock, lookup or log write once per element, which is
-// exactly the convoying the batched entry points were built to remove.
+// BatchInsert flags per-batch InsertBatch calls inside loops when the
+// receiver's method set offers InsertBatches: each such call pays the
+// receiver's lock and log write once per batch, which is exactly the
+// convoying the burst entry point was built to remove.
 //
-// The batched sibling's own implementation is exempt — a PushBatch that
-// degrades single-element runs to Push is the batching layer, not a
+// The batched sibling's own implementation is exempt — an InsertBatches
+// that hands each batch to InsertBatch is the batching layer, not a
 // caller that missed it.
 func BatchInsert() *Analyzer {
 	return &Analyzer{
 		Name: "batchinsert",
-		Doc:  "per-element Insert/Store/Push (or per-batch InsertBatch/PushSeries) in a loop where a batched sibling exists",
+		Doc:  "per-batch InsertBatch in a loop where the receiver has InsertBatches",
 		Run:  runBatchInsert,
 	}
 }

@@ -15,8 +15,8 @@
 //     struct fields, package variables or channels, no returns and no
 //     goroutine captures; broker-owned handler readings obey the same
 //     rule.
-//   - batchinsert: per-element Insert/Store/Push calls inside loops are
-//     flagged when the receiver offers a batched sibling.
+//   - batchinsert: per-batch InsertBatch calls inside loops are flagged
+//     when the receiver offers InsertBatches.
 //
 // Findings print vet-style (file:line:col) through cmd/invlint, which
 // runs as `make lint` inside `make ci`. A finding is suppressed with an

@@ -1,97 +1,51 @@
-// Fixture for the batchinsert analyzer: per-element calls in loops are
-// findings exactly when the receiver offers a batched sibling, except
+// Fixture for the batchinsert analyzer: per-batch calls in loops are
+// findings exactly when the receiver offers the burst sibling, except
 // inside the sibling's own implementation.
 package fixture
 
 type db struct{}
 
-func (db) Insert(v int) {}
+func (db) InsertBatch(vs []int) {}
 
-func (d db) InsertBatch(vs []int) {
-	for _, v := range vs {
-		d.Insert(v) // clean: the batched sibling's own implementation
-	}
-}
-
-type sink struct{}
-
-func (sink) Push(v int)          {}
-func (sink) PushBatch(vs []int)  {}
-func (sink) PushSeries(vs []int) {}
-
-// burstDB offers the burst call one level above InsertBatch.
-type burstDB struct{}
-
-func (burstDB) InsertBatch(vs []int) {}
-
-func (d burstDB) InsertBatches(vss [][]int) {
+func (d db) InsertBatches(vss [][]int) {
 	for _, vs := range vss {
 		d.InsertBatch(vs) // clean: the burst call's own implementation
 	}
 }
 
-type burstSink struct{}
-
-func (burstSink) PushSeries(vs []int)   {}
-func (burstSink) PushBurst(vss [][]int) {}
-
 type plain struct{}
 
-func (plain) Insert(v int) {}
+func (plain) InsertBatch(vs []int) {}
 
-func loopInsert(d db, vs []int) {
-	for _, v := range vs {
-		d.Insert(v) // want "per-element Insert call in a loop"
-	}
-}
-
-func loopPush(s sink, n int) {
-	for i := 0; i < n; i++ {
-		s.Push(i) // want "per-element Push call in a loop"
-	}
-}
-
-func nestedLoop(d db, vs [][]int) {
-	for _, row := range vs {
-		for _, v := range row {
-			d.Insert(v) // want "per-element Insert call in a loop"
-		}
-	}
-}
-
-func loopInsertBatch(d burstDB, vss [][]int) {
+func loopInsertBatch(d db, vss [][]int) {
 	for _, vs := range vss {
 		d.InsertBatch(vs) // want "per-element InsertBatch call in a loop"
 	}
 }
 
-func loopPushSeries(s burstSink, vss [][]int) {
+func nestedLoop(d db, vsss [][][]int) {
+	for _, vss := range vsss {
+		for _, vs := range vss {
+			d.InsertBatch(vs) // want "per-element InsertBatch call in a loop"
+		}
+	}
+}
+
+func noSibling(p plain, vss [][]int) {
 	for _, vs := range vss {
-		s.PushSeries(vs) // want "per-element PushSeries call in a loop"
+		p.InsertBatch(vs) // clean: this receiver has no InsertBatches
 	}
 }
 
-func batchNoBurst(d db, vss [][]int) {
-	for _, vs := range vss {
-		d.InsertBatch(vs) // clean: this receiver has no InsertBatches
-	}
+func notInLoop(d db, vs []int) {
+	d.InsertBatch(vs) // clean: not in a loop
 }
 
-func noSibling(p plain, vs []int) {
-	for _, v := range vs {
-		p.Insert(v) // clean: no batched sibling on the receiver
-	}
-}
-
-func notInLoop(d db, v int) {
-	d.Insert(v) // clean: not in a loop
-}
-
-func literalResetsDepth(d db, vs []int) []func() {
+func literalResetsDepth(d db, vss [][]int) []func() {
 	var fns []func()
-	for _, v := range vs {
-		v := v
-		fns = append(fns, func() { d.Insert(v) }) // clean: the literal runs at an unknown point
+	for _, vs := range vss {
+		vs := vs
+		fns = append(fns, func() { d.InsertBatch(vs) }) // clean: the literal runs at an unknown point
 	}
 	return fns
 }

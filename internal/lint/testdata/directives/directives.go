@@ -5,31 +5,31 @@ package fixture
 
 type db struct{}
 
-func (db) Insert(v int) {}
+func (db) InsertBatch(vs []int) {}
 
-func (d db) InsertBatch(vs []int) {
-	for _, v := range vs {
-		d.Insert(v)
+func (d db) InsertBatches(vss [][]int) {
+	for _, vs := range vss {
+		d.InsertBatch(vs)
 	}
 }
 
-func suppressed(d db, vs []int) {
-	for _, v := range vs {
+func suppressed(d db, vss [][]int) {
+	for _, vs := range vss {
 		//lint:ignore batchinsert fixture exercises a sanctioned suppression
-		d.Insert(v) // clean: suppressed by the directive above
+		d.InsertBatch(vs) // clean: suppressed by the directive above
 	}
 }
 
-func suppressedSameLine(d db, vs []int) {
-	for _, v := range vs {
-		d.Insert(v) //lint:ignore batchinsert same-line suppression form
+func suppressedSameLine(d db, vss [][]int) {
+	for _, vs := range vss {
+		d.InsertBatch(vs) //lint:ignore batchinsert same-line suppression form
 	}
 }
 
-func malformed(d db, vs []int) {
-	for _, v := range vs {
+func malformed(d db, vss [][]int) {
+	for _, vs := range vss {
 		//lint:ignore batchinsert
 		// want-above "malformed //lint:ignore"
-		d.Insert(v) // want "per-element Insert call in a loop"
+		d.InsertBatch(vs) // want "per-element InsertBatch call in a loop"
 	}
 }

@@ -27,7 +27,7 @@ func env(t testing.TB) *core.QueryEngine {
 		}
 		c := caches.GetOrCreate(topic, 8, time.Second)
 		for k := 1; k <= 4; k++ {
-			c.Store(sensor.Reading{Value: base * float64(k), Time: int64(k) * sec})
+			c.StoreBatch([]sensor.Reading{{Value: base * float64(k), Time: int64(k) * sec}})
 		}
 	}
 	return core.NewQueryEngine(nav, caches, nil)
@@ -171,8 +171,8 @@ func TestTickThroughSink(t *testing.T) {
 	qe := env(t)
 	o := mkOp(t, qe, Mean, 1000)
 	var pushed []core.Output
-	sink := core.SinkFunc(func(tp sensor.Topic, r sensor.Reading) {
-		pushed = append(pushed, core.Output{Topic: tp, Reading: r})
+	sink := core.SinkFunc(func(outs []core.Output) {
+		pushed = append(pushed, outs...)
 	})
 	if err := core.Tick(o, qe, sink, time.Unix(100, 0)); err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestTickSteadyStateAllocs(t *testing.T) {
 		}
 		c := caches.GetOrCreate(topic, 180, time.Second)
 		for k := 0; k < 180; k++ {
-			c.Store(sensor.Reading{Value: float64(k), Time: int64(k) * sec})
+			c.StoreBatch([]sensor.Reading{{Value: float64(k), Time: int64(k) * sec}})
 		}
 	}
 	qe := core.NewQueryEngine(nav, caches, nil)
@@ -216,7 +216,7 @@ func TestTickSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("units = %d, want 64", n)
 	}
 	pushed := 0
-	sink := core.SinkFunc(func(sensor.Topic, sensor.Reading) { pushed++ })
+	sink := core.SinkFunc(func(outs []core.Output) { pushed += len(outs) })
 	now := time.Unix(179, 0)
 	tick := func() {
 		if err := core.Tick(op, qe, sink, now); err != nil {

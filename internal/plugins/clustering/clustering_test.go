@@ -39,9 +39,9 @@ func newRig(t testing.TB) (*core.QueryEngine, *Operator) {
 		for k := 0; k < 60; k++ {
 			ts := int64(k) * sec
 			jitter := float64(k%5) * 0.3
-			pc.Store(sensor.Reading{Value: power + jitter, Time: ts})
-			tc.Store(sensor.Reading{Value: temp + jitter/10, Time: ts})
-			ic.Store(sensor.Reading{Value: idleRate * float64(k), Time: ts})
+			pc.StoreBatch([]sensor.Reading{{Value: power + jitter, Time: ts}})
+			tc.StoreBatch([]sensor.Reading{{Value: temp + jitter/10, Time: ts}})
+			ic.StoreBatch([]sensor.Reading{{Value: idleRate * float64(k), Time: ts}})
 		}
 	}
 	// 25 nodes per group: large enough that a singleton outlier component
@@ -137,8 +137,8 @@ func TestOutlierFlagged(t *testing.T) {
 func TestLabelsPublishedAsSensors(t *testing.T) {
 	qe, op := newRig(t)
 	var labels []core.Output
-	sink := core.SinkFunc(func(tp sensor.Topic, r sensor.Reading) {
-		labels = append(labels, core.Output{Topic: tp, Reading: r})
+	sink := core.SinkFunc(func(outs []core.Output) {
+		labels = append(labels, outs...)
 	})
 	if err := core.Tick(op, qe, sink, time.Unix(60, 0)); err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func TestKnobDropsWhenOverBudget(t *testing.T) {
 	qe, sink, op := newRig(t, 150)
 	for i := 0; i < 20; i++ {
 		now := time.Unix(int64(i), 0)
-		sink.Push("/n1/power", sensor.At(200, now)) // 50 W over budget
+		sink.PushBatch([]core.Output{{Topic: "/n1/power", Reading: sensor.At(200, now)}}) // 50 W over budget
 		if err := core.Tick(op, qe, sink, now); err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestKnobRecoversUnderBudget(t *testing.T) {
 	qe, sink, op := newRig(t, 150)
 	for i := 0; i < 30; i++ {
 		now := time.Unix(int64(i), 0)
-		sink.Push("/n1/power", sensor.At(220, now))
+		sink.PushBatch([]core.Output{{Topic: "/n1/power", Reading: sensor.At(220, now)}})
 		if err := core.Tick(op, qe, sink, now); err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestKnobRecoversUnderBudget(t *testing.T) {
 	low, _ := qe.Latest("/n1/freq-target")
 	for i := 30; i < 60; i++ {
 		now := time.Unix(int64(i), 0)
-		sink.Push("/n1/power", sensor.At(100, now)) // well under budget
+		sink.PushBatch([]core.Output{{Topic: "/n1/power", Reading: sensor.At(100, now)}}) // well under budget
 		if err := core.Tick(op, qe, sink, now); err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestKnobClampsAtMin(t *testing.T) {
 	qe, sink, op := newRig(t, 50)
 	for i := 0; i < 300; i++ {
 		now := time.Unix(int64(i), 0)
-		sink.Push("/n1/power", sensor.At(300, now))
+		sink.PushBatch([]core.Output{{Topic: "/n1/power", Reading: sensor.At(300, now)}})
 		if err := core.Tick(op, qe, sink, now); err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestClosedLoopWithHardware(t *testing.T) {
 		ns := i * sec
 		now := time.Unix(0, ns)
 		node.Advance(ns)
-		sink.Push("/n1/power", sensor.Reading{Value: node.Power(), Time: ns})
+		sink.PushBatch([]core.Output{{Topic: "/n1/power", Reading: sensor.Reading{Value: node.Power(), Time: ns}}})
 		if err := core.Tick(op, qe, sink, now); err != nil {
 			t.Fatal(err)
 		}

@@ -95,9 +95,11 @@ func (r *rig) runPhase(t testing.TB, app string, t0, secs int64) {
 			missRate := (ms - r.prevM[i]) / dt
 			flopsRate := (in - r.prevI[i]) / dt
 			r.prevC[i], r.prevI[i], r.prevM[i] = cy, in, ms
-			r.sink.Push(r.paths[i].Join("cpi"), sensor.Reading{Value: cpi, Time: ns})
-			r.sink.Push(r.paths[i].Join("miss-rate"), sensor.Reading{Value: missRate, Time: ns})
-			r.sink.Push(r.paths[i].Join("flops-rate"), sensor.Reading{Value: flopsRate, Time: ns})
+			r.sink.PushBatch([]core.Output{
+				{Topic: r.paths[i].Join("cpi"), Reading: sensor.Reading{Value: cpi, Time: ns}},
+				{Topic: r.paths[i].Join("miss-rate"), Reading: sensor.Reading{Value: missRate, Time: ns}},
+				{Topic: r.paths[i].Join("flops-rate"), Reading: sensor.Reading{Value: flopsRate, Time: ns}},
+			})
 		}
 		if s > t0+1 {
 			if err := core.Tick(r.op, r.qe, r.sink, now); err != nil {

@@ -18,7 +18,7 @@ func env(t testing.TB, temp float64, at time.Time) *core.QueryEngine {
 		t.Fatal(err)
 	}
 	c := caches.GetOrCreate("/n1/temp", 8, time.Second)
-	c.Store(sensor.At(temp, at))
+	c.StoreBatch([]sensor.Reading{sensor.At(temp, at)})
 	return core.NewQueryEngine(nav, caches, nil)
 }
 
@@ -104,7 +104,7 @@ func TestWorstOfManyInputs(t *testing.T) {
 		if err := nav.AddSensor(topic); err != nil {
 			t.Fatal(err)
 		}
-		caches.GetOrCreate(topic, 4, time.Second).Store(sensor.At(v, now))
+		caches.GetOrCreate(topic, 4, time.Second).StoreBatch([]sensor.Reading{sensor.At(v, now)})
 	}
 	qe := core.NewQueryEngine(nav, caches, nil)
 	cfg := Config{

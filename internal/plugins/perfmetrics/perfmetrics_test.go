@@ -36,7 +36,7 @@ func env(t testing.TB) *core.QueryEngine {
 		}
 		c := caches.GetOrCreate(topic, 16, time.Second)
 		for k := 0; k < 10; k++ {
-			c.Store(sensor.Reading{Value: rate * float64(k), Time: int64(k) * sec})
+			c.StoreBatch([]sensor.Reading{{Value: rate * float64(k), Time: int64(k) * sec}})
 		}
 	}
 	return core.NewQueryEngine(nav, caches, nil)
@@ -100,7 +100,7 @@ func TestWarmupProducesNoOutput(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := caches.GetOrCreate(topic, 8, time.Second)
-		c.Store(sensor.Reading{Value: 1, Time: 0}) // single reading only
+		c.StoreBatch([]sensor.Reading{{Value: 1, Time: 0}}) // single reading only
 	}
 	qe := core.NewQueryEngine(nav, caches, nil)
 	cfg := Config{
@@ -159,8 +159,10 @@ func TestEndToEndWithHardwareModel(t *testing.T) {
 		ns := i * sec
 		node.Advance(ns)
 		cy, in, _, _, _ := node.CoreCounters(0)
-		sink.Push("/n1/cpu00/cpu-cycles", sensor.Reading{Value: cy, Time: ns})
-		sink.Push("/n1/cpu00/instructions", sensor.Reading{Value: in, Time: ns})
+		sink.PushBatch([]core.Output{
+			{Topic: "/n1/cpu00/cpu-cycles", Reading: sensor.Reading{Value: cy, Time: ns}},
+			{Topic: "/n1/cpu00/instructions", Reading: sensor.Reading{Value: in, Time: ns}},
+		})
 	}
 	cfg := Config{
 		OperatorConfig: core.OperatorConfig{

@@ -36,7 +36,7 @@ func newRig(t testing.TB) *rig {
 			val++
 			// cpi values 1..8 across the 8 cores.
 			caches.GetOrCreate(topic, 8, time.Second).
-				Store(sensor.Reading{Value: val, Time: 10 * sec})
+				StoreBatch([]sensor.Reading{{Value: val, Time: 10 * sec}})
 		}
 	}
 	qe := core.NewQueryEngine(nav, caches, nil)
@@ -117,7 +117,7 @@ func TestComputeDeciles(t *testing.T) {
 func TestFullTickPublishesThroughSink(t *testing.T) {
 	r := newRig(t)
 	var pushed int
-	sink := core.SinkFunc(func(sensor.Topic, sensor.Reading) { pushed++ })
+	sink := core.SinkFunc(func(outs []core.Output) { pushed += len(outs) })
 	if err := core.Tick(r.op, r.qe, sink, time.Unix(50, 0)); err != nil {
 		t.Fatal(err)
 	}

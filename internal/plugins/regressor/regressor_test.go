@@ -62,7 +62,7 @@ func newRig(t testing.TB, trainSize int, outputs []string) *rig {
 // step feeds one reading and runs one tick.
 func (r *rig) step(t testing.TB, i int) {
 	now := time.Unix(0, int64(i)*int64(interval))
-	r.sink.Push("/n1/power", sensor.At(signal(i), now))
+	r.sink.PushBatch([]core.Output{{Topic: "/n1/power", Reading: sensor.At(signal(i), now)}})
 	if err := core.Tick(r.op, r.qe, r.sink, now); err != nil {
 		t.Fatal(err)
 	}

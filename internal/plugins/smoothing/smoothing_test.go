@@ -25,7 +25,7 @@ func env(t testing.TB) *core.QueryEngine {
 			}
 			c := caches.GetOrCreate(topic, 512, time.Second)
 			for k := 0; k < 400; k++ {
-				c.Store(sensor.Reading{Value: float64(k%100) + float64(n)*1000, Time: int64(k) * sec})
+				c.StoreBatch([]sensor.Reading{{Value: float64(k%100) + float64(n)*1000, Time: int64(k) * sec}})
 			}
 		}
 	}

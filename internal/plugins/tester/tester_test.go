@@ -24,7 +24,7 @@ func env(t testing.TB, sensors, readings int) *core.QueryEngine {
 		}
 		c := caches.GetOrCreate(topic, readings, time.Second)
 		for k := 0; k < readings; k++ {
-			c.Store(sensor.Reading{Value: float64(k), Time: int64(k) * sec})
+			c.StoreBatch([]sensor.Reading{{Value: float64(k), Time: int64(k) * sec}})
 		}
 	}
 	return core.NewQueryEngine(nav, caches, nil)
@@ -133,7 +133,7 @@ func TestDefaultQueries(t *testing.T) {
 
 func TestPluginRegistration(t *testing.T) {
 	qe := env(t, 2, 10)
-	sink := core.SinkFunc(func(sensor.Topic, sensor.Reading) {})
+	sink := core.SinkFunc(func([]core.Output) {})
 	m := core.NewManager(qe, sink, core.Env{})
 	raw, _ := json.Marshal(Config{
 		OperatorConfig: core.OperatorConfig{

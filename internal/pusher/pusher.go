@@ -88,33 +88,6 @@ type Pusher struct {
 	samples atomic.Uint64
 }
 
-// mqttSink forwards readings to the broker: one message per reading on
-// the single-push path, one message per topic series on the batched path
-// (core.SeriesSink), which is how a unit's outputs and a sampler's batch
-// reach the Collect Agent without per-reading transport overhead.
-type mqttSink struct{ c *transport.Client }
-
-// singleScratch recycles the one-element slices of the single-push path.
-var singleScratch = sync.Pool{New: func() any {
-	s := make([]sensor.Reading, 1)
-	return &s
-}}
-
-func (s mqttSink) Push(topic sensor.Topic, r sensor.Reading) {
-	// Forwarding is best-effort: local caching and analytics continue
-	// even when the Collect Agent is unreachable.
-	bufp := singleScratch.Get().(*[]sensor.Reading)
-	(*bufp)[0] = r
-	_ = s.c.Publish(topic, *bufp)
-	singleScratch.Put(bufp)
-}
-
-// PushSeries implements core.SeriesSink: the whole series travels in one
-// broker message.
-func (s mqttSink) PushSeries(topic sensor.Topic, rs []sensor.Reading) {
-	_ = s.c.Publish(topic, rs)
-}
-
 // New creates a Pusher, connecting to the MQTT broker when configured.
 func New(cfg Config) (*Pusher, error) {
 	if cfg.CacheRetention <= 0 {
@@ -137,7 +110,11 @@ func New(cfg Config) (*Pusher, error) {
 			return nil, fmt.Errorf("pusher: connecting to broker: %w", err)
 		}
 		p.mqtt = client
-		sink.Forward = mqttSink{client}
+		// Each batch — a sampler round's or a unit's outputs for one topic
+		// — travels in one broker message. Forwarding is best-effort:
+		// local caching and analytics continue while the Collect Agent is
+		// unreachable.
+		sink.Forward = func(topic sensor.Topic, rs []sensor.Reading) { _ = client.Publish(topic, rs) }
 		p.registerClientMetrics(cfg.Metrics)
 	}
 	p.Manager = core.NewManager(qe, sink, cfg.Env)
@@ -234,7 +211,7 @@ func (p *Pusher) SampleOnce(now time.Time) {
 	var buf []core.Output
 	for _, s := range ss {
 		buf = s.Sample(now, buf[:0])
-		core.PushOutputs(p.sink, buf)
+		p.sink.PushBatch(buf)
 		p.samples.Add(uint64(len(buf)))
 	}
 }
@@ -275,7 +252,7 @@ func (p *Pusher) sampleLoop(s samplers.Sampler, stop chan struct{}) {
 			return
 		case now := <-ticker.C:
 			buf = s.Sample(now, buf[:0])
-			core.PushOutputs(p.sink, buf)
+			p.sink.PushBatch(buf)
 			p.samples.Add(uint64(len(buf)))
 		}
 	}

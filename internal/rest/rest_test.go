@@ -55,7 +55,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *core.Manager) {
 		}
 		c := caches.GetOrCreate(topic, 16, time.Second)
 		for k := 0; k < 8; k++ {
-			c.Store(sensor.Reading{Value: float64(100 + k), Time: int64(k) * int64(time.Second)})
+			c.StoreBatch([]sensor.Reading{{Value: float64(100 + k), Time: int64(k) * int64(time.Second)}})
 		}
 	}
 	qe := core.NewQueryEngine(nav, caches, nil)
@@ -294,7 +294,7 @@ func TestServeAndClose(t *testing.T) {
 	nav := navigator.New()
 	caches := cache.NewSet()
 	qe := core.NewQueryEngine(nav, caches, nil)
-	m := core.NewManager(qe, core.SinkFunc(func(sensor.Topic, sensor.Reading) {}), core.Env{})
+	m := core.NewManager(qe, core.SinkFunc(func([]core.Output) {}), core.Env{})
 	s, err := Serve("127.0.0.1:0", m, qe)
 	if err != nil {
 		t.Fatal(err)
@@ -327,9 +327,9 @@ func TestStorageEndpoint(t *testing.T) {
 	nav := navigator.New()
 	caches := cache.NewSet()
 	st := store.New()
-	st.Insert("/a", sensor.Reading{Value: 1, Time: 1})
-	st.Insert("/a", sensor.Reading{Value: 2, Time: 2})
-	st.Insert("/b", sensor.Reading{Value: 3, Time: 3})
+	st.InsertBatch("/a", []sensor.Reading{{Value: 1, Time: 1}})
+	st.InsertBatch("/a", []sensor.Reading{{Value: 2, Time: 2}})
+	st.InsertBatch("/b", []sensor.Reading{{Value: 3, Time: 3}})
 	qe := core.NewQueryEngine(nav, caches, st)
 	m := core.NewManager(qe, core.NewCacheSink(caches, nav, 16, time.Second), core.Env{})
 	memSrv := httptest.NewServer(NewHandler(m, qe))
@@ -349,12 +349,12 @@ func TestStorageEndpoint(t *testing.T) {
 	}
 	t.Cleanup(func() { db.Close() })
 	for i := 0; i < 50; i++ {
-		db.Insert("/a", sensor.Reading{Value: float64(i), Time: int64(i)})
+		db.InsertBatch("/a", []sensor.Reading{{Value: float64(i), Time: int64(i)}})
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	db.Insert("/b", sensor.Reading{Value: 1, Time: 100})
+	db.InsertBatch("/b", []sensor.Reading{{Value: 1, Time: 100}})
 	qe2 := core.NewQueryEngine(nav, caches, db)
 	m2 := core.NewManager(qe2, core.NewCacheSink(caches, nav, 16, time.Second), core.Env{})
 	dbSrv := httptest.NewServer(NewHandler(m2, qe2))

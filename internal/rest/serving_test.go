@@ -50,6 +50,12 @@ func newCachedStack(t *testing.T, ttl time.Duration) *cachedStack {
 	return &cachedStack{cached: cached, plain: plain, sink: sink, rc: rc}
 }
 
+// push delivers readings of /a through the sink as one batch, as one
+// delivered publish would.
+func (s *cachedStack) push(rs ...sensor.Reading) {
+	s.sink.PushBurst([]store.Batch{{Topic: "/a", Readings: rs}}, nil)
+}
+
 func getBody(t *testing.T, url string) (int, string) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -83,7 +89,7 @@ func TestQueryCacheCoherence(t *testing.T) {
 			rs[i] = sensor.Reading{Value: float64(next), Time: next * int64(time.Second)}
 			next++
 		}
-		s.sink.PushSeries("/a", rs)
+		s.push(rs...)
 		for _, p := range paths {
 			_, want := getBody(t, s.plain.URL+p)
 			if _, got := getBody(t, s.cached.URL+p); got != want {
@@ -112,7 +118,7 @@ func TestQueryCacheOpSharing(t *testing.T) {
 	for i := range rs {
 		rs[i] = sensor.Reading{Value: float64(i), Time: int64(i) * int64(time.Second)}
 	}
-	s.sink.PushSeries("/a", rs)
+	s.push(rs...)
 	for _, op := range []string{"avg", "min", "max", "sum", "count"} {
 		p := "/query?op=" + op + "&sensor=/a&start=0&end=9000000000"
 		_, want := getBody(t, s.plain.URL+p)
@@ -136,7 +142,7 @@ func TestQueryCacheFrontierShortcut(t *testing.T) {
 	for i := range rs {
 		rs[i] = sensor.Reading{Value: 1, Time: int64(i) * int64(time.Second)}
 	}
-	s.sink.PushSeries("/a", rs)
+	s.push(rs...)
 
 	p := "/query?op=count&sensor=/a&start=0&end=9000000000"
 	_, filled := getBody(t, s.cached.URL+p) // fill at frontier == window end
@@ -146,7 +152,7 @@ func TestQueryCacheFrontierShortcut(t *testing.T) {
 	// (Enough readings that the sensor cache rolls past the window start,
 	// so any recompute below goes to the store.)
 	for i := 20; i < 36; i++ {
-		s.sink.Push("/a", sensor.Reading{Value: 1, Time: int64(i) * int64(time.Second)})
+		s.push(sensor.Reading{Value: 1, Time: int64(i) * int64(time.Second)})
 	}
 	if _, got := getBody(t, s.cached.URL+p); got != filled {
 		t.Fatalf("in-order write beyond window changed response:\n got: %swas: %s", got, filled)
@@ -156,7 +162,7 @@ func TestQueryCacheFrontierShortcut(t *testing.T) {
 	}
 
 	// Out-of-order write INSIDE the window: must recompute.
-	s.sink.Push("/a", sensor.Reading{Value: 1, Time: 4500 * int64(time.Millisecond)})
+	s.push(sensor.Reading{Value: 1, Time: 4500 * int64(time.Millisecond)})
 	_, got := getBody(t, s.cached.URL+p)
 	if got == filled {
 		t.Fatalf("out-of-order write not reflected: %s", got)
@@ -183,14 +189,14 @@ func TestQueryCacheStaleness(t *testing.T) {
 	for i := range rs {
 		rs[i] = sensor.Reading{Value: 1, Time: int64(i) * int64(time.Second)}
 	}
-	s.sink.PushSeries("/a", rs)
+	s.push(rs...)
 
 	p := "/query?op=count&sensor=/a&start=0&end=20000000000"
 	_, filled := getBody(t, s.cached.URL+p)
 
 	// A write into the window, then an immediate read: stale service is
 	// allowed, but only the old or the new answer — never junk.
-	s.sink.Push("/a", sensor.Reading{Value: 1, Time: 10 * int64(time.Second)})
+	s.push(sensor.Reading{Value: 1, Time: 10 * int64(time.Second)})
 	_, within := getBody(t, s.cached.URL+p)
 	if within != filled {
 		t.Fatalf("within-TTL read is neither the stale nor original body: %s", within)
@@ -231,7 +237,7 @@ func TestQueryCacheConcurrentIngest(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < total; i++ {
-			s.sink.Push("/a", sensor.Reading{Value: 1, Time: int64(i) * int64(time.Millisecond)})
+			s.push(sensor.Reading{Value: 1, Time: int64(i) * int64(time.Millisecond)})
 			if i%200 == 0 {
 				s.rc.NotePrune() // full invalidation is always safe
 			}
@@ -295,7 +301,7 @@ func TestWildcardPruneGhosts(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 5; i++ {
-			db.Insert(topic, sensor.Reading{Value: 1, Time: int64(i) * int64(time.Second)})
+			db.InsertBatch(topic, []sensor.Reading{{Value: 1, Time: int64(i) * int64(time.Second)}})
 		}
 	}
 	old("/r1/n0/power")
@@ -304,7 +310,7 @@ func TestWildcardPruneGhosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	recent := int64(time.Hour)
-	db.Insert("/r2/n0/power", sensor.Reading{Value: 7, Time: recent})
+	db.InsertBatch("/r2/n0/power", []sensor.Reading{{Value: 7, Time: recent}})
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +348,7 @@ func TestRateLimit(t *testing.T) {
 	nav := navigator.New()
 	caches := cache.NewSet()
 	qe := core.NewQueryEngine(nav, caches, nil)
-	m := core.NewManager(qe, core.SinkFunc(func(sensor.Topic, sensor.Reading) {}), core.Env{})
+	m := core.NewManager(qe, core.SinkFunc(func([]core.Output) {}), core.Env{})
 	t.Cleanup(func() { m.Close() })
 	srv := httptest.NewServer(NewHandler(m, qe, Options{RateLimit: 50, RateBurst: 3}))
 	t.Cleanup(srv.Close)

@@ -209,19 +209,6 @@ func Related(a, b Topic) bool {
 	return a == b || Ancestor(a, b) || Ancestor(b, a)
 }
 
-// MatchFilter reports whether the topic filter f (which may end in the
-// MQTT-style multi-level wildcard "#") matches topic t. A filter without a
-// wildcard matches only itself; "/a/b/#" matches every topic below /a/b.
-func MatchFilter(f string, t Topic) bool {
-	if f == "#" || f == "/#" {
-		return true
-	}
-	if strings.HasSuffix(f, "/#") {
-		return t.HasPrefix(Topic(f[:len(f)-1]))
-	}
-	return string(t) == f
-}
-
 // Hash returns the FNV-1a hash of the topic bytes: the shared sharding
 // function for every topic-striped structure (cache set shards, tsdb
 // head stripes, result-cache version shards), so one topic always lands

@@ -175,24 +175,3 @@ func TestRelatedProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMatchFilter(t *testing.T) {
-	cases := []struct {
-		f    string
-		t    Topic
-		want bool
-	}{
-		{"#", "/a/b/c", true},
-		{"/#", "/a", true},
-		{"/a/b/#", "/a/b/c", true},
-		{"/a/b/#", "/a/b", true},
-		{"/a/b/#", "/a/bc", false},
-		{"/a/b", "/a/b", true},
-		{"/a/b", "/a/b/c", false},
-	}
-	for _, c := range cases {
-		if got := MatchFilter(c.f, c.t); got != c.want {
-			t.Errorf("MatchFilter(%q, %q) = %v, want %v", c.f, c.t, got, c.want)
-		}
-	}
-}

@@ -2,7 +2,7 @@ package store
 
 import "github.com/dcdb/wintermute/internal/sensor"
 
-// Backend is the Storage Backend contract: ordered per-topic inserts,
+// Backend is the Storage Backend contract: batched per-topic inserts,
 // inclusive time-range and latest-reading queries, windowed aggregates
 // answered over the backend's own representation, topic enumeration by
 // prefix, time-based retention and a statistics summary. The Query
@@ -11,12 +11,9 @@ import "github.com/dcdb/wintermute/internal/sensor"
 // embedded tsdb engine behind it (Cassandra in the upstream deployment);
 // tests run the reference Store, or a tsdb, behind the same consumers.
 type Backend interface {
-	// Insert appends one reading to the topic's series, placing
-	// out-of-order arrivals at their sorted position.
-	Insert(topic sensor.Topic, r sensor.Reading)
 	// InsertBatch appends several readings of one topic in one call,
-	// amortising locking (and, for persistent backends, write-ahead
-	// logging) over the batch. It is InsertBatches of one batch.
+	// placing out-of-order arrivals at their sorted position. It is
+	// InsertBatches of one batch.
 	InsertBatch(topic sensor.Topic, rs []sensor.Reading)
 	// InsertBatches appends a burst — several topics' batches, in
 	// order — in one call: a persistent backend logs the whole burst

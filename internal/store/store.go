@@ -29,11 +29,6 @@ func New() *Store {
 	return &Store{series: make(map[sensor.Topic][]sensor.Reading)}
 }
 
-// Insert is InsertBatches of one reading.
-func (s *Store) Insert(topic sensor.Topic, r sensor.Reading) {
-	s.InsertBatches([]Batch{{Topic: topic, Readings: []sensor.Reading{r}}})
-}
-
 // InsertBatch is InsertBatches of one batch.
 func (s *Store) InsertBatch(topic sensor.Topic, rs []sensor.Reading) {
 	s.InsertBatches([]Batch{{Topic: topic, Readings: rs}})

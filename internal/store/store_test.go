@@ -12,7 +12,7 @@ import (
 func TestInsertAndRange(t *testing.T) {
 	s := New()
 	for i := 0; i < 10; i++ {
-		s.Insert("/n/power", sensor.Reading{Value: float64(i), Time: int64(i * 100)})
+		s.InsertBatch("/n/power", []sensor.Reading{{Value: float64(i), Time: int64(i * 100)}})
 	}
 	got := s.Range("/n/power", 200, 500, nil)
 	if len(got) != 4 || got[0].Value != 2 || got[3].Value != 5 {
@@ -33,7 +33,7 @@ func TestOutOfOrderInsert(t *testing.T) {
 	s := New()
 	times := []int64{50, 10, 30, 20, 40, 25}
 	for _, ts := range times {
-		s.Insert("/x", sensor.Reading{Value: float64(ts), Time: ts})
+		s.InsertBatch("/x", []sensor.Reading{{Value: float64(ts), Time: ts}})
 	}
 	got := s.Range("/x", 0, 100, nil)
 	if len(got) != len(times) {
@@ -50,7 +50,7 @@ func TestOrderInvariantProperty(t *testing.T) {
 	f := func(times []int16) bool {
 		s := New()
 		for _, ts := range times {
-			s.Insert("/t", sensor.Reading{Time: int64(ts)})
+			s.InsertBatch("/t", []sensor.Reading{{Time: int64(ts)}})
 		}
 		got := s.Range("/t", -40000, 40000, nil)
 		if len(got) != len(times) {
@@ -73,9 +73,9 @@ func TestLatest(t *testing.T) {
 	if _, ok := s.Latest("/x"); ok {
 		t.Fatal("missing topic should have no latest")
 	}
-	s.Insert("/x", sensor.Reading{Value: 1, Time: 10})
-	s.Insert("/x", sensor.Reading{Value: 2, Time: 20})
-	s.Insert("/x", sensor.Reading{Value: 3, Time: 15}) // out of order
+	s.InsertBatch("/x", []sensor.Reading{{Value: 1, Time: 10}})
+	s.InsertBatch("/x", []sensor.Reading{{Value: 2, Time: 20}})
+	s.InsertBatch("/x", []sensor.Reading{{Value: 3, Time: 15}}) // out of order
 	r, ok := s.Latest("/x")
 	if !ok || r.Value != 2 {
 		t.Fatalf("Latest = %+v, %v", r, ok)
@@ -85,7 +85,7 @@ func TestLatest(t *testing.T) {
 func TestTopicsSorted(t *testing.T) {
 	s := New()
 	for _, tp := range []sensor.Topic{"/c", "/a", "/b"} {
-		s.Insert(tp, sensor.Reading{Time: 1})
+		s.InsertBatch(tp, []sensor.Reading{{Time: 1}})
 	}
 	got := s.Topics()
 	if len(got) != 3 || got[0] != "/a" || got[2] != "/c" {
@@ -96,8 +96,8 @@ func TestTopicsSorted(t *testing.T) {
 func TestPrune(t *testing.T) {
 	s := New()
 	for i := 0; i < 10; i++ {
-		s.Insert("/x", sensor.Reading{Time: int64(i)})
-		s.Insert("/y", sensor.Reading{Time: int64(i)})
+		s.InsertBatch("/x", []sensor.Reading{{Time: int64(i)}})
+		s.InsertBatch("/y", []sensor.Reading{{Time: int64(i)}})
 	}
 	removed := s.Prune(5)
 	if removed != 10 {
@@ -117,8 +117,8 @@ func TestPrune(t *testing.T) {
 func TestPruneDeletesEmptySeries(t *testing.T) {
 	s := New()
 	for i := 0; i < 5; i++ {
-		s.Insert("/old", sensor.Reading{Time: int64(i)})
-		s.Insert("/live", sensor.Reading{Time: int64(100 + i)})
+		s.InsertBatch("/old", []sensor.Reading{{Time: int64(i)}})
+		s.InsertBatch("/live", []sensor.Reading{{Time: int64(100 + i)}})
 	}
 	if removed := s.Prune(50); removed != 5 {
 		t.Fatalf("removed = %d, want 5", removed)
@@ -134,7 +134,7 @@ func TestPruneDeletesEmptySeries(t *testing.T) {
 		t.Fatalf("Topics = %v", got)
 	}
 	// The topic stays usable: a new insert recreates the series.
-	s.Insert("/old", sensor.Reading{Value: 1, Time: 200})
+	s.InsertBatch("/old", []sensor.Reading{{Value: 1, Time: 200}})
 	if s.Count("/old") != 1 {
 		t.Fatalf("reinsert after prune-delete: Count = %d", s.Count("/old"))
 	}
@@ -158,7 +158,7 @@ func TestPruneInsertRace(t *testing.T) {
 	}()
 	const n = 5000
 	for i := 0; i < n; i++ {
-		s.Insert("/hot", sensor.Reading{Value: float64(i), Time: int64(i)})
+		s.InsertBatch("/hot", []sensor.Reading{{Value: float64(i), Time: int64(i)}})
 	}
 	close(stop)
 	wg.Wait()
@@ -167,7 +167,7 @@ func TestPruneInsertRace(t *testing.T) {
 	if got := s.Count("/hot"); got > n {
 		t.Fatalf("Count = %d > %d inserted", got, n)
 	}
-	s.Insert("/hot", sensor.Reading{Value: -1, Time: 1 << 61})
+	s.InsertBatch("/hot", []sensor.Reading{{Value: -1, Time: 1 << 61}})
 	if r, ok := s.Latest("/hot"); !ok || r.Value != -1 {
 		t.Fatalf("insert after racing prune lost: %+v %v", r, ok)
 	}
@@ -203,7 +203,7 @@ func TestConcurrentInsertAndQuery(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 2000; i++ {
 				tp := topics[rng.Intn(len(topics))]
-				s.Insert(tp, sensor.Reading{Value: float64(i), Time: int64(i)})
+				s.InsertBatch(tp, []sensor.Reading{{Value: float64(i), Time: int64(i)}})
 			}
 		}(int64(w))
 	}

@@ -6,12 +6,20 @@ import (
 	"time"
 )
 
-// PublishFunc receives one self-monitoring reading: a sensor topic
-// (already prefixed), the metric value and the sample timestamp in
-// nanoseconds. The collect agent wires this to its cache sink so the
-// readings land in the sensor tree, caches and storage backend like
-// any pusher-delivered sensor.
-type PublishFunc func(topic string, value float64, timeNanos int64)
+// Point is one self-monitoring reading: a sensor topic (already
+// prefixed) and the metric value.
+type Point struct {
+	Topic string
+	Value float64
+}
+
+// PublishFunc receives one self-monitoring pass: every series of one
+// registry snapshot, stamped with the sample time in nanoseconds. The
+// collect agent wires this to its cache sink so the pass lands in the
+// sensor tree, caches and storage backend as one burst, like any
+// pusher-delivered sensor data. pts is reused by the next pass: it must
+// not be retained, and publish must not call back into the monitor.
+type PublishFunc func(timeNanos int64, pts []Point)
 
 // SelfMonitor periodically republishes a registry into sensor topics —
 // the Wintermute move: the monitoring system's own health becomes
@@ -23,6 +31,11 @@ type SelfMonitor struct {
 	prefix  string
 	every   time.Duration
 	publish PublishFunc
+
+	// mu serialises passes, which share pts: the buffer one pass fills
+	// and hands to publish.
+	mu  sync.Mutex
+	pts []Point
 
 	once    sync.Once
 	started bool
@@ -74,13 +87,16 @@ func (sm *SelfMonitor) Close() {
 	}
 }
 
-// PublishOnce takes one registry snapshot and publishes every series
-// with the given timestamp.
+// PublishOnce takes one registry snapshot and hands every series to
+// publish in one call, stamped with the given time. The call comes after
+// the snapshot returned: publishing runs under no registry lock.
 func (sm *SelfMonitor) PublishOnce(now time.Time) {
 	if sm == nil || sm.publish == nil {
 		return
 	}
-	ts := now.UnixNano()
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	pts := sm.pts[:0]
 	var b strings.Builder
 	sm.reg.Snapshot(func(s *Sample) {
 		b.Reset()
@@ -94,12 +110,13 @@ func (sm *SelfMonitor) PublishOnce(now time.Time) {
 		base := b.String()
 		switch s.Type {
 		case TypeHistogram:
-			sm.publish(base+"/count", float64(s.Count), ts)
-			sm.publish(base+"/sum", s.Sum, ts)
+			pts = append(pts, Point{base + "/count", float64(s.Count)}, Point{base + "/sum", s.Sum})
 		default:
-			sm.publish(base, s.Value, ts)
+			pts = append(pts, Point{base, s.Value})
 		}
 	})
+	sm.pts = pts
+	sm.publish(now.UnixNano(), pts)
 }
 
 // sanitizeSegment makes a label value safe as one sensor-topic path

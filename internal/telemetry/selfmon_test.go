@@ -13,14 +13,22 @@ func TestSelfMonitorPublishOnce(t *testing.T) {
 	r.NewCounterVec("dcdb_sm_routes_total", "x", "route").With("/query").Add(3)
 
 	got := map[string]float64{}
-	sm := NewSelfMonitor(r, "/telemetry/", time.Hour, func(topic string, v float64, ts int64) {
+	calls := 0
+	sm := NewSelfMonitor(r, "/telemetry/", time.Hour, func(ts int64, pts []Point) {
+		calls++
 		if ts != time.Unix(100, 0).UnixNano() {
 			t.Fatalf("timestamp = %d", ts)
 		}
-		got[topic] = v
+		for _, p := range pts {
+			got[p.Topic] = p.Value
+		}
 	})
 	sm.PublishOnce(time.Unix(100, 0))
 	sm.Close() // never started: must not hang
+
+	if calls != 1 {
+		t.Fatalf("one pass made %d publish calls, want 1", calls)
+	}
 
 	want := map[string]float64{
 		"/telemetry/dcdb_sm_events_total":        9,
@@ -43,10 +51,12 @@ func TestSelfMonitorLoop(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("dcdb_sm_loop_total", "x").Inc()
 	ch := make(chan string, 64)
-	sm := NewSelfMonitor(r, "/telemetry", 5*time.Millisecond, func(topic string, v float64, ts int64) {
-		select {
-		case ch <- topic:
-		default:
+	sm := NewSelfMonitor(r, "/telemetry", 5*time.Millisecond, func(_ int64, pts []Point) {
+		for _, p := range pts {
+			select {
+			case ch <- p.Topic:
+			default:
+			}
 		}
 	})
 	sm.Start()

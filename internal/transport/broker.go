@@ -14,12 +14,12 @@ import (
 )
 
 // BurstHandler consumes what a broker-side local subscription is
-// delivered: a burst — the matching PUBLISH messages one pass over a
-// publisher's read buffer decoded, in arrival order, at most
-// maxDeliverBurst of them. The slice and every Readings slice in it are
-// owned by the connection and reused for the next burst: they are valid
-// only for the duration of the call, and a handler that hands any of it
-// to another goroutine (or stores it) must copy it first. The topic
+// delivered: a burst — the PUBLISH messages one pass over a publisher's
+// read buffer decoded, in arrival order, at most maxDeliverBurst of
+// them. The slice and every Readings slice in it are owned by the
+// connection and reused for the next burst: they are valid only for the
+// duration of the call, and a handler that hands any of it to another
+// goroutine (or stores it) must copy it first. The topic
 // handles (Message.Ref) are the connection's too: they outlive the call
 // but not the connection, and are for its goroutine only. The broker
 // acknowledges the burst's versioned publishes only after every handler
@@ -47,7 +47,6 @@ const (
 type burst struct {
 	msgs  []Message
 	arena []sensor.Reading // backs every msgs[i].Readings
-	match []Message        // scratch: the subset a filtered handler is handed
 
 	// The newest versioned publish in the burst; one PubAck for it
 	// confirms every one before it.
@@ -177,7 +176,7 @@ type Broker struct {
 	// locals is a copy-on-write snapshot rebuilt under mu on every (rare)
 	// SubscribeLocal, so the per-burst route path reads it with one
 	// atomic load — no lock, no allocation.
-	locals atomic.Pointer[[]localSub]
+	locals atomic.Pointer[[]BurstHandler]
 
 	wg sync.WaitGroup
 	// published counts all messages routed, for the footprint experiment.
@@ -186,11 +185,6 @@ type Broker struct {
 	// metrics is never nil on a running broker; without a registry the
 	// counters are unattached, so route stays unconditional.
 	metrics *brokerMetrics
-}
-
-type localSub struct {
-	filter string
-	fn     BurstHandler
 }
 
 // NewBroker starts a broker listening on addr (e.g. "127.0.0.1:0").
@@ -218,17 +212,17 @@ func (b *Broker) Addr() string { return b.ln.Addr().String() }
 // Published returns the number of messages routed since start.
 func (b *Broker) Published() uint64 { return b.published.Load() }
 
-// SubscribeLocal registers an in-process handler for every message whose
-// topic matches filter ('#' wildcard supported). Used by the Collect Agent
-// to receive data without a network hop. See BurstHandler for the
-// delivery unit and the ownership rules of what is delivered.
-func (b *Broker) SubscribeLocal(filter string, fn BurstHandler) {
+// SubscribeLocal registers an in-process handler for every message the
+// broker receives. Used by the Collect Agent to receive data without a
+// network hop. See BurstHandler for the delivery unit and the ownership
+// rules of what is delivered.
+func (b *Broker) SubscribeLocal(fn BurstHandler) {
 	b.mu.Lock()
-	var locals []localSub
+	var locals []BurstHandler
 	if cur := b.locals.Load(); cur != nil {
 		locals = append(locals, *cur...)
 	}
-	locals = append(locals, localSub{filter: filter, fn: fn})
+	locals = append(locals, fn)
 	b.locals.Store(&locals)
 	b.mu.Unlock()
 }
@@ -436,9 +430,9 @@ func (b *Broker) control(bc *brokerConn, typ byte) bool {
 	return true
 }
 
-// route delivers a burst to the local handlers — each is handed the
-// messages its filter matches, in one call. The handler snapshot is
-// copy-on-write, so the steady-state routing path takes no lock.
+// route delivers a burst to the local handlers, each in one call. The
+// handler snapshot is copy-on-write, so the steady-state routing path
+// takes no lock.
 func (b *Broker) route(bu *burst) {
 	n := uint64(len(bu.msgs))
 	b.published.Add(n)
@@ -448,19 +442,7 @@ func (b *Broker) route(bu *burst) {
 	if locals == nil {
 		return
 	}
-	for _, ls := range *locals {
-		ms := bu.msgs
-		if ls.filter != "#" {
-			ms = bu.match[:0]
-			for _, m := range bu.msgs {
-				if sensor.MatchFilter(ls.filter, m.Topic) {
-					ms = append(ms, m)
-				}
-			}
-			bu.match = ms
-		}
-		if len(ms) > 0 {
-			ls.fn(ms)
-		}
+	for _, fn := range *locals {
+		fn(bu.msgs)
 	}
 }

@@ -131,7 +131,7 @@ func TestBurstEndsAtLastWholeFrame(t *testing.T) {
 	}
 	defer b.Close()
 	var log burstLog
-	b.SubscribeLocal("#", log.handle)
+	b.SubscribeLocal(log.handle)
 	conn := rawPeer(t, b)
 
 	var wire []byte
@@ -167,7 +167,7 @@ func TestBurstEndsAtControlFrameAndEpoch(t *testing.T) {
 	}
 	defer b.Close()
 	var log burstLog
-	b.SubscribeLocal("#", log.handle)
+	b.SubscribeLocal(log.handle)
 	conn := rawPeer(t, b)
 
 	var wire bytes.Buffer
@@ -201,7 +201,7 @@ func TestBurstCapAcksEveryMaxDeliverBurst(t *testing.T) {
 	}
 	defer b.Close()
 	var log burstLog
-	b.SubscribeLocal("#", log.handle)
+	b.SubscribeLocal(log.handle)
 	conn := rawPeer(t, b)
 
 	const n = maxDeliverBurst + 10
@@ -229,7 +229,7 @@ func TestOversizeFrameIsItsOwnBurst(t *testing.T) {
 	}
 	defer b.Close()
 	var log burstLog
-	b.SubscribeLocal("#", log.handle)
+	b.SubscribeLocal(log.handle)
 	conn := rawPeer(t, b)
 
 	big := Message{Topic: "/burst/big", Readings: make([]sensor.Reading, 4096), Epoch: 9, Seq: 2} // 64 KiB of readings
@@ -263,7 +263,7 @@ func TestKilledConnectionLeavesNoDecodedBatchBehind(t *testing.T) {
 		}
 		defer b.Close()
 		var log burstLog
-		b.SubscribeLocal("#", log.handle)
+		b.SubscribeLocal(log.handle)
 		conn := rawPeer(t, b)
 		var wire []byte
 		for seq := uint64(1); seq <= 3; seq++ {
@@ -283,7 +283,7 @@ func TestKilledConnectionLeavesNoDecodedBatchBehind(t *testing.T) {
 		}
 		defer b.Close()
 		log := burstLog{gate: make(chan struct{})}
-		b.SubscribeLocal("#", log.handle)
+		b.SubscribeLocal(log.handle)
 		conn := rawPeer(t, b)
 		var wire []byte
 		for seq := uint64(1); seq <= 3; seq++ {
@@ -317,7 +317,7 @@ func TestBurstSubscribeDisconnects(t *testing.T) {
 	}
 	defer b.Close()
 	var log burstLog
-	b.SubscribeLocal("#", log.handle)
+	b.SubscribeLocal(log.handle)
 	conn := rawPeer(t, b)
 
 	var wire bytes.Buffer

@@ -49,7 +49,7 @@ func TestBrokerDropsBadPublishKeepsConnection(t *testing.T) {
 	}
 	defer b.Close()
 	got := make(chan Message, 1)
-	b.SubscribeLocal("#", each(func(m Message) {
+	b.SubscribeLocal(each(func(m Message) {
 		m.Readings = append([]sensor.Reading(nil), m.Readings...)
 		got <- m
 	}))
@@ -142,7 +142,7 @@ func TestKillConnections(t *testing.T) {
 
 	// The broker itself survives: fresh sessions connect and publish.
 	got := make(chan Message, 1)
-	b.SubscribeLocal("#", each(func(m Message) {
+	b.SubscribeLocal(each(func(m Message) {
 		select {
 		case got <- m:
 		default:
@@ -182,7 +182,7 @@ func TestQoS0SurvivesConnectionKill(t *testing.T) {
 	defer b.Close()
 	var after atomic.Bool
 	got := make(chan Message, 1)
-	b.SubscribeLocal("#", each(func(m Message) {
+	b.SubscribeLocal(each(func(m Message) {
 		if m.Epoch != 0 || m.Seq != 0 {
 			t.Errorf("QoS 0 publish carried a delivery identity: epoch %x seq %d", m.Epoch, m.Seq)
 		}

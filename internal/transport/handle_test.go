@@ -39,7 +39,7 @@ func TestHandleIsPerConnectionAndTopic(t *testing.T) {
 		mu   sync.Mutex
 		refs = map[uint64][]*TopicRef{} // by epoch, one per connection here
 	)
-	b.SubscribeLocal("#", func(ms []Message) {
+	b.SubscribeLocal(func(ms []Message) {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, m := range ms {
@@ -77,10 +77,9 @@ func TestHandleIsPerConnectionAndTopic(t *testing.T) {
 	}
 }
 
-// TestHandleStateIsPerHandler: the chaos ledger registers a second "#"
-// handler beside the agent's. Both see every message, and what one
-// attaches to a handle the other neither sees nor replaces — also when a
-// filtered handler shares the connection.
+// TestHandleStateIsPerHandler: the chaos ledger registers a second
+// handler beside the agent's. Every handler sees every message, and what
+// one attaches to a handle no other sees or replaces.
 func TestHandleStateIsPerHandler(t *testing.T) {
 	b, err := NewBroker("127.0.0.1:0")
 	if err != nil {
@@ -94,9 +93,9 @@ func TestHandleStateIsPerHandler(t *testing.T) {
 		seen int
 		last *counter
 	}
-	for i, filter := range []string{"#", "#", "/h/#"} {
+	for i := range owners {
 		o := &owners[i]
-		b.SubscribeLocal(filter, func(ms []Message) {
+		b.SubscribeLocal(func(ms []Message) {
 			mu.Lock()
 			defer mu.Unlock()
 			for _, m := range ms {
@@ -157,7 +156,7 @@ func TestHandleInternCapOverflow(t *testing.T) {
 		mu          sync.Mutex
 		seen, noRef int
 	)
-	b.SubscribeLocal("#", func(ms []Message) {
+	b.SubscribeLocal(func(ms []Message) {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, m := range ms {

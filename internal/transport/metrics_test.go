@@ -20,7 +20,7 @@ func TestBrokerMetrics(t *testing.T) {
 	defer b.Close()
 
 	recv := make(chan struct{}, 1)
-	b.SubscribeLocal("/a/#", func([]Message) { recv <- struct{}{} })
+	b.SubscribeLocal(func([]Message) { recv <- struct{}{} })
 	pub, err := Dial(b.Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -56,7 +56,7 @@ func TestReliablePublishAckDrain(t *testing.T) {
 	}
 	defer b.Close()
 	rec := newRecorder()
-	b.SubscribeLocal("#", each(rec.handle))
+	b.SubscribeLocal(each(rec.handle))
 
 	c, err := DialOptions(b.Addr(), Options{SpoolBatches: 8})
 	if err != nil {
@@ -99,7 +99,7 @@ func TestReliableRedeliveryAfterKill(t *testing.T) {
 	}
 	defer b.Close()
 	rec := newRecorder()
-	b.SubscribeLocal("#", each(rec.handle))
+	b.SubscribeLocal(each(rec.handle))
 
 	c, err := DialOptions(b.Addr(), Options{
 		SpoolBatches: 64,
@@ -195,7 +195,7 @@ func TestReliableDiskSpoolRestart(t *testing.T) {
 	}
 	defer b2.Close()
 	rec := newRecorder()
-	b2.SubscribeLocal("#", each(rec.handle))
+	b2.SubscribeLocal(each(rec.handle))
 	c2, err := DialOptions(addr, Options{
 		SpoolBatches: 4,
 		SpoolDir:     dir,
@@ -493,7 +493,7 @@ func TestPublishNoReorderAroundFullDisk(t *testing.T) {
 	}
 	defer b.Close()
 	rec := newRecorder()
-	b.SubscribeLocal("#", each(rec.handle))
+	b.SubscribeLocal(each(rec.handle))
 
 	c, err := DialOptions(b.Addr(), Options{
 		SpoolBatches:  1,
@@ -555,7 +555,7 @@ func TestControlFramesDoNotCorruptPublishStream(t *testing.T) {
 	}
 	defer b.Close()
 	rec := newRecorder()
-	b.SubscribeLocal("#", each(rec.handle))
+	b.SubscribeLocal(each(rec.handle))
 
 	c, err := DialOptions(b.Addr(), Options{SpoolBatches: 64, RetryMin: 5 * time.Millisecond})
 	if err != nil {
@@ -647,7 +647,7 @@ func TestBurstWaitsForControlFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := newRecorder()
-		b.SubscribeLocal("#", each(rec.handle))
+		b.SubscribeLocal(each(rec.handle))
 		c, err := DialOptions(b.Addr(), Options{SpoolBatches: spool})
 		if err != nil {
 			t.Fatal(err)

@@ -8,8 +8,8 @@
 // reading batches to slash-separated topics, and PING — over
 // length-prefixed binary frames. Nothing subscribes over the network:
 // dashboards, operators and queries read the agent's caches and store,
-// which its local handler (Broker.SubscribeLocal, with the '#'
-// multi-level wildcard) feeds.
+// which its local handler (Broker.SubscribeLocal, handed every message)
+// feeds.
 //
 // There is one Client: Publish queues, a sender goroutine writes the
 // queue in vectored bursts and redials after connection loss. MQTT's

@@ -63,10 +63,10 @@ func buildRandomDB(t *testing.T, rng *rand.Rand, dir string, nTopics, perTopic i
 			// Stragglers older than the segment just written: the next
 			// query window straddles the flush boundary.
 			for _, tp := range topics {
-				db.Insert(tp, sensor.Reading{
+				db.InsertBatch(tp, []sensor.Reading{{
 					Time:  rng.Int63n(int64(round+1) * int64(perTopic) / 4 * 10),
 					Value: float64(rng.Intn(1000)),
-				})
+				}})
 			}
 		}
 	}

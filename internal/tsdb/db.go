@@ -324,11 +324,6 @@ func (db *DB) insertHead(topic sensor.Topic, rs []sensor.Reading) (created bool)
 	return created
 }
 
-// Insert appends one reading.
-func (db *DB) Insert(topic sensor.Topic, r sensor.Reading) {
-	db.InsertBatch(topic, []sensor.Reading{r})
-}
-
 // InsertBatch logs and buffers one topic's reading batch: InsertBatches
 // of one batch.
 func (db *DB) InsertBatch(topic sensor.Topic, rs []sensor.Reading) {

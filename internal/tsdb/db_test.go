@@ -30,7 +30,7 @@ func TestInsertRangeLatestCount(t *testing.T) {
 	db := openTest(t, t.TempDir(), Options{})
 	defer db.Close()
 	for i := 0; i < 10; i++ {
-		db.Insert("/n/power", sensor.Reading{Value: float64(i), Time: int64(i * 100)})
+		db.InsertBatch("/n/power", []sensor.Reading{{Value: float64(i), Time: int64(i * 100)}})
 	}
 	got := db.Range("/n/power", 200, 500, nil)
 	if len(got) != 4 || got[0].Value != 2 || got[3].Value != 5 {
@@ -54,13 +54,13 @@ func TestQueriesSpanFlushBoundary(t *testing.T) {
 	db := openTest(t, t.TempDir(), Options{})
 	defer db.Close()
 	for i := 0; i < 100; i++ {
-		db.Insert("/x", sensor.Reading{Value: float64(i), Time: int64(i) * sec})
+		db.InsertBatch("/x", []sensor.Reading{{Value: float64(i), Time: int64(i) * sec}})
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	for i := 100; i < 200; i++ {
-		db.Insert("/x", sensor.Reading{Value: float64(i), Time: int64(i) * sec})
+		db.InsertBatch("/x", []sensor.Reading{{Value: float64(i), Time: int64(i) * sec}})
 	}
 	// Range crossing segment -> head.
 	got := db.Range("/x", 90*sec, 110*sec, nil)
@@ -86,14 +86,14 @@ func TestOutOfOrderAcrossFlush(t *testing.T) {
 	db := openTest(t, t.TempDir(), Options{})
 	defer db.Close()
 	for i := 0; i < 10; i++ {
-		db.Insert("/x", sensor.Reading{Value: float64(i), Time: int64(10+i) * sec})
+		db.InsertBatch("/x", []sensor.Reading{{Value: float64(i), Time: int64(10+i) * sec}})
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	// A late reading older than the flushed segment lands in the head;
 	// Range must still come back time-ordered.
-	db.Insert("/x", sensor.Reading{Value: -1, Time: 5 * sec})
+	db.InsertBatch("/x", []sensor.Reading{{Value: -1, Time: 5 * sec}})
 	got := db.Range("/x", 0, 100*sec, nil)
 	if len(got) != 11 || got[0].Value != -1 {
 		t.Fatalf("Range = %+v", got)
@@ -109,12 +109,12 @@ func TestTopicsAndTotalReadings(t *testing.T) {
 	db := openTest(t, t.TempDir(), Options{})
 	defer db.Close()
 	for _, tp := range []sensor.Topic{"/c", "/a", "/b"} {
-		db.Insert(tp, sensor.Reading{Time: 1, Value: 1})
+		db.InsertBatch(tp, []sensor.Reading{{Time: 1, Value: 1}})
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	db.Insert("/d", sensor.Reading{Time: 2, Value: 2})
+	db.InsertBatch("/d", []sensor.Reading{{Time: 2, Value: 2}})
 	got := db.Topics()
 	want := []sensor.Topic{"/a", "/b", "/c", "/d"}
 	if !reflect.DeepEqual(got, want) {
@@ -132,14 +132,14 @@ func TestPruneDropsSegmentsAndTrimsHeads(t *testing.T) {
 	for batch := 0; batch < 2; batch++ {
 		for i := 0; i < 10; i++ {
 			ts := int64(batch*10+i) * sec
-			db.Insert("/x", sensor.Reading{Value: float64(batch*10 + i), Time: ts})
+			db.InsertBatch("/x", []sensor.Reading{{Value: float64(batch*10 + i), Time: ts}})
 		}
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 20; i < 30; i++ {
-		db.Insert("/x", sensor.Reading{Value: float64(i), Time: int64(i) * sec})
+		db.InsertBatch("/x", []sensor.Reading{{Value: float64(i), Time: int64(i) * sec}})
 	}
 
 	// Cut inside segment 2: segment 1 fully expires (10 readings), the
@@ -177,12 +177,12 @@ func TestStats(t *testing.T) {
 	db := openTest(t, t.TempDir(), Options{})
 	defer db.Close()
 	for i := 0; i < 100; i++ {
-		db.Insert("/a", sensor.Reading{Value: float64(i), Time: int64(i) * sec})
+		db.InsertBatch("/a", []sensor.Reading{{Value: float64(i), Time: int64(i) * sec}})
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	db.Insert("/b", sensor.Reading{Value: 1, Time: 200 * sec})
+	db.InsertBatch("/b", []sensor.Reading{{Value: 1, Time: 200 * sec}})
 	st := db.Stats()
 	if st.Kind != "tsdb" || st.Topics != 2 || st.TotalReadings != 101 {
 		t.Fatalf("Stats = %+v", st)
@@ -207,7 +207,7 @@ func TestJanitorFlushesAndPrunes(t *testing.T) {
 	defer db.Close()
 	now := time.Now()
 	for i := 0; i < 20; i++ {
-		db.Insert("/x", sensor.Reading{Value: float64(i), Time: now.Add(time.Duration(i-19) * time.Second).UnixNano()})
+		db.InsertBatch("/x", []sensor.Reading{{Value: float64(i), Time: now.Add(time.Duration(i-19) * time.Second).UnixNano()}})
 	}
 	// Twenty readings are far below the size threshold and a moment old:
 	// a pass now leaves them buffered, a pass maxHeadAge later flushes.
@@ -240,7 +240,7 @@ func TestConcurrentInsertFlushQuery(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 500; i++ {
 				tp := topics[rng.Intn(len(topics))]
-				db.Insert(tp, sensor.Reading{Value: float64(i), Time: int64(i) * sec})
+				db.InsertBatch(tp, []sensor.Reading{{Value: float64(i), Time: int64(i) * sec}})
 			}
 		}(testseed.Derive(base, fmt.Sprintf("writer-%d", w)))
 	}
@@ -276,7 +276,7 @@ func TestManyTopicsSurviveFlush(t *testing.T) {
 	for n := 0; n < topics; n++ {
 		tp := sensor.Topic(fmt.Sprintf("/r%02d/n%02d/power", n/8, n%8))
 		for i := 0; i < per; i++ {
-			db.Insert(tp, sensor.Reading{Value: float64(n*1000 + i), Time: int64(i) * sec})
+			db.InsertBatch(tp, []sensor.Reading{{Value: float64(n*1000 + i), Time: int64(i) * sec}})
 		}
 	}
 	if err := db.Flush(); err != nil {
@@ -308,7 +308,7 @@ func TestLatestPrefersNewestAcrossTiers(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	db.Insert("/x", sensor.Reading{Value: 3, Time: 150 * sec}) // late arrival
+	db.InsertBatch("/x", []sensor.Reading{{Value: 3, Time: 150 * sec}}) // late arrival
 	r, ok := db.Latest("/x")
 	if !ok || r.Time != 200*sec || r.Value != 2 {
 		t.Fatalf("Latest = %+v, %v; want the segment's T=200s reading", r, ok)
@@ -334,7 +334,7 @@ func TestQueriesNeverMissDataDuringFlush(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < total; i++ {
-			db.Insert("/x", sensor.Reading{Value: float64(i), Time: int64(i) * sec})
+			db.InsertBatch("/x", []sensor.Reading{{Value: float64(i), Time: int64(i) * sec}})
 			if i%100 == 99 {
 				if err := db.Flush(); err != nil {
 					t.Errorf("Flush: %v", err)
@@ -388,22 +388,22 @@ func TestEmptyHeadsLeaveShards(t *testing.T) {
 	db := openTest(t, t.TempDir(), Options{})
 	defer db.Close()
 	for n := 0; n < 200; n++ {
-		db.Insert(sensor.Topic(fmt.Sprintf("/job%03d/power", n)), sensor.Reading{Value: 1, Time: int64(n) * sec})
+		db.InsertBatch(sensor.Topic(fmt.Sprintf("/job%03d/power", n)), []sensor.Reading{{Value: 1, Time: int64(n) * sec}})
 	}
-	db.Insert("/busy", sensor.Reading{Value: 1, Time: 0})
+	db.InsertBatch("/busy", []sensor.Reading{{Value: 1, Time: 0}})
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if n := headCount(db); n != 0 {
 		t.Fatalf("%d heads left after a flush wrote all of them", n)
 	}
-	db.Insert("/busy", sensor.Reading{Value: 2, Time: 300 * sec})
-	db.Insert("/idle", sensor.Reading{Value: 2, Time: 1 * sec})
+	db.InsertBatch("/busy", []sensor.Reading{{Value: 2, Time: 300 * sec}})
+	db.InsertBatch("/idle", []sensor.Reading{{Value: 2, Time: 1 * sec}})
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	db.Insert("/busy", sensor.Reading{Value: 3, Time: 301 * sec})
-	db.Insert("/idle", sensor.Reading{Value: 3, Time: 2 * sec})
+	db.InsertBatch("/busy", []sensor.Reading{{Value: 3, Time: 301 * sec}})
+	db.InsertBatch("/idle", []sensor.Reading{{Value: 3, Time: 2 * sec}})
 	if removed := db.Prune(100 * sec); removed != 103 { // 100 jobs, /busy@0, /idle@1s and @2s
 		t.Fatalf("Prune removed %d readings, want 103", removed)
 	}

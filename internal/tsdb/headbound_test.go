@@ -66,7 +66,7 @@ func TestHeadBoundWakesJanitor(t *testing.T) {
 		db := openTest(t, t.TempDir(), Options{})
 		defer db.Abandon()
 		fill(db)
-		db.Insert("/r00/power", sensor.Reading{Time: bursts * per, Value: 1})
+		db.InsertBatch("/r00/power", []sensor.Reading{{Time: bursts * per, Value: 1}})
 		if st := db.Stats(); st.Segments != 0 || st.HeadReadings != maxHeadReadings+1 {
 			t.Fatalf("FlushEvery < 0 and something flushed: %+v", st)
 		}

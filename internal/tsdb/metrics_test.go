@@ -117,9 +117,9 @@ func TestDBMetricsSharedRegistry(t *testing.T) {
 	}
 	defer db2.Close()
 
-	db1.Insert("/a", sensor.Reading{Value: 1, Time: 1})
-	db2.Insert("/b", sensor.Reading{Value: 2, Time: 2})
-	db2.Insert("/b", sensor.Reading{Value: 3, Time: 3})
+	db1.InsertBatch("/a", []sensor.Reading{{Value: 1, Time: 1}})
+	db2.InsertBatch("/b", []sensor.Reading{{Value: 2, Time: 2}})
+	db2.InsertBatch("/b", []sensor.Reading{{Value: 3, Time: 3}})
 
 	if v, ok := reg.Value("dcdb_tsdb_head_readings"); !ok || v != 3 {
 		t.Fatalf("summed head readings = %v (ok=%v), want 3", v, ok)

@@ -155,7 +155,7 @@ func TestCrashRecoveryTornWALRecord(t *testing.T) {
 	dir := t.TempDir()
 	db := openTest(t, dir, Options{})
 	for i := 0; i < 100; i++ {
-		db.Insert("/x", sensor.Reading{Value: float64(i), Time: int64(i) * sec})
+		db.InsertBatch("/x", []sensor.Reading{{Value: float64(i), Time: int64(i) * sec}})
 	}
 	crash(db)
 
@@ -192,7 +192,7 @@ func TestCrashRecoveryCorruptWALRecord(t *testing.T) {
 	dir := t.TempDir()
 	db := openTest(t, dir, Options{})
 	for i := 0; i < 10; i++ {
-		db.Insert("/x", sensor.Reading{Value: float64(i), Time: int64(i) * sec})
+		db.InsertBatch("/x", []sensor.Reading{{Value: float64(i), Time: int64(i) * sec}})
 	}
 	crash(db)
 
@@ -242,7 +242,7 @@ func TestCrashBetweenFlushAndWALDelete(t *testing.T) {
 	dir := t.TempDir()
 	db := openTest(t, dir, Options{})
 	for i := 0; i < 50; i++ {
-		db.Insert("/x", sensor.Reading{Value: float64(i), Time: int64(i) * sec})
+		db.InsertBatch("/x", []sensor.Reading{{Value: float64(i), Time: int64(i) * sec}})
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
@@ -319,13 +319,13 @@ func TestFloorSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	db := openTest(t, dir, Options{})
 	for i := 0; i < 20; i++ {
-		db.Insert("/x", sensor.Reading{Value: float64(i), Time: int64(i) * sec})
+		db.InsertBatch("/x", []sensor.Reading{{Value: float64(i), Time: int64(i) * sec}})
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 20; i < 30; i++ {
-		db.Insert("/x", sensor.Reading{Value: float64(i), Time: int64(i) * sec})
+		db.InsertBatch("/x", []sensor.Reading{{Value: float64(i), Time: int64(i) * sec}})
 	}
 	if removed := db.Prune(25 * sec); removed != 25 {
 		t.Fatalf("Prune removed = %d, want 25", removed)
@@ -363,7 +363,7 @@ func TestWALFailureSurfacesAsDegraded(t *testing.T) {
 	db.wal.mu.Lock()
 	db.wal.f.Close()
 	db.wal.mu.Unlock()
-	db.Insert("/x", sensor.Reading{Value: 1, Time: 1})
+	db.InsertBatch("/x", []sensor.Reading{{Value: 1, Time: 1}})
 	if r, ok := db.Latest("/x"); !ok || r.Value != 1 {
 		t.Fatalf("memory serving broken: %+v %v", r, ok)
 	}

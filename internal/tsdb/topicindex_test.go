@@ -21,10 +21,10 @@ func TestTopicsPrefixMaintained(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	db.Insert("/r1/n0/power", sensor.Reading{Value: 1, Time: 1})
+	db.InsertBatch("/r1/n0/power", []sensor.Reading{{Value: 1, Time: 1}})
 	db.InsertBatch("/r1/n1/power", []sensor.Reading{{Value: 1, Time: 1}, {Value: 2, Time: 2}})
-	db.Insert("/r10/n0/power", sensor.Reading{Value: 1, Time: 1})
-	db.Insert("/r2/n0/power", sensor.Reading{Value: 1, Time: 1})
+	db.InsertBatch("/r10/n0/power", []sensor.Reading{{Value: 1, Time: 1}})
+	db.InsertBatch("/r2/n0/power", []sensor.Reading{{Value: 1, Time: 1}})
 
 	if got := db.TopicsPrefix("/r1"); !reflect.DeepEqual(got,
 		[]sensor.Topic{"/r1/n0/power", "/r1/n1/power"}) {
@@ -47,11 +47,11 @@ func TestTopicsPrefixRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Insert("/flushed/a", sensor.Reading{Value: 1, Time: 1})
+	db.InsertBatch("/flushed/a", []sensor.Reading{{Value: 1, Time: 1}})
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	db.Insert("/unflushed/b", sensor.Reading{Value: 1, Time: 2})
+	db.InsertBatch("/unflushed/b", []sensor.Reading{{Value: 1, Time: 2}})
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -80,9 +80,9 @@ func TestTopicsPrefixPruneGhosts(t *testing.T) {
 	db.opts.OnPrune = func(cutoff int64, removed int) { pruned += removed }
 
 	for i := 0; i < 5; i++ {
-		db.Insert("/old/x", sensor.Reading{Value: 1, Time: int64(i) * int64(time.Second)})
+		db.InsertBatch("/old/x", []sensor.Reading{{Value: 1, Time: int64(i) * int64(time.Second)}})
 	}
-	db.Insert("/new/y", sensor.Reading{Value: 1, Time: int64(time.Hour)})
+	db.InsertBatch("/new/y", []sensor.Reading{{Value: 1, Time: int64(time.Hour)}})
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestTopicsPrefixPruneGhosts(t *testing.T) {
 	if got := db.TopicsPrefix(""); !reflect.DeepEqual(got, []sensor.Topic{"/new/y"}) {
 		t.Fatalf("index after prune = %v", got)
 	}
-	db.Insert("/old/x", sensor.Reading{Value: 2, Time: 2 * int64(time.Hour)})
+	db.InsertBatch("/old/x", []sensor.Reading{{Value: 2, Time: 2 * int64(time.Hour)}})
 	if got := db.TopicsPrefix("/old"); !reflect.DeepEqual(got, []sensor.Topic{"/old/x"}) {
 		t.Fatalf("re-insert did not re-index: %v", got)
 	}
@@ -139,8 +139,8 @@ func TestTopicListedAcrossHeadDrops(t *testing.T) {
 	defer db.Close()
 	listed := func() bool { return len(db.TopicsPrefix("/idx")) == 1 }
 
-	db.Insert(topic, sensor.Reading{Value: 1, Time: 1 * sec})
-	db.Insert(topic, sensor.Reading{Value: 2, Time: 2 * sec}) // head exists: not indexed again
+	db.InsertBatch(topic, []sensor.Reading{{Value: 1, Time: 1 * sec}})
+	db.InsertBatch(topic, []sensor.Reading{{Value: 2, Time: 2 * sec}}) // head exists: not indexed again
 	if !listed() {
 		t.Fatal("not listed after its first inserts")
 	}
@@ -150,7 +150,7 @@ func TestTopicListedAcrossHeadDrops(t *testing.T) {
 	if db.hasHead(topic) || !listed() {
 		t.Fatalf("after a flush: head kept %v, listed %v; want dropped and listed", db.hasHead(topic), listed())
 	}
-	db.Insert(topic, sensor.Reading{Value: 3, Time: 3 * sec}) // head created again
+	db.InsertBatch(topic, []sensor.Reading{{Value: 3, Time: 3 * sec}}) // head created again
 	if !db.hasHead(topic) || !listed() {
 		t.Fatal("not listed after the insert that re-created its head")
 	}
@@ -160,7 +160,7 @@ func TestTopicListedAcrossHeadDrops(t *testing.T) {
 	if db.hasHead(topic) || listed() {
 		t.Fatalf("after a prune that emptied it: head kept %v, listed %v; want neither", db.hasHead(topic), listed())
 	}
-	db.Insert(topic, sensor.Reading{Value: 4, Time: 11 * sec})
+	db.InsertBatch(topic, []sensor.Reading{{Value: 4, Time: 11 * sec}})
 	if !listed() {
 		t.Fatal("not listed after the insert that revived it")
 	}
@@ -173,7 +173,10 @@ func TestTopicListedAcrossHeadDrops(t *testing.T) {
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() { defer wg.Done(); db.Prune(at + 1) }()
-		go func() { defer wg.Done(); db.Insert(topic, sensor.Reading{Value: 5, Time: at + 2}) }()
+		go func() {
+			defer wg.Done()
+			db.InsertBatch(topic, []sensor.Reading{{Value: 5, Time: at + 2}})
+		}()
 		wg.Wait()
 		at += 2
 		if db.Count(topic) != 1 || !listed() {
@@ -185,13 +188,13 @@ func TestTopicListedAcrossHeadDrops(t *testing.T) {
 	// and its rebuild: their head holds nothing live, yet it must keep
 	// its topic listed, or the live readings that join it — finding the
 	// head there, they do not index — would be stored and not listed.
-	fs.hook = func() { db.Insert(topic, sensor.Reading{Value: 6, Time: at}) }
+	fs.hook = func() { db.InsertBatch(topic, []sensor.Reading{{Value: 6, Time: at}}) }
 	db.Prune(at + 3)
 	fs.hook = nil
 	if !db.hasHead(topic) || db.Count(topic) != 0 {
 		t.Fatalf("the late insert: head %v, %d live readings; want a head with none", db.hasHead(topic), db.Count(topic))
 	}
-	db.Insert(topic, sensor.Reading{Value: 7, Time: at + 4})
+	db.InsertBatch(topic, []sensor.Reading{{Value: 7, Time: at + 4}})
 	if db.Count(topic) != 1 || !listed() {
 		t.Fatalf("live reading in a head of expired ones: %d live, listed %v", db.Count(topic), listed())
 	}
