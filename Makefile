@@ -59,18 +59,19 @@ bench-smoke:
 # the integration-tier recovery case, the ack-means-stored check (a
 # stalled WAL write must hold back the PubAck of every batch of the
 # burst), the publish client's model test and the broker's scripted-peer
-# burst tests (internal/transport), the topic-handle staleness tests
-# (internal/transport, internal/collect), and the store's burst and
-# segment-writer fault tests, its tier model test, the failed-flush
-# reader-stall regression, the no-I/O-under-the-ingest-lock check, the
-# retired-WAL sync failure and the index-across-head-drops race
-# (internal/tsdb), all under the race detector. A fixed
+# burst tests (internal/transport), the broker's dedup tests and the
+# reconnect dedup case (internal/transport, internal/integration), the
+# topic-handle tests (internal/transport, internal/collect), and the
+# store's burst and segment-writer fault tests, its tier model test, the
+# failed-flush reader-stall regression, the no-I/O-under-the-ingest-lock
+# check, the retired-WAL sync failure and the index-across-head-drops
+# race (internal/tsdb), all under the race detector. A fixed
 # WINTERMUTE_TEST_SEED keeps CI deterministic; drop the variable to
 # explore fresh seeds locally (failures log their replay incantation).
 # See docs/TESTING.md for the harness design and verdict format.
 chaos-smoke:
 	WINTERMUTE_TEST_SEED=42 $(GO) test -race -count=1 \
-		-run 'TestScenarioSmoke|TestChaosSmokeRecovery|TestAckImpliesStored|TestClientModel|TestBurst|TestOversizeFrame|TestKilledConnection|TestInsertBatchesMatches|TestTornBurst|TestSegmentWriterFailsClean|TestTierModel|TestFailedFlushDoesNotStallReaders|TestFlushHoldsIngestForNoIO|TestRetiredWALSyncFailure|TestHandle|TestPublisherBeyondInternCap|TestSecondLocalHandler|TestTopicListedAcrossHeadDrops' \
+		-run 'TestScenarioSmoke|TestChaosSmokeRecovery|TestAckImpliesStored|TestClientModel|TestBurst|TestOversizeFrame|TestKilledConnection|TestInsertBatchesMatches|TestTornBurst|TestSegmentWriterFailsClean|TestTierModel|TestFailedFlushDoesNotStallReaders|TestFlushHoldsIngestForNoIO|TestRetiredWALSyncFailure|TestHandle|TestDedup|TestPublisherBeyondInternCap|TestSecondLocalHandler|TestTopicListedAcrossHeadDrops' \
 		./internal/chaos/ ./internal/integration/ ./internal/transport/ ./internal/collect/ ./internal/tsdb/
 
 # Fuzz smoke (~40s): every native fuzz target for a few seconds from its

@@ -140,7 +140,9 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Printf("shutting down")
-	p.Stop()
+	if err := p.Close(); err != nil {
+		log.Printf("closing the broker connection: %v", err)
+	}
 	if dbg != nil {
 		_ = dbg.Close()
 	}

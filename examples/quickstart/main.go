@@ -34,6 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer p.Close()
 
 	// Two racks with two nodes each; every node runs a different app.
 	apps := []string{"hpl", "lammps", "amg", "idle"}

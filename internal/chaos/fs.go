@@ -6,7 +6,7 @@
 // clock skew, out-of-order floods — and
 // reconciles every reading sent against what the store reports
 // afterwards. Pushers run with the transport's at-least-once spool by
-// default, and the agent's dedup keeps the store exactly-once, so a
+// default, and the broker's dedup keeps the store exactly-once, so a
 // passing verdict means zero lost readings, period: nothing acked-lost,
 // nothing unacked-dropped, nothing duplicated, nothing corrupted.
 //

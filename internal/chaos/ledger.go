@@ -59,9 +59,9 @@ func (l *Ledger) RecordSent(topic sensor.Topic, rs []sensor.Reading) {
 // with Broker.SubscribeLocal(l.RecordDelivered) AFTER the collect
 // agent's own subscription, so a burst's messages are marked delivered
 // if and only if the agent's ingest handler ran for that burst in the
-// same synchronous route pass. Redelivered copies (an at-least-once
-// pusher resends whole batches after a reconnect) find the bit already
-// set.
+// same synchronous route pass. Both are handed the burst after the
+// broker dropped redelivered copies (an at-least-once pusher resends
+// whole batches after a reconnect), whose first delivery set the bit.
 func (l *Ledger) RecordDelivered(ms []transport.Message) {
 	l.mu.Lock()
 	for _, m := range ms {

@@ -97,7 +97,7 @@ type Scenario struct {
 	Faults []FaultSpec
 	// SpoolBatches sizes each pusher's at-least-once client spool
 	// (default 256): batches survive killed connections in the spool and
-	// are redelivered after the automatic reconnect, with the agent's
+	// are redelivered after the automatic reconnect, with the broker's
 	// dedup keeping the store exactly-once. Negative runs the pushers at
 	// QoS 0 (at-most-once), relaxing the verdict to tolerate unacked
 	// drops as connection-kill collateral.
@@ -160,10 +160,10 @@ type Verdict struct {
 	// PusherReplayedBatches counts batches the restart-replay wave
 	// delivered from persisted spools: for every non-empty disk spool a
 	// fresh client is opened on the same directory (restart semantics)
-	// and drained against the still-open broker, the agent's dedup
+	// and drained against the still-open broker, the broker's dedup
 	// dropping whatever already made it through in the first life.
 	PusherReplayedBatches uint64 `json:"pusher_replayed_batches"`
-	// DupBatchesDropped is the agent's dedup counter: redelivered
+	// DupBatchesDropped is the broker's dedup counter: redelivered
 	// batches turned away before ingest.
 	DupBatchesDropped uint64 `json:"dup_batches_dropped"`
 	// BrokerPubAcks counts publish acknowledgements the broker sent.
@@ -521,7 +521,7 @@ func (s Scenario) Run() (*Verdict, error) {
 	// exactly that: faults off (the incident is over), then for every
 	// non-empty spool a fresh client opens on the same directory and
 	// drains it against the still-open broker. The spooled frames keep
-	// their original (epoch, seq) identity, so the agent's dedup drops
+	// their original (epoch, seq) identity, so the broker's dedup drops
 	// whatever already made it through in the first life and the store
 	// gains only the genuinely missing readings.
 	cfs.ClearAll()

@@ -106,11 +106,6 @@ type Agent struct {
 	// behalf of subsystems without their own Close (storage stats,
 	// result cache); released in Close.
 	metricHandles []*telemetry.FuncHandle
-
-	// dedup is the at-least-once-to-exactly-once gate: redelivered
-	// batches (same client epoch, sequence at or below the topic's
-	// high-water mark) are dropped before they reach the ingest path.
-	dedup *dedup
 }
 
 // New creates a Collect Agent, opening (or recovering) its Storage
@@ -148,14 +143,13 @@ func New(cfg Config) (*Agent, error) {
 		QE:      qe,
 		Results: rc,
 		sink:    sink,
-		dedup:   newDedup(),
 	}
 	// A recovered backend already knows its sensors: rebuild the tree so
 	// pattern-based operator units bind immediately after a restart.
 	for _, topic := range db.Topics() {
 		_ = nav.AddSensor(topic)
 	}
-	a.metrics = newAgentMetrics(cfg.Metrics, a)
+	a.metrics = newAgentMetrics(cfg.Metrics)
 	a.metricHandles = append(a.metricHandles,
 		store.RegisterBackendMetrics(cfg.Metrics, db)...)
 	a.metricHandles = append(a.metricHandles,
@@ -206,84 +200,50 @@ func New(cfg Config) (*Agent, error) {
 	return a, nil
 }
 
-// series is what the agent hangs off a connection's topic handle
-// (transport.TopicRef) the first time that connection publishes the
-// topic: the sink's resolved Series, which lives as long as the agent,
-// and the dedup mark of the epoch the connection last published under,
-// which admitLocked re-resolves when the epoch changes. Like the handle
-// it belongs to the connection's goroutine.
-type series struct {
-	core.Series
-	mark markRef
-}
-
-// admitted is one burst's admitted batches with, in step, the resolved
-// series of each (nil where the message carried no topic handle).
-type admitted struct {
+// resolvedBurst is one delivered burst as the sink takes it: its batches
+// with, in step, the resolved series of each (nil where the message
+// carried no topic handle).
+type resolvedBurst struct {
 	batches []store.Batch
 	series  []*core.Series
 }
 
-// burstPool recycles the admitted lists the ingest handler builds, one
-// per burst in flight.
+// burstPool recycles the lists the ingest handler builds, one per burst
+// in flight.
 var burstPool = sync.Pool{New: func() any {
-	return &admitted{batches: make([]store.Batch, 0, 64), series: make([]*core.Series, 0, 64)}
+	return &resolvedBurst{batches: make([]store.Batch, 0, 64), series: make([]*core.Series, 0, 64)}
 }}
 
-// ingestBurst is the agent's broker handler: dedup, then the sink, then
-// the counters.
+// ingestBurst is the agent's broker handler: it resolves each message's
+// series, stores the burst through the sink and counts it. The broker has
+// already dropped redelivered duplicates. A message that carries a topic
+// handle is resolved through it — by lookup only the first time the
+// connection sends the topic, after which the handle holds the sink's
+// *core.Series, which lives as long as the agent.
 func (a *Agent) ingestBurst(ms []transport.Message) {
-	ad := burstPool.Get().(*admitted)
-	a.admitBurst(ms, ad)
-	a.sink.PushBurst(ad.batches, ad.series)
+	rb := burstPool.Get().(*resolvedBurst)
+	for _, m := range ms {
+		var sr *core.Series
+		if m.Ref != nil {
+			if sr, _ = m.Ref.State(a).(*core.Series); sr == nil {
+				s := a.sink.Resolve(m.Topic)
+				sr = &s
+				m.Ref.Attach(a, sr)
+			}
+		}
+		rb.batches = append(rb.batches, store.Batch{Topic: m.Topic, Readings: m.Readings})
+		rb.series = append(rb.series, sr)
+	}
+	a.sink.PushBurst(rb.batches, rb.series)
 	readings := 0
-	for _, bt := range ad.batches {
+	for _, bt := range rb.batches {
 		readings += len(bt.Readings)
 		a.metrics.batchSize.Observe(float64(len(bt.Readings)))
 	}
-	a.metrics.batches.Add(uint64(len(ad.batches)))
+	a.metrics.batches.Add(uint64(len(rb.batches)))
 	a.metrics.readings.Add(uint64(readings))
-	ad.batches, ad.series = ad.batches[:0], ad.series[:0]
-	burstPool.Put(ad)
-}
-
-// admitBurst appends to dst the batches of a delivered burst that the
-// dedup high-water marks have not seen, in order, counting the
-// duplicates it turns away; a message that carries a topic handle is
-// resolved through it — by lookup only the first time the connection
-// sends the topic. The broker still acknowledges a duplicate: its first
-// delivery was admitted, and has either reached the store or is finishing
-// on the connection that carried it (Broker.Close waits for that one
-// too).
-func (a *Agent) admitBurst(ms []transport.Message, dst *admitted) {
-	a.dedup.mu.Lock()
-	for _, m := range ms {
-		var (
-			sr   *core.Series
-			mark *markRef
-		)
-		if m.Ref != nil {
-			st, _ := m.Ref.State(a).(*series)
-			if st == nil {
-				// First sight: resolving takes the cache set's, the
-				// navigator's and the result cache's locks, and the dedup
-				// lock stays a leaf.
-				a.dedup.mu.Unlock()
-				st = &series{Series: a.sink.Resolve(m.Topic)}
-				m.Ref.Attach(a, st)
-				a.dedup.mu.Lock()
-			}
-			sr, mark = &st.Series, &st.mark
-		}
-		if a.dedup.admitLocked(m.Epoch, m.Topic, m.Seq, mark) {
-			dst.batches = append(dst.batches, store.Batch{Topic: m.Topic, Readings: m.Readings})
-			dst.series = append(dst.series, sr)
-			continue
-		}
-		a.metrics.dupBatches.Inc()
-		a.metrics.dupReadings.Add(uint64(len(m.Readings)))
-	}
-	a.dedup.mu.Unlock()
+	rb.batches, rb.series = rb.batches[:0], rb.series[:0]
+	burstPool.Put(rb)
 }
 
 // Addr returns the broker address, or "" when no broker is running.
@@ -329,8 +289,8 @@ func (a *Agent) Close() error {
 	if a.Broker != nil {
 		err = a.Broker.Close()
 	}
-	// Callback metrics read agent state (dedup table, backend stats);
-	// unregister them before the backend goes away.
+	// Callback metrics read backend stats: unregister them before the
+	// backend goes away.
 	a.closeMetricHandles()
 	if derr := a.DB.Close(); err == nil {
 		err = derr
@@ -345,5 +305,4 @@ func (a *Agent) closeMetricHandles() {
 		h.Close()
 	}
 	a.metricHandles = nil
-	a.metrics.closeMetrics()
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/dcdb/wintermute/internal/sensor"
+	"github.com/dcdb/wintermute/internal/telemetry"
 	"github.com/dcdb/wintermute/internal/transport"
 )
 
@@ -139,11 +140,11 @@ func TestPersistentAgentCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestIngestFanInPreservesPerTopicOrder drives many topics from one
-// publisher into the agent and checks every batch lands, with each
-// topic's readings in arrival order (a connection is ingested by its
-// own serve goroutine, so its order is the ingest order).
-func TestIngestFanInPreservesPerTopicOrder(t *testing.T) {
+// TestIngestPreservesPublishOrder drives many topics from one publisher
+// into the agent and checks every batch lands, with each topic's
+// readings in arrival order (a connection is ingested by its own serve
+// goroutine, so its order is the ingest order).
+func TestIngestPreservesPublishOrder(t *testing.T) {
 	a, err := New(Config{ListenMQTT: "127.0.0.1:0", StoreDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -214,15 +215,20 @@ func TestIngestFanInPreservesPerTopicOrder(t *testing.T) {
 	}
 }
 
-// TestIngestFanInDrainsOnClose publishes a burst and immediately closes
-// the agent: Close must wait for the connection's serve loop to store
-// what it routed before shutting the backend, so the agent loses
+// TestCloseStoresEverythingRouted publishes a burst and immediately
+// closes the agent: Close must wait for the connection's serve loop to
+// store what it routed before shutting the backend, so the agent loses
 // nothing it accepted.
-func TestIngestFanInDrainsOnClose(t *testing.T) {
+func TestCloseStoresEverythingRouted(t *testing.T) {
 	dir := t.TempDir()
-	a, err := New(Config{ListenMQTT: "127.0.0.1:0", StoreDir: dir})
+	reg := telemetry.NewRegistry()
+	a, err := New(Config{ListenMQTT: "127.0.0.1:0", StoreDir: dir, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
+	}
+	routed := func() float64 {
+		v, _ := reg.Value("dcdb_broker_messages_routed_total")
+		return v
 	}
 	c, err := transport.Dial(a.Addr())
 	if err != nil {
@@ -237,9 +243,9 @@ func TestIngestFanInDrainsOnClose(t *testing.T) {
 	// Wait for the broker to have routed everything, then close
 	// immediately: the last batches may still be inside the store call.
 	deadline := time.Now().Add(5 * time.Second)
-	for a.Broker.Published() < msgs {
+	for routed() < msgs {
 		if time.Now().After(deadline) {
-			t.Fatalf("routed %d of %d", a.Broker.Published(), msgs)
+			t.Fatalf("routed %v of %d", routed(), msgs)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -9,17 +9,19 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dcdb/wintermute/internal/core"
 	"github.com/dcdb/wintermute/internal/sensor"
 	"github.com/dcdb/wintermute/internal/telemetry"
 	"github.com/dcdb/wintermute/internal/transport"
 )
 
-// Staleness tests for what the agent hangs off a connection's topic
-// handle (series), through a real broker connection: a scripted peer
+// Tests for what the agent hangs off a connection's topic handle (its
+// *core.Series), through a real broker connection: a scripted peer
 // writes the frames (docs/FORMATS.md §1: type byte, big-endian length,
 // payload), so the test decides each publish's (epoch, seq) and which
 // connection carries it. A PubAck is sent after the handler returned —
-// stored or turned away — so every check below follows an ack, no sleep.
+// or after the broker dropped the burst as a duplicate — so every check
+// below follows an ack, no sleep.
 
 const (
 	frameConnect   = 1
@@ -112,61 +114,10 @@ func newHandleAgent(t *testing.T, cfg Config) *Agent {
 	return a
 }
 
-// TestHandleSurvivesEpochEviction: a connection idles while
-// maxDedupEpochs other incarnations come and go, and its epoch leaves
-// the dedup table. Its handles still hold the marks they resolved, so
-// what it redelivers is still turned away.
-func TestHandleSurvivesEpochEviction(t *testing.T) {
-	a := newHandleAgent(t, Config{})
-	idle, busy := dialPeer(t, a), dialPeer(t, a)
-	idle.send(pub{7, 1, "/h/idle"}, pub{7, 2, "/h/idle"})
-	churn := make([]pub, maxDedupEpochs)
-	for i := range churn {
-		churn[i] = pub{uint64(1000 + i), 1, "/h/busy"}
-	}
-	busy.send(churn...)
-	a.dedup.mu.Lock()
-	_, tracked := a.dedup.epochs[7]
-	a.dedup.mu.Unlock()
-	if tracked || a.dedup.size() != maxDedupEpochs {
-		t.Fatalf("epoch 7 still tracked (%v) among %d epochs: nothing was evicted", tracked, a.dedup.size())
-	}
-	idle.send(pub{7, 1, "/h/idle"}, pub{7, 2, "/h/idle"}, pub{7, 3, "/h/idle"})
-	if n := a.DB.Count("/h/idle"); n != 3 {
-		t.Fatalf("%d readings stored, want 3: seq 1 and 2 were redeliveries", n)
-	}
-}
-
-// TestHandleReResolvesOnNewEpoch: one connection, one topic, two client
-// epochs. The handle's mark is for one epoch at a time: a batch of
-// another epoch is judged by that epoch's mark, not the held one, and
-// going back finds the first epoch's mark where it was.
-func TestHandleReResolvesOnNewEpoch(t *testing.T) {
-	a := newHandleAgent(t, Config{})
-	p := dialPeer(t, a)
-	const topic = "/h/t"
-	for i, step := range []struct {
-		pub
-		stored int
-	}{
-		{pub{11, 5, topic}, 1},
-		{pub{12, 1, topic}, 2}, // below epoch 11's mark, new for epoch 12
-		{pub{12, 1, topic}, 2}, // duplicate
-		{pub{11, 5, topic}, 2}, // duplicate: epoch 11's mark was kept
-		{pub{11, 6, topic}, 3},
-		{pub{12, 2, topic}, 4},
-	} {
-		p.send(step.pub)
-		if n := a.DB.Count(topic); n != step.stored {
-			t.Fatalf("step %d, (%d, %d): %d readings stored, want %d", i, step.epoch, step.seq, n, step.stored)
-		}
-	}
-}
-
 // TestHandlesOfTwoConnectionsShareSeries: two connections publishing one
 // topic resolve it to the same cache and the same result-cache version
-// state, and to the same dedup mark when they carry the same epoch (a
-// client's old and new connection).
+// state. The batch one of them redelivers for the other (a client's old
+// and new connection carry the same epoch) never reaches the agent.
 func TestHandlesOfTwoConnectionsShareSeries(t *testing.T) {
 	a := newHandleAgent(t, Config{ResultCacheSize: 64})
 	first, second := dialPeer(t, a), dialPeer(t, a)
@@ -188,7 +139,8 @@ func TestHandlesOfTwoConnectionsShareSeries(t *testing.T) {
 
 // TestPublisherBeyondInternCap: a publisher with more topics than a
 // connection interns is stored, deduplicated, acknowledged and counted
-// like any other; its surplus shows in the transport's counter.
+// like any other — its redelivered spool is gone before it is routed —
+// and its surplus shows in the transport's counter.
 func TestPublisherBeyondInternCap(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	a := newHandleAgent(t, Config{Metrics: reg, StoreDir: t.TempDir()})
@@ -217,7 +169,9 @@ func TestPublisherBeyondInternCap(t *testing.T) {
 		"dcdb_ingest_batches_total":                 2 * n,
 		"dcdb_ingest_readings_total":                2 * n,
 		"dcdb_ingest_dup_batches_total":             n,
-		"dcdb_broker_messages_routed_total":         3 * n,
+		"dcdb_ingest_dup_readings_total":            n,
+		"dcdb_ingest_dedup_epochs":                  1,
+		"dcdb_broker_messages_routed_total":         2 * n,
 		"dcdb_transport_uninterned_publishes_total": 3 * over,
 	} {
 		if v, ok := reg.Value(name); !ok || v != want {
@@ -230,16 +184,16 @@ func TestPublisherBeyondInternCap(t *testing.T) {
 }
 
 // TestSecondLocalHandlerLeavesSeriesAlone: the chaos ledger subscribes
-// beside the agent. It sees every message, duplicates included, and
-// whatever it attaches to the handles the agent's series stay the
-// agent's.
+// beside the agent. It sees what the agent sees — the broker dropped the
+// duplicate before either — and whatever it attaches to the handles the
+// agent's series stay the agent's.
 func TestSecondLocalHandlerLeavesSeriesAlone(t *testing.T) {
 	a := newHandleAgent(t, Config{})
 	seen := make(chan int, 16) // one send per burst, far fewer than 16 here
 	var ledger struct{ total int }
 	a.Broker.SubscribeLocal(func(ms []transport.Message) {
 		for _, m := range ms {
-			if _, mine := m.Ref.State(a).(*series); !mine {
+			if _, mine := m.Ref.State(a).(*core.Series); !mine {
 				t.Errorf("%s: the agent's series is gone from the handle", m.Topic)
 			}
 			m.Ref.Attach(&ledger, "ledger's")
@@ -252,9 +206,14 @@ func TestSecondLocalHandlerLeavesSeriesAlone(t *testing.T) {
 	p.send(pub{41, 1, topic})
 	p.send(pub{41, 1, topic})
 	p.send(pub{41, 2, topic})
+	// Every burst the handlers ran for was acknowledged after its send on
+	// seen: they are all buffered there by now.
 	total := 0
-	for total < 3 {
+	for len(seen) > 0 {
 		total = <-seen
+	}
+	if total != 2 {
+		t.Fatalf("the ledger saw %d messages, want 2: the duplicate reached it", total)
 	}
 	if n := a.DB.Count(topic); n != 2 {
 		t.Fatalf("%d readings stored, want 2", n)
@@ -262,7 +221,7 @@ func TestSecondLocalHandlerLeavesSeriesAlone(t *testing.T) {
 }
 
 // TestIngestBurstSteadyStateAllocFree: once a connection's topics are
-// resolved, a 64-message burst goes through the agent's handler — dedup,
+// resolved, a 64-message burst goes through the agent's handler —
 // caches, tsdb (WAL and heads, on disk), result-cache marks, counters —
 // without allocating. The warm-up burst resolves the handles and carries
 // enough readings that a head's array grows at most once more over the

@@ -168,6 +168,7 @@ func measureCell(cfg Fig5Config, queries, windowMs int, absolute bool) (Fig5Cell
 	if err != nil {
 		return cell, err
 	}
+	defer p.Close()
 	sampler := samplers.NewTester("tester-mon", "/node/", cfg.NumSensors, cfg.SampleInterval)
 	if err := p.AddSampler(sampler); err != nil {
 		return cell, err
@@ -215,9 +216,9 @@ func measureCell(cfg Fig5Config, queries, windowMs int, absolute bool) (Fig5Cell
 	cell.BoundPc = 100 * cell.TickCost.Seconds() / cfg.SampleInterval.Seconds() /
 		float64(runtime.GOMAXPROCS(0))
 	// Wall-clock overhead with the live Pusher, interleaved with fresh
-	// baselines so machine-level drift cancels.
+	// baselines so machine-level drift cancels. Stop keeps the worker
+	// pool, so every repeat runs the operator's units on it.
 	p.Start()
-	defer p.Stop()
 	overheads := make([]float64, 0, cfg.Repeats)
 	for i := 0; i < cfg.Repeats; i++ {
 		active, _ := RunKernel(cfg.Kernel)

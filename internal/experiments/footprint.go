@@ -95,7 +95,7 @@ func RunFootprint(cfg FootprintConfig) (*FootprintResult, error) {
 	res := &FootprintResult{Goroutines: runtime.NumGoroutine()}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	p.Stop()
+	p.Close()
 	elapsed := time.Since(start).Seconds()
 	res.HeapAllocMB = float64(ms.HeapAlloc) / (1 << 20)
 	res.SysMB = float64(ms.Sys) / (1 << 20)

@@ -57,7 +57,7 @@ func TestFullPipelineAcrossComponents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer p.Stop()
+		defer p.Close()
 		node := hardware.NewNode(hardware.Config{Cores: 4, Seed: int64(i + 1)})
 		node.SetApp(workload.MustNew(app, int64(i), 3600), 0)
 		path := sensor.Topic(fmt.Sprintf("/r01/c01/s%02d/", i+1))

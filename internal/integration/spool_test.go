@@ -89,9 +89,10 @@ func TestSpoolRecoveryAcrossAgentRestart(t *testing.T) {
 }
 
 // TestDedupAcrossReconnect kills the pusher's connection repeatedly
-// mid-stream: the spool redelivers everything unacknowledged, and the
-// agent's (epoch, topic) high-water mark must absorb every duplicate —
-// the store ends up with each reading exactly once.
+// mid-stream while it publishes round-robin over four topics: the spool
+// redelivers everything unacknowledged, and the broker's per-epoch
+// high-water mark must absorb every duplicate — the store ends up with
+// each reading exactly once.
 func TestDedupAcrossReconnect(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	agent, err := collect.New(collect.Config{ListenMQTT: "127.0.0.1:0", StoreDir: t.TempDir(), Metrics: reg})
@@ -99,7 +100,7 @@ func TestDedupAcrossReconnect(t *testing.T) {
 		t.Fatalf("starting agent: %v", err)
 	}
 	defer agent.Close()
-	topic := sensor.Topic("/r01/c01/n02/temp")
+	topics := []sensor.Topic{"/r01/c01/n02/temp", "/r01/c01/n02/power", "/r01/c01/n03/temp", "/r01/c01/n03/power"}
 
 	client, err := transport.DialOptions(agent.Addr(), transport.Options{
 		SpoolBatches: 32,
@@ -111,7 +112,7 @@ func TestDedupAcrossReconnect(t *testing.T) {
 	const batches = 150
 	for i := 0; i < batches; i++ {
 		rs := []sensor.Reading{{Time: int64(i), Value: float64(i)}}
-		if err := client.Publish(topic, rs); err != nil {
+		if err := client.Publish(topics[i%len(topics)], rs); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 		if i%40 == 20 {
@@ -125,16 +126,17 @@ func TestDedupAcrossReconnect(t *testing.T) {
 		t.Fatal("kills produced no reconnects")
 	}
 
-	got := agent.DB.Range(topic, 0, int64(batches)+1, nil)
-	if len(got) != batches {
-		t.Fatalf("store holds %d readings, want exactly %d (duplicates or loss)", len(got), batches)
-	}
 	seen := make(map[int64]bool)
-	for _, r := range got {
-		if seen[r.Time] {
-			t.Fatalf("timestamp %d stored twice — dedup failed", r.Time)
+	for _, topic := range topics {
+		for _, r := range agent.DB.Range(topic, 0, int64(batches)+1, nil) {
+			if seen[r.Time] || topics[r.Time%int64(len(topics))] != topic {
+				t.Fatalf("timestamp %d stored twice or under %s — dedup failed", r.Time, topic)
+			}
+			seen[r.Time] = true
 		}
-		seen[r.Time] = true
+	}
+	if len(seen) != batches {
+		t.Fatalf("store holds %d readings, want exactly %d (loss)", len(seen), batches)
 	}
 	// When the kills interrupted in-flight batches, redeliveries happened
 	// and the dedup counter shows the absorbed duplicates.

@@ -41,7 +41,7 @@ type Config struct {
 	// while the broker is unreachable are dropped and counted.
 	Spool int
 	// SpoolDir, with Spool, adds on-disk overflow: batches beyond the
-	// in-memory high-water mark spill to a file there, and Stop
+	// in-memory high-water mark spill to a file there, and Close
 	// persists whatever the broker never acknowledged so the next run
 	// (same SpoolDir) replays it.
 	SpoolDir string
@@ -53,7 +53,7 @@ type Config struct {
 	RetryMin time.Duration
 	// RetryMax is the reconnect backoff ceiling (see RetryMin).
 	RetryMax time.Duration
-	// DrainTimeout bounds how long Stop waits for the spool to drain
+	// DrainTimeout bounds how long Close waits for the spool to drain
 	// (0: the transport default, 5s).
 	DrainTimeout time.Duration
 	// Threads sizes the Wintermute worker pool executing operator
@@ -83,6 +83,7 @@ type Pusher struct {
 	samplers []samplers.Sampler
 	stops    []chan struct{}
 	running  bool
+	closed   bool
 	wg       sync.WaitGroup
 
 	samples atomic.Uint64
@@ -138,7 +139,7 @@ func dialBroker(cfg Config) (*transport.Client, error) {
 }
 
 // registerClientMetrics exposes the broker client's delivery state; reg
-// may be nil (no-op handles). Stop closes the handles before the client.
+// may be nil (no-op handles). Close closes the handles before the client.
 func (p *Pusher) registerClientMetrics(reg *telemetry.Registry) {
 	c := p.mqtt
 	p.statFuncs = []*telemetry.FuncHandle{
@@ -223,10 +224,10 @@ func (p *Pusher) TickOnce(now time.Time) error {
 }
 
 // Start launches one sampling loop per sampler plus the Wintermute
-// operator loops.
+// operator loops; it does nothing on a running or closed pusher.
 func (p *Pusher) Start() {
 	p.mu.Lock()
-	if p.running {
+	if p.running || p.closed {
 		p.mu.Unlock()
 		return
 	}
@@ -258,8 +259,8 @@ func (p *Pusher) sampleLoop(s samplers.Sampler, stop chan struct{}) {
 	}
 }
 
-// Stop halts sampling loops and operators, then closes the broker
-// connection.
+// Stop halts the sampling loops and the operator loops. The pusher keeps
+// its worker pool and broker connection: Start may follow.
 func (p *Pusher) Stop() {
 	p.mu.Lock()
 	if !p.running {
@@ -273,15 +274,29 @@ func (p *Pusher) Stop() {
 	p.stops = nil
 	p.mu.Unlock()
 	p.wg.Wait()
-	// Stop is terminal for the pusher (the broker connection closes too),
-	// so shut the Wintermute worker pool down with the operators.
+	p.Manager.Stop()
+}
+
+// Close stops the pusher, then releases what it holds, once, whether or
+// not Start ran: the Wintermute worker pool, the delivery metrics and the
+// broker connection. At QoS 1 the client drains its spool first (bounded
+// by DrainTimeout) and persists the remainder when SpoolDir is set; the
+// error reports batches it could neither deliver nor persist.
+func (p *Pusher) Close() error {
+	p.Stop()
+	p.mu.Lock()
+	closed := p.closed
+	p.closed = true
+	p.mu.Unlock()
+	if closed {
+		return nil
+	}
 	p.Manager.Close()
 	for _, h := range p.statFuncs {
 		h.Close()
 	}
-	if p.mqtt != nil {
-		// In spooling mode Close drains (bounded by DrainTimeout) and
-		// persists the remainder when SpoolDir is configured.
-		_ = p.mqtt.Close()
+	if p.mqtt == nil {
+		return nil
 	}
+	return p.mqtt.Close()
 }

@@ -1,10 +1,13 @@
 package pusher
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
 	"github.com/dcdb/wintermute/internal/collect"
+	"github.com/dcdb/wintermute/internal/core"
+	"github.com/dcdb/wintermute/internal/plugins/aggregator"
 	"github.com/dcdb/wintermute/internal/samplers"
 	"github.com/dcdb/wintermute/internal/sim/hardware"
 	"github.com/dcdb/wintermute/internal/sim/workload"
@@ -71,7 +74,7 @@ func TestPusherToCollectAgentFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Stop()
+	defer p.Close()
 	node := hardware.NewNode(hardware.Config{Cores: 2, Seed: 2})
 	node.SetApp(workload.MustNew("hpl", 1, 3600), 0)
 	if err := p.AddSampler(samplers.NewPowerSim(node, "/r1/n1/", time.Second)); err != nil {
@@ -106,6 +109,7 @@ func TestStartStopLoops(t *testing.T) {
 	if err := p.AddSampler(samplers.NewTester("t", "/n/", 3, 5*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
+	defer p.Close()
 	p.Start()
 	p.Start() // idempotent
 	time.Sleep(40 * time.Millisecond)
@@ -118,6 +122,71 @@ func TestStartStopLoops(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if p.Samples() != n {
 		t.Error("sampling continued after Stop")
+	}
+}
+
+// TestCloseNeverStartedPusher: Close releases the broker connection of a
+// pusher that was never started — nothing else would.
+func TestCloseNeverStartedPusher(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	agent, err := collect.New(collect.Config{ListenMQTT: "127.0.0.1:0", StoreDir: t.TempDir(), Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+	conns := func() float64 {
+		v, _ := reg.Value("dcdb_broker_connections")
+		return v
+	}
+	p, err := New(Config{MQTTAddr: agent.Addr(), Spool: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := conns(); n != 1 {
+		t.Fatalf("%v broker connections after New, want 1", n)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil { // idempotent
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); conns() != 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%v broker connections after Close, want 0", conns())
+		}
+	}
+}
+
+// TestStopThenStartKeepsPool: Stop leaves the Wintermute worker pool up,
+// so after Stop and Start an operator's tick still runs on it.
+func TestStopThenStartKeepsPool(t *testing.T) {
+	p, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.AddSampler(samplers.NewTester("t", "/n/", 3, time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := json.Marshal(aggregator.Config{
+		OperatorConfig: core.OperatorConfig{Name: "avg", Inputs: []string{"test0"}, Outputs: []string{"avg"}, Unit: "/n/", IntervalMs: 3_600_000},
+		Operation:      aggregator.Mean,
+	})
+	if err := p.Manager.LoadPlugin("aggregator", raw); err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	p.Stop()
+	p.Start()
+	now := time.Now()
+	p.SampleOnce(now)
+	before := p.Manager.SchedulerStats().Completed
+	if err := p.TickOnce(now); err != nil {
+		t.Fatal(err)
+	}
+	if after := p.Manager.SchedulerStats().Completed; after <= before {
+		t.Fatalf("pool completed %d tasks before the tick and %d after: the tick did not run on the pool", before, after)
 	}
 }
 
@@ -157,7 +226,7 @@ func TestSpoolingPusherDelivers(t *testing.T) {
 		p.SampleOnce(time.Unix(int64(i), 0))
 	}
 	// Await the asynchronous acked delivery, visible through telemetry
-	// (the func-metric handles are live until Stop): one batch per sensor
+	// (the func-metric handles are live until Close): one batch per sensor
 	// per sample, and an ack means stored.
 	want := float64(5 * len(sim.Sensors()))
 	deadline := time.Now().Add(2 * time.Second)
@@ -174,7 +243,9 @@ func TestSpoolingPusherDelivers(t *testing.T) {
 	if got := agent.DB.Count("/r1/n1/power"); got != 5 {
 		t.Fatalf("store has %d readings with every batch acked, want 5", got)
 	}
-	p.Stop()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
 	st, ok := p.ClientStats()
 	if !ok {
 		t.Fatal("ClientStats not ok with MQTT configured")
@@ -200,7 +271,7 @@ func TestQoS0PusherCountsDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Stop()
+	defer p.Close()
 	node := hardware.NewNode(hardware.Config{Cores: 2, Seed: 2})
 	node.SetApp(workload.MustNew("hpl", 1, 3600), 0)
 	if err := p.AddSampler(samplers.NewPowerSim(node, "/r1/n1/", time.Second)); err != nil {

@@ -21,9 +21,12 @@ import (
 // duration of the call, and a handler that hands any of it to another
 // goroutine (or stores it) must copy it first. The topic
 // handles (Message.Ref) are the connection's too: they outlive the call
-// but not the connection, and are for its goroutine only. The broker
-// acknowledges the burst's versioned publishes only after every handler
-// returned.
+// but not the connection, and are for its goroutine only. Every handler
+// is handed the same burst, with redelivered duplicates already dropped:
+// a versioned batch reaches the handlers once while its client epoch is
+// tracked (see watermarks), and a burst that held only duplicates calls
+// no handler. The broker acknowledges the burst's versioned publishes,
+// duplicates included, only after every handler returned.
 type BurstHandler func([]Message)
 
 // maxDeliverBurst caps the PUBLISH frames delivered, stored and
@@ -157,10 +160,11 @@ func (c *brokerConn) writeLoop(m *brokerMetrics) {
 // Broker is the message broker at the heart of a Collect Agent: it
 // accepts Pusher connections and delivers their publishes, a burst at a
 // time, to local handlers registered in-process (the Collect Agent's
-// storage path). Versioned (v2) publishes are acknowledged with one
-// cumulative PubAck per burst after every local handler returned, which
-// is what makes a spooling client's at-least-once delivery land
-// exactly-once in the store.
+// storage path). Versioned (v2) publishes are deduplicated by one
+// watermark per client epoch and acknowledged with one cumulative PubAck
+// per burst after every local handler returned, which is what makes a
+// spooling client's at-least-once delivery land exactly-once in the
+// store.
 type Broker struct {
 	ln net.Listener
 
@@ -178,9 +182,11 @@ type Broker struct {
 	// atomic load — no lock, no allocation.
 	locals atomic.Pointer[[]BurstHandler]
 
+	// marks is the dedup table every connection's bursts pass before
+	// route.
+	marks watermarks
+
 	wg sync.WaitGroup
-	// published counts all messages routed, for the footprint experiment.
-	published atomic.Uint64
 
 	// metrics is never nil on a running broker; without a registry the
 	// counters are unattached, so route stays unconditional.
@@ -208,9 +214,6 @@ func NewBroker(addr string, reg ...*telemetry.Registry) (*Broker, error) {
 
 // Addr returns the broker's listen address.
 func (b *Broker) Addr() string { return b.ln.Addr().String() }
-
-// Published returns the number of messages routed since start.
-func (b *Broker) Published() uint64 { return b.published.Load() }
 
 // SubscribeLocal registers an in-process handler for every message the
 // broker receives. Used by the Collect Agent to receive data without a
@@ -321,24 +324,28 @@ func (b *Broker) serveConn(bc *brokerConn) {
 	// Per-connection scratch, reused burst to burst: the buffered reader
 	// whose buffer frames are parsed in, the burst with its decoded
 	// readings, the intern table resolving this publisher's (few,
-	// recurring) topics to their handles — the one string lookup a publish
+	// recurring) topics to their handles (the one string lookup a publish
 	// costs in this package, and the local handlers find what they hung
-	// off the handle without one of their own — and the PubAck encode
-	// buffer. The steady-state publish path allocates nothing.
+	// off the handle without one of their own), the dedup watermark of
+	// the client epoch it saw last and the PubAck encode buffer. The
+	// steady-state publish path allocates nothing.
 	br := bufio.NewReaderSize(bc.conn, 32<<10)
 	var (
 		bu     burst
+		mark   *watermark
 		ackBuf []byte
 	)
 	topics := make(map[string]*TopicRef, 64)
-	// deliver hands the pending burst to the local handlers, then sends
-	// its one PubAck: strictly after route returned, so every local
-	// handler has run to completion — and the agent's handler stores the
-	// burst before it returns, so an acked batch is in the store.
+	// deliver drops the pending burst's duplicates, hands the rest to the
+	// local handlers, then sends its one PubAck: strictly after route
+	// returned, so every local handler has run to completion — and the
+	// agent's handler stores the burst before it returns, so an acked
+	// batch is in the store, or its first copy was admitted before.
 	deliver := func() bool {
 		if len(bu.msgs) == 0 {
 			return true
 		}
+		mark = b.dedup(&bu, mark)
 		b.route(&bu)
 		acked, epoch, seq := bu.acked, bu.epoch, bu.seq
 		bu.reset()
@@ -380,8 +387,8 @@ func (b *Broker) serveConn(bc *brokerConn) {
 				var off int
 				if epoch, seq, off, derr = decodePublishV2Prefix(payload); derr == nil {
 					body = payload[off:]
-					// One ack covers one epoch: a new client incarnation
-					// starts a new burst.
+					// One ack and one watermark cover one epoch: a new
+					// client incarnation starts a new burst.
 					if bu.acked && epoch != bu.epoch && !deliver() {
 						return
 					}
@@ -430,16 +437,18 @@ func (b *Broker) control(bc *brokerConn, typ byte) bool {
 	return true
 }
 
-// route delivers a burst to the local handlers, each in one call. The
-// handler snapshot is copy-on-write, so the steady-state routing path
-// takes no lock.
+// route delivers a burst to the local handlers, each in one call; an
+// empty one calls none. The handler snapshot is copy-on-write, so the
+// steady-state routing path takes no lock.
 func (b *Broker) route(bu *burst) {
-	n := uint64(len(bu.msgs))
-	b.published.Add(n)
-	b.metrics.routed.Add(n)
-	b.metrics.readings.Add(uint64(len(bu.arena)))
+	readings := 0
+	for _, m := range bu.msgs {
+		readings += len(m.Readings)
+	}
+	b.metrics.routed.Add(uint64(len(bu.msgs)))
+	b.metrics.readings.Add(uint64(readings))
 	locals := b.locals.Load()
-	if locals == nil {
+	if locals == nil || len(bu.msgs) == 0 {
 		return
 	}
 	for _, fn := range *locals {

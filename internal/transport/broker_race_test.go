@@ -16,31 +16,42 @@ func each(fn func(Message)) BurstHandler {
 }
 
 // TestRouteSteadyStateAllocFree pins the satellite guarantee that
-// steady-state routing (decode + local delivery) performs no
-// per-message allocation once a connection's topics and batch shape have
-// been seen — through two handlers, each handed the whole burst.
+// steady-state routing (decode + dedup + local delivery) performs no
+// per-message allocation once a connection's topics, epoch and batch
+// shape have been seen — through two handlers, each handed the whole
+// burst.
 func TestRouteSteadyStateAllocFree(t *testing.T) {
 	b := &Broker{conns: make(map[*brokerConn]struct{})}
 	b.metrics = newBrokerMetrics(nil, nil)
-	b.SubscribeLocal(func([]Message) {})
+	delivered := 0
+	b.SubscribeLocal(func(ms []Message) { delivered += len(ms) })
 	b.SubscribeLocal(func([]Message) {})
 	payloads := [][]byte{
 		EncodePublish(Message{Topic: "/a/n1/power", Readings: []sensor.Reading{{Value: 1, Time: 1}, {Value: 2, Time: 2}}}),
 		EncodePublish(Message{Topic: "/b/n1/power", Readings: []sensor.Reading{{Value: 3, Time: 3}}}),
 	}
-	var bu burst
+	var (
+		bu   burst
+		mark *watermark
+		seq  uint64
+	)
 	topics := make(map[string]*TopicRef)
 	warm := func() {
-		for i, p := range payloads {
-			if err := bu.add(p, true, 7, uint64(i), topics); err != nil {
+		for _, p := range payloads {
+			seq++
+			if err := bu.add(p, true, 7, seq, topics); err != nil {
 				t.Fatal(err)
 			}
 		}
+		mark = b.dedup(&bu, mark)
 		b.route(&bu)
 		bu.reset()
 	}
 	warm()
 	if allocs := testing.AllocsPerRun(200, warm); allocs > 0 {
-		t.Fatalf("steady-state decode+route allocates %.1f times per burst", allocs)
+		t.Fatalf("steady-state decode+dedup+route allocates %.1f times per burst", allocs)
+	}
+	if want := int(seq); delivered != want {
+		t.Fatalf("handler saw %d of %d fresh messages", delivered, want)
 	}
 }

@@ -241,7 +241,7 @@ func (c *Client) encodeLocked(topic sensor.Topic, readings []sensor.Reading) *re
 // published while no connection is live is dropped and counted.
 func (c *Client) Publish(topic sensor.Topic, readings []sensor.Reading) error {
 	c.mu.Lock()
-	// Order is sacred: the agent's dedup watermark assumes per-topic
+	// Order is sacred: the broker's dedup watermark assumes an epoch's
 	// sequence numbers arrive monotonically, so sequences are assigned
 	// at enqueue time under a continuously-held lock (never across a
 	// cond wait — a concurrent publisher could slip a later sequence in

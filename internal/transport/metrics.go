@@ -7,18 +7,20 @@ import (
 // brokerMetrics is the broker's telemetry bundle. Always non-nil on a
 // running broker: with no registry the metrics are minted from a nil
 // *telemetry.Registry and count into nowhere, so the per-frame route
-// path stays branch-free. Connection count is a callback gauge over
-// the conns map, closed when the broker closes.
+// path stays branch-free. Connection count and tracked dedup epochs are
+// callback gauges, closed when the broker closes.
 type brokerMetrics struct {
-	frames     *telemetry.Counter // frames read off client connections
-	routed     *telemetry.Counter // publish messages routed
-	readings   *telemetry.Counter // readings carried by routed messages
-	dropped    *telemetry.Counter // malformed publishes dropped
-	writeFails *telemetry.Counter // connection write failures (connection torn down)
-	bytesIn    *telemetry.Counter // payload bytes received
-	connsTotal *telemetry.Counter // connections accepted since start
-	acks       *telemetry.Counter // PubAcks sent for v2 publishes
-	uninterned *telemetry.Counter // publishes delivered without a topic handle
+	frames      *telemetry.Counter // frames read off client connections
+	routed      *telemetry.Counter // publish messages handed to the local handlers
+	readings    *telemetry.Counter // readings carried by routed messages
+	dupBatches  *telemetry.Counter // redelivered batches dropped by the epoch watermarks
+	dupReadings *telemetry.Counter // readings carried by dropped duplicates
+	dropped     *telemetry.Counter // malformed publishes dropped
+	writeFails  *telemetry.Counter // connection write failures (connection torn down)
+	bytesIn     *telemetry.Counter // payload bytes received
+	connsTotal  *telemetry.Counter // connections accepted since start
+	acks        *telemetry.Counter // PubAcks sent for v2 publishes
+	uninterned  *telemetry.Counter // publishes delivered without a topic handle
 
 	handles []*telemetry.FuncHandle
 }
@@ -28,9 +30,15 @@ func newBrokerMetrics(reg *telemetry.Registry, b *Broker) *brokerMetrics {
 		frames: reg.Counter("dcdb_broker_frames_total",
 			"Frames read from client connections."),
 		routed: reg.Counter("dcdb_broker_messages_routed_total",
-			"Publish messages delivered to local handlers."),
+			"Publish messages delivered to local handlers (duplicates dropped before)."),
 		readings: reg.Counter("dcdb_broker_readings_total",
 			"Sensor readings carried by routed publish messages."),
+		// The dedup series keep the names they had when the Collect
+		// Agent's ingest handler deduplicated.
+		dupBatches: reg.Counter("dcdb_ingest_dup_batches_total",
+			"Redelivered batches dropped by the (epoch) dedup high-water mark."),
+		dupReadings: reg.Counter("dcdb_ingest_dup_readings_total",
+			"Readings carried by dropped duplicate batches."),
 		dropped: reg.Counter("dcdb_broker_publishes_dropped_total",
 			"Malformed publish frames dropped before routing."),
 		// The name predates the removal of network subscription; it
@@ -54,7 +62,10 @@ func newBrokerMetrics(reg *telemetry.Registry, b *Broker) *brokerMetrics {
 				n := len(b.conns)
 				b.mu.Unlock()
 				return float64(n)
-			}))
+			}),
+			reg.GaugeFunc("dcdb_ingest_dedup_epochs",
+				"Client epochs tracked by the broker's dedup table.",
+				func() float64 { return float64(b.marks.size()) }))
 	}
 	return m
 }

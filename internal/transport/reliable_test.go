@@ -90,8 +90,8 @@ func TestReliablePublishAckDrain(t *testing.T) {
 
 // TestReliableRedeliveryAfterKill: killing the connection mid-stream
 // loses nothing — unacked batches are redelivered after the automatic
-// reconnect, and per-topic sequence numbers stay monotonic within each
-// delivery attempt's order (duplicates allowed, gaps not).
+// reconnect, and every sequence up to the last is delivered (the broker
+// drops duplicates; TestDedupDropsRealClientRedelivery pins that).
 func TestReliableRedeliveryAfterKill(t *testing.T) {
 	b, err := NewBroker("127.0.0.1:0")
 	if err != nil {
@@ -484,8 +484,8 @@ func TestDiskSpoolScanSurvivesUnboundedRecords(t *testing.T) {
 // fit the tiny disk cap, large ones never do (their publishers take the
 // blocked path); under the old two-stage wait a blocked publisher could
 // enqueue to memory after a smaller batch landed on disk, delivering
-// sequences out of order — which the agent's high-water dedup would
-// drop on replay despite the broker acking them.
+// sequences out of order — which the broker's epoch watermark would
+// drop despite acking them.
 func TestPublishNoReorderAroundFullDisk(t *testing.T) {
 	b, err := NewBroker("127.0.0.1:0")
 	if err != nil {

@@ -1,7 +1,8 @@
 // Package transport implements the MQTT-flavoured push transport between
 // DCDB Pushers and Collect Agents: Pushers publish reading batches over
-// TCP, and the agent's Broker hands each burst of them to in-process
-// handlers and acknowledges it.
+// TCP, and the agent's Broker drops redelivered duplicates from each
+// burst of them, hands the rest to in-process handlers and acknowledges
+// it.
 //
 // The production DCDB uses full MQTT brokers; every data path in this
 // codebase needs exactly the subset implemented here — CONNECT, PUBLISH of
@@ -199,8 +200,7 @@ const (
 // A handle belongs to its connection's goroutine — the one that decodes
 // the publishes and runs the local handlers — so it needs no lock, must
 // not be handed to another goroutine, and dies with the connection. What
-// is attached must therefore be either state that outlives any
-// connection or state its handler re-validates when it uses it.
+// is attached must therefore be state that outlives any connection.
 type TopicRef struct {
 	// Topic is the interned topic string.
 	Topic sensor.Topic
