@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: all build vet doclint lint test race bench bench-smoke chaos chaos-smoke fuzz-smoke ci
+.PHONY: all build fmt vet doclint lint test race bench bench-smoke chaos chaos-smoke fuzz-smoke ci
 
 all: build vet doclint lint test
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: every Go file in the tree is gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -18,9 +22,9 @@ vet:
 doclint:
 	$(GO) run ./cmd/doclint
 
-# Invariant lint: the repo-specific analyzer suite (atomicmix,
-# lockorder, poolescape, batchinsert) that mechanically enforces the
-# concurrency and pooling contracts cataloged in docs/ANALYSIS.md.
+# Invariant lint: the repo-specific analyzer suite (lockorder,
+# poolescape, batchinsert) that mechanically enforces the concurrency
+# and pooling contracts cataloged in docs/ANALYSIS.md.
 # bench/ is left out: BENCHMARK.json freezes it, so its one finding (the
 # cold-scan preload inserts one batch per call on purpose, 123 k WAL
 # records for recovery to replay) could not carry its //lint:ignore.
@@ -95,4 +99,4 @@ fuzz-smoke:
 chaos:
 	$(GO) run ./cmd/chaosrunner -seed 42
 
-ci: build vet doclint lint test race bench-smoke bench chaos-smoke fuzz-smoke
+ci: build fmt vet doclint lint test race bench-smoke bench chaos-smoke fuzz-smoke

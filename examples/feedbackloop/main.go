@@ -25,6 +25,7 @@ import (
 	"github.com/dcdb/wintermute/internal/sensor"
 	"github.com/dcdb/wintermute/internal/sim/hardware"
 	"github.com/dcdb/wintermute/internal/sim/workload"
+	"github.com/dcdb/wintermute/internal/store"
 )
 
 func main() {
@@ -75,6 +76,6 @@ func main() {
 			fmt.Printf("%6d %10.1f %12.3f\n", t, node.Power(), node.FreqScale())
 		}
 	}
-	avg, _ := qe.Average("/r01/n01/power", 60*time.Second)
+	avg, _ := qe.AggregateRelative("/r01/n01/power", 60*time.Second).Value(store.AggAvg)
 	fmt.Printf("\nlast-minute average power: %.1f W (budget %g W)\n", avg, budget)
 }

@@ -12,6 +12,9 @@ import (
 // binary search) — but reduce the window in place instead of copying
 // readings out, so the aggregate tick path and the REST /query
 // aggregation endpoint touch no per-reading memory outside the ring.
+// The reduce and bucketing loops are the Storage Backend's own
+// (store.AggResult.ObserveAll, store.AppendBuckets), fed the window's
+// two ring slices in order as one sequence.
 
 // AggregateRelative reduces the window [latest-lookback, latest] to an
 // AggResult in one pass. The window bounds are derived from the nominal
@@ -20,18 +23,7 @@ import (
 func (c *Cache) AggregateRelative(lookback time.Duration) store.AggResult {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var a store.AggResult
-	if c.size == 0 {
-		return a
-	}
-	n := int(lookback/c.interval) + 1
-	if n > c.size {
-		n = c.size
-	}
-	for i := c.size - n; i < c.size; i++ {
-		a.Observe(c.at(i).Value)
-	}
-	return a
+	return c.reduce(c.relative(lookback))
 }
 
 // AggregateAbsolute reduces the readings with timestamps in [t0, t1]
@@ -39,15 +31,17 @@ func (c *Cache) AggregateRelative(lookback time.Duration) store.AggResult {
 func (c *Cache) AggregateAbsolute(t0, t1 int64) store.AggResult {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	return c.reduce(c.searchGE(t0), c.searchGE(t1+1))
+}
+
+// reduce folds chronological indices [lo, hi) into one accumulator,
+// both sides of the wrap alike, so the sum is the in-order one.
+// Callers must hold c.mu.
+func (c *Cache) reduce(lo, hi int) store.AggResult {
 	var a store.AggResult
-	if c.size == 0 || t1 < t0 {
-		return a
-	}
-	lo := c.searchGE(t0)
-	hi := c.searchGE(t1 + 1)
-	for i := lo; i < hi; i++ {
-		a.Observe(c.at(i).Value)
-	}
+	head, tail := c.span(lo, hi)
+	a.ObserveAll(head)
+	a.ObserveAll(tail)
 	return a
 }
 
@@ -56,21 +50,11 @@ func (c *Cache) AggregateAbsolute(t0, t1 int64) store.AggResult {
 // non-empty buckets to dst in time order (the semantics of
 // store.Backend.Downsample).
 func (c *Cache) DownsampleAbsolute(t0, t1, step int64, dst []store.Bucket) []store.Bucket {
-	if step <= 0 || t1 < t0 {
+	if step <= 0 {
 		return dst
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	lo := c.searchGE(t0)
-	hi := c.searchGE(t1 + 1)
-	for i := lo; i < hi; {
-		k := (c.at(i).Time - t0) / step
-		var a store.AggResult
-		for i < hi && (c.at(i).Time-t0)/step == k {
-			a.Observe(c.at(i).Value)
-			i++
-		}
-		dst = append(dst, store.Bucket{Start: t0 + k*step, AggResult: a})
-	}
-	return dst
+	head, tail := c.span(c.searchGE(t0), c.searchGE(t1+1))
+	return store.AppendBuckets(dst, t0, step, head, tail)
 }

@@ -30,8 +30,8 @@ type Cache struct {
 }
 
 // New creates a cache holding up to capacity readings sampled at the given
-// nominal interval. DCDB sizes caches by retention time; NewForRetention
-// offers that convenience. New panics on non-positive capacity or interval,
+// nominal interval, e.g. New(180, time.Second) retains the 180 s of the
+// paper's evaluation. New panics on non-positive capacity or interval,
 // since both indicate a configuration bug.
 func New(capacity int, interval time.Duration) *Cache {
 	if capacity <= 0 {
@@ -44,17 +44,6 @@ func New(capacity int, interval time.Duration) *Cache {
 		buf:      make([]sensor.Reading, capacity),
 		interval: interval,
 	}
-}
-
-// NewForRetention creates a cache able to retain `retain` worth of readings
-// sampled at `interval`, e.g. NewForRetention(180*time.Second, time.Second)
-// holds 180 readings — the configuration used in the paper's evaluation.
-func NewForRetention(retain, interval time.Duration) *Cache {
-	n := int(retain / interval)
-	if n < 1 {
-		n = 1
-	}
-	return New(n, interval)
 }
 
 // Interval returns the nominal sampling interval of the cached sensor.
@@ -107,16 +96,6 @@ func (c *Cache) Latest() (sensor.Reading, bool) {
 	return c.at(c.size - 1), true
 }
 
-// Oldest returns the oldest cached reading, if any.
-func (c *Cache) Oldest() (sensor.Reading, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.size == 0 {
-		return sensor.Reading{}, false
-	}
-	return c.at(0), true
-}
-
 // at returns the i-th reading in chronological order (0 = oldest).
 // Callers must hold c.mu.
 func (c *Cache) at(i int) sensor.Reading {
@@ -132,14 +111,8 @@ func (c *Cache) at(i int) sensor.Reading {
 func (c *Cache) ViewRelative(lookback time.Duration, dst []sensor.Reading) []sensor.Reading {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.size == 0 {
-		return dst
-	}
-	n := int(lookback/c.interval) + 1
-	if n > c.size {
-		n = c.size
-	}
-	return c.appendRange(dst, c.size-n, c.size)
+	lo, hi := c.relative(lookback)
+	return c.appendRange(dst, lo, hi)
 }
 
 // ViewAbsolute appends to dst the readings with timestamps in [t0, t1]
@@ -148,16 +121,24 @@ func (c *Cache) ViewRelative(lookback time.Duration, dst []sensor.Reading) []sen
 func (c *Cache) ViewAbsolute(t0, t1 int64, dst []sensor.Reading) []sensor.Reading {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.size == 0 || t1 < t0 {
-		return dst
+	return c.appendRange(dst, c.searchGE(t0), c.searchGE(t1+1))
+}
+
+// relative returns the chronological bounds [lo, hi) of the window
+// [latest-lookback, latest], counted back from the newest reading by the
+// nominal sampling interval. Callers must hold c.mu.
+func (c *Cache) relative(lookback time.Duration) (lo, hi int) {
+	n := int(lookback/c.interval) + 1
+	if n > c.size {
+		n = c.size
 	}
-	lo := c.searchGE(t0)
-	hi := c.searchGE(t1 + 1)
-	return c.appendRange(dst, lo, hi)
+	return c.size - n, c.size
 }
 
 // searchGE returns the smallest chronological index whose timestamp is
-// >= t, or c.size if none. Callers must hold c.mu.
+// >= t, or c.size if none. Callers must hold c.mu. The readings with
+// timestamps in [t0, t1] are [searchGE(t0), searchGE(t1+1)), an empty
+// range when t1 < t0.
 func (c *Cache) searchGE(t int64) int {
 	lo, hi := 0, c.size
 	for lo < hi {
@@ -171,20 +152,26 @@ func (c *Cache) searchGE(t int64) int {
 	return lo
 }
 
-// appendRange copies chronological indices [lo, hi) into dst. Callers must
-// hold c.mu. The copy is performed in at most two memmoves across the ring
-// wrap point.
-func (c *Cache) appendRange(dst []sensor.Reading, lo, hi int) []sensor.Reading {
+// span returns chronological indices [lo, hi) as at most two slices of
+// the ring, split where it wraps; the second is empty unless the window
+// crosses the wrap point. Callers must hold c.mu.
+func (c *Cache) span(lo, hi int) (head, tail []sensor.Reading) {
 	if lo >= hi {
-		return dst
+		return nil, nil
 	}
 	first := (c.start + lo) % len(c.buf)
-	last := (c.start + hi - 1) % len(c.buf)
-	if first <= last {
-		return append(dst, c.buf[first:last+1]...)
+	end := first + hi - lo
+	if end <= len(c.buf) {
+		return c.buf[first:end], nil
 	}
-	dst = append(dst, c.buf[first:]...)
-	return append(dst, c.buf[:last+1]...)
+	return c.buf[first:], c.buf[:end-len(c.buf)]
+}
+
+// appendRange copies chronological indices [lo, hi) into dst in at most
+// two memmoves across the ring wrap point. Callers must hold c.mu.
+func (c *Cache) appendRange(dst []sensor.Reading, lo, hi int) []sensor.Reading {
+	head, tail := c.span(lo, hi)
+	return append(append(dst, head...), tail...)
 }
 
 // setShards is the number of hash shards in a Set; a power of two so the

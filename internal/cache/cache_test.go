@@ -39,10 +39,10 @@ func TestEviction(t *testing.T) {
 	if c.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", c.Len())
 	}
-	oldest, _ := c.Oldest()
+	rs := c.ViewRelative(time.Hour, nil)
 	latest, _ := c.Latest()
-	if oldest.Value != 6 || latest.Value != 9 {
-		t.Fatalf("oldest/latest = %v/%v, want 6/9", oldest.Value, latest.Value)
+	if rs[0].Value != 6 || latest.Value != 9 {
+		t.Fatalf("oldest/latest = %v/%v, want 6/9", rs[0].Value, latest.Value)
 	}
 }
 
@@ -176,17 +176,6 @@ func TestDstReuse(t *testing.T) {
 	}
 	if cap(got) != cap(buf) {
 		t.Errorf("view should reuse caller buffer when capacity allows")
-	}
-}
-
-func TestNewForRetention(t *testing.T) {
-	c := NewForRetention(180*time.Second, time.Second)
-	if c.Capacity() != 180 {
-		t.Errorf("Capacity = %d, want 180", c.Capacity())
-	}
-	c = NewForRetention(time.Millisecond, time.Second)
-	if c.Capacity() != 1 {
-		t.Errorf("Capacity = %d, want at least 1", c.Capacity())
 	}
 }
 

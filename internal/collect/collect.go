@@ -10,10 +10,10 @@
 // connection's own goroutine, in one call into the backend, before the
 // broker acknowledges any of it: an ack means stored.
 //
-// Operators instantiated in a Collect Agent read from the local caches
-// when possible and from the Storage Backend otherwise — the location
-// "optimal for system or infrastructure-level analysis and feedback
-// loops".
+// Operators instantiated in a Collect Agent read latest readings and
+// relative windows from the local caches when they hold the sensor, and
+// absolute windows from the Storage Backend — the location "optimal for
+// system or infrastructure-level analysis and feedback loops".
 package collect
 
 import (

@@ -8,12 +8,13 @@ import (
 	"github.com/dcdb/wintermute/internal/store"
 )
 
-// Aggregation queries of the Query Engine. Like the raw-reading query
-// modes they follow the cache-first discipline — a covering sensor
-// cache reduces its ring buffer in place — and otherwise delegate to
-// the Storage Backend's own Aggregate/Downsample (for the tsdb engine:
-// per-chunk pre-aggregates and streaming decodes). No path materializes
-// raw readings into the caller's memory.
+// Aggregation queries of the Query Engine. They pick their source like
+// the raw-reading query modes: a relative window is reduced in place in
+// the sensor's cache ring when it holds readings, and an absolute window
+// goes to the Storage Backend's own Aggregate/Downsample whenever the
+// host has one (for the tsdb engine: per-chunk pre-aggregates and
+// streaming decodes). No path materializes raw readings into the
+// caller's memory.
 
 // AggregateRelative reduces the window [latest-lookback, latest] of
 // topic to an AggResult, cache-first. The result is empty (Count 0)
@@ -40,47 +41,40 @@ func (qe *QueryEngine) aggregateRelativeIn(c *cache.Cache, topic sensor.Topic, l
 }
 
 // AggregateAbsolute reduces the readings of topic with timestamps in
-// [t0, t1] to an AggResult. The cache answers when it covers the start
-// of the range; otherwise the Storage Backend does.
+// [t0, t1] to an AggResult: from the Storage Backend when the host has
+// one, else from the cache.
 func (qe *QueryEngine) AggregateAbsolute(topic sensor.Topic, t0, t1 int64) store.AggResult {
 	return qe.aggregateAbsoluteIn(qe.lookup(topic), topic, t0, t1)
 }
 
-// aggregateAbsoluteIn answers an absolute aggregation against a
-// resolved cache, falling back to the store when the cache is absent,
-// empty, or does not cover the start of the range.
+// aggregateAbsoluteIn answers an absolute aggregation from the store if
+// the host has one, else from a resolved cache.
 func (qe *QueryEngine) aggregateAbsoluteIn(c *cache.Cache, topic sensor.Topic, t0, t1 int64) store.AggResult {
-	if c != nil && c.Len() > 0 {
-		oldest, _ := c.Oldest()
-		if oldest.Time <= t0 || qe.store == nil {
-			return c.AggregateAbsolute(t0, t1)
-		}
-	}
 	if qe.store != nil {
 		return qe.store.Aggregate(topic, t0, t1)
+	}
+	if c != nil {
+		return c.AggregateAbsolute(t0, t1)
 	}
 	return store.AggResult{}
 }
 
 // Downsample reduces the readings of topic in [t0, t1] into buckets of
 // width step aligned to t0, appending only non-empty buckets to dst in
-// time order — cache when it covers the range start, Storage Backend
-// otherwise.
+// time order — from the Storage Backend when the host has one, else
+// from the cache.
 func (qe *QueryEngine) Downsample(topic sensor.Topic, t0, t1, step int64, dst []store.Bucket) []store.Bucket {
 	return qe.downsampleIn(qe.lookup(topic), topic, t0, t1, step, dst)
 }
 
-// downsampleIn answers a downsampling query against a resolved cache,
-// falling back to the store.
+// downsampleIn answers a downsampling query from the store if the host
+// has one, else from a resolved cache.
 func (qe *QueryEngine) downsampleIn(c *cache.Cache, topic sensor.Topic, t0, t1, step int64, dst []store.Bucket) []store.Bucket {
-	if c != nil && c.Len() > 0 {
-		oldest, _ := c.Oldest()
-		if oldest.Time <= t0 || qe.store == nil {
-			return c.DownsampleAbsolute(t0, t1, step, dst)
-		}
-	}
 	if qe.store != nil {
 		return qe.store.Downsample(topic, t0, t1, step, dst)
+	}
+	if c != nil {
+		return c.DownsampleAbsolute(t0, t1, step, dst)
 	}
 	return dst
 }

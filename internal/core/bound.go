@@ -73,13 +73,6 @@ func (b *BoundSensor) QueryAbsolute(t0, t1 int64, dst []sensor.Reading) []sensor
 	return b.qe.absoluteIn(b.resolved(), b.Topic, t0, t1, dst)
 }
 
-// Average returns the mean over the relative window [latest-lookback,
-// latest], like QueryEngine.Average but without the topic lookup on the
-// hit path.
-func (b *BoundSensor) Average(lookback time.Duration) (float64, bool) {
-	return b.qe.averageIn(b.resolved(), b.Topic, lookback)
-}
-
 // BoundUnit pairs a unit with bound handles for every input and output,
 // index-parallel with Unit.Inputs and Unit.Outputs. Operators obtain it
 // once per computation via QueryEngine.BindUnit and query through the

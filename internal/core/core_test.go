@@ -72,12 +72,12 @@ func TestQueryRelativeStoreFallback(t *testing.T) {
 
 func TestQueryAbsoluteCacheVsStore(t *testing.T) {
 	_, _, _, qe := testEnv(t)
-	// Window fully inside the cache: served by cache.
+	// Beside a store every absolute window is the store's, whether or
+	// not the cache still holds it.
 	rs := qe.QueryAbsolute("/r0/n0/power", 20*sec, 22*sec, nil)
 	if len(rs) != 3 || rs[0].Value != 20 {
 		t.Fatalf("cached absolute = %+v", rs)
 	}
-	// Window starting before cache coverage: served by store.
 	rs = qe.QueryAbsolute("/r0/n0/power", 2*sec, 5*sec, nil)
 	if len(rs) != 4 || rs[0].Value != 2 {
 		t.Fatalf("store absolute = %+v", rs)
@@ -100,7 +100,7 @@ func TestLatestAndAverage(t *testing.T) {
 	if !ok || r.Value != 31 {
 		t.Fatalf("Latest = %+v, %v", r, ok)
 	}
-	avg, ok := qe.Average("/r0/n0/power", 3*time.Second)
+	avg, ok := qe.AggregateRelative("/r0/n0/power", 3*time.Second).Value(store.AggAvg)
 	if !ok || avg != (28.0+29+30+31)/4 {
 		t.Fatalf("Average = %v, %v", avg, ok)
 	}
@@ -109,13 +109,13 @@ func TestLatestAndAverage(t *testing.T) {
 	if r, ok := qe.Latest("/only/store"); !ok || r.Value != 5 {
 		t.Fatalf("store Latest = %+v, %v", r, ok)
 	}
-	if avg, ok := qe.Average("/only/store", time.Second); !ok || avg != 5 {
+	if avg, ok := qe.AggregateRelative("/only/store", time.Second).Value(store.AggAvg); !ok || avg != 5 {
 		t.Fatalf("store Average = %v, %v", avg, ok)
 	}
 	if _, ok := qe.Latest("/none"); ok {
 		t.Error("missing sensor should have no latest")
 	}
-	if _, ok := qe.Average("/none", time.Second); ok {
+	if _, ok := qe.AggregateRelative("/none", time.Second).Value(store.AggAvg); ok {
 		t.Error("missing sensor should have no average")
 	}
 }

@@ -20,30 +20,29 @@ import (
 	"github.com/dcdb/wintermute/internal/store"
 )
 
-// CacheProvider supplies per-sensor caches; *cache.Set implements it.
-type CacheProvider interface {
-	Get(topic sensor.Topic) (*cache.Cache, bool)
-}
-
 // QueryEngine exposes the space of available sensors to operator plugins
-// (paper §V-B). It resolves queries cache-first — local sensor caches are
-// much faster than the Storage Backend — and falls back to the store when
-// the cache is absent or does not cover the requested range. Relative
-// queries compute their cache view in O(1); absolute queries use binary
-// search in O(log N).
+// (paper §V-B). Latest and relative windows are answered cache-first —
+// the local sensor cache is much faster than the Storage Backend, and
+// its relative view is O(1) — falling back to the store when the sensor
+// has no cache or an empty one. Absolute windows are answered by the
+// store whenever the host has one: it holds every reading the cache
+// does, sorted and correct under late arrival, while the ring is in
+// arrival order and evicts concurrently. A cache-only host answers them
+// from the ring by binary search, O(log N).
 //
-// The fallback is any store.Backend: the embedded tsdb engine in a
-// Collect Agent, the reference store.Store in tests, or nothing at all
-// (Pushers run cache-only with a nil store). Only the read half of the interface is exercised here.
+// The store is any store.Backend: the embedded tsdb engine in a Collect
+// Agent, the reference store.Store in tests, or nothing at all (Pushers
+// run cache-only with a nil store). Only the read half of the interface
+// is exercised here.
 type QueryEngine struct {
 	nav    *navigator.Navigator
-	caches CacheProvider
+	caches *cache.Set
 	store  store.Backend
 }
 
 // NewQueryEngine builds a query engine over the given sensor tree and
 // caches; store may be nil for cache-only hosts (Pushers).
-func NewQueryEngine(nav *navigator.Navigator, caches CacheProvider, store store.Backend) *QueryEngine {
+func NewQueryEngine(nav *navigator.Navigator, caches *cache.Set, store store.Backend) *QueryEngine {
 	return &QueryEngine{nav: nav, caches: caches, store: store}
 }
 
@@ -126,39 +125,20 @@ func (qe *QueryEngine) relativeIn(c *cache.Cache, topic sensor.Topic, lookback t
 }
 
 // QueryAbsolute appends to dst the readings of topic with timestamps in
-// [t0, t1] — absolute mode, O(log N) binary search on the cache. When the
-// cache does not cover the start of the range (old readings evicted), the
-// Storage Backend serves the query instead, if available.
+// [t0, t1] — absolute mode: the Storage Backend answers when the host has
+// one, the cache (by O(log N) binary search) when it runs cache-only.
 func (qe *QueryEngine) QueryAbsolute(topic sensor.Topic, t0, t1 int64, dst []sensor.Reading) []sensor.Reading {
 	return qe.absoluteIn(qe.lookup(topic), topic, t0, t1, dst)
 }
 
-// absoluteIn answers an absolute query against a resolved cache, falling
-// back to the store when the cache is absent, empty, or does not cover
-// the start of the range.
+// absoluteIn answers an absolute query from the store if the host has
+// one, else from a resolved cache (nil when the sensor has none).
 func (qe *QueryEngine) absoluteIn(c *cache.Cache, topic sensor.Topic, t0, t1 int64, dst []sensor.Reading) []sensor.Reading {
-	if c != nil && c.Len() > 0 {
-		oldest, _ := c.Oldest()
-		if oldest.Time <= t0 || qe.store == nil {
-			return c.ViewAbsolute(t0, t1, dst)
-		}
-	}
 	if qe.store != nil {
 		return qe.store.Range(topic, t0, t1, dst)
 	}
+	if c != nil {
+		return c.ViewAbsolute(t0, t1, dst)
+	}
 	return dst
-}
-
-// Average returns the mean of the readings of topic over the relative
-// window [latest-lookback, latest], serving the REST /average endpoint.
-func (qe *QueryEngine) Average(topic sensor.Topic, lookback time.Duration) (float64, bool) {
-	return qe.averageIn(qe.lookup(topic), topic, lookback)
-}
-
-// averageIn answers a windowed-average query against a resolved cache,
-// falling back to the store. It is the aggregation path specialised to
-// AggAvg: the store fallback streams through the backend's aggregation
-// engine instead of materializing the raw window.
-func (qe *QueryEngine) averageIn(c *cache.Cache, topic sensor.Topic, lookback time.Duration) (float64, bool) {
-	return qe.aggregateRelativeIn(c, topic, lookback).Value(store.AggAvg)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -41,17 +43,17 @@ func TestAverageStoreFallback(t *testing.T) {
 	st.InsertBatch("/r9/n9/power", []sensor.Reading{{Value: 20, Time: 101 * sec}})
 	st.InsertBatch("/r9/n9/power", []sensor.Reading{{Value: 30, Time: 102 * sec}})
 	qe := NewQueryEngine(nav, caches, st)
-	avg, ok := qe.Average("/r9/n9/power", 2*time.Second)
+	avg, ok := qe.AggregateRelative("/r9/n9/power", 2*time.Second).Value(store.AggAvg)
 	if !ok || avg != 20 {
 		t.Fatalf("store average = %v, %v", avg, ok)
 	}
 	// Unknown sensor: no answer from either source.
-	if _, ok := qe.Average("/r9/n9/missing", time.Second); ok {
+	if _, ok := qe.AggregateRelative("/r9/n9/missing", time.Second).Value(store.AggAvg); ok {
 		t.Fatal("average of unknown sensor should not be ok")
 	}
 	// Without a store the sensor is invisible.
 	qe2 := NewQueryEngine(nav, caches, nil)
-	if _, ok := qe2.Average("/r9/n9/power", 2*time.Second); ok {
+	if _, ok := qe2.AggregateRelative("/r9/n9/power", 2*time.Second).Value(store.AggAvg); ok {
 		t.Fatal("cache-only average should not be ok")
 	}
 }
@@ -85,11 +87,15 @@ func TestBoundSensorLateCache(t *testing.T) {
 	if r, ok := b.Latest(); !ok || r.Value != 2 {
 		t.Fatalf("cache-served latest = %+v, %v", r, ok)
 	}
-	if rs := b.QueryAbsolute(2*sec, 2*sec, nil); len(rs) != 1 || rs[0].Value != 2 {
-		t.Fatalf("cache-served absolute = %+v", rs)
-	}
-	if avg, ok := b.Average(0); !ok || avg != 2 {
+	if avg, ok := b.AggregateRelative(0).Value(store.AggAvg); !ok || avg != 2 {
 		t.Fatalf("cache-served average = %v, %v", avg, ok)
+	}
+	// Absolute windows read the cache only on a cache-only host; beside
+	// a store they are the store's (the sink writes both, so a reading
+	// held by the cache alone does not arise outside this test).
+	cb := NewQueryEngine(nav, caches, nil).Bind("/n0/derived")
+	if rs := cb.QueryAbsolute(2*sec, 2*sec, nil); len(rs) != 1 || rs[0].Value != 2 {
+		t.Fatalf("cache-served absolute = %+v", rs)
 	}
 }
 
@@ -115,8 +121,8 @@ func TestBoundQueryMatchesUnbound(t *testing.T) {
 		if len(brs) != len(urs) {
 			t.Fatalf("%s: absolute bound=%d unbound=%d", topic, len(brs), len(urs))
 		}
-		bavg, bok := b.Average(5 * time.Second)
-		uavg, uok := qe.Average(topic, 5*time.Second)
+		bavg, bok := b.AggregateRelative(5 * time.Second).Value(store.AggAvg)
+		uavg, uok := qe.AggregateRelative(topic, 5*time.Second).Value(store.AggAvg)
 		if bavg != uavg || bok != uok {
 			t.Fatalf("%s: average bound=%v,%v unbound=%v,%v", topic, bavg, bok, uavg, uok)
 		}
@@ -241,5 +247,115 @@ func TestCacheSinkEmptyBatchSkipsStore(t *testing.T) {
 	})
 	if st.bursts != 1 {
 		t.Fatalf("a two-topic batch reached the store in %d bursts, want 1", st.bursts)
+	}
+}
+
+// TestAbsoluteWindowDuringEviction: a writer pushes into a 32-slot ring
+// through a CacheSink with a store attached while a reader asks for
+// absolute windows starting at the ring's current oldest reading — the
+// reading the next push evicts. Every answer must equal the store's.
+func TestAbsoluteWindowDuringEviction(t *testing.T) {
+	const topic = sensor.Topic("/n0/hot")
+	caches := cache.NewSet()
+	st := store.New()
+	sink := NewCacheSink(caches, nil, 32, time.Second)
+	sink.Store = st
+	qe := NewQueryEngine(navigator.New(), caches, st)
+	sink.PushBatch([]Output{{Topic: topic, Reading: sensor.Reading{Time: 0}}})
+	c, _ := caches.Get(topic)
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := int64(1); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			sink.PushBatch([]Output{{Topic: topic, Reading: sensor.Reading{Value: float64(i), Time: i * sec}}})
+		}
+	}()
+	defer func() { close(stop); <-done }()
+
+	var view, got, want []sensor.Reading
+	deadline := time.Now().Add(time.Second)
+	for n := 0; time.Now().Before(deadline); n++ {
+		view = c.ViewRelative(time.Hour, view[:0])
+		if len(view) < 8 {
+			continue
+		}
+		// Only the newest cached reading can still be on its way to the
+		// store, so a window over the oldest five is settled in both.
+		t0, t1 := view[0].Time, view[4].Time
+		got = qe.QueryAbsolute(topic, t0, t1, got[:0])
+		want = st.Range(topic, t0, t1, want[:0])
+		if !slices.Equal(got, want) {
+			t.Fatalf("query %d over [%d s, %d s]: QueryAbsolute %d readings, store %d", n, t0/sec, t1/sec, len(got), len(want))
+		}
+		if g, w := qe.AggregateAbsolute(topic, t0, t1), st.Aggregate(topic, t0, t1); g != w {
+			t.Fatalf("query %d over [%d s, %d s]: AggregateAbsolute %+v, store %+v", n, t0/sec, t1/sec, g, w)
+		}
+	}
+}
+
+// TestCacheOnlyAbsoluteAcrossWrap: on a cache-only engine the ring
+// answers absolute aggregates and downsamples with the store's own fold
+// and bucketing kernels over the ring's two slices. A window across the
+// wrap point, and a bucket that straddles it, must equal a per-element
+// fold in time order, bit for bit: the two halves are one accumulator,
+// not two merged partial sums.
+func TestCacheOnlyAbsoluteAcrossWrap(t *testing.T) {
+	const topic = sensor.Topic("/n0/wrapped")
+	caches := cache.NewSet()
+	c := caches.GetOrCreate(topic, 8, time.Second)
+	// 13 readings into 8 slots: 5..7 sit at the ring's end, 8..12 at its
+	// start. The values span 16 decades, so a sum depends on the order of
+	// its additions.
+	val := func(i int64) float64 { return math.Pow(10, float64(i*8%17)) / 3 }
+	for i := int64(0); i < 13; i++ {
+		c.StoreBatch([]sensor.Reading{{Value: val(i), Time: i * sec}})
+	}
+	qe := NewQueryEngine(navigator.New(), caches, nil)
+	b := qe.Bind(topic)
+	fold := func(lo, hi int64) store.AggResult {
+		var a store.AggResult
+		for i := lo; i <= hi; i++ {
+			a.Observe(val(i))
+		}
+		return a
+	}
+	merged := func(lo, hi int64) store.AggResult {
+		a := fold(lo, 7)
+		a.Merge(fold(8, hi))
+		return a
+	}
+	if fold(5, 12) == merged(5, 12) || fold(6, 9) == merged(6, 9) {
+		t.Fatal("the values do not tell a merge of the two halves from an in-order fold")
+	}
+	for _, w := range [][2]int64{{5, 12}, {6, 9}, {0, 20}} {
+		want := fold(max(w[0], 5), min(w[1], 12))
+		if got := qe.AggregateAbsolute(topic, w[0]*sec, w[1]*sec); got != want {
+			t.Fatalf("AggregateAbsolute [%d s, %d s] = %+v, per-element fold %+v", w[0], w[1], got, want)
+		}
+		if got := b.AggregateAbsolute(w[0]*sec, w[1]*sec); got != want {
+			t.Fatalf("bound AggregateAbsolute [%d s, %d s] = %+v, per-element fold %+v", w[0], w[1], got, want)
+		}
+	}
+	// Buckets of 4 s from 2 s: [6 s, 10 s) holds 6 and 7 from the ring's
+	// end and 8 and 9 from its start.
+	want := []store.Bucket{
+		{Start: 2 * sec, AggResult: fold(5, 5)},
+		{Start: 6 * sec, AggResult: fold(6, 9)},
+		{Start: 10 * sec, AggResult: fold(10, 12)},
+	}
+	if got := qe.Downsample(topic, 2*sec, 20*sec, 4*sec, nil); !slices.Equal(got, want) {
+		t.Fatalf("Downsample = %+v, per-element fold %+v", got, want)
+	}
+	// The caller's buckets are kept as they are, never extended.
+	held := []store.Bucket{{Start: 2 * sec, AggResult: fold(0, 0)}}
+	if got := b.Downsample(2*sec, 20*sec, 4*sec, held); !slices.Equal(got, append(held, want...)) {
+		t.Fatalf("bound Downsample onto a held bucket = %+v", got)
 	}
 }

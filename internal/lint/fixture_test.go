@@ -24,7 +24,6 @@ func TestFixtures(t *testing.T) {
 		dir       string
 		analyzers []*Analyzer
 	}{
-		{"atomicmix", []*Analyzer{AtomicMix()}},
 		{"lockorder", []*Analyzer{LockOrder()}},
 		{"poolescape", []*Analyzer{PoolEscape()}},
 		{"batchinsert", []*Analyzer{BatchInsert()}},

@@ -4,9 +4,6 @@
 // repo-specific analyzers that mechanically enforce the concurrency and
 // pooling contracts documented in docs/ANALYSIS.md:
 //
-//   - atomicmix: a struct field whose address is passed to a sync/atomic
-//     function anywhere in the module must never be plainly read or
-//     written.
 //   - lockorder: mutex acquisitions must respect the partial order
 //     declared with //lint:lockorder directives, and every Lock must be
 //     released on every return path.
@@ -62,7 +59,6 @@ type Analyzer struct {
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		AtomicMix(),
 		LockOrder(),
 		PoolEscape(),
 		BatchInsert(),

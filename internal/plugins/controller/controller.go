@@ -20,6 +20,7 @@ import (
 	"github.com/dcdb/wintermute/internal/core"
 	"github.com/dcdb/wintermute/internal/core/units"
 	"github.com/dcdb/wintermute/internal/sensor"
+	"github.com/dcdb/wintermute/internal/store"
 )
 
 // Config parameterises a controller operator.
@@ -88,7 +89,7 @@ func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, t
 		return nil, nil
 	}
 	bu := qe.BindUnit(u)
-	avg, ok := bu.Inputs[0].Average(o.window)
+	avg, ok := bu.Inputs[0].AggregateRelative(o.window).Value(store.AggAvg)
 	if !ok {
 		return nil, nil
 	}

@@ -14,6 +14,7 @@ import (
 	"github.com/dcdb/wintermute/internal/core"
 	"github.com/dcdb/wintermute/internal/core/units"
 	"github.com/dcdb/wintermute/internal/sensor"
+	"github.com/dcdb/wintermute/internal/store"
 )
 
 // Config parameterises a smoothing operator. Outputs are derived, not
@@ -94,7 +95,7 @@ func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, t
 	outs := tc.Outputs[:0]
 	for i := range u.Inputs {
 		for j, w := range o.windows {
-			avg, ok := bu.Inputs[i].Average(w)
+			avg, ok := bu.Inputs[i].AggregateRelative(w).Value(store.AggAvg)
 			if !ok {
 				continue // sensor not warm yet
 			}

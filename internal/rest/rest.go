@@ -248,7 +248,7 @@ func (a *API) average(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	avg, ok := a.qe.Average(topic, window)
+	avg, ok := a.qe.AggregateRelative(topic, window).Value(store.AggAvg)
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no data for %q", topic))
 		return

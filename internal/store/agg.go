@@ -86,6 +86,14 @@ func (a *AggResult) Observe(v float64) {
 	a.Count++
 }
 
+// ObserveAll folds the values of rs into the accumulator, in order: the
+// reduce loop of AggregateNaive, the tsdb head and the sensor cache.
+func (a *AggResult) ObserveAll(rs []sensor.Reading) {
+	for _, r := range rs {
+		a.Observe(r.Value)
+	}
+}
+
 // Merge folds another accumulator in. Merging the zero value is a
 // no-op, so partial results can be combined unconditionally.
 func (a *AggResult) Merge(b AggResult) {
@@ -139,9 +147,7 @@ type Bucket struct {
 // tests assert the equivalence).
 func AggregateNaive(b Backend, topic sensor.Topic, t0, t1 int64) AggResult {
 	var a AggResult
-	for _, r := range b.Range(topic, t0, t1, nil) {
-		a.Observe(r.Value)
-	}
+	a.ObserveAll(b.Range(topic, t0, t1, nil))
 	return a
 }
 
@@ -160,31 +166,45 @@ func AggregateSorted(rs []sensor.Reading, t0, t1 int64) AggResult {
 	var a AggResult
 	lo := sort.Search(len(rs), func(i int) bool { return rs[i].Time >= t0 })
 	hi := sort.Search(len(rs), func(i int) bool { return rs[i].Time > t1 })
-	for _, r := range rs[lo:hi] {
-		a.Observe(r.Value)
-	}
+	a.ObserveAll(rs[lo:hi])
 	return a
 }
 
 // DownsampleSorted buckets the readings of a time-sorted slice: buckets
 // aligned to t0, readings clamped to [lo, t1] (lo lets the tsdb apply
 // its retention watermark without disturbing bucket alignment), only
-// non-empty buckets appended to dst in time order. DownsampleNaive and
-// the tsdb head both delegate here, so the bucketing semantics live in
-// exactly one place.
+// non-empty buckets appended to dst in time order.
 func DownsampleSorted(rs []sensor.Reading, t0, lo, t1, step int64, dst []Bucket) []Bucket {
 	if step <= 0 || t1 < lo {
 		return dst
 	}
 	i := sort.Search(len(rs), func(i int) bool { return rs[i].Time >= lo })
 	hi := sort.Search(len(rs), func(i int) bool { return rs[i].Time > t1 })
-	for i < hi {
-		k := (rs[i].Time - t0) / step
-		var a AggResult
-		for i < hi && (rs[i].Time-t0)/step == k {
-			a.Observe(rs[i].Value)
-			i++
+	return AppendBuckets(dst, t0, step, rs[i:hi])
+}
+
+// AppendBuckets is the bucketing loop of DownsampleNaive, the tsdb head
+// and the sensor cache: a reading at t (t >= t0) lands in bucket
+// (t-t0)/step, and the non-empty buckets are appended to dst in time
+// order. The runs, each time-sorted and none starting before the last
+// ended (a wrapped ring's two slices), are read as one sequence, so a
+// bucket that straddles two runs is one in-order fold. Buckets dst
+// already held are never extended. step must be positive.
+func AppendBuckets(dst []Bucket, t0, step int64, runs ...[]sensor.Reading) []Bucket {
+	var a AggResult
+	var k int64
+	for _, rs := range runs {
+		for _, r := range rs {
+			if rk := (r.Time - t0) / step; rk != k || a.Count == 0 {
+				if a.Count > 0 {
+					dst = append(dst, Bucket{Start: t0 + k*step, AggResult: a})
+				}
+				a, k = AggResult{}, rk
+			}
+			a.Observe(r.Value)
 		}
+	}
+	if a.Count > 0 {
 		dst = append(dst, Bucket{Start: t0 + k*step, AggResult: a})
 	}
 	return dst

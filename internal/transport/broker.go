@@ -24,9 +24,10 @@ import (
 // but not the connection, and are for its goroutine only. Every handler
 // is handed the same burst, with redelivered duplicates already dropped:
 // a versioned batch reaches the handlers once while its client epoch is
-// tracked (see watermarks), and a burst that held only duplicates calls
-// no handler. The broker acknowledges the burst's versioned publishes,
-// duplicates included, only after every handler returned.
+// tracked (see watermarks; always while a connection of the epoch is
+// up), and a burst that held only duplicates calls no handler. The
+// broker acknowledges the burst's versioned publishes, duplicates
+// included, only after every handler returned.
 type BurstHandler func([]Message)
 
 // maxDeliverBurst caps the PUBLISH frames delivered, stored and
@@ -336,6 +337,7 @@ func (b *Broker) serveConn(bc *brokerConn) {
 		ackBuf []byte
 	)
 	topics := make(map[string]*TopicRef, 64)
+	defer func() { b.marks.release(mark) }()
 	// deliver drops the pending burst's duplicates, hands the rest to the
 	// local handlers, then sends its one PubAck: strictly after route
 	// returned, so every local handler has run to completion — and the

@@ -5,15 +5,16 @@ import (
 	"sync"
 )
 
-// maxDedupEpochs bounds the number of client epochs tracked at once.
-// One epoch is one client incarnation, so the bound is really "restarts
-// remembered between broker restarts" — 4096 outlives any realistic
-// churn while keeping the table small. On overflow the
-// least-recently-active epoch is evicted; a late redelivery from an
-// evicted epoch over a new connection would then be admitted again
+// maxDedupEpochs bounds the number of closed epochs remembered: marks
+// no connection holds. A mark a live connection holds is never evicted,
+// however many there are — DCDB runs one pusher per node, so an agent
+// may well serve more live epochs than this — and the table holds the
+// live marks plus at most maxDedupEpochs closed ones. A closed mark
+// serves a client that redials after its connection died; past the bound
+// the least recently released one is evicted, and a late redelivery from
+// that epoch over a new connection would then be admitted again
 // (duplicate, not loss), which is the right failure direction for an
-// at-least-once pipeline. A connection that was up at the eviction still
-// holds the epoch's watermark and keeps deduplicating by it.
+// at-least-once pipeline.
 const maxDedupEpochs = 4096
 
 // watermarks turn the client's at-least-once delivery into exactly-once
@@ -30,36 +31,62 @@ const maxDedupEpochs = 4096
 type watermarks struct {
 	mu     sync.Mutex
 	epochs map[uint64]*watermark
-	// active orders the tracked marks by their last burst, least recent
-	// first, so that eviction is one step however many epochs churn.
-	active list.List
+	// closed orders the marks no connection holds by their release,
+	// least recent first, so that eviction is one step however many
+	// epochs churn.
+	closed list.List
 }
 
 // watermark is one client epoch's mark, a cell of its own so that a
 // connection can hold on to it. It is only touched under watermarks.mu.
 type watermark struct {
-	epoch uint64
-	seq   uint64        // the highest sequence admitted
-	elem  *list.Element // its place in watermarks.active
+	epoch   uint64
+	seq     uint64        // the highest sequence admitted
+	holders int           // connections holding the mark
+	elem    *list.Element // its place in watermarks.closed while holders == 0
 }
 
-// lookupLocked returns the epoch's mark, creating it — and evicting the
-// least recently active epoch when the table is full — on first sight.
-func (w *watermarks) lookupLocked(epoch uint64) *watermark {
-	if m := w.epochs[epoch]; m != nil {
-		return m
+// acquireLocked returns the epoch's mark with one more holder, creating
+// it on first sight; a closed mark leaves the eviction order.
+func (w *watermarks) acquireLocked(epoch uint64) *watermark {
+	m := w.epochs[epoch]
+	switch {
+	case m == nil:
+		if w.epochs == nil {
+			w.epochs = make(map[uint64]*watermark)
+		}
+		m = &watermark{epoch: epoch}
+		w.epochs[epoch] = m
+	case m.holders == 0:
+		w.closed.Remove(m.elem)
+		m.elem = nil
 	}
-	if w.epochs == nil {
-		w.epochs = make(map[uint64]*watermark)
+	m.holders++
+	return m
+}
+
+// releaseLocked drops one holder of m. A mark left without one joins the
+// closed marks, and the least recently released of them is evicted when
+// that makes more than maxDedupEpochs.
+func (w *watermarks) releaseLocked(m *watermark) {
+	if m.holders--; m.holders > 0 {
+		return
 	}
-	if len(w.epochs) >= maxDedupEpochs {
-		oldest := w.active.Remove(w.active.Front()).(*watermark)
+	m.elem = w.closed.PushBack(m)
+	if w.closed.Len() > maxDedupEpochs {
+		oldest := w.closed.Remove(w.closed.Front()).(*watermark)
 		delete(w.epochs, oldest.epoch)
 	}
-	m := &watermark{epoch: epoch}
-	m.elem = w.active.PushBack(m)
-	w.epochs[epoch] = m
-	return m
+}
+
+// release drops a dying connection's hold on its mark (nil: it held none).
+func (w *watermarks) release(m *watermark) {
+	if m == nil {
+		return
+	}
+	w.mu.Lock()
+	w.releaseLocked(m)
+	w.mu.Unlock()
 }
 
 // size reports the number of tracked epochs (for the telemetry gauge).
@@ -72,9 +99,8 @@ func (w *watermarks) size() int {
 // dedup drops from the burst, in place, every versioned message at or
 // below its epoch's mark, counting what it drops, and moves the mark up
 // to the newest sequence it keeps — one lock per burst. held is the mark
-// the connection used last: it is looked up again only when the burst is
-// of another epoch, so an epoch evicted while its connection is up still
-// deduplicates there. dedup returns the mark for the connection to hold.
+// the connection holds: a burst of another epoch releases it and acquires
+// that epoch's. dedup returns the mark the connection holds after it.
 func (b *Broker) dedup(bu *burst, held *watermark) *watermark {
 	if !bu.acked || bu.epoch == 0 {
 		return held
@@ -82,9 +108,11 @@ func (b *Broker) dedup(bu *burst, held *watermark) *watermark {
 	w := &b.marks
 	w.mu.Lock()
 	if held == nil || held.epoch != bu.epoch {
-		held = w.lookupLocked(bu.epoch)
+		if held != nil {
+			w.releaseLocked(held)
+		}
+		held = w.acquireLocked(bu.epoch)
 	}
-	w.active.MoveToBack(held.elem) // a no-op for a mark evicted since
 	kept, dupReadings := bu.msgs[:0], 0
 	for _, m := range bu.msgs {
 		if m.Epoch != 0 {

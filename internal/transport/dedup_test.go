@@ -113,10 +113,11 @@ func TestDedupAdmit(t *testing.T) {
 	}
 }
 
-// TestDedupEviction: past maxDedupEpochs the least recently active epoch
-// leaves the table, and its replay is admitted again (a duplicate, not a
-// loss: the documented failure direction); a recently active epoch keeps
-// its mark.
+// TestDedupEviction: past maxDedupEpochs closed epochs the least
+// recently active one leaves the table, and its replay is admitted again
+// (a duplicate, not a loss: the documented failure direction); a
+// recently active epoch keeps its mark, and so does the one the
+// connection holds.
 func TestDedupEviction(t *testing.T) {
 	b, log := dedupBroker(t)
 	conn := rawPeer(t, b)
@@ -126,8 +127,8 @@ func TestDedupEviction(t *testing.T) {
 		ids[i] = id{uint64(i + 1), 1}
 	}
 	deliverAll(t, conn, frames("/dedup/t", ids...)...)
-	if got := b.marks.size(); got != maxDedupEpochs {
-		t.Fatalf("tracked %d epochs, want the cap %d", got, maxDedupEpochs)
+	if got := b.marks.size(); got != maxDedupEpochs+1 {
+		t.Fatalf("tracked %d epochs, want the cap %d closed plus the one held", got, maxDedupEpochs)
 	}
 	deliverAll(t, conn, frames("/dedup/t", id{1, 1}, id{epochs, 1})...)
 	if got := log.delivered()[epochs:]; !slices.Equal(got, []id{{1, 1}}) {
@@ -182,24 +183,27 @@ func TestDedupSharedAcrossConnections(t *testing.T) {
 	}
 }
 
-// TestHandleSurvivesEpochEviction: a connection idles while
-// maxDedupEpochs other incarnations come and go, and its epoch leaves
-// the table. The connection still holds the mark it looked up, so what
-// it redelivers is still dropped.
+// TestHandleSurvivesEpochEviction: a connection idles while more than
+// maxDedupEpochs other incarnations come and go, and the churn evicts
+// closed epochs. The idle connection's epoch is not among them, because
+// a mark a connection holds never leaves the table, so what it
+// redelivers is still dropped.
 func TestHandleSurvivesEpochEviction(t *testing.T) {
 	b, log := dedupBroker(t)
 	idle, busy := rawPeer(t, b), rawPeer(t, b)
 	deliverAll(t, idle, frames("/h/idle", id{7, 1}, id{7, 2})...)
-	churn := make([]id, maxDedupEpochs)
+	churn := make([]id, maxDedupEpochs+10)
 	for i := range churn {
 		churn[i] = id{uint64(1000 + i), 1}
 	}
 	deliverAll(t, busy, frames("/h/busy", churn...)...)
 	b.marks.mu.Lock()
 	_, tracked := b.marks.epochs[7]
+	_, first := b.marks.epochs[1000]
 	b.marks.mu.Unlock()
-	if tracked || b.marks.size() != maxDedupEpochs {
-		t.Fatalf("epoch 7 still tracked (%v) among %d epochs: nothing was evicted", tracked, b.marks.size())
+	if !tracked || first || b.marks.size() != maxDedupEpochs+2 {
+		t.Fatalf("epoch 7 tracked %v, epoch 1000 tracked %v, %d epochs: want the two held plus %d closed",
+			tracked, first, b.marks.size(), maxDedupEpochs)
 	}
 	deliverAll(t, idle, frames("/h/idle", id{7, 1}, id{7, 2}, id{7, 3})...)
 	var seven []id
