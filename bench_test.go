@@ -25,6 +25,7 @@ import (
 	"github.com/dcdb/wintermute/internal/plugins/tester"
 	"github.com/dcdb/wintermute/internal/sensor"
 	"github.com/dcdb/wintermute/internal/sim/cluster"
+	"github.com/dcdb/wintermute/internal/telemetry"
 	"github.com/dcdb/wintermute/internal/transport"
 	"github.com/dcdb/wintermute/internal/tsdb"
 
@@ -267,6 +268,59 @@ func BenchmarkTickComputeScratch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTickIntoStore ticks a sequential aggregator over 1,024 node
+// units into a CacheSink backed by a real tsdb: the agent's operator
+// path from Compute to the WAL. commits/tick is how many WAL writes one
+// operator tick costs.
+func BenchmarkTickIntoStore(b *testing.B) {
+	nav := navigator.New()
+	caches := cache.NewSet()
+	for n := 0; n < 1024; n++ {
+		topic := sensor.Topic(fmt.Sprintf("/r%02d/n%02d/power", n/32, n%32))
+		_ = nav.AddSensor(topic)
+		c := caches.GetOrCreate(topic, 180, time.Second)
+		for k := 0; k < 180; k++ {
+			c.StoreBatch([]sensor.Reading{{Value: float64(k), Time: int64(k) * sec}})
+		}
+	}
+	reg := telemetry.NewRegistry()
+	db, err := tsdb.Open(b.TempDir(), tsdb.Options{FlushEvery: -1, Metrics: reg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	qe := core.NewQueryEngine(nav, caches, db)
+	op, err := aggregator.New(aggregator.Config{
+		OperatorConfig: core.OperatorConfig{
+			Name:    "agg",
+			Inputs:  []string{"power"},
+			Outputs: []string{"<bottomup>power-agg"},
+		},
+		Operation: aggregator.Mean,
+		WindowMs:  60000,
+	}, qe)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sink := core.NewCacheSink(caches, nav, 180, time.Second)
+	sink.Store = db
+	tick := func(i int) {
+		if err := core.Tick(op, qe, sink, time.Unix(180+int64(i), 0)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	tick(0) // warm: bind the units, create the output series
+	before, _ := reg.Value("dcdb_tsdb_wal_commits_total")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tick(i + 1)
+	}
+	b.StopTimer()
+	after, _ := reg.Value("dcdb_tsdb_wal_commits_total")
+	b.ReportMetric((after-before)/float64(b.N), "commits/tick")
 }
 
 // --- Unit System at scale ------------------------------------------------

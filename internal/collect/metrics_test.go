@@ -2,12 +2,14 @@ package collect
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	_ "github.com/dcdb/wintermute/internal/plugins/aggregator"
 	"github.com/dcdb/wintermute/internal/rest"
 	"github.com/dcdb/wintermute/internal/sensor"
 	"github.com/dcdb/wintermute/internal/telemetry"
@@ -196,6 +198,54 @@ func TestSelfMonitorPassIsOneBurst(t *testing.T) {
 	}
 	if published == 0 || published != len(listed) {
 		t.Errorf("pass cached %d /telemetry topics, the backend lists %d", published, len(listed))
+	}
+}
+
+// TestTickIsOneBurstPerOperator: an operator tick reaches the store as
+// one burst — one WAL commit per operator per tick, not one per unit —
+// on the sequential and on the parallel path alike.
+func TestTickIsOneBurstPerOperator(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	a, err := New(Config{StoreDir: t.TempDir(), Metrics: reg, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	const nodes = 64
+	for n := 0; n < nodes; n++ {
+		a.IngestBatch(sensor.Topic(fmt.Sprintf("/r1/n%02d/power", n)),
+			[]sensor.Reading{{Value: 1, Time: int64(time.Second)}, {Value: 3, Time: 2 * int64(time.Second)}})
+	}
+	for _, cfg := range []string{
+		`{"name": "seq", "operation": "mean", "windowMs": 60000, "inputs": ["power"], "outputs": ["<bottomup>power-mean"]}`,
+		`{"name": "par", "operation": "max", "windowMs": 60000, "parallel": true, "inputs": ["power"], "outputs": ["<bottomup>power-max"]}`,
+	} {
+		if err := a.Manager.LoadPlugin("aggregator", json.RawMessage(cfg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, op := range a.Manager.Operators() {
+		if n := len(op.Units()); n != nodes {
+			t.Fatalf("operator %s has %d units, want %d", op.Name(), n, nodes)
+		}
+	}
+
+	before, _ := reg.Value("dcdb_tsdb_wal_commits_total")
+	if err := a.TickOnce(time.Unix(2, 0)); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := reg.Value("dcdb_tsdb_wal_commits_total")
+	if after-before != 2 {
+		t.Errorf("one tick of two %d-unit operators took %v WAL commits, want 2", nodes, after-before)
+	}
+	for n := 0; n < nodes; n++ {
+		node := fmt.Sprintf("/r1/n%02d/", n)
+		if c := a.DB.Count(sensor.Topic(node + "power-mean")); c != 1 {
+			t.Fatalf("%spower-mean stored %d readings, want 1", node, c)
+		}
+		if c := a.DB.Count(sensor.Topic(node + "power-max")); c != 1 {
+			t.Fatalf("%spower-max stored %d readings, want 1", node, c)
+		}
 	}
 }
 

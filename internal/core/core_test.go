@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -489,4 +490,76 @@ func TestDuplicatePluginPanics(t *testing.T) {
 		}
 	}()
 	RegisterPlugin("dup-plugin-x", func(json.RawMessage, *QueryEngine, Env) ([]Operator, error) { return nil, nil })
+}
+
+// errBadUnit is what orderOperator's failing unit reports.
+var errBadUnit = errors.New("bad unit")
+
+// orderOperator emits two outputs per unit, valued by the unit's index,
+// into its TickContext — so outputs alias the context the next unit
+// reuses — and fails one unit after it has produced its outputs.
+type orderOperator struct {
+	*Base
+	bad int
+}
+
+func (o *orderOperator) Compute(_ *QueryEngine, u *units.Unit, now time.Time, tc *TickContext) ([]Output, error) {
+	var i int
+	fmt.Sscanf(string(u.Name), "/n%d/", &i)
+	outs := tc.Outputs[:0]
+	for k := 0; k < 2; k++ {
+		outs = append(outs, Output{Topic: u.Outputs[0], Reading: sensor.Reading{Value: float64(2*i + k), Time: now.UnixNano()}})
+	}
+	tc.Outputs = outs
+	if i == o.bad {
+		return outs, errBadUnit
+	}
+	return outs, nil
+}
+
+// TestTickIsOneBatch: one tick of a sequential or a parallel operator,
+// inline or on a pool, reaches the sink as one PushBatch holding every
+// unit's outputs in unit order — a failing unit's included — and the
+// failure still comes back through errors.Join.
+func TestTickIsOneBatch(t *testing.T) {
+	const n, bad = 20, 7
+	us := make([]*units.Unit, n)
+	for i := range us {
+		name := sensor.Topic(fmt.Sprintf("/n%02d/", i))
+		us[i] = &units.Unit{Name: name, Outputs: []sensor.Topic{name.Join("out")}}
+	}
+	sched := NewScheduler(4)
+	defer sched.Close()
+	for _, parallel := range []bool{false, true} {
+		for _, s := range []*Scheduler{nil, sched} {
+			name := fmt.Sprintf("parallel=%v/pool=%v", parallel, s != nil)
+			op := &orderOperator{Base: NewBase("order", "test", Online, time.Second, parallel), bad: bad}
+			op.SetUnits(us)
+			var calls [][]Output
+			var mu sync.Mutex
+			sink := SinkFunc(func(outs []Output) {
+				mu.Lock()
+				calls = append(calls, append([]Output(nil), outs...))
+				mu.Unlock()
+			})
+			for tick := 0; tick < 3; tick++ {
+				calls = nil
+				err := TickScheduled(op, nil, sink, time.Unix(int64(tick), 0), s)
+				if !errors.Is(err, errBadUnit) || !strings.Contains(err.Error(), "unit /n07/") {
+					t.Fatalf("%s: err = %v, want the joined failure of unit /n07/", name, err)
+				}
+				if len(calls) != 1 {
+					t.Fatalf("%s: tick %d made %d PushBatch calls, want 1", name, tick, len(calls))
+				}
+				if len(calls[0]) != 2*n {
+					t.Fatalf("%s: the batch holds %d outputs, want %d", name, len(calls[0]), 2*n)
+				}
+				for j, o := range calls[0] {
+					if want := us[j/2].Outputs[0]; o.Topic != want || o.Reading.Value != float64(j) {
+						t.Fatalf("%s: output %d = %s %v, want %s %d", name, j, o.Topic, o.Reading.Value, want, j)
+					}
+				}
+			}
+		}
+	}
 }

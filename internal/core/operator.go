@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -48,11 +49,11 @@ type Output struct {
 }
 
 // Sink receives the readings produced by operators (and, in a Pusher, by
-// sampler plugins), a batch at a time: one unit's outputs, one sampler
-// round. Implementations must be safe for concurrent use: parallel unit
-// management pushes from multiple goroutines. outs may alias a recycled
-// buffer (a TickContext): implementations consume it before returning
-// and retain nothing. It may be empty.
+// sampler plugins), a batch at a time: one operator tick's outputs, one
+// sampler round. Implementations must be safe for concurrent use:
+// operators tick concurrently, each pushing from its own goroutine. outs
+// may alias a recycled buffer: implementations consume it before
+// returning and retain nothing. It may be empty.
 type Sink interface {
 	PushBatch(outs []Output)
 }
@@ -71,8 +72,8 @@ func (f SinkFunc) PushBatch(outs []Output) { f(outs) }
 // capacity is retained for the next unit.
 //
 // A context is owned by exactly one computation at a time; buffers (and
-// any output slice aliasing them) are valid only until the computation's
-// outputs have been delivered to the sink.
+// any output slice aliasing them) are valid only until the tick has
+// copied the computation's outputs out.
 type TickContext struct {
 	// Readings is scratch space for Query Engine calls.
 	Readings []sensor.Reading
@@ -98,6 +99,17 @@ var tickCtxPool = sync.Pool{New: func() any { return new(TickContext) }}
 func getTickContext() *TickContext   { return tickCtxPool.Get().(*TickContext) }
 func putTickContext(tc *TickContext) { tickCtxPool.Put(tc) }
 
+// tickBuf gathers one operator tick's outputs in unit order, copied out
+// of the units' contexts, so that the sink receives the tick as one
+// batch. The parallel path copies unit i's outputs into slots[i] and
+// concatenates the slots once every unit is done.
+type tickBuf struct {
+	outs  []Output
+	slots [][]Output
+}
+
+var tickBufPool = sync.Pool{New: func() any { return new(tickBuf) }}
+
 // Operator is a computational entity performing an ODA task over a set of
 // units (paper §V-C1). Implementations usually embed *Base and provide
 // Compute.
@@ -119,9 +131,9 @@ type Operator interface {
 	// Compute performs the analysis for one unit at the given time,
 	// returning readings for (a subset of) the unit's output sensors. It
 	// runs against the caller's TickContext: the returned outputs may
-	// alias the context's buffers and are consumed (pushed to the sink or
-	// handed to the on-demand caller) before the context is given to the
-	// next computation.
+	// alias the context's buffers and are consumed (copied into the
+	// tick's batch or handed to the on-demand caller) before the context
+	// is given to the next computation.
 	Compute(qe *QueryEngine, u *units.Unit, now time.Time, tc *TickContext) ([]Output, error)
 }
 
@@ -208,10 +220,13 @@ func (b *Base) FindUnit(name sensor.Topic) (*units.Unit, bool) {
 // Tick executes one computation round of an operator: it refreshes
 // dynamic units, then computes either the whole batch or every unit —
 // sequentially or in parallel according to the unit-management policy —
-// and pushes all produced outputs to the sink. Unit failures do not stop
-// other units, matching the isolation expected between independent
-// per-unit models; all errors are aggregated with errors.Join so no
-// failure is lost.
+// and hands the sink every unit's outputs, in unit order, as one
+// PushBatch: one burst, so one WAL write per operator per tick at a host
+// with a persistent store. No output is visible before the tick's last
+// unit has computed. Unit failures do not stop other units, matching the
+// isolation expected between independent per-unit models: a failing
+// unit's outputs are still delivered, and all errors are aggregated with
+// errors.Join so no failure is lost.
 func Tick(op Operator, qe *QueryEngine, sink Sink, now time.Time) error {
 	return TickScheduled(op, qe, sink, now, nil)
 }
@@ -219,9 +234,10 @@ func Tick(op Operator, qe *QueryEngine, sink Sink, now time.Time) error {
 // TickScheduled is Tick with the computations executed on a Scheduler's
 // worker pool: the whole sequential unit loop (or batch computation) runs
 // as one pooled task preserving unit order, while parallel units fan out
-// as one pooled task each, bounded by the pool size. A nil scheduler runs
-// sequential units inline and parallel units on one goroutine per unit
-// (the unbounded pre-pool behaviour).
+// as one pooled task each, bounded by the pool size, each copying its
+// outputs into its own slot; the slots are joined in unit order once all
+// are done. A nil scheduler runs sequential units inline and parallel
+// units on one goroutine per unit (the unbounded pre-pool behaviour).
 //
 // TickScheduled must not be called from inside a task running on the same
 // scheduler: it waits for the tasks it submits, which would deadlock a
@@ -253,26 +269,20 @@ func TickScheduled(op Operator, qe *QueryEngine, sink Sink, now time.Time, sched
 	}
 	us := op.Units()
 	if !op.Parallel() {
+		if sched == nil {
+			return tickSequential(op, qe, sink, now, us)
+		}
 		var err error
-		run(func() {
-			var errs []error
-			tc := getTickContext()
-			for _, u := range us {
-				outs, cerr := op.Compute(qe, u, now, tc)
-				if cerr != nil {
-					errs = append(errs, fmt.Errorf("core: %s: unit %s: %w", op.Name(), u.Name, cerr))
-				}
-				// Outputs may alias tc; deliver them before the next unit
-				// reuses the buffers.
-				sink.PushBatch(outs)
-			}
-			putTickContext(tc)
-			err = errors.Join(errs...)
-		})
+		sched.Do(func() { err = tickSequential(op, qe, sink, now, us) })
 		return err
 	}
+	tb := tickBufPool.Get().(*tickBuf)
+	defer tickBufPool.Put(tb)
 	var wg sync.WaitGroup
 	errs := make([]error, len(us))
+	for len(tb.slots) < len(us) {
+		tb.slots = append(tb.slots, nil)
+	}
 	for i, u := range us {
 		wg.Add(1)
 		task := func(i int, u *units.Unit) func() {
@@ -283,7 +293,7 @@ func TickScheduled(op Operator, qe *QueryEngine, sink Sink, now time.Time, sched
 				if err != nil {
 					errs[i] = fmt.Errorf("core: %s: unit %s: %w", op.Name(), u.Name, err)
 				}
-				sink.PushBatch(outs)
+				tb.slots[i] = append(tb.slots[i][:0], outs...)
 				putTickContext(tc)
 			}
 		}(i, u)
@@ -294,5 +304,39 @@ func TickScheduled(op Operator, qe *QueryEngine, sink Sink, now time.Time, sched
 		}
 	}
 	wg.Wait()
+	n := 0
+	for _, outs := range tb.slots[:len(us)] {
+		n += len(outs)
+	}
+	tb.outs = slices.Grow(tb.outs[:0], n)
+	for _, outs := range tb.slots[:len(us)] {
+		tb.outs = append(tb.outs, outs...)
+	}
+	sink.PushBatch(tb.outs)
+	return errors.Join(errs...)
+}
+
+// tickSequential computes the units in order on one context and hands
+// the sink their outputs as one batch. It is a plain function, not a
+// closure, so that a tick without a scheduler allocates nothing once the
+// pools are warm; the gather buffer starts at one output per unit, so a
+// fresh one costs one allocation, not one per doubling.
+func tickSequential(op Operator, qe *QueryEngine, sink Sink, now time.Time, us []*units.Unit) error {
+	tb := tickBufPool.Get().(*tickBuf)
+	tb.outs = slices.Grow(tb.outs[:0], len(us))
+	tc := getTickContext()
+	var errs []error
+	for _, u := range us {
+		outs, err := op.Compute(qe, u, now, tc)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("core: %s: unit %s: %w", op.Name(), u.Name, err))
+		}
+		// Outputs may alias tc: copy them out before the next unit reuses
+		// the buffers.
+		tb.outs = append(tb.outs, outs...)
+	}
+	putTickContext(tc)
+	sink.PushBatch(tb.outs)
+	tickBufPool.Put(tb)
 	return errors.Join(errs...)
 }

@@ -11,7 +11,7 @@ import (
 	"github.com/dcdb/wintermute/internal/store"
 )
 
-// burstScratch is what PushBatch needs to regroup a unit's outputs into
+// burstScratch is what PushBatch needs to regroup a batch of outputs into
 // one burst: the readings laid out contiguously and the per-topic
 // batches that slice them.
 type burstScratch struct {
@@ -140,9 +140,10 @@ func (s *CacheSink) PushBurst(bs []store.Batch, resolved []*Series) {
 
 // PushBatch implements Sink. Outputs are delivered in order, as one
 // burst: runs of consecutive outputs sharing a topic collapse into one
-// batch, and the store logs the whole unit's outputs with one write. An
-// empty outs returns at once: a unit that emitted nothing touches
-// neither the scratch pool nor the store.
+// batch, and the store logs the whole batch — an operator tick's
+// outputs, a sampler round — with one write. An empty outs returns at
+// once: a tick that emitted nothing touches neither the scratch pool nor
+// the store.
 func (s *CacheSink) PushBatch(outs []Output) {
 	if len(outs) == 0 {
 		return

@@ -85,6 +85,15 @@ func (c *Client) sendLoop() {
 		frameType = framePublish
 	}
 	backoff := c.opts.RetryMin
+	// One timer serves every idle wait. go.mod's go version keeps the
+	// pre-1.23 timer semantics, under which a time.After per wait (up to
+	// AckTimeout long) stays live until it fires. Between waits the timer
+	// is stopped with its channel drained, so Reset starts it clean.
+	idle := time.NewTimer(time.Hour)
+	if !idle.Stop() {
+		<-idle.C
+	}
+	defer idle.Stop()
 	for {
 		c.mu.Lock()
 		if !c.retain && c.sendIdx > 0 {
@@ -186,7 +195,10 @@ func (c *Client) sendLoop() {
 		// ever acking is as dead as a closed one, but one that keeps
 		// popping batches (however slowly) is healthy and must not be
 		// torn down: every teardown rewinds sendIdx and redelivers the
-		// whole spool, so a false positive feeds itself.
+		// whole spool, so a false positive feeds itself. An ack does not
+		// wake this wait unless the disk overflow has batches to refill:
+		// it only ever frees queue space, and publishers waiting for that
+		// are woken by popLocked; the next Publish kicks the sender.
 		wait := c.opts.AckTimeout
 		if c.sendIdx > 0 {
 			if d := time.Until(c.lastProgress.Add(c.opts.AckTimeout)); d < wait {
@@ -197,9 +209,13 @@ func (c *Client) sendLoop() {
 		if wait < time.Millisecond {
 			wait = time.Millisecond
 		}
+		idle.Reset(wait)
 		select {
 		case <-c.kickCh:
-		case <-time.After(wait):
+			if !idle.Stop() {
+				<-idle.C
+			}
+		case <-idle.C:
 			c.mu.Lock()
 			stuck := c.gen == gen && c.conn != nil && c.sendIdx > 0 &&
 				time.Since(c.lastProgress) >= c.opts.AckTimeout
@@ -286,8 +302,9 @@ func (c *Client) ack(epoch, seq uint64) {
 			c.disk.reset()
 		}
 	}
+	refill := n > 0 && c.disk != nil && c.disk.pending > 0
 	c.mu.Unlock()
-	if n > 0 {
+	if refill {
 		// The sender may be idle with the queue it saw fully sent; freed
 		// space lets it refill from the disk overflow.
 		c.kick()
