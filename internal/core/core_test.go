@@ -544,7 +544,7 @@ func TestTickIsOneBatch(t *testing.T) {
 			})
 			for tick := 0; tick < 3; tick++ {
 				calls = nil
-				err := TickScheduled(op, nil, sink, time.Unix(int64(tick), 0), s)
+				err := tickScheduled(op, nil, sink, time.Unix(int64(tick), 0), s)
 				if !errors.Is(err, errBadUnit) || !strings.Contains(err.Error(), "unit /n07/") {
 					t.Fatalf("%s: err = %v, want the joined failure of unit /n07/", name, err)
 				}

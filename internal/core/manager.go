@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"github.com/dcdb/wintermute/internal/core/units"
 	"github.com/dcdb/wintermute/internal/sensor"
 	"github.com/dcdb/wintermute/internal/telemetry"
 )
@@ -94,8 +96,9 @@ type opRuntime struct {
 	stop    chan struct{}
 	running bool
 
-	// tickMu serializes tick execution: no two ticks of the same operator
-	// ever overlap, even when a wall-clock loop and TickAll race.
+	// tickMu serializes the operator's computations: no two ticks or
+	// on-demand calls of the same operator ever overlap, even when a
+	// wall-clock loop, TickAll and POST /compute race.
 	tickMu sync.Mutex
 
 	mu      sync.Mutex
@@ -401,7 +404,7 @@ func (m *Manager) tickRuntime(rt *opRuntime, now time.Time) error {
 	rt.tickMu.Lock()
 	defer rt.tickMu.Unlock()
 	start := time.Now()
-	err := TickScheduled(rt.op, m.qe, m.sink, now, sched)
+	err := tickScheduled(rt.op, m.qe, m.sink, now, sched)
 	dur := time.Since(start)
 	tickHist.Observe(dur.Seconds())
 	rt.mu.Lock()
@@ -444,46 +447,35 @@ func (m *Manager) TickAll(now time.Time) error {
 
 // OnDemand triggers the computation of one operator through the REST
 // path (paper §IV-b): output is returned to the caller only, not pushed
-// to the sink. An empty unitName computes every unit.
+// to the sink. An empty unitName computes every unit. The call runs like
+// a tick — Prepare, then the units on the manager's pool — and waits for
+// an in-flight tick of the operator, but counts as none in its status.
 func (m *Manager) OnDemand(opName string, unitName sensor.Topic, now time.Time) ([]Output, error) {
 	m.mu.Lock()
 	rt, ok := m.ops[opName]
+	sched := m.sched
 	m.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("core: unknown operator %q", opName)
 	}
-	op := rt.op
-	if d, ok := op.(DynamicUnitOperator); ok {
-		if err := d.RefreshUnits(m.qe, now); err != nil {
-			return nil, err
-		}
+	rt.tickMu.Lock()
+	defer rt.tickMu.Unlock()
+	if err := prepare(rt.op, m.qe, now, sched); err != nil {
+		return nil, err
 	}
-	if b, ok := op.(BatchOperator); ok {
-		return b.ComputeBatch(m.qe, now)
-	}
-	// On-demand computations run through the same bound-handle/scratch
-	// path as ticks, against a fresh (unpooled) context: results go back
-	// to the caller, so they must not alias recycled buffers. Each unit's
-	// outputs are copied into the response slice before the context is
-	// reused for the next unit.
-	tc := NewTickContext()
-	var outs []Output
+	us := rt.op.Units()
 	if unitName != "" {
-		for _, u := range op.Units() {
-			if u.Name == sensor.Clean(string(unitName)).AsNode() {
-				return op.Compute(m.qe, u, now, tc)
-			}
+		name := sensor.Clean(string(unitName)).AsNode()
+		i := slices.IndexFunc(us, func(u *units.Unit) bool { return u.Name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("core: operator %q has no unit %q", opName, unitName)
 		}
-		return nil, fmt.Errorf("core: operator %q has no unit %q", opName, unitName)
+		us = us[i : i+1]
 	}
-	for _, u := range op.Units() {
-		o, err := op.Compute(m.qe, u, now, tc)
-		if err != nil {
-			return nil, err
-		}
-		outs = append(outs, o...)
-	}
-	return outs, nil
+	// The sink sees a pooled buffer: copy the outputs out of it.
+	var outs []Output
+	err := computeUnits(rt.op, m.qe, SinkFunc(func(o []Output) { outs = append(outs, o...) }), now, sched, us)
+	return outs, err
 }
 
 // Status returns a snapshot of every operator, sorted by name. The

@@ -194,6 +194,46 @@ func TestNoOverlappingTicksPerOperator(t *testing.T) {
 	}
 }
 
+// TestOnDemandSerializedWithTicks extends the guarantee to on-demand
+// calls: concurrent OnDemand and TickAll calls never run two computations
+// of one sequential operator at once, and on-demand calls count as no
+// tick.
+func TestOnDemandSerializedWithTicks(t *testing.T) {
+	nav, caches, _, qe := testEnv(t)
+	op := newBlockingOp(t, nav, "serial-od", time.Millisecond)
+	m := NewManager(qe, NewCacheSink(caches, nav, 16, time.Second), Env{})
+	t.Cleanup(m.Close)
+	m.SetThreads(4)
+	if err := m.AdoptOperator(op); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(onDemand bool) {
+			defer wg.Done()
+			for k := 0; k < 5; k++ {
+				var err error
+				if onDemand {
+					_, err = m.OnDemand("serial-od", "", time.Unix(int64(k), 0))
+				} else {
+					err = m.TickAll(time.Unix(int64(k), 0))
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}(i%2 == 0)
+	}
+	wg.Wait()
+	if p := op.peak.Load(); p != 1 {
+		t.Errorf("peak concurrent computes of one sequential operator = %d, want 1", p)
+	}
+	if st := m.Status(); len(st) != 1 || st[0].Ticks != 20 {
+		t.Errorf("status = %+v, want 20 ticks", st)
+	}
+}
+
 // TestManagerStartStopStatusRace hammers lifecycle, status and tick paths
 // from many goroutines; run under -race it guards the lock discipline of
 // Manager (including the Status lock-order fix).

@@ -86,11 +86,6 @@ type TickContext struct {
 	Floats []float64
 }
 
-// NewTickContext returns a fresh, unpooled context for paths that hand
-// computation results to a caller (on-demand triggers): outputs alias the
-// context, so it must not be reused while they are live.
-func NewTickContext() *TickContext { return &TickContext{} }
-
 // tickCtxPool recycles contexts across ticks. sync.Pool gives effectively
 // per-P caching, so steady-state workers keep reusing their own grown
 // buffers without cross-worker contention.
@@ -137,20 +132,13 @@ type Operator interface {
 	Compute(qe *QueryEngine, u *units.Unit, now time.Time, tc *TickContext) ([]Output, error)
 }
 
-// BatchOperator is implemented by operators whose analysis spans all units
-// at once (e.g. clustering, where every unit is a point of one model).
-// When implemented, ComputeBatch replaces per-unit Compute during ticks.
-type BatchOperator interface {
-	Operator
-	ComputeBatch(qe *QueryEngine, now time.Time) ([]Output, error)
-}
-
-// DynamicUnitOperator is implemented by operators whose unit set changes
-// over time, such as job operators that create one unit per running job
-// (paper §V-C: job operator plugins). RefreshUnits runs before each tick.
-type DynamicUnitOperator interface {
-	Operator
-	RefreshUnits(qe *QueryEngine, now time.Time) error
+// Preparer is implemented by operators with work to do once before their
+// units compute, on every tick and every on-demand call: a job operator
+// rebuilds its one-unit-per-job set (paper §V-C), and clustering fits the
+// one model all its units are points of, so that each unit's Compute only
+// publishes its share. A failing Prepare skips the units.
+type Preparer interface {
+	Prepare(qe *QueryEngine, now time.Time) error
 }
 
 // Base carries the configuration and unit set common to all operators.
@@ -197,7 +185,7 @@ func (b *Base) Units() []*units.Unit {
 }
 
 // SetUnits replaces the operator's unit set (used at configuration time
-// and by dynamic-unit operators).
+// and by a Preparer that rebuilds its units).
 func (b *Base) SetUnits(us []*units.Unit) {
 	b.mu.Lock()
 	b.units = us
@@ -217,57 +205,57 @@ func (b *Base) FindUnit(name sensor.Topic) (*units.Unit, bool) {
 	return nil, false
 }
 
-// Tick executes one computation round of an operator: it refreshes
-// dynamic units, then computes either the whole batch or every unit —
-// sequentially or in parallel according to the unit-management policy —
-// and hands the sink every unit's outputs, in unit order, as one
-// PushBatch: one burst, so one WAL write per operator per tick at a host
-// with a persistent store. No output is visible before the tick's last
-// unit has computed. Unit failures do not stop other units, matching the
-// isolation expected between independent per-unit models: a failing
-// unit's outputs are still delivered, and all errors are aggregated with
-// errors.Join so no failure is lost.
+// Tick executes one computation round of an operator: it runs the
+// operator's Prepare, if any, then computes every unit — sequentially or
+// in parallel according to the unit-management policy — and hands the
+// sink every unit's outputs, in unit order, as one PushBatch: one burst,
+// so one WAL write per operator per tick at a host with a persistent
+// store. No output is visible before the tick's last unit has computed.
+// Unit failures do not stop other units, matching the isolation expected
+// between independent per-unit models: a failing unit's outputs are still
+// delivered, and all errors are aggregated with errors.Join so no failure
+// is lost.
 func Tick(op Operator, qe *QueryEngine, sink Sink, now time.Time) error {
-	return TickScheduled(op, qe, sink, now, nil)
+	return tickScheduled(op, qe, sink, now, nil)
 }
 
-// TickScheduled is Tick with the computations executed on a Scheduler's
-// worker pool: the whole sequential unit loop (or batch computation) runs
-// as one pooled task preserving unit order, while parallel units fan out
-// as one pooled task each, bounded by the pool size, each copying its
-// outputs into its own slot; the slots are joined in unit order once all
-// are done. A nil scheduler runs sequential units inline and parallel
-// units on one goroutine per unit (the unbounded pre-pool behaviour).
-//
-// TickScheduled must not be called from inside a task running on the same
-// scheduler: it waits for the tasks it submits, which would deadlock a
-// fully occupied pool.
-func TickScheduled(op Operator, qe *QueryEngine, sink Sink, now time.Time, sched *Scheduler) error {
-	run := func(f func()) {
-		if sched != nil {
-			sched.Do(f)
-		} else {
-			f()
-		}
+// tickScheduled is Tick with Prepare and the computations executed on a
+// Scheduler's worker pool (see computeUnits). It must not be called from
+// inside a task running on the same scheduler: it waits for the tasks it
+// submits, which would deadlock a fully occupied pool.
+func tickScheduled(op Operator, qe *QueryEngine, sink Sink, now time.Time, sched *Scheduler) error {
+	if err := prepare(op, qe, now, sched); err != nil {
+		return err
 	}
-	if d, ok := op.(DynamicUnitOperator); ok {
-		var err error
-		run(func() { err = d.RefreshUnits(qe, now) })
-		if err != nil {
-			return fmt.Errorf("core: %s: refresh units: %w", op.Name(), err)
-		}
-	}
-	if b, ok := op.(BatchOperator); ok {
-		var outs []Output
-		var err error
-		run(func() { outs, err = b.ComputeBatch(qe, now) })
-		sink.PushBatch(outs)
-		if err != nil {
-			return fmt.Errorf("core: %s: %w", op.Name(), err)
-		}
+	return computeUnits(op, qe, sink, now, sched, op.Units())
+}
+
+// prepare runs op's Prepare, if it has one, as one pooled task.
+func prepare(op Operator, qe *QueryEngine, now time.Time, sched *Scheduler) error {
+	p, ok := op.(Preparer)
+	if !ok {
 		return nil
 	}
-	us := op.Units()
+	var err error
+	if sched != nil {
+		sched.Do(func() { err = p.Prepare(qe, now) })
+	} else {
+		err = p.Prepare(qe, now)
+	}
+	if err != nil {
+		return fmt.Errorf("core: %s: prepare: %w", op.Name(), err)
+	}
+	return nil
+}
+
+// computeUnits is the one loop that runs an operator's Compute, for ticks
+// and on-demand calls alike: the whole sequential unit loop runs as one
+// pooled task preserving unit order, while parallel units fan out as one
+// pooled task each, bounded by the pool size, each copying its outputs
+// into its own slot; the slots are joined in unit order once all are
+// done, and the sink receives them as one PushBatch. A nil scheduler runs
+// sequential units inline and parallel units on one goroutine per unit.
+func computeUnits(op Operator, qe *QueryEngine, sink Sink, now time.Time, sched *Scheduler, us []*units.Unit) error {
 	if !op.Parallel() {
 		if sched == nil {
 			return tickSequential(op, qe, sink, now, us)

@@ -224,7 +224,7 @@ func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
 		return nil, err
 	}
 	endNs := int64(steps) * int64(cfg.SampleInterval)
-	if _, err := op.ComputeBatch(qe, time.Unix(0, endNs)); err != nil {
+	if err := core.Tick(op, qe, sink, time.Unix(0, endNs)); err != nil {
 		return nil, err
 	}
 	cres := op.LastResult()

@@ -57,7 +57,7 @@ func compute(t testing.TB, o *Operator, qe *core.QueryEngine) float64 {
 	if len(us) != 1 {
 		t.Fatalf("units = %d, want 1 rack unit", len(us))
 	}
-	outs, err := o.Compute(qe, us[0], time.Unix(100, 0), core.NewTickContext())
+	outs, err := o.Compute(qe, us[0], time.Unix(100, 0), new(core.TickContext))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestNoDataError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := o.Compute(qe, o.Units()[0], time.Unix(1, 0), core.NewTickContext()); err == nil {
+	if _, err := o.Compute(qe, o.Units()[0], time.Unix(1, 0), new(core.TickContext)); err == nil {
 		t.Error("empty inputs should error")
 	}
 }

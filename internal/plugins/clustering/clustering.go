@@ -10,8 +10,10 @@
 // probability is below a threshold (0.001 in the paper) in the PDFs of
 // all fitted Gaussian components are classified as outliers.
 //
-// This is a batch operator (all units form one model) instantiated in the
-// Collect Agent, where the whole system's sensor space is visible.
+// All units form one model: the operator fits it in Prepare, before the
+// units of every tick or on-demand call compute, and each unit's Compute
+// publishes that unit's label. It is instantiated in the Collect Agent,
+// where the whole system's sensor space is visible.
 package clustering
 
 import (
@@ -69,8 +71,9 @@ type Operator struct {
 	threshold float64
 	stdize    bool
 
-	mu   sync.Mutex
-	last *Result
+	mu     sync.Mutex
+	last   *Result
+	labels map[*units.Unit]int // the last fit's label per unit with data
 }
 
 // New builds a clustering operator from a parsed config.
@@ -141,32 +144,14 @@ func (o *Operator) aggregate(qe *core.QueryEngine, u *units.Unit, buf []sensor.R
 	return vec, true, buf
 }
 
-// Compute implements core.Operator but is never called directly: the
-// manager always uses ComputeBatch for batch operators. It exists to
-// satisfy the interface and computes the single unit via a batch pass.
-func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, _ *core.TickContext) ([]core.Output, error) {
-	outs, err := o.ComputeBatch(qe, now)
-	if err != nil {
-		return nil, err
-	}
-	var mine []core.Output
-	for _, out := range outs {
-		if out.Topic.Node() == u.Name {
-			mine = append(mine, out)
-		}
-	}
-	return mine, nil
-}
-
-// ComputeBatch implements core.BatchOperator: every unit contributes one
-// aggregated point; the mixture is fitted over all points and each unit's
-// output sensor receives its cluster label (OutlierLabel for outliers).
-func (o *Operator) ComputeBatch(qe *core.QueryEngine, now time.Time) ([]core.Output, error) {
-	us := o.Units()
+// Prepare implements core.Preparer: every unit contributes one
+// aggregated point, and the mixture is fitted over all points; a unit's
+// label is its cluster (OutlierLabel for outliers).
+func (o *Operator) Prepare(qe *core.QueryEngine, now time.Time) error {
 	res := &Result{}
 	var buf []sensor.Reading
 	var valid []*units.Unit
-	for _, u := range us {
+	for _, u := range o.Units() {
 		vec, ok, b := o.aggregate(qe, u, buf)
 		buf = b
 		if !ok {
@@ -177,7 +162,7 @@ func (o *Operator) ComputeBatch(qe *core.QueryEngine, now time.Time) ([]core.Out
 		valid = append(valid, u)
 	}
 	if len(res.Points) < 3 {
-		return nil, fmt.Errorf("clustering: only %d units have data", len(res.Points))
+		return fmt.Errorf("clustering: only %d units have data", len(res.Points))
 	}
 	data := res.Points
 	if o.stdize {
@@ -188,11 +173,11 @@ func (o *Operator) ComputeBatch(qe *core.QueryEngine, now time.Time) ([]core.Out
 		Seed:          o.cfg.Seed,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("clustering: %w", err)
+		return fmt.Errorf("clustering: %w", err)
 	}
 	res.Model = model
 	res.Labels = make([]int, len(data))
-	outs := make([]core.Output, 0, len(valid))
+	labels := make(map[*units.Unit]int, len(valid))
 	for i, u := range valid {
 		label := model.Assign(data[i])
 		if model.IsOutlier(data[i], o.threshold) {
@@ -200,13 +185,29 @@ func (o *Operator) ComputeBatch(qe *core.QueryEngine, now time.Time) ([]core.Out
 			res.Outliers++
 		}
 		res.Labels[i] = label
-		for _, out := range u.Outputs {
-			outs = append(outs, core.Output{Topic: out, Reading: sensor.At(float64(label), now)})
-		}
+		labels[u] = label
 	}
 	o.mu.Lock()
-	o.last = res
+	o.last, o.labels = res, labels
 	o.mu.Unlock()
+	return nil
+}
+
+// Compute implements core.Operator: the unit's output sensors receive its
+// label from the fit of the Prepare that ran before it. A unit without
+// data in the window is no point of the model and publishes nothing.
+func (o *Operator) Compute(_ *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
+	o.mu.Lock()
+	label, ok := o.labels[u]
+	o.mu.Unlock()
+	if !ok {
+		return nil, nil
+	}
+	outs := tc.Outputs[:0]
+	for _, out := range u.Outputs {
+		outs = append(outs, core.Output{Topic: out, Reading: sensor.At(float64(label), now)})
+	}
+	tc.Outputs = outs
 	return outs, nil
 }
 

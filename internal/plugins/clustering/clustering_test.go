@@ -80,8 +80,9 @@ func TestClusterDiscovery(t *testing.T) {
 	if len(op.Units()) != 76 {
 		t.Fatalf("units = %d, want 76", len(op.Units()))
 	}
-	outs, err := op.ComputeBatch(qe, time.Unix(60, 0))
-	if err != nil {
+	var outs []core.Output
+	sink := core.SinkFunc(func(o []core.Output) { outs = append(outs, o...) })
+	if err := core.Tick(op, qe, sink, time.Unix(60, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if len(outs) != 76 {
@@ -115,7 +116,7 @@ func TestClusterDiscovery(t *testing.T) {
 
 func TestOutlierFlagged(t *testing.T) {
 	qe, op := newRig(t)
-	if _, err := op.ComputeBatch(qe, time.Unix(60, 0)); err != nil {
+	if err := op.Prepare(qe, time.Unix(60, 0)); err != nil {
 		t.Fatal(err)
 	}
 	res := op.LastResult()
@@ -172,20 +173,62 @@ func TestInsufficientData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := op.ComputeBatch(qe, time.Unix(1, 0)); err == nil {
+	pushed := 0
+	sink := core.SinkFunc(func(o []core.Output) { pushed += len(o) })
+	if err := core.Tick(op, qe, sink, time.Unix(1, 0)); err == nil {
 		t.Error("all-empty caches should error")
+	}
+	if pushed != 0 {
+		t.Errorf("a failed fit published %d labels", pushed)
 	}
 }
 
-func TestComputeSingleUnitDelegates(t *testing.T) {
+// TestComputePublishesUnitLabel: Compute publishes nothing before a
+// fit, and after Prepare exactly the unit's own label.
+func TestComputePublishesUnitLabel(t *testing.T) {
 	qe, op := newRig(t)
-	u := op.Units()[0]
-	outs, err := op.Compute(qe, u, time.Unix(60, 0), core.NewTickContext())
+	u := op.Units()[5]
+	now := time.Unix(60, 0)
+	if outs, err := op.Compute(qe, u, now, new(core.TickContext)); err != nil || len(outs) != 0 {
+		t.Fatalf("before Prepare: outs = %+v, err = %v", outs, err)
+	}
+	if err := op.Prepare(qe, now); err != nil {
+		t.Fatal(err)
+	}
+	outs, err := op.Compute(qe, u, now, new(core.TickContext))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outs) != 1 || outs[0].Topic.Node() != u.Name {
-		t.Fatalf("outs = %+v", outs)
+	res := op.LastResult()
+	if len(outs) != 1 || outs[0].Topic != u.Outputs[0] || res.Units[5] != u.Name ||
+		outs[0].Reading.Value != float64(res.Labels[5]) {
+		t.Fatalf("outs = %+v, want %s = %d", outs, u.Outputs[0], res.Labels[5])
+	}
+}
+
+// TestOnDemandUnit: an on-demand call naming one unit of the clustering
+// operator returns that unit's label alone, an unknown unit is an error,
+// and no unit name returns every unit's label.
+func TestOnDemandUnit(t *testing.T) {
+	qe, op := newRig(t)
+	m := core.NewManager(qe, core.SinkFunc(func([]core.Output) {}), core.Env{})
+	t.Cleanup(m.Close)
+	if err := m.AdoptOperator(op); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(60, 0)
+	outs, err := m.OnDemand("clust", "/r1/n05/", now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != 1 || outs[0].Topic != "/r1/n05/cluster-label" {
+		t.Fatalf("unit=/r1/n05/ returned %d outputs, want its one label", len(outs))
+	}
+	if outs, err := m.OnDemand("clust", "/bogus/", now); err == nil {
+		t.Fatalf("unit=/bogus/ returned %d outputs and no error", len(outs))
+	}
+	if outs, err := m.OnDemand("clust", "", now); err != nil || len(outs) != 76 {
+		t.Fatalf("all units: %d outputs, err %v; want 76", len(outs), err)
 	}
 }
 

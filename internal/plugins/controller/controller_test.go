@@ -151,7 +151,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestNoDataNoOutput(t *testing.T) {
 	qe, _, op := newRig(t, 100)
-	outs, err := op.Compute(qe, op.Units()[0], time.Unix(0, 0), core.NewTickContext())
+	outs, err := op.Compute(qe, op.Units()[0], time.Unix(0, 0), new(core.TickContext))
 	if err != nil || len(outs) != 0 {
 		t.Fatalf("no-data compute = %+v, %v", outs, err)
 	}

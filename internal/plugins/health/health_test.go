@@ -36,7 +36,7 @@ func mk(t testing.TB, qe *core.QueryEngine, cfg Config) *Operator {
 
 func status(t testing.TB, o *Operator, qe *core.QueryEngine, now time.Time) float64 {
 	t.Helper()
-	outs, err := o.Compute(qe, o.Units()[0], now, core.NewTickContext())
+	outs, err := o.Compute(qe, o.Units()[0], now, new(core.TickContext))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestWorstOfManyInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := o.Compute(qe, o.Units()[0], now, core.NewTickContext())
+	outs, err := o.Compute(qe, o.Units()[0], now, new(core.TickContext))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,9 +91,9 @@ func (o *Operator) outputName(q float64) string {
 	return fmt.Sprintf("%s-q%02d", o.cfg.Metric, int(math.Round(q*100)))
 }
 
-// RefreshUnits implements core.DynamicUnitOperator: one unit per running
-// job, with inputs discovered from the sensor tree below the job's nodes.
-func (o *Operator) RefreshUnits(qe *core.QueryEngine, now time.Time) error {
+// Prepare implements core.Preparer: one unit per running job, with
+// inputs discovered from the sensor tree below the job's nodes.
+func (o *Operator) Prepare(qe *core.QueryEngine, now time.Time) error {
 	running := o.jobs.RunningJobs(now.UnixNano())
 	nav := qe.Navigator()
 	us := make([]*units.Unit, 0, len(running))
@@ -123,7 +123,7 @@ func (o *Operator) RefreshUnits(qe *core.QueryEngine, now time.Time) error {
 // Compute implements core.Operator: the latest reading of every input is
 // collected and reduced to the configured quantiles. The per-job sample
 // vector lives in the context's float scratch. Units are rebuilt every
-// tick by RefreshUnits, so bound handles are attached to each fresh unit
+// tick by Prepare, so bound handles are attached to each fresh unit
 // on its first computation and collected with it.
 func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
 	bu := qe.BindUnit(u)

@@ -50,9 +50,9 @@ func newRig(t testing.TB) *rig {
 	return &rig{qe: qe, table: table, op: op}
 }
 
-func TestRefreshUnitsPerJob(t *testing.T) {
+func TestPrepareUnitsPerJob(t *testing.T) {
 	r := newRig(t)
-	if err := r.op.RefreshUnits(r.qe, time.Unix(50, 0)); err != nil {
+	if err := r.op.Prepare(r.qe, time.Unix(50, 0)); err != nil {
 		t.Fatal(err)
 	}
 	us := r.op.Units()
@@ -79,7 +79,7 @@ func TestRefreshUnitsPerJob(t *testing.T) {
 func TestUnitsFollowJobLifecycle(t *testing.T) {
 	r := newRig(t)
 	// After jobB ends only jobA remains.
-	if err := r.op.RefreshUnits(r.qe, time.Unix(150, 0)); err != nil {
+	if err := r.op.Prepare(r.qe, time.Unix(150, 0)); err != nil {
 		t.Fatal(err)
 	}
 	us := r.op.Units()
@@ -90,11 +90,11 @@ func TestUnitsFollowJobLifecycle(t *testing.T) {
 
 func TestComputeDeciles(t *testing.T) {
 	r := newRig(t)
-	if err := r.op.RefreshUnits(r.qe, time.Unix(50, 0)); err != nil {
+	if err := r.op.Prepare(r.qe, time.Unix(50, 0)); err != nil {
 		t.Fatal(err)
 	}
 	us := r.op.Units()
-	outs, err := r.op.Compute(r.qe, us[0], time.Unix(50, 0), core.NewTickContext())
+	outs, err := r.op.Compute(r.qe, us[0], time.Unix(50, 0), new(core.TickContext))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestCustomQuantiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := op.RefreshUnits(r.qe, time.Unix(50, 0)); err != nil {
+	if err := op.Prepare(r.qe, time.Unix(50, 0)); err != nil {
 		t.Fatal(err)
 	}
 	us := op.Units()
@@ -160,7 +160,7 @@ func TestConfigErrors(t *testing.T) {
 func TestJobWithoutMetricSkipped(t *testing.T) {
 	r := newRig(t)
 	r.table.Add(core.Job{ID: "jobC", User: "u3", Nodes: []sensor.Topic{"/r9/nX/"}, Start: 0})
-	if err := r.op.RefreshUnits(r.qe, time.Unix(50, 0)); err != nil {
+	if err := r.op.Prepare(r.qe, time.Unix(50, 0)); err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range r.op.Units() {

@@ -172,7 +172,7 @@ func TestSequentialForced(t *testing.T) {
 
 func TestNoDataIsQuiet(t *testing.T) {
 	r := newRig(t, 10, []string{"p"})
-	outs, err := r.op.Compute(r.qe, r.op.Units()[0], time.Unix(0, 0), core.NewTickContext())
+	outs, err := r.op.Compute(r.qe, r.op.Units()[0], time.Unix(0, 0), new(core.TickContext))
 	if err != nil || len(outs) != 0 {
 		t.Fatalf("empty compute = %+v, %v", outs, err)
 	}

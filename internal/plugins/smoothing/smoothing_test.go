@@ -64,7 +64,7 @@ func TestComputeAverages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := op.Compute(qe, op.Units()[0], time.Unix(399, 0), core.NewTickContext())
+	outs, err := op.Compute(qe, op.Units()[0], time.Unix(399, 0), new(core.TickContext))
 	if err != nil {
 		t.Fatal(err)
 	}

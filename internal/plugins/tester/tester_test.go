@@ -49,7 +49,7 @@ func TestComputeCountsReadings(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := op.Units()[0]
-	outs, err := op.Compute(qe, u, time.Unix(99, 0), core.NewTickContext())
+	outs, err := op.Compute(qe, u, time.Unix(99, 0), new(core.TickContext))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestAbsoluteAndRelativeAgree(t *testing.T) {
 			}
 			// Query at the time of the newest reading so absolute windows
 			// anchored at "now" line up with relative ones.
-			outs, err := op.Compute(qe, op.Units()[0], time.Unix(59, 0), core.NewTickContext())
+			outs, err := op.Compute(qe, op.Units()[0], time.Unix(59, 0), new(core.TickContext))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func TestWindowZeroFetchesLatestOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := op.Compute(qe, op.Units()[0], time.Unix(49, 0), core.NewTickContext())
+	outs, err := op.Compute(qe, op.Units()[0], time.Unix(49, 0), new(core.TickContext))
 	if err != nil {
 		t.Fatal(err)
 	}

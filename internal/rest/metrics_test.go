@@ -221,9 +221,9 @@ func TestTraceHeaderAndSlowQueryLog(t *testing.T) {
 	}
 }
 
-// TestStatusStorageConsistentWithMetrics cross-checks /status (sourced
-// from the registry) and /storage (the backend's own Stats) against a
-// /metrics scrape: on a quiet system they must agree.
+// TestStatusStorageConsistentWithMetrics cross-checks /status (the
+// manager's SchedulerStats) and /storage (the backend's own Stats)
+// against a /metrics scrape: on a quiet system they must agree.
 func TestStatusStorageConsistentWithMetrics(t *testing.T) {
 	srv, reg := newTelemetryServer(t, Options{})
 

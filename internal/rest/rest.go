@@ -52,10 +52,8 @@ type Options struct {
 	// Metrics instruments the serving tier into the given registry
 	// (per-route request counters and latency histograms, in-flight
 	// gauge, response classes, 429s) and exposes GET /metrics with the
-	// registry's Prometheus rendition. It also re-sources GET /status
-	// and GET /storage from the registry, so those endpoints cannot
-	// disagree with /metrics. nil leaves the API un-instrumented and
-	// /metrics unrouted.
+	// registry's Prometheus rendition. nil leaves the API
+	// un-instrumented and /metrics unrouted.
 	Metrics *telemetry.Registry
 	// SlowQuery enables the structured slow-query log: requests running
 	// at or over this threshold emit one JSON line (trace ID, route,
@@ -173,28 +171,9 @@ func (a *API) operators(w http.ResponseWriter, r *http.Request) {
 // per-operator last tick durations.
 func (a *API) status(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
-		"scheduler": a.schedulerStats(),
+		"scheduler": a.m.SchedulerStats(),
 		"operators": a.m.Status(),
 	})
-}
-
-// schedulerStats sources the pool numbers for /status. With a registry
-// attached (and the manager's telemetry enabled on it) the values come
-// from the same dcdb_scheduler_* series /metrics exposes, so the two
-// endpoints cannot disagree; otherwise it asks the manager directly.
-func (a *API) schedulerStats() core.SchedulerStats {
-	if threads, ok := a.reg.Value("dcdb_scheduler_threads"); ok {
-		queued, _ := a.reg.Value("dcdb_scheduler_queued")
-		active, _ := a.reg.Value("dcdb_scheduler_active")
-		completed, _ := a.reg.Value("dcdb_scheduler_tasks_completed_total")
-		return core.SchedulerStats{
-			Threads:   int(threads),
-			Queued:    int(queued),
-			Active:    int(active),
-			Completed: uint64(completed),
-		}
-	}
-	return a.m.SchedulerStats()
 }
 
 // storage reports the component's Storage Backend: its kind, series and
