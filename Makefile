@@ -47,11 +47,13 @@ race:
 # Short benchmark run over the micro-benches no `go run ./bench` rung
 # covers: the tick-path contention workloads, a tick into a real store,
 # the cache view modes, concurrent ingest through the group-commit WAL
-# and indexed wildcard expansion. Numbers here are for working with;
-# the gated record is `go run ./bench` (BENCHMARK.json, bench/README.md).
-# Full suite: go test -bench=. -benchmem .
+# and indexed wildcard expansion, then the chunk codec's encode and
+# decode on a decimal walk and on one that takes the XOR path. Numbers
+# here are for working with; the gated record is `go run ./bench`
+# (BENCHMARK.json, bench/README.md). Full suite: go test -bench=. -benchmem .
 bench:
 	$(GO) test -run '^$$' -bench 'TickAllContention|TickIntoStore|QueryContention|CacheView|IngestConcurrent|WildcardExpand' -benchtime 10x -benchmem .
+	$(GO) test -run '^$$' -bench 'ChunkEncode|ChunkDecode' -benchtime 200x ./internal/tsdb/
 
 # One-iteration smoke over the ENTIRE benchmark suite: every benchmark
 # must still compile and execute, so the paired workloads cannot

@@ -689,7 +689,7 @@ func BenchmarkTransportPublish(b *testing.B) {
 // --- PR5: concurrent ingest through the group-commit WAL -----------------
 
 // tsdbBenchSeries generates the ingest workload: regularly sampled
-// integer-ish sensor values, the shape the Gorilla compressor is built
+// integer sensor values, the shape the chunk codec is built
 // for.
 func tsdbBenchSeries(n int) []sensor.Reading {
 	rng := rand.New(rand.NewSource(7))

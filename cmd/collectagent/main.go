@@ -9,7 +9,7 @@
 //	             -config wintermute.json
 //
 // The agent stores into the embedded time-series backend (WAL +
-// Gorilla-compressed segments) in -store-dir, ./data by default; a
+// compressed segments) in -store-dir, ./data by default; a
 // killed agent recovers every acknowledged reading on restart:
 //
 //	collectagent -store-dir /var/lib/dcdb -store-retention 720h

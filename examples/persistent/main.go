@@ -1,7 +1,7 @@
 // Persistent: a Collect Agent whose Storage Backend survives a kill.
 //
 // The example runs the full crash cycle in one process: a Collect Agent
-// opens the embedded tsdb backend (write-ahead log + Gorilla-compressed
+// opens the embedded tsdb backend (write-ahead log + compressed
 // segments), ingests a day's worth of simulated rack power readings, is
 // abandoned mid-flight exactly like a killed daemon — no Close, no
 // flush — and a second agent then recovers the directory and answers

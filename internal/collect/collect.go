@@ -235,10 +235,15 @@ func (a *Agent) ingestBurst(ms []transport.Message) {
 		rb.series = append(rb.series, sr)
 	}
 	a.sink.PushBurst(rb.batches, rb.series)
-	readings := 0
-	for _, bt := range rb.batches {
+	// One histogram update per run of equal batch sizes: a burst from a
+	// publisher is usually all one size.
+	readings, run := 0, 0
+	for i, bt := range rb.batches {
 		readings += len(bt.Readings)
-		a.metrics.batchSize.Observe(float64(len(bt.Readings)))
+		if run++; i+1 == len(rb.batches) || len(rb.batches[i+1].Readings) != len(bt.Readings) {
+			a.metrics.batchSize.ObserveN(float64(len(bt.Readings)), uint64(run))
+			run = 0
+		}
 	}
 	a.metrics.batches.Add(uint64(len(rb.batches)))
 	a.metrics.readings.Add(uint64(readings))

@@ -37,8 +37,13 @@ func newHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one observation.
-func (h *Histogram) Observe(v float64) {
-	if disabled.Load() {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of the same value v at the cost of
+// one: a caller with runs of equal values (batch sizes) pays the shared
+// atomics once per run, not once per value.
+func (h *Histogram) ObserveN(v float64, n uint64) {
+	if n == 0 || disabled.Load() {
 		return
 	}
 	// Bucket count is small (≤ ~16), so a branch-predictable linear
@@ -47,11 +52,12 @@ func (h *Histogram) Observe(v float64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
+	h.counts[i].Add(n)
+	h.count.Add(n)
+	add := v * float64(n)
 	for {
 		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
+		next := math.Float64bits(math.Float64frombits(old) + add)
 		if h.sum.CompareAndSwap(old, next) {
 			return
 		}

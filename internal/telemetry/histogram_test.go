@@ -51,6 +51,33 @@ func TestHistogramBucketEdges(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveN: n observations of one value recorded at once
+// leave the same buckets, count and sum as n separate ones; n = 0
+// records nothing.
+func TestHistogramObserveN(t *testing.T) {
+	bounds := []float64{1, 16, 256}
+	once, each := newHistogram(bounds), newHistogram(bounds)
+	runs := []struct {
+		v float64
+		n uint64
+	}{{64, 3}, {1, 1}, {300, 2}, {16, 0}, {64, 5}}
+	for _, r := range runs {
+		once.ObserveN(r.v, r.n)
+		for i := uint64(0); i < r.n; i++ {
+			each.Observe(r.v)
+		}
+	}
+	got, want := once.BucketCounts(nil), each.BucketCounts(nil)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("bucket %d: %d, observed one by one %d", i, got[i], want[i])
+		}
+	}
+	if once.Count() != 11 || each.Count() != 11 || once.Sum() != each.Sum() {
+		t.Fatalf("count/sum = %d/%v, one by one %d/%v, want 11", once.Count(), once.Sum(), each.Count(), each.Sum())
+	}
+}
+
 func TestHistogramCumulativeSnapshot(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("cum_seconds", "x", []float64{1, 2, 3})

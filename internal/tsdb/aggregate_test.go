@@ -205,11 +205,11 @@ func TestAggregateUsesChunkMetadata(t *testing.T) {
 // were not produced by writeSegment.
 func forgeSegment(t *testing.T, path string, version uint32, count, off, length uint64) {
 	t.Helper()
-	app := NewAppender()
-	for i := 0; i < 50; i++ {
-		app.Append(sensor.Reading{Time: int64(i * 10), Value: float64(i % 7)})
+	rs := make([]sensor.Reading, 50)
+	for i := range rs {
+		rs[i] = sensor.Reading{Time: int64(i * 10), Value: float64(i % 7)}
 	}
-	chunk := app.Bytes()
+	chunk := encodeChunk(rs)
 	if off == 0 {
 		off, length = segHeader, uint64(len(chunk))
 	}
@@ -225,8 +225,9 @@ func forgeSegment(t *testing.T, path string, version uint32, count, off, length 
 }
 
 // TestOpenRejectsUnsupportedSegmentVersion: a segment whose header
-// carries any version but the current one — the retired version 1
-// included — fails Open with an error naming the file and the version.
+// carries any version but the current one and version 2 — the retired
+// version 1 included — fails Open with an error naming the file and the
+// version.
 func TestOpenRejectsUnsupportedSegmentVersion(t *testing.T) {
 	for _, version := range []uint32{1, segVersion + 1} {
 		dir := t.TempDir()

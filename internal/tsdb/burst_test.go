@@ -157,8 +157,8 @@ func TestTornBurstReplaysWholeRecordPrefix(t *testing.T) {
 	}
 }
 
-// goldenSegmentInput is the fixed input testdata/segment-v2.golden was
-// written from.
+// goldenSegmentInput is the fixed input testdata/segment-v2.golden and
+// testdata/segment-v3.golden were written from.
 func goldenSegmentInput() map[sensor.Topic][]sensor.Reading {
 	regular := make([]sensor.Reading, 40)
 	for i := range regular {
@@ -175,17 +175,17 @@ func goldenSegmentInput() map[sensor.Topic][]sensor.Reading {
 	}
 }
 
-// TestStreamedSegmentMatchesGolden: testdata/segment-v2.golden is the
-// file the whole-buffer writeSegment of the commit before the streamed
-// writer (and before the accumulator codec) wrote for this input, as
-// segment 7 covering WAL 3. The format has not moved by a byte.
+// TestStreamedSegmentMatchesGolden: testdata/segment-v3.golden is the
+// file writeSegment wrote for this input, as segment 7 covering WAL 3,
+// when the decimal codec came in: two decimal chunks (scales 1 and 0)
+// and one XOR chunk. The format has not moved by a byte since.
 func TestStreamedSegmentMatchesGolden(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "segment-v2.golden"))
+	golden, err := os.ReadFile(filepath.Join("testdata", "segment-v3.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	seg, err := writeSegment(OSFS, dir, 7, 3, goldenSegmentInput())
+	seg, decimal, err := writeSegment(OSFS, dir, 7, 3, goldenSegmentInput())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +193,55 @@ func TestStreamedSegmentMatchesGolden(t *testing.T) {
 	if got := readOnlyFile(t, dir, "*.seg"); !bytes.Equal(got, golden) {
 		t.Fatalf("segment differs from the golden file: %d bytes, golden %d", len(got), len(golden))
 	}
+	if decimal != 2 {
+		t.Fatalf("%d decimal chunks, want 2", decimal)
+	}
 }
 
-// TestStreamedSegmentMatchesReference does the same for a segment several
-// times the writer's buffer, against a file assembled the old way: every
-// chunk from the reference codec appended to one buffer, then the index.
+// TestOpenSegmentV2Golden: testdata/segment-v2.golden is the file the
+// writer of format version 2 — no codec byte, every chunk XOR — wrote
+// for the same input. A database holding it opens, as an upgraded agent
+// finds its history, and answers exactly the readings it was written
+// from, aggregates included.
+func TestOpenSegmentV2Golden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "segment-v2.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "seg"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segPath(filepath.Join(dir, "seg"), 7), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(dir, Options{FlushEvery: -1})
+	if err != nil {
+		t.Fatalf("Open with a version 2 segment: %v", err)
+	}
+	defer db.Close()
+	for topic, want := range goldenSegmentInput() {
+		got := db.Range(topic, math.MinInt64, math.MaxInt64, nil)
+		if !sameReadings(got, want) {
+			t.Fatalf("%s: read back %v, written %v", topic, got, want)
+		}
+		if n := db.Count(topic); n != len(want) {
+			t.Fatalf("%s: Count = %d, want %d", topic, n, len(want))
+		}
+	}
+	// A boundary-cut aggregate decodes the XOR chunk; a covering one
+	// answers from the index.
+	if agg := db.Aggregate("/r01/n01/power", math.MinInt64, math.MaxInt64); agg.Count != 40 || agg.Sum != 40*240+8*(0+0.5+1+1.5+2) {
+		t.Fatalf("covering aggregate = %+v", agg)
+	}
+	if agg := db.Aggregate("/r01/n01/power", 1_700_000_000_000_000_000, 1_700_000_004_000_000_000); agg.Count != 5 || agg.Max != 242 {
+		t.Fatalf("cut aggregate = %+v", agg)
+	}
+}
+
+// TestStreamedSegmentMatchesReference holds a segment several times the
+// writer's buffer to a file assembled the old way: every chunk from the
+// reference codec appended to one buffer, then the index.
 func TestStreamedSegmentMatchesReference(t *testing.T) {
 	rng := testseed.Rand(t)
 	data := map[sensor.Topic][]sensor.Reading{}
@@ -215,13 +259,11 @@ func TestStreamedSegmentMatchesReference(t *testing.T) {
 	index := binary.LittleEndian.AppendUint32(nil, uint32(len(topics)))
 	for _, topic := range topics {
 		rs := data[topic]
-		app := newRefAppender()
 		var agg store.AggResult
 		for _, r := range rs {
-			app.Append(r)
 			agg.Observe(r.Value)
 		}
-		chunk := app.Bytes()
+		chunk := refEncode(rs)
 		index = fuzzIndexEntry(index, string(topic), uint64(len(rs)), rs[0].Time, rs[len(rs)-1].Time, uint64(segHeader+len(chunks)), uint64(len(chunk)))
 		index = index[:len(index)-24]
 		for _, v := range []float64{agg.Min, agg.Max, agg.Sum} {
@@ -234,7 +276,7 @@ func TestStreamedSegmentMatchesReference(t *testing.T) {
 		t.Fatalf("reference segment is %d bytes: too small to span several buffered writes", len(want))
 	}
 	dir := t.TempDir()
-	seg, err := writeSegment(OSFS, dir, 1, 0, data)
+	seg, _, err := writeSegment(OSFS, dir, 1, 0, data)
 	if err != nil {
 		t.Fatal(err)
 	}

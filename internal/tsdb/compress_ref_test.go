@@ -10,10 +10,12 @@ import (
 )
 
 // The chunk codec as it stood before the 64-bit accumulator kernel: a
-// bit- and byte-at-a-time writer and reader, kept verbatim (types
-// renamed ref*) as the reference the differential property test in
-// compress_test.go holds the production kernel to. Not built into the
-// binary.
+// bit- and byte-at-a-time writer and reader (types renamed ref*), kept
+// as the reference the differential property test in compress_test.go
+// holds the production kernel to, and extended by the decimal codec:
+// refCodec picks the scale by trying every scale on every value, and
+// the decimal samples go through the same bit-at-a-time writer and
+// reader. Not built into the binary.
 
 // refBitWriter appends bits MSB-first to a byte slice.
 type refBitWriter struct {
@@ -118,22 +120,87 @@ func (r *refBitReader) readVarint() (int64, error) {
 	return unzigzag(u), nil
 }
 
-// refAppender encodes one series chunk sample by sample. Samples must be
-// appended in non-decreasing time order (segment writers flush sorted
-// head blocks, so this holds by construction).
+// refFits reports whether some integer k, |k| < 2^53, has k/10^e equal
+// to v bit for bit, trying every integer within two of v·10^e, and
+// returns the first that does of round-half-even(v·10^e), then −1, +1,
+// −2, +2 (docs/FORMATS.md §3.1).
+func refFits(v float64, e int) (int64, bool) {
+	p := math.Pow(10, float64(e))
+	x := math.RoundToEven(v * p)
+	if math.IsNaN(x) || math.Abs(x) > 1<<54 {
+		return 0, false
+	}
+	for _, d := range []int64{0, -1, 1, -2, 2} {
+		k := int64(x) + d
+		if k > -1<<53 && k < 1<<53 && math.Float64bits(float64(k)/p) == math.Float64bits(v) {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
+// refCodec is the codec a chunk of rs takes: decimal at the smallest
+// scale every value fits, else XOR.
+func refCodec(rs []sensor.Reading) byte {
+	for e := 0; e <= maxScale; e++ {
+		all := true
+		for _, r := range rs {
+			if _, ok := refFits(r.Value, e); !ok {
+				all = false
+				break
+			}
+		}
+		if all {
+			return codecDecimal + byte(e)
+		}
+	}
+	return codecXOR
+}
+
+// refEncode encodes rs as one chunk.
+func refEncode(rs []sensor.Reading) []byte {
+	a := newRefAppender(refCodec(rs))
+	for _, r := range rs {
+		a.Append(r)
+	}
+	return a.Bytes()
+}
+
+// refWriteLadder appends v on ladder: a 0 bit for zero, else the
+// first bucket whose payload holds it.
+func refWriteLadder(w *refBitWriter, v int64, ladder []bucket) {
+	if v == 0 {
+		w.writeBit(0)
+		return
+	}
+	for _, bk := range ladder {
+		if bk.valBits == 64 || fitsSigned(v, bk.valBits) {
+			w.writeBits(bk.ctrl, bk.ctrlBits)
+			w.writeBits(uint64(v), bk.valBits)
+			return
+		}
+	}
+}
+
+// refAppender encodes one series chunk sample by sample, in the codec
+// it was made for. Samples must be appended in non-decreasing time
+// order (segment writers flush sorted head blocks, so this holds by
+// construction), and fit the codec's scale.
 type refAppender struct {
 	w        refBitWriter
+	codec    byte
 	n        int
 	t        int64
 	tDelta   int64
 	v        uint64
+	k        int64
 	leading  uint8
 	trailing uint8
 }
 
-// newRefAppender returns an empty chunk appender.
-func newRefAppender() *refAppender {
-	return &refAppender{leading: invalidWindow}
+// newRefAppender returns an empty chunk appender for codec.
+func newRefAppender(codec byte) *refAppender {
+	return &refAppender{codec: codec, leading: invalidWindow}
 }
 
 // Count returns the number of samples appended so far.
@@ -144,31 +211,31 @@ func (a *refAppender) Append(r sensor.Reading) {
 	switch a.n {
 	case 0:
 		a.w.writeBits(uint64(r.Time), 64)
-		a.w.writeBits(math.Float64bits(r.Value), 64)
 	case 1:
 		a.tDelta = r.Time - a.t
 		a.w.writeVarint(a.tDelta)
-		a.writeValue(math.Float64bits(r.Value))
 	default:
 		delta := r.Time - a.t
-		dod := delta - a.tDelta
+		refWriteLadder(&a.w, delta-a.tDelta, dodBuckets)
 		a.tDelta = delta
-		if dod == 0 {
-			a.w.writeBit(0)
-		} else {
-			for _, bk := range dodBuckets {
-				if bk.valBits == 64 || fitsSigned(dod, bk.valBits) {
-					a.w.writeBits(bk.ctrl, bk.ctrlBits)
-					a.w.writeBits(uint64(dod), bk.valBits)
-					break
-				}
-			}
-		}
-		a.writeValue(math.Float64bits(r.Value))
 	}
 	a.t = r.Time
-	if a.n == 0 {
+	if a.codec != codecXOR {
+		k, ok := refFits(r.Value, int(a.codec-codecDecimal))
+		if !ok {
+			panic(fmt.Sprintf("refAppender: %v does not fit codec %d", r.Value, a.codec))
+		}
+		if a.n == 0 {
+			a.w.writeVarint(k)
+		} else {
+			refWriteLadder(&a.w, k-a.k, kBuckets)
+		}
+		a.k = k
+	} else if a.n == 0 {
+		a.w.writeBits(math.Float64bits(r.Value), 64)
 		a.v = math.Float64bits(r.Value)
+	} else {
+		a.writeValue(math.Float64bits(r.Value))
 	}
 	a.n++
 }
@@ -200,25 +267,28 @@ func (a *refAppender) writeValue(v uint64) {
 	a.w.writeBits(xor>>trailing, sig)
 }
 
-// Bytes returns the finished chunk: a uvarint sample count followed by
-// the bit stream. The appender may keep receiving samples afterwards;
-// Bytes snapshots the current state.
+// Bytes returns the finished chunk: a uvarint sample count and the
+// codec byte, followed by the bit stream. The appender may keep
+// receiving samples afterwards; Bytes snapshots the current state.
 func (a *refAppender) Bytes() []byte {
 	var hdr [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(hdr[:], uint64(a.n))
-	out := make([]byte, 0, n+len(a.w.b))
+	out := make([]byte, 0, n+1+len(a.w.b))
 	out = append(out, hdr[:n]...)
+	out = append(out, a.codec)
 	return append(out, a.w.b...)
 }
 
 // refIter decodes a chunk produced by refAppender.
 type refIter struct {
 	r        refBitReader
+	codec    byte
 	n        int
 	read     int
 	t        int64
 	tDelta   int64
 	v        uint64
+	k        int64
 	leading  uint8
 	trailing uint8
 	err      error
@@ -227,12 +297,17 @@ type refIter struct {
 // newRefIter parses the chunk header and returns a sample iterator.
 func newRefIter(chunk []byte) (*refIter, error) {
 	count, n := binary.Uvarint(chunk)
-	// Every sample takes at least one bit: a count past that is forged,
-	// and converted to int it could wrap negative and read as empty.
-	if n <= 0 || count > 8*uint64(len(chunk)-n) {
+	if n <= 0 || n == len(chunk) || chunk[n] > codecDecimal+maxScale {
 		return nil, fmt.Errorf("tsdb: bad chunk header")
 	}
-	return &refIter{r: refBitReader{b: chunk[n:]}, n: int(count), leading: invalidWindow}, nil
+	codec := chunk[n]
+	n++
+	// Every sample takes at least one bit: a count past that is forged,
+	// and converted to int it could wrap negative and read as empty.
+	if count > 8*uint64(len(chunk)-n) {
+		return nil, fmt.Errorf("tsdb: bad chunk header")
+	}
+	return &refIter{r: refBitReader{b: chunk[n:]}, codec: codec, n: int(count), leading: invalidWindow}, nil
 }
 
 // Count returns the total number of samples in the chunk.
@@ -247,20 +322,35 @@ func (it *refIter) Next() bool {
 	var err error
 	switch it.read {
 	case 0:
-		var tv, vv uint64
+		var tv uint64
 		if tv, err = it.r.readBits(64); err == nil {
 			it.t = int64(tv)
-			if vv, err = it.r.readBits(64); err == nil {
-				it.v = vv
-			}
 		}
 	case 1:
 		if it.tDelta, err = it.r.readVarint(); err == nil {
 			it.t += it.tDelta
-			err = it.readValue()
 		}
 	default:
-		if err = it.readDoD(); err == nil {
+		var dod int64
+		if dod, err = refReadLadder(&it.r, dodBuckets); err == nil {
+			it.tDelta += dod
+			it.t += it.tDelta
+		}
+	}
+	if err == nil {
+		switch {
+		case it.codec != codecXOR:
+			var d int64
+			if it.read == 0 {
+				d, err = it.r.readVarint()
+			} else {
+				d, err = refReadLadder(&it.r, kBuckets)
+			}
+			it.k += d
+			it.v = math.Float64bits(float64(it.k) / math.Pow(10, float64(it.codec-codecDecimal)))
+		case it.read == 0:
+			it.v, err = it.r.readBits(64)
+		default:
 			err = it.readValue()
 		}
 	}
@@ -272,20 +362,17 @@ func (it *refIter) Next() bool {
 	return true
 }
 
-func (it *refIter) readDoD() error {
-	bit, err := it.r.readBit()
-	if err != nil {
-		return err
-	}
-	if bit == 0 {
-		it.t += it.tDelta
-		return nil
+// refReadLadder consumes one value refWriteLadder appended on ladder.
+func refReadLadder(r *refBitReader, ladder []bucket) (int64, error) {
+	bit, err := r.readBit()
+	if err != nil || bit == 0 {
+		return 0, err
 	}
 	var width uint8
-	for i, bk := range dodBuckets {
-		if i+1 < len(dodBuckets) {
-			if bit, err = it.r.readBit(); err != nil {
-				return err
+	for i, bk := range ladder {
+		if i+1 < len(ladder) {
+			if bit, err = r.readBit(); err != nil {
+				return 0, err
 			}
 			if bit == 0 {
 				width = bk.valBits
@@ -295,17 +382,15 @@ func (it *refIter) readDoD() error {
 		}
 		width = bk.valBits
 	}
-	raw, err := it.r.readBits(width)
+	raw, err := r.readBits(width)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	dod := int64(raw)
+	v := int64(raw)
 	if width < 64 && raw&(1<<(width-1)) != 0 {
-		dod = int64(raw) - int64(1)<<width // sign-extend
+		v = int64(raw) - int64(1)<<width // sign-extend
 	}
-	it.tDelta += dod
-	it.t += it.tDelta
-	return nil
+	return v, nil
 }
 
 func (it *refIter) readValue() error {

@@ -766,12 +766,13 @@ func (db *DB) Flush() error {
 	// it is written, and deleted only after that segment is registered.
 	walDir := filepath.Join(db.dir, "wal")
 	var seg *segment
+	var decimal int
 	err = retired.Sync()
 	retired.Close() // synced, or the flush fails: a close error changes neither
 	if err != nil {
 		err = fmt.Errorf("tsdb: syncing retired WAL: %w", err)
 	} else if len(sealed) > 0 {
-		seg, err = writeSegment(db.fs, filepath.Join(db.dir, "seg"), segSeq, retiredWAL, sealed)
+		seg, decimal, err = writeSegment(db.fs, filepath.Join(db.dir, "seg"), segSeq, retiredWAL, sealed)
 		if err != nil {
 			err = fmt.Errorf("tsdb: writing segment: %w", err)
 		}
@@ -792,6 +793,8 @@ func (db *DB) Flush() error {
 	if seg != nil {
 		seg.decodes = db.metrics.chunkDecodes
 		db.metrics.flushedRead.Add(uint64(db.sealedN.Load()))
+		db.metrics.decimalChunks.Add(uint64(decimal))
+		db.metrics.xorChunks.Add(uint64(len(seg.series) - decimal))
 		// Register the segment and release the sealed runs it now holds, as
 		// one relocation: the shard locks nest inside db.mu (the one place
 		// both are held), so an epoch-checked reader sees the readings in

@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -48,11 +50,20 @@ func (memInfo) ModTime() time.Time { return time.Time{} }
 func (memInfo) IsDir() bool        { return false }
 func (memInfo) Sys() any           { return nil }
 
-var fuzzSeries = []sensor.Reading{
-	{Time: 1_000_000_000, Value: 240.5}, {Time: 2_000_000_000, Value: 240.5},
-	{Time: 3_000_000_000, Value: 251}, {Time: 4_000_000_100, Value: math.Inf(1)},
-	{Time: 4_000_000_100, Value: math.NaN()}, {Time: math.MaxInt64, Value: -0.0},
-}
+// fuzzSeries takes the XOR codec (±Inf, NaN, −0); its first three
+// readings and fuzzDecimal take the decimal codec, at scales 1 and 3.
+var (
+	fuzzSeries = []sensor.Reading{
+		{Time: 1_000_000_000, Value: 240.5}, {Time: 2_000_000_000, Value: 240.5},
+		{Time: 3_000_000_000, Value: 251}, {Time: 4_000_000_100, Value: math.Inf(1)},
+		{Time: 4_000_000_100, Value: math.NaN()}, {Time: math.MaxInt64, Value: math.Copysign(0, -1)},
+	}
+	fuzzDecimal = []sensor.Reading{
+		{Time: 1_000_000_000, Value: 21.375}, {Time: 2_000_000_000, Value: 21.5},
+		{Time: 3_000_000_000, Value: -3}, {Time: 3_000_000_000, Value: 1e9},
+		{Time: 5_000_000_000, Value: 1e9}, {Time: 6_000_000_000, Value: 0},
+	}
+)
 
 func sameReadings(a, b []sensor.Reading) bool {
 	if len(a) != len(b) {
@@ -109,14 +120,12 @@ func FuzzReplayWAL(f *testing.F) {
 	})
 }
 
-// FuzzChunkIter: data is decoded as one Gorilla chunk.
+// FuzzChunkIter: data is decoded as one chunk.
 func FuzzChunkIter(f *testing.F) {
-	app := NewAppender()
-	for _, r := range fuzzSeries {
-		app.Append(r)
-	}
-	f.Add(app.Bytes())
-	f.Add(NewAppender().Bytes())
+	f.Add(encodeChunk(fuzzSeries))
+	f.Add(encodeChunk(fuzzSeries[:3]))
+	f.Add(encodeChunk(fuzzDecimal))
+	f.Add(encodeChunk(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		it, err := NewIter(data)
 		if err != nil {
@@ -138,14 +147,12 @@ func FuzzChunkIter(f *testing.F) {
 		// A chunk that decoded whole re-encodes to the same samples
 		// (the writer requires non-decreasing timestamps; a forged chunk
 		// need not honour that, and such a chunk is not re-encoded).
-		re := NewAppender()
-		for i, r := range got {
-			if i > 0 && r.Time < got[i-1].Time {
+		for i := 1; i < len(got); i++ {
+			if got[i].Time < got[i-1].Time {
 				return
 			}
-			re.Append(r)
 		}
-		it2, err := NewIter(re.Bytes())
+		it2, err := NewIter(encodeChunk(got))
 		if err != nil {
 			t.Fatalf("re-encoded chunk: %v", err)
 		}
@@ -190,15 +197,19 @@ func fuzzIndexEntry(dst []byte, topic string, count uint64, minT, maxT int64, of
 // every read path over every series must neither panic nor return a
 // negative count.
 func FuzzOpenSegment(f *testing.F) {
-	app := NewAppender()
-	for _, r := range fuzzSeries[:4] {
-		app.Append(r)
-	}
-	chunk := app.Bytes()
 	one := binary.LittleEndian.AppendUint32(nil, 1)
-	good := fuzzIndexEntry(one, "/n/power", 4, fuzzSeries[0].Time, fuzzSeries[3].Time, segHeader, uint64(len(chunk)))
-	f.Add(chunk, good, false)
-	f.Add(fuzzSegmentFile(chunk, good), []byte(nil), true)
+	for _, rs := range [][]sensor.Reading{fuzzSeries[:4], fuzzDecimal} {
+		chunk := encodeChunk(rs)
+		good := fuzzIndexEntry(one, "/n/power", uint64(len(rs)), rs[0].Time, rs[len(rs)-1].Time, segHeader, uint64(len(chunk)))
+		f.Add(chunk, good, false)
+		f.Add(fuzzSegmentFile(chunk, good), []byte(nil), true)
+	}
+	// A version 2 file: chunks without a codec byte.
+	v2, err := os.ReadFile(filepath.Join("testdata", "segment-v2.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2, []byte(nil), true)
 	f.Fuzz(func(t *testing.T, chunks, index []byte, raw bool) {
 		file := chunks
 		if !raw {

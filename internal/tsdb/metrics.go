@@ -24,6 +24,8 @@ type dbMetrics struct {
 	flushSeconds   *telemetry.Histogram
 	flushExclusive *telemetry.Histogram // seconds Flush held DB.ingest exclusively
 	flushedRead    *telemetry.Counter
+	decimalChunks  *telemetry.Counter // flushed chunks per value codec
+	xorChunks      *telemetry.Counter
 	pruneSeconds   *telemetry.Histogram
 	prunedReadings *telemetry.Counter
 	janitorSeconds *telemetry.Histogram
@@ -81,6 +83,9 @@ func newDBMetrics(reg *telemetry.Registry, db *DB) *dbMetrics {
 		chunkDecodes: reg.Counter("dcdb_tsdb_chunk_decodes_total",
 			"Segment chunks decoded on behalf of queries and prunes."),
 	}
+	chunks := reg.NewCounterVec("dcdb_tsdb_chunks_total",
+		"Segment chunks written by flushes, by value codec: decimal, or xor for a chunk whose values have no decimal scale.", "codec")
+	m.decimalChunks, m.xorChunks = chunks.With("decimal"), chunks.With("xor")
 	if reg != nil && db != nil {
 		m.handles = append(m.handles,
 			reg.GaugeFunc("dcdb_tsdb_head_readings",

@@ -17,8 +17,8 @@ import (
 )
 
 // Segment files are immutable and time-partitioned: each one holds every
-// reading flushed from the heads in one janitor pass, one Gorilla chunk
-// per series, with a CRC-protected index at the tail:
+// reading flushed from the heads in one janitor pass, one compressed
+// chunk per series, with a CRC-protected index at the tail:
 //
 //	header:  magic "WTSG" | u32le version | u64le covered WAL seq
 //	chunks:  concatenated per-series chunks
@@ -36,11 +36,15 @@ import (
 // recorded once at flush time. They let an aggregation query answer a
 // fully-covered chunk from index metadata in O(1) without touching the
 // chunk bytes; only chunks the window boundary or retention watermark
-// cuts through are decoded. Open accepts segVersion only.
+// cuts through are decoded.
+//
+// Only segVersion is written. Open also reads version 2, whose chunks
+// carry no codec byte and are all XOR.
 
 const (
 	segMagic   = "WTSG"
-	segVersion = 2
+	segVersion = 3
+	segV2      = 2
 	segHeader  = 4 + 4 + 8
 	segFooter  = 8 + 4 + 4
 )
@@ -62,6 +66,7 @@ type segment struct {
 	path       string
 	seq        uint64
 	coveredWAL uint64
+	version    uint32
 	minT, maxT int64
 	size       int64
 	series     map[sensor.Topic]segSeries
@@ -92,8 +97,9 @@ const segWriteBuf = 256 << 10
 // memory. A failure at any step leaves no file behind — neither the
 // .tmp staging twin nor, past the rename, the live segment — so the
 // flush's error path can unseal the same readings in their heads without
-// the next flush duplicating them.
-func writeSegment(fs FS, dir string, seq, coveredWAL uint64, data map[sensor.Topic][]sensor.Reading) (*segment, error) {
+// the next flush duplicating them. decimal is how many of its chunks
+// took the decimal codec; the rest are XOR.
+func writeSegment(fs FS, dir string, seq, coveredWAL uint64, data map[sensor.Topic][]sensor.Reading) (seg *segment, decimal int, err error) {
 	topics := make([]sensor.Topic, 0, len(data))
 	for t, rs := range data {
 		if len(rs) > 0 {
@@ -101,7 +107,7 @@ func writeSegment(fs FS, dir string, seq, coveredWAL uint64, data map[sensor.Top
 		}
 	}
 	if len(topics) == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	sort.Slice(topics, func(i, j int) bool { return topics[i] < topics[j] })
 
@@ -109,7 +115,7 @@ func writeSegment(fs FS, dir string, seq, coveredWAL uint64, data map[sensor.Top
 	tmp := path + ".tmp"
 	f, err := fs.Create(tmp)
 	if err == nil {
-		if err = streamSegment(f, coveredWAL, topics, data); err == nil {
+		if decimal, err = streamSegment(f, coveredWAL, topics, data); err == nil {
 			err = f.Sync()
 		}
 		if cerr := f.Close(); err == nil {
@@ -121,48 +127,48 @@ func writeSegment(fs FS, dir string, seq, coveredWAL uint64, data map[sensor.Top
 	}
 	if err != nil {
 		fs.Remove(tmp)
-		return nil, err
+		return nil, 0, err
 	}
 	if err := fs.SyncDir(dir); err != nil {
 		fs.Remove(path)
-		return nil, err
+		return nil, 0, err
 	}
-	seg, err := openSegment(fs, path, seq)
-	if err != nil {
+	if seg, err = openSegment(fs, path, seq); err != nil {
 		fs.Remove(path)
-		return nil, err
+		return nil, 0, err
 	}
-	return seg, nil
+	return seg, decimal, nil
 }
 
 // streamSegment writes header, chunks, index and footer to f through one
 // fixed-size buffer and one reused chunk encoder, stopping at the first
-// failed write.
-func streamSegment(f File, coveredWAL uint64, topics []sensor.Topic, data map[sensor.Topic][]sensor.Reading) error {
+// failed write. It returns how many chunks took the decimal codec.
+func streamSegment(f File, coveredWAL uint64, topics []sensor.Topic, data map[sensor.Topic][]sensor.Reading) (decimal int, err error) {
 	bw := bufio.NewWriterSize(f, segWriteBuf)
 	hdr := append(make([]byte, 0, segHeader), segMagic...)
 	hdr = binary.LittleEndian.AppendUint32(hdr, segVersion)
 	hdr = binary.LittleEndian.AppendUint64(hdr, coveredWAL)
 	if _, err := bw.Write(hdr); err != nil {
-		return err
+		return 0, err
 	}
 	off := uint64(segHeader)
 
 	index := make([]byte, 0, len(topics)*56)
 	index = binary.LittleEndian.AppendUint32(index, uint32(len(topics)))
-	app := NewAppender()
+	var enc Encoder
 	var chunk []byte
 	for _, topic := range topics {
 		rs := data[topic]
-		app.Reset()
 		var agg store.AggResult
 		for _, r := range rs {
-			app.Append(r)
 			agg.Observe(r.Value)
 		}
-		chunk = app.AppendTo(chunk[:0])
+		var codec byte
+		if chunk, codec = enc.AppendChunk(chunk[:0], rs); codec != codecXOR {
+			decimal++
+		}
 		if _, err := bw.Write(chunk); err != nil {
-			return err
+			return 0, err
 		}
 		index = binary.AppendUvarint(index, uint64(len(topic)))
 		index = append(index, topic...)
@@ -177,15 +183,15 @@ func streamSegment(f File, coveredWAL uint64, topics []sensor.Topic, data map[se
 		off += uint64(len(chunk))
 	}
 	if _, err := bw.Write(index); err != nil {
-		return err
+		return 0, err
 	}
 	foot := binary.LittleEndian.AppendUint64(make([]byte, 0, segFooter), off)
 	foot = binary.LittleEndian.AppendUint32(foot, crc32.ChecksumIEEE(index))
 	foot = append(foot, segMagic...)
 	if _, err := bw.Write(foot); err != nil {
-		return err
+		return 0, err
 	}
-	return bw.Flush()
+	return decimal, bw.Flush()
 }
 
 // listSegments opens every segment file in dir, sorted by sequence.
@@ -246,7 +252,7 @@ func openSegment(fs FS, path string, seq uint64) (*segment, error) {
 		return nil, fmt.Errorf("bad magic")
 	}
 	version := binary.LittleEndian.Uint32(hdr[4:])
-	if version != segVersion {
+	if version != segVersion && version != segV2 {
 		f.Close()
 		return nil, fmt.Errorf("unsupported version %d", version)
 	}
@@ -281,6 +287,7 @@ func openSegment(fs FS, path string, seq uint64) (*segment, error) {
 		path:       path,
 		seq:        seq,
 		coveredWAL: coveredWAL,
+		version:    version,
 		size:       size,
 		series:     make(map[sensor.Topic]segSeries),
 		f:          f,
@@ -367,7 +374,7 @@ func (s *segment) readChunk(ss segSeries) (*Iter, error) {
 	if _, err := s.f.ReadAt(chunk, ss.off); err != nil {
 		return nil, err
 	}
-	it, err := NewIter(chunk)
+	it, err := newIter(chunk, s.version != segV2)
 	if err == nil && it.Count() != ss.count {
 		err = fmt.Errorf("tsdb: chunk holds %d samples, index says %d", it.Count(), ss.count)
 	}
