@@ -484,7 +484,7 @@ func init() {
 
 // benchTickAllContention drives 8 online operators with parallel units (16
 // units each) over one sharded cache.Set through Manager.TickAll, with the
-// manager's worker pool sized by threads. threads=1 is the sequential
+// manager's computation bound set to threads. threads=1 is the sequential
 // baseline: every computation of every operator runs one after another,
 // like the pre-scheduler TickAll. probeUs=0 removes the fixed probe sleep
 // so the query cost and cache-shard contention dominate.

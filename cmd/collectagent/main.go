@@ -43,7 +43,7 @@ func main() {
 		storeRet   = flag.Duration("store-retention", 0, "storage backend retention window (0: keep forever)")
 		storeSync  = flag.Bool("store-wal-sync", false, "fsync the storage WAL on every group commit")
 		configPath = flag.String("config", "", "Wintermute plugin configuration (JSON)")
-		threads    = flag.Int("threads", 0, "Wintermute worker pool size (0: GOMAXPROCS)")
+		threads    = flag.Int("threads", 0, "Wintermute computations run at once (0: GOMAXPROCS)")
 		rcSize     = flag.Int("result-cache-size", 4096, "query result cache entries (0: disable memoization)")
 		rcTTL      = flag.Duration("result-cache-ttl", 0, "bounded staleness for memoized query results (0: strict)")
 		rateLimit  = flag.Float64("rate-limit", 0, "REST requests per second per client (0: unlimited)")
@@ -62,7 +62,6 @@ func main() {
 		StoreWALSync:     *storeSync,
 		ResultCacheSize:  *rcSize,
 		ResultCacheTTL:   *rcTTL,
-		Threads:          *threads,
 		Metrics:          telemetry.Default,
 		SelfMonitorEvery: *selfMon,
 	})
@@ -85,12 +84,10 @@ func main() {
 		if err := agent.Manager.LoadConfig(cfg); err != nil {
 			log.Fatal(err)
 		}
-		// An explicit -threads flag beats the config file's threads field.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "threads" && *threads > 0 {
-				agent.Manager.SetThreads(*threads)
-			}
-		})
+	}
+	// A -threads flag beats the config file's threads field.
+	if *threads > 0 {
+		agent.Manager.SetThreads(*threads)
 	}
 
 	srv, err := rest.Serve(*httpAddr, agent.Manager, agent.QE, rest.Options{

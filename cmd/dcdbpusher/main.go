@@ -32,6 +32,7 @@ import (
 	"github.com/dcdb/wintermute/internal/sim/hardware"
 	"github.com/dcdb/wintermute/internal/sim/workload"
 	"github.com/dcdb/wintermute/internal/telemetry"
+	"github.com/dcdb/wintermute/internal/transport"
 )
 
 func main() {
@@ -53,7 +54,7 @@ func main() {
 		retention  = flag.Duration("retention", 180*time.Second, "sensor cache retention")
 		configPath = flag.String("config", "", "Wintermute plugin configuration (JSON)")
 		testers    = flag.Int("testers", 0, "additional tester sensors (monotonic counters)")
-		threads    = flag.Int("threads", 0, "Wintermute worker pool size (0: GOMAXPROCS)")
+		threads    = flag.Int("threads", 0, "Wintermute computations run at once (0: GOMAXPROCS)")
 		seed       = flag.Int64("seed", 1, "simulation seed")
 		debugAddr  = flag.String("debug-addr", "", "diagnostics listen address (pprof + /metrics; keep off the public port)")
 		slowQuery  = flag.Duration("slow-query", 0, "log REST requests running at or over this duration (0: off)")
@@ -64,14 +65,15 @@ func main() {
 		Name:           *nodePath,
 		CacheRetention: *retention,
 		MQTTAddr:       *mqttAddr,
-		Spool:          *spool,
-		SpoolDir:       *spoolDir,
-		AckTimeout:     *ackTimeout,
-		RetryMin:       *retryMin,
-		RetryMax:       *retryMax,
-		DrainTimeout:   *drainTO,
-		Threads:        *threads,
-		Metrics:        telemetry.Default,
+		Transport: transport.Options{
+			SpoolBatches: *spool,
+			SpoolDir:     *spoolDir,
+			AckTimeout:   *ackTimeout,
+			RetryMin:     *retryMin,
+			RetryMax:     *retryMax,
+			DrainTimeout: *drainTO,
+		},
+		Metrics: telemetry.Default,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -108,12 +110,10 @@ func main() {
 		if err := p.Manager.LoadConfig(cfg); err != nil {
 			log.Fatal(err)
 		}
-		// An explicit -threads flag beats the config file's threads field.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "threads" && *threads > 0 {
-				p.Manager.SetThreads(*threads)
-			}
-		})
+	}
+	// A -threads flag beats the config file's threads field.
+	if *threads > 0 {
+		p.Manager.SetThreads(*threads)
 	}
 
 	srv, err := rest.Serve(*httpAddr, p.Manager, p.QE, rest.Options{

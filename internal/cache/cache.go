@@ -190,8 +190,8 @@ type setShard struct {
 //
 // The set is hash-sharded by topic: lookups and inserts for different
 // sensors land on different locks, so pusher sampling loops and the
-// operator worker pool querying thousands of sensors do not contend on a
-// single global mutex.
+// operator computations querying thousands of sensors do not contend on
+// a single global mutex.
 type Set struct {
 	shards [setShards]setShard
 }

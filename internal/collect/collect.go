@@ -62,9 +62,6 @@ type Config struct {
 	// after new data landed in its window. 0 is strict: cached answers
 	// are indistinguishable from uncached ones.
 	ResultCacheTTL time.Duration
-	// Threads sizes the Wintermute worker pool executing operator
-	// computations (0: runtime.GOMAXPROCS).
-	Threads int
 	// Env is handed to Wintermute plugin configurators (job providers
 	// attach here).
 	Env core.Env
@@ -156,9 +153,6 @@ func New(cfg Config) (*Agent, error) {
 		rc.RegisterMetrics(cfg.Metrics)...)
 	a.Manager = core.NewManager(qe, sink, cfg.Env)
 	a.Manager.EnableTelemetry(cfg.Metrics)
-	if cfg.Threads > 0 {
-		a.Manager.SetThreads(cfg.Threads)
-	}
 	if cfg.SelfMonitorEvery > 0 && cfg.Metrics != nil {
 		// The publish closure feeds the sink directly (not the broker):
 		// telemetry readings take the same cache+store path as any
@@ -278,11 +272,11 @@ func (a *Agent) TickOnce(now time.Time) error {
 // Start launches the Wintermute operator loops.
 func (a *Agent) Start() { a.Manager.Start() }
 
-// Close stops operators, shuts the Wintermute worker pool down, closes
-// the broker and flushes and closes the storage backend — in that
-// order: Broker.Close waits for every connection's serve loop, and a
-// serve loop stores a batch before it moves on, so nothing is in flight
-// when the backend takes its final flush.
+// Close stops operators, waiting for any tick in flight, closes the
+// broker and flushes and closes the storage backend — in that order:
+// Broker.Close waits for every connection's serve loop, and a serve loop
+// stores a batch before it moves on, so nothing is in flight when the
+// backend takes its final flush.
 func (a *Agent) Close() error {
 	// Self-monitoring stops first: its publishes go through the sink, so
 	// it must not race the close sequence below.

@@ -206,11 +206,12 @@ func TestSelfMonitorPassIsOneBurst(t *testing.T) {
 // on the sequential and on the parallel path alike.
 func TestTickIsOneBurstPerOperator(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	a, err := New(Config{StoreDir: t.TempDir(), Metrics: reg, Threads: 2})
+	a, err := New(Config{StoreDir: t.TempDir(), Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
+	a.Manager.SetThreads(2)
 	const nodes = 64
 	for n := 0; n < nodes; n++ {
 		a.IngestBatch(sensor.Topic(fmt.Sprintf("/r1/n%02d/power", n)),

@@ -267,12 +267,13 @@ func TestPipelineAcrossOperators(t *testing.T) {
 
 func TestManagerLifecycle(t *testing.T) {
 	nav, caches, _, qe := testEnv(t)
-	RegisterPlugin("testavg-lifecycle", func(cfg json.RawMessage, qe *QueryEngine, env Env) ([]Operator, error) {
+	plugin := uniquePlugin("testavg-lifecycle")
+	RegisterPlugin(plugin, func(cfg json.RawMessage, qe *QueryEngine, env Env) ([]Operator, error) {
 		var oc OperatorConfig
 		if err := json.Unmarshal(cfg, &oc); err != nil {
 			return nil, err
 		}
-		base, err := oc.Build("testavg-lifecycle", qe.Navigator())
+		base, err := oc.Build(plugin, qe.Navigator())
 		if err != nil {
 			return nil, err
 		}
@@ -284,7 +285,7 @@ func TestManagerLifecycle(t *testing.T) {
 		Name: "avgA", Inputs: []string{"power"}, Outputs: []string{"<bottomup>avgA"},
 		IntervalMs: 10,
 	})
-	if err := m.LoadPlugin("testavg-lifecycle", raw); err != nil {
+	if err := m.LoadPlugin(plugin, raw); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.LoadPlugin("nope", nil); err == nil {
@@ -312,7 +313,7 @@ func TestManagerLifecycle(t *testing.T) {
 	if st[0].Running {
 		t.Error("operator should be stopped")
 	}
-	if n := m.UnloadPlugin("testavg-lifecycle"); n != 1 {
+	if n := m.UnloadPlugin(plugin); n != 1 {
 		t.Errorf("UnloadPlugin removed %d", n)
 	}
 	if len(m.Operators()) != 0 {
@@ -322,12 +323,13 @@ func TestManagerLifecycle(t *testing.T) {
 
 func TestManagerDuplicateOperator(t *testing.T) {
 	nav, caches, _, qe := testEnv(t)
-	RegisterPlugin("testavg-dup", func(cfg json.RawMessage, qe *QueryEngine, env Env) ([]Operator, error) {
+	plugin := uniquePlugin("testavg-dup")
+	RegisterPlugin(plugin, func(cfg json.RawMessage, qe *QueryEngine, env Env) ([]Operator, error) {
 		var oc OperatorConfig
 		if err := json.Unmarshal(cfg, &oc); err != nil {
 			return nil, err
 		}
-		base, err := oc.Build("testavg-dup", qe.Navigator())
+		base, err := oc.Build(plugin, qe.Navigator())
 		if err != nil {
 			return nil, err
 		}
@@ -337,22 +339,23 @@ func TestManagerDuplicateOperator(t *testing.T) {
 	raw, _ := json.Marshal(OperatorConfig{
 		Name: "dup", Inputs: []string{"power"}, Outputs: []string{"<bottomup>dupout"},
 	})
-	if err := m.LoadPlugin("testavg-dup", raw); err != nil {
+	if err := m.LoadPlugin(plugin, raw); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.LoadPlugin("testavg-dup", raw); err == nil {
+	if err := m.LoadPlugin(plugin, raw); err == nil {
 		t.Error("duplicate operator name should fail")
 	}
 }
 
 func TestOnDemand(t *testing.T) {
 	_, _, _, qe := testEnv(t)
-	RegisterPlugin("testavg-ondemand", func(cfg json.RawMessage, qe *QueryEngine, env Env) ([]Operator, error) {
+	plugin := uniquePlugin("testavg-ondemand")
+	RegisterPlugin(plugin, func(cfg json.RawMessage, qe *QueryEngine, env Env) ([]Operator, error) {
 		var oc OperatorConfig
 		if err := json.Unmarshal(cfg, &oc); err != nil {
 			return nil, err
 		}
-		base, err := oc.Build("testavg-ondemand", qe.Navigator())
+		base, err := oc.Build(plugin, qe.Navigator())
 		if err != nil {
 			return nil, err
 		}
@@ -365,7 +368,7 @@ func TestOnDemand(t *testing.T) {
 		Name: "od", Mode: "ondemand",
 		Inputs: []string{"power"}, Outputs: []string{"<bottomup>od-out"},
 	})
-	if err := m.LoadPlugin("testavg-ondemand", raw); err != nil {
+	if err := m.LoadPlugin(plugin, raw); err != nil {
 		t.Fatal(err)
 	}
 	// Specific unit.
@@ -483,13 +486,14 @@ func TestRegisteredPluginsSorted(t *testing.T) {
 }
 
 func TestDuplicatePluginPanics(t *testing.T) {
-	RegisterPlugin("dup-plugin-x", func(json.RawMessage, *QueryEngine, Env) ([]Operator, error) { return nil, nil })
+	plugin := uniquePlugin("dup-plugin-x")
+	RegisterPlugin(plugin, func(json.RawMessage, *QueryEngine, Env) ([]Operator, error) { return nil, nil })
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate registration should panic")
 		}
 	}()
-	RegisterPlugin("dup-plugin-x", func(json.RawMessage, *QueryEngine, Env) ([]Operator, error) { return nil, nil })
+	RegisterPlugin(plugin, func(json.RawMessage, *QueryEngine, Env) ([]Operator, error) { return nil, nil })
 }
 
 // errBadUnit is what orderOperator's failing unit reports.
@@ -518,7 +522,7 @@ func (o *orderOperator) Compute(_ *QueryEngine, u *units.Unit, now time.Time, tc
 }
 
 // TestTickIsOneBatch: one tick of a sequential or a parallel operator,
-// inline or on a pool, reaches the sink as one PushBatch holding every
+// under no bound, a bound of 1 or a bound of 4, reaches the sink as one PushBatch holding every
 // unit's outputs in unit order — a failing unit's included — and the
 // failure still comes back through errors.Join.
 func TestTickIsOneBatch(t *testing.T) {
@@ -528,11 +532,13 @@ func TestTickIsOneBatch(t *testing.T) {
 		name := sensor.Topic(fmt.Sprintf("/n%02d/", i))
 		us[i] = &units.Unit{Name: name, Outputs: []sensor.Topic{name.Join("out")}}
 	}
-	sched := NewScheduler(4)
-	defer sched.Close()
 	for _, parallel := range []bool{false, true} {
-		for _, s := range []*Scheduler{nil, sched} {
-			name := fmt.Sprintf("parallel=%v/pool=%v", parallel, s != nil)
+		for _, s := range []*Scheduler{nil, NewScheduler(1), NewScheduler(4)} {
+			bound := 0
+			if s != nil {
+				bound = s.Threads()
+			}
+			name := fmt.Sprintf("parallel=%v/bound=%d", parallel, bound)
 			op := &orderOperator{Base: NewBase("order", "test", Online, time.Second, parallel), bad: bad}
 			op.SetUnits(us)
 			var calls [][]Output
@@ -544,7 +550,7 @@ func TestTickIsOneBatch(t *testing.T) {
 			})
 			for tick := 0; tick < 3; tick++ {
 				calls = nil
-				err := tickScheduled(op, nil, sink, time.Unix(int64(tick), 0), s)
+				err := tickBounded(op, nil, sink, time.Unix(int64(tick), 0), s)
 				if !errors.Is(err, errBadUnit) || !strings.Contains(err.Error(), "unit /n07/") {
 					t.Fatalf("%s: err = %v, want the joined failure of unit /n07/", name, err)
 				}

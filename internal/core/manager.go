@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/dcdb/wintermute/internal/core/units"
@@ -93,7 +94,8 @@ func lookupPlugin(name string) (PluginFactory, bool) {
 // opRuntime tracks the execution state of one operator.
 type opRuntime struct {
 	op      Operator
-	stop    chan struct{}
+	stop    chan struct{} // closed to end the tick loop
+	done    chan struct{} // closed by the tick loop when it has ended
 	running bool
 
 	// tickMu serializes the operator's computations: no two ticks or
@@ -128,73 +130,65 @@ type OperatorStatus struct {
 //
 // Lock hierarchy, machine-checked by cmd/invlint: the manager lock is
 // outermost; a tick serialization lock may be taken under it; the
-// per-runtime stats lock and the scheduler lock are innermost. The PR 1
-// Status() deadlock was exactly an inversion of this order.
+// per-runtime stats lock is innermost. The PR 1 Status() deadlock was
+// exactly an inversion of this order. The tick path takes no manager
+// lock: the bound and the tick histogram are atomic pointers.
 //
 //lint:lockorder Manager.mu < opRuntime.tickMu < opRuntime.mu
-//lint:lockorder opRuntime.tickMu < Scheduler.mu
 type Manager struct {
 	qe   *QueryEngine
 	sink Sink
 	env  Env
 
-	mu    sync.Mutex
-	ops   map[string]*opRuntime // by operator name
-	sched *Scheduler
+	mu  sync.Mutex
+	ops map[string]*opRuntime // by operator name
 
+	// sched bounds the operator computations; never nil.
+	sched atomic.Pointer[Scheduler]
 	// tickHist observes per-operator tick latency; never nil (an
 	// unattached histogram until EnableTelemetry registers a real one).
-	tickHist         *telemetry.Histogram
+	tickHist         atomic.Pointer[telemetry.Histogram]
 	telemetryHandles []*telemetry.FuncHandle
 }
 
 // NewManager creates a manager computing against qe and emitting operator
-// output to sink. Operator computations run on a worker pool sized
-// runtime.GOMAXPROCS by default; SetThreads or the `threads` field of
-// Config resize it.
+// output to sink. At most runtime.GOMAXPROCS operator computations run at
+// once by default; SetThreads or the `threads` field of Config change the
+// bound.
 func NewManager(qe *QueryEngine, sink Sink, env Env) *Manager {
-	return &Manager{
-		qe:       qe,
-		sink:     sink,
-		env:      env,
-		ops:      make(map[string]*opRuntime),
-		sched:    NewScheduler(0),
-		tickHist: (*telemetry.Registry)(nil).Histogram("", "", telemetry.DefDurationBuckets),
+	m := &Manager{
+		qe:   qe,
+		sink: sink,
+		env:  env,
+		ops:  make(map[string]*opRuntime),
 	}
+	m.sched.Store(NewScheduler(0))
+	m.tickHist.Store((*telemetry.Registry)(nil).Histogram("", "", telemetry.DefDurationBuckets))
+	return m
 }
 
 // QueryEngine returns the manager's query engine.
 func (m *Manager) QueryEngine() *QueryEngine { return m.qe }
 
-// SetThreads replaces the computation pool with one of the given size
-// (non-positive: runtime.GOMAXPROCS). The previous pool drains its queued
-// work and shuts down; in-flight ticks complete on it.
-func (m *Manager) SetThreads(threads int) {
-	m.mu.Lock()
-	old := m.sched
-	m.sched = NewScheduler(threads)
-	m.mu.Unlock()
-	old.Close()
-}
+// SetThreads replaces the computation bound with one of the given size
+// (non-positive: runtime.GOMAXPROCS). Computations already holding or
+// waiting for a slot finish under the previous bound; ticks and on-demand
+// calls that start later take their slots from the new one.
+func (m *Manager) SetThreads(threads int) { m.sched.Store(NewScheduler(threads)) }
 
-// Threads returns the size of the computation pool.
-func (m *Manager) Threads() int { return m.scheduler().Threads() }
+// Threads returns the computation bound.
+func (m *Manager) Threads() int { return m.sched.Load().Threads() }
 
-// SchedulerStats returns a snapshot of the computation pool: size, queued
-// and active tasks, total completed tasks.
-func (m *Manager) SchedulerStats() SchedulerStats { return m.scheduler().Stats() }
-
-func (m *Manager) scheduler() *Scheduler {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sched
-}
+// SchedulerStats returns a snapshot of the computation bound: its size,
+// the computations waiting for and holding a slot, and the total
+// completed.
+func (m *Manager) SchedulerStats() SchedulerStats { return m.sched.Load().Stats() }
 
 // Config is the top-level Wintermute configuration: the list of plugin
-// blocks to load and the size of the shared computation pool.
+// blocks to load and the bound shared by their computations.
 type Config struct {
-	// Threads sizes the worker pool executing operator computations
-	// (paper §V-A: the `threads` knob of the operator manager). Zero or
+	// Threads bounds how many operator computations run at once (paper
+	// §V-A: the `threads` knob of the operator manager). Zero or
 	// negative selects runtime.GOMAXPROCS.
 	Threads int            `json:"threads"`
 	Plugins []PluginConfig `json:"plugins"`
@@ -206,7 +200,7 @@ type PluginConfig struct {
 	Config json.RawMessage `json:"config"`
 }
 
-// LoadConfig applies the pool size and loads every plugin block of a
+// LoadConfig applies the bound and loads every plugin block of a
 // configuration.
 func (m *Manager) LoadConfig(cfg Config) error {
 	if cfg.Threads > 0 {
@@ -308,7 +302,8 @@ func (m *Manager) Start() {
 	}
 }
 
-// Stop halts all running operators and waits for their loops to exit.
+// Stop halts all running operators and waits for their loops to exit,
+// a tick in flight included.
 func (m *Manager) Stop() {
 	m.mu.Lock()
 	var running []*opRuntime
@@ -321,14 +316,12 @@ func (m *Manager) Stop() {
 	}
 }
 
-// Close stops all operators and shuts the computation pool down, ending
-// its worker goroutines. The manager stays usable afterwards — further
-// ticks run synchronously on their callers — but cannot regain a pool;
-// use Stop for a restartable halt.
+// Close stops all operators, waiting for their loops as Stop does, and
+// unregisters the manager's telemetry. The bound is left alone: ticks and
+// on-demand calls after Close still run under it.
 func (m *Manager) Close() {
 	m.Stop()
 	m.closeTelemetry()
-	m.scheduler().Close()
 }
 
 // StartOperator launches the tick loop of one operator. OnDemand
@@ -344,12 +337,13 @@ func (m *Manager) StartOperator(name string) error {
 		return nil
 	}
 	rt.stop = make(chan struct{})
+	rt.done = make(chan struct{})
 	rt.running = true
-	go m.runLoop(rt, rt.stop)
+	go m.runLoop(rt, rt.stop, rt.done)
 	return nil
 }
 
-// StopOperator halts one operator's loop.
+// StopOperator halts one operator's loop and waits for it to exit.
 func (m *Manager) StopOperator(name string) error {
 	m.mu.Lock()
 	rt, ok := m.ops[name]
@@ -368,16 +362,18 @@ func (m *Manager) stopRuntime(rt *opRuntime) {
 		return
 	}
 	rt.running = false
-	stop := rt.stop
+	stop, done := rt.stop, rt.done
 	m.mu.Unlock()
 	close(stop)
+	<-done
 }
 
-// runLoop drives one operator with a wall-clock ticker. The stop channel
-// is passed in rather than read from rt: a stopped operator can be
-// restarted, and reading rt.stop here would race with StartOperator
-// reassigning it for the new loop.
-func (m *Manager) runLoop(rt *opRuntime, stop <-chan struct{}) {
+// runLoop drives one operator with a wall-clock ticker until stop is
+// closed, then closes done. The channels are passed in rather than read
+// from rt: a stopped operator can be restarted, and reading rt's fields
+// here would race with StartOperator reassigning them for the new loop.
+func (m *Manager) runLoop(rt *opRuntime, stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
 	ticker := time.NewTicker(rt.op.Interval())
 	defer ticker.Stop()
 	for {
@@ -390,23 +386,16 @@ func (m *Manager) runLoop(rt *opRuntime, stop <-chan struct{}) {
 	}
 }
 
-// tickRuntime runs one serialized tick of an operator: computations land
-// on the manager's worker pool, and rt.tickMu guarantees ticks of the same
-// operator never overlap (a tick outlasting its interval delays the next
-// one instead of racing it).
+// tickRuntime runs one serialized tick of an operator under the manager's
+// bound; rt.tickMu guarantees ticks of the same operator never overlap (a
+// tick outlasting its interval delays the next one instead of racing it).
 func (m *Manager) tickRuntime(rt *opRuntime, now time.Time) error {
-	// Resolve the scheduler (and tick histogram) before taking tickMu:
-	// m.mu comes before tickMu in the lock hierarchy, so taking it
-	// under tickMu would invert the declared order (invlint: lockorder).
-	m.mu.Lock()
-	sched, tickHist := m.sched, m.tickHist
-	m.mu.Unlock()
 	rt.tickMu.Lock()
 	defer rt.tickMu.Unlock()
 	start := time.Now()
-	err := tickScheduled(rt.op, m.qe, m.sink, now, sched)
+	err := tickBounded(rt.op, m.qe, m.sink, now, m.sched.Load())
 	dur := time.Since(start)
-	tickHist.Observe(dur.Seconds())
+	m.tickHist.Load().Observe(dur.Seconds())
 	rt.mu.Lock()
 	rt.ticks++
 	rt.lastErr = err
@@ -420,7 +409,7 @@ func (m *Manager) tickRuntime(rt *opRuntime, now time.Time) error {
 // drive managers with TickAll instead of wall-clock tickers, so that weeks
 // of monitoring data can be processed in seconds. Operators are dispatched
 // concurrently — the actual computations are bounded by the manager's
-// worker pool — and all failures are aggregated with errors.Join.
+// Scheduler — and all failures are aggregated with errors.Join.
 func (m *Manager) TickAll(now time.Time) error {
 	m.mu.Lock()
 	rts := make([]*opRuntime, 0, len(m.ops))
@@ -448,18 +437,19 @@ func (m *Manager) TickAll(now time.Time) error {
 // OnDemand triggers the computation of one operator through the REST
 // path (paper §IV-b): output is returned to the caller only, not pushed
 // to the sink. An empty unitName computes every unit. The call runs like
-// a tick — Prepare, then the units on the manager's pool — and waits for
-// an in-flight tick of the operator, but counts as none in its status.
+// a tick — Prepare, then the units, under the manager's bound — and
+// waits for an in-flight tick of the operator, but counts as none in its
+// status.
 func (m *Manager) OnDemand(opName string, unitName sensor.Topic, now time.Time) ([]Output, error) {
 	m.mu.Lock()
 	rt, ok := m.ops[opName]
-	sched := m.sched
 	m.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("core: unknown operator %q", opName)
 	}
 	rt.tickMu.Lock()
 	defer rt.tickMu.Unlock()
+	sched := m.sched.Load()
 	if err := prepare(rt.op, m.qe, now, sched); err != nil {
 		return nil, err
 	}

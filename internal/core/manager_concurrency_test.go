@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,36 +14,75 @@ import (
 	"github.com/dcdb/wintermute/internal/sensor"
 )
 
-// blockingOp sleeps in Compute and records how many computations of this
-// operator run at once.
-type blockingOp struct {
-	*Base
-	dur    time.Duration
-	active atomic.Int32
-	peak   atomic.Int32
+// gauge counts the computations that enter it, and how many of them
+// were in it at once at the peak.
+type gauge struct {
+	active, peak, total atomic.Int32
 }
 
-func (o *blockingOp) Compute(qe *QueryEngine, u *units.Unit, now time.Time, _ *TickContext) ([]Output, error) {
-	a := o.active.Add(1)
+func (g *gauge) enter() {
+	g.total.Add(1)
+	a := g.active.Add(1)
 	for {
-		p := o.peak.Load()
-		if a <= p || o.peak.CompareAndSwap(p, a) {
+		p := g.peak.Load()
+		if a <= p || g.peak.CompareAndSwap(p, a) {
 			break
 		}
 	}
+}
+
+func (g *gauge) leave() { g.active.Add(-1) }
+
+// blockingOp sleeps in Compute and records how many computations of this
+// operator run at once, and, through shared, in a gauge that several
+// operators may share.
+type blockingOp struct {
+	*Base
+	dur time.Duration
+	gauge
+	// shared picks the gauge a computation at now also enters; nil
+	// enters none.
+	shared func(now time.Time) *gauge
+}
+
+func (o *blockingOp) Compute(qe *QueryEngine, u *units.Unit, now time.Time, _ *TickContext) ([]Output, error) {
+	var g *gauge
+	if o.shared != nil {
+		g = o.shared(now)
+		g.enter()
+		defer g.leave()
+	}
+	o.enter()
+	defer o.leave()
 	time.Sleep(o.dur)
-	o.active.Add(-1)
 	return nil, nil
 }
 
+// newBlockingOp builds a sequential one-unit blocking operator.
 func newBlockingOp(t testing.TB, nav *navigator.Navigator, name string, dur time.Duration) *blockingOp {
 	t.Helper()
-	cfg := OperatorConfig{
+	return buildBlockingOp(t, nav, OperatorConfig{
 		Name:    name,
 		Inputs:  []string{"power"},
 		Outputs: []string{"block-" + name},
 		Unit:    "/r0/n0/",
-	}
+	}, dur)
+}
+
+// newParallelBlockingOp builds a parallel blocking operator with one
+// unit per node of testEnv.
+func newParallelBlockingOp(t testing.TB, nav *navigator.Navigator, name string, dur time.Duration) *blockingOp {
+	t.Helper()
+	return buildBlockingOp(t, nav, OperatorConfig{
+		Name:     name,
+		Inputs:   []string{"power"},
+		Outputs:  []string{"<bottomup>block-" + name},
+		Parallel: true,
+	}, dur)
+}
+
+func buildBlockingOp(t testing.TB, nav *navigator.Navigator, cfg OperatorConfig, dur time.Duration) *blockingOp {
+	t.Helper()
 	base, err := cfg.Build("blocktest", nav)
 	if err != nil {
 		t.Fatal(err)
@@ -50,11 +90,24 @@ func newBlockingOp(t testing.TB, nav *navigator.Navigator, name string, dur time
 	return &blockingOp{Base: base, dur: dur}
 }
 
-func registerOpList(t *testing.T, plugin string, ops ...Operator) {
+var pluginSeq atomic.Int64
+
+// uniquePlugin suffixes name with a per-process counter. The plugin
+// registry is process-wide and refuses a name twice, so a test that
+// registers a plugin uses a fresh name on every run (go test -count=N).
+func uniquePlugin(name string) string {
+	return fmt.Sprintf("%s-%d", name, pluginSeq.Add(1))
+}
+
+// registerOpList registers a plugin producing ops under a fresh name
+// derived from plugin, and returns that name.
+func registerOpList(t *testing.T, plugin string, ops ...Operator) string {
 	t.Helper()
-	RegisterPlugin(plugin, func(json.RawMessage, *QueryEngine, Env) ([]Operator, error) {
+	name := uniquePlugin(plugin)
+	RegisterPlugin(name, func(json.RawMessage, *QueryEngine, Env) ([]Operator, error) {
 		return ops, nil
 	})
+	return name
 }
 
 // TestTickAllJoinsErrors verifies that TickAll reports every failing
@@ -80,10 +133,10 @@ func TestTickAllJoinsErrors(t *testing.T) {
 		}
 		ops = append(ops, &avgOperator{Base: base})
 	}
-	registerOpList(t, "jointest", ops...)
+	plugin := registerOpList(t, "jointest", ops...)
 	m := NewManager(qe, NewCacheSink(caches, nav, 16, time.Second), Env{})
 	t.Cleanup(m.Close)
-	if err := m.LoadPlugin("jointest", nil); err != nil {
+	if err := m.LoadPlugin(plugin, nil); err != nil {
 		t.Fatal(err)
 	}
 	err := m.TickAll(time.Unix(1, 0))
@@ -131,18 +184,18 @@ func TestTickJoinsUnitErrors(t *testing.T) {
 }
 
 // TestTickAllDispatchesConcurrently verifies that independent operators
-// overlap during TickAll once the pool has capacity for them.
+// overlap during TickAll once the bound has room for them.
 func TestTickAllDispatchesConcurrently(t *testing.T) {
 	nav, caches, _, qe := testEnv(t)
 	var ops []Operator
 	for _, name := range []string{"conc0", "conc1", "conc2", "conc3"} {
 		ops = append(ops, newBlockingOp(t, nav, name, 10*time.Millisecond))
 	}
-	registerOpList(t, "conctest", ops...)
+	plugin := registerOpList(t, "conctest", ops...)
 	m := NewManager(qe, NewCacheSink(caches, nav, 16, time.Second), Env{})
 	t.Cleanup(m.Close)
 	m.SetThreads(4)
-	if err := m.LoadPlugin("conctest", nil); err != nil {
+	if err := m.LoadPlugin(plugin, nil); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
@@ -151,7 +204,7 @@ func TestTickAllDispatchesConcurrently(t *testing.T) {
 	}
 	elapsed := time.Since(start)
 	// Sequential execution would need >= 40ms; concurrent dispatch on a
-	// 4-thread pool needs barely more than 10ms. The generous bound keeps
+	// bound of 4 needs barely more than 10ms. The generous bound keeps
 	// the test robust on loaded CI machines.
 	if elapsed >= 35*time.Millisecond {
 		t.Errorf("TickAll of 4 blocking operators took %v; expected concurrent dispatch well under 35ms", elapsed)
@@ -164,11 +217,11 @@ func TestTickAllDispatchesConcurrently(t *testing.T) {
 func TestNoOverlappingTicksPerOperator(t *testing.T) {
 	nav, caches, _, qe := testEnv(t)
 	op := newBlockingOp(t, nav, "serial", time.Millisecond)
-	registerOpList(t, "serialtest", op)
+	plugin := registerOpList(t, "serialtest", op)
 	m := NewManager(qe, NewCacheSink(caches, nav, 16, time.Second), Env{})
 	t.Cleanup(m.Close)
 	m.SetThreads(4)
-	if err := m.LoadPlugin("serialtest", nil); err != nil {
+	if err := m.LoadPlugin(plugin, nil); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -254,10 +307,10 @@ func TestManagerStartStopStatusRace(t *testing.T) {
 		}
 		ops = append(ops, &avgOperator{Base: base})
 	}
-	registerOpList(t, "racetest", ops...)
+	plugin := registerOpList(t, "racetest", ops...)
 	m := NewManager(qe, NewCacheSink(caches, nav, 16, time.Second), Env{})
 	t.Cleanup(m.Close)
-	if err := m.LoadPlugin("racetest", nil); err != nil {
+	if err := m.LoadPlugin(plugin, nil); err != nil {
 		t.Fatal(err)
 	}
 	m.Start()
@@ -301,7 +354,7 @@ func TestManagerStartStopStatusRace(t *testing.T) {
 }
 
 // TestManagerThreadsConfig verifies the `threads` knob: SetThreads and the
-// Config field both resize the pool.
+// Config field both set the bound.
 func TestManagerThreadsConfig(t *testing.T) {
 	_, caches, _, qe := testEnv(t)
 	m := NewManager(qe, NewCacheSink(caches, qe.Navigator(), 16, time.Second), Env{})
@@ -322,5 +375,69 @@ func TestManagerThreadsConfig(t *testing.T) {
 	}
 	if st := m.SchedulerStats(); st.Threads != 2 {
 		t.Fatalf("SchedulerStats.Threads = %d, want 2", st.Threads)
+	}
+}
+
+// TestThreadsBoundHoldsAfterClose: four 10 ms operators ticked together
+// on SetThreads(2) never compute more than two at once, and Close leaves
+// that bound in force for ticks that come after it.
+func TestThreadsBoundHoldsAfterClose(t *testing.T) {
+	nav, caches, _, qe := testEnv(t)
+	m := NewManager(qe, NewCacheSink(caches, nav, 16, time.Second), Env{})
+	m.SetThreads(2)
+	var all gauge
+	for i := 0; i < 4; i++ {
+		op := newBlockingOp(t, nav, fmt.Sprintf("bound%d", i), 10*time.Millisecond)
+		op.shared = func(time.Time) *gauge { return &all }
+		if err := m.AdoptOperator(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, closed := range []bool{false, true} {
+		if closed {
+			m.Close()
+		}
+		all.peak.Store(0)
+		if err := m.TickAll(time.Unix(1, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if p := all.peak.Load(); p > 2 {
+			t.Errorf("closed=%v: %d computations ran at once on SetThreads(2)", closed, p)
+		}
+	}
+}
+
+// TestStopWaitsForRunningTick: Close, caught in the middle of a wall-clock
+// tick, returns only once that tick is over, so nothing computes or
+// reaches the sink after it — the host may close what the sink writes to.
+func TestStopWaitsForRunningTick(t *testing.T) {
+	nav, _, _, qe := testEnv(t)
+	var closed, late atomic.Bool
+	sink := SinkFunc(func([]Output) {
+		if closed.Load() {
+			late.Store(true)
+		}
+	})
+	m := NewManager(qe, sink, Env{})
+	op := buildBlockingOp(t, nav, OperatorConfig{
+		Name:       "slow",
+		Inputs:     []string{"power"},
+		Outputs:    []string{"block-slow"},
+		Unit:       "/r0/n0/",
+		IntervalMs: 10,
+	}, 200*time.Millisecond)
+	if err := m.AdoptOperator(op); err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	waitFor(t, "a tick to start computing", func() bool { return op.active.Load() > 0 })
+	m.Close()
+	closed.Store(true)
+	if n := op.active.Load(); n != 0 {
+		t.Errorf("%d computations still running when Close returned", n)
+	}
+	time.Sleep(250 * time.Millisecond)
+	if late.Load() {
+		t.Error("a tick pushed into the sink after Close returned")
 	}
 }

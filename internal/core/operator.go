@@ -64,7 +64,7 @@ type SinkFunc func(outs []Output)
 // PushBatch calls f(outs).
 func (f SinkFunc) PushBatch(outs []Output) { f(outs) }
 
-// TickContext carries reusable scratch buffers for one worker's unit
+// TickContext carries reusable scratch buffers for a run of unit
 // computations, eliminating the per-unit-per-tick heap churn of building
 // fresh reading and output slices in every computation. The tick path
 // hands each computation a pooled context; Compute implementations slice
@@ -87,20 +87,18 @@ type TickContext struct {
 }
 
 // tickCtxPool recycles contexts across ticks. sync.Pool gives effectively
-// per-P caching, so steady-state workers keep reusing their own grown
-// buffers without cross-worker contention.
+// per-P caching, so steady-state computations keep reusing grown buffers
+// without contending for them.
 var tickCtxPool = sync.Pool{New: func() any { return new(TickContext) }}
 
 func getTickContext() *TickContext   { return tickCtxPool.Get().(*TickContext) }
 func putTickContext(tc *TickContext) { tickCtxPool.Put(tc) }
 
-// tickBuf gathers one operator tick's outputs in unit order, copied out
-// of the units' contexts, so that the sink receives the tick as one
-// batch. The parallel path copies unit i's outputs into slots[i] and
-// concatenates the slots once every unit is done.
+// tickBuf gathers a sequential operator tick's outputs in unit order,
+// copied out of the context the units share, so that the sink receives
+// the tick as one batch.
 type tickBuf struct {
-	outs  []Output
-	slots [][]Output
+	outs []Output
 }
 
 var tickBufPool = sync.Pool{New: func() any { return new(tickBuf) }}
@@ -214,99 +212,79 @@ func (b *Base) FindUnit(name sensor.Topic) (*units.Unit, bool) {
 // Unit failures do not stop other units, matching the isolation expected
 // between independent per-unit models: a failing unit's outputs are still
 // delivered, and all errors are aggregated with errors.Join so no failure
-// is lost.
+// is lost. Tick runs under no bound; a Manager's ticks run under its
+// Scheduler.
 func Tick(op Operator, qe *QueryEngine, sink Sink, now time.Time) error {
-	return tickScheduled(op, qe, sink, now, nil)
+	return tickBounded(op, qe, sink, now, nil)
 }
 
-// tickScheduled is Tick with Prepare and the computations executed on a
-// Scheduler's worker pool (see computeUnits). It must not be called from
-// inside a task running on the same scheduler: it waits for the tasks it
-// submits, which would deadlock a fully occupied pool.
-func tickScheduled(op Operator, qe *QueryEngine, sink Sink, now time.Time, sched *Scheduler) error {
+// tickBounded is Tick with Prepare and every computation holding a slot
+// of sched (see computeUnits).
+func tickBounded(op Operator, qe *QueryEngine, sink Sink, now time.Time, sched *Scheduler) error {
 	if err := prepare(op, qe, now, sched); err != nil {
 		return err
 	}
 	return computeUnits(op, qe, sink, now, sched, op.Units())
 }
 
-// prepare runs op's Prepare, if it has one, as one pooled task.
+// prepare runs op's Prepare, if it has one, holding one slot of sched.
 func prepare(op Operator, qe *QueryEngine, now time.Time, sched *Scheduler) error {
 	p, ok := op.(Preparer)
 	if !ok {
 		return nil
 	}
-	var err error
-	if sched != nil {
-		sched.Do(func() { err = p.Prepare(qe, now) })
-	} else {
-		err = p.Prepare(qe, now)
-	}
-	if err != nil {
+	sched.acquire()
+	defer sched.release()
+	if err := p.Prepare(qe, now); err != nil {
 		return fmt.Errorf("core: %s: prepare: %w", op.Name(), err)
 	}
 	return nil
 }
 
 // computeUnits is the one loop that runs an operator's Compute, for ticks
-// and on-demand calls alike: the whole sequential unit loop runs as one
-// pooled task preserving unit order, while parallel units fan out as one
-// pooled task each, bounded by the pool size, each copying its outputs
-// into its own slot; the slots are joined in unit order once all are
-// done, and the sink receives them as one PushBatch. A nil scheduler runs
-// sequential units inline and parallel units on one goroutine per unit.
+// and on-demand calls alike. A sequential operator's unit loop runs on
+// the calling goroutine, in unit order, holding one slot of sched. A
+// parallel operator's units run on one goroutine each, each holding one
+// slot while it computes and keeping a copy of its outputs; the copies
+// are joined in unit order once all are done. Either way the sink
+// receives the tick as one PushBatch.
 func computeUnits(op Operator, qe *QueryEngine, sink Sink, now time.Time, sched *Scheduler, us []*units.Unit) error {
 	if !op.Parallel() {
-		if sched == nil {
-			return tickSequential(op, qe, sink, now, us)
-		}
-		var err error
-		sched.Do(func() { err = tickSequential(op, qe, sink, now, us) })
-		return err
+		sched.acquire()
+		defer sched.release()
+		return tickSequential(op, qe, sink, now, us)
 	}
-	tb := tickBufPool.Get().(*tickBuf)
-	defer tickBufPool.Put(tb)
-	var wg sync.WaitGroup
+	slots := make([][]Output, len(us))
 	errs := make([]error, len(us))
-	for len(tb.slots) < len(us) {
-		tb.slots = append(tb.slots, nil)
-	}
+	var wg sync.WaitGroup
 	for i, u := range us {
 		wg.Add(1)
-		task := func(i int, u *units.Unit) func() {
-			return func() {
-				defer wg.Done()
-				tc := getTickContext()
-				outs, err := op.Compute(qe, u, now, tc)
-				if err != nil {
-					errs[i] = fmt.Errorf("core: %s: unit %s: %w", op.Name(), u.Name, err)
-				}
-				tb.slots[i] = append(tb.slots[i][:0], outs...)
-				putTickContext(tc)
-			}
-		}(i, u)
-		if sched != nil {
-			sched.Submit(task)
-		} else {
-			go task()
-		}
+		go func() {
+			defer wg.Done()
+			sched.acquire()
+			defer sched.release()
+			slots[i], errs[i] = computeUnit(op, qe, u, now)
+		}()
 	}
 	wg.Wait()
-	n := 0
-	for _, outs := range tb.slots[:len(us)] {
-		n += len(outs)
-	}
-	tb.outs = slices.Grow(tb.outs[:0], n)
-	for _, outs := range tb.slots[:len(us)] {
-		tb.outs = append(tb.outs, outs...)
-	}
-	sink.PushBatch(tb.outs)
+	sink.PushBatch(slices.Concat(slots...))
 	return errors.Join(errs...)
 }
 
+// computeUnit computes one unit on a context of its own and returns a
+// copy of the outputs, which may alias the context.
+func computeUnit(op Operator, qe *QueryEngine, u *units.Unit, now time.Time) ([]Output, error) {
+	tc := getTickContext()
+	defer putTickContext(tc)
+	outs, err := op.Compute(qe, u, now, tc)
+	if err != nil {
+		err = fmt.Errorf("core: %s: unit %s: %w", op.Name(), u.Name, err)
+	}
+	return append([]Output(nil), outs...), err
+}
+
 // tickSequential computes the units in order on one context and hands
-// the sink their outputs as one batch. It is a plain function, not a
-// closure, so that a tick without a scheduler allocates nothing once the
+// the sink their outputs as one batch. It allocates nothing once the
 // pools are warm; the gather buffer starts at one output per unit, so a
 // fresh one costs one allocation, not one per doubling.
 func tickSequential(op Operator, qe *QueryEngine, sink Sink, now time.Time, us []*units.Unit) error {

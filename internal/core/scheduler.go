@@ -2,145 +2,83 @@ package core
 
 import (
 	"runtime"
-	"sync"
+	"sync/atomic"
 )
 
-// Scheduler is the bounded worker pool that executes operator computations
-// for a Manager. It mirrors the `threads` boost::asio pool of the DCDB
-// Wintermute operator manager (paper §V-A): every plugin shares one pool
-// sized by the `threads` configuration knob, so thousands of sensors and
-// dozens of operators per node cannot oversubscribe the host's cores —
-// monitoring overhead stays bounded no matter how much analytics is loaded.
+// Scheduler bounds how many operator computations of a Manager run at
+// once. It mirrors the `threads` pool of the DCDB Wintermute operator
+// manager (paper §V-A): every plugin shares one bound sized by the
+// `threads` configuration knob, so thousands of sensors and dozens of
+// operators per node cannot oversubscribe the host's cores — monitoring
+// overhead stays bounded no matter how much analytics is loaded.
 //
-// Tasks are closures; the pool makes no fairness guarantees beyond FIFO
-// dispatch. Workers are started lazily on first use, so idle managers (for
-// example managers hosting only on-demand operators) cost nothing.
-//
-// A task must never block on the completion of another task submitted to
-// the same scheduler: with every worker waiting, neither task could run.
-// The Manager upholds this by keeping coordination (per-operator fan-out
-// and joins) on plain goroutines and pushing only leaf computations into
-// the pool.
+// It is a counting semaphore, not a pool: a computation takes a slot on
+// the goroutine that already has it, runs there, and gives the slot back.
+// Nothing runs while holding a slot that waits for another slot, so the
+// bound cannot deadlock. A nil *Scheduler bounds nothing.
 type Scheduler struct {
-	threads int
-
-	mu        sync.Mutex
-	cond      *sync.Cond
-	queue     []func()
-	active    int
-	completed uint64
-	started   bool
-	closed    bool
+	slots     chan struct{}
+	queued    atomic.Int64
+	completed atomic.Uint64
 }
 
-// SchedulerStats is a point-in-time snapshot of pool state, exposed
+// SchedulerStats is a point-in-time snapshot of the bound, exposed
 // through Manager.SchedulerStats and the REST /status endpoint.
 type SchedulerStats struct {
-	// Threads is the fixed size of the worker pool.
+	// Threads is the bound: how many computations may run at once.
 	Threads int `json:"threads"`
-	// Queued counts tasks waiting for a free worker.
+	// Queued counts computations waiting for a slot.
 	Queued int `json:"queued"`
-	// Active counts tasks currently executing.
+	// Active counts computations holding a slot.
 	Active int `json:"active"`
-	// Completed counts tasks finished since the scheduler was created.
+	// Completed counts computations finished since the scheduler was
+	// created.
 	Completed uint64 `json:"completed"`
 }
 
-// NewScheduler creates a pool of the given size. A non-positive size
+// NewScheduler creates a bound of the given size. A non-positive size
 // selects the default, runtime.GOMAXPROCS(0).
 func NewScheduler(threads int) *Scheduler {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	s := &Scheduler{threads: threads}
-	s.cond = sync.NewCond(&s.mu)
-	return s
+	return &Scheduler{slots: make(chan struct{}, threads)}
 }
 
-// Threads returns the pool size.
-func (s *Scheduler) Threads() int { return s.threads }
+// Threads returns the bound.
+func (s *Scheduler) Threads() int { return cap(s.slots) }
 
-// Submit enqueues a task for execution by the pool. It never blocks: the
-// queue is unbounded, so producers (ticker loops, TickAll fan-out) are
-// throttled only by the pool draining work, not by submission. Submitting
-// to a closed scheduler runs the task synchronously on the caller, so late
-// ticks during shutdown still complete rather than vanishing.
-func (s *Scheduler) Submit(f func()) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		f()
+// acquire blocks until the caller holds a slot.
+func (s *Scheduler) acquire() {
+	if s == nil {
 		return
 	}
-	if !s.started {
-		s.started = true
-		for i := 0; i < s.threads; i++ {
-			go s.worker()
-		}
+	select {
+	case s.slots <- struct{}{}:
+		return
+	default:
 	}
-	s.queue = append(s.queue, f)
-	s.mu.Unlock()
-	s.cond.Signal()
+	s.queued.Add(1)
+	s.slots <- struct{}{}
+	s.queued.Add(-1)
 }
 
-// Do submits a task and waits for it to finish. Callers must not invoke Do
-// from inside a pool task (see the type comment).
-func (s *Scheduler) Do(f func()) {
-	done := make(chan struct{})
-	s.Submit(func() {
-		defer close(done)
-		f()
-	})
-	<-done
-}
-
-// Close stops the pool: queued tasks are drained, then workers exit.
-// Subsequent Submit calls degrade to synchronous execution.
-func (s *Scheduler) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+// release gives back a slot taken by acquire and counts the computation
+// as completed.
+func (s *Scheduler) release() {
+	if s == nil {
 		return
 	}
-	s.closed = true
-	s.mu.Unlock()
-	s.cond.Broadcast()
+	<-s.slots
+	s.completed.Add(1)
 }
 
-// Stats returns a snapshot of the pool state.
+// Stats returns a snapshot of the bound.
 func (s *Scheduler) Stats() SchedulerStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return SchedulerStats{
-		Threads:   s.threads,
-		Queued:    len(s.queue),
-		Active:    s.active,
-		Completed: s.completed,
-	}
-}
-
-func (s *Scheduler) worker() {
-	s.mu.Lock()
-	for {
-		for len(s.queue) == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if len(s.queue) == 0 {
-			// Closed and drained.
-			s.mu.Unlock()
-			return
-		}
-		f := s.queue[0]
-		s.queue[0] = nil
-		s.queue = s.queue[1:]
-		if len(s.queue) == 0 {
-			s.queue = nil // release the drained backing array
-		}
-		s.active++
-		s.mu.Unlock()
-		f()
-		s.mu.Lock()
-		s.active--
-		s.completed++
+		Threads:   cap(s.slots),
+		Queued:    int(s.queued.Load()),
+		Active:    len(s.slots),
+		Completed: s.completed.Load(),
 	}
 }

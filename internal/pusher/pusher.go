@@ -34,31 +34,12 @@ type Config struct {
 	// MQTTAddr is the Collect Agent broker address; empty disables
 	// forwarding (standalone operation).
 	MQTTAddr string
-	// Spool > 0 forwards with at-least-once delivery: up to Spool
-	// batches are held in an in-memory spool, streamed to the broker as
-	// acknowledged PUBLISH frames, and redelivered after reconnects.
-	// 0 forwards at most once: nothing is retained, and batches sampled
-	// while the broker is unreachable are dropped and counted.
-	Spool int
-	// SpoolDir, with Spool, adds on-disk overflow: batches beyond the
-	// in-memory high-water mark spill to a file there, and Close
-	// persists whatever the broker never acknowledged so the next run
-	// (same SpoolDir) replays it.
-	SpoolDir string
-	// AckTimeout bounds broker-acknowledgement waits (0: the transport
-	// default, 5s).
-	AckTimeout time.Duration
-	// RetryMin and RetryMax bound the client's reconnect
-	// backoff (0: transport defaults, 50ms and 2s).
-	RetryMin time.Duration
-	// RetryMax is the reconnect backoff ceiling (see RetryMin).
-	RetryMax time.Duration
-	// DrainTimeout bounds how long Close waits for the spool to drain
-	// (0: the transport default, 5s).
-	DrainTimeout time.Duration
-	// Threads sizes the Wintermute worker pool executing operator
-	// computations (0: runtime.GOMAXPROCS).
-	Threads int
+	// Transport configures the broker client when MQTTAddr is set.
+	// Transport.SpoolBatches > 0 forwards with at-least-once delivery
+	// (an acknowledged, redelivered spool, spilling to SpoolDir when
+	// set); 0 forwards at most once, dropping and counting what is
+	// sampled while the broker is unreachable.
+	Transport transport.Options
 	// Env is handed to Wintermute plugin configurators.
 	Env core.Env
 	// Metrics receives the pusher's delivery telemetry (spool depth,
@@ -106,7 +87,7 @@ func New(cfg Config) (*Pusher, error) {
 		sink:   sink,
 	}
 	if cfg.MQTTAddr != "" {
-		client, err := dialBroker(cfg)
+		client, err := transport.DialOptions(cfg.MQTTAddr, cfg.Transport)
 		if err != nil {
 			return nil, fmt.Errorf("pusher: connecting to broker: %w", err)
 		}
@@ -119,23 +100,7 @@ func New(cfg Config) (*Pusher, error) {
 		p.registerClientMetrics(cfg.Metrics)
 	}
 	p.Manager = core.NewManager(qe, sink, cfg.Env)
-	if cfg.Threads > 0 {
-		p.Manager.SetThreads(cfg.Threads)
-	}
 	return p, nil
-}
-
-// dialBroker connects to the Collect Agent; Config.Spool picks the
-// client's retention policy.
-func dialBroker(cfg Config) (*transport.Client, error) {
-	return transport.DialOptions(cfg.MQTTAddr, transport.Options{
-		SpoolBatches: cfg.Spool,
-		SpoolDir:     cfg.SpoolDir,
-		AckTimeout:   cfg.AckTimeout,
-		RetryMin:     cfg.RetryMin,
-		RetryMax:     cfg.RetryMax,
-		DrainTimeout: cfg.DrainTimeout,
-	})
 }
 
 // registerClientMetrics exposes the broker client's delivery state; reg
@@ -259,8 +224,8 @@ func (p *Pusher) sampleLoop(s samplers.Sampler, stop chan struct{}) {
 	}
 }
 
-// Stop halts the sampling loops and the operator loops. The pusher keeps
-// its worker pool and broker connection: Start may follow.
+// Stop halts the sampling loops and the operator loops, waiting for
+// both. The pusher keeps its broker connection: Start may follow.
 func (p *Pusher) Stop() {
 	p.mu.Lock()
 	if !p.running {
@@ -278,10 +243,11 @@ func (p *Pusher) Stop() {
 }
 
 // Close stops the pusher, then releases what it holds, once, whether or
-// not Start ran: the Wintermute worker pool, the delivery metrics and the
-// broker connection. At QoS 1 the client drains its spool first (bounded
-// by DrainTimeout) and persists the remainder when SpoolDir is set; the
-// error reports batches it could neither deliver nor persist.
+// not Start ran: the Wintermute manager's telemetry, the delivery metrics
+// and the broker connection. At QoS 1 the client drains its spool first
+// (bounded by Transport.DrainTimeout) and persists the remainder when
+// Transport.SpoolDir is set; the error reports batches it could neither
+// deliver nor persist.
 func (p *Pusher) Close() error {
 	p.Stop()
 	p.mu.Lock()

@@ -12,6 +12,7 @@ import (
 	"github.com/dcdb/wintermute/internal/sim/hardware"
 	"github.com/dcdb/wintermute/internal/sim/workload"
 	"github.com/dcdb/wintermute/internal/telemetry"
+	"github.com/dcdb/wintermute/internal/transport"
 )
 
 func TestStandalonePusherSampling(t *testing.T) {
@@ -138,7 +139,7 @@ func TestCloseNeverStartedPusher(t *testing.T) {
 		v, _ := reg.Value("dcdb_broker_connections")
 		return v
 	}
-	p, err := New(Config{MQTTAddr: agent.Addr(), Spool: 8})
+	p, err := New(Config{MQTTAddr: agent.Addr(), Transport: transport.Options{SpoolBatches: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +159,9 @@ func TestCloseNeverStartedPusher(t *testing.T) {
 	}
 }
 
-// TestStopThenStartKeepsPool: Stop leaves the Wintermute worker pool up,
-// so after Stop and Start an operator's tick still runs on it.
+// TestStopThenStartKeepsPool: Stop leaves the Wintermute computation
+// bound in place, so after Stop and Start an operator's tick still runs
+// under it.
 func TestStopThenStartKeepsPool(t *testing.T) {
 	p, err := New(Config{})
 	if err != nil {
@@ -186,7 +188,7 @@ func TestStopThenStartKeepsPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after := p.Manager.SchedulerStats().Completed; after <= before {
-		t.Fatalf("pool completed %d tasks before the tick and %d after: the tick did not run on the pool", before, after)
+		t.Fatalf("the bound completed %d computations before the tick and %d after: the tick did not run under it", before, after)
 	}
 }
 
@@ -208,10 +210,9 @@ func TestSpoolingPusherDelivers(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	p, err := New(Config{
-		MQTTAddr: agent.Addr(),
-		Spool:    64,
-		SpoolDir: t.TempDir(),
-		Metrics:  reg,
+		MQTTAddr:  agent.Addr(),
+		Transport: transport.Options{SpoolBatches: 64, SpoolDir: t.TempDir()},
+		Metrics:   reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +268,7 @@ func TestQoS0PusherCountsDrops(t *testing.T) {
 	defer agent.Close()
 
 	reg := telemetry.NewRegistry()
-	p, err := New(Config{MQTTAddr: agent.Addr(), Metrics: reg, RetryMin: 5 * time.Millisecond})
+	p, err := New(Config{MQTTAddr: agent.Addr(), Metrics: reg, Transport: transport.Options{RetryMin: 5 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
