@@ -39,13 +39,16 @@ test:
 # caches, the bound-handle/scratch-arena tick path and the tsdb
 # ingest/flush paths. The second leg repeats core's bound and manager
 # tests five times: their interleavings (a bound swapped mid-tick, a
-# Close mid-tick) differ run to run. The third runs the root-package
-# benchmark suite one iteration under the race detector: the paired
-# contention workloads exercise cross-goroutine interleavings the unit
-# tests cannot reach.
+# Close mid-tick) differ run to run. The third repeats the store's WAL
+# tests five times for the same reason: which writer runs the shared
+# fsync, and who writes while it runs, differ run to run. The fourth
+# runs the root-package benchmark suite one iteration under the race
+# detector: the paired contention workloads exercise cross-goroutine
+# interleavings the unit tests cannot reach.
 race:
 	$(GO) test -race -count=1 ./internal/...
 	$(GO) test -race -count=5 -run 'Scheduler|Tick|Threads|OnDemand|Manager' ./internal/core
+	$(GO) test -race -count=5 -run 'GroupCommit|ConcurrentWriters|OrderedShutdown|FsyncStall|DiskFull|RetiredWAL|WALDegrade|WALFailure' ./internal/tsdb
 	$(GO) test -race -run '^$$' -bench . -benchtime 1x .
 
 # Short benchmark run over the micro-benches no `go run ./bench` rung

@@ -749,8 +749,9 @@ func benchIngestConcurrent(b *testing.B, writers int, walSync bool) {
 }
 
 // BenchmarkIngestConcurrentGrouped: writers encode outside the lock and
-// share one write + one fsync per commit cohort, and head resolution
-// touches only the topic's shard.
+// make one WAL write per batch; with sync on they share each fsync with
+// every writer that wrote before it started. Head resolution touches only
+// the topic's shard.
 func BenchmarkIngestConcurrentGrouped(b *testing.B) {
 	for _, writers := range []int{2, 16, 64} {
 		for _, walSync := range []bool{false, true} {

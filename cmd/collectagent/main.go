@@ -41,7 +41,7 @@ func main() {
 		retention  = flag.Duration("retention", 180*time.Second, "sensor cache retention")
 		storeDir   = flag.String("store-dir", "./data", "storage backend directory (WAL + segments)")
 		storeRet   = flag.Duration("store-retention", 0, "storage backend retention window (0: keep forever)")
-		storeSync  = flag.Bool("store-wal-sync", false, "fsync the storage WAL on every group commit")
+		storeSync  = flag.Bool("store-wal-sync", false, "acknowledge an insert only after an fsync of the storage WAL covers it")
 		configPath = flag.String("config", "", "Wintermute plugin configuration (JSON)")
 		threads    = flag.Int("threads", 0, "Wintermute computations run at once (0: GOMAXPROCS)")
 		rcSize     = flag.Int("result-cache-size", 4096, "query result cache entries (0: disable memoization)")

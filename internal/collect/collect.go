@@ -46,9 +46,9 @@ type Config struct {
 	StoreDir string
 	// StoreRetention is the time window the backend keeps (0 = forever).
 	StoreRetention time.Duration
-	// StoreWALSync fsyncs the tsdb write-ahead log on every group commit
-	// (durability against OS crashes; the fsync is amortized across all
-	// concurrently-ingesting connections).
+	// StoreWALSync acknowledges an insert only after an fsync of the tsdb
+	// write-ahead log covers it (durability against OS crashes; one fsync
+	// is shared by all concurrently-ingesting connections).
 	StoreWALSync bool
 	// StoreFS, when set, replaces the storage backend's filesystem
 	// (tsdb.Options.FS). Nil selects the real one; the chaos harness

@@ -27,12 +27,12 @@ type Options struct {
 	// FlushEvery is the janitor pass interval (default 10s; negative
 	// disables the janitor entirely — tests drive Flush/Prune manually).
 	FlushEvery time.Duration
-	// WALSync fsyncs the write-ahead log on every group commit. Off by
-	// default: an OS crash may then lose the last moments of data, but a
-	// process kill loses nothing, matching the paper's "near-line"
-	// durability needs at a fraction of the insert cost. With group
-	// commit the fsync is amortized across every concurrently-inserting
-	// writer, so the cost no longer scales with writer count.
+	// WALSync makes an insert return only after an fsync of the
+	// write-ahead log covers it. Off by default: an OS crash may then lose
+	// the last moments of data, but a process kill loses nothing, matching
+	// the paper's "near-line" durability needs at a fraction of the insert
+	// cost. One fsync covers every writer that wrote before it started, so
+	// the cost does not scale with writer count.
 	WALSync bool
 	// OnPrune, when set, runs after every retention pass that hid or
 	// removed data, with the cutoff and the count of readings removed.
@@ -47,7 +47,7 @@ type Options struct {
 	// fault-injecting implementation here; production code never sets it.
 	FS FS
 	// Metrics, when set, registers the DB's telemetry families (WAL
-	// cohort/commit histograms, flush/prune/janitor durations,
+	// write/fsync histograms, flush/prune/janitor durations,
 	// head/segment gauges, chunk-decode counter) in the given registry.
 	// Nil leaves the DB uninstrumented at near-zero cost: hot paths
 	// still run their metric calls, against unattached metrics.
@@ -93,7 +93,6 @@ func headShardIdx(topic sensor.Topic) uint32 {
 //lint:lockorder DB.flushMu < DB.ingest < DB.mu < headShard.mu
 //lint:lockorder DB.mu < wal.mu
 //lint:lockorder DB.ingest < wal.mu
-//lint:lockorder DB.ingest < DB.walErrMu
 //lint:lockorder DB.ingest < topicIndex.mu < DB.mu
 type DB struct {
 	dir  string
@@ -137,20 +136,14 @@ type DB struct {
 	// unsealing: what a head holds for its topic does not change.
 	epoch uint64
 
+	// wal holds the sticky WAL failure too: once a write or sync fails
+	// the DB keeps serving from memory and reports itself degraded
+	// through Stats and Close until a flush re-arms it.
 	wal *wal
-	// walErr is the first WAL append failure (sticky): once set, the DB
-	// keeps serving from memory but reports itself degraded through
-	// Stats and Close. walDegraded mirrors it so the insert fast path
-	// checks one atomic instead of taking a mutex per batch.
-	walErrMu    sync.Mutex
-	walErr      error
-	walDegraded atomic.Bool
 	// flushErr is the most recent flush failure (sticky until a flush
 	// succeeds): disk-full or a dead device keeps head data memory-only,
 	// and operators see it in Stats instead of only in janitor stderr.
-	// Guarded by walErrMu — both stickies describe the same "durability
-	// lost" condition.
-	flushErr error
+	flushErr atomic.Pointer[error]
 
 	// idx is the sorted prefix table over live topics answering wildcard
 	// expansion in O(matches): built from the recovered topic set at
@@ -210,6 +203,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		fs:    fs,
 		segs:  segs,
 		floor: loadFloor(fs, dir),
+		wal:   newWAL(fs, walDir, opts.WALSync),
 		lock:  lock,
 		idx:   newTopicIndex(),
 	}
@@ -217,6 +211,17 @@ func Open(dir string, opts Options) (*DB, error) {
 		db.shards[i].heads = make(map[sensor.Topic]*head)
 	}
 	db.metrics = newDBMetrics(opts.Metrics, db)
+	db.wal.m = db.metrics
+	// fail undoes a recovery that cannot finish: every file it opened is
+	// closed again.
+	fail := func(err error) (*DB, error) {
+		for _, s := range segs {
+			s.close()
+		}
+		db.metrics.closeMetrics()
+		lock.Close()
+		return nil, err
+	}
 	for _, s := range segs {
 		s.decodes = db.metrics.chunkDecodes
 	}
@@ -243,9 +248,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	walFiles, err := listWAL(fs, walDir)
 	if err != nil {
-		db.metrics.closeMetrics()
-		lock.Close()
-		return nil, err
+		return fail(err)
 	}
 	maxWALSeq := coveredWAL
 	for _, wf := range walFiles {
@@ -272,9 +275,7 @@ func Open(dir string, opts Options) (*DB, error) {
 			db.insertHead(topic, rs)
 			db.headN.Add(int64(len(rs)))
 		}); err != nil {
-			db.metrics.closeMetrics()
-			lock.Close()
-			return nil, fmt.Errorf("tsdb: replaying %s: %w", wf.path, err)
+			return fail(fmt.Errorf("tsdb: replaying %s: %w", wf.path, err))
 		}
 		if wf.seq > maxWALSeq {
 			maxWALSeq = wf.seq
@@ -286,13 +287,10 @@ func Open(dir string, opts Options) (*DB, error) {
 	// Recovery: seed the prefix index with every live topic (segments +
 	// replayed heads), so wildcard expansion answers right after restart.
 	db.idx.ResetWith(db.Topics)
-	db.wal, err = newWAL(fs, walDir, maxWALSeq+1, opts.WALSync)
-	if err != nil {
-		db.metrics.closeMetrics()
-		lock.Close()
-		return nil, err
+	if db.wal.f, err = db.wal.create(maxWALSeq + 1); err != nil {
+		return fail(err)
 	}
-	db.wal.m = db.metrics
+	db.wal.seq = maxWALSeq + 1
 	db.metrics.recoverySec.Set(time.Since(openStart).Seconds())
 	if opts.FlushEvery > 0 {
 		db.janitorStop = make(chan struct{})
@@ -331,10 +329,10 @@ func (db *DB) InsertBatch(topic sensor.Topic, rs []sensor.Reading) {
 }
 
 // InsertBatches logs and buffers a burst of batches: their WAL records
-// go out in one staged group-commit write under one shared ingest lock,
-// then each batch takes its head shard's lock. Concurrent bursts share a
-// single WAL write (+ fsync) and never touch a common lock beyond the
-// shared ingest read-lock. When the call returns every batch is in its
+// go out in one write under one shared ingest lock, then each batch takes
+// its head shard's lock. Concurrent bursts share an fsync under
+// Options.WALSync and never touch a common lock beyond the shared ingest
+// read-lock and the WAL's own. When the call returns every batch is in its
 // head and, unless the WAL is degraded, in the WAL (fsynced under
 // Options.WALSync) — exactly what a returned InsertBatch per element
 // would mean.
@@ -348,18 +346,12 @@ func (db *DB) InsertBatches(bs []store.Batch) {
 	}
 	db.ingest.RLock()
 	defer db.ingest.RUnlock()
-	if !db.walDegraded.Load() {
-		// A failing WAL (disk full, dead device) must not lose data
-		// silently while the process lives: keep serving from memory and
-		// surface the error through Stats/Close. Appending is suspended
-		// entirely once degraded — a partial write leaves a torn record
-		// mid-file, and replay would stop there, silently dropping any
-		// record written after it. A later successful Flush covers the
-		// un-logged heads with a segment and re-arms the fresh WAL.
-		if err := db.wal.Append(bs); err != nil {
-			db.noteWALError(err)
-		}
-	}
+	// A failing WAL (disk full, dead device) must not lose data silently
+	// while the process lives: the failure stays in the WAL, which appends
+	// nothing more, and the heads keep serving; Stats and Close report it.
+	// A later successful Flush covers the un-logged heads with a segment
+	// and re-arms the fresh WAL.
+	db.wal.Append(bs)
 	for _, b := range bs {
 		if len(b.Readings) == 0 {
 			continue
@@ -391,61 +383,12 @@ func (db *DB) InsertBatches(bs []store.Batch) {
 	}
 }
 
-func (db *DB) noteWALError(err error) {
-	db.walErrMu.Lock()
-	first := db.walErr == nil
-	if first {
-		db.walErr = err
-		db.walDegraded.Store(true)
-	}
-	db.walErrMu.Unlock()
-	if first {
-		db.metrics.walDegrades.Inc()
-		fmt.Fprintf(os.Stderr, "tsdb: WAL write failed (serving from memory only): %v\n", err)
-	}
-}
-
-// walError returns the sticky WAL failure, if any.
-func (db *DB) walError() error {
-	db.walErrMu.Lock()
-	defer db.walErrMu.Unlock()
-	return db.walErr
-}
-
-// clearWALError re-arms durability after a successful rotate, returning
-// the previous sticky failure.
-func (db *DB) clearWALError() error {
-	db.walErrMu.Lock()
-	prev := db.walErr
-	db.walErr = nil
-	db.walDegraded.Store(false)
-	db.walErrMu.Unlock()
-	return prev
-}
-
 // noteFlushError records a failed flush (sticky until one succeeds) so
 // a database wedged on a full disk is visible in Stats, not only in the
 // janitor's stderr.
 func (db *DB) noteFlushError(err error) {
 	db.metrics.flushFailures.Inc()
-	db.walErrMu.Lock()
-	db.flushErr = err
-	db.walErrMu.Unlock()
-}
-
-// clearFlushError re-arms after a successful flush — space returned (or
-// the device recovered) and the sealed data reached a segment.
-func (db *DB) clearFlushError() {
-	db.walErrMu.Lock()
-	db.flushErr = nil
-	db.walErrMu.Unlock()
-}
-
-// flushError returns the sticky flush failure, if any.
-func (db *DB) flushError() error {
-	db.walErrMu.Lock()
-	defer db.walErrMu.Unlock()
-	return db.flushErr
+	db.flushErr.Store(&err)
 }
 
 // metaPath holds the persisted retention watermark.
@@ -752,13 +695,12 @@ func (db *DB) Flush() error {
 	db.headSince.Store(0)
 	segSeq := db.segSeq
 	db.segSeq++
-	retired, retiredWAL := db.wal.rotate(nextWAL)
 	// A degraded WAL re-arms here, before inserts resume: the rotate
 	// produced a fresh untorn file, and everything the old WAL missed is
 	// sealed and bound for the segment. Clearing later (after the
 	// segment write) would let inserts racing that window skip the WAL
 	// and then report healthy.
-	prevWALErr := db.clearWALError()
+	retired, retiredWAL, prevWALErr := db.wal.rotate(nextWAL)
 	db.ingest.Unlock()
 	db.metrics.flushExclusive.ObserveSince(held)
 
@@ -784,9 +726,7 @@ func (db *DB) Flush() error {
 		// readings in no log or segment — stay degraded until a flush
 		// succeeds.
 		db.unseal()
-		if prevWALErr != nil {
-			db.noteWALError(prevWALErr)
-		}
+		db.wal.restore(prevWALErr)
 		db.noteFlushError(err)
 		return err
 	}
@@ -820,7 +760,7 @@ func (db *DB) Flush() error {
 	// With nothing sealed, the retired WAL files hold nothing beyond what
 	// segments already cover.
 	db.removeWALThrough(walDir, retiredWAL)
-	db.clearFlushError()
+	db.flushErr.Store(nil) // space returned, or the device recovered
 	return nil
 }
 
@@ -979,14 +919,14 @@ func (db *DB) Stats() store.BackendStats {
 		// Sealed mid-flush is still memory-resident.
 		HeadReadings: int(db.headN.Load() + db.sealedN.Load()),
 	}
-	if err := db.walError(); err != nil {
+	if err := db.wal.failure(); err != nil {
 		st.Error = fmt.Sprintf("WAL degraded, recent data not durable: %v", err)
 	}
-	if err := db.flushError(); err != nil {
+	if err := db.flushErr.Load(); err != nil {
 		if st.Error != "" {
 			st.Error += "; "
 		}
-		st.Error += fmt.Sprintf("last flush failed, head data retained in memory: %v", err)
+		st.Error += fmt.Sprintf("last flush failed, head data retained in memory: %v", *err)
 	}
 	st.Topics = len(db.topicSet(false))
 	st.TotalReadings = db.TotalReadings()
@@ -1008,12 +948,12 @@ func (db *DB) Stats() store.BackendStats {
 
 // Close stops the janitor, flushes outstanding heads into a final
 // segment and closes every file, releasing the directory lock. In-flight
-// group commits are drained first (Flush waits out concurrent inserts,
-// and wal.Close waits out any commit leader), so every acknowledged
-// InsertBatch is on disk before the process moves on. After a clean
-// Close the WAL is empty and reopening serves entirely from segments. A
-// WAL append failure during the DB's lifetime (data served from memory
-// but not durable) surfaces in the returned error.
+// inserts finish first (Flush waits them out, and wal.Close waits out an
+// fsync in flight), so every acknowledged InsertBatch is on disk before
+// the process moves on. After a clean Close the WAL is empty and
+// reopening serves entirely from segments. A WAL failure during the
+// DB's lifetime (data served from memory but not durable) surfaces in
+// the returned error.
 func (db *DB) Close() error {
 	db.closeOnce.Do(func() {
 		if db.janitorStop != nil {
@@ -1031,7 +971,7 @@ func (db *DB) Close() error {
 			}
 		}
 		db.mu.Unlock()
-		if werr := db.walError(); err == nil && werr != nil {
+		if werr := db.wal.failure(); err == nil && werr != nil {
 			err = fmt.Errorf("tsdb: WAL degraded during run, recent data may not be durable: %w", werr)
 		}
 		if db.lock != nil {
@@ -1046,7 +986,7 @@ func (db *DB) Close() error {
 // Abandon simulates a process kill for crash-recovery tests and drills:
 // it stops the janitor and releases every file handle — including the
 // directory lock, exactly as process death would — WITHOUT flushing
-// heads or syncing the WAL. In-flight group commits are waited out (an
+// heads or syncing the WAL. An fsync in flight is waited out (an
 // acknowledged Append is on disk; an unacknowledged one may or may not
 // be, exactly the kill semantics). The on-disk state is what a SIGKILL
 // leaves behind; the DB must not be used afterwards.

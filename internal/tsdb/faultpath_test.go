@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -52,36 +53,87 @@ func expectRange(t *testing.T, db *tsdb.DB, topic sensor.Topic, upto int64) {
 }
 
 // TestWALDegradeServesFromMemory: a failing WAL fsync must degrade the
-// log (Stats reports it) without losing a single in-process reading,
-// and a successful flush must re-arm durability.
+// log (Stats reports it) without losing a single in-process reading and
+// append nothing more to the log until a successful flush re-arms it,
+// after which a kill and reopen recover every reading. With several
+// writers the failing fsync is one they share.
 func TestWALDegradeServesFromMemory(t *testing.T) {
-	fs := chaos.NewFS(nil, testseed.Seed(t))
-	db, err := tsdb.Open(t.TempDir(), tsdb.Options{FS: fs, WALSync: true})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer db.Close()
-	topic := sensor.Topic("/n01/power")
-	next := fill(db, topic, 0, 100)
+	for _, writers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("writers=%d", writers), func(t *testing.T) {
+			dir := t.TempDir()
+			fs := chaos.NewFS(nil, testseed.Seed(t))
+			db, err := tsdb.Open(dir, tsdb.Options{FS: fs, WALSync: true})
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			topics := make([]sensor.Topic, writers)
+			for i := range topics {
+				topics[i] = sensor.Topic(fmt.Sprintf("/n%02d/power", i))
+			}
+			next := int64(0)
+			// fillAll has every writer insert the next n readings of its
+			// own topic, all at once.
+			fillAll := func(n int) {
+				var wg sync.WaitGroup
+				for _, topic := range topics {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						fill(db, topic, next, n)
+					}()
+				}
+				wg.Wait()
+				next += int64(n)
+			}
+			expectAll := func(db *tsdb.DB, when string) {
+				t.Helper()
+				for _, topic := range topics {
+					if got := db.Count(topic); got != int(next) {
+						t.Fatalf("%s: %s holds %d readings, want %d", when, topic, got, next)
+					}
+					expectRange(t, db, topic, next)
+				}
+			}
+			fillAll(100)
 
-	fs.Set(chaos.OpSync, chaos.ClassWAL, chaos.Fault{P: 1})
-	next = fill(db, topic, next, 100) // fails the group commit, degrades the WAL
-	fs.Clear(chaos.OpSync, chaos.ClassWAL)
-	next = fill(db, topic, next, 100) // appended while degraded: memory only
+			fs.Set(chaos.OpSync, chaos.ClassWAL, chaos.Fault{P: 1})
+			fillAll(100) // fails the fsync, degrades the WAL
+			fs.Clear(chaos.OpSync, chaos.ClassWAL)
+			walBytes := db.Stats().WALBytes
+			fillAll(100) // appended while degraded: memory only
 
-	if st := db.Stats(); !strings.Contains(st.Error, "WAL degraded") {
-		t.Fatalf("stats after fsync failure = %q, want WAL degraded", st.Error)
-	}
-	expectRange(t, db, topic, next) // nothing lost in-process
+			st := db.Stats()
+			if !strings.Contains(st.Error, "WAL degraded") {
+				t.Fatalf("stats after fsync failure = %q, want WAL degraded", st.Error)
+			}
+			if st.WALBytes != walBytes {
+				t.Fatalf("the WAL grew from %d to %d bytes while degraded", walBytes, st.WALBytes)
+			}
+			expectAll(db, "degraded") // nothing lost in-process
 
-	if err := db.Flush(); err != nil {
-		t.Fatalf("flush after clearing fault: %v", err)
+			if err := db.Flush(); err != nil {
+				t.Fatalf("flush after clearing fault: %v", err)
+			}
+			if st := db.Stats(); st.Error != "" {
+				t.Fatalf("stats after successful flush = %q, want re-armed (empty)", st.Error)
+			}
+			// Nothing has been synced since the failure; the next rotation
+			// must not wait for the writes it left unsynced.
+			if err := db.Flush(); err != nil {
+				t.Fatalf("second flush: %v", err)
+			}
+			fillAll(100) // logged again on the fresh WAL
+			expectAll(db, "re-armed")
+			db.Abandon() // a kill: what the flush did not cover, the WAL must
+
+			re, err := tsdb.Open(dir, tsdb.Options{})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer re.Close()
+			expectAll(re, "reopened")
+		})
 	}
-	if st := db.Stats(); st.Error != "" {
-		t.Fatalf("stats after successful flush = %q, want re-armed (empty)", st.Error)
-	}
-	next = fill(db, topic, next, 100) // logged again on the fresh WAL
-	expectRange(t, db, topic, next)
 }
 
 // TestTornWALRecoversCleanPrefix: a torn append (half the record
@@ -442,12 +494,23 @@ func TestSegmentWriterFailsCleanAtEveryStep(t *testing.T) {
 
 // walHookFS runs hooks on the write-ahead log's files: open before every
 // OpenFile of one, sync inside every Sync of one (its error fails the
-// Sync), write likewise for Write.
+// Sync), write likewise for Write, and syncDir likewise for a SyncDir of
+// the WAL directory.
 type walHookFS struct {
 	tsdb.FS
-	open  func()
-	sync  func() error
-	write func() error
+	open    func()
+	sync    func() error
+	write   func() error
+	syncDir func() error
+}
+
+func (f *walHookFS) SyncDir(name string) error {
+	if f.syncDir != nil && filepath.Base(name) == "wal" {
+		if err := f.syncDir(); err != nil {
+			return err
+		}
+	}
+	return f.FS.SyncDir(name)
 }
 
 func (f *walHookFS) OpenFile(name string, flag int, perm os.FileMode) (tsdb.File, error) {
@@ -665,4 +728,143 @@ func TestRetiredWALSyncFailure(t *testing.T) {
 		}
 		expect(t, db, "after the next flush", want)
 	})
+}
+
+// TestWALDirSyncedBeforeAck: no record in a WAL file is acknowledged
+// before the file's directory entry is durable — under WALSync an
+// fsynced record must not vanish with its file in an OS crash — for the
+// file Open creates and for the one a Flush switches to. A flush whose
+// directory sync fails has sealed and switched nothing, and the next one
+// succeeds.
+func TestWALDirSyncedBeforeAck(t *testing.T) {
+	unsynced := false // a WAL file was created, its directory not synced since
+	fs := &walHookFS{FS: tsdb.OSFS}
+	fs.open = func() { unsynced = true }
+	dirSynced := func() error { unsynced = false; return nil }
+	fs.syncDir = dirSynced
+	db, err := tsdb.Open(t.TempDir(), tsdb.Options{FS: fs, WALSync: true, FlushEvery: -1})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer db.Close()
+	topic := sensor.Topic("/n01/power")
+	next := int64(0)
+	ack := func(when string) {
+		t.Helper()
+		next = fill(db, topic, next, 10)
+		if unsynced {
+			t.Fatalf("%s: a record was acknowledged in a WAL file whose directory entry was never synced", when)
+		}
+	}
+	ack("after Open")
+	if err := db.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	ack("after a flush")
+
+	fs.syncDir = func() error { return chaos.ErrInjected }
+	if err := db.Flush(); err == nil {
+		t.Fatal("Flush succeeded with the WAL directory sync failing")
+	}
+	// Appends stay on the file whose entry is synced; the one the failed
+	// flush created is not switched to.
+	fs.syncDir, unsynced = dirSynced, false
+	if st := db.Stats(); st.Segments != 1 || st.HeadReadings != 10 || !strings.Contains(st.Error, "last flush failed") ||
+		strings.Contains(st.Error, "WAL degraded") {
+		t.Fatalf("after the failed flush: %+v; want the one segment, 10 head readings, a flush error only", st)
+	}
+	ack("after a failed flush")
+	if err := db.Flush(); err != nil {
+		t.Fatalf("flush after the directory sync recovered: %v", err)
+	}
+	if st := db.Stats(); st.Segments != 2 || st.HeadReadings != 0 || st.Error != "" {
+		t.Fatalf("after the next flush: %+v; want two segments, empty heads, no error", st)
+	}
+	expectRange(t, db, topic, next)
+}
+
+// segCountFS counts the segment files opened for reading and closed, and
+// fails every ReadFile of a WAL file while failWALRead is set.
+type segCountFS struct {
+	tsdb.FS
+	failWALRead    bool
+	opened, closed int
+}
+
+func (f *segCountFS) Open(name string) (tsdb.File, error) {
+	file, err := f.FS.Open(name)
+	if err != nil || !strings.HasSuffix(name, ".seg") {
+		return file, err
+	}
+	f.opened++
+	return &closeCountFile{File: file, closed: &f.closed}, nil
+}
+
+func (f *segCountFS) ReadFile(name string) ([]byte, error) {
+	if f.failWALRead && strings.HasSuffix(name, ".wal") {
+		return nil, chaos.ErrInjected
+	}
+	return f.FS.ReadFile(name)
+}
+
+type closeCountFile struct {
+	tsdb.File
+	closed *int
+}
+
+func (c *closeCountFile) Close() error {
+	*c.closed++
+	return c.File.Close()
+}
+
+// TestFailedOpenClosesSegments: an Open that fails part-way through
+// recovery closes every segment file it opened — those opened before a
+// corrupt segment, and all of them when WAL replay fails.
+func TestFailedOpenClosesSegments(t *testing.T) {
+	topic := sensor.Topic("/n01/power")
+	// build leaves two segments and a WAL file with readings in dir.
+	build := func(t *testing.T, dir string) {
+		db, err := tsdb.Open(dir, tsdb.Options{FlushEvery: -1})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		next := int64(0)
+		for i := 0; i < 2; i++ {
+			next = fill(db, topic, next, 100)
+			if err := db.Flush(); err != nil {
+				t.Fatalf("flush: %v", err)
+			}
+		}
+		fill(db, topic, next, 100)
+		db.Abandon()
+	}
+	for _, tc := range []struct {
+		name  string
+		spoil func(t *testing.T, dir string, fs *segCountFS)
+	}{
+		{"corrupt second segment", func(t *testing.T, dir string, fs *segCountFS) {
+			segs, _ := filepath.Glob(filepath.Join(dir, "seg", "*.seg"))
+			if len(segs) != 2 {
+				t.Fatalf("segments %v, want two", segs)
+			}
+			if err := os.WriteFile(segs[1], []byte("not a segment"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"failing WAL read", func(t *testing.T, dir string, fs *segCountFS) { fs.failWALRead = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			build(t, dir)
+			fs := &segCountFS{FS: tsdb.OSFS}
+			tc.spoil(t, dir, fs)
+			if db, err := tsdb.Open(dir, tsdb.Options{FS: fs, FlushEvery: -1}); err == nil {
+				db.Close()
+				t.Fatal("Open succeeded")
+			}
+			if fs.opened == 0 || fs.opened != fs.closed {
+				t.Fatalf("a failed Open opened %d segment files and closed %d", fs.opened, fs.closed)
+			}
+		})
+	}
 }

@@ -69,7 +69,7 @@ func TestConcurrentWritersFlushRotate(t *testing.T) {
 				t.Errorf("openNext: %v", err)
 				return
 			}
-			retired, _ := db.wal.rotate(next)
+			retired, _, _ := db.wal.rotate(next)
 			db.flushMu.Unlock()
 			if err := retired.Sync(); err != nil {
 				t.Errorf("syncing the retired file: %v", err)
@@ -201,7 +201,7 @@ func TestGroupCommitErrorPropagation(t *testing.T) {
 	db.wal.f.Close()
 	db.wal.mu.Unlock()
 	db.InsertBatch("/x", []sensor.Reading{{Value: 2, Time: 2}})
-	if db.walError() == nil {
+	if db.wal.failure() == nil {
 		t.Fatal("commit failure not surfaced as degraded WAL")
 	}
 	// Later appends take the sticky fast path; memory still serves.
@@ -217,7 +217,7 @@ func TestGroupCommitErrorPropagation(t *testing.T) {
 	if got := db.Count("/x"); got != 3 {
 		t.Fatalf("Count after failed flush = %d, want 3", got)
 	}
-	if db.walError() == nil {
+	if db.wal.failure() == nil {
 		t.Fatal("a failed flush re-armed a WAL whose heads hold unlogged readings")
 	}
 	// Close flushes again, over the file the failed flush switched to.

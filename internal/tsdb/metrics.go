@@ -12,11 +12,11 @@ import (
 // derived sizes (head readings, segment count) are callback gauges
 // evaluated only at scrape time.
 type dbMetrics struct {
-	walAppends *telemetry.Counter   // records staged through Append
+	walAppends *telemetry.Counter   // records written through Append
 	walBytes   *telemetry.Counter   // bytes written to the active WAL file
-	walCommits *telemetry.Counter   // physical write (+sync) operations
-	walCohort  *telemetry.Histogram // records persisted per write: bursts × cohort
-	walCommitS *telemetry.Histogram // seconds per commit write (+fsync)
+	walCommits *telemetry.Counter   // WAL writes, one per burst
+	walCohort  *telemetry.Histogram // records per write: one burst's batches
+	walCommitS *telemetry.Histogram // seconds per fsync
 
 	flushes        *telemetry.Counter
 	flushFailures  *telemetry.Counter // flush cycles that returned an error
@@ -37,8 +37,8 @@ type dbMetrics struct {
 }
 
 // walCohortBuckets sizes the cohort histogram: a write carries from 1
-// record (a lone batch) through one ingest burst's up to 64 to the
-// hundreds a group-commit cohort of bursts coalesces under load.
+// record (a lone batch) to one ingest burst's up to 64; the upper
+// buckets take callers of InsertBatches with larger bursts.
 var walCohortBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
 // newDBMetrics registers the DB's metric families in reg (which may be
@@ -47,15 +47,15 @@ var walCohortBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 func newDBMetrics(reg *telemetry.Registry, db *DB) *dbMetrics {
 	m := &dbMetrics{
 		walAppends: reg.Counter("dcdb_tsdb_wal_appends_total",
-			"WAL records staged through the group committer."),
+			"WAL records appended, one per reading batch."),
 		walBytes: reg.Counter("dcdb_tsdb_wal_bytes_total",
 			"Bytes written to the write-ahead log."),
 		walCommits: reg.Counter("dcdb_tsdb_wal_commits_total",
-			"Physical WAL commit operations (one write, plus one fsync in sync mode)."),
+			"WAL writes, one per ingest burst."),
 		walCohort: reg.Histogram("dcdb_tsdb_wal_cohort_records",
-			"Records persisted per WAL write: the batches of an ingest burst, times the bursts a group-commit cohort joined.", walCohortBuckets),
+			"Records per WAL write: the batches of one ingest burst.", walCohortBuckets),
 		walCommitS: reg.Histogram("dcdb_tsdb_wal_commit_seconds",
-			"Seconds per WAL commit write (includes the fsync in sync mode).",
+			"Seconds per WAL fsync in sync mode; writes per fsync is dcdb_tsdb_wal_commits_total over this count.",
 			telemetry.DefDurationBuckets),
 		flushes: reg.Counter("dcdb_tsdb_flushes_total",
 			"Head-to-segment flush cycles."),
@@ -102,7 +102,7 @@ func newDBMetrics(reg *telemetry.Registry, db *DB) *dbMetrics {
 			reg.GaugeFunc("dcdb_tsdb_wal_degraded",
 				"1 when the WAL has a sticky append failure, else 0.",
 				func() float64 {
-					if db.walDegraded.Load() {
+					if db.wal.failure() != nil {
 						return 1
 					}
 					return 0

@@ -13,8 +13,7 @@ import (
 // series through the registry.
 func TestDBMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	// WALSync selects the group-commit leader path, the one that times
-	// its commits (the inline no-sync path skips the clock by design).
+	// WALSync adds the shared fsync, the one step that is timed.
 	db, err := Open(t.TempDir(), Options{FlushEvery: -1, WALSync: true, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)

@@ -217,6 +217,9 @@ func listSegments(fs FS, dir string) ([]*segment, error) {
 		}
 		seg, err := openSegment(fs, filepath.Join(dir, name), seq)
 		if err != nil {
+			for _, s := range segs {
+				s.close()
+			}
 			return nil, fmt.Errorf("tsdb: opening segment %s: %w", name, err)
 		}
 		segs = append(segs, seg)

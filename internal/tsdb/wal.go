@@ -27,16 +27,16 @@ import (
 // with the payload holding the topic and a delta-varint-compressed run of
 // readings. The unit of an append is the burst: a writer encodes the
 // records of every batch it was handed, concatenated, outside any lock,
-// and the whole group reaches the file in one Write. Persistence uses
-// group commit on top: a writer stages its group into the current commit
-// cohort, and one writer — the cohort's leader — flushes every staged
-// group with a single Write (and, with syncEach, a single Sync) before
-// waking the whole cohort. Append therefore keeps its durability meaning
-// (a returned Append survives a process kill; with syncEach an OS crash
-// too) while the write/fsync cost is amortized across every batch of the
-// burst and every concurrent burst. Each record carries its own CRC, so
-// replay stops at the first torn or corrupt record — by construction
-// that can only be the interrupted tail, wherever in a group it falls.
+// and the whole group reaches the file in one Write under the WAL's
+// mutex. With syncEach the writer then waits for an fsync, which is
+// shared: one runs at a time, outside the mutex, and covers every write
+// made before it started, so the writers that wrote while it ran are
+// covered together by the next one. Append therefore keeps its
+// durability meaning (a returned Append survives a process kill; with
+// syncEach an OS crash too) while the fsync cost is amortized across
+// every concurrent burst. Each record carries its own CRC, so replay
+// stops at the first torn or corrupt record — by construction that can
+// only be the interrupted tail, wherever in a burst it falls.
 
 const walHeaderSize = 8
 
@@ -72,18 +72,7 @@ func walPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%08d.wal", seq))
 }
 
-// walGroup is one commit cohort: the concatenated record groups of
-// every writer that staged while the previous cohort was being
-// persisted. done is closed once the cohort's single write (+ sync)
-// finished; err is its shared outcome.
-type walGroup struct {
-	buf  []byte
-	n    int // records staged
-	done chan struct{}
-	err  error
-}
-
-// walRecPool recycles the per-writer encode scratch so staging a record
+// walRecPool recycles the per-writer encode scratch so encoding a burst
 // allocates nothing in steady state.
 var walRecPool = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -92,39 +81,53 @@ type wal struct {
 	fs       FS
 	dir      string
 	syncEach bool
+	m        *dbMetrics // the owning DB's, set by Open before any Append
 
-	// m is the owning DB's telemetry bundle, set by Open before any
-	// Append can run; nil only when a wal is constructed bare in tests.
-	m *dbMetrics
-
-	mu         sync.Mutex
-	drained    *sync.Cond // signalled when committing falls back to false
-	staging    *walGroup  // cohort accepting writers, nil when empty
-	committing bool       // a leader is persisting a cohort outside mu
-	err        error      // sticky commit failure; cleared by rotate
-	f          File
-	seq        uint64
+	mu       sync.Mutex
+	syncDone sync.Cond // broadcast when a sync finishes or the WAL fails; L is &mu
+	f        File
+	seq      uint64
+	written  uint64 // writes made, across files
+	synced   uint64 // writes the last finished sync covers
+	syncing  bool   // a sync runs outside mu
+	// err is the sticky failure: the first write or sync that failed. The
+	// file may end in a torn record, and replay would silently drop
+	// anything written after it, so Append writes nothing while it is set.
+	// rotate clears it.
+	err error
 }
 
-// newWAL starts a fresh WAL file with the given sequence number.
-func newWAL(fs FS, dir string, seq uint64, syncEach bool) (*wal, error) {
-	f, err := fs.OpenFile(walPath(dir, seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// newWAL returns a WAL over dir with no file yet: Open creates the first
+// one once recovery has found the next sequence number.
+func newWAL(fs FS, dir string, syncEach bool) *wal {
+	w := &wal{fs: fs, dir: dir, syncEach: syncEach}
+	w.syncDone.L = &w.mu
+	return w
+}
+
+// create creates WAL file seq and syncs the directory, so that neither
+// the file nor an fsynced record in it can vanish with its directory
+// entry in an OS crash.
+func (w *wal) create(seq uint64) (File, error) {
+	f, err := w.fs.OpenFile(walPath(w.dir, seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	w := &wal{fs: fs, dir: dir, syncEach: syncEach, f: f, seq: seq}
-	w.drained = sync.NewCond(&w.mu)
-	return w, nil
+	if err := w.fs.SyncDir(w.dir); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
-// Append durably logs a burst of reading batches: their records are
-// encoded back to back outside the lock, staged into the current cohort
-// as one group, and Append returns once a leader has persisted the
-// cohort with one write (+ one sync when syncEach is set). The WAL picks
-// the commit shape from what it observes, not from a setting: with no
-// fsync to amortize and nobody committing, a lone writer skips the
-// cohort and writes inline. Empty batches log nothing.
-func (w *wal) Append(bs []store.Batch) error {
+// Append logs a burst of reading batches: their records are encoded back
+// to back outside the lock and reach the file in one write under w.mu.
+// With syncEach, Append returns once an fsync that started after its
+// write has finished: one runs at a time, outside w.mu, and the first
+// writer to find none running runs one for everybody. Empty batches log
+// nothing. A failed write or fsync is not returned but kept as the
+// sticky failure (see failure): the DB serves from memory either way.
+func (w *wal) Append(bs []store.Batch) {
 	rec := walRecPool.Get().(*[]byte)
 	buf, nrec := (*rec)[:0], 0
 	for _, b := range bs {
@@ -134,120 +137,99 @@ func (w *wal) Append(bs []store.Batch) error {
 		}
 	}
 	*rec = buf
-	if nrec == 0 {
-		walRecPool.Put(rec)
-		return nil
-	}
-
 	w.mu.Lock()
-	if w.err != nil {
-		// A previous cohort failed: the file may end in a torn record, and
-		// anything written after it would be silently lost by replay. Stay
-		// failed until rotate produces a fresh file.
-		err := w.err
-		w.mu.Unlock()
+	defer w.mu.Unlock()
+	if nrec == 0 || w.err != nil {
 		walRecPool.Put(rec)
-		return err
+		return
 	}
-	if !w.syncEach && !w.committing && w.staging == nil {
-		// No fsync to amortize: the bare write is cheaper than cohort
-		// coordination, so commit inline under the lock (the encode
-		// already happened outside it). Writers arriving mid-write
-		// queue on the mutex exactly as cohort followers would.
-		n, err := w.f.Write(buf)
-		if err != nil {
-			err = fmt.Errorf("tsdb: wal append: %w", err)
-			w.err = err
-		}
-		w.mu.Unlock()
-		walRecPool.Put(rec)
-		if m := w.m; m != nil && err == nil {
-			m.walAppends.Add(uint64(nrec))
-			m.walCommits.Inc()
-			m.walBytes.Add(uint64(n))
-			m.walCohort.Observe(float64(nrec))
-		}
-		return err
-	}
-	g := w.staging
-	if g == nil {
-		g = &walGroup{done: make(chan struct{})}
-		w.staging = g
-	}
-	g.buf = append(g.buf, buf...)
-	g.n += nrec
+	n, err := w.f.Write(buf)
 	walRecPool.Put(rec)
-	if w.committing {
-		// A leader is persisting the previous cohort; it will take this
-		// one next. Park until our cohort is durable.
-		w.mu.Unlock()
-		<-g.done
-		return g.err
+	if err != nil {
+		w.failLocked(err)
+		return
 	}
-	// No commit in flight: this writer leads.
-	w.committing = true
-	for w.staging != nil && w.err == nil {
-		if w.syncEach {
-			// An fsync dwarfs everything else on this path, so make each
-			// one count: yield until the cohort stops growing — writers
-			// woken by the previous commit (runnable, about to re-stage)
-			// join this cohort instead of forcing a near-empty fsync of
-			// their own. A lone writer exits after two yields (~ns), so
-			// the uncontended append pays no measurable latency.
-			for prev, stable, spins := w.staging.n, 0, 0; stable < 2 && spins < 256; spins++ {
-				w.mu.Unlock()
-				runtime.Gosched()
-				w.mu.Lock()
-				if n := w.staging.n; n == prev {
-					stable++
-				} else {
-					prev, stable = n, 0
-				}
+	w.written++
+	w.m.walAppends.Add(uint64(nrec))
+	w.m.walCommits.Inc()
+	w.m.walBytes.Add(uint64(n))
+	w.m.walCohort.Observe(float64(nrec))
+	for mine := w.written; w.syncEach && w.synced < mine && w.err == nil; {
+		if w.syncing {
+			w.syncDone.Wait()
+			continue
+		}
+		// No sync runs: this writer runs one for everybody. An fsync
+		// dwarfs everything else on this path, so make each one count:
+		// yield until the writes stop coming — writers the previous sync
+		// released (runnable, about to write again) write first and ride
+		// this sync instead of forcing a near-empty one of their own. A
+		// lone writer goes on after two yields (~ns).
+		w.syncing = true
+		for prev, stable, spins := w.written, 0, 0; stable < 2 && spins < 256; spins++ {
+			w.mu.Unlock()
+			runtime.Gosched()
+			w.mu.Lock()
+			if w.written == prev {
+				stable++
+			} else {
+				prev, stable = w.written, 0
 			}
 		}
-		cur := w.staging
-		w.staging = nil
+		upto, f := w.written, w.f
 		w.mu.Unlock()
-		commitStart := telemetry.Clock()
-		n, err := w.f.Write(cur.buf)
-		if err == nil && w.syncEach {
-			err = w.f.Sync()
-		}
-		if err != nil {
-			err = fmt.Errorf("tsdb: wal append: %w", err)
-		}
-		if m := w.m; m != nil && err == nil {
-			m.walCommitS.ObserveSince(commitStart)
-			m.walCommits.Inc()
-			m.walAppends.Add(uint64(cur.n))
-			m.walBytes.Add(uint64(n))
-			m.walCohort.Observe(float64(cur.n))
+		start := telemetry.Clock()
+		err := f.Sync()
+		if err == nil {
+			w.m.walCommitS.ObserveSince(start)
 		}
 		w.mu.Lock()
-		if err != nil && w.err == nil {
-			w.err = err
+		w.syncing = false
+		if err != nil {
+			w.failLocked(err)
+		} else {
+			w.synced = upto
 		}
-		cur.err = err
-		close(cur.done)
+		w.syncDone.Broadcast()
 	}
-	// A sticky error fails any cohort staged after the failing one
-	// without touching the file.
-	if g2 := w.staging; g2 != nil {
-		w.staging = nil
-		g2.err = w.err
-		close(g2.done)
-	}
-	w.committing = false
-	w.drained.Broadcast()
-	w.mu.Unlock()
-	return g.err
 }
 
-// waitDrainedLocked blocks until no cohort is staged or being committed.
-// Callers hold w.mu.
-func (w *wal) waitDrainedLocked() {
-	for w.committing {
-		w.drained.Wait()
+// failLocked makes err the sticky failure unless one is set; only the
+// first is counted and logged. Callers hold w.mu.
+func (w *wal) failLocked(err error) {
+	if w.err != nil {
+		return
+	}
+	w.err = fmt.Errorf("tsdb: wal append: %w", err)
+	w.m.walDegrades.Inc()
+	fmt.Fprintf(os.Stderr, "tsdb: WAL write failed (serving from memory only): %v\n", w.err)
+	w.syncDone.Broadcast() // waitSyncedLocked stops waiting on a failed WAL
+}
+
+// failure returns the sticky failure, nil while the WAL is healthy.
+func (w *wal) failure() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.err
+}
+
+// restore puts back the failure rotate returned, for a flush that failed
+// after rotating: the heads still hold readings no log has. A failure
+// the fresh file met meanwhile is kept.
+func (w *wal) restore(err error) {
+	w.mu.Lock()
+	if w.err == nil {
+		w.err = err
+	}
+	w.mu.Unlock()
+}
+
+// waitSyncedLocked returns once no sync runs and every write is synced
+// (with syncEach) or the WAL has failed, so the file can be swapped or
+// closed with no writer waiting on it. Callers hold w.mu.
+func (w *wal) waitSyncedLocked() {
+	for w.syncing || w.syncEach && w.synced < w.written && w.err == nil {
+		w.syncDone.Wait()
 	}
 }
 
@@ -260,33 +242,36 @@ func (w *wal) openNext() (File, error) {
 	w.mu.Lock()
 	seq := w.seq + 1
 	w.mu.Unlock()
-	return w.fs.OpenFile(walPath(w.dir, seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	return w.create(seq)
 }
 
 // rotate switches appends to next (from openNext) and hands back the
-// retired file and its sequence number. It does no I/O — it waits out
-// any in-flight group commit, swaps the handle and clears the sticky
-// commit error, since the fresh file cannot end in a torn record — so
-// Flush can call it with ingest shut out. The retired file comes back
-// open and unsynced: the caller syncs and closes it once ingest runs
-// again.
-func (w *wal) rotate(next File) (retired File, seq uint64) {
+// retired file, its sequence number and the sticky failure, which it
+// clears: the fresh file cannot end in a torn record. It does no I/O —
+// it waits out a sync in flight and swaps the handle — so Flush can call
+// it with ingest shut out. The retired file comes back open and
+// unsynced: the caller syncs and closes it once ingest runs again.
+// Under syncEach the caller must have shut Append out (Flush holds
+// DB.ingest): a writer still waiting for its fsync across the swap would
+// be released without one.
+func (w *wal) rotate(next File) (retired File, seq uint64, failed error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.waitDrainedLocked()
-	retired, seq = w.f, w.seq
+	w.waitSyncedLocked()
+	retired, seq, failed = w.f, w.seq, w.err
 	w.f = next
 	w.seq++
 	w.err = nil
-	return retired, seq
+	w.synced = w.written // writes a failure left unsynced are in retired
+	return retired, seq, failed
 }
 
-// Close drains any in-flight group commit, then syncs and closes the
-// active file.
+// Close waits out a sync in flight, then syncs and closes the active
+// file.
 func (w *wal) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.waitDrainedLocked()
+	w.waitSyncedLocked()
 	if err := w.f.Sync(); err != nil {
 		w.f.Close()
 		return err
@@ -295,11 +280,11 @@ func (w *wal) Close() error {
 }
 
 // abandon closes the file handle without syncing, simulating process
-// death for crash drills. In-flight commits are waited out first so the
-// close cannot race a leader's Write.
+// death for crash drills. A sync in flight is waited out first so the
+// close cannot race it.
 func (w *wal) abandon() {
 	w.mu.Lock()
-	w.waitDrainedLocked()
+	w.waitSyncedLocked()
 	w.f.Close()
 	w.mu.Unlock()
 }
