@@ -41,14 +41,16 @@ test:
 # tests five times: their interleavings (a bound swapped mid-tick, a
 # Close mid-tick) differ run to run. The third repeats the store's WAL
 # tests five times for the same reason: which writer runs the shared
-# fsync, and who writes while it runs, differ run to run. The fourth
+# fsync, and who writes while it runs, differ run to run; with them go
+# the head model test (a fresh seed each run) and the cross-shard WAL
+# replay test, whose inserters interleave differently each run. The fourth
 # runs the root-package benchmark suite one iteration under the race
 # detector: the paired contention workloads exercise cross-goroutine
 # interleavings the unit tests cannot reach.
 race:
 	$(GO) test -race -count=1 ./internal/...
 	$(GO) test -race -count=5 -run 'Scheduler|Tick|Threads|OnDemand|Manager' ./internal/core
-	$(GO) test -race -count=5 -run 'GroupCommit|ConcurrentWriters|OrderedShutdown|FsyncStall|DiskFull|RetiredWAL|WALDegrade|WALFailure' ./internal/tsdb
+	$(GO) test -race -count=5 -run 'GroupCommit|ConcurrentWriters|OrderedShutdown|FsyncStall|DiskFull|RetiredWAL|WALDegrade|WALFailure|HeadModel|ReplayAcrossShards' ./internal/tsdb
 	$(GO) test -race -run '^$$' -bench . -benchtime 1x .
 
 # Short benchmark run over the micro-benches no `go run ./bench` rung

@@ -9,14 +9,14 @@ import (
 // tsdb engine: windowed aggregates and time-bucketed downsampling
 // evaluated directly over the storage tiers — per-chunk pre-aggregates
 // and streaming chunk decodes for segments, binary-searched streaming
-// passes for head blocks. Raw readings are never materialized into a
-// slice; a fully-covered v2 chunk is answered from index metadata in
-// O(1).
+// passes over the head's blocks. Raw readings are never materialized
+// into a slice; a fully-covered v2 chunk is answered from index
+// metadata in O(1).
 
 // Aggregate implements store.Backend. Per segment chunk it merges
 // the flush-time pre-aggregates when the window (clamped to the
 // retention watermark) fully covers the chunk, and streams the decoder
-// over boundary chunks; the head block's runs are reduced in one pass
+// over boundary chunks; the head's runs are reduced in one pass
 // each. Like Range, a corrupt chunk is skipped whole, and
 // the epoch-retry loop guarantees a concurrent flush or prune can never
 // make readings invisible (or visible twice) to the accumulator.
@@ -48,8 +48,8 @@ func (db *DB) Aggregate(topic sensor.Topic, t0, t1 int64) store.AggResult {
 }
 
 // Downsample implements store.Backend. Every tier yields its buckets
-// in Start order (chunks and a head block's two runs are all
-// time-sorted), so the tiers are combined by pairwise ordered merges —
+// in Start order (chunks and a head's two runs are all time-sorted; a
+// run is bucketed in one fold across its blocks), so the tiers are combined by pairwise ordered merges —
 // no dense bucket array whose size scales with the window instead of
 // the data. A chunk that the window fully covers and that falls into a
 // single bucket is merged from its pre-aggregates without a decode.
@@ -58,6 +58,7 @@ func (db *DB) Downsample(topic sensor.Topic, t0, t1, step int64, dst []store.Buc
 		return dst
 	}
 	var cur, tier, merged []store.Bucket
+	var win [][]sensor.Reading
 	for {
 		v := db.view(topic)
 		lo := t0
@@ -75,7 +76,8 @@ func (db *DB) Downsample(topic sensor.Topic, t0, t1, step int64, dst []store.Buc
 		}
 		v.sh.mu.RLock()
 		for _, run := range v.sh.heads[topic].runs() {
-			tier = store.DownsampleSorted(run, t0, lo, t1, step, tier[:0])
+			win = appendWindow(win[:0], run, lo, t1)
+			tier = store.AppendBuckets(tier[:0], t0, step, win...)
 			cur, merged = mergeBuckets(cur, tier, merged[:0]), cur
 		}
 		v.sh.mu.RUnlock()

@@ -341,107 +341,131 @@ type Encoder struct {
 	ks []int64 // the decimal integers of the run being encoded
 }
 
-// AppendChunk appends the chunk holding rs to dst and returns it with
-// the chunk's codec byte. rs must be in non-decreasing time order
-// (segment writers flush sorted head blocks, so this holds by
-// construction).
-func (e *Encoder) AppendChunk(dst []byte, rs []sensor.Reading) ([]byte, byte) {
-	codec := e.scan(rs)
+// AppendChunk appends the chunk holding the readings of blocks, in
+// order, to dst and returns it with the chunk's codec byte. The readings
+// must be in non-decreasing time order across the blocks (segment
+// writers flush sorted head runs, so this holds by construction). The
+// chunk depends on the readings alone, not on how they are cut into
+// blocks.
+func (e *Encoder) AppendChunk(dst []byte, blocks ...[]sensor.Reading) ([]byte, byte) {
+	codec := e.scan(blocks)
 	w := &e.w
 	w.reset()
 	xc := xorCoder{leading: invalidWindow}
 	var t, tDelta int64
-	for i, r := range rs {
-		// Timestamps: the first raw, the second as a zigzag-varint
-		// delta, every later one as its delta-of-delta.
-		if i > 1 {
-			delta := r.Time - t
-			if dod := delta - tDelta; dod == 0 {
-				w.writeBit(0)
+	i := 0
+	for _, rs := range blocks {
+		for _, r := range rs {
+			// Timestamps: the first raw, the second as a zigzag-varint
+			// delta, every later one as its delta-of-delta.
+			if i > 1 {
+				delta := r.Time - t
+				if dod := delta - tDelta; dod == 0 {
+					w.writeBit(0)
+				} else {
+					w.writeLadder(dod, dodBuckets)
+				}
+				tDelta = delta
+			} else if i == 1 {
+				tDelta = r.Time - t
+				w.writeVarint(tDelta)
 			} else {
-				w.writeLadder(dod, dodBuckets)
+				w.writeBits(uint64(r.Time), 64)
 			}
-			tDelta = delta
-		} else if i == 1 {
-			tDelta = r.Time - t
-			w.writeVarint(tDelta)
-		} else {
-			w.writeBits(uint64(r.Time), 64)
-		}
-		t = r.Time
-		switch {
-		case codec == codecXOR:
-			xc.write(w, i, math.Float64bits(r.Value))
-		case i == 0:
-			w.writeVarint(e.ks[0])
-		case e.ks[i] == e.ks[i-1]:
-			w.writeBit(0)
-		default:
-			w.writeLadder(e.ks[i]-e.ks[i-1], kBuckets)
+			t = r.Time
+			switch {
+			case codec == codecXOR:
+				xc.write(w, i, math.Float64bits(r.Value))
+			case i == 0:
+				w.writeVarint(e.ks[0])
+			case e.ks[i] == e.ks[i-1]:
+				w.writeBit(0)
+			default:
+				w.writeLadder(e.ks[i]-e.ks[i-1], kBuckets)
+			}
+			i++
 		}
 	}
-	dst = append(binary.AppendUvarint(dst, uint64(len(rs))), codec)
+	dst = append(binary.AppendUvarint(dst, uint64(i)), codec)
 	return w.appendTo(dst), codec
 }
 
-// scan picks the codec of the chunk holding rs: decimal at the smallest
-// scale every value fits, their integers left in e.ks, else XOR. A value
-// that fits at scale e fits at every larger one (k·10 over 10^(e+1) is
-// the same quotient), so the scale only rises, and the integers already
-// taken rise with it.
-func (e *Encoder) scan(rs []sensor.Reading) byte {
-	if cap(e.ks) < len(rs) {
-		e.ks = make([]int64, len(rs))
+// scan picks the codec of the chunk holding the readings of blocks:
+// decimal at the smallest scale every value fits, their integers left in
+// e.ks, else XOR. A value that fits at scale e fits at every larger one
+// (k·10 over 10^(e+1) is the same quotient), so the scale only rises,
+// and the integers already taken rise with it.
+func (e *Encoder) scan(blocks [][]sensor.Reading) byte {
+	n := 0
+	for _, rs := range blocks {
+		n += len(rs)
 	}
-	ks, scale, p := e.ks[:len(rs)], 0, 1.0
-	for i, r := range rs {
-		v := r.Value
-		if i > 0 && math.Float64bits(v) == math.Float64bits(rs[i-1].Value) {
-			ks[i] = ks[i-1]
-			continue
-		}
-		// The common case, decimalFit's first try inline: below 2^50
-		// the rounded product is the only integer that can fit. (The
-		// round trip through int64 turns −0 into +0, which then differs.)
-		if x := math.RoundToEven(v * p); x > -1<<50 && x < 1<<50 {
-			if k := int64(x); math.Float64bits(float64(k)/p) == math.Float64bits(v) {
-				ks[i] = k
+	if cap(e.ks) < n {
+		e.ks = make([]int64, n)
+	}
+	ks, scale, p := e.ks[:n], 0, 1.0
+	i, prev := 0, uint64(0)
+	for _, rs := range blocks {
+		for _, r := range rs {
+			v := r.Value
+			if i > 0 && math.Float64bits(v) == prev {
+				ks[i] = ks[i-1]
+				i++
 				continue
 			}
-		}
-		k, ok := decimalFit(v, scale)
-		if !ok {
-			from := scale
-			for !ok && scale < maxScale {
-				scale++
-				k, ok = decimalFit(v, scale)
+			prev = math.Float64bits(v)
+			// The common case, decimalFit's first try inline: below 2^50
+			// the rounded product is the only integer that can fit. (The
+			// round trip through int64 turns −0 into +0, which then
+			// differs.)
+			if x := math.RoundToEven(v * p); x > -1<<50 && x < 1<<50 {
+				if k := int64(x); math.Float64bits(float64(k)/p) == math.Float64bits(v) {
+					ks[i] = k
+					i++
+					continue
+				}
 			}
-			if !ok || !rescale(ks[:i], rs, from, scale) {
-				return codecXOR
+			k, ok := decimalFit(v, scale)
+			if !ok {
+				from := scale
+				for !ok && scale < maxScale {
+					scale++
+					k, ok = decimalFit(v, scale)
+				}
+				if !ok || !rescale(ks[:i], blocks, from, scale) {
+					return codecXOR
+				}
+				p = pow10[scale]
 			}
-			p = pow10[scale]
+			ks[i] = k
+			i++
 		}
-		ks[i] = k
 	}
 	return codecDecimal + byte(scale)
 }
 
-// rescale moves ks, the integers of the values rs[:len(ks)] at scale
-// from, to scale to, reporting false when one of them no longer fits.
-// Each lands on the integer decimalFit would pick, so the chunk's bytes
-// depend on its values alone.
-func rescale(ks []int64, rs []sensor.Reading, from, to int) bool {
+// rescale moves ks, the integers of the first len(ks) values of blocks
+// at scale from, to scale to, reporting false when one of them no longer
+// fits. Each lands on the integer decimalFit would pick, so the chunk's
+// bytes depend on its values alone.
+func rescale(ks []int64, blocks [][]sensor.Reading, from, to int) bool {
 	m := pow10[to-from]
-	for i, k := range ks {
-		// Below 2^50 the product is exact and the only integer that
-		// fits; nearer 2^53 several may fit, and decimalFit picks one.
-		if x := float64(k) * m; x > -1<<50 && x < 1<<50 {
-			ks[i] = int64(x)
-			continue
-		}
-		var ok bool
-		if ks[i], ok = decimalFit(rs[i].Value, to); !ok {
-			return false
+	i := 0
+	for _, rs := range blocks {
+		for _, r := range rs {
+			if i == len(ks) {
+				return true
+			}
+			// Below 2^50 the product is exact and the only integer that
+			// fits; nearer 2^53 several may fit, and decimalFit picks one.
+			if x := float64(ks[i]) * m; x > -1<<50 && x < 1<<50 {
+				ks[i] = int64(x)
+			} else if k, ok := decimalFit(r.Value, to); ok {
+				ks[i] = k
+			} else {
+				return false
+			}
+			i++
 		}
 	}
 	return true

@@ -283,6 +283,15 @@ func TestCodecMatchesReference(t *testing.T) {
 		} else if len(rs) > 0 {
 			codecs[codec == codecXOR]++
 		}
+		// The chunk is the readings', however a head's blocks cut them.
+		var blocks [][]sensor.Reading
+		for rest := rs; len(rest) > 0; {
+			n := 1 + rng.Intn(1+len(rest)/2)
+			blocks, rest = append(blocks, rest[:n]), rest[n:]
+		}
+		if inBlocks, _ := reused.AppendChunk(nil, blocks...); !bytes.Equal(inBlocks, want) {
+			t.Fatalf("round %d: %d samples in %d blocks encode differently from one slice", round, len(rs), len(blocks))
+		}
 		cuts := []int{len(want)}
 		for i := 0; i < 4 && len(want) > 0; i++ {
 			cuts = append(cuts, rng.Intn(len(want)))

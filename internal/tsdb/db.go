@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -75,6 +76,7 @@ const headShardCount = 64
 type headShard struct {
 	mu    sync.RWMutex
 	heads map[sensor.Topic]*head
+	free  freeBlocks
 }
 
 // headShardIdx maps a topic to its stripe with the shared FNV-1a topic
@@ -250,36 +252,9 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return fail(err)
 	}
-	maxWALSeq := coveredWAL
-	for _, wf := range walFiles {
-		if wf.seq <= coveredWAL {
-			fs.Remove(wf.path) // flushed before the crash; leftover
-			continue
-		}
-		if err := replayWAL(fs, wf.path, func(topic sensor.Topic, rs []sensor.Reading) {
-			// Drop readings below the persisted retention watermark: a
-			// pre-crash Prune already removed them, and replaying them
-			// into heads would skew head counts and later Prune totals.
-			if db.floor > math.MinInt64 {
-				live := rs[:0]
-				for _, r := range rs {
-					if r.Time >= db.floor {
-						live = append(live, r)
-					}
-				}
-				rs = live
-			}
-			if len(rs) == 0 {
-				return
-			}
-			db.insertHead(topic, rs)
-			db.headN.Add(int64(len(rs)))
-		}); err != nil {
-			return fail(fmt.Errorf("tsdb: replaying %s: %w", wf.path, err))
-		}
-		if wf.seq > maxWALSeq {
-			maxWALSeq = wf.seq
-		}
+	maxWALSeq, err := db.replay(walFiles, coveredWAL)
+	if err != nil {
+		return fail(err)
 	}
 	if db.headN.Load() > 0 {
 		db.headSince.Store(time.Now().UnixNano())
@@ -301,6 +276,116 @@ func Open(dir string, opts Options) (*DB, error) {
 	return db, nil
 }
 
+// replayBatchLen is how many readings the WAL decoder gathers for one
+// inserter before handing them over: 256 KiB of readings.
+const replayBatchLen = 16 << 10
+
+// replayBatch carries decoded WAL records to an inserter, each record's
+// readings as buf[lo:hi].
+type replayBatch struct {
+	recs []replayRec
+	buf  []sensor.Reading
+}
+
+type replayRec struct {
+	topic  sensor.Topic
+	lo, hi int
+}
+
+// replay inserts the readings of every WAL file not covered by a
+// segment into the heads, and returns the highest WAL sequence number
+// seen. The caller's goroutine reads and decodes the files in order; one
+// inserter per CPU inserts the records of the head shards it owns, in
+// the order it receives them, so every topic's records — equal
+// timestamps included — go in in file order. A torn, corrupt or
+// malformed record ends its file's replay (replayWAL): nothing after it
+// is handed on.
+func (db *DB) replay(files []walFile, coveredWAL uint64) (uint64, error) {
+	n := runtime.GOMAXPROCS(0)
+	// Each inserter has two batches queued and one in hand at most, and
+	// the decoder fills one more: free can hold every batch there is.
+	free := make(chan *replayBatch, 4*n)
+	work := make([]chan *replayBatch, n)
+	var wg sync.WaitGroup
+	for i := range work {
+		work[i] = make(chan *replayBatch, 2) // two queued: work in hand while the decoder reads the next file
+		wg.Add(1)
+		go func(in <-chan *replayBatch) {
+			defer wg.Done()
+			inserted := 0
+			for b := range in {
+				for _, r := range b.recs {
+					db.insertHead(r.topic, b.buf[r.lo:r.hi])
+				}
+				inserted += len(b.buf)
+				b.recs, b.buf = b.recs[:0], b.buf[:0]
+				select {
+				case free <- b:
+				default:
+				}
+			}
+			db.headN.Add(int64(inserted))
+		}(work[i])
+	}
+	fill := make([]*replayBatch, n)
+	add := func(topic sensor.Topic, rs []sensor.Reading) {
+		w := int(headShardIdx(topic)) % n
+		b := fill[w]
+		if b == nil {
+			select {
+			case b = <-free:
+			default:
+				b = new(replayBatch)
+			}
+			fill[w] = b
+		}
+		lo := len(b.buf)
+		b.buf = append(b.buf, rs...)
+		b.recs = append(b.recs, replayRec{topic: topic, lo: lo, hi: len(b.buf)})
+		if len(b.buf) >= replayBatchLen {
+			work[w] <- b
+			fill[w] = nil
+		}
+	}
+	maxWALSeq := coveredWAL
+	var err error
+	for _, wf := range files {
+		if wf.seq <= coveredWAL {
+			db.fs.Remove(wf.path) // flushed before the crash; leftover
+			continue
+		}
+		if err = replayWAL(db.fs, wf.path, func(topic sensor.Topic, rs []sensor.Reading) {
+			// Drop readings below the persisted retention watermark: a
+			// pre-crash Prune already removed them, and replaying them
+			// into heads would skew head counts and later Prune totals.
+			if db.floor > math.MinInt64 {
+				live := rs[:0]
+				for _, r := range rs {
+					if r.Time >= db.floor {
+						live = append(live, r)
+					}
+				}
+				rs = live
+			}
+			if len(rs) > 0 {
+				add(topic, rs)
+			}
+		}); err != nil {
+			err = fmt.Errorf("tsdb: replaying %s: %w", wf.path, err)
+			break
+		}
+		maxWALSeq = max(maxWALSeq, wf.seq)
+	}
+	for w, b := range fill {
+		if b != nil {
+			work[w] <- b
+		}
+		close(work[w])
+	}
+	wg.Wait()
+	return maxWALSeq, err
+}
+
 // Dir returns the database directory.
 func (db *DB) Dir() string { return db.dir }
 
@@ -317,7 +402,7 @@ func (db *DB) insertHead(topic sensor.Topic, rs []sensor.Reading) (created bool)
 		h = &head{}
 		sh.heads[topic] = h
 	}
-	h.insert(rs)
+	h.insert(rs, &sh.free)
 	sh.mu.Unlock()
 	return created
 }
@@ -464,7 +549,7 @@ func (db *DB) stable(v tierView) bool {
 }
 
 // Range implements store.Backend: segments first (oldest flush to
-// newest), then the head block. The merged result is re-sorted only when
+// newest), then the head. The merged result is re-sorted only when
 // an out-of-order insert straddled a flush boundary.
 func (db *DB) Range(topic sensor.Topic, t0, t1 int64, dst []sensor.Reading) []sensor.Reading {
 	if t1 < t0 {
@@ -650,7 +735,7 @@ func (db *DB) TotalReadings() int {
 	}
 }
 
-// Flush writes every head block into one new immutable segment and
+// Flush writes every head into one new immutable segment and
 // retires the WAL files the segment now covers. A flush with empty heads
 // only rotates the WAL. Safe to call concurrently with inserts and
 // queries: the readings stay in their heads, sealed, for the entire
@@ -680,7 +765,7 @@ func (db *DB) Flush() error {
 	// the segment is written from the sealed runs. What a reader finds
 	// for a topic does not change, so neither db.mu nor the epoch is
 	// involved.
-	sealed := make(map[sensor.Topic][]sensor.Reading)
+	sealed := make(map[sensor.Topic][][]sensor.Reading)
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.Lock()
@@ -738,16 +823,17 @@ func (db *DB) Flush() error {
 		// Register the segment and release the sealed runs it now holds, as
 		// one relocation: the shard locks nest inside db.mu (the one place
 		// both are held), so an epoch-checked reader sees the readings in
-		// exactly one tier. Heads left with nothing leave their maps, and
-		// their spare arrays go with them.
+		// exactly one tier. The sealed blocks become the shard's free list,
+		// and heads left with nothing leave their maps.
 		db.mu.Lock()
 		db.segs = append(db.segs, seg)
 		for i := range db.shards {
 			sh := &db.shards[i]
 			sh.mu.Lock()
+			sh.free.reset()
 			for t, h := range sh.heads {
-				h.release()
-				if len(h.data) == 0 {
+				h.release(&sh.free)
+				if len(h.blocks) == 0 {
 					delete(sh.heads, t)
 				}
 			}
@@ -773,7 +859,7 @@ func (db *DB) unseal() {
 		sh := &db.shards[i]
 		sh.mu.Lock()
 		for _, h := range sh.heads {
-			h.unseal()
+			h.unseal(&sh.free)
 		}
 		sh.mu.Unlock()
 	}
@@ -798,7 +884,7 @@ func (db *DB) removeWALThrough(walDir string, maxSeq uint64) {
 }
 
 // Prune implements store.Backend: it advances the retention watermark,
-// physically trims head blocks, deletes fully-expired segment files and
+// physically trims the heads, deletes fully-expired segment files and
 // returns the number of readings newly removed. The watermark persists
 // across restarts (meta.json), so expired readings do not resurrect when
 // segments and WAL are reloaded.
@@ -846,8 +932,8 @@ func (db *DB) Prune(cutoff int64) int {
 		sh := &db.shards[i]
 		sh.mu.Lock()
 		for t, h := range sh.heads {
-			headDropped += h.prune(cutoff)
-			if len(h.data) == 0 {
+			headDropped += h.prune(cutoff, &sh.free)
+			if len(h.blocks) == 0 {
 				delete(sh.heads, t)
 			}
 		}

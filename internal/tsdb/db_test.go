@@ -369,7 +369,7 @@ func TestQueriesNeverMissDataDuringFlush(t *testing.T) {
 	}
 }
 
-// headCount returns how many head blocks the shard maps hold.
+// headCount returns how many heads the shard maps hold.
 func headCount(db *DB) int {
 	n := 0
 	for i := range db.shards {
@@ -412,5 +412,31 @@ func TestEmptyHeadsLeaveShards(t *testing.T) {
 	}
 	if db.Count("/busy") != 2 || db.Count("/idle") != 0 {
 		t.Fatalf("Count(/busy) = %d, Count(/idle) = %d after flushes and prune", db.Count("/busy"), db.Count("/idle"))
+	}
+}
+
+// TestWindowBelowRetentionFloor: a reading that arrives below the
+// retention floor after a prune stays in its head until the next prune.
+// A window wholly below the floor that ends before that reading answers
+// empty. The head used to slice its run out of range there — with the
+// shard's read lock held, so the panic also wedged every later insert
+// into the shard.
+func TestWindowBelowRetentionFloor(t *testing.T) {
+	db := openTest(t, t.TempDir(), Options{})
+	defer db.Close()
+	db.InsertBatch("/late", []sensor.Reading{{Value: 1, Time: 250 * sec}})
+	db.Prune(200 * sec)
+	db.InsertBatch("/late", []sensor.Reading{{Value: 2, Time: 150 * sec}})
+	if got := db.Range("/late", 0, 100*sec, nil); len(got) != 0 {
+		t.Fatalf("Range below the floor = %v", got)
+	}
+	if a := db.Aggregate("/late", 0, 100*sec); a.Count != 0 {
+		t.Fatalf("Aggregate below the floor = %+v", a)
+	}
+	if b := db.Downsample("/late", 0, 100*sec, 10*sec, nil); len(b) != 0 {
+		t.Fatalf("Downsample below the floor = %v", b)
+	}
+	if got := db.Range("/late", 0, 300*sec, nil); len(got) != 1 || got[0].Time != 250*sec {
+		t.Fatalf("Range across the floor = %v, want the reading at 250 s", got)
 	}
 }

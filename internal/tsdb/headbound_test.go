@@ -90,7 +90,7 @@ func (f *segCreateFS) Create(name string) (File, error) {
 	return f.FS.Create(name)
 }
 
-// array identifies a run's backing array.
+// array identifies a block's backing array.
 func array(rs []sensor.Reading) *sensor.Reading {
 	if cap(rs) == 0 {
 		return nil
@@ -98,11 +98,11 @@ func array(rs []sensor.Reading) *sensor.Reading {
 	return &rs[:1][0]
 }
 
-// TestHeadBuffersRecycled: a head alternates between two arrays — the
-// run a flush wrote becomes the spare the next seal hands to data — so
-// inserting into a warm head allocates nothing; an array much larger
-// than what a cycle used is given up; and no array is ever reachable
-// from two runs, whichever way a flush ends.
+// TestHeadBuffersRecycled: the blocks a flush wrote go to their shard's
+// free list and the next inserts fill them, so inserting into a warm
+// head allocates nothing; blocks a slower rate no longer fills are given
+// back; and no block is ever reachable from two runs, or from a run and
+// a free list, whichever way a flush ends.
 func TestHeadBuffersRecycled(t *testing.T) {
 	fs := &segCreateFS{FS: OSFS}
 	db := openTest(t, t.TempDir(), Options{FS: fs})
@@ -140,19 +140,11 @@ func TestHeadBuffersRecycled(t *testing.T) {
 	t.Run("warm head allocates nothing", func(t *testing.T) {
 		const topic = sensor.Topic("/steady/power")
 		cycle(topic, 1000)
-		first := array(headOf(topic).spare)
 		cycle(topic, 1000)
-		h := headOf(topic)
-		if array(h.data) != first || first == nil {
-			t.Fatalf("after two cycles data does not use the array the first flush wrote")
-		}
-		if array(h.spare) == nil || array(h.spare) == first {
-			t.Fatalf("after two cycles the spare is not the array the second flush wrote")
-		}
 		batch := make([]sensor.Reading, 400)
 		ts := next[topic]
-		// Two calls (one warm-up, one measured): 800 readings, inside what
-		// either cycle used.
+		// Two calls (one warm-up, one measured): 800 readings, more than
+		// a block, inside what either cycle used.
 		allocs := testing.AllocsPerRun(1, func() {
 			for i := range batch {
 				batch[i] = sensor.Reading{Time: ts, Value: float64(ts)}
@@ -169,38 +161,74 @@ func TestHeadBuffersRecycled(t *testing.T) {
 		}
 	})
 
-	t.Run("oversized spare is dropped", func(t *testing.T) {
-		const topic = sensor.Topic("/slowing/power")
-		cycle(topic, 1000)
-		cycle(topic, 1000)
-		if h := headOf(topic); cap(h.data) < 1000 || cap(h.spare) < 1000 {
-			t.Fatalf("at the steady rate: cap(data) %d, cap(spare) %d", cap(h.data), cap(h.spare))
+	t.Run("flushed block is reused", func(t *testing.T) {
+		const topic = sensor.Topic("/reuse/power")
+		inOrder(topic, 1000)
+		flushed := map[*sensor.Reading]bool{}
+		for _, b := range headOf(topic).blocks {
+			flushed[array(b)] = true
 		}
-		// The rate falls tenfold: the run the next flush writes used a
-		// tenth of its array, which is not kept.
-		cycle(topic, 100)
-		if h := headOf(topic); h.spare != nil {
-			t.Fatalf("a run of 101 in an array of %d was kept as the spare", cap(h.spare))
+		fs.hook = func() error { inOrder(topic, 1); return nil }
+		if err := db.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
 		}
-		cycle(topic, 100)
-		cycle(topic, 100)
-		if h := headOf(topic); cap(h.data)+cap(h.spare) > 2*spareSlack*101 {
-			t.Fatalf("three cycles after the rate fell: cap(data) %d, cap(spare) %d", cap(h.data), cap(h.spare))
+		fs.hook = nil
+		inOrder(topic, 1000)
+		reused := 0
+		for _, b := range headOf(topic).blocks {
+			if flushed[array(b)] {
+				reused++
+			}
+		}
+		if reused == 0 {
+			t.Fatalf("none of the %d blocks the flush wrote took the next readings", len(flushed))
+		}
+	})
+
+	t.Run("slower rate frees blocks", func(t *testing.T) {
+		// A topic alone in its shard, so the shard's free list is its own.
+		used := map[uint32]bool{}
+		for _, other := range []sensor.Topic{"/steady/power", "/reuse/power", "/f/quiet", "/f/newer", "/f/older", "/f/born"} {
+			used[headShardIdx(other)] = true
+		}
+		topic := sensor.Topic("/slowing/power")
+		for i := 0; used[headShardIdx(topic)]; i++ {
+			topic = sensor.Topic(fmt.Sprintf("/slowing%d/power", i))
+		}
+		sh := &db.shards[headShardIdx(topic)]
+		cycle(topic, 2000)
+		cycle(topic, 2000)
+		if len(sh.free) < 3 {
+			t.Fatalf("at 2,000 readings a cycle the free list holds %d blocks", len(sh.free))
+		}
+		// The rate falls fivefold: a cycle fits in one block, so the
+		// series is sparse now. The blocks the fast cycles left on the
+		// free list are given back at the next registration, and the
+		// one full-size block a slow cycle fills is not kept.
+		cycle(topic, 400)
+		cycle(topic, 400)
+		if len(sh.free) != 0 {
+			t.Fatalf("two cycles after the rate fell the free list holds %d blocks", len(sh.free))
+		}
+		if n := len(headOf(topic).blocks); n != 1 {
+			t.Fatalf("a head of a few readings holds %d blocks", n)
 		}
 	})
 
 	t.Run("failed flush aliases nothing", func(t *testing.T) {
 		// Four heads meet a failing flush in the four states unseal
 		// distinguishes: nothing new, only newer readings, an older one
-		// (the merge), and a head created during the flush.
+		// (the readings move back into the sealed run), and a head
+		// created during the flush.
 		quiet, newer, older, born := sensor.Topic("/f/quiet"), sensor.Topic("/f/newer"), sensor.Topic("/f/older"), sensor.Topic("/f/born")
 		for _, topic := range []sensor.Topic{quiet, newer, older} {
-			cycle(topic, 200)
-			cycle(topic, 200)
+			cycle(topic, 700)
+			cycle(topic, 700)
 		}
 		fs.hook = func() error {
 			inOrder(newer, 50)
 			put(older, sensor.Reading{Time: 3, Value: -1}, sensor.Reading{Time: next[older] - 1, Value: -2})
+			inOrder(older, 600)
 			inOrder(born, 5)
 			return errors.New("injected")
 		}
@@ -208,23 +236,30 @@ func TestHeadBuffersRecycled(t *testing.T) {
 			t.Fatal("Flush with a failing segment create succeeded")
 		}
 		owner := map[*sensor.Reading]string{}
-		for i := range db.shards {
-			for topic, h := range db.shards[i].heads {
-				if h.sealed != nil {
-					t.Fatalf("%s still sealed after the failed flush", topic)
+		claim := func(b []sensor.Reading, who string) {
+			if a := array(b); a != nil {
+				if prev, dup := owner[a]; dup {
+					t.Fatalf("%s and %s share a block", who, prev)
 				}
-				for name, run := range map[string][]sensor.Reading{"data": h.data, "spare": h.spare} {
-					if a := array(run); a != nil {
-						if prev, dup := owner[a]; dup {
-							t.Fatalf("%s.%s and %s share an array", topic, name, prev)
-						}
-						owner[a] = fmt.Sprintf("%s.%s", topic, name)
-					}
-				}
+				owner[a] = who
 			}
 		}
-		// The next flush succeeds with inserts landing in whatever each
-		// seal handed to data; every series reads back whole, from the
+		for i := range db.shards {
+			sh := &db.shards[i]
+			for topic, h := range sh.heads {
+				if h.nsealed != 0 {
+					t.Fatalf("%s still sealed after the failed flush", topic)
+				}
+				for k, b := range h.blocks {
+					claim(b, fmt.Sprintf("%s block %d", topic, k))
+				}
+			}
+			for k, b := range sh.free {
+				claim(b, fmt.Sprintf("shard %d free block %d", i, k))
+			}
+		}
+		// The next flush succeeds with inserts landing in whatever blocks
+		// the failed one left; every series reads back whole, from the
 		// heads and from the segments.
 		for _, topic := range []sensor.Topic{quiet, newer, older, born} {
 			cycle(topic, 30)

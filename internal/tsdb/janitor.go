@@ -15,10 +15,10 @@ import (
 // is soft by one flush — sealing resets the count, and what arrives while
 // the segment is written belongs to the next cycle — and there is no
 // back-pressure: an insert never waits for a flush. 4 Mi readings are
-// 64 MiB of sensor.Reading, about 59 MB of WAL and one segment of ≈ 25 MB;
-// with each head keeping a spare array (head.go) resident head memory
-// stays within twice that plus one flush's arrivals, whatever the ingest
-// rate.
+// 64 MiB of sensor.Reading, about 59 MB of WAL and one segment of ≈ 25 MB.
+// The blocks a flush frees wait on their shard's free list only until
+// the next cycle's inserts refill them (head.go), so live head memory
+// stays within that plus one flush's arrivals, whatever the ingest rate.
 //
 // flushHeadReadings and maxHeadAge are thresholds a timer pass applies
 // to whatever is below the bound: a pass flushes once the heads hold

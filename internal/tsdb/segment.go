@@ -99,10 +99,12 @@ const segWriteBuf = 256 << 10
 // flush's error path can unseal the same readings in their heads without
 // the next flush duplicating them. decimal is how many of its chunks
 // took the decimal codec; the rest are XOR.
-func writeSegment(fs FS, dir string, seq, coveredWAL uint64, data map[sensor.Topic][]sensor.Reading) (seg *segment, decimal int, err error) {
+func writeSegment[S seriesData](fs FS, dir string, seq, coveredWAL uint64, data map[sensor.Topic]S) (seg *segment, decimal int, err error) {
+	runs := make(map[sensor.Topic][][]sensor.Reading, len(data))
 	topics := make([]sensor.Topic, 0, len(data))
-	for t, rs := range data {
-		if len(rs) > 0 {
+	for t, s := range data {
+		if run := blocksOf(s); len(run) > 0 && len(run[0]) > 0 {
+			runs[t] = run
 			topics = append(topics, t)
 		}
 	}
@@ -115,7 +117,7 @@ func writeSegment(fs FS, dir string, seq, coveredWAL uint64, data map[sensor.Top
 	tmp := path + ".tmp"
 	f, err := fs.Create(tmp)
 	if err == nil {
-		if decimal, err = streamSegment(f, coveredWAL, topics, data); err == nil {
+		if decimal, err = streamSegment(f, coveredWAL, topics, runs); err == nil {
 			err = f.Sync()
 		}
 		if cerr := f.Close(); err == nil {
@@ -140,10 +142,25 @@ func writeSegment(fs FS, dir string, seq, coveredWAL uint64, data map[sensor.Top
 	return seg, decimal, nil
 }
 
+// seriesData is one topic's readings as writeSegment takes them: a head's
+// run as its blocks, or a single sorted slice.
+type seriesData interface {
+	[][]sensor.Reading | []sensor.Reading
+}
+
+// blocksOf returns s as a run of blocks.
+func blocksOf[S seriesData](s S) [][]sensor.Reading {
+	if rs, ok := any(s).([]sensor.Reading); ok {
+		return [][]sensor.Reading{rs}
+	}
+	return any(s).([][]sensor.Reading)
+}
+
 // streamSegment writes header, chunks, index and footer to f through one
 // fixed-size buffer and one reused chunk encoder, stopping at the first
-// failed write. It returns how many chunks took the decimal codec.
-func streamSegment(f File, coveredWAL uint64, topics []sensor.Topic, data map[sensor.Topic][]sensor.Reading) (decimal int, err error) {
+// failed write. Each topic's run must hold at least one block and no
+// empty block. It returns how many chunks took the decimal codec.
+func streamSegment(f File, coveredWAL uint64, topics []sensor.Topic, data map[sensor.Topic][][]sensor.Reading) (decimal int, err error) {
 	bw := bufio.NewWriterSize(f, segWriteBuf)
 	hdr := append(make([]byte, 0, segHeader), segMagic...)
 	hdr = binary.LittleEndian.AppendUint32(hdr, segVersion)
@@ -158,23 +175,24 @@ func streamSegment(f File, coveredWAL uint64, topics []sensor.Topic, data map[se
 	var enc Encoder
 	var chunk []byte
 	for _, topic := range topics {
-		rs := data[topic]
+		run := data[topic]
 		var agg store.AggResult
-		for _, r := range rs {
-			agg.Observe(r.Value)
+		for _, b := range run {
+			agg.ObserveAll(b)
 		}
 		var codec byte
-		if chunk, codec = enc.AppendChunk(chunk[:0], rs); codec != codecXOR {
+		if chunk, codec = enc.AppendChunk(chunk[:0], run...); codec != codecXOR {
 			decimal++
 		}
 		if _, err := bw.Write(chunk); err != nil {
 			return 0, err
 		}
+		tail := run[len(run)-1]
 		index = binary.AppendUvarint(index, uint64(len(topic)))
 		index = append(index, topic...)
-		index = binary.AppendUvarint(index, uint64(len(rs)))
-		index = binary.AppendVarint(index, rs[0].Time)
-		index = binary.AppendVarint(index, rs[len(rs)-1].Time)
+		index = binary.AppendUvarint(index, uint64(agg.Count))
+		index = binary.AppendVarint(index, run[0][0].Time)
+		index = binary.AppendVarint(index, tail[len(tail)-1].Time)
 		index = binary.AppendUvarint(index, off)
 		index = binary.AppendUvarint(index, uint64(len(chunk)))
 		index = binary.LittleEndian.AppendUint64(index, math.Float64bits(agg.Min))
