@@ -17,34 +17,28 @@ import (
 // the flush-time pre-aggregates when the window (clamped to the
 // retention watermark) fully covers the chunk, and streams the decoder
 // over boundary chunks; the head's runs are reduced in one pass
-// each. Like Range, a corrupt chunk is skipped whole, and
-// the epoch-retry loop guarantees a concurrent flush or prune can never
-// make readings invisible (or visible twice) to the accumulator.
+// each. Like Range, it reads every tier under one shared hold of db.mu,
+// so a concurrent flush or prune can never make readings invisible (or
+// visible twice) to the accumulator, and a corrupt chunk is skipped
+// whole.
 func (db *DB) Aggregate(topic sensor.Topic, t0, t1 int64) store.AggResult {
 	if t1 < t0 {
 		return store.AggResult{}
 	}
-	for {
-		v := db.view(topic)
-		lo := t0
-		if lo < v.floor {
-			lo = v.floor
-		}
-		var a store.AggResult
-		for _, s := range v.segs {
-			part, err := s.aggregate(topic, lo, t1)
-			if err != nil {
-				continue
-			}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	lo := max(t0, db.floor)
+	var a store.AggResult
+	for _, s := range db.segs {
+		if part, err := s.aggregate(topic, lo, t1); err == nil {
 			a.Merge(part)
 		}
-		v.sh.mu.RLock()
-		a.Merge(v.sh.heads[topic].aggregate(lo, t1))
-		v.sh.mu.RUnlock()
-		if db.stable(v) {
-			return a
-		}
 	}
+	sh := &db.shards[headShardIdx(topic)]
+	sh.mu.RLock()
+	a.Merge(sh.heads[topic].aggregate(lo, t1))
+	sh.mu.RUnlock()
+	return a
 }
 
 // Downsample implements store.Backend. Every tier yields its buckets
@@ -59,32 +53,26 @@ func (db *DB) Downsample(topic sensor.Topic, t0, t1, step int64, dst []store.Buc
 	}
 	var cur, tier, merged []store.Bucket
 	var win [][]sensor.Reading
-	for {
-		v := db.view(topic)
-		lo := t0
-		if lo < v.floor {
-			lo = v.floor
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	lo := max(t0, db.floor)
+	for _, s := range db.segs {
+		var err error
+		tier, err = s.downsample(topic, t0, lo, t1, step, tier[:0])
+		if err != nil {
+			continue
 		}
-		cur = cur[:0]
-		for _, s := range v.segs {
-			var err error
-			tier, err = s.downsample(topic, t0, lo, t1, step, tier[:0])
-			if err != nil {
-				continue
-			}
-			cur, merged = mergeBuckets(cur, tier, merged[:0]), cur
-		}
-		v.sh.mu.RLock()
-		for _, run := range v.sh.heads[topic].runs() {
-			win = appendWindow(win[:0], run, lo, t1)
-			tier = store.AppendBuckets(tier[:0], t0, step, win...)
-			cur, merged = mergeBuckets(cur, tier, merged[:0]), cur
-		}
-		v.sh.mu.RUnlock()
-		if db.stable(v) {
-			return append(dst, cur...)
-		}
+		cur, merged = mergeBuckets(cur, tier, merged[:0]), cur
 	}
+	sh := &db.shards[headShardIdx(topic)]
+	sh.mu.RLock()
+	for _, run := range sh.heads[topic].runs() {
+		win = appendWindow(win[:0], run, lo, t1)
+		tier = store.AppendBuckets(tier[:0], t0, step, win...)
+		cur, merged = mergeBuckets(cur, tier, merged[:0]), cur
+	}
+	sh.mu.RUnlock()
+	return append(dst, cur...)
 }
 
 // aggregate reduces the series' readings within [t0, t1]; a fully

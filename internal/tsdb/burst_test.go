@@ -157,6 +157,16 @@ func TestTornBurstReplaysWholeRecordPrefix(t *testing.T) {
 	}
 }
 
+// oneBlock gives every series of data as a run of one block, the shape
+// writeSegment takes.
+func oneBlock(data map[sensor.Topic][]sensor.Reading) map[sensor.Topic][][]sensor.Reading {
+	runs := make(map[sensor.Topic][][]sensor.Reading, len(data))
+	for t, rs := range data {
+		runs[t] = [][]sensor.Reading{rs}
+	}
+	return runs
+}
+
 // goldenSegmentInput is the fixed input testdata/segment-v2.golden and
 // testdata/segment-v3.golden were written from.
 func goldenSegmentInput() map[sensor.Topic][]sensor.Reading {
@@ -185,7 +195,7 @@ func TestStreamedSegmentMatchesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	seg, decimal, err := writeSegment(OSFS, dir, 7, 3, goldenSegmentInput())
+	seg, decimal, err := writeSegment(OSFS, dir, 7, 3, oneBlock(goldenSegmentInput()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +286,7 @@ func TestStreamedSegmentMatchesReference(t *testing.T) {
 		t.Fatalf("reference segment is %d bytes: too small to span several buffered writes", len(want))
 	}
 	dir := t.TempDir()
-	seg, _, err := writeSegment(OSFS, dir, 1, 0, data)
+	seg, _, err := writeSegment(OSFS, dir, 1, 0, oneBlock(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -456,7 +456,7 @@ func TestDecimalSegmentBytesPerReading(t *testing.T) {
 		}
 		data[sensor.Topic(fmt.Sprintf("/r%02d/c%02d/n%02d/power", s/256, s/16%16, s%16))] = rs
 	}
-	seg, decimal, err := writeSegment(OSFS, t.TempDir(), 1, 0, data)
+	seg, decimal, err := writeSegment(OSFS, t.TempDir(), 1, 0, oneBlock(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,29 +114,25 @@ type DB struct {
 	flushMu sync.Mutex
 	segSeq  uint64
 
-	mu    sync.RWMutex // guards segs, floor, epoch
+	// mu guards segs and floor. Every read holds it shared for the whole
+	// read, with its topic's stripe lock inside, so segment registration
+	// and Prune's floor and segment swap, which hold it exclusively, fall
+	// entirely before or after a read. A reader must not take it again
+	// while holding it: a recursive RLock queued behind a waiting writer
+	// deadlocks.
+	mu    sync.RWMutex
 	segs  []*segment
 	floor int64 // retention watermark: readings < floor are pruned
 
 	// shards stripe the head map so the insert hot path touches only its
-	// topic's lock; db.mu is never taken by InsertBatch. The one place
-	// both are held is segment registration, which clears every stripe's
-	// sealed runs while holding db.mu exclusively, so the epoch-retry
-	// read protocol detects the readings moving tiers.
+	// topic's lock; db.mu is never taken by InsertBatch. Segment
+	// registration clears every stripe's sealed runs while holding db.mu
+	// exclusively, so a reader finds the readings in exactly one tier.
 	shards [headShardCount]headShard
 
 	headN     atomic.Int64 // unsealed readings across heads
 	sealedN   atomic.Int64 // readings the flush in progress is writing
 	headSince atomic.Int64 // unix nanos of the oldest buffered arrival, 0 = empty
-
-	// epoch counts data-relocation events: segment registration and
-	// prune. A query snapshots the epoch with its segment list, reads
-	// without db.mu, and retries on a mismatch — so a flush moving
-	// readings from heads to a segment can never make them transiently
-	// invisible (or visible twice) to a concurrent reader. Plain data
-	// arrival does not bump the epoch, and neither does sealing or
-	// unsealing: what a head holds for its topic does not change.
-	epoch uint64
 
 	// wal holds the sticky WAL failure too: once a write or sync fails
 	// the DB keeps serving from memory and reports itself degraded
@@ -516,79 +512,40 @@ func saveFloor(fs FS, dir string, floor int64) {
 	}
 }
 
-// tierView is one epoch-stamped snapshot of where a topic's readings
-// live: the immutable segments and the shard holding its head.
-type tierView struct {
-	epoch uint64
-	floor int64
-	segs  []*segment
-	sh    *headShard
-}
-
-func (db *DB) view(topic sensor.Topic) tierView {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	// The head is read after db.mu is released, under the shard lock
-	// alone; if a flush registers its segment between the snapshot and
-	// that read, the epoch check catches it and the read retries.
-	return tierView{
-		epoch: db.epoch,
-		floor: db.floor,
-		segs:  db.segs,
-		sh:    &db.shards[headShardIdx(topic)],
-	}
-}
-
-// stable reports whether no data relocation happened since the view was
-// taken; an unstable read is discarded and retried.
-func (db *DB) stable(v tierView) bool {
-	db.mu.RLock()
-	ok := db.epoch == v.epoch
-	db.mu.RUnlock()
-	return ok
-}
-
 // Range implements store.Backend: segments first (oldest flush to
-// newest), then the head. The merged result is re-sorted only when
-// an out-of-order insert straddled a flush boundary.
+// newest), then the head, under one shared hold of db.mu. The merged
+// result is re-sorted only when an out-of-order insert straddled a flush
+// boundary.
 func (db *DB) Range(topic sensor.Topic, t0, t1 int64, dst []sensor.Reading) []sensor.Reading {
 	if t1 < t0 {
 		return dst
 	}
 	base := len(dst)
-	for {
-		v := db.view(topic)
-		lo := t0
-		if lo < v.floor {
-			lo = v.floor
-		}
-		out := dst[:base]
-		for _, s := range v.segs {
-			// An unreadable or corrupt chunk is skipped whole — partial
-			// decodes are truncated away so a silently cut-short series
-			// never masquerades as a complete answer.
-			mark := len(out)
-			res, err := s.appendRange(topic, lo, t1, out)
-			if err != nil {
-				out = res[:mark]
-				continue
-			}
-			out = res
-		}
-		v.sh.mu.RLock()
-		out = v.sh.heads[topic].appendRange(lo, t1, out)
-		v.sh.mu.RUnlock()
-		if !db.stable(v) {
-			dst = out[:base]
+	db.mu.RLock()
+	lo := max(t0, db.floor)
+	for _, s := range db.segs {
+		// An unreadable or corrupt chunk is skipped whole — partial
+		// decodes are truncated away so a silently cut-short series
+		// never masquerades as a complete answer.
+		mark := len(dst)
+		res, err := s.appendRange(topic, lo, t1, dst)
+		if err != nil {
+			dst = res[:mark]
 			continue
 		}
-		if !sortedFrom(out, base) {
-			sort.SliceStable(out[base:], func(i, j int) bool {
-				return out[base+i].Time < out[base+j].Time
-			})
-		}
-		return out
+		dst = res
 	}
+	sh := &db.shards[headShardIdx(topic)]
+	sh.mu.RLock()
+	dst = sh.heads[topic].appendRange(lo, t1, dst)
+	sh.mu.RUnlock()
+	db.mu.RUnlock()
+	if !sortedFrom(dst, base) {
+		sort.SliceStable(dst[base:], func(i, j int) bool {
+			return dst[base+i].Time < dst[base+j].Time
+		})
+	}
+	return dst
 }
 
 func sortedFrom(rs []sensor.Reading, start int) bool {
@@ -604,85 +561,72 @@ func sortedFrom(rs []sensor.Reading, start int) bool {
 // can leave the head's newest reading older than a flushed segment's,
 // every tier whose time bound can beat the current best is consulted.
 func (db *DB) Latest(topic sensor.Topic) (sensor.Reading, bool) {
-	for {
-		v := db.view(topic)
-		v.sh.mu.RLock()
-		best, found := v.sh.heads[topic].latest(v.floor)
-		v.sh.mu.RUnlock()
-		for i := len(v.segs) - 1; i >= 0; i-- {
-			ss, ok := v.segs[i].series[topic]
-			if !ok || ss.maxT < v.floor || (found && ss.maxT <= best.Time) {
-				continue
-			}
-			if r, ok, err := v.segs[i].latest(topic, v.floor); err == nil && ok &&
-				(!found || r.Time > best.Time) {
-				best, found = r, true
-			}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	sh := &db.shards[headShardIdx(topic)]
+	sh.mu.RLock()
+	best, found := sh.heads[topic].latest(db.floor)
+	sh.mu.RUnlock()
+	for i := len(db.segs) - 1; i >= 0; i-- {
+		ss, ok := db.segs[i].series[topic]
+		if !ok || ss.maxT < db.floor || (found && ss.maxT <= best.Time) {
+			continue
 		}
-		if db.stable(v) {
-			return best, found
+		if r, ok, err := db.segs[i].latest(topic, db.floor); err == nil && ok &&
+			(!found || r.Time > best.Time) {
+			best, found = r, true
 		}
 	}
+	return best, found
 }
 
 // Count implements store.Backend.
 func (db *DB) Count(topic sensor.Topic) int {
-	for {
-		v := db.view(topic)
-		n := 0
-		for _, s := range v.segs {
-			c, err := s.countFrom(topic, v.floor)
-			if err == nil {
-				n += c
-			}
-		}
-		v.sh.mu.RLock()
-		n += v.sh.heads[topic].countFrom(v.floor)
-		v.sh.mu.RUnlock()
-		if db.stable(v) {
-			return n
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	n := 0
+	for _, s := range db.segs {
+		if c, err := s.countFrom(topic, db.floor); err == nil {
+			n += c
 		}
 	}
+	sh := &db.shards[headShardIdx(topic)]
+	sh.mu.RLock()
+	n += sh.heads[topic].countFrom(db.floor)
+	sh.mu.RUnlock()
+	return n
 }
 
 // topicSet returns the set of topics with at least one live reading —
 // and, with anyHead, those whose head holds only readings the retention
-// floor hides (see indexTopics). Heads are striped, so the scan cannot
-// read them all under one lock; the epoch retry makes the combined
-// snapshot consistent (a flush registering its segment mid-scan bumps the
-// epoch and the scan reruns).
+// floor hides (see indexTopics). The stripes are read one at a time, all
+// under one shared hold of db.mu, so no segment registration or prune
+// falls between them.
 func (db *DB) topicSet(anyHead bool) map[sensor.Topic]bool {
-	for {
-		db.mu.RLock()
-		epoch := db.epoch
-		floor := db.floor
-		segs := db.segs
-		db.mu.RUnlock()
-		var seen map[sensor.Topic]bool
-		for i := range db.shards {
-			sh := &db.shards[i]
-			sh.mu.RLock()
-			if seen == nil {
-				seen = make(map[sensor.Topic]bool, (len(sh.heads)+1)*headShardCount)
-			}
-			for t, h := range sh.heads {
-				if anyHead || h.countFrom(floor) > 0 {
-					seen[t] = true
-				}
-			}
-			sh.mu.RUnlock()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	var seen map[sensor.Topic]bool
+	for i := range db.shards {
+		sh := &db.shards[i]
+		sh.mu.RLock()
+		if seen == nil {
+			seen = make(map[sensor.Topic]bool, (len(sh.heads)+1)*headShardCount)
 		}
-		for _, s := range segs {
-			for t, ss := range s.series {
-				if !seen[t] && ss.maxT >= floor {
-					seen[t] = true
-				}
+		for t, h := range sh.heads {
+			if anyHead || h.countFrom(db.floor) > 0 {
+				seen[t] = true
 			}
 		}
-		if db.stable(tierView{epoch: epoch}) {
-			return seen
+		sh.mu.RUnlock()
+	}
+	for _, s := range db.segs {
+		for t, ss := range s.series {
+			if !seen[t] && ss.maxT >= db.floor {
+				seen[t] = true
+			}
 		}
 	}
+	return seen
 }
 
 // Topics implements store.Backend.
@@ -707,32 +651,26 @@ func sortedTopics(seen map[sensor.Topic]bool) []sensor.Topic {
 
 // TotalReadings returns the number of live readings across all series.
 func (db *DB) TotalReadings() int {
-	for {
-		db.mu.RLock()
-		epoch := db.epoch
-		floor := db.floor
-		n := 0
-		// Segment counts and prune bookkeeping are mutated only under
-		// db.mu, so tally them while holding it (no chunk decodes here).
-		for _, s := range db.segs {
-			for _, ss := range s.series {
-				n += ss.count
-			}
-			n -= s.prunedCount
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	n := 0
+	// Segment counts and prune bookkeeping are mutated only under db.mu
+	// (no chunk decodes here).
+	for _, s := range db.segs {
+		for _, ss := range s.series {
+			n += ss.count
 		}
-		db.mu.RUnlock()
-		for i := range db.shards {
-			sh := &db.shards[i]
-			sh.mu.RLock()
-			for _, h := range sh.heads {
-				n += h.countFrom(floor)
-			}
-			sh.mu.RUnlock()
-		}
-		if db.stable(tierView{epoch: epoch}) {
-			return n
-		}
+		n -= s.prunedCount
 	}
+	for i := range db.shards {
+		sh := &db.shards[i]
+		sh.mu.RLock()
+		for _, h := range sh.heads {
+			n += h.countFrom(db.floor)
+		}
+		sh.mu.RUnlock()
+	}
+	return n
 }
 
 // Flush writes every head into one new immutable segment and
@@ -763,8 +701,7 @@ func (db *DB) Flush() error {
 	// Atomically: seal every head's readings in place, rotate the WAL.
 	// Inserts resume into the heads' data runs + the new WAL file while
 	// the segment is written from the sealed runs. What a reader finds
-	// for a topic does not change, so neither db.mu nor the epoch is
-	// involved.
+	// for a topic does not change, so db.mu is not involved.
 	sealed := make(map[sensor.Topic][][]sensor.Reading)
 	for i := range db.shards {
 		sh := &db.shards[i]
@@ -821,10 +758,10 @@ func (db *DB) Flush() error {
 		db.metrics.decimalChunks.Add(uint64(decimal))
 		db.metrics.xorChunks.Add(uint64(len(seg.series) - decimal))
 		// Register the segment and release the sealed runs it now holds, as
-		// one relocation: the shard locks nest inside db.mu (the one place
-		// both are held), so an epoch-checked reader sees the readings in
-		// exactly one tier. The sealed blocks become the shard's free list,
-		// and heads left with nothing leave their maps.
+		// one relocation under db.mu held exclusively: a reader, which
+		// holds it shared, sees the readings in exactly one tier. The
+		// sealed blocks become the shard's free list, and heads left with
+		// nothing leave their maps.
 		db.mu.Lock()
 		db.segs = append(db.segs, seg)
 		for i := range db.shards {
@@ -840,7 +777,6 @@ func (db *DB) Flush() error {
 			sh.mu.Unlock()
 		}
 		db.sealedN.Store(0)
-		db.epoch++
 		db.mu.Unlock()
 	}
 	// With nothing sealed, the retired WAL files hold nothing beyond what
@@ -893,15 +829,12 @@ func (db *DB) Prune(cutoff int64) int {
 	defer db.flushMu.Unlock()
 	pruneStart := telemetry.Clock()
 	defer db.metrics.pruneSeconds.ObserveSince(pruneStart)
-	db.mu.Lock()
-	if cutoff <= db.floor {
-		db.mu.Unlock()
+	db.mu.RLock()
+	floor, segs := db.floor, db.segs
+	db.mu.RUnlock()
+	if cutoff <= floor {
 		return 0
 	}
-	db.epoch++ // the floor moved: in-flight reads must retry against it
-	db.floor = cutoff
-	segs := db.segs
-	db.mu.Unlock()
 
 	// Chunk decodes (countBelow) run without any db-wide lock: segments
 	// are immutable and flushMu keeps the set stable. Inserts and
@@ -927,6 +860,20 @@ func (db *DB) Prune(cutoff int64) int {
 		}
 		kept = append(kept, s)
 	}
+
+	// The floor, the prune bookkeeping TotalReadings reads and the segment
+	// list change in one exclusive section, so a read sees the prune
+	// wholly before or wholly after it. Stats reads a snapshot of the old
+	// slice header after releasing db.mu, so the surviving set goes into
+	// the fresh slice, never compacted in place.
+	db.mu.Lock()
+	db.floor = cutoff
+	for s, n := range newPruned {
+		s.prunedCount = n
+	}
+	db.segs = kept
+	db.mu.Unlock()
+	// What the heads hold below the floor is hidden now; trim it away.
 	headDropped := 0
 	for i := range db.shards {
 		sh := &db.shards[i]
@@ -940,22 +887,8 @@ func (db *DB) Prune(cutoff int64) int {
 		sh.mu.Unlock()
 	}
 	removed += headDropped
-
-	changed := len(newPruned) > 0 || len(expired) > 0 || headDropped > 0
-	db.mu.Lock()
-	// Readers hold snapshots of the old slice header, so the surviving
-	// set goes into the fresh slice, never compacted in place; the
-	// prunedCount writes land under db.mu because TotalReadings reads
-	// them there.
-	for s, n := range newPruned {
-		s.prunedCount = n
-	}
-	db.segs = kept
-	if changed {
-		db.epoch++
-	}
-	db.mu.Unlock()
 	db.headN.Add(int64(-headDropped))
+	// No read can be inside an expired segment once the swap is done.
 	for _, s := range expired {
 		total := 0
 		for _, ss := range s.series {
@@ -965,6 +898,7 @@ func (db *DB) Prune(cutoff int64) int {
 		s.close()
 		db.fs.Remove(s.path)
 	}
+	changed := len(newPruned) > 0 || len(expired) > 0 || headDropped > 0
 	// Persist the watermark only when it actually hid or dropped
 	// something: a janitor pass on an idle window then costs no write.
 	if changed {

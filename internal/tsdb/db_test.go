@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/dcdb/wintermute/internal/sensor"
+	"github.com/dcdb/wintermute/internal/store"
 	"github.com/dcdb/wintermute/internal/testseed"
 )
 
@@ -366,6 +369,232 @@ func TestQueriesNeverMissDataDuringFlush(t *testing.T) {
 	}
 	if got := db.Range("/x", 0, total*sec, nil); len(got) != total {
 		t.Fatalf("final Range = %d readings, want %d", len(got), total)
+	}
+}
+
+// TestReadsWholeAcrossFlushAndPrune runs every kind of read while one
+// writer inserts /x with value i at i s, flushes every 100 readings and
+// prunes behind itself, so whole segments expire and are deleted under
+// the readers. What is live is always one contiguous run, so each answer
+// checks itself: no gap, no duplicate, a start at a retention floor and
+// an end no earlier than what was inserted before the read began.
+func TestReadsWholeAcrossFlushAndPrune(t *testing.T) {
+	// Twice as many Ps as CPUs: the OS then preempts a reader at any
+	// instruction, not only where the Go scheduler does, so flushes land
+	// inside reads far more often.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2 * runtime.NumCPU()))
+	db := openTest(t, t.TempDir(), Options{})
+	defer db.Close()
+	// Every cutoff, i+1-trail after the flush of reading i, lies
+	// flushEvery/2 s past a flush boundary.
+	const total, flushEvery, trail, step = 4000, 100, 250, 30
+	// The writer publishes the readings inserted and the prune cutoff, in
+	// seconds, as each call begins and once it is done. A read must match
+	// some instant between the done values before it and the begun values
+	// after it.
+	type state struct{ cut, ins int64 }
+	var cutBegun, cutDone, insBegun, insDone atomic.Int64
+	done := func() state { return state{cutDone.Load(), insDone.Load()} }
+	begun := func() state { return state{cutBegun.Load(), insBegun.Load()} }
+	put := func(i int64) {
+		insBegun.Store(i + 1)
+		db.InsertBatch("/x", []sensor.Reading{{Value: float64(i), Time: i * sec}})
+		insDone.Store(i + 1)
+	}
+	// whole says why the run [first, last] was never live between b and
+	// e, or "" if it was.
+	whole := func(first, last int64, b, e state) string {
+		if first < b.cut || first > e.cut || (first != 0 && first%flushEvery != flushEvery/2) {
+			return fmt.Sprintf("starts at %d s, not at a retention floor in [%d, %d]", first, b.cut, e.cut)
+		}
+		if last+1 < b.ins || last+1 > e.ins {
+			return fmt.Sprintf("ends at %d s, want in [%d, %d)", last, b.ins-1, e.ins)
+		}
+		return ""
+	}
+	// contiguous says why a holds no contiguous run of values, or "".
+	contiguous := func(a store.AggResult) string {
+		if a.Count == 0 || a.Max-a.Min+1 != float64(a.Count) || a.Sum != (a.Min+a.Max)*float64(a.Count)/2 {
+			return fmt.Sprintf("%+v is no contiguous run", a)
+		}
+		return ""
+	}
+	// counted says why n was never the live count between b and e, or "".
+	counted := func(n int, b, e state) string {
+		if lo, hi := b.ins-e.cut, e.ins-b.cut; int64(n) < lo || int64(n) > hi {
+			return fmt.Sprintf("= %d, want in [%d, %d]", n, lo, hi)
+		}
+		return ""
+	}
+	newest := int64(-1) // touched by the Latest reader alone
+	reads := map[string]func(b state) string{
+		"Range": func(b state) string {
+			rs := db.Range("/x", 0, total*sec, nil)
+			e := begun()
+			if len(rs) == 0 {
+				return "is empty"
+			}
+			for j, r := range rs {
+				if r.Time != rs[0].Time+int64(j)*sec || r.Value != float64(r.Time/sec) {
+					return fmt.Sprintf("has %v at %d s as reading %d of a run from %d s", r.Value, r.Time/sec, j, rs[0].Time/sec)
+				}
+			}
+			return whole(rs[0].Time/sec, rs[len(rs)-1].Time/sec, b, e)
+		},
+		"Aggregate": func(b state) string {
+			a := db.Aggregate("/x", 0, total*sec)
+			e := begun()
+			if msg := contiguous(a); msg != "" {
+				return msg
+			}
+			return whole(int64(a.Min), int64(a.Max), b, e)
+		},
+		"Downsample": func(b state) string {
+			bs := db.Downsample("/x", 0, total*sec, step*sec, nil)
+			e := begun()
+			if len(bs) == 0 {
+				return "is empty"
+			}
+			for j, bk := range bs {
+				if msg := contiguous(bk.AggResult); msg != "" {
+					return fmt.Sprintf("bucket at %d s: %s", bk.Start/sec, msg)
+				}
+				if int64(bk.Min)*sec < bk.Start || int64(bk.Max)*sec >= bk.Start+step*sec {
+					return fmt.Sprintf("bucket at %d s holds %v..%v", bk.Start/sec, bk.Min, bk.Max)
+				}
+				if j > 0 && (bk.Start != bs[j-1].Start+step*sec || bk.Min != bs[j-1].Max+1) {
+					return fmt.Sprintf("bucket at %d s (from %v) does not follow the one at %d s (to %v)", bk.Start/sec, bk.Min, bs[j-1].Start/sec, bs[j-1].Max)
+				}
+			}
+			return whole(int64(bs[0].Min), int64(bs[len(bs)-1].Max), b, e)
+		},
+		"Count": func(b state) string {
+			n := db.Count("/x")
+			return counted(n, b, begun())
+		},
+		"TotalReadings": func(b state) string {
+			n := db.TotalReadings()
+			return counted(n, b, begun())
+		},
+		"Latest": func(b state) string {
+			r, ok := db.Latest("/x")
+			e := begun()
+			if !ok || r.Value != float64(r.Time/sec) || r.Time/sec < newest {
+				return fmt.Sprintf("= %+v, %v after %d s", r, ok, newest)
+			}
+			newest = r.Time / sec
+			if newest+1 < b.ins || newest+1 > e.ins {
+				return fmt.Sprintf("is at %d s, want in [%d, %d)", newest, b.ins-1, e.ins)
+			}
+			return ""
+		},
+		"Topics": func(state) string {
+			if ts := db.Topics(); len(ts) != 1 || ts[0] != "/x" {
+				return fmt.Sprintf("= %v", ts)
+			}
+			return ""
+		},
+	}
+
+	put(0)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for name, read := range reads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if msg := read(done()); msg != "" {
+					t.Errorf("%s %s", name, msg)
+					return
+				}
+			}
+		}()
+	}
+	for i := int64(1); i < total; i++ {
+		put(i)
+		if (i+1)%flushEvery != 0 {
+			continue
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		if cut := i + 1 - trail; cut > 0 {
+			cutBegun.Store(cut)
+			db.Prune(cut * sec)
+			cutDone.Store(cut)
+		}
+	}
+	// The last cutoff, 3750 s, leaves three of the forty segments.
+	if n := db.Stats().Segments; n != 3 {
+		t.Fatalf("%d segments left, want 3", n)
+	}
+}
+
+// segReadFS runs hook, once, at the next read from a segment file.
+type segReadFS struct {
+	FS
+	hook func()
+}
+
+func (f *segReadFS) Open(name string) (File, error) {
+	file, err := f.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return hookedReads{file, f}, nil
+}
+
+type hookedReads struct {
+	File
+	fs *segReadFS
+}
+
+func (r hookedReads) ReadAt(p []byte, off int64) (int, error) {
+	if hook := r.fs.hook; hook != nil {
+		r.fs.hook = nil
+		hook()
+	}
+	return r.File.ReadAt(p, off)
+}
+
+// TestPruneIsOneStepForReads: reads that run while Prune decodes the
+// chunk its cutoff cuts through see the prune wholly before or wholly
+// after it, so TotalReadings, Count and Range agree.
+func TestPruneIsOneStepForReads(t *testing.T) {
+	fs := &segReadFS{FS: OSFS}
+	db := openTest(t, t.TempDir(), Options{FS: fs})
+	defer db.Close()
+	rs := make([]sensor.Reading, 1000)
+	for i := range rs {
+		rs[i] = sensor.Reading{Value: float64(i), Time: int64(i) * sec}
+	}
+	db.InsertBatch("/x", rs)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ran := false
+	fs.hook = func() {
+		ran = true
+		total, count, n := db.TotalReadings(), db.Count("/x"), len(db.Range("/x", 0, 1000*sec, nil))
+		if total != count || count != n {
+			t.Errorf("during Prune: TotalReadings %d, Count %d, Range %d readings", total, count, n)
+		}
+	}
+	if removed := db.Prune(500 * sec); removed != 500 {
+		t.Fatalf("Prune removed %d readings, want 500", removed)
+	}
+	if !ran {
+		t.Fatal("Prune decoded no chunk")
 	}
 }
 

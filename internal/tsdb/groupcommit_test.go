@@ -11,9 +11,9 @@ import (
 )
 
 // TestConcurrentWritersFlushRotate races N concurrent batch writers
-// against whole Flush cycles, bare WAL rotations and epoch-checked
-// queries: nothing acknowledged may go missing, and the run must be
-// race-clean (exercised by `make race`).
+// against whole Flush cycles, bare WAL rotations and queries: nothing
+// acknowledged may go missing, and the run must be race-clean
+// (exercised by `make race`).
 func TestConcurrentWritersFlushRotate(t *testing.T) {
 	db := openTest(t, t.TempDir(), Options{})
 	defer db.Close()

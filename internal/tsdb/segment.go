@@ -90,7 +90,8 @@ func segPath(dir string, seq uint64) string {
 // segment's size.
 const segWriteBuf = 256 << 10
 
-// writeSegment persists data as segment file seq, fsyncing file and
+// writeSegment persists data, each topic's run of time-sorted blocks
+// (a head's sealed run), as segment file seq, fsyncing file and
 // directory around the atomic rename, and returns the opened segment.
 // Series chunks are encoded in sorted topic order for determinism. The
 // file is streamed: nothing proportional to its size is built in
@@ -99,12 +100,10 @@ const segWriteBuf = 256 << 10
 // flush's error path can unseal the same readings in their heads without
 // the next flush duplicating them. decimal is how many of its chunks
 // took the decimal codec; the rest are XOR.
-func writeSegment[S seriesData](fs FS, dir string, seq, coveredWAL uint64, data map[sensor.Topic]S) (seg *segment, decimal int, err error) {
-	runs := make(map[sensor.Topic][][]sensor.Reading, len(data))
+func writeSegment(fs FS, dir string, seq, coveredWAL uint64, data map[sensor.Topic][][]sensor.Reading) (seg *segment, decimal int, err error) {
 	topics := make([]sensor.Topic, 0, len(data))
-	for t, s := range data {
-		if run := blocksOf(s); len(run) > 0 && len(run[0]) > 0 {
-			runs[t] = run
+	for t, run := range data {
+		if len(run) > 0 && len(run[0]) > 0 {
 			topics = append(topics, t)
 		}
 	}
@@ -117,7 +116,7 @@ func writeSegment[S seriesData](fs FS, dir string, seq, coveredWAL uint64, data 
 	tmp := path + ".tmp"
 	f, err := fs.Create(tmp)
 	if err == nil {
-		if decimal, err = streamSegment(f, coveredWAL, topics, runs); err == nil {
+		if decimal, err = streamSegment(f, coveredWAL, topics, data); err == nil {
 			err = f.Sync()
 		}
 		if cerr := f.Close(); err == nil {
@@ -140,20 +139,6 @@ func writeSegment[S seriesData](fs FS, dir string, seq, coveredWAL uint64, data 
 		return nil, 0, err
 	}
 	return seg, decimal, nil
-}
-
-// seriesData is one topic's readings as writeSegment takes them: a head's
-// run as its blocks, or a single sorted slice.
-type seriesData interface {
-	[][]sensor.Reading | []sensor.Reading
-}
-
-// blocksOf returns s as a run of blocks.
-func blocksOf[S seriesData](s S) [][]sensor.Reading {
-	if rs, ok := any(s).([]sensor.Reading); ok {
-		return [][]sensor.Reading{rs}
-	}
-	return any(s).([][]sensor.Reading)
 }
 
 // streamSegment writes header, chunks, index and footer to f through one
