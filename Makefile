@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet doclint lint test race bench bench-smoke chaos chaos-smoke fuzz-smoke ci
+.PHONY: all build fmt vet doclint lint test race bench bench-smoke chaos chaos-smoke fuzz-smoke examples ci
 
 all: build vet doclint lint test
 
@@ -102,6 +102,15 @@ fuzz-smoke:
 	@for t in FuzzReplayWAL FuzzChunkIter FuzzOpenSegment; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 3s ./internal/tsdb/ || exit 1; done
 
+# Every program under examples/ runs to completion and exits 0. No test
+# runs them otherwise; between them they build and tick seven of the
+# ten operator plugins (all but health, smoothing and tester) and drive
+# the pusher, the collect agent and the tsdb, and the quickstart loads
+# its aggregator from JSON through the plugin registry.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
+
 # Full chaos run: 1000 simulated pushers, 30s of the eight scheduled
 # fault classes (killed connections, stalled fsyncs, failed fsyncs, torn
 # WAL writes, failed segment writes, disk-full, OOO floods, clock skew)
@@ -112,4 +121,4 @@ fuzz-smoke:
 chaos:
 	$(GO) run ./cmd/chaosrunner -seed 42
 
-ci: build fmt vet doclint lint test race bench-smoke bench chaos-smoke fuzz-smoke
+ci: build fmt vet doclint lint test race bench-smoke bench chaos-smoke fuzz-smoke examples

@@ -343,7 +343,7 @@ func BenchmarkUnitResolution(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		us, err := tpl.Instantiate(nav)
+		us, err := tpl.Instantiate(nav, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -452,33 +452,24 @@ func (o *probeOp) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, tc
 }
 
 type probeConfig struct {
-	Ops     int `json:"ops"`
-	Queries int `json:"queries"`
-	ProbeUs int `json:"probeUs"`
+	Name    string `json:"name"`
+	Queries int    `json:"queries"`
+	ProbeUs int    `json:"probeUs"`
 }
 
 func init() {
-	core.RegisterPlugin("benchprobe", func(cfg json.RawMessage, qe *core.QueryEngine, env core.Env) ([]core.Operator, error) {
-		var c probeConfig
-		if err := json.Unmarshal(cfg, &c); err != nil {
+	core.Register("benchprobe", func(c probeConfig, qe *core.QueryEngine, _ core.Env) (*probeOp, error) {
+		oc := core.OperatorConfig{
+			Name:     c.Name,
+			Inputs:   []string{"power"},
+			Outputs:  []string{"<bottomup>" + c.Name},
+			Parallel: true,
+		}
+		base, err := oc.Build("benchprobe", qe.Navigator())
+		if err != nil {
 			return nil, err
 		}
-		ops := make([]core.Operator, 0, c.Ops)
-		for i := 0; i < c.Ops; i++ {
-			oc := core.OperatorConfig{
-				Name:     fmt.Sprintf("probe%d", i),
-				Inputs:   []string{"power"},
-				Outputs:  []string{fmt.Sprintf("<bottomup>probe%d", i)},
-				Parallel: true,
-			}
-			base, err := oc.Build("benchprobe", qe.Navigator())
-			if err != nil {
-				return nil, err
-			}
-			probe := time.Duration(c.ProbeUs) * time.Microsecond
-			ops = append(ops, &probeOp{Base: base, queries: c.Queries, probe: probe})
-		}
-		return ops, nil
+		return &probeOp{Base: base, queries: c.Queries, probe: time.Duration(c.ProbeUs) * time.Microsecond}, nil
 	})
 }
 
@@ -506,9 +497,11 @@ func benchTickAllContention(b *testing.B, threads, probeUs int) {
 	m := core.NewManager(qe, sink, core.Env{})
 	m.SetThreads(threads)
 	b.Cleanup(m.Close)
-	raw, _ := json.Marshal(probeConfig{Ops: 8, Queries: 25, ProbeUs: probeUs})
-	if err := m.LoadPlugin("benchprobe", raw); err != nil {
-		b.Fatal(err)
+	for i := 0; i < 8; i++ {
+		raw, _ := json.Marshal(probeConfig{Name: fmt.Sprintf("probe%d", i), Queries: 25, ProbeUs: probeUs})
+		if err := m.LoadPlugin("benchprobe", raw); err != nil {
+			b.Fatal(err)
+		}
 	}
 	now := time.Unix(179, 0)
 	b.ResetTimer()

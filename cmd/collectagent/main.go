@@ -16,7 +16,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -26,7 +25,6 @@ import (
 	"time"
 
 	"github.com/dcdb/wintermute/internal/collect"
-	"github.com/dcdb/wintermute/internal/core"
 	_ "github.com/dcdb/wintermute/internal/plugins/all"
 	"github.com/dcdb/wintermute/internal/rest"
 	"github.com/dcdb/wintermute/internal/telemetry"
@@ -73,15 +71,7 @@ func main() {
 		*storeDir, st.TotalReadings, st.Topics, st.Segments)
 
 	if *configPath != "" {
-		raw, err := os.ReadFile(*configPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var cfg core.Config
-		if err := json.Unmarshal(raw, &cfg); err != nil {
-			log.Fatalf("parsing %s: %v", *configPath, err)
-		}
-		if err := agent.Manager.LoadConfig(cfg); err != nil {
+		if err := agent.Manager.LoadConfigFile(*configPath); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -14,7 +14,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -23,7 +22,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/dcdb/wintermute/internal/core"
 	_ "github.com/dcdb/wintermute/internal/plugins/all"
 	"github.com/dcdb/wintermute/internal/pusher"
 	"github.com/dcdb/wintermute/internal/rest"
@@ -99,15 +97,7 @@ func main() {
 	}
 
 	if *configPath != "" {
-		raw, err := os.ReadFile(*configPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var cfg core.Config
-		if err := json.Unmarshal(raw, &cfg); err != nil {
-			log.Fatalf("parsing %s: %v", *configPath, err)
-		}
-		if err := p.Manager.LoadConfig(cfg); err != nil {
+		if err := p.Manager.LoadConfigFile(*configPath); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -141,8 +141,10 @@ func New(cfg Config) (*Agent, error) {
 		Results: rc,
 		sink:    sink,
 	}
-	// A recovered backend already knows its sensors: rebuild the tree so
-	// pattern-based operator units bind immediately after a restart.
+	// A recovered backend already knows its sensors: rebuild the tree,
+	// because GET /sensors lists the navigator's sensors, not the
+	// store's. Operators do not need it: their units follow the tree,
+	// so they would bind as the sensors publish again.
 	for _, topic := range db.Topics() {
 		_ = nav.AddSensor(topic)
 	}

@@ -42,8 +42,12 @@ func (c OperatorConfig) IntervalDuration() time.Duration {
 
 // Build constructs the embedded operator base for a plugin: it parses the
 // mode, parses the pattern-unit template and instantiates the units
-// against the sensor tree.
-func (c OperatorConfig) Build(plugin string, nav *navigator.Navigator) (*Base, error) {
+// against the sensor tree. A tree that has no node of the unit domain yet
+// (or no Unit node) is no error: the operator starts with no unit and
+// gains units as the tree grows (see Base). derive, when given, derives
+// each unit's outputs from its inputs in place of Outputs
+// (units.Template.Derive).
+func (c OperatorConfig) Build(plugin string, nav *navigator.Navigator, derive ...func(*units.Unit) []sensor.Topic) (*Base, error) {
 	name := c.Name
 	if name == "" {
 		name = plugin
@@ -56,20 +60,14 @@ func (c OperatorConfig) Build(plugin string, nav *navigator.Navigator) (*Base, e
 	if err != nil {
 		return nil, fmt.Errorf("core: operator %q: %w", name, err)
 	}
-	var us []*units.Unit
-	if c.Unit != "" {
-		u, err := tmpl.ResolveFor(nav, sensor.Topic(c.Unit))
-		if err != nil {
-			return nil, fmt.Errorf("core: operator %q: %w", name, err)
-		}
-		us = []*units.Unit{u}
-	} else {
-		us, err = tmpl.Instantiate(nav)
-		if err != nil {
-			return nil, fmt.Errorf("core: operator %q: %w", name, err)
-		}
+	tmpl.Unit = sensor.Topic(c.Unit)
+	if len(derive) > 0 {
+		tmpl.Derive = derive[0]
 	}
 	b := NewBase(name, plugin, mode, c.IntervalDuration(), c.Parallel)
-	b.SetUnits(us)
+	b.nav, b.tmpl = nav, tmpl
+	if err := b.resolve(); err != nil {
+		return nil, fmt.Errorf("core: operator %q: %w", name, err)
+	}
 	return b, nil
 }

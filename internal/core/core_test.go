@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -267,18 +269,7 @@ func TestPipelineAcrossOperators(t *testing.T) {
 
 func TestManagerLifecycle(t *testing.T) {
 	nav, caches, _, qe := testEnv(t)
-	plugin := uniquePlugin("testavg-lifecycle")
-	RegisterPlugin(plugin, func(cfg json.RawMessage, qe *QueryEngine, env Env) ([]Operator, error) {
-		var oc OperatorConfig
-		if err := json.Unmarshal(cfg, &oc); err != nil {
-			return nil, err
-		}
-		base, err := oc.Build(plugin, qe.Navigator())
-		if err != nil {
-			return nil, err
-		}
-		return []Operator{&avgOperator{Base: base}}, nil
-	})
+	plugin := registerAvg("testavg-lifecycle")
 	sink := NewCacheSink(caches, nav, 16, time.Second)
 	m := NewManager(qe, sink, Env{})
 	raw, _ := json.Marshal(OperatorConfig{
@@ -321,20 +312,63 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 }
 
+// TestLoadPluginRejectsUnknownField checks that a plugin block is decoded
+// strictly: a field the plugin's config does not have fails the load, and
+// the error names it.
+func TestLoadPluginRejectsUnknownField(t *testing.T) {
+	nav, caches, _, qe := testEnv(t)
+	plugin := registerAvg("testavg-strict")
+	m := NewManager(qe, NewCacheSink(caches, nav, 16, time.Second), Env{})
+	for _, raw := range []string{
+		`{"name":"typo","inputs":["power"],"outputs":["<bottomup>t"],"interval":10}`,
+		`{"name":"typo","inputs":["power"],"outputs":["<bottomup>t"],"windowMs":10}`,
+	} {
+		err := m.LoadPlugin(plugin, json.RawMessage(raw))
+		if err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s: err = %v, want an unknown-field error", raw, err)
+		}
+	}
+	if err := m.LoadPlugin(plugin, json.RawMessage(`{"name":"ok","inputs":["power"],"outputs":["<bottomup>t"]} trailing`)); err == nil {
+		t.Error("trailing data after the config should fail")
+	}
+	if len(m.Operators()) != 0 {
+		t.Errorf("operators loaded from bad configs: %d", len(m.Operators()))
+	}
+}
+
+// TestLoadConfigFileIsStrict checks that the -config file itself is
+// decoded strictly: a misspelt top-level field fails instead of loading
+// no operator.
+func TestLoadConfigFileIsStrict(t *testing.T) {
+	nav, caches, _, qe := testEnv(t)
+	plugin := registerAvg("testavg-file")
+	m := NewManager(qe, NewCacheSink(caches, nav, 16, time.Second), Env{})
+	block := `{"plugin": "` + plugin + `", "config": {"name": "f", "inputs": ["power"], "outputs": ["<bottomup>f"]}}`
+	dir := t.TempDir()
+	for _, c := range []struct {
+		body string
+		ok   bool
+	}{
+		{`{"threads": 2, "plugins": [` + block + `]}`, true},
+		{`{"threads": 2, "plugin": [` + block + `]}`, false},
+	} {
+		path := filepath.Join(dir, "wintermute.json")
+		if err := os.WriteFile(path, []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := m.LoadConfigFile(path)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err = %v", c.body, err)
+		}
+	}
+	if _, ok := m.Operator("f"); !ok || m.Threads() != 2 {
+		t.Errorf("the good file did not load: operator f missing or threads %d", m.Threads())
+	}
+}
+
 func TestManagerDuplicateOperator(t *testing.T) {
 	nav, caches, _, qe := testEnv(t)
-	plugin := uniquePlugin("testavg-dup")
-	RegisterPlugin(plugin, func(cfg json.RawMessage, qe *QueryEngine, env Env) ([]Operator, error) {
-		var oc OperatorConfig
-		if err := json.Unmarshal(cfg, &oc); err != nil {
-			return nil, err
-		}
-		base, err := oc.Build(plugin, qe.Navigator())
-		if err != nil {
-			return nil, err
-		}
-		return []Operator{&avgOperator{Base: base}}, nil
-	})
+	plugin := registerAvg("testavg-dup")
 	m := NewManager(qe, NewCacheSink(caches, nav, 16, time.Second), Env{})
 	raw, _ := json.Marshal(OperatorConfig{
 		Name: "dup", Inputs: []string{"power"}, Outputs: []string{"<bottomup>dupout"},
@@ -349,18 +383,7 @@ func TestManagerDuplicateOperator(t *testing.T) {
 
 func TestOnDemand(t *testing.T) {
 	_, _, _, qe := testEnv(t)
-	plugin := uniquePlugin("testavg-ondemand")
-	RegisterPlugin(plugin, func(cfg json.RawMessage, qe *QueryEngine, env Env) ([]Operator, error) {
-		var oc OperatorConfig
-		if err := json.Unmarshal(cfg, &oc); err != nil {
-			return nil, err
-		}
-		base, err := oc.Build(plugin, qe.Navigator())
-		if err != nil {
-			return nil, err
-		}
-		return []Operator{&avgOperator{Base: base}}, nil
-	})
+	plugin := registerAvg("testavg-ondemand")
 	pushes := 0
 	sink := SinkFunc(func(outs []Output) { pushes += len(outs) })
 	m := NewManager(qe, sink, Env{})
@@ -411,6 +434,25 @@ func TestOnDemand(t *testing.T) {
 	}
 }
 
+// TestFindUnit checks the lookup of one unit by name, which OnDemand
+// does: a name is normalised to node form, and an unknown unit fails.
+func TestFindUnit(t *testing.T) {
+	nav, caches, _, qe := testEnv(t)
+	m := NewManager(qe, NewCacheSink(caches, nav, 16, time.Second), Env{})
+	if err := m.AdoptOperator(newAvgOperator(t, nav, false)); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []sensor.Topic{"/r0/n0/", "/r0/n0", "r0/n0"} {
+		outs, err := m.OnDemand("avg1", name, time.Unix(42, 0))
+		if err != nil || len(outs) != 1 || outs[0].Topic != "/r0/n0/power-avg" {
+			t.Errorf("unit %q: outs = %+v, err %v", name, outs, err)
+		}
+	}
+	if _, err := m.OnDemand("avg1", "/zzz/", time.Unix(42, 0)); err == nil {
+		t.Error("unknown unit found")
+	}
+}
+
 func TestModeParsing(t *testing.T) {
 	if m, err := ParseMode(""); err != nil || m != Online {
 		t.Error("empty mode should default to online")
@@ -453,7 +495,7 @@ func TestOperatorConfigErrors(t *testing.T) {
 		{Mode: "bogus", Inputs: []string{"power"}, Outputs: []string{"<bottomup>x"}},
 		{Inputs: []string{"<oops"}, Outputs: []string{"<bottomup>x"}},
 		{Inputs: []string{"power"}, Outputs: []string{}},
-		{Inputs: []string{"power"}, Outputs: []string{"<bottomup>x"}, Unit: "/missing/"},
+		{Inputs: []string{"nothing-here"}, Outputs: []string{"<bottomup>x"}},
 	}
 	for i, cfg := range bad {
 		if _, err := cfg.Build("p", nav); err == nil {
@@ -462,17 +504,58 @@ func TestOperatorConfigErrors(t *testing.T) {
 	}
 }
 
-func TestFindUnit(t *testing.T) {
+// TestBuildWithoutUnitsYet checks that a tree without a node of the unit
+// domain, or without the configured unit node, is a state and not an
+// error: the operator builds with no unit.
+func TestBuildWithoutUnitsYet(t *testing.T) {
 	nav, _, _, _ := testEnv(t)
-	op := newAvgOperator(t, nav, false)
-	if _, ok := op.FindUnit("/r0/n0/"); !ok {
-		t.Error("FindUnit should locate unit")
+	for _, cfg := range []OperatorConfig{
+		{Inputs: []string{"power"}, Outputs: []string{"<bottomup>x"}, Unit: "/missing/"},
+		{Inputs: []string{"power"}, Outputs: []string{"<bottomup-5>x"}},
+	} {
+		b, err := cfg.Build("p", nav)
+		if err != nil || len(b.Units()) != 0 {
+			t.Errorf("%+v: err %v, want 0 units and no error", cfg, err)
+		}
 	}
-	if _, ok := op.FindUnit("/r0/n0"); !ok {
-		t.Error("FindUnit should normalise to node form")
+}
+
+// TestUnitsFollowTree checks that an operator built on an empty tree gains
+// its units at the first tick after the tree grew, replaces a unit whose
+// inputs changed, and keeps the very units of an unchanged tree.
+func TestUnitsFollowTree(t *testing.T) {
+	nav := navigator.New()
+	caches := cache.NewSet()
+	qe := NewQueryEngine(nav, caches, nil)
+	base, err := OperatorConfig{Inputs: []string{"<bottomup>power"}, Outputs: []string{"<bottomup-1>psum"}}.Build("p", nav)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := op.FindUnit("/zzz/"); ok {
-		t.Error("unknown unit found")
+	op := &avgOperator{Base: base}
+	sink := NewCacheSink(caches, nav, 16, time.Second)
+	if err := Tick(op, qe, sink, time.Unix(1, 0)); err != nil || len(op.Units()) != 0 {
+		t.Fatalf("empty tree: %d units, err %v", len(op.Units()), err)
+	}
+	ingest := func(topic sensor.Topic) {
+		sink.PushBatch([]Output{{Topic: topic, Reading: sensor.Reading{Value: 1, Time: sec}}})
+	}
+	ingest("/r0/n0/power")
+	Tick(op, qe, sink, time.Unix(1, 0))
+	us := op.Units()
+	if len(us) != 1 || len(us[0].Inputs) != 1 {
+		t.Fatalf("after one node: units = %v", us)
+	}
+	// The tick's own output created /r0/psum; the next tick re-resolves
+	// and keeps the unchanged unit.
+	Tick(op, qe, sink, time.Unix(1, 0))
+	if got := op.Units(); len(got) != 1 || got[0] != us[0] {
+		t.Fatalf("unchanged unit replaced: %v", got)
+	}
+	ingest("/r0/n1/power")
+	Tick(op, qe, sink, time.Unix(1, 0))
+	got := op.Units()
+	if len(got) != 1 || got[0] == us[0] || len(got[0].Inputs) != 2 {
+		t.Fatalf("after a second node: units = %v, want a new /r0/ unit with 2 inputs", got)
 	}
 }
 
@@ -486,14 +569,28 @@ func TestRegisteredPluginsSorted(t *testing.T) {
 }
 
 func TestDuplicatePluginPanics(t *testing.T) {
-	plugin := uniquePlugin("dup-plugin-x")
-	RegisterPlugin(plugin, func(json.RawMessage, *QueryEngine, Env) ([]Operator, error) { return nil, nil })
+	plugin := registerAvg("dup-plugin-x")
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate registration should panic")
 		}
 	}()
-	RegisterPlugin(plugin, func(json.RawMessage, *QueryEngine, Env) ([]Operator, error) { return nil, nil })
+	Register(plugin, func(OperatorConfig, *QueryEngine, Env) (Operator, error) { return nil, nil })
+}
+
+// registerAvg registers, under a fresh name derived from name, a plugin
+// that builds one avgOperator from an OperatorConfig, and returns the
+// name.
+func registerAvg(name string) string {
+	plugin := uniquePlugin(name)
+	Register(plugin, func(oc OperatorConfig, qe *QueryEngine, _ Env) (*avgOperator, error) {
+		base, err := oc.Build(plugin, qe.Navigator())
+		if err != nil {
+			return nil, err
+		}
+		return &avgOperator{Base: base}, nil
+	})
+	return plugin
 }
 
 // errBadUnit is what orderOperator's failing unit reports.

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"slices"
 	"sort"
 	"sync"
@@ -51,25 +53,51 @@ type Env struct {
 	Jobs JobProvider // nil when no resource manager is attached
 }
 
-// PluginFactory instantiates the operators of one plugin from its raw
-// configuration block.
-type PluginFactory func(cfg json.RawMessage, qe *QueryEngine, env Env) ([]Operator, error)
+// factory builds one operator from a plugin's raw configuration block.
+type factory func(cfg json.RawMessage, qe *QueryEngine, env Env) (Operator, error)
 
 var (
 	registryMu sync.RWMutex
-	registry   = map[string]PluginFactory{}
+	registry   = map[string]factory{}
 )
 
-// RegisterPlugin makes an operator plugin available to managers under the
-// given name. It is typically called from plugin init functions and
-// panics on duplicates, which indicate a build-level bug.
-func RegisterPlugin(name string, f PluginFactory) {
+// Register makes an operator plugin available to managers under the
+// given name. LoadPlugin decodes the plugin's configuration block into a
+// C — strictly: a field C does not have is an error that names it — and
+// hands it to build, which returns the plugin's one operator. Register is
+// typically called from plugin init functions and panics on duplicates,
+// which indicate a build-level bug.
+func Register[C any, O Operator](name string, build func(cfg C, qe *QueryEngine, env Env) (O, error)) {
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if _, dup := registry[name]; dup {
 		panic("core: duplicate plugin registration: " + name)
 	}
-	registry[name] = f
+	registry[name] = func(raw json.RawMessage, qe *QueryEngine, env Env) (Operator, error) {
+		var cfg C
+		if err := decodeStrict(raw, &cfg); err != nil {
+			return nil, err
+		}
+		op, err := build(cfg, qe, env)
+		if err != nil {
+			return nil, err
+		}
+		return op, nil
+	}
+}
+
+// decodeStrict decodes the one JSON value in raw into v: a field v does
+// not have, or data after the value, is an error.
+func decodeStrict(raw []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if dec.More() {
+		return errors.New("trailing data after the configuration")
+	}
+	return nil
 }
 
 // RegisteredPlugins returns the sorted names of all available plugins.
@@ -84,7 +112,7 @@ func RegisteredPlugins() []string {
 	return out
 }
 
-func lookupPlugin(name string) (PluginFactory, bool) {
+func lookupPlugin(name string) (factory, bool) {
 	registryMu.RLock()
 	defer registryMu.RUnlock()
 	f, ok := registry[name]
@@ -200,6 +228,21 @@ type PluginConfig struct {
 	Config json.RawMessage `json:"config"`
 }
 
+// LoadConfigFile reads a JSON Config from path, the daemons' -config
+// file, and loads it as LoadConfig does. The file is decoded as strictly
+// as each plugin block: a misspelt "plugins" fails, not loads nothing.
+func (m *Manager) LoadConfigFile(path string) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var cfg Config
+	if err := decodeStrict(raw, &cfg); err != nil {
+		return fmt.Errorf("parsing %s: %w", path, err)
+	}
+	return m.LoadConfig(cfg)
+}
+
 // LoadConfig applies the bound and loads every plugin block of a
 // configuration.
 func (m *Manager) LoadConfig(cfg Config) error {
@@ -214,35 +257,25 @@ func (m *Manager) LoadConfig(cfg Config) error {
 	return nil
 }
 
-// LoadPlugin instantiates the operators of one plugin from its raw
-// configuration and registers them with the manager. Operators are
-// created stopped; call Start or StartOperator to run them.
+// LoadPlugin instantiates the operator of one plugin from its raw
+// configuration and registers it with the manager. The operator is
+// created stopped; call Start or StartOperator to run it.
 func (m *Manager) LoadPlugin(name string, cfg json.RawMessage) error {
-	factory, ok := lookupPlugin(name)
+	build, ok := lookupPlugin(name)
 	if !ok {
 		return fmt.Errorf("core: unknown plugin %q (available: %v)", name, RegisteredPlugins())
 	}
-	ops, err := factory(cfg, m.qe, m.env)
+	op, err := build(cfg, m.qe, m.env)
 	if err != nil {
 		return fmt.Errorf("core: plugin %q: %w", name, err)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, op := range ops {
-		if _, dup := m.ops[op.Name()]; dup {
-			return fmt.Errorf("core: duplicate operator name %q", op.Name())
-		}
-	}
-	for _, op := range ops {
-		m.ops[op.Name()] = &opRuntime{op: op}
-	}
-	return nil
+	return m.AdoptOperator(op)
 }
 
 // AdoptOperator registers an already-constructed operator with the
-// manager, as if a plugin factory had produced it. Embedding hosts and
-// benchmark harnesses use it to manage hand-built operators without going
-// through configuration. The operator is created stopped.
+// manager, as LoadPlugin does with the one a plugin builds. Embedding
+// hosts and benchmark harnesses use it to manage hand-built operators
+// without going through configuration. The operator is created stopped.
 func (m *Manager) AdoptOperator(op Operator) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dcdb/wintermute/internal/cache"
 	"github.com/dcdb/wintermute/internal/core/units"
 	"github.com/dcdb/wintermute/internal/navigator"
 	"github.com/dcdb/wintermute/internal/sensor"
@@ -99,15 +100,14 @@ func uniquePlugin(name string) string {
 	return fmt.Sprintf("%s-%d", name, pluginSeq.Add(1))
 }
 
-// registerOpList registers a plugin producing ops under a fresh name
-// derived from plugin, and returns that name.
-func registerOpList(t *testing.T, plugin string, ops ...Operator) string {
+// adoptAll hands ops to m.
+func adoptAll(t *testing.T, m *Manager, ops ...Operator) {
 	t.Helper()
-	name := uniquePlugin(plugin)
-	RegisterPlugin(name, func(json.RawMessage, *QueryEngine, Env) ([]Operator, error) {
-		return ops, nil
-	})
-	return name
+	for _, op := range ops {
+		if err := m.AdoptOperator(op); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestTickAllJoinsErrors verifies that TickAll reports every failing
@@ -133,12 +133,9 @@ func TestTickAllJoinsErrors(t *testing.T) {
 		}
 		ops = append(ops, &avgOperator{Base: base})
 	}
-	plugin := registerOpList(t, "jointest", ops...)
 	m := NewManager(qe, NewCacheSink(caches, nav, 16, time.Second), Env{})
 	t.Cleanup(m.Close)
-	if err := m.LoadPlugin(plugin, nil); err != nil {
-		t.Fatal(err)
-	}
+	adoptAll(t, m, ops...)
 	err := m.TickAll(time.Unix(1, 0))
 	if err == nil {
 		t.Fatal("expected errors from both operators")
@@ -191,13 +188,10 @@ func TestTickAllDispatchesConcurrently(t *testing.T) {
 	for _, name := range []string{"conc0", "conc1", "conc2", "conc3"} {
 		ops = append(ops, newBlockingOp(t, nav, name, 10*time.Millisecond))
 	}
-	plugin := registerOpList(t, "conctest", ops...)
 	m := NewManager(qe, NewCacheSink(caches, nav, 16, time.Second), Env{})
 	t.Cleanup(m.Close)
 	m.SetThreads(4)
-	if err := m.LoadPlugin(plugin, nil); err != nil {
-		t.Fatal(err)
-	}
+	adoptAll(t, m, ops...)
 	start := time.Now()
 	if err := m.TickAll(time.Unix(1, 0)); err != nil {
 		t.Fatal(err)
@@ -217,13 +211,10 @@ func TestTickAllDispatchesConcurrently(t *testing.T) {
 func TestNoOverlappingTicksPerOperator(t *testing.T) {
 	nav, caches, _, qe := testEnv(t)
 	op := newBlockingOp(t, nav, "serial", time.Millisecond)
-	plugin := registerOpList(t, "serialtest", op)
 	m := NewManager(qe, NewCacheSink(caches, nav, 16, time.Second), Env{})
 	t.Cleanup(m.Close)
 	m.SetThreads(4)
-	if err := m.LoadPlugin(plugin, nil); err != nil {
-		t.Fatal(err)
-	}
+	adoptAll(t, m, op)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -307,12 +298,9 @@ func TestManagerStartStopStatusRace(t *testing.T) {
 		}
 		ops = append(ops, &avgOperator{Base: base})
 	}
-	plugin := registerOpList(t, "racetest", ops...)
 	m := NewManager(qe, NewCacheSink(caches, nav, 16, time.Second), Env{})
 	t.Cleanup(m.Close)
-	if err := m.LoadPlugin(plugin, nil); err != nil {
-		t.Fatal(err)
-	}
+	adoptAll(t, m, ops...)
 	m.Start()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -439,5 +427,55 @@ func TestStopWaitsForRunningTick(t *testing.T) {
 	time.Sleep(250 * time.Millisecond)
 	if late.Load() {
 		t.Error("a tick pushed into the sink after Close returned")
+	}
+}
+
+// TestUnitsFollowTreeConcurrently grows the tree while two goroutines tick
+// the same operator outside any manager and a third reads its units, so
+// that the race detector sees re-resolution from several goroutines at
+// once. After the tree stops growing, one more tick has every node.
+func TestUnitsFollowTreeConcurrently(t *testing.T) {
+	nav := navigator.New()
+	caches := cache.NewSet()
+	qe := NewQueryEngine(nav, caches, nil)
+	sink := SinkFunc(func([]Output) {})
+	base, err := OperatorConfig{Inputs: []string{"<bottomup>power"}, Outputs: []string{"<bottomup>x"}}.Build("p", nav)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := &avgOperator{Base: base}
+	const nodes = 64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if g == 2 {
+					for _, u := range op.Units() {
+						_ = u.String()
+					}
+					continue
+				}
+				_ = Tick(op, qe, sink, time.Unix(1, 0))
+			}
+		}()
+	}
+	for n := 0; n < nodes; n++ {
+		if err := nav.AddSensor(sensor.Topic(fmt.Sprintf("/r0/n%02d/power", n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	_ = Tick(op, qe, sink, time.Unix(1, 0))
+	if got := len(op.Units()); got != nodes {
+		t.Fatalf("units = %d after the tree stopped growing, want %d", got, nodes)
 	}
 }

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/dcdb/wintermute/internal/core/units"
+	"github.com/dcdb/wintermute/internal/navigator"
 	"github.com/dcdb/wintermute/internal/sensor"
 )
 
@@ -141,6 +143,13 @@ type Preparer interface {
 
 // Base carries the configuration and unit set common to all operators.
 // Plugin operators embed *Base and implement Compute.
+//
+// A Base built from a template (OperatorConfig.Build) keeps the template
+// and the navigator it resolved against, and follows the tree: before
+// each tick or on-demand call, if the navigator's generation moved since
+// the units were last resolved, it resolves them again, adding units for
+// new domain nodes and replacing, under the same name, units whose
+// sensors changed (units.Template.Instantiate). No unit is ever removed.
 type Base struct {
 	name     string
 	plugin   string
@@ -148,11 +157,19 @@ type Base struct {
 	interval time.Duration
 	parallel bool
 
+	// nav and tmpl are what the units are resolved from; tmpl is nil for
+	// an operator that sets its own units.
+	nav  *navigator.Navigator
+	tmpl *units.Template
+	// gen is the navigator generation the units were last resolved at.
+	gen atomic.Uint64
+
 	mu    sync.RWMutex
 	units []*units.Unit
 }
 
-// NewBase constructs the embedded operator core.
+// NewBase constructs the embedded operator core of an operator that sets
+// its own units (SetUnits).
 func NewBase(name, plugin string, mode Mode, interval time.Duration, parallel bool) *Base {
 	if interval <= 0 {
 		interval = time.Second
@@ -182,25 +199,40 @@ func (b *Base) Units() []*units.Unit {
 	return b.units
 }
 
-// SetUnits replaces the operator's unit set (used at configuration time
-// and by a Preparer that rebuilds its units).
+// SetUnits replaces the operator's unit set (used by a Preparer that
+// rebuilds its units).
 func (b *Base) SetUnits(us []*units.Unit) {
 	b.mu.Lock()
 	b.units = us
 	b.mu.Unlock()
 }
 
-// FindUnit returns the unit with the given name, if present.
-func (b *Base) FindUnit(name sensor.Topic) (*units.Unit, bool) {
-	name = sensor.Clean(string(name)).AsNode()
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	for _, u := range b.units {
-		if u.Name == name {
-			return u, true
-		}
+// resolve brings the units up to the navigator's current generation.
+// The generation is read first, so a topic created while it runs leaves
+// the units stale for the next call to see. It holds b.mu throughout, so
+// that concurrent resolutions (direct Tick calls are not serialized) store
+// each generation with the units resolved at it.
+func (b *Base) resolve() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	gen := b.nav.Generation()
+	us, err := b.tmpl.Instantiate(b.nav, b.units)
+	b.gen.Store(gen)
+	if err != nil {
+		return err
 	}
-	return nil, false
+	b.units = us
+	return nil
+}
+
+// follow re-resolves the units of a template-built operator whose tree
+// changed since they were resolved; with an unchanged tree it costs one
+// atomic load. A tree in which no unit can be built yet leaves the
+// operator with none.
+func (b *Base) follow() {
+	if b.tmpl != nil && b.nav.Generation() != b.gen.Load() {
+		_ = b.resolve()
+	}
 }
 
 // Tick executes one computation round of an operator: it runs the
@@ -227,8 +259,12 @@ func tickBounded(op Operator, qe *QueryEngine, sink Sink, now time.Time, sched *
 	return computeUnits(op, qe, sink, now, sched, op.Units())
 }
 
-// prepare runs op's Prepare, if it has one, holding one slot of sched.
+// prepare brings op's units up to the sensor tree, if it embeds a Base,
+// then runs its Prepare, if it has one, holding one slot of sched.
 func prepare(op Operator, qe *QueryEngine, now time.Time, sched *Scheduler) error {
+	if f, ok := op.(interface{ follow() }); ok {
+		f.follow()
+	}
 	p, ok := op.(Preparer)
 	if !ok {
 		return nil

@@ -6,19 +6,23 @@ import (
 	"github.com/dcdb/wintermute/internal/sensor"
 )
 
+// The tests below instantiate templates with a Derive hook: the unit
+// domain comes from the inputs, and each unit's outputs from Derive.
+
 func TestInstantiateInputsDerivesOutputs(t *testing.T) {
 	nv := figure2Tree(t)
 	tpl, err := NewTemplate([]string{"<bottomup-1>memfree"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	us, err := tpl.InstantiateInputs(nv, func(u *Unit) []sensor.Topic {
+	tpl.Derive = func(u *Unit) []sensor.Topic {
 		outs := make([]sensor.Topic, len(u.Inputs))
 		for i, in := range u.Inputs {
 			outs[i] = in + "-smooth"
 		}
 		return outs
-	})
+	}
+	us, err := tpl.Instantiate(nv, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,12 +45,13 @@ func TestInstantiateInputsDropsNilOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Keep only s02.
-	us, err := tpl.InstantiateInputs(nv, func(u *Unit) []sensor.Topic {
+	tpl.Derive = func(u *Unit) []sensor.Topic {
 		if u.Name != "/r03/c02/s02/" {
 			return nil
 		}
 		return []sensor.Topic{u.Name.Join("x")}
-	})
+	}
+	us, err := tpl.Instantiate(nv, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +64,7 @@ func TestInstantiateInputsErrors(t *testing.T) {
 	nv := figure2Tree(t)
 	keep := func(u *Unit) []sensor.Topic { return []sensor.Topic{u.Name.Join("x")} }
 	// No inputs at all.
-	if _, err := (&Template{}).InstantiateInputs(nv, keep); err == nil {
+	if _, err := (&Template{Derive: keep}).Instantiate(nv, nil); err == nil {
 		t.Error("no inputs should fail")
 	}
 	// Inputs resolve nowhere.
@@ -67,15 +72,17 @@ func TestInstantiateInputsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tpl.InstantiateInputs(nv, keep); err == nil {
+	tpl.Derive = keep
+	if _, err := tpl.Instantiate(nv, nil); err == nil {
 		t.Error("unresolvable inputs should fail")
 	}
-	// deriveOutputs drops everything.
+	// Derive drops everything.
 	tpl, err = NewTemplate([]string{"<bottomup-1>memfree"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tpl.InstantiateInputs(nv, func(*Unit) []sensor.Topic { return nil }); err == nil {
+	tpl.Derive = func(*Unit) []sensor.Topic { return nil }
+	if _, err := tpl.Instantiate(nv, nil); err == nil {
 		t.Error("all-dropped units should fail")
 	}
 }
@@ -87,9 +94,10 @@ func TestInstantiateInputsRootFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	us, err := tpl.InstantiateInputs(nv, func(u *Unit) []sensor.Topic {
+	tpl.Derive = func(u *Unit) []sensor.Topic {
 		return []sensor.Topic{"/derived"}
-	})
+	}
+	us, err := tpl.Instantiate(nv, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

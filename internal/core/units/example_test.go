@@ -54,7 +54,7 @@ func ExampleTemplate_Instantiate() {
 		fmt.Println("error:", err)
 		return
 	}
-	us, err := tpl.Instantiate(nv)
+	us, err := tpl.Instantiate(nv, nil)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

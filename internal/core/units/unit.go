@@ -2,6 +2,7 @@ package units
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -74,6 +75,15 @@ func (u *Unit) String() string {
 type Template struct {
 	Inputs  []Pattern
 	Outputs []Pattern
+	// Unit, when set, binds the template to that one node in place of
+	// the domain of its patterns.
+	Unit sensor.Topic
+	// Derive, when set, gives each unit its outputs from its resolved
+	// inputs in place of the output patterns, and the unit domain comes
+	// from the inputs: sensor-transform plugins (e.g. smoothing) publish
+	// derived sensors next to each input this way. A unit it gives no
+	// output cannot be built.
+	Derive func(u *Unit) []sensor.Topic
 }
 
 // NewTemplate parses input and output pattern expressions into a template.
@@ -109,6 +119,12 @@ func (t *Template) resolveNode(nv *navigator.Navigator, node *navigator.Node) (*
 		}
 		u.Inputs = append(u.Inputs, topics...)
 	}
+	if t.Derive != nil {
+		if u.Outputs = t.Derive(u); len(u.Outputs) == 0 {
+			return nil, fmt.Errorf("units: no output derived for unit %q", u.Name)
+		}
+		return u, nil
+	}
 	for _, p := range t.Outputs {
 		topics, err := p.resolveFor(nv, node, false)
 		if err != nil {
@@ -122,27 +138,43 @@ func (t *Template) resolveNode(nv *navigator.Navigator, node *navigator.Node) (*
 // Instantiate generates the concrete units of the template against a
 // sensor tree, following the unit-generation steps of paper §V-C2:
 //
-//  1. the domain of the first output pattern is computed over the tree;
+//  1. the unit domain is computed over the tree: the domain of the first
+//     level-anchored output pattern (of the first input pattern under
+//     Derive), the root when there is none, or the Unit node;
 //  2. one candidate unit is created for each node in that domain;
 //  3. each candidate's inputs and outputs are resolved relative to its
 //     node; candidates whose inputs cannot all be bound are dropped (the
 //     unit "cannot be built").
 //
-// Templates whose outputs carry no level anchor (same-node or absolute
-// outputs only) produce a single unit bound to the root, which serves
-// operator-level outputs. Instantiate returns an error only when no unit
-// at all could be built.
-func (t *Template) Instantiate(nv *navigator.Navigator) ([]*Unit, error) {
-	if len(t.Outputs) == 0 {
+// prev are the units an earlier call returned, and the result extends
+// them: a unit of prev whose node resolves to other inputs or outputs now
+// is replaced by a new unit of the same name, one that resolves the same
+// or not at all is kept as it is, and no unit is ever removed. A node of
+// the domain that no unit of prev names adds a unit. The result is sorted
+// by name. An empty domain yields no unit and no error; Instantiate fails
+// only on a template without outputs (without inputs under Derive), or
+// when the domain has nodes but no unit at all could be built.
+func (t *Template) Instantiate(nv *navigator.Navigator, prev []*Unit) ([]*Unit, error) {
+	if t.Derive == nil && len(t.Outputs) == 0 {
 		return nil, fmt.Errorf("units: template has no output patterns")
 	}
-	domain := t.unitDomain(nv)
-	if len(domain) == 0 {
-		return nil, fmt.Errorf("units: empty unit domain for output %q", t.Outputs[0].String())
+	if t.Derive != nil && len(t.Inputs) == 0 {
+		return nil, fmt.Errorf("units: template has no input patterns")
 	}
-	var built []*Unit
+	built := make([]*Unit, 0, len(prev))
+	known := make(map[sensor.Topic]bool, len(prev))
+	for _, u := range prev {
+		known[u.Name] = true
+		if nu, err := t.ResolveFor(nv, u.Name); err == nil && !nu.sameSensors(u) {
+			u = nu
+		}
+		built = append(built, u)
+	}
 	var firstErr error
-	for _, node := range domain {
+	for _, node := range t.unitDomain(nv) {
+		if known[node.Path()] {
+			continue
+		}
 		u, err := t.resolveNode(nv, node)
 		if err != nil {
 			if firstErr == nil {
@@ -152,80 +184,37 @@ func (t *Template) Instantiate(nv *navigator.Navigator) ([]*Unit, error) {
 		}
 		built = append(built, u)
 	}
-	if len(built) == 0 {
+	if len(built) == 0 && firstErr != nil {
 		return nil, fmt.Errorf("units: no unit could be built: %w", firstErr)
 	}
 	sort.Slice(built, func(i, j int) bool { return built[i].Name < built[j].Name })
 	return built, nil
 }
 
-// unitDomain returns the tree nodes that become unit names: the domain of
-// the first level-anchored output pattern, or the root when no output is
+// sameSensors reports whether u and v have the same inputs and outputs.
+func (u *Unit) sameSensors(v *Unit) bool {
+	return slices.Equal(u.Inputs, v.Inputs) && slices.Equal(u.Outputs, v.Outputs)
+}
+
+// unitDomain returns the tree nodes that become unit names: the Unit
+// node, if it exists; else the domain of the first level-anchored pattern
+// among the outputs (the inputs under Derive), or the root when none is
 // level-anchored.
 func (t *Template) unitDomain(nv *navigator.Navigator) []*navigator.Node {
-	for _, p := range t.Outputs {
+	if t.Unit != "" {
+		if n, ok := nv.Resolve(t.Unit); ok {
+			return []*navigator.Node{n}
+		}
+		return nil
+	}
+	ps := t.Outputs
+	if t.Derive != nil {
+		ps = t.Inputs
+	}
+	for _, p := range ps {
 		if p.Anchor == AnchorTopDown || p.Anchor == AnchorBottomUp {
 			return p.Domain(nv)
 		}
 	}
 	return []*navigator.Node{nv.Root()}
-}
-
-// InstantiateInputs generates units from the input patterns alone, with
-// outputs derived per unit by the caller. The unit domain is the domain of
-// the first level-anchored input pattern; sensor-transform plugins (e.g.
-// smoothing) use this to publish derived sensors next to each input
-// without a separate output specification. deriveOutputs receives the unit
-// with inputs resolved and returns its output topics; returning nil drops
-// the unit.
-func (t *Template) InstantiateInputs(nv *navigator.Navigator, deriveOutputs func(u *Unit) []sensor.Topic) ([]*Unit, error) {
-	if len(t.Inputs) == 0 {
-		return nil, fmt.Errorf("units: template has no input patterns")
-	}
-	var domain []*navigator.Node
-	for _, p := range t.Inputs {
-		if p.Anchor == AnchorTopDown || p.Anchor == AnchorBottomUp {
-			domain = p.Domain(nv)
-			break
-		}
-	}
-	if domain == nil {
-		domain = []*navigator.Node{nv.Root()}
-	}
-	if len(domain) == 0 {
-		return nil, fmt.Errorf("units: empty unit domain for input %q", t.Inputs[0].String())
-	}
-	var built []*Unit
-	var firstErr error
-	for _, node := range domain {
-		u := &Unit{Name: node.Path()}
-		ok := true
-		for _, p := range t.Inputs {
-			topics, err := p.resolveFor(nv, node, true)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				ok = false
-				break
-			}
-			u.Inputs = append(u.Inputs, topics...)
-		}
-		if !ok {
-			continue
-		}
-		u.Outputs = deriveOutputs(u)
-		if len(u.Outputs) == 0 {
-			continue
-		}
-		built = append(built, u)
-	}
-	if len(built) == 0 {
-		if firstErr == nil {
-			firstErr = fmt.Errorf("units: deriveOutputs dropped every unit")
-		}
-		return nil, fmt.Errorf("units: no unit could be built: %w", firstErr)
-	}
-	sort.Slice(built, func(i, j int) bool { return built[i].Name < built[j].Name })
-	return built, nil
 }

@@ -70,7 +70,7 @@ func TestPaperExampleResolution(t *testing.T) {
 func TestPaperExampleInstantiation(t *testing.T) {
 	nv := figure2Tree(t)
 	tpl := paperTemplate(t)
-	us, err := tpl.Instantiate(nv)
+	us, err := tpl.Instantiate(nv, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestInstantiateManyUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	us, err := tpl.Instantiate(nv)
+	us, err := tpl.Instantiate(nv, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestAbsoluteInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	us, err := tpl.Instantiate(nv)
+	us, err := tpl.Instantiate(nv, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestRootFallbackUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	us, err := tpl.Instantiate(nv)
+	us, err := tpl.Instantiate(nv, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,20 +195,80 @@ func TestRootFallbackUnit(t *testing.T) {
 	}
 }
 
+// TestInstantiateEmptyDomain checks that a template whose domain has no
+// node yet builds no unit and reports no error: the nodes may come later.
+// So does a Unit node the tree does not have.
 func TestInstantiateEmptyDomain(t *testing.T) {
 	nv := figure2Tree(t)
 	tpl, err := NewTemplate([]string{"memfree"}, []string{"<bottomup-9>x"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tpl.Instantiate(nv); err == nil {
-		t.Error("empty unit domain should fail")
+	if us, err := tpl.Instantiate(nv, nil); err != nil || len(us) != 0 {
+		t.Errorf("empty unit domain = %v, %v; want no unit and no error", us, err)
+	}
+	tpl, err = NewTemplate([]string{"memfree"}, []string{"x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpl.Unit = "/missing/"
+	if us, err := tpl.Instantiate(nv, nil); err != nil || len(us) != 0 {
+		t.Errorf("absent unit node = %v, %v; want no unit and no error", us, err)
+	}
+	if us, err := tpl.Instantiate(navigator.New(), nil); err != nil || len(us) != 0 {
+		t.Errorf("empty tree = %v, %v; want no unit and no error", us, err)
+	}
+}
+
+// TestInstantiateExtendsPrev checks the re-resolution rule: units of prev
+// are kept when they resolve the same or not at all, replaced under the
+// same name when their sensors changed, and new domain nodes add units.
+func TestInstantiateExtendsPrev(t *testing.T) {
+	nv := navigator.New()
+	add := func(ts ...sensor.Topic) {
+		t.Helper()
+		if err := nv.AddSensors(ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add("/r1/n0/power", "/r1/n1/power")
+	tpl, err := NewTemplate([]string{"<bottomup>power"}, []string{"<bottomup-1>psum"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := tpl.Instantiate(nv, nil)
+	if err != nil || len(prev) != 1 {
+		t.Fatalf("units = %v, %v", prev, err)
+	}
+	// Nothing changed: the very same unit comes back.
+	same, err := tpl.Instantiate(nv, prev)
+	if err != nil || len(same) != 1 || same[0] != prev[0] {
+		t.Fatalf("unchanged tree: units = %v, %v", same, err)
+	}
+	add("/r1/n2/power", "/r2/n0/power")
+	next, err := tpl.Instantiate(nv, prev)
+	if err != nil || len(next) != 2 {
+		t.Fatalf("grown tree: units = %v, %v", next, err)
+	}
+	if next[0].Name != "/r1/" || next[0] == prev[0] || len(next[0].Inputs) != 3 {
+		t.Errorf("changed unit = %v, want a new /r1/ with 3 inputs", next[0])
+	}
+	if next[1].Name != "/r2/" || len(next[1].Inputs) != 1 {
+		t.Errorf("new unit = %v", next[1])
+	}
+	// A deeper subtree moves <bottomup> below every unit: none of them
+	// resolves any more, so all are kept, and the new domain nodes have
+	// no power sensor, so none is added.
+	add("/telemetry/http/query/2xx/count")
+	deep, err := tpl.Instantiate(nv, next)
+	if err != nil || len(deep) != 2 || deep[0] != next[0] || deep[1] != next[1] {
+		t.Errorf("deeper tree: units = %v, %v; want the two units unchanged", deep, err)
 	}
 }
 
 func TestInstantiateNoOutputs(t *testing.T) {
 	tpl := &Template{}
-	if _, err := tpl.Instantiate(figure2Tree(t)); err == nil {
+	if _, err := tpl.Instantiate(figure2Tree(t), nil); err == nil {
 		t.Error("template without outputs should fail")
 	}
 }
@@ -222,7 +282,7 @@ func TestInstantiateFilterRestrictsUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	us, err := tpl.Instantiate(nv)
+	us, err := tpl.Instantiate(nv, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

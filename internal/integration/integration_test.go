@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -24,6 +26,7 @@ import (
 	"github.com/dcdb/wintermute/internal/sensor"
 	"github.com/dcdb/wintermute/internal/sim/hardware"
 	"github.com/dcdb/wintermute/internal/sim/workload"
+	"github.com/dcdb/wintermute/internal/transport"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -307,5 +310,78 @@ func TestPersistentAgentRESTIdenticalAfterKill(t *testing.T) {
 	resp.Body.Close()
 	if stats.Kind != "tsdb" || stats.TotalReadings != 3*501 {
 		t.Fatalf("/storage after recovery = %+v", stats)
+	}
+}
+
+// TestAgentConfigOnEmptyStore starts a Collect Agent on an empty store
+// directory with a pattern-based -config file, as `collectagent
+// -store-dir <empty> -config` does: the aggregator loads with no unit,
+// and its rack sum appears on GET /query once two nodes have published.
+func TestAgentConfigOnEmptyStore(t *testing.T) {
+	dir := t.TempDir()
+	cfgPath := filepath.Join(dir, "wintermute.json")
+	cfg := `{"plugins": [{"plugin": "aggregator", "config": {"name": "rack-power", "operation": "sum",
+		"windowMs": 60000, "intervalMs": 20, "inputs": ["<bottomup>power"], "outputs": ["<bottomup-1>power-sum"]}}]}`
+	if err := os.WriteFile(cfgPath, []byte(cfg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	agent, err := collect.New(collect.Config{ListenMQTT: "127.0.0.1:0", StoreDir: filepath.Join(dir, "store")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+	if err := agent.Manager.LoadConfigFile(cfgPath); err != nil {
+		t.Fatalf("-config on an empty store: %v", err)
+	}
+	agent.Start()
+	srv, err := rest.Serve("127.0.0.1:0", agent.Manager, agent.QE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var ops []core.OperatorStatus
+	getJSON(t, "http://"+srv.Addr()+"/operators", &ops)
+	if len(ops) != 1 || ops[0].Units != 0 {
+		t.Fatalf("/operators = %+v, want rack-power with 0 units", ops)
+	}
+	var us json.RawMessage
+	getJSON(t, "http://"+srv.Addr()+"/units?operator=rack-power", &us)
+	if string(us) != "[]" {
+		t.Errorf("/units of an operator with 0 units = %s, want []", us)
+	}
+	for i, node := range []string{"/r01/n01", "/r01/n02"} {
+		c, err := transport.Dial(agent.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Publish(sensor.Topic(node+"/power"), []sensor.Reading{sensor.At(float64(100*(i+1)), time.Now())}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "/r01/power-sum = 300 on GET /query", func() bool {
+		var got struct {
+			Readings []struct {
+				Value float64 `json:"value"`
+			} `json:"readings"`
+		}
+		getJSON(t, "http://"+srv.Addr()+"/query?sensor=/r01/power-sum", &got)
+		return len(got.Readings) == 1 && got.Readings[0].Value == 300
+	})
+}
+
+// getJSON decodes the JSON body of a GET of url into out.
+func getJSON(t *testing.T, url string, out any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatalf("decoding %s: %v", url, err)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"regexp"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/dcdb/wintermute/internal/sensor"
 )
@@ -85,6 +86,9 @@ type Navigator struct {
 	byPath   map[sensor.Topic]*Node
 	maxDepth int // deepest component depth seen
 	nsensors int
+	// gen counts the topics AddSensor has created; operators compare it
+	// with the value their units were resolved at.
+	gen atomic.Uint64
 }
 
 // New creates an empty navigator containing only the root component.
@@ -101,7 +105,8 @@ func New() *Navigator {
 }
 
 // AddSensor registers a sensor topic, creating any missing intermediate
-// component nodes. It is safe to add the same topic repeatedly.
+// component nodes. It is safe to add the same topic repeatedly; only a
+// topic it creates advances the Generation.
 func (nv *Navigator) AddSensor(topic sensor.Topic) error {
 	topic = sensor.Clean(string(topic)).AsSensor()
 	if err := topic.Validate(); err != nil {
@@ -136,6 +141,7 @@ func (nv *Navigator) AddSensor(topic sensor.Topic) error {
 	if _, ok := node.sensors[name]; !ok {
 		node.sensors[name] = topic
 		nv.nsensors++
+		nv.gen.Add(1)
 	}
 	return nil
 }
@@ -149,6 +155,11 @@ func (nv *Navigator) AddSensors(topics []sensor.Topic) error {
 	}
 	return nil
 }
+
+// Generation returns a number that changes whenever AddSensor creates a
+// topic, and at no other time: a reader that saw the same generation
+// twice saw the same tree. It costs one atomic load.
+func (nv *Navigator) Generation() uint64 { return nv.gen.Load() }
 
 // Root returns the root node.
 func (nv *Navigator) Root() *Node {

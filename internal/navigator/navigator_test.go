@@ -68,6 +68,36 @@ func TestAddSensorIdempotent(t *testing.T) {
 	}
 }
 
+// TestGenerationCountsCreatedTopics checks that the generation moves when
+// AddSensor creates a topic and stays put when it finds one.
+func TestGenerationCountsCreatedTopics(t *testing.T) {
+	nv := New()
+	if g := nv.Generation(); g != 0 {
+		t.Fatalf("empty tree generation = %d, want 0", g)
+	}
+	steps := []struct {
+		topic sensor.Topic
+		want  uint64
+	}{
+		{"/r1/n1/power", 1},
+		{"/r1/n1/power", 1},
+		{"/r1/n1/power/", 1}, // the same topic, spelt differently
+		{"/r1/n1/temp", 2},
+		{"/r2/n1/power", 3},
+	}
+	for _, s := range steps {
+		if err := nv.AddSensor(s.topic); err != nil {
+			t.Fatal(err)
+		}
+		if g := nv.Generation(); g != s.want {
+			t.Fatalf("after %s: generation = %d, want %d", s.topic, g, s.want)
+		}
+	}
+	if err := nv.AddSensor("bad topic"); err == nil || nv.Generation() != 3 {
+		t.Fatalf("a rejected topic moved the generation to %d (err %v)", nv.Generation(), err)
+	}
+}
+
 func TestAddSensorErrors(t *testing.T) {
 	nv := New()
 	if err := nv.AddSensor("/"); err == nil {

@@ -10,7 +10,6 @@
 package aggregator
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"time"
@@ -158,15 +157,5 @@ func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, t
 }
 
 func init() {
-	core.RegisterPlugin("aggregator", func(raw json.RawMessage, qe *core.QueryEngine, env core.Env) ([]core.Operator, error) {
-		var cfg Config
-		if err := json.Unmarshal(raw, &cfg); err != nil {
-			return nil, err
-		}
-		op, err := New(cfg, qe)
-		if err != nil {
-			return nil, err
-		}
-		return []core.Operator{op}, nil
-	})
+	core.Register("aggregator", func(cfg Config, qe *core.QueryEngine, _ core.Env) (*Operator, error) { return New(cfg, qe) })
 }

@@ -17,7 +17,6 @@
 package clustering
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -212,15 +211,5 @@ func (o *Operator) Compute(_ *core.QueryEngine, u *units.Unit, now time.Time, tc
 }
 
 func init() {
-	core.RegisterPlugin("clustering", func(raw json.RawMessage, qe *core.QueryEngine, env core.Env) ([]core.Operator, error) {
-		var cfg Config
-		if err := json.Unmarshal(raw, &cfg); err != nil {
-			return nil, err
-		}
-		op, err := New(cfg, qe)
-		if err != nil {
-			return nil, err
-		}
-		return []core.Operator{op}, nil
-	})
+	core.Register("clustering", func(cfg Config, qe *core.QueryEngine, _ core.Env) (*Operator, error) { return New(cfg, qe) })
 }

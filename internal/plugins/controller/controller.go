@@ -12,7 +12,6 @@
 package controller
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -113,15 +112,5 @@ func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, t
 }
 
 func init() {
-	core.RegisterPlugin("controller", func(raw json.RawMessage, qe *core.QueryEngine, env core.Env) ([]core.Operator, error) {
-		var cfg Config
-		if err := json.Unmarshal(raw, &cfg); err != nil {
-			return nil, err
-		}
-		op, err := New(cfg, qe)
-		if err != nil {
-			return nil, err
-		}
-		return []core.Operator{op}, nil
-	})
+	core.Register("controller", func(cfg Config, qe *core.QueryEngine, _ core.Env) (*Operator, error) { return New(cfg, qe) })
 }

@@ -15,7 +15,6 @@
 package fingerprint
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -195,16 +194,4 @@ func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, t
 	return outs, nil
 }
 
-func init() {
-	core.RegisterPlugin("fingerprint", func(raw json.RawMessage, qe *core.QueryEngine, env core.Env) ([]core.Operator, error) {
-		var cfg Config
-		if err := json.Unmarshal(raw, &cfg); err != nil {
-			return nil, err
-		}
-		op, err := New(cfg, qe, env)
-		if err != nil {
-			return nil, err
-		}
-		return []core.Operator{op}, nil
-	})
-}
+func init() { core.Register("fingerprint", New) }

@@ -9,7 +9,6 @@
 package perfmetrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -61,14 +60,13 @@ func New(cfg Config, qe *core.QueryEngine) (*Operator, error) {
 	if window <= 0 {
 		window = 2 * cfg.OperatorConfig.IntervalDuration()
 	}
-	// Validate that every requested output metric is computable.
-	for _, u := range base.Units() {
-		for _, out := range u.Outputs {
-			if _, err := requiredCounters(out.Name()); err != nil {
-				return nil, err
-			}
+	// Validate that every requested output metric is computable, from
+	// the patterns: units may come only later.
+	for _, expr := range cfg.Outputs {
+		p, _ := units.Parse(expr) // Build has parsed it
+		if _, err := requiredCounters(sensor.Topic(p.Name).Name()); err != nil {
+			return nil, err
 		}
-		break // all units share the template; checking one suffices
 	}
 	return &Operator{Base: base, window: window}, nil
 }
@@ -147,15 +145,5 @@ func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, t
 }
 
 func init() {
-	core.RegisterPlugin("perfmetrics", func(raw json.RawMessage, qe *core.QueryEngine, env core.Env) ([]core.Operator, error) {
-		var cfg Config
-		if err := json.Unmarshal(raw, &cfg); err != nil {
-			return nil, err
-		}
-		op, err := New(cfg, qe)
-		if err != nil {
-			return nil, err
-		}
-		return []core.Operator{op}, nil
-	})
+	core.Register("perfmetrics", func(cfg Config, qe *core.QueryEngine, _ core.Env) (*Operator, error) { return New(cfg, qe) })
 }

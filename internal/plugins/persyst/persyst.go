@@ -12,7 +12,6 @@
 package persyst
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"time"
@@ -72,11 +71,7 @@ func New(cfg Config, qe *core.QueryEngine, env core.Env) (*Operator, error) {
 			return nil, fmt.Errorf("persyst: quantile %v out of range", q)
 		}
 	}
-	interval := time.Duration(cfg.IntervalMs) * time.Millisecond
-	if interval <= 0 {
-		interval = time.Second
-	}
-	base := core.NewBase(cfg.Name, "persyst", core.Online, interval, false)
+	base := core.NewBase(cfg.Name, "persyst", core.Online, time.Duration(cfg.IntervalMs)*time.Millisecond, false)
 	return &Operator{Base: base, cfg: cfg, jobs: env.Jobs}, nil
 }
 
@@ -149,16 +144,4 @@ func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, t
 	return outs, nil
 }
 
-func init() {
-	core.RegisterPlugin("persyst", func(raw json.RawMessage, qe *core.QueryEngine, env core.Env) ([]core.Operator, error) {
-		var cfg Config
-		if err := json.Unmarshal(raw, &cfg); err != nil {
-			return nil, err
-		}
-		op, err := New(cfg, qe, env)
-		if err != nil {
-			return nil, err
-		}
-		return []core.Operator{op}, nil
-	})
-}
+func init() { core.Register("persyst", New) }

@@ -16,7 +16,6 @@
 package regressor
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -221,15 +220,5 @@ func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, t
 }
 
 func init() {
-	core.RegisterPlugin("regressor", func(raw json.RawMessage, qe *core.QueryEngine, env core.Env) ([]core.Operator, error) {
-		var cfg Config
-		if err := json.Unmarshal(raw, &cfg); err != nil {
-			return nil, err
-		}
-		op, err := New(cfg, qe)
-		if err != nil {
-			return nil, err
-		}
-		return []core.Operator{op}, nil
-	})
+	core.Register("regressor", func(cfg Config, qe *core.QueryEngine, _ core.Env) (*Operator, error) { return New(cfg, qe) })
 }

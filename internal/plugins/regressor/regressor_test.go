@@ -177,3 +177,50 @@ func TestNoDataIsQuiet(t *testing.T) {
 		t.Fatalf("empty compute = %+v, %v", outs, err)
 	}
 }
+
+// TestModelSurvivesNewNode checks that a node joining after the model
+// was trained gets a unit of its own at the next tick, while the trained
+// model, the existing unit and its prediction state stay as they were.
+func TestModelSurvivesNewNode(t *testing.T) {
+	nav := navigator.New()
+	caches := cache.NewSet()
+	qe := core.NewQueryEngine(nav, caches, nil)
+	sink := core.NewCacheSink(caches, nav, 720, interval)
+	feed := func(topic sensor.Topic, i int) time.Time {
+		now := time.Unix(0, int64(i)*int64(interval))
+		sink.PushBatch([]core.Output{{Topic: topic, Reading: sensor.At(signal(i), now)}})
+		return now
+	}
+	feed("/r0/n0/power", 0)
+	op, err := New(Config{
+		OperatorConfig: core.OperatorConfig{
+			Name: "reg", Inputs: []string{"<bottomup>power"}, Outputs: []string{"<bottomup>power-pred"}, IntervalMs: 250,
+		},
+		Target: "power", TrainingSetSize: 50, Trees: 4, Seed: 7,
+	}, qe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 60; i++ {
+		if err := core.Tick(op, qe, sink, feed("/r0/n0/power", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !op.Trained() || len(op.Units()) != 1 {
+		t.Fatalf("trained %v with %d units; want a trained model on one unit", op.Trained(), len(op.Units()))
+	}
+	u0 := op.Units()[0]
+	st0 := op.state[u0.Name]
+	feed("/r0/n1/power", 60)
+	if err := core.Tick(op, qe, sink, feed("/r0/n0/power", 60)); err != nil {
+		t.Fatal(err)
+	}
+	us := op.Units()
+	if len(us) != 2 || us[0] != u0 || us[1].Name != "/r0/n1/" {
+		t.Fatalf("units after the new node = %v; want /r0/n0/ kept and /r0/n1/ added", us)
+	}
+	if !op.Trained() || op.state[u0.Name] != st0 || !st0.hasPred {
+		t.Errorf("trained %v, state kept %v, predicting %v: the model or its state was lost",
+			op.Trained(), op.state[u0.Name] == st0, st0.hasPred)
+	}
+}

@@ -7,7 +7,6 @@
 package smoothing
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -45,24 +44,20 @@ func suffix(w int) string { return fmt.Sprintf("-avg%d", w) }
 
 // New builds a smoothing operator from a parsed config.
 func New(cfg Config, qe *core.QueryEngine) (*Operator, error) {
-	if cfg.Name == "" {
-		cfg.Name = "smoothing"
-	}
 	if len(cfg.WindowsS) == 0 {
 		cfg.WindowsS = []int{60, 300}
 	}
+	op := &Operator{}
 	for _, w := range cfg.WindowsS {
 		if w <= 0 {
 			return nil, fmt.Errorf("smoothing: non-positive window %d", w)
 		}
+		op.windows = append(op.windows, time.Duration(w)*time.Second)
 	}
-	tmpl, err := units.NewTemplate(cfg.Inputs, nil)
-	if err != nil {
-		return nil, err
-	}
+	oc := core.OperatorConfig{Name: cfg.Name, IntervalMs: cfg.IntervalMs, Parallel: cfg.Parallel, Inputs: cfg.Inputs}
 	// One output per (input, window), ordered input-major so Compute can
 	// index outputs as i*len(windows)+j.
-	us, err := tmpl.InstantiateInputs(qe.Navigator(), func(u *units.Unit) []sensor.Topic {
+	base, err := oc.Build("smoothing", qe.Navigator(), func(u *units.Unit) []sensor.Topic {
 		outs := make([]sensor.Topic, 0, len(u.Inputs)*len(cfg.WindowsS))
 		for _, in := range u.Inputs {
 			for _, w := range cfg.WindowsS {
@@ -72,18 +67,9 @@ func New(cfg Config, qe *core.QueryEngine) (*Operator, error) {
 		return outs
 	})
 	if err != nil {
-		return nil, fmt.Errorf("smoothing: %w", err)
+		return nil, err
 	}
-	interval := time.Duration(cfg.IntervalMs) * time.Millisecond
-	if interval <= 0 {
-		interval = time.Second
-	}
-	base := core.NewBase(cfg.Name, "smoothing", core.Online, interval, cfg.Parallel)
-	base.SetUnits(us)
-	op := &Operator{Base: base}
-	for _, w := range cfg.WindowsS {
-		op.windows = append(op.windows, time.Duration(w)*time.Second)
-	}
+	op.Base = base
 	return op, nil
 }
 
@@ -110,15 +96,5 @@ func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, t
 }
 
 func init() {
-	core.RegisterPlugin("smoothing", func(raw json.RawMessage, qe *core.QueryEngine, env core.Env) ([]core.Operator, error) {
-		var cfg Config
-		if err := json.Unmarshal(raw, &cfg); err != nil {
-			return nil, err
-		}
-		op, err := New(cfg, qe)
-		if err != nil {
-			return nil, err
-		}
-		return []core.Operator{op}, nil
-	})
+	core.Register("smoothing", func(cfg Config, qe *core.QueryEngine, _ core.Env) (*Operator, error) { return New(cfg, qe) })
 }

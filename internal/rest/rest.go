@@ -201,8 +201,9 @@ func (a *API) units(w http.ResponseWriter, r *http.Request) {
 		Inputs  []sensor.Topic `json:"inputs"`
 		Outputs []sensor.Topic `json:"outputs"`
 	}
-	var out []unitJSON
-	for _, u := range op.Units() {
+	us := op.Units()
+	out := make([]unitJSON, 0, len(us)) // 0 units is a state: [] not null
+	for _, u := range us {
 		out = append(out, unitJSON{Name: u.Name, Inputs: u.Inputs, Outputs: u.Outputs})
 	}
 	writeJSON(w, http.StatusOK, out)

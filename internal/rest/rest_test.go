@@ -31,16 +31,12 @@ func (d *doubler) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, _ 
 }
 
 func init() {
-	core.RegisterPlugin("doubler", func(cfg json.RawMessage, qe *core.QueryEngine, env core.Env) ([]core.Operator, error) {
-		var oc core.OperatorConfig
-		if err := json.Unmarshal(cfg, &oc); err != nil {
-			return nil, err
-		}
+	core.Register("doubler", func(oc core.OperatorConfig, qe *core.QueryEngine, _ core.Env) (*doubler, error) {
 		base, err := oc.Build("doubler", qe.Navigator())
 		if err != nil {
 			return nil, err
 		}
-		return []core.Operator{&doubler{Base: base}}, nil
+		return &doubler{Base: base}, nil
 	})
 }
 
@@ -278,6 +274,17 @@ func TestLoadUnloadEndpoints(t *testing.T) {
 	}
 	if code := postJSON(t, srv.URL+"/plugins/load?plugin=ghost", "{}", nil); code != 400 {
 		t.Errorf("unknown plugin load = %d", code)
+	}
+	// A misspelt field is refused, and the error names it.
+	var refused struct {
+		Error string `json:"error"`
+	}
+	typo := `{"name":"dbl3","inputs":["power"],"outputs":["<bottomup>power8x"],"interval":10}`
+	if code := postJSON(t, srv.URL+"/plugins/load?plugin=doubler", typo, &refused); code != 400 || !strings.Contains(refused.Error, `"interval"`) {
+		t.Errorf("load with an unknown field = %d %q; want 400 naming the field", code, refused.Error)
+	}
+	if _, ok := m.Operator("dbl3"); ok {
+		t.Error("an operator with an unknown config field was loaded")
 	}
 	var got struct {
 		Operators int `json:"operators"`
