@@ -43,16 +43,19 @@ test:
 # tests five times for the same reason: which writer runs the shared
 # fsync, and who writes while it runs, differ run to run; with them go
 # the head model test (a fresh seed each run), the cross-shard WAL
-# replay test, whose inserters interleave differently each run, and the
+# replay test, whose inserters interleave differently each run, the
 # reader tests, where a segment registration or a prune falls among the
-# reads differently each run. The fourth
+# reads differently each run (the reads, Stats among them, also take
+# turns holding one inside, at the seam between their tiers), and the
+# prefix-index tests, where inserts that create heads race the prune's
+# index rebuild. The fourth
 # runs the root-package benchmark suite one iteration under the race
 # detector: the paired contention workloads exercise cross-goroutine
 # interleavings the unit tests cannot reach.
 race:
 	$(GO) test -race -count=1 ./internal/...
 	$(GO) test -race -count=5 -run 'Scheduler|Tick|Threads|OnDemand|Manager' ./internal/core
-	$(GO) test -race -count=5 -run 'GroupCommit|ConcurrentWriters|OrderedShutdown|FsyncStall|DiskFull|RetiredWAL|WALDegrade|WALFailure|HeadModel|ReplayAcrossShards|ReadsWholeAcrossFlushAndPrune|QueriesNeverMissDataDuringFlush|FailedFlushDoesNotStallReaders|ConcurrentInsertFlushQuery' ./internal/tsdb
+	$(GO) test -race -count=5 -run 'GroupCommit|ConcurrentWriters|OrderedShutdown|FsyncStall|DiskFull|RetiredWAL|WALDegrade|WALFailure|HeadModel|ReplayAcrossShards|ReadsWholeAcrossFlushAndPrune|TopicIndexUnderPrune|PruneUnlistsWithTheFloor|QueriesNeverMissDataDuringFlush|FailedFlushDoesNotStallReaders|ConcurrentInsertFlushQuery' ./internal/tsdb
 	$(GO) test -race -run '^$$' -bench . -benchtime 1x .
 
 # Short benchmark run over the micro-benches no `go run ./bench` rung

@@ -232,7 +232,7 @@ const catalogPath = "docs/OBSERVABILITY.md"
 var registerFuncs = map[string]bool{
 	"Counter": true, "Gauge": true, "Histogram": true,
 	"CounterFunc": true, "GaugeFunc": true,
-	"NewCounterVec": true, "NewGaugeVec": true, "NewHistogramVec": true,
+	"NewCounterVec": true, "NewHistogramVec": true,
 }
 
 // registeredSeries records where f registers each "dcdb_…" series: a

@@ -81,9 +81,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Bounds returns the bucket upper bounds (shared; do not mutate).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // BucketCounts copies the per-bucket (non-cumulative) counts into dst,
 // growing it as needed; the last element is the +Inf bucket. It
 // returns the filled slice.

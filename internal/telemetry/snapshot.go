@@ -68,23 +68,22 @@ func (r *Registry) Snapshot(visit func(*Sample)) {
 	var s Sample
 	var counts []uint64
 	for _, name := range names {
-		r.mu.RLock()
-		f := r.families[name]
-		r.mu.RUnlock()
-		if f == nil {
-			continue
-		}
-		counts = f.visit(&s, counts, visit)
+		counts = r.visit(name, &s, counts, visit)
 	}
 }
 
-// visit emits every child of the family into visit, reusing s and
+// visit emits every child of the named family into visit, reusing s and
 // counts as scratch.
-func (f *family) visit(s *Sample, counts []uint64, visit func(*Sample)) []uint64 {
-	// Copy the child references under the family lock, then emit (and
+func (r *Registry) visit(name string, s *Sample, counts []uint64, visit func(*Sample)) []uint64 {
+	// Copy the child references under the registry lock, then emit (and
 	// run func callbacks) outside it: callbacks reach into foreign
-	// subsystems whose locks must never nest under family.mu.
-	f.mu.Lock()
+	// subsystems whose locks must never nest under Registry.mu.
+	r.mu.RLock()
+	f := r.families[name]
+	if f == nil {
+		r.mu.RUnlock()
+		return counts
+	}
 	plain := f.plain
 	childKey := append([]string(nil), f.childKey...)
 	kids := make([]any, len(childKey))
@@ -92,7 +91,7 @@ func (f *family) visit(s *Sample, counts []uint64, visit func(*Sample)) []uint64
 		kids[i] = f.children[k]
 	}
 	funcs := append([]*FuncHandle(nil), f.funcs...)
-	f.mu.Unlock()
+	r.mu.RUnlock()
 
 	s.Name, s.Help, s.Type = f.name, f.help, f.typ
 
@@ -176,43 +175,39 @@ func splitKey(key string, n int) []string {
 // callback-backed children when present. Histograms report their
 // observation count. The second result is false when the series does
 // not exist. Value does not run updaters; use Snapshot when reading
-// several related series consistently.
+// several related series consistently. Like Snapshot, it runs the
+// callbacks outside the registry lock.
 func (r *Registry) Value(name string, labelValues ...string) (float64, bool) {
 	if r == nil {
 		return 0, false
 	}
-	r.mu.RLock()
-	f := r.families[name]
-	r.mu.RUnlock()
-	if f == nil {
-		return 0, false
-	}
 	key := strings.Join(labelValues, "\x00")
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(labelValues) == 0 && f.plain != nil {
-		switch m := f.plain.(type) {
-		case *Counter:
-			return float64(m.Value()), true
-		case *Gauge:
-			return m.Value(), true
-		case *Histogram:
-			return float64(m.Count()), true
+	var (
+		child any
+		funcs []*FuncHandle
+	)
+	r.mu.RLock()
+	if f := r.families[name]; f != nil {
+		if len(labelValues) == 0 && f.plain != nil {
+			child = f.plain
+		} else if c, ok := f.children[key]; ok {
+			child = c
+		} else {
+			funcs = append(funcs, f.funcs...)
 		}
 	}
-	if c, ok := f.children[key]; ok {
-		switch m := c.(type) {
-		case *Counter:
-			return float64(m.Value()), true
-		case *Gauge:
-			return m.Value(), true
-		case *Histogram:
-			return float64(m.Count()), true
-		}
+	r.mu.RUnlock()
+	switch m := child.(type) {
+	case *Counter:
+		return float64(m.Value()), true
+	case *Gauge:
+		return m.Value(), true
+	case *Histogram:
+		return float64(m.Count()), true
 	}
 	var sum float64
 	found := false
-	for _, h := range f.funcs {
+	for _, h := range funcs {
 		if strings.Join(h.labels, "\x00") == key {
 			sum += h.fn()
 			found = true

@@ -150,6 +150,8 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // is not usable; call NewRegistry. A nil *Registry is safe: every
 // constructor returns a live but unattached metric.
 type Registry struct {
+	// mu guards the registry and every family in it. Metric values are
+	// atomics outside it, and no updater or func callback runs under it.
 	mu             sync.RWMutex
 	families       map[string]*family
 	order          []string // registration-ordered family names, sorted lazily at snapshot
@@ -157,7 +159,8 @@ type Registry struct {
 	globalUpdaters []*FuncHandle
 }
 
-// family holds every child metric sharing one exposition name.
+// family holds every child metric sharing one exposition name. Its
+// registry's mu guards it.
 type family struct {
 	name   string
 	help   string
@@ -165,7 +168,6 @@ type family struct {
 	keys   []string  // label keys, empty for unlabelled families
 	bounds []float64 // histogram bucket upper bounds
 
-	mu       sync.Mutex
 	plain    any            // unlabelled child: *Counter, *Gauge or *Histogram
 	children map[string]any // label-values key -> child
 	childKey []string       // sorted children keys, rebuilt on registration
@@ -184,12 +186,8 @@ var Default = NewRegistry()
 // lookup returns the family for name, creating it on first use and
 // panicking on a type or label-key mismatch — re-registering a name
 // with a different shape is a programming error, not a runtime
-// condition.
-//
-//lint:lockorder Registry.mu < family.mu
+// condition. The caller holds r.mu.
 func (r *Registry) lookup(name, help string, typ MetricType, keys []string, bounds []float64) *family {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
 		f = &family{name: name, help: help, typ: typ, keys: keys, bounds: bounds}
@@ -216,9 +214,9 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return &Counter{}
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	f := r.lookup(name, help, TypeCounter, nil, nil)
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.plain == nil {
 		f.plain = &Counter{}
 	}
@@ -231,9 +229,9 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
 		return &Gauge{}
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	f := r.lookup(name, help, TypeGauge, nil, nil)
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.plain == nil {
 		f.plain = &Gauge{}
 	}
@@ -246,9 +244,9 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	if r == nil {
 		return newHistogram(bounds)
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	f := r.lookup(name, help, TypeHistogram, nil, checkBounds(bounds))
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.plain == nil {
 		f.plain = newHistogram(f.bounds)
 	}
@@ -273,15 +271,13 @@ func (h *FuncHandle) Close() {
 	if h == nil || h.r == nil {
 		return
 	}
+	h.r.mu.Lock()
 	if h.f != nil {
-		h.f.mu.Lock()
 		h.f.funcs = removeHandle(h.f.funcs, h)
-		h.f.mu.Unlock()
 	} else {
-		h.r.mu.Lock()
 		h.r.globalUpdaters = removeHandle(h.r.globalUpdaters, h)
-		h.r.mu.Unlock()
 	}
+	h.r.mu.Unlock()
 	h.r = nil
 }
 
@@ -314,11 +310,11 @@ func (r *Registry) addFunc(name, help string, typ MetricType, fn func() float64,
 		return &FuncHandle{}
 	}
 	keys, vals := splitPairs(labelPairs)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	f := r.lookup(name, help, typ, keys, nil)
 	h := &FuncHandle{f: f, r: r, labels: vals, fn: fn}
-	f.mu.Lock()
 	f.funcs = append(f.funcs, h)
-	f.mu.Unlock()
 	return h
 }
 

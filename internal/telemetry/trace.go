@@ -138,14 +138,6 @@ func NewSlowQueryLog(w io.Writer, threshold time.Duration) *SlowQueryLog {
 	return &SlowQueryLog{threshold: threshold, w: w}
 }
 
-// Threshold returns the configured slow threshold, or 0 for a nil log.
-func (l *SlowQueryLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.threshold
-}
-
 // Record logs the request if it ran at or over threshold. route and
 // status describe the HTTP exchange; t may be nil for routes that do
 // not thread a trace.

@@ -9,6 +9,7 @@ import (
 // one label combination to its child Counter; resolve once at
 // construction and keep the child, never call With on a hot path.
 type CounterVec struct {
+	r *Registry
 	f *family
 }
 
@@ -17,7 +18,9 @@ func (r *Registry) NewCounterVec(name, help string, labelKeys ...string) *Counte
 	if r == nil {
 		return &CounterVec{}
 	}
-	return &CounterVec{f: r.lookup(name, help, TypeCounter, labelKeys, nil)}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return &CounterVec{r: r, f: r.lookup(name, help, TypeCounter, labelKeys, nil)}
 }
 
 // With returns the child counter for the given label values (one per
@@ -26,36 +29,13 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 	if v.f == nil {
 		return &Counter{}
 	}
-	c, _ := v.f.child(labelValues, func() any { return &Counter{} })
-	return c.(*Counter)
-}
-
-// GaugeVec is a gauge family partitioned by labels.
-type GaugeVec struct {
-	f *family
-}
-
-// NewGaugeVec registers (or finds) a labelled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labelKeys ...string) *GaugeVec {
-	if r == nil {
-		return &GaugeVec{}
-	}
-	return &GaugeVec{f: r.lookup(name, help, TypeGauge, labelKeys, nil)}
-}
-
-// With returns the child gauge for the given label values, creating it
-// on first use.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	if v.f == nil {
-		return &Gauge{}
-	}
-	g, _ := v.f.child(labelValues, func() any { return &Gauge{} })
-	return g.(*Gauge)
+	return v.r.child(v.f, labelValues, func() any { return &Counter{} }).(*Counter)
 }
 
 // HistogramVec is a histogram family partitioned by labels; every
 // child shares the family's bucket bounds.
 type HistogramVec struct {
+	r      *Registry
 	f      *family
 	bounds []float64
 }
@@ -66,7 +46,9 @@ func (r *Registry) NewHistogramVec(name, help string, bounds []float64, labelKey
 	if r == nil {
 		return &HistogramVec{bounds: checkBounds(bounds)}
 	}
-	return &HistogramVec{f: r.lookup(name, help, TypeHistogram, labelKeys, checkBounds(bounds)), bounds: bounds}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return &HistogramVec{r: r, f: r.lookup(name, help, TypeHistogram, labelKeys, checkBounds(bounds)), bounds: bounds}
 }
 
 // With returns the child histogram for the given label values,
@@ -75,18 +57,17 @@ func (v *HistogramVec) With(labelValues ...string) *Histogram {
 	if v.f == nil {
 		return newHistogram(v.bounds)
 	}
-	h, _ := v.f.child(labelValues, func() any { return newHistogram(v.f.bounds) })
-	return h.(*Histogram)
+	return v.r.child(v.f, labelValues, func() any { return newHistogram(v.f.bounds) }).(*Histogram)
 }
 
-// child finds or creates the child for one label-value combination.
-func (f *family) child(vals []string, mk func() any) (any, string) {
+// child finds or creates the child of f for one label-value combination.
+func (r *Registry) child(f *family, vals []string, mk func() any) any {
 	if len(vals) != len(f.keys) {
 		panic("telemetry: " + f.name + ": wrong number of label values")
 	}
 	key := strings.Join(vals, "\x00")
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if f.children == nil {
 		f.children = make(map[string]any)
 	}
@@ -97,5 +78,5 @@ func (f *family) child(vals []string, mk func() any) (any, string) {
 		f.childKey = append(f.childKey, key)
 		sort.Strings(f.childKey)
 	}
-	return c, key
+	return c
 }

@@ -23,10 +23,6 @@ var ErrAckTimeout = errors.New("transport: ack timeout")
 // (ErrAckTimeout).
 var ErrUnexpectedAck = errors.New("transport: unexpected ack type")
 
-// ErrNotConnected reports an operation that needs a live connection
-// while the client is between redial attempts.
-var ErrNotConnected = errors.New("transport: not connected")
-
 // ErrSpoolNotDrained reports that Close abandoned unacknowledged
 // spooled batches: the drain timeout expired and no spool directory was
 // configured to persist them.
@@ -40,8 +36,8 @@ const maxBurst = 256
 // decides how long a published batch stays in its queue (zero: QoS 0).
 type Options struct {
 	// AckTimeout bounds every wait for a broker acknowledgement: the
-	// CONNACK and PINGRESP round trips and, at QoS 1, the ack-progress
-	// watchdog that declares a silent connection dead. Default 5s.
+	// CONNACK round trip and, at QoS 1, the ack-progress watchdog that
+	// declares a silent connection dead. Default 5s.
 	AckTimeout time.Duration
 	// SpoolBatches selects the retention policy. Either way Publish
 	// appends to a bounded queue and returns; the sender goroutine
@@ -110,7 +106,8 @@ func (o Options) withDefaults() Options {
 // batches to the broker through a bounded batch queue with optional disk
 // overflow, one sender goroutine that owns dialling and redialling, and
 // one receive loop per live connection. Options.SpoolBatches picks the
-// retention policy.
+// retention policy. Past the CONNECT handshake the sender is the only
+// writer to a connection, so its frames cannot interleave with others.
 //
 // Queue discipline: queue[:sendIdx] have been written to the current
 // connection; queue[sendIdx:] are unsent. At QoS 1 the sent batches
@@ -148,21 +145,15 @@ type Client struct {
 
 	stats ClientStats // counters; the depth fields are filled in by Stats
 
-	pingResp chan struct{}
-	kickCh   chan struct{} // wakes the sender (cap 1)
-	stopCh   chan struct{} // closed when Close stops draining
-	wg       sync.WaitGroup
+	kickCh chan struct{} // wakes the sender (cap 1)
+	stopCh chan struct{} // closed when Close stops draining
+	wg     sync.WaitGroup
 
 	// Vectored-send scratch, owned by the sender goroutine: frame
 	// headers live in hdrs, iov alternates header/payload slices so a
 	// burst of queued batches leaves in one writev.
 	iov  net.Buffers
 	hdrs []byte
-
-	// writeMu serialises the sender's bursts with Ping and DISCONNECT
-	// frames on the shared connection. It sits away from mu: the sender
-	// holds it across a write while publishers take mu.
-	writeMu sync.Mutex
 }
 
 // Dial connects and performs the CONNECT handshake with default
@@ -177,13 +168,12 @@ func Dial(addr string) (*Client, error) {
 // connection loss by redialling.
 func DialOptions(addr string, opts Options) (*Client, error) {
 	c := &Client{
-		addr:     addr,
-		opts:     opts.withDefaults(),
-		retain:   opts.SpoolBatches > 0,
-		epoch:    newEpoch(),
-		pingResp: make(chan struct{}, 1),
-		kickCh:   make(chan struct{}, 1),
-		stopCh:   make(chan struct{}),
+		addr:   addr,
+		opts:   opts.withDefaults(),
+		retain: opts.SpoolBatches > 0,
+		epoch:  newEpoch(),
+		kickCh: make(chan struct{}, 1),
+		stopCh: make(chan struct{}),
 	}
 	c.space.L = &c.mu
 	if c.retain && opts.SpoolDir != "" {
@@ -207,13 +197,6 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 	go c.recvLoop(conn, 1)
 	go c.sendLoop()
 	return c, nil
-}
-
-// liveConn returns the current connection, nil between redials.
-func (c *Client) liveConn() net.Conn {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.conn
 }
 
 // encodeLocked builds the queue entry for one publish: a v2 payload
@@ -291,26 +274,6 @@ func (c *Client) Publish(topic sensor.Topic, readings []sensor.Reading) error {
 	return nil
 }
 
-// Ping performs a PINGREQ/PINGRESP round trip.
-func (c *Client) Ping() error {
-	conn := c.liveConn()
-	if conn == nil {
-		return ErrNotConnected
-	}
-	c.writeMu.Lock()
-	err := writeFrame(conn, framePingReq, nil)
-	c.writeMu.Unlock()
-	if err != nil {
-		return err
-	}
-	select {
-	case <-c.pingResp:
-		return nil
-	case <-time.After(c.opts.AckTimeout):
-		return ErrAckTimeout
-	}
-}
-
 // Stats returns a snapshot of the client's delivery counters.
 func (c *Client) Stats() ClientStats {
 	c.mu.Lock()
@@ -327,7 +290,9 @@ func (c *Client) Stats() ClientStats {
 // Close drains the queue (bounded by Options.DrainTimeout), persists
 // any QoS 1 remainder to the disk spool when one is configured — the
 // error reports batches that could be neither delivered nor persisted —
-// then stops the sender and receiver.
+// then stops the sender and receiver. It writes nothing to the
+// connection: closing it hands the broker an EOF, on which the broker
+// delivers what it has read, as it would on a DISCONNECT.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -360,15 +325,7 @@ func (c *Client) Close() error {
 	c.conn = nil
 	c.mu.Unlock()
 	if conn != nil {
-		// TryLock: the sender may be wedged mid-write on this very
-		// connection holding c.writeMu, and conn.Close() below is what
-		// unblocks it — so the courtesy DISCONNECT is skipped rather
-		// than deadlocking Close behind it.
-		if c.writeMu.TryLock() {
-			_ = writeFrame(conn, frameDisconnect, nil)
-			c.writeMu.Unlock()
-		}
-		conn.Close()
+		conn.Close() // also unblocks a sender wedged mid-write
 	}
 	c.wg.Wait()
 	if c.disk != nil {

@@ -30,14 +30,37 @@ func TestBrokerSurvivesGarbage(t *testing.T) {
 	raw.Close()
 
 	// A well-behaved client still works.
-	c, err := Dial(b.Addr())
+	c, err := DialOptions(b.Addr(), Options{SpoolBatches: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(); err != nil {
-		t.Fatalf("broker unhealthy after garbage: %v", err)
+	if !ackedPublish(c) {
+		t.Fatalf("broker unhealthy after garbage: no ack within 2s: %+v", c.Stats())
 	}
+}
+
+// liveConn returns the client's current connection, nil between
+// redials.
+func (c *Client) liveConn() net.Conn {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.conn
+}
+
+// ackedPublish publishes one batch from a QoS 1 client and reports
+// whether the broker acknowledged it within 2 s.
+func ackedPublish(c *Client) bool {
+	before := c.Stats().Acked
+	if c.Publish("/barrier", []sensor.Reading{{Value: 1, Time: 1}}) != nil {
+		return false
+	}
+	for deadline := time.Now().Add(2 * time.Second); c.Stats().Acked == before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestBrokerDropsBadPublishKeepsConnection: a structurally-valid frame
@@ -94,41 +117,42 @@ func TestKillConnections(t *testing.T) {
 
 	clients := make([]*Client, 3)
 	for i := range clients {
-		// A short AckTimeout: a Ping that raced a kill gives up quickly.
-		c, err := DialOptions(b.Addr(), Options{RetryMin: 5 * time.Millisecond, AckTimeout: 100 * time.Millisecond})
+		// The session is registered once the dial's CONNACK is in.
+		c, err := DialOptions(b.Addr(), Options{SpoolBatches: 8, RetryMin: 5 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
 		clients[i] = c
-		if err := c.Ping(); err != nil { // session fully established
-			t.Fatal(err)
-		}
 	}
 
 	// settled waits until the clients have redialled atLeast times in
-	// total, each answers a Ping, and the broker has deregistered the
-	// dead sessions: exactly the three live ones remain.
+	// total and the broker has deregistered the dead sessions, so exactly
+	// the three live ones remain, and then until each client has a
+	// publish acked.
 	settled := func(atLeast uint64) {
 		t.Helper()
 		deadline := time.Now().Add(3 * time.Second)
 		for {
 			var reconnects uint64
-			ok := true
 			for _, c := range clients {
 				reconnects += c.Stats().Reconnects
-				ok = ok && c.Ping() == nil
 			}
 			b.mu.Lock()
 			live := len(b.conns)
 			b.mu.Unlock()
-			if ok && reconnects >= atLeast && live == len(clients) {
-				return
+			if reconnects >= atLeast && live == len(clients) {
+				break
 			}
 			if time.Now().After(deadline) {
 				t.Fatalf("clients did not all come back: %d reconnects (want >= %d), %d live sessions", reconnects, atLeast, live)
 			}
 			time.Sleep(5 * time.Millisecond)
+		}
+		for i, c := range clients {
+			if !ackedPublish(c) {
+				t.Fatalf("client %d: no ack within 2s after the kill: %+v", i, c.Stats())
+			}
 		}
 	}
 	if n := b.KillConnections(1); n != 1 {
@@ -199,9 +223,7 @@ func TestQoS0SurvivesConnectionKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
+	// The session is registered once the dial's CONNACK is in.
 	if n := b.KillConnections(-1); n != 1 {
 		t.Fatalf("KillConnections(-1) = %d, want 1", n)
 	}

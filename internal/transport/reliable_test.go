@@ -2,10 +2,12 @@ package transport
 
 import (
 	"errors"
+	"io"
 	"net"
+	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -478,6 +480,114 @@ func TestDiskSpoolScanSurvivesUnboundedRecords(t *testing.T) {
 	}
 }
 
+// TestRefillKeepsRecordsBeforeCorruption: a spool record that turns
+// out corrupt after the open scan costs that record and the ones after
+// it, never the intact ones the same refill read before it, and later
+// publishes still flow.
+func TestRefillKeepsRecordsBeforeCorruption(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "pusher.spool")
+	d, err := openDiskSpool(path, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, bad = 20, 10
+	var badOff int64
+	for i := 0; i < n; i++ {
+		if i == bad {
+			badOff = d.size
+		}
+		p := EncodePublishV2(Message{
+			Topic: "/rel/refill", Readings: []sensor.Reading{{Value: float64(i), Time: int64(i)}}, Epoch: 7, Seq: uint64(i + 1),
+		})
+		if err := d.append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := NewBroker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	rec := newRecorder()
+	b.SubscribeLocal(each(rec.handle))
+	// DialOptions scans the spool before it dials. The client dials this
+	// listener, which corrupts the spool's record bad once the dial
+	// arrives and only then lets the connection through to the broker.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		if err := flipByte(path, badOff+16); err != nil {
+			t.Error(err)
+			return
+		}
+		up, err := net.Dial("tcp", b.Addr())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		go func() {
+			_, _ = io.Copy(up, conn)
+			up.Close()
+		}()
+		_, _ = io.Copy(conn, up)
+	}()
+	c, err := DialOptions(ln.Addr().String(), Options{SpoolBatches: 64, SpoolDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Publish once the refill has met the bad record: until then a batch
+	// goes to the spool's tail, after it.
+	for deadline := time.Now().Add(2 * time.Second); rec.count("/rel/refill") < bad && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if err := c.Publish("/rel/refill", []sensor.Reading{{Value: n, Time: n}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	var want []float64
+	for i := 0; i < bad; i++ {
+		want = append(want, float64(i))
+	}
+	want = append(want, n)
+	if got := rec.values["/rel/refill"]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("delivered %v, want %v: the records before the corrupt one, then the later publish", got, want)
+	}
+}
+
+// flipByte inverts the byte at off in the file at path.
+func flipByte(path string, off int64) error {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		return err
+	}
+	b[0] ^= 0xff
+	_, err = f.WriteAt(b[:], off)
+	return err
+}
+
 // TestPublishNoReorderAroundFullDisk: concurrent publishers racing a
 // repeatedly-full overflow file must never let a batch enter the memory
 // queue ahead of a lower-sequence disk-resident batch. Small batches
@@ -540,152 +650,5 @@ func TestPublishNoReorderAroundFullDisk(t *testing.T) {
 		if seqs[i] <= seqs[i-1] {
 			t.Fatalf("sequence inversion at delivery %d: %d after %d", i, seqs[i], seqs[i-1])
 		}
-	}
-}
-
-// TestControlFramesDoNotCorruptPublishStream: Ping frames share the
-// connection with the reliable sender's vectored bursts, so both must
-// serialize on the client write lock — a control frame landing mid-burst
-// would desync the broker's framing and kill the connection.
-// A clean run delivers every batch in order with zero reconnects.
-func TestControlFramesDoNotCorruptPublishStream(t *testing.T) {
-	b, err := NewBroker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	rec := newRecorder()
-	b.SubscribeLocal(each(rec.handle))
-
-	c, err := DialOptions(b.Addr(), Options{SpoolBatches: 64, RetryMin: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_ = c.Ping()
-		}
-	}()
-	const n = 1000
-	batch := make([]sensor.Reading, 16)
-	for i := 0; i < n; i++ {
-		for j := range batch {
-			batch[j] = sensor.Reading{Value: float64(i), Time: int64(j)}
-		}
-		if err := c.Publish("/rel/ctl", batch); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if err := c.Close(); err != nil {
-		t.Fatalf("close did not drain: %v", err)
-	}
-	if rc := c.Stats().Reconnects; rc != 0 {
-		t.Fatalf("%d reconnects during control-frame traffic: stream corrupted", rc)
-	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	seqs := rec.seqs["/rel/ctl"]
-	if len(seqs) != n {
-		t.Fatalf("delivered %d batches, want %d", len(seqs), n)
-	}
-	for i := 1; i < len(seqs); i++ {
-		if seqs[i] <= seqs[i-1] {
-			t.Fatalf("sequence inversion at delivery %d: %d after %d", i, seqs[i], seqs[i-1])
-		}
-	}
-}
-
-// gateConn parks the first burst after its first PUBLISH header until
-// release is closed, and counts PINGREQ headers written while it is
-// parked.
-type gateConn struct {
-	net.Conn
-	parked, release chan struct{}
-	once            sync.Once
-	early           atomic.Int32
-}
-
-func (g *gateConn) Write(p []byte) (int, error) {
-	if len(p) == frameHeader && p[0] == framePingReq {
-		select {
-		case <-g.release:
-		case <-g.parked:
-			g.early.Add(1)
-		default:
-		}
-	}
-	n, err := g.Conn.Write(p)
-	if len(p) == frameHeader && (p[0] == framePublish || p[0] == framePublishV2) {
-		g.once.Do(func() {
-			close(g.parked)
-			<-g.release
-		})
-	}
-	return n, err
-}
-
-// TestBurstWaitsForControlFrame is the deterministic half of the test
-// above: a burst is many writes, and with its first PUBLISH header on the
-// wire and the rest not yet, a concurrent Ping must wait on the client
-// write lock — at either retention policy — or the broker reads a PINGREQ
-// header as PUBLISH payload.
-func TestBurstWaitsForControlFrame(t *testing.T) {
-	for _, spool := range []int{0, 8} {
-		b, err := NewBroker("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := newRecorder()
-		b.SubscribeLocal(each(rec.handle))
-		c, err := DialOptions(b.Addr(), Options{SpoolBatches: spool})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := &gateConn{parked: make(chan struct{}), release: make(chan struct{})}
-		c.mu.Lock()
-		g.Conn, c.conn = c.conn, g
-		c.mu.Unlock()
-
-		for i := 0; i < 3; i++ {
-			if err := c.Publish("/rel/gate", []sensor.Reading{{Value: float64(i), Time: int64(i)}}); err != nil {
-				t.Fatalf("publish %d: %v", i, err)
-			}
-		}
-		<-g.parked
-		pinged := make(chan error, 1)
-		go func() { pinged <- c.Ping() }()
-		time.Sleep(50 * time.Millisecond) // room for a Ping that does not wait
-		if n := g.early.Load(); n != 0 {
-			t.Fatalf("SpoolBatches %d: %d PINGREQ frames written inside a half-written burst", spool, n)
-		}
-		close(g.release)
-		if err := <-pinged; err != nil {
-			t.Fatalf("ping: %v", err)
-		}
-		deadline := time.Now().Add(2 * time.Second)
-		for rec.count("/rel/gate") != 3 {
-			if time.Now().After(deadline) {
-				t.Fatalf("SpoolBatches %d: delivered %d of 3 batches", spool, rec.count("/rel/gate"))
-			}
-			time.Sleep(time.Millisecond)
-		}
-		if err := c.Close(); err != nil {
-			t.Fatalf("close: %v", err)
-		}
-		if rc := c.Stats().Reconnects; rc != 0 {
-			t.Fatalf("SpoolBatches %d: %d reconnects: stream corrupted", spool, rc)
-		}
-		b.Close()
 	}
 }

@@ -177,15 +177,9 @@ func (c *Client) sendLoop() {
 				c.iov[2*i] = c.hdrs[5*i : 5*i+5]
 			}
 			c.mu.Unlock()
-			// The burst shares the connection with Ping and DISCONNECT
-			// frames written under c.writeMu; hold it across the vectored
-			// write (which may span several writev syscalls) so a
-			// concurrent control frame can never interleave bytes
-			// mid-frame and desync the broker's stream.
-			c.writeMu.Lock()
-			_, err := c.iov.WriteTo(conn)
-			c.writeMu.Unlock()
-			if err != nil {
+			// The sender is the connection's only writer, so the burst
+			// leaves whole however many writev calls it takes.
+			if _, err := c.iov.WriteTo(conn); err != nil {
 				c.connDead(gen)
 			}
 			continue
@@ -237,15 +231,16 @@ func (c *Client) refillLocked() {
 		return
 	}
 	loaded, err := c.disk.load(c.opts.SpoolBatches - len(c.queue))
+	// What load read before a failure is intact and past readOff already:
+	// queue it either way.
+	c.queue = append(c.queue, loaded...)
 	if err != nil {
 		// A torn or unreadable overflow tail: drop what cannot be
 		// parsed rather than wedging the sender. The loss is bounded to
 		// batches that were never acknowledged anyway.
 		c.disk.abandonPending()
 		c.space.Broadcast()
-		return
 	}
-	c.queue = append(c.queue, loaded...)
 }
 
 // connDead retires generation gen's connection. At QoS 1 everything
@@ -312,7 +307,7 @@ func (c *Client) ack(epoch, seq uint64) {
 }
 
 // recvLoop reads one connection until it dies, feeding acks to the
-// queue and PINGRESPs to Ping; it ignores every other frame type.
+// queue; it ignores every other frame type.
 func (c *Client) recvLoop(conn net.Conn, gen uint64) {
 	defer c.wg.Done()
 	// This loop is the connection's only reader, so buffering is safe;
@@ -326,16 +321,11 @@ func (c *Client) recvLoop(conn net.Conn, gen uint64) {
 			c.connDead(gen)
 			return
 		}
-		switch typ {
-		case framePubAck:
-			if e, s, derr := decodePubAck(payload); derr == nil {
-				c.ack(e, s)
-			}
-		case framePingResp:
-			select {
-			case c.pingResp <- struct{}{}:
-			default:
-			}
+		if typ != framePubAck {
+			continue
+		}
+		if e, s, derr := decodePubAck(payload); derr == nil {
+			c.ack(e, s)
 		}
 	}
 }

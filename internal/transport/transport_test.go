@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"net"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -162,19 +163,27 @@ func TestBrokerLocalDelivery(t *testing.T) {
 	}
 }
 
+// TestPing: the broker answers a peer's PINGREQ with a PINGRESP. The
+// client sends none, but other peers may.
 func TestPing(t *testing.T) {
 	b, err := NewBroker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	c, err := Dial(b.Addr())
+	conn, err := net.Dial("tcp", b.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
+	for _, step := range []struct{ send, want byte }{{frameConnect, frameConnAck}, {framePingReq, framePingResp}} {
+		if err := writeFrame(conn, step.send, nil); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _, err := readFrame(conn); err != nil || typ != step.want {
+			t.Fatalf("frame %d answered with %d (%v), want %d", step.send, typ, err, step.want)
+		}
 	}
 }
 

@@ -5,15 +5,17 @@
 // it.
 //
 // The production DCDB uses full MQTT brokers; every data path in this
-// codebase needs exactly the subset implemented here — CONNECT, PUBLISH of
-// reading batches to slash-separated topics, and PING — over
-// length-prefixed binary frames. Nothing subscribes over the network:
+// codebase needs exactly the subset implemented here — CONNECT and PUBLISH
+// of reading batches to slash-separated topics — over length-prefixed
+// binary frames; the Broker also answers PING, for peers that send it.
+// Nothing subscribes over the network:
 // dashboards, operators and queries read the agent's caches and store,
 // which its local handler (Broker.SubscribeLocal, handed every message)
 // feeds.
 //
-// There is one Client: Publish queues, a sender goroutine writes the
-// queue in vectored bursts and redials after connection loss. MQTT's
+// There is one Client: Publish queues, a sender goroutine — a
+// connection's only writer — writes the queue in vectored bursts and
+// redials after connection loss. MQTT's
 // QoS level is its retention policy, chosen by Options.SpoolBatches —
 // QoS 0 forgets a batch once written (at most once), QoS 1 keeps it
 // until the Broker's cumulative PubAck (at least once, with optional

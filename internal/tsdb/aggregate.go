@@ -34,6 +34,7 @@ func (db *DB) Aggregate(topic sensor.Topic, t0, t1 int64) store.AggResult {
 			a.Merge(part)
 		}
 	}
+	db.betweenTiers()
 	sh := &db.shards[headShardIdx(topic)]
 	sh.mu.RLock()
 	a.Merge(sh.heads[topic].aggregate(lo, t1))
@@ -64,6 +65,7 @@ func (db *DB) Downsample(topic sensor.Topic, t0, t1, step int64, dst []store.Buc
 		}
 		cur, merged = mergeBuckets(cur, tier, merged[:0]), cur
 	}
+	db.betweenTiers()
 	sh := &db.shards[headShardIdx(topic)]
 	sh.mu.RLock()
 	for _, run := range sh.heads[topic].runs() {

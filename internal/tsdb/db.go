@@ -95,7 +95,6 @@ func headShardIdx(topic sensor.Topic) uint32 {
 //lint:lockorder DB.flushMu < DB.ingest < DB.mu < headShard.mu
 //lint:lockorder DB.mu < wal.mu
 //lint:lockorder DB.ingest < wal.mu
-//lint:lockorder DB.ingest < topicIndex.mu < DB.mu
 type DB struct {
 	dir  string
 	opts Options
@@ -114,20 +113,27 @@ type DB struct {
 	flushMu sync.Mutex
 	segSeq  uint64
 
-	// mu guards segs and floor. Every read holds it shared for the whole
-	// read, with its topic's stripe lock inside, so segment registration
-	// and Prune's floor and segment swap, which hold it exclusively, fall
-	// entirely before or after a read. A reader must not take it again
-	// while holding it: a recursive RLock queued behind a waiting writer
+	// mu guards segs, floor and idx. Every read holds it shared for the
+	// whole read, with its topic's stripe lock inside, so segment
+	// registration and Prune, which hold it exclusively, fall entirely
+	// before or after a read. A reader must not take it again while
+	// holding it: a recursive RLock queued behind a waiting writer
 	// deadlocks.
 	mu    sync.RWMutex
 	segs  []*segment
 	floor int64 // retention watermark: readings < floor are pruned
 
+	// idx is the sorted prefix table over live topics answering wildcard
+	// expansion in O(matches): seeded from the recovered topic set at
+	// Open, extended by the insert that creates a head for a topic it
+	// lacks, and rebuilt by Prune so retention leaves no ghosts.
+	idx topicIndex
+
 	// shards stripe the head map so the insert hot path touches only its
-	// topic's lock; db.mu is never taken by InsertBatch. Segment
-	// registration clears every stripe's sealed runs while holding db.mu
-	// exclusively, so a reader finds the readings in exactly one tier.
+	// topic's lock; an insert takes db.mu only when it creates a head.
+	// Segment registration clears every stripe's sealed runs while
+	// holding db.mu exclusively, so a reader finds the readings in
+	// exactly one tier.
 	shards [headShardCount]headShard
 
 	headN     atomic.Int64 // unsealed readings across heads
@@ -142,15 +148,6 @@ type DB struct {
 	// succeeds): disk-full or a dead device keeps head data memory-only,
 	// and operators see it in Stats instead of only in janitor stderr.
 	flushErr atomic.Pointer[error]
-
-	// idx is the sorted prefix table over live topics answering wildcard
-	// expansion in O(matches): built from the recovered topic set at
-	// Open, extended by InsertBatches when it creates a topic's head, and
-	// reconciled by Prune (ResetWith) so retention leaves no ghosts.
-	// Its mutex slots between DB.ingest and DB.mu in the lock order
-	// (inserts hold ingest when adding; the prune rebuild's snapshot
-	// callback takes db.mu under it) — see docs/ANALYSIS.md.
-	idx *topicIndex
 
 	lock *os.File // exclusive directory lock (LOCK file)
 
@@ -167,6 +164,12 @@ type DB struct {
 	// holds unattached metrics so instrumentation sites stay
 	// unconditional.
 	metrics *dbMetrics
+
+	// seam, when set, runs wherever a holder of db.mu passes from one
+	// tier to the other: in every read, and in liveTopics and
+	// liveReadings. Nil outside tests, which set it to land a flush or a
+	// prune inside a read.
+	seam func()
 }
 
 var _ store.Backend = (*DB)(nil)
@@ -203,7 +206,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		floor: loadFloor(fs, dir),
 		wal:   newWAL(fs, walDir, opts.WALSync),
 		lock:  lock,
-		idx:   newTopicIndex(),
 	}
 	for i := range db.shards {
 		db.shards[i].heads = make(map[sensor.Topic]*head)
@@ -257,7 +259,8 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	// Recovery: seed the prefix index with every live topic (segments +
 	// replayed heads), so wildcard expansion answers right after restart.
-	db.idx.ResetWith(db.Topics)
+	// Open still has the DB to itself, so db.mu is not needed.
+	db.idx.Reset(db.liveTopics())
 	if db.wal.f, err = db.wal.create(maxWALSeq + 1); err != nil {
 		return fail(err)
 	}
@@ -438,15 +441,7 @@ func (db *DB) InsertBatches(bs []store.Batch) {
 			continue
 		}
 		if db.insertHead(b.Topic, b.Readings) {
-			// A topic is indexed when its head is created, not per batch: a
-			// head in its map means its topic is indexed (or about to be,
-			// here). A flush that drops an empty head leaves the topic
-			// indexed, for its segment; a prune that drops one may unlist
-			// it, and the insert that revives it comes through here. Index
-			// after the data is live: should this Add serialise after a
-			// concurrent prune rebuild, the rebuild's snapshot already saw
-			// the head, and either ordering leaves the topic indexed.
-			db.idx.Add(b.Topic)
+			db.index(b.Topic)
 		}
 	}
 	if now := db.headN.Add(int64(n)); now >= maxHeadReadings && now-int64(n) < maxHeadReadings {
@@ -461,6 +456,35 @@ func (db *DB) InsertBatches(bs []store.Batch) {
 	}
 	if db.headSince.Load() == 0 {
 		db.headSince.CompareAndSwap(0, time.Now().UnixNano())
+	}
+}
+
+// index lists the topic of a head an insert just created. A topic is
+// indexed when its head is created, not per batch: a flush that drops an
+// empty head leaves the topic indexed, for its segment; a prune that
+// drops one may unlist it, and the insert that revives it comes through
+// here. The check runs after the data is live, so a prune's rebuild
+// either sees the head or ends before the check, which then lists the
+// topic. Mostly the topic is listed already and the check costs a shared
+// hold of db.mu, which waits for reads in flight only while a
+// registration or a prune waits for them; only a topic the index lacks
+// takes db.mu exclusively.
+func (db *DB) index(topic sensor.Topic) {
+	db.mu.RLock()
+	listed := db.idx.has[topic]
+	db.mu.RUnlock()
+	if listed {
+		return
+	}
+	db.mu.Lock()
+	db.idx.Add(topic)
+	db.mu.Unlock()
+}
+
+// betweenTiers runs the test seam, if one is set.
+func (db *DB) betweenTiers() {
+	if db.seam != nil {
+		db.seam()
 	}
 }
 
@@ -535,6 +559,7 @@ func (db *DB) Range(topic sensor.Topic, t0, t1 int64, dst []sensor.Reading) []se
 		}
 		dst = res
 	}
+	db.betweenTiers()
 	sh := &db.shards[headShardIdx(topic)]
 	sh.mu.RLock()
 	dst = sh.heads[topic].appendRange(lo, t1, dst)
@@ -567,6 +592,7 @@ func (db *DB) Latest(topic sensor.Topic) (sensor.Reading, bool) {
 	sh.mu.RLock()
 	best, found := sh.heads[topic].latest(db.floor)
 	sh.mu.RUnlock()
+	db.betweenTiers()
 	for i := len(db.segs) - 1; i >= 0; i-- {
 		ss, ok := db.segs[i].series[topic]
 		if !ok || ss.maxT < db.floor || (found && ss.maxT <= best.Time) {
@@ -590,6 +616,7 @@ func (db *DB) Count(topic sensor.Topic) int {
 			n += c
 		}
 	}
+	db.betweenTiers()
 	sh := &db.shards[headShardIdx(topic)]
 	sh.mu.RLock()
 	n += sh.heads[topic].countFrom(db.floor)
@@ -597,14 +624,10 @@ func (db *DB) Count(topic sensor.Topic) int {
 	return n
 }
 
-// topicSet returns the set of topics with at least one live reading —
-// and, with anyHead, those whose head holds only readings the retention
-// floor hides (see indexTopics). The stripes are read one at a time, all
-// under one shared hold of db.mu, so no segment registration or prune
-// falls between them.
-func (db *DB) topicSet(anyHead bool) map[sensor.Topic]bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+// liveTopics returns the set of topics with at least one live reading.
+// The caller holds db.mu, so no segment registration or prune falls
+// between the stripes, which are read one at a time.
+func (db *DB) liveTopics() map[sensor.Topic]bool {
 	var seen map[sensor.Topic]bool
 	for i := range db.shards {
 		sh := &db.shards[i]
@@ -613,12 +636,13 @@ func (db *DB) topicSet(anyHead bool) map[sensor.Topic]bool {
 			seen = make(map[sensor.Topic]bool, (len(sh.heads)+1)*headShardCount)
 		}
 		for t, h := range sh.heads {
-			if anyHead || h.countFrom(db.floor) > 0 {
+			if h.countFrom(db.floor) > 0 {
 				seen[t] = true
 			}
 		}
 		sh.mu.RUnlock()
 	}
+	db.betweenTiers()
 	for _, s := range db.segs {
 		for t, ss := range s.series {
 			if !seen[t] && ss.maxT >= db.floor {
@@ -630,15 +654,11 @@ func (db *DB) topicSet(anyHead bool) map[sensor.Topic]bool {
 }
 
 // Topics implements store.Backend.
-func (db *DB) Topics() []sensor.Topic { return sortedTopics(db.topicSet(false)) }
-
-// indexTopics is what Prune rebuilds the prefix index from: the live
-// topics plus every topic that has a head at all. InsertBatches indexes a
-// topic only when it creates the head, so a head the rebuild unlisted —
-// one holding nothing but readings older than the floor, inserted as the
-// prune ran — would stay unlisted when live readings joined it. Such a
-// topic is listed until the next prune trims its head away instead.
-func (db *DB) indexTopics() []sensor.Topic { return sortedTopics(db.topicSet(true)) }
+func (db *DB) Topics() []sensor.Topic {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return sortedTopics(db.liveTopics())
+}
 
 func sortedTopics(seen map[sensor.Topic]bool) []sensor.Topic {
 	out := make([]sensor.Topic, 0, len(seen))
@@ -653,15 +673,21 @@ func sortedTopics(seen map[sensor.Topic]bool) []sensor.Topic {
 func (db *DB) TotalReadings() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	return db.liveReadings()
+}
+
+// liveReadings counts the live readings across all series. The caller
+// holds db.mu, under which alone segment counts and prune bookkeeping
+// change (no chunk decodes here).
+func (db *DB) liveReadings() int {
 	n := 0
-	// Segment counts and prune bookkeeping are mutated only under db.mu
-	// (no chunk decodes here).
 	for _, s := range db.segs {
 		for _, ss := range s.series {
 			n += ss.count
 		}
 		n -= s.prunedCount
 	}
+	db.betweenTiers()
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()
@@ -820,10 +846,10 @@ func (db *DB) removeWALThrough(walDir string, maxSeq uint64) {
 }
 
 // Prune implements store.Backend: it advances the retention watermark,
-// physically trims the heads, deletes fully-expired segment files and
-// returns the number of readings newly removed. The watermark persists
-// across restarts (meta.json), so expired readings do not resurrect when
-// segments and WAL are reloaded.
+// physically trims the heads, rebuilds the prefix index, deletes
+// fully-expired segment files and returns the number of readings newly
+// removed. The watermark persists across restarts (meta.json), so expired
+// readings do not resurrect when segments and WAL are reloaded.
 func (db *DB) Prune(cutoff int64) int {
 	db.flushMu.Lock() // serialise against Flush: segs/head bookkeeping
 	defer db.flushMu.Unlock()
@@ -861,19 +887,17 @@ func (db *DB) Prune(cutoff int64) int {
 		kept = append(kept, s)
 	}
 
-	// The floor, the prune bookkeeping TotalReadings reads and the segment
-	// list change in one exclusive section, so a read sees the prune
-	// wholly before or wholly after it. Stats reads a snapshot of the old
-	// slice header after releasing db.mu, so the surviving set goes into
-	// the fresh slice, never compacted in place.
+	// The floor, the prune bookkeeping TotalReadings reads, the segment
+	// list, the heads and the prefix index change in one exclusive
+	// section, so a read sees the prune wholly before or wholly after it.
+	// An insert that creates a head during the section indexes its topic
+	// after it, should the rebuild have left the topic out.
 	db.mu.Lock()
 	db.floor = cutoff
 	for s, n := range newPruned {
 		s.prunedCount = n
 	}
 	db.segs = kept
-	db.mu.Unlock()
-	// What the heads hold below the floor is hidden now; trim it away.
 	headDropped := 0
 	for i := range db.shards {
 		sh := &db.shards[i]
@@ -886,6 +910,11 @@ func (db *DB) Prune(cutoff int64) int {
 		}
 		sh.mu.Unlock()
 	}
+	changed := len(newPruned) > 0 || len(expired) > 0 || headDropped > 0
+	if changed {
+		db.idx.Reset(db.liveTopics())
+	}
+	db.mu.Unlock()
 	removed += headDropped
 	db.headN.Add(int64(-headDropped))
 	// No read can be inside an expired segment once the swap is done.
@@ -898,17 +927,10 @@ func (db *DB) Prune(cutoff int64) int {
 		s.close()
 		db.fs.Remove(s.path)
 	}
-	changed := len(newPruned) > 0 || len(expired) > 0 || headDropped > 0
 	// Persist the watermark only when it actually hid or dropped
 	// something: a janitor pass on an idle window then costs no write.
 	if changed {
 		saveFloor(db.fs, db.dir, cutoff)
-		// Reconcile the prefix index against the surviving topic set so
-		// wildcard expansion stops listing fully-expired sensors. The
-		// snapshot runs under the index lock: an insert reviving a topic
-		// either lands before the snapshot (and is seen) or re-adds
-		// itself right after — never lost, never a ghost.
-		db.idx.ResetWith(db.indexTopics)
 		if db.opts.OnPrune != nil {
 			db.opts.OnPrune(cutoff, removed)
 		}
@@ -921,24 +943,30 @@ func (db *DB) Prune(cutoff int64) int {
 
 // TopicsPrefix implements store.Backend: the sorted live topics at
 // or below prefix, answered from the incrementally-maintained prefix
-// index in O(log n + matches). Between retention passes the index may
-// briefly retain a topic whose last readings the watermark already
-// hides; the next Prune reconciles it away.
+// index in O(log n + matches) under a shared hold of db.mu.
 func (db *DB) TopicsPrefix(prefix sensor.Topic) []sensor.Topic {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	return db.idx.Prefix(prefix, nil)
 }
 
-// Stats implements store.Backend.
+// Stats implements store.Backend. The segment count, the disk bytes of
+// the segments, the topic count and the live readings come from one
+// shared hold of db.mu, so no flush or prune falls between them.
 func (db *DB) Stats() store.BackendStats {
-	db.mu.RLock()
-	segs := db.segs
-	db.mu.RUnlock()
 	st := store.BackendStats{
-		Kind:     "tsdb",
-		Segments: len(segs),
+		Kind: "tsdb",
 		// Sealed mid-flush is still memory-resident.
 		HeadReadings: int(db.headN.Load() + db.sealedN.Load()),
 	}
+	db.mu.RLock()
+	st.Segments = len(db.segs)
+	for _, s := range db.segs {
+		st.DiskBytes += s.size
+	}
+	st.Topics = len(db.liveTopics())
+	st.TotalReadings = db.liveReadings()
+	db.mu.RUnlock()
 	if err := db.wal.failure(); err != nil {
 		st.Error = fmt.Sprintf("WAL degraded, recent data not durable: %v", err)
 	}
@@ -947,11 +975,6 @@ func (db *DB) Stats() store.BackendStats {
 			st.Error += "; "
 		}
 		st.Error += fmt.Sprintf("last flush failed, head data retained in memory: %v", *err)
-	}
-	st.Topics = len(db.topicSet(false))
-	st.TotalReadings = db.TotalReadings()
-	for _, s := range segs {
-		st.DiskBytes += s.size
 	}
 	walDir := filepath.Join(db.dir, "wal")
 	if files, err := listWAL(db.fs, walDir); err == nil {

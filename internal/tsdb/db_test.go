@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -378,6 +379,10 @@ func TestQueriesNeverMissDataDuringFlush(t *testing.T) {
 // the readers. What is live is always one contiguous run, so each answer
 // checks itself: no gap, no duplicate, a start at a retention floor and
 // an end no earlier than what was inserted before the read began.
+//
+// Every other flush and prune starts inside a read, at the seam between
+// its two tiers, and the reads take those turns in order: a read that
+// let go of db.mu between its tiers fails at its first turn.
 func TestReadsWholeAcrossFlushAndPrune(t *testing.T) {
 	// Twice as many Ps as CPUs: the OS then preempts a reader at any
 	// instruction, not only where the Go scheduler does, so flushes land
@@ -494,7 +499,79 @@ func TestReadsWholeAcrossFlushAndPrune(t *testing.T) {
 			}
 			return ""
 		},
+		"TopicsPrefix": func(state) string {
+			if ts := db.TopicsPrefix("/"); len(ts) != 1 || ts[0] != "/x" {
+				return fmt.Sprintf("= %v", ts)
+			}
+			return ""
+		},
+		"Stats": func(b state) string {
+			st := db.Stats()
+			if st.Topics != 1 {
+				return fmt.Sprintf("counts %d topics", st.Topics)
+			}
+			// Every live segment holds flushEvery readings, but the oldest
+			// may be cut in half by the floor.
+			if st.TotalReadings < flushEvery*st.Segments-flushEvery/2 {
+				return fmt.Sprintf("counts %d readings in %d segments", st.TotalReadings, st.Segments)
+			}
+			return counted(st.TotalReadings, b, begun())
+		},
 	}
+	flushAndPrune := func(i int64) error {
+		if err := db.Flush(); err != nil {
+			return err
+		}
+		if cut := i + 1 - trail; cut > 0 {
+			cutBegun.Store(cut)
+			db.Prune(cut * sec)
+			cutDone.Store(cut)
+		}
+		return nil
+	}
+	names := make([]string, 0, len(reads))
+	for name := range reads {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	// A read at its turn holds gate alone, so the seam fires in that read
+	// and no other. The seam starts the flush and prune on a goroutine of
+	// their own and returns once they are done or one of them waits for
+	// db.mu: a read that holds db.mu throughout finds neither between its
+	// tiers, while one that let go of it finds both.
+	var (
+		gate    sync.RWMutex
+		turn    atomic.Int64 // 1 + the index in names of the read whose turn it is, 0 for none
+		armed   atomic.Bool
+		seamAt  int64 // the reading the turn's flush follows, set before turn
+		seamRan = make(chan error, 1)
+	)
+	runSeam := func() <-chan struct{} {
+		ran := make(chan struct{})
+		go func() {
+			seamRan <- flushAndPrune(seamAt)
+			close(ran)
+		}()
+		return ran
+	}
+	db.setSeam(func() {
+		if !armed.CompareAndSwap(true, false) {
+			return
+		}
+		ran := runSeam()
+		for {
+			select {
+			case <-ran:
+				return
+			default:
+			}
+			if !db.mu.TryRLock() {
+				return // a writer waits for db.mu
+			}
+			db.mu.RUnlock()
+			runtime.Gosched()
+		}
+	})
 
 	put(0)
 	stop := make(chan struct{})
@@ -503,19 +580,35 @@ func TestReadsWholeAcrossFlushAndPrune(t *testing.T) {
 		close(stop)
 		wg.Wait()
 	}()
-	for name, read := range reads {
+	for k, name := range names {
+		read := reads[name]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			failed := false
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if msg := read(done()); msg != "" {
+				var msg string
+				if turn.CompareAndSwap(int64(k+1), 0) {
+					gate.Lock()
+					armed.Store(true)
+					msg = read(done())
+					if armed.Swap(false) {
+						runSeam() // a read with one tier
+					}
+					gate.Unlock()
+				} else {
+					gate.RLock()
+					msg = read(done())
+					gate.RUnlock()
+				}
+				if msg != "" && !failed {
+					failed = true
 					t.Errorf("%s %s", name, msg)
-					return
 				}
 			}
 		}()
@@ -525,13 +618,16 @@ func TestReadsWholeAcrossFlushAndPrune(t *testing.T) {
 		if (i+1)%flushEvery != 0 {
 			continue
 		}
-		if err := db.Flush(); err != nil {
-			t.Fatalf("Flush: %v", err)
+		var err error
+		if n := (i + 1) / flushEvery; n%2 == 0 {
+			seamAt = i
+			turn.Store(n/2%int64(len(names)) + 1)
+			err = <-seamRan
+		} else {
+			err = flushAndPrune(i)
 		}
-		if cut := i + 1 - trail; cut > 0 {
-			cutBegun.Store(cut)
-			db.Prune(cut * sec)
-			cutDone.Store(cut)
+		if err != nil {
+			t.Fatalf("Flush: %v", err)
 		}
 	}
 	// The last cutoff, 3750 s, leaves three of the forty segments.

@@ -38,3 +38,7 @@ func (db *DB) SealedChecksum() uint64 {
 	}
 	return sum
 }
+
+// setSeam sets the hook that runs between the two tiers of every read,
+// with db.mu held shared. Set it before the DB has concurrent users.
+func (db *DB) setSeam(f func()) { db.seam = f }

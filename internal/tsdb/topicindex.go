@@ -3,7 +3,6 @@ package tsdb
 import (
 	"sort"
 	"strings"
-	"sync"
 
 	"github.com/dcdb/wintermute/internal/sensor"
 )
@@ -20,62 +19,30 @@ import (
 // sort between "/r1/" and "/r10" ('0' is the byte after '/'), and a
 // prefix query is two binary searches plus a copy of the matches.
 //
-// All methods are safe for concurrent use. Add runs under a shared
-// DB.ingest, and ResetWith's snapshot callback takes DB.mu and the
-// head-shard locks under the index lock: the mutex sits between the two
-// in the lock order declared on DB.
+// The index has no lock of its own: DB.mu guards it. Readers hold DB.mu
+// shared; Add and Reset run with it held exclusively.
 type topicIndex struct {
-	mu     sync.RWMutex
 	sorted []sensor.Topic
-	has    map[sensor.Topic]struct{}
+	has    map[sensor.Topic]bool
 }
 
-func newTopicIndex() *topicIndex {
-	return &topicIndex{has: make(map[sensor.Topic]struct{})}
+// Reset makes the index list exactly the topics in set, which it keeps.
+func (ix *topicIndex) Reset(set map[sensor.Topic]bool) {
+	ix.has = set
+	ix.sorted = sortedTopics(set)
 }
 
-// Add indexes a topic. The DB calls it when it creates a topic's head,
-// not per batch; that still re-adds an indexed topic now and then (a
-// flush drops a head and an insert creates it again), which costs one
-// shared-lock map probe.
+// Add indexes a topic. The DB calls it when it creates a topic's head
+// for a topic the index lacks, not per batch.
 func (ix *topicIndex) Add(topic sensor.Topic) {
-	ix.mu.RLock()
-	_, ok := ix.has[topic]
-	ix.mu.RUnlock()
-	if ok {
+	if ix.has[topic] {
 		return
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if _, ok := ix.has[topic]; ok {
-		return
-	}
-	ix.has[topic] = struct{}{}
+	ix.has[topic] = true
 	i := sort.Search(len(ix.sorted), func(i int) bool { return ix.sorted[i] >= topic })
 	ix.sorted = append(ix.sorted, "")
 	copy(ix.sorted[i+1:], ix.sorted[i:])
 	ix.sorted[i] = topic
-}
-
-// ResetWith atomically replaces the index contents with the topic set
-// returned by live, which runs while the index lock is held. Open seeds
-// the index this way and Prune reconciles it after bulk removals:
-// because concurrent Add calls serialise against the callback, a topic
-// whose data lands just before its Add is either visible to live() or
-// re-added right after — pruned-away topics disappear, racing inserts
-// never do.
-//
-// The callback must not call back into this index.
-func (ix *topicIndex) ResetWith(live func() []sensor.Topic) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	topics := live()
-	ix.sorted = append(ix.sorted[:0], topics...)
-	sort.Slice(ix.sorted, func(i, j int) bool { return ix.sorted[i] < ix.sorted[j] })
-	ix.has = make(map[sensor.Topic]struct{}, len(ix.sorted))
-	for _, t := range ix.sorted {
-		ix.has[t] = struct{}{}
-	}
 }
 
 // Prefix appends to dst the indexed topics at or below prefix, in sorted
@@ -83,8 +50,6 @@ func (ix *topicIndex) ResetWith(live func() []sensor.Topic) {
 // (/r1/c10 is not below /r1/c1), mirroring sensor.Topic.HasPrefix. An
 // empty prefix or the root matches every topic.
 func (ix *topicIndex) Prefix(prefix sensor.Topic, dst []sensor.Topic) []sensor.Topic {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	lo, hi, exact := prefixBounds(ix.sorted, prefix)
 	if exact {
 		dst = append(dst, prefix.AsSensor())

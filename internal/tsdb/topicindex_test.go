@@ -2,11 +2,13 @@ package tsdb
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"reflect"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -112,8 +114,8 @@ func (db *DB) hasHead(topic sensor.Topic) bool {
 	return sh.heads[topic] != nil
 }
 
-// metaWriteFS runs a hook as Prune persists the floor: after it trimmed
-// and dropped the heads, before it rebuilds the prefix index.
+// metaWriteFS runs a hook as Prune persists the floor: after the floor,
+// the segments, the heads and the prefix index changed.
 type metaWriteFS struct {
 	FS
 	hook func()
@@ -205,8 +207,38 @@ func TestTopicListedAcrossHeadDrops(t *testing.T) {
 	}
 }
 
+// TestPruneUnlistsWithTheFloor: the prefix index changes in the same
+// step as the floor, so a wildcard never lists a topic whose every
+// reading the new floor hides, not even while Prune is still persisting
+// the floor.
+func TestPruneUnlistsWithTheFloor(t *testing.T) {
+	fs := &metaWriteFS{FS: OSFS}
+	db := openTest(t, t.TempDir(), Options{FS: fs})
+	defer db.Close()
+	db.InsertBatch("/seg/old", []sensor.Reading{{Value: 1, Time: 1 * sec}})
+	db.InsertBatch("/seg/new", []sensor.Reading{{Value: 1, Time: 20 * sec}})
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	db.InsertBatch("/head/old", []sensor.Reading{{Value: 1, Time: 2 * sec}})
+	db.InsertBatch("/head/new", []sensor.Reading{{Value: 1, Time: 21 * sec}})
+	var during []sensor.Topic
+	fs.hook = func() { during = db.TopicsPrefix("") }
+	if n := db.Prune(10 * sec); n != 2 {
+		t.Fatalf("pruned %d readings, want 2", n)
+	}
+	fs.hook = nil
+	want := []sensor.Topic{"/head/new", "/seg/new"}
+	if !reflect.DeepEqual(during, want) {
+		t.Fatalf("while Prune persisted the floor TopicsPrefix = %v, want %v", during, want)
+	}
+	if got := db.TopicsPrefix(""); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after Prune TopicsPrefix = %v, want %v", got, want)
+	}
+}
+
 func TestTopicIndexAdd(t *testing.T) {
-	ix := newTopicIndex()
+	ix := newIndex()
 	for _, tp := range []sensor.Topic{"/b", "/a", "/c", "/a"} {
 		ix.Add(tp)
 	}
@@ -223,7 +255,7 @@ func TestTopicIndexAdd(t *testing.T) {
 // leaks into /r1's expansion, and an exact sensor at the prefix itself
 // is included.
 func TestTopicIndexPrefix(t *testing.T) {
-	ix := newTopicIndex()
+	ix := newIndex()
 	all := []sensor.Topic{"/r1", "/r1/a", "/r1/a/x", "/r10/b", "/r2"}
 	for _, tp := range all {
 		ix.Add(tp)
@@ -251,7 +283,7 @@ func TestTopicIndexPrefix(t *testing.T) {
 // against the reference semantics: for every prefix, the index answer
 // must equal filtering the sorted namespace with Topic.HasPrefix.
 func TestTopicIndexMatchesHasPrefix(t *testing.T) {
-	ix := newTopicIndex()
+	ix := newIndex()
 	var all []sensor.Topic
 	for r := 0; r < 3; r++ {
 		for n := 0; n < 12; n++ {
@@ -274,11 +306,14 @@ func TestTopicIndexMatchesHasPrefix(t *testing.T) {
 	}
 }
 
-func TestTopicIndexResetWith(t *testing.T) {
-	ix := newTopicIndex()
+// TestTopicIndexReset: a reset lists exactly the given set, dropping
+// what was added before, and later adds extend it; adds interleaved
+// with prefix queries and resets to the full set lose no topic.
+func TestTopicIndexReset(t *testing.T) {
+	ix := newIndex()
 	ix.Add("/a")
 	ix.Add("/b")
-	ix.ResetWith(func() []sensor.Topic { return []sensor.Topic{"/c", "/b"} })
+	ix.Reset(map[sensor.Topic]bool{"/c": true, "/b": true})
 	if got := ix.Prefix("", nil); !reflect.DeepEqual(got, []sensor.Topic{"/b", "/c"}) {
 		t.Fatalf("after reset = %v", got)
 	}
@@ -289,39 +324,87 @@ func TestTopicIndexResetWith(t *testing.T) {
 	if got := ix.Prefix("/a", nil); !reflect.DeepEqual(got, []sensor.Topic{"/a"}) {
 		t.Fatalf("re-add after reset = %v", got)
 	}
+
+	all := make(map[sensor.Topic]bool)
+	for i := 0; i < 64; i++ {
+		tp := sensor.Topic(fmt.Sprintf("/r%d/n%d/power", i%4, i))
+		all[tp] = true
+		ix.Add(tp)
+		ix.Prefix("/r1", nil)
+		ix.Prefix(tp, nil)
+		if i%8 == 7 {
+			ix.Reset(maps.Clone(all))
+		}
+	}
+	ix.Reset(maps.Clone(all))
+	if got := ix.Prefix("", nil); len(got) != len(all) {
+		t.Fatalf("%d topics indexed, want %d", len(got), len(all))
+	}
 }
 
-// TestTopicIndexConcurrency drives Add/Prefix/ResetWith from many
-// goroutines; run under -race this checks the locking, and the final
-// reconcile checks no topic is lost.
-func TestTopicIndexConcurrency(t *testing.T) {
-	ix := newTopicIndex()
+// newIndex returns an empty index.
+func newIndex() *topicIndex {
+	ix := new(topicIndex)
+	ix.Reset(map[sensor.Topic]bool{})
+	return ix
+}
+
+// TestTopicIndexUnderPrune runs inserts that create heads, wildcard
+// expansion and prunes that rebuild the index all at once (make race
+// runs it under -race): a topic holding a live reading is listed
+// whenever TopicsPrefix runs, and at the end every live topic is listed.
+func TestTopicIndexUnderPrune(t *testing.T) {
+	db := openTest(t, t.TempDir(), Options{})
+	defer db.Close()
+	const writers, rounds = 4, 300
+	// Each writer inserts into its own topics, each reading one second
+	// newer than the last of any writer; the pruner trails 40 s behind,
+	// so heads empty and topics are unlisted and revived.
+	var clock atomic.Int64
 	var wg sync.WaitGroup
-	topics := make([]sensor.Topic, 64)
-	for i := range topics {
-		topics[i] = sensor.Topic(fmt.Sprintf("/r%d/n%d/power", i%4, i))
-	}
-	for g := 0; g < 4; g++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			for i := g; i < len(topics); i += 4 {
-				ix.Add(topics[i])
-				ix.Prefix("/r1", nil)
-				ix.Prefix(topics[i], nil)
+			for i := 0; i < rounds; i++ {
+				topic := sensor.Topic(fmt.Sprintf("/w%d/t%d", w, i%16))
+				db.InsertBatch(topic, []sensor.Reading{{Value: 1, Time: clock.Add(1) * sec}})
+				// Only this writer inserts into topic, and the floor only
+				// rises: a reading Latest still finds was live when
+				// TopicsPrefix ran.
+				if got := db.TopicsPrefix(topic); len(got) != 1 {
+					if r, ok := db.Latest(topic); ok {
+						t.Errorf("%s holds %v, yet TopicsPrefix = %v", topic, r, got)
+						return
+					}
+				}
 			}
-		}(g)
+		}()
 	}
-	wg.Add(1)
+	stop := make(chan struct{})
+	pruned := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		for i := 0; i < 8; i++ {
-			ix.ResetWith(func() []sensor.Topic { return topics })
+		defer close(pruned)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			db.Prune((clock.Load() - 40) * sec)
+			db.TopicsPrefix("")
 		}
 	}()
 	wg.Wait()
-	ix.ResetWith(func() []sensor.Topic { return topics })
-	if got := ix.Prefix("", nil); len(got) != len(topics) {
-		t.Fatalf("%d topics indexed, want %d", len(got), len(topics))
+	close(stop)
+	<-pruned
+	listed := make(map[sensor.Topic]bool)
+	for _, tp := range db.TopicsPrefix("") {
+		listed[tp] = true
+	}
+	for _, tp := range db.Topics() {
+		if !listed[tp] {
+			t.Errorf("live topic %s is not listed", tp)
+		}
 	}
 }
