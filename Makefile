@@ -60,13 +60,15 @@ race:
 
 # Short benchmark run over the micro-benches no `go run ./bench` rung
 # covers: the tick-path contention workloads, a tick into a real store,
-# the cache view modes, concurrent ingest through the group-commit WAL
-# and indexed wildcard expansion, then the chunk codec's encode and
-# decode on a decimal walk and on one that takes the XOR path. Numbers
-# here are for working with; the gated record is `go run ./bench`
-# (BENCHMARK.json, bench/README.md). Full suite: go test -bench=. -benchmem .
+# the cache view modes, concurrent ingest through the group-commit WAL,
+# indexed wildcard expansion and a publish through the broker at QoS 0
+# and QoS 1 (0 allocs/op on client and broker alike), then the chunk
+# codec's encode and decode on a decimal walk and on one that takes the
+# XOR path. Numbers here are for working with; the gated record is
+# `go run ./bench` (BENCHMARK.json, bench/README.md). Full suite:
+# go test -bench=. -benchmem .
 bench:
-	$(GO) test -run '^$$' -bench 'TickAllContention|TickIntoStore|QueryContention|CacheView|IngestConcurrent|WildcardExpand' -benchtime 10x -benchmem .
+	$(GO) test -run '^$$' -bench 'TickAllContention|TickIntoStore|QueryContention|CacheView|IngestConcurrent|WildcardExpand|TransportPublish' -benchtime 10x -benchmem .
 	$(GO) test -run '^$$' -bench 'ChunkEncode|ChunkDecode' -benchtime 200x ./internal/tsdb/
 
 # One-iteration smoke over the ENTIRE benchmark suite: every benchmark
@@ -78,20 +80,22 @@ bench-smoke:
 # Seeded chaos smoke (~35s): the fault-injected end-to-end scenario,
 # the integration-tier recovery case, the ack-means-stored check (a
 # stalled WAL write must hold back the PubAck of every batch of the
-# burst), the publish client's model test and the broker's scripted-peer
-# burst tests (internal/transport), the broker's dedup tests and the
-# reconnect dedup case (internal/transport, internal/integration), the
-# topic-handle tests (internal/transport, internal/collect), and the
-# store's burst and segment-writer fault tests, its tier model test, the
-# failed-flush reader-stall regression, the no-I/O-under-the-ingest-lock
-# check, the retired-WAL sync failure and the index-across-head-drops
-# race (internal/tsdb), all under the race detector. A fixed
+# burst), the publish client's model test and its slot-reuse test (acks
+# that land mid-burst free slots publishers then rewrite), the broker's
+# scripted-peer burst tests (internal/transport), the broker's dedup
+# tests and the reconnect dedup case (internal/transport,
+# internal/integration), the topic-handle tests (internal/transport,
+# internal/collect), and the store's burst and segment-writer fault
+# tests, its tier model test, the failed-flush reader-stall regression,
+# the no-I/O-under-the-ingest-lock check, the retired-WAL sync failure
+# and the index-across-head-drops race (internal/tsdb), all under the
+# race detector. A fixed
 # WINTERMUTE_TEST_SEED keeps CI deterministic; drop the variable to
 # explore fresh seeds locally (failures log their replay incantation).
 # See docs/TESTING.md for the harness design and verdict format.
 chaos-smoke:
 	WINTERMUTE_TEST_SEED=42 $(GO) test -race -count=1 \
-		-run 'TestScenarioSmoke|TestChaosSmokeRecovery|TestAckImpliesStored|TestClientModel|TestBurst|TestOversizeFrame|TestKilledConnection|TestInsertBatchesMatches|TestTornBurst|TestSegmentWriterFailsClean|TestTierModel|TestFailedFlushDoesNotStallReaders|TestFlushHoldsIngestForNoIO|TestRetiredWALSyncFailure|TestHandle|TestDedup|TestPublisherBeyondInternCap|TestSecondLocalHandler|TestTopicListedAcrossHeadDrops' \
+		-run 'TestScenarioSmoke|TestChaosSmokeRecovery|TestAckImpliesStored|TestClientModel|TestAckedSlotReuseKeepsBurstIntact|TestBurst|TestOversizeFrame|TestKilledConnection|TestInsertBatchesMatches|TestTornBurst|TestSegmentWriterFailsClean|TestTierModel|TestFailedFlushDoesNotStallReaders|TestFlushHoldsIngestForNoIO|TestRetiredWALSyncFailure|TestHandle|TestDedup|TestPublisherBeyondInternCap|TestSecondLocalHandler|TestTopicListedAcrossHeadDrops' \
 		./internal/chaos/ ./internal/integration/ ./internal/transport/ ./internal/collect/ ./internal/tsdb/
 
 # Fuzz smoke (~40s): every native fuzz target for a few seconds from its

@@ -647,8 +647,19 @@ func BenchmarkNavigatorResolve(b *testing.B) {
 }
 
 // BenchmarkTransportPublish measures the Pusher->Collect Agent data path:
-// encode, route through the broker, decode and deliver locally.
+// encode, route through the broker, decode and deliver locally, at QoS 0.
 func BenchmarkTransportPublish(b *testing.B) {
+	benchTransportPublish(b, transport.Options{})
+}
+
+// BenchmarkTransportPublishQoS1 is the same path at QoS 1, the pushers'
+// default: each batch is also acknowledged and popped from the client's
+// queue ring. Past warm-up a publish allocates nothing on the client.
+func BenchmarkTransportPublishQoS1(b *testing.B) {
+	benchTransportPublish(b, transport.Options{SpoolBatches: 256})
+}
+
+func benchTransportPublish(b *testing.B, opts transport.Options) {
 	broker, err := transport.NewBroker("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -660,7 +671,7 @@ func BenchmarkTransportPublish(b *testing.B) {
 			recv <- struct{}{}
 		}
 	})
-	client, err := transport.Dial(broker.Addr())
+	client, err := transport.DialOptions(broker.Addr(), opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -669,14 +680,21 @@ func BenchmarkTransportPublish(b *testing.B) {
 	for i := range batch {
 		batch[i] = sensor.Reading{Value: float64(i), Time: int64(i)}
 	}
+	publish := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := client.Publish("/r1/n1/power", batch); err != nil {
+				b.Fatal(err)
+			}
+			<-recv
+		}
+	}
+	// Warm-up: every slot of the client's 256-slot ring, and the broker's
+	// per-connection buffers, grow once on first use.
+	publish(512)
 	b.ResetTimer()
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := client.Publish("/r1/n1/power", batch); err != nil {
-			b.Fatal(err)
-		}
-		<-recv
-	}
+	publish(b.N)
+	b.StopTimer() // the deferred Close waits out the last acks
 }
 
 // --- PR5: concurrent ingest through the group-commit WAL -----------------

@@ -126,6 +126,9 @@ func (p *Pusher) registerClientMetrics(reg *telemetry.Registry) {
 		reg.CounterFunc("dcdb_pusher_dropped_batches_total",
 			"QoS 0 batches dropped because no broker connection was live.",
 			func() float64 { return float64(c.Stats().Dropped) }),
+		reg.CounterFunc("dcdb_pusher_abandoned_batches_total",
+			"On-disk spool batches dropped unsent because their records were corrupt.",
+			func() float64 { return float64(c.Stats().Abandoned) }),
 	}
 }
 

@@ -244,6 +244,9 @@ func TestSpoolingPusherDelivers(t *testing.T) {
 	if got := agent.DB.Count("/r1/n1/power"); got != 5 {
 		t.Fatalf("store has %d readings with every batch acked, want 5", got)
 	}
+	if v, ok := reg.Value("dcdb_pusher_abandoned_batches_total"); !ok || v != 0 {
+		t.Fatalf("abandoned-batches telemetry %v (registered %v), want 0", v, ok)
+	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}

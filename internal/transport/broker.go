@@ -84,13 +84,12 @@ func (bu *burst) reset() {
 }
 
 // outFrame is one reply queued for a connection's writer goroutine, held
-// by value: every frame the broker sends — CONNACK, PINGRESP, a PubAck's
-// two uvarints — fits in payload, so queueing one allocates nothing and
-// shares nothing with the serve loop.
+// by value and framed whole: every frame the broker sends — CONNACK,
+// PINGRESP, a PubAck's two uvarints — fits in frame, so queueing and
+// writing one allocate nothing and share nothing with the serve loop.
 type outFrame struct {
-	typ     byte
-	n       uint8
-	payload [2 * binary.MaxVarintLen64]byte
+	n     uint8
+	frame [frameHeader + 2*binary.MaxVarintLen64]byte
 }
 
 // brokerConn is one client connection's broker-side state. The serve
@@ -123,8 +122,11 @@ func (c *brokerConn) die() {
 // — and returns false only when the connection died, which the writer's
 // deadline guarantees happens in bounded time.
 func (c *brokerConn) enqueueAck(typ byte, payload []byte) bool {
-	f := outFrame{typ: typ}
-	f.n = uint8(copy(f.payload[:], payload))
+	var f outFrame
+	f.frame[0] = typ
+	n := copy(f.frame[frameHeader:], payload)
+	binary.BigEndian.PutUint32(f.frame[1:frameHeader], uint32(n))
+	f.n = uint8(frameHeader + n)
 	select {
 	case c.out <- f:
 		return true
@@ -143,7 +145,7 @@ func (c *brokerConn) writeLoop(m *brokerMetrics) {
 		select {
 		case f = <-c.out:
 			_ = c.conn.SetWriteDeadline(time.Now().Add(c.deadline))
-			err := writeFrame(c.bw, f.typ, f.payload[:f.n])
+			_, err := c.bw.Write(f.frame[:f.n])
 			if err == nil && len(c.out) == 0 {
 				err = c.bw.Flush()
 			}

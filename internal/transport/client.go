@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,6 +33,11 @@ var ErrSpoolNotDrained = errors.New("transport: close: unacked spooled batches a
 // maxBurst caps how many queued batches one vectored write gathers, and
 // is the whole send queue of a QoS 0 client: one burst.
 const maxBurst = 256
+
+// maxKeptFrame is the largest buffer a queue slot keeps from one batch
+// to the next: a slot whose frame grew past it gives the buffer up when
+// popped, so a few huge batches cannot pin SpoolBatches of them.
+const maxKeptFrame = 64 << 10
 
 // Options tunes a Client. There is one sender; SpoolBatches only
 // decides how long a published batch stays in its queue (zero: QoS 0).
@@ -109,15 +116,18 @@ func (o Options) withDefaults() Options {
 // retention policy. Past the CONNECT handshake the sender is the only
 // writer to a connection, so its frames cannot interleave with others.
 //
-// Queue discipline: queue[:sendIdx] have been written to the current
-// connection; queue[sendIdx:] are unsent. At QoS 1 the sent batches
-// await acks. PubAcks are cumulative — TCP delivers frames in order, so
-// an ack for (epoch, seq) proves the broker routed every earlier batch
-// sent on the same connection — and pop from the head; when a
-// connection dies sendIdx rewinds to zero and everything unacknowledged
-// is redelivered. At QoS 0 the sent batches pop as soon as their
-// burst's write returns, whatever it reports, and a dead connection
-// rewinds nothing.
+// Queue discipline: the queue is a ring of SpoolBatches slots, each
+// holding one batch's whole frame in a buffer it reuses. Of the n queued
+// batches, oldest first from head, the first sendIdx have been written
+// to the current connection and the rest are unsent. At QoS 1 the sent
+// batches await acks. PubAcks are cumulative — TCP delivers frames in
+// order, so an ack for (epoch, seq) proves the broker routed every
+// earlier batch sent on the same connection — and pop from the head;
+// when a connection dies sendIdx rewinds to zero and everything
+// unacknowledged is redelivered. At QoS 0 the sent batches pop as soon
+// as their burst's write returns, whatever it reports, and a dead
+// connection rewinds nothing. Either way a slot is rewritten only once
+// popped, and popped only once no write can still read its frame.
 type Client struct {
 	addr string
 	opts Options // resolved: SpoolBatches is the queue bound at either QoS
@@ -127,7 +137,9 @@ type Client struct {
 
 	mu      sync.Mutex
 	space   sync.Cond // signalled when queue space frees or state changes
-	queue   []*relBatch
+	ring    []slot    // SpoolBatches slots
+	head    int       // ring index of the oldest queued batch
+	n       int       // queued batches
 	sendIdx int
 	nextSeq uint64
 	conn    net.Conn // nil between redials
@@ -149,11 +161,20 @@ type Client struct {
 	stopCh chan struct{} // closed when Close stops draining
 	wg     sync.WaitGroup
 
-	// Vectored-send scratch, owned by the sender goroutine: frame
-	// headers live in hdrs, iov alternates header/payload slices so a
-	// burst of queued batches leaves in one writev.
+	// Vectored-send scratch, owned by the sender goroutine: iov holds one
+	// frame per queued batch, so a burst leaves in one writev. A write
+	// consumes iov from the front, so each burst restarts it on iovs.
 	iov  net.Buffers
-	hdrs []byte
+	iovs [maxBurst][]byte
+}
+
+// slot is one place in the queue ring: one batch's frame — the frame
+// header, then the payload — in a buffer the slot keeps from batch to
+// batch, plus, at QoS 1, the delivery identity the payload carries.
+type slot struct {
+	epoch, seq uint64
+	frame      []byte
+	sent       bool // written to some connection: a later write is a redelivery
 }
 
 // Dial connects and performs the CONNECT handshake with default
@@ -175,6 +196,7 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 		kickCh: make(chan struct{}, 1),
 		stopCh: make(chan struct{}),
 	}
+	c.ring = make([]slot, c.opts.SpoolBatches)
 	c.space.L = &c.mu
 	if c.retain && opts.SpoolDir != "" {
 		d, err := openDiskSpool(filepath.Join(opts.SpoolDir, "pusher.spool"), c.opts.SpoolMaxBytes)
@@ -199,17 +221,28 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 	return c, nil
 }
 
-// encodeLocked builds the queue entry for one publish: a v2 payload
-// carrying the next sequence number at QoS 1, the plain v1 payload at
-// QoS 0. Callers hold c.mu — sequences are assigned in queue order.
-func (c *Client) encodeLocked(topic sensor.Topic, readings []sensor.Reading) *relBatch {
+// encodeLocked encodes one publish into buf, reusing its capacity and
+// growing it at most once: room bytes the caller fills in with a
+// header, then a v2 payload carrying the next sequence number at QoS 1,
+// which it returns, or the plain v1 payload at QoS 0. Callers hold c.mu
+// — sequences are assigned in queue order.
+func (c *Client) encodeLocked(buf []byte, room int, topic sensor.Topic, readings []sensor.Reading) ([]byte, uint64) {
+	m := Message{Topic: topic, Readings: readings}
 	if !c.retain {
-		return &relBatch{payload: EncodePublish(Message{Topic: topic, Readings: readings})}
+		return appendPublish(slices.Grow(buf[:0], room+publishSize(m))[:room], m), 0
 	}
 	c.nextSeq++
-	return &relBatch{epoch: c.epoch, seq: c.nextSeq, payload: EncodePublishV2(Message{
-		Topic: topic, Readings: readings, Epoch: c.epoch, Seq: c.nextSeq,
-	})}
+	m.Epoch, m.Seq = c.epoch, c.nextSeq
+	return appendPublishV2(slices.Grow(buf[:0], room+publishV2Size(m))[:room], m), m.Seq
+}
+
+// at returns the ring slot of the queue's i-th batch from the head; i ==
+// c.n is the free slot at the tail. Callers hold c.mu.
+func (c *Client) at(i int) *slot {
+	if i += c.head; i >= len(c.ring) {
+		i -= len(c.ring)
+	}
+	return &c.ring[i]
 }
 
 // Publish queues one batch of readings for a topic and returns; the
@@ -247,8 +280,11 @@ func (c *Client) Publish(topic sensor.Topic, readings []sensor.Reading) error {
 			c.mu.Unlock()
 			return nil
 		}
-		if c.disk != nil && (c.disk.pending > 0 || len(c.queue) >= c.opts.SpoolBatches) {
-			if err := c.disk.append(c.encodeLocked(topic, readings).payload); err == nil {
+		if c.disk != nil && (c.disk.pending > 0 || c.n >= c.opts.SpoolBatches) {
+			rec, _ := c.encodeLocked(c.disk.rec, spoolHeader, topic, readings)
+			err := c.disk.append(rec)
+			c.disk.rec = recycle(rec)
+			if err == nil {
 				c.stats.Published++
 				c.mu.Unlock()
 				c.kick()
@@ -261,13 +297,23 @@ func (c *Client) Publish(topic sensor.Topic, readings []sensor.Reading) error {
 			c.space.Wait()
 			continue
 		}
-		if len(c.queue) >= c.opts.SpoolBatches {
+		if c.n >= c.opts.SpoolBatches {
 			c.space.Wait()
 			continue
 		}
 		break
 	}
-	c.queue = append(c.queue, c.encodeLocked(topic, readings))
+	// The tail slot is free: popped, so no write still reads its frame.
+	s := c.at(c.n)
+	frame, seq := c.encodeLocked(s.frame, frameHeader, topic, readings)
+	frame[0] = framePublish
+	if c.retain {
+		frame[0] = framePublishV2
+		s.epoch = c.epoch
+	}
+	binary.BigEndian.PutUint32(frame[1:frameHeader], uint32(len(frame)-frameHeader))
+	s.frame, s.seq = frame, seq
+	c.n++
 	c.stats.Published++
 	c.mu.Unlock()
 	c.kick()
@@ -279,7 +325,7 @@ func (c *Client) Stats() ClientStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.stats
-	st.SpoolDepth = len(c.queue)
+	st.SpoolDepth = c.n
 	if c.disk != nil {
 		st.SpoolDisk = c.disk.pending
 		st.SpoolDiskBytes = c.disk.size
@@ -308,7 +354,7 @@ func (c *Client) Close() error {
 	deadline := time.Now().Add(c.opts.DrainTimeout)
 	for {
 		c.mu.Lock()
-		drained := len(c.queue) == 0 && (c.disk == nil || c.disk.pending == 0)
+		drained := c.n == 0 && (c.disk == nil || c.disk.pending == 0)
 		c.mu.Unlock()
 		if drained {
 			break

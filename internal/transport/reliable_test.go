@@ -447,16 +447,16 @@ func TestDiskSpoolScanSurvivesUnboundedRecords(t *testing.T) {
 	if int64(len(big)) <= max(d.max, 64<<10) {
 		t.Fatalf("test needs a record above the %d-byte cap and the read buffer, got %d bytes", d.max, len(big))
 	}
-	if err := d.append(big); err == nil {
+	if err := d.append(spoolRecord(nil, big)); err == nil {
 		t.Fatal("capped append above SpoolMaxBytes must fail")
 	}
-	if err := d.appendUnbounded(big); err != nil {
+	if err := d.appendUnbounded(spoolRecord(nil, big)); err != nil {
 		t.Fatal(err)
 	}
 	small := EncodePublishV2(Message{
 		Topic: "/spool/small", Readings: []sensor.Reading{{Value: 1, Time: 1}}, Epoch: 7, Seq: 2,
 	})
-	if err := d.appendUnbounded(small); err != nil {
+	if err := d.appendUnbounded(spoolRecord(nil, small)); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.close(); err != nil {
@@ -471,20 +471,24 @@ func TestDiskSpoolScanSurvivesUnboundedRecords(t *testing.T) {
 	if d2.pending != 2 {
 		t.Fatalf("scan found %d records, want 2 (over-cap record treated as torn tail)", d2.pending)
 	}
-	loaded, err := d2.load(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != 2 || loaded[0].seq != 1 || loaded[1].seq != 2 {
-		t.Fatalf("loaded records out of order or missing: %+v", loaded)
+	var frame []byte
+	for want := uint64(1); want <= 2; want++ {
+		var seq uint64
+		if frame, _, seq, err = d2.load(frame); err != nil {
+			t.Fatal(err)
+		}
+		if seq != want {
+			t.Fatalf("loaded seq %d, want %d: records out of order or missing", seq, want)
+		}
 	}
 }
 
-// TestRefillKeepsRecordsBeforeCorruption: a spool record that turns
-// out corrupt after the open scan costs that record and the ones after
-// it, never the intact ones the same refill read before it, and later
-// publishes still flow.
-func TestRefillKeepsRecordsBeforeCorruption(t *testing.T) {
+// TestRefillKeepsRecordsAfterCorruption: a spool record that turns out
+// corrupt after the open scan costs that record alone — its header
+// still locates the next one — and Abandoned counts it. The intact
+// records on both sides of it are delivered in order, and so is a batch
+// published behind them while the overflow file still held them.
+func TestRefillKeepsRecordsAfterCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "pusher.spool")
 	d, err := openDiskSpool(path, 1<<20)
@@ -500,7 +504,7 @@ func TestRefillKeepsRecordsBeforeCorruption(t *testing.T) {
 		p := EncodePublishV2(Message{
 			Topic: "/rel/refill", Readings: []sensor.Reading{{Value: float64(i), Time: int64(i)}}, Epoch: 7, Seq: uint64(i + 1),
 		})
-		if err := d.append(p); err != nil {
+		if err := d.append(spoolRecord(nil, p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -549,26 +553,28 @@ func TestRefillKeepsRecordsBeforeCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Publish once the refill has met the bad record: until then a batch
-	// goes to the spool's tail, after it.
-	for deadline := time.Now().Add(2 * time.Second); rec.count("/rel/refill") < bad && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
+	// The record is corrupt by now: the handshake went through the
+	// listener. This batch goes to the overflow file's tail unless the
+	// sender has already refilled past every record.
 	if err := c.Publish("/rel/refill", []sensor.Reading{{Value: n, Time: n}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
+	if st := c.Stats(); st.Abandoned != 1 {
+		t.Fatalf("Abandoned = %d, want 1: the corrupt record alone", st.Abandoned)
+	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	var want []float64
-	for i := 0; i < bad; i++ {
-		want = append(want, float64(i))
+	for i := 0; i <= n; i++ {
+		if i != bad {
+			want = append(want, float64(i))
+		}
 	}
-	want = append(want, n)
 	if got := rec.values["/rel/refill"]; !reflect.DeepEqual(got, want) {
-		t.Fatalf("delivered %v, want %v: the records before the corrupt one, then the later publish", got, want)
+		t.Fatalf("delivered %v, want %v: every record but the corrupt one, then the later publish", got, want)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 )
 
@@ -38,14 +39,10 @@ type ClientStats struct {
 	// Dropped counts QoS 0 batches published while no connection was
 	// live: discarded, never queued.
 	Dropped uint64
-}
-
-// relBatch is one queued publish: the encoded payload plus, at QoS 1,
-// the delivery identity it carries.
-type relBatch struct {
-	epoch, seq uint64
-	payload    []byte
-	sentAt     time.Time
+	// Abandoned counts disk overflow records dropped unsent on refill: a
+	// record that fails its checksum or its delivery identity, and every
+	// record after one whose successor cannot be located.
+	Abandoned uint64
 }
 
 // newEpoch draws a random nonzero client-epoch. Uniqueness across all
@@ -80,10 +77,6 @@ func (c *Client) kick() {
 // or when Close abandons the drain (stopCh).
 func (c *Client) sendLoop() {
 	defer c.wg.Done()
-	frameType := byte(framePublishV2)
-	if !c.retain {
-		frameType = framePublish
-	}
 	backoff := c.opts.RetryMin
 	// One timer serves every idle wait. go.mod's go version keeps the
 	// pre-1.23 timer semantics, under which a time.After per wait (up to
@@ -101,7 +94,7 @@ func (c *Client) sendLoop() {
 			// gone whatever it reported — at most once.
 			c.popLocked(c.sendIdx)
 		}
-		if c.closed && len(c.queue) == 0 && (c.disk == nil || c.disk.pending == 0) {
+		if c.closed && c.n == 0 && (c.disk == nil || c.disk.pending == 0) {
 			c.mu.Unlock()
 			return
 		}
@@ -151,30 +144,19 @@ func (c *Client) sendLoop() {
 			continue
 		}
 		c.refillLocked()
-		if c.sendIdx < len(c.queue) {
-			// Gather every unsent batch (capped to keep each writev's
+		if c.sendIdx < c.n {
+			// Gather every unsent frame (capped to keep each writev's
 			// iovec list bounded) into one vectored write: under
 			// sustained load many frames leave per syscall.
-			now := time.Now()
-			c.iov = c.iov[:0]
-			c.hdrs = c.hdrs[:0]
-			n := 0
-			for c.sendIdx < len(c.queue) && n < maxBurst {
-				b := c.queue[c.sendIdx]
-				if !b.sentAt.IsZero() {
+			c.iov = c.iovs[:0]
+			for c.sendIdx < c.n && len(c.iov) < maxBurst {
+				s := c.at(c.sendIdx)
+				if s.sent {
 					c.stats.Redeliveries++
 				}
-				b.sentAt = now
+				s.sent = true
 				c.sendIdx++
-				c.hdrs = append(c.hdrs, frameType, 0, 0, 0, 0)
-				binary.BigEndian.PutUint32(c.hdrs[len(c.hdrs)-4:], uint32(len(b.payload)))
-				c.iov = append(c.iov, nil, b.payload)
-				n++
-			}
-			// Headers slice into hdrs only after it stops growing: append
-			// may reallocate the arena mid-gather.
-			for i := 0; i < n; i++ {
-				c.iov[2*i] = c.hdrs[5*i : 5*i+5]
+				c.iov = append(c.iov, s.frame)
 			}
 			c.mu.Unlock()
 			// The sender is the connection's only writer, so the burst
@@ -224,22 +206,30 @@ func (c *Client) sendLoop() {
 	}
 }
 
-// refillLocked loads overflow batches into the tail of the memory
-// queue. Callers hold c.mu.
+// refillLocked loads overflow batches into the free slots at the tail
+// of the memory queue. A record that fails its checksum or its delivery
+// identity is skipped; once the next record cannot be located, the rest
+// of the overflow is given up. Either loss is counted in Abandoned.
+// Callers hold c.mu.
 func (c *Client) refillLocked() {
-	if c.disk == nil || c.disk.pending == 0 || len(c.queue) >= c.opts.SpoolBatches {
-		return
-	}
-	loaded, err := c.disk.load(c.opts.SpoolBatches - len(c.queue))
-	// What load read before a failure is intact and past readOff already:
-	// queue it either way.
-	c.queue = append(c.queue, loaded...)
-	if err != nil {
-		// A torn or unreadable overflow tail: drop what cannot be
-		// parsed rather than wedging the sender. The loss is bounded to
-		// batches that were never acknowledged anyway.
-		c.disk.abandonPending()
-		c.space.Broadcast()
+	for c.disk != nil && c.disk.pending > 0 && c.n < c.opts.SpoolBatches {
+		s := c.at(c.n)
+		frame, epoch, seq, err := c.disk.load(s.frame)
+		s.frame = frame
+		switch {
+		case errors.Is(err, errSpoolRecordSkipped):
+			c.stats.Abandoned++
+		case err != nil:
+			// A torn or unreadable overflow tail: drop what cannot be
+			// parsed rather than wedging the sender. The loss is bounded
+			// to batches that were never acknowledged anyway.
+			c.stats.Abandoned += uint64(c.disk.pending)
+			c.disk.abandonPending()
+			c.space.Broadcast()
+		default:
+			s.epoch, s.seq = epoch, seq
+			c.n++
+		}
 	}
 }
 
@@ -264,28 +254,53 @@ func (c *Client) connDead(gen uint64) {
 	c.kick()
 }
 
-// popLocked removes the first n batches — all of them sent — from the
-// queue. Callers hold c.mu.
-func (c *Client) popLocked(n int) {
-	kept := copy(c.queue, c.queue[n:])
-	clear(c.queue[kept:])
-	c.queue = c.queue[:kept]
-	c.sendIdx -= n
+// popLocked removes the first k batches — all of them sent — from the
+// queue, freeing their slots for reuse. Callers hold c.mu.
+func (c *Client) popLocked(k int) {
+	for i := 0; i < k; i++ {
+		s := c.at(i)
+		s.frame, s.sent = recycle(s.frame), false
+	}
+	if c.head += k; c.head >= len(c.ring) {
+		c.head -= len(c.ring)
+	}
+	c.n -= k
+	c.sendIdx -= k
 	c.space.Broadcast()
 }
 
-// ack applies one cumulative PubAck: every batch at or before
-// (epoch, seq) in send order is confirmed routed and leaves the queue.
-func (c *Client) ack(epoch, seq uint64) {
+// recycle empties a slot's or scratch buffer whose bytes are done with,
+// keeping its capacity for the next batch unless it grew past
+// maxKeptFrame.
+func recycle(buf []byte) []byte {
+	if cap(buf) > maxKeptFrame {
+		return nil
+	}
+	return buf[:0]
+}
+
+// ack applies one cumulative PubAck read off generation gen's
+// connection: every batch at or before (epoch, seq) in send order is
+// confirmed routed and leaves the queue. An ack counts only on the
+// connection that carried it. The broker acks what it read there, so
+// every frame the ack covers has left this client's buffers and its
+// slot may be rewritten; a late ack read off a dead connection could
+// cover a frame the redial is still writing. What such an ack would have
+// popped is redelivered instead, and the broker's dedup drops it.
+func (c *Client) ack(gen, epoch, seq uint64) {
 	c.mu.Lock()
+	if c.gen != gen || c.conn == nil {
+		c.mu.Unlock()
+		return
+	}
 	n := 0
 	for n < c.sendIdx {
-		b := c.queue[n]
-		if b.epoch == epoch && b.seq > seq {
+		s := c.at(n)
+		if s.epoch == epoch && s.seq > seq {
 			break
 		}
 		n++
-		if b.epoch == epoch && b.seq == seq {
+		if s.epoch == epoch && s.seq == seq {
 			break
 		}
 	}
@@ -293,7 +308,7 @@ func (c *Client) ack(epoch, seq uint64) {
 		c.stats.Acked += uint64(n)
 		c.lastProgress = time.Now()
 		c.popLocked(n)
-		if c.disk != nil && len(c.queue) == 0 && c.disk.pending == 0 {
+		if c.disk != nil && c.n == 0 && c.disk.pending == 0 {
 			c.disk.reset()
 		}
 	}
@@ -312,21 +327,21 @@ func (c *Client) recvLoop(conn net.Conn, gen uint64) {
 	defer c.wg.Done()
 	// This loop is the connection's only reader, so buffering is safe;
 	// it batches the small PubAck frames into one read syscall each
-	// time the broker's coalesced flush lands.
+	// time the broker's coalesced flush lands, and parses each in the
+	// read buffer.
 	br := bufio.NewReaderSize(conn, 32<<10)
-	var buf []byte
 	for {
-		typ, payload, err := readFrameReuse(br, &buf)
+		typ, payload, held, err := awaitFrame(br)
 		if err != nil {
 			c.connDead(gen)
 			return
 		}
-		if typ != framePubAck {
-			continue
+		if typ == framePubAck {
+			if e, s, derr := decodePubAck(payload); derr == nil {
+				c.ack(gen, e, s)
+			}
 		}
-		if e, s, derr := decodePubAck(payload); derr == nil {
-			c.ack(e, s)
-		}
+		_, _ = br.Discard(held) // held bytes are buffered: cannot fail
 	}
 }
 
@@ -373,18 +388,19 @@ func (c *Client) persistRemainder() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.disk == nil {
-		if n := len(c.queue); n > 0 && c.retain {
-			return fmt.Errorf("%w: %d batches", ErrSpoolNotDrained, n)
+		if c.n > 0 && c.retain {
+			return fmt.Errorf("%w: %d batches", ErrSpoolNotDrained, c.n)
 		}
 		return nil
 	}
-	payloads := make([][]byte, len(c.queue))
-	for i, b := range c.queue {
-		payloads[i] = b.payload
+	payloads := make([][]byte, c.n)
+	for i := range payloads {
+		payloads[i] = c.at(i).frame[frameHeader:]
 	}
 	err := c.disk.rewrite(payloads)
-	c.queue = nil
-	c.sendIdx = 0
+	// Persisted is as good as acked: the batches leave the queue.
+	c.sendIdx = c.n
+	c.popLocked(c.n)
 	if err != nil {
 		return fmt.Errorf("transport: persisting spool remainder: %w", err)
 	}
@@ -403,6 +419,14 @@ func jitter(d time.Duration) time.Duration {
 
 // spoolMagic versions the overflow-file record framing.
 const spoolMagic = uint32(0x53504c31) // "SPL1"
+
+// spoolHeader is the size of a record's header: magic, payload length
+// and payload CRC, 4 bytes each.
+const spoolHeader = 12
+
+// errSpoolRecordSkipped reports a record load skipped: its header
+// located it, but its checksum or delivery identity did not hold.
+var errSpoolRecordSkipped = errors.New("transport: disk spool: corrupt record skipped")
 
 // maxSpoolRecord bounds a single record's payload during scan: spooled
 // payloads are v2 PUBLISH frames, so anything past the wire frame limit
@@ -426,6 +450,9 @@ type diskSpool struct {
 	readOff int64 // offset of the next record to load
 	size    int64 // bytes of valid records
 	max     int64
+	// rec is the client's scratch for encoding one record to append,
+	// reused like a queue slot's frame (see recycle).
+	rec []byte
 }
 
 // openDiskSpool opens (or creates) the overflow file and scans it for
@@ -454,7 +481,7 @@ func (d *diskSpool) scan() error {
 	br := bufio.NewReaderSize(io.NewSectionReader(d.f, 0, 1<<62), 64<<10)
 	var (
 		off int64
-		hdr [12]byte
+		hdr [spoolHeader]byte
 	)
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -488,60 +515,63 @@ func (d *diskSpool) scan() error {
 	return d.f.Truncate(off)
 }
 
-// append writes one record, honouring the size cap.
-func (d *diskSpool) append(payload []byte) error {
-	if d.size+int64(len(payload))+12 > d.max {
+// append writes one record, honouring the size cap. rec is the whole
+// record: spoolHeader bytes of room, which append fills in, then the
+// payload.
+func (d *diskSpool) append(rec []byte) error {
+	if d.size+int64(len(rec)) > d.max {
 		return fmt.Errorf("transport: disk spool full (%d bytes)", d.size)
 	}
-	return d.appendUnbounded(payload)
+	return d.appendUnbounded(rec)
 }
 
-// appendUnbounded writes one record regardless of the cap; Close uses
-// it so persisting the final remainder cannot fail on the size limit.
-func (d *diskSpool) appendUnbounded(payload []byte) error {
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], spoolMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(payload))
-	if _, err := d.f.WriteAt(hdr[:], d.size); err != nil {
+// appendUnbounded writes one record (laid out as for append) regardless
+// of the cap, header and payload in one write; Close uses it so
+// persisting the final remainder cannot fail on the size limit.
+func (d *diskSpool) appendUnbounded(rec []byte) error {
+	payload := rec[spoolHeader:]
+	binary.LittleEndian.PutUint32(rec[0:4], spoolMagic)
+	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[8:12], crc32.ChecksumIEEE(payload))
+	if _, err := d.f.WriteAt(rec, d.size); err != nil {
 		return err
 	}
-	if _, err := d.f.WriteAt(payload, d.size+12); err != nil {
-		return err
-	}
-	d.size += 12 + int64(len(payload))
+	d.size += int64(len(rec))
 	d.pending++
 	return nil
 }
 
-// load reads up to n records from the read offset into relBatches.
-func (d *diskSpool) load(n int) ([]*relBatch, error) {
-	var out []*relBatch
-	var hdr [12]byte
-	for len(out) < n && d.pending > 0 {
-		if _, err := d.f.ReadAt(hdr[:], d.readOff); err != nil {
-			return out, err
-		}
-		if binary.LittleEndian.Uint32(hdr[0:4]) != spoolMagic {
-			return out, fmt.Errorf("transport: disk spool: bad record magic")
-		}
-		sz := binary.LittleEndian.Uint32(hdr[4:8])
-		payload := make([]byte, sz)
-		if _, err := d.f.ReadAt(payload, d.readOff+12); err != nil {
-			return out, err
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[8:12]) {
-			return out, fmt.Errorf("transport: disk spool: record checksum mismatch")
-		}
-		epoch, seq, _, err := decodePublishV2Prefix(payload)
-		if err != nil {
-			return out, err
-		}
-		d.readOff += 12 + int64(sz)
-		d.pending--
-		out = append(out, &relBatch{epoch: epoch, seq: seq, payload: payload})
+// load reads the record at the read offset into frame, reusing its
+// capacity, as the v2 PUBLISH frame it is sent as: the frame header,
+// then the payload. It returns the grown buffer whatever happens. A
+// record whose header locates it, but whose checksum or delivery
+// identity does not hold, is passed over with errSpoolRecordSkipped;
+// any other error means the next record cannot be located.
+func (d *diskSpool) load(frame []byte) (_ []byte, epoch, seq uint64, err error) {
+	var hdr [spoolHeader]byte
+	if _, err := d.f.ReadAt(hdr[:], d.readOff); err != nil {
+		return frame, 0, 0, err
 	}
-	return out, nil
+	sz := int64(binary.LittleEndian.Uint32(hdr[4:8]))
+	if binary.LittleEndian.Uint32(hdr[0:4]) != spoolMagic || sz > maxSpoolRecord || d.readOff+spoolHeader+sz > d.size {
+		return frame, 0, 0, fmt.Errorf("transport: disk spool: bad record header at offset %d", d.readOff)
+	}
+	frame = slices.Grow(frame[:0], frameHeader+int(sz))[:frameHeader+int(sz)]
+	frame[0] = framePublishV2
+	binary.BigEndian.PutUint32(frame[1:frameHeader], uint32(sz))
+	payload := frame[frameHeader:]
+	if _, err := d.f.ReadAt(payload, d.readOff+spoolHeader); err != nil {
+		return frame, 0, 0, err
+	}
+	d.readOff += spoolHeader + sz
+	d.pending--
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[8:12]) {
+		return frame, 0, 0, errSpoolRecordSkipped
+	}
+	if epoch, seq, _, err = decodePublishV2Prefix(payload); err != nil {
+		return frame, 0, 0, errSpoolRecordSkipped
+	}
+	return frame, epoch, seq, nil
 }
 
 // rewrite replaces the file's contents with the given payloads (in
@@ -561,10 +591,12 @@ func (d *diskSpool) rewrite(payloads [][]byte) error {
 	d.size, d.readOff, d.pending = 0, 0, 0
 	var err error
 	for _, p := range payloads {
-		if aerr := d.appendUnbounded(p); aerr != nil && err == nil {
+		d.rec = append(append(d.rec[:0], make([]byte, spoolHeader)...), p...)
+		if aerr := d.appendUnbounded(d.rec); aerr != nil && err == nil {
 			err = aerr
 		}
 	}
+	d.rec = recycle(d.rec)
 	if len(tail) > 0 {
 		if _, werr := d.f.WriteAt(tail, d.size); werr != nil {
 			if err == nil {

@@ -328,7 +328,17 @@ func decodePublishInto(payload []byte, rs []sensor.Reading, intern map[string]*T
 // The layout lets the broker decode the body with the v1 decoder by
 // re-slicing past the prefix.
 func EncodePublishV2(m Message) []byte {
-	buf := make([]byte, 0, uvarintLen(m.Epoch)+uvarintLen(m.Seq)+publishSize(m))
+	return appendPublishV2(make([]byte, 0, publishV2Size(m)), m)
+}
+
+// publishV2Size is the length of m's v2 PUBLISH payload.
+func publishV2Size(m Message) int {
+	return uvarintLen(m.Epoch) + uvarintLen(m.Seq) + publishSize(m)
+}
+
+// appendPublishV2 appends m's v2 PUBLISH payload to buf: the client
+// encodes into buffers it keeps from batch to batch.
+func appendPublishV2(buf []byte, m Message) []byte {
 	buf = binary.AppendUvarint(buf, m.Epoch)
 	buf = binary.AppendUvarint(buf, m.Seq)
 	return appendPublish(buf, m)
