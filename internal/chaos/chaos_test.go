@@ -41,7 +41,12 @@ func TestFSInjectsWriteAndSyncFaults(t *testing.T) {
 		t.Fatalf("write error = %v, want ErrInjected", err)
 	}
 	// Meta-class writes are unaffected by a WAL-class rule.
-	if err := fs.WriteFile(filepath.Join(dir, "meta.json"), []byte("{}"), 0o644); err != nil {
+	meta, err := fs.Create(filepath.Join(dir, "meta.json"))
+	if err != nil {
+		t.Fatalf("create meta: %v", err)
+	}
+	defer meta.Close()
+	if _, err := meta.Write([]byte("{}")); err != nil {
 		t.Fatalf("meta write faulted by wal rule: %v", err)
 	}
 	fs.Clear(OpWrite, ClassWAL)

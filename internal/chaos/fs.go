@@ -298,24 +298,6 @@ func (f *FS) ReadDir(name string) ([]os.DirEntry, error) { return f.inner.ReadDi
 // interesting input, not read errors).
 func (f *FS) ReadFile(name string) ([]byte, error) { return f.inner.ReadFile(name) }
 
-// WriteFile implements tsdb.FS, subject to OpWrite rules (Partial
-// persists a half-length prefix).
-func (f *FS) WriteFile(name string, data []byte, perm os.FileMode) error {
-	class := classify(name)
-	if rule := f.decide(OpWrite, class); rule != nil {
-		if rule.Stall > 0 {
-			time.Sleep(rule.Stall)
-		}
-		if !rule.StallOnly {
-			if rule.Partial && len(data) > 1 {
-				_ = f.inner.WriteFile(name, data[:len(data)/2], perm)
-			}
-			return faultErr(rule)
-		}
-	}
-	return f.inner.WriteFile(name, data, perm)
-}
-
 // Rename implements tsdb.FS, subject to OpRename rules.
 func (f *FS) Rename(oldpath, newpath string) error {
 	if err := apply(f.decide(OpRename, classify(newpath))); err != nil {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/dcdb/wintermute/internal/reclog"
 	"github.com/dcdb/wintermute/internal/sensor"
 )
 
@@ -281,7 +282,7 @@ func (c *Client) Publish(topic sensor.Topic, readings []sensor.Reading) error {
 			return nil
 		}
 		if c.disk != nil && (c.disk.pending > 0 || c.n >= c.opts.SpoolBatches) {
-			rec, _ := c.encodeLocked(c.disk.rec, spoolHeader, topic, readings)
+			rec, _ := c.encodeLocked(c.disk.rec, reclog.HeaderSize, topic, readings)
 			err := c.disk.append(rec)
 			c.disk.rec = recycle(rec)
 			if err == nil {
@@ -347,23 +348,24 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	c.space.Broadcast() // publishers blocked on backpressure get ErrClosed
-	c.mu.Unlock()
 	c.kick()
-
-	var err error
-	deadline := time.Now().Add(c.opts.DrainTimeout)
-	for {
+	// Every change that can drain the queue broadcasts c.space; so does
+	// the timer, once the drain has run out of time.
+	expired := false
+	timer := time.AfterFunc(c.opts.DrainTimeout, func() {
 		c.mu.Lock()
-		drained := c.n == 0 && (c.disk == nil || c.disk.pending == 0)
+		expired = true
+		c.space.Broadcast()
 		c.mu.Unlock()
-		if drained {
-			break
-		}
-		if time.Now().After(deadline) {
-			err = c.persistRemainder()
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+	})
+	for !expired && (c.n > 0 || c.disk != nil && c.disk.pending > 0) {
+		c.space.Wait()
+	}
+	c.mu.Unlock()
+	timer.Stop()
+	var err error
+	if expired {
+		err = c.persistRemainder()
 	}
 	close(c.stopCh)
 	c.mu.Lock()

@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"hash/crc32"
 	"math"
 	"os"
@@ -11,6 +10,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/dcdb/wintermute/internal/reclog"
 	"github.com/dcdb/wintermute/internal/sensor"
 )
 
@@ -137,7 +137,6 @@ func FuzzReadFrame(f *testing.F) {
 
 // spoolRecord frames payload as one disk spool record with a correct CRC.
 func spoolRecord(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, spoolMagic)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
 	return append(dst, payload...)
@@ -146,21 +145,26 @@ func spoolRecord(dst, payload []byte) []byte {
 // FuzzDiskSpoolScan writes data as a spool file — and again as the
 // payload of one CRC-valid record, which a coverage-guided fuzzer would
 // never forge — and opens it under a cap smaller than some records, as
-// a restarted client does: the scan keeps exactly the valid prefix,
-// loading reads every record the scan counted, each one whole, delivered
-// or skipped as corrupt but never lost to a record it cannot locate, and
-// a second open finds what the first one left. Opening allocates the
-// scan's 64 KiB read buffer and bookkeeping, never a length a record
-// header only declares.
+// a restarted client does. A file in the old SPL1 format is refused and
+// left as it was. Otherwise the scan keeps exactly the located prefix,
+// after which no record locates; loading reads every record the scan
+// counted, each one delivered or skipped as corrupt, never failed, to
+// the end of that prefix; and a second open finds what the first one
+// left. Opening allocates the scan's 64 KiB read buffer and bookkeeping,
+// never a length a record header only declares.
 func FuzzDiskSpoolScan(f *testing.F) {
 	two := spoolRecord(nil, EncodePublishV2(fuzzMessage))
 	f.Add(spoolRecord(two, EncodePublishV2(Message{Topic: "/t", Epoch: 1, Seq: 2})))
 	f.Add(append(two[:len(two):len(two)], two[:7]...)) // torn tail
-	// A 12-byte header declaring maxFrameSize and nothing after it: must
+	// An 8-byte header declaring maxFrameSize and nothing after it: must
 	// not buy 16 MiB.
-	forged := binary.LittleEndian.AppendUint32(nil, spoolMagic)
-	forged = binary.LittleEndian.AppendUint32(forged, maxFrameSize)
-	f.Add(binary.LittleEndian.AppendUint32(forged, 0))
+	f.Add(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, maxFrameSize), 0))
+	three := spoolRecord(two, EncodePublishV2(Message{Topic: "/t", Epoch: 1, Seq: 3}))
+	damaged := append([]byte(nil), three...)
+	damaged[len(two)+reclog.HeaderSize+1] ^= 0x40 // the middle record's CRC fails
+	f.Add(damaged)
+	f.Add(append(append(two[:len(two):len(two)], make([]byte, 16)...), two...)) // a zero hole ends the log
+	f.Add(append([]byte(oldSpoolPrefix), two...))
 	path := filepath.Join(f.TempDir(), "pusher.spool") // one file per worker process, rewritten per input
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, file := range [][]byte{data, spoolRecord(nil, data)} {
@@ -171,6 +175,16 @@ func FuzzDiskSpoolScan(f *testing.F) {
 			runtime.ReadMemStats(&before)
 			d, err := openDiskSpool(path, 64)
 			runtime.ReadMemStats(&after)
+			kept, rerr := os.ReadFile(path)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if bytes.HasPrefix(file, []byte(oldSpoolPrefix)) {
+				if err == nil || !bytes.Equal(kept, file) {
+					t.Fatalf("open of an SPL1 file: err %v, %d of its %d bytes kept; want refused, untouched", err, len(kept), len(file))
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
@@ -178,26 +192,21 @@ func FuzzDiskSpoolScan(f *testing.F) {
 				t.Fatalf("scanning a %d-byte spool allocated %d bytes, limit %d", len(file), got, limit)
 			}
 			pending, size := d.pending, d.size
-			kept, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if size > int64(len(file)) || !bytes.Equal(kept, file[:size]) {
-				t.Fatalf("scan kept %d bytes that are not the input's %d-byte valid prefix", len(kept), size)
+				t.Fatalf("scan kept %d bytes that are not the input's %d-byte located prefix", len(kept), size)
 			}
-			var (
-				frame       []byte
-				bytesLoaded int64
-			)
+			if _, ok := reclog.Locate(file[size:], size, int64(len(file))); ok {
+				t.Fatalf("scan stopped at offset %d, where a record locates", size)
+			}
+			var frame []byte
 			for loaded := 0; loaded < pending; loaded++ {
-				var lerr error
-				if frame, _, _, lerr = d.load(frame); lerr != nil && !errors.Is(lerr, errSpoolRecordSkipped) {
-					t.Fatalf("record %d of %d after a clean scan: %v", loaded+1, pending, lerr)
+				var lost int
+				if frame, _, _, lost = d.load(frame); lost > 1 || d.pending != pending-loaded-1 {
+					t.Fatalf("record %d of %d after a clean scan: %d lost, %d left pending", loaded+1, pending, lost, d.pending)
 				}
-				bytesLoaded += spoolHeader + int64(len(frame)-frameHeader)
 			}
-			if d.pending != 0 || bytesLoaded != size {
-				t.Fatalf("loading %d records left %d pending, read %d of %d bytes", pending, d.pending, bytesLoaded, size)
+			if d.pending != 0 || d.readOff != size {
+				t.Fatalf("loading %d records left %d pending, read to %d of %d bytes", pending, d.pending, d.readOff, size)
 			}
 			if err := d.close(); err != nil {
 				t.Fatal(err)

@@ -265,24 +265,24 @@ func (r *modelRun) spoolFile() []peerFrame {
 	}
 	var out []peerFrame
 	for off := 0; len(data) > 0; {
-		if len(data) < 12 || binary.LittleEndian.Uint32(data[0:4]) != spoolMagic {
-			r.t.Fatalf("spool file: bad record header at offset %d", off)
+		if len(data) < 8 {
+			r.t.Fatalf("spool file: torn record header at offset %d", off)
 		}
-		n := int(binary.LittleEndian.Uint32(data[4:8]))
-		if len(data) < 12+n || crc32.ChecksumIEEE(data[12:12+n]) != binary.LittleEndian.Uint32(data[8:12]) {
+		n := int(binary.LittleEndian.Uint32(data[0:4]))
+		if n == 0 || len(data) < 8+n || crc32.ChecksumIEEE(data[8:8+n]) != binary.LittleEndian.Uint32(data[4:8]) {
 			r.t.Fatalf("spool file: torn or corrupt record at offset %d", off)
 		}
-		epoch, seq, poff, err := decodePublishV2Prefix(data[12 : 12+n])
+		epoch, seq, poff, err := decodePublishV2Prefix(data[8 : 8+n])
 		if err != nil {
 			r.t.Fatalf("spool file: record at offset %d: %v", off, err)
 		}
-		msg, err := DecodePublish(data[12+poff : 12+n])
+		msg, err := DecodePublish(data[8+poff : 8+n])
 		if err != nil || len(msg.Readings) == 0 {
 			r.t.Fatalf("spool file: record at offset %d: %v", off, err)
 		}
 		out = append(out, peerFrame{epoch: epoch, seq: seq, id: int(msg.Readings[0].Value)})
-		data = data[12+n:]
-		off += 12 + n
+		data = data[8+n:]
+		off += 8 + n
 	}
 	return out
 }

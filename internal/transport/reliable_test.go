@@ -1,12 +1,15 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -429,18 +432,18 @@ func TestReliableCloseDuringRedial(t *testing.T) {
 }
 
 // TestDiskSpoolScanSurvivesUnboundedRecords: Close's persistRemainder
-// writes via appendUnbounded, deliberately ignoring SpoolMaxBytes, so
-// the next open's scan must not mistake an over-cap record for a torn
-// tail — that would silently discard it and every valid record after
-// it on restart replay.
+// writes via rewrite, deliberately ignoring SpoolMaxBytes, so the next
+// open's scan must not mistake an over-cap record for a torn tail —
+// that would silently discard it and every valid record after it on
+// restart replay.
 func TestDiskSpoolScanSurvivesUnboundedRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pusher.spool")
 	d, err := openDiskSpool(path, 64) // cap far below the record written below
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Also longer than the scan's 64 KiB read buffer, so its checksum is
-	// taken over several reads.
+	// Also longer than the scan's 64 KiB read buffer, so the scan passes
+	// over it in several reads.
 	big := EncodePublishV2(Message{
 		Topic: "/spool/big", Readings: make([]sensor.Reading, 8192), Epoch: 7, Seq: 1,
 	})
@@ -450,13 +453,10 @@ func TestDiskSpoolScanSurvivesUnboundedRecords(t *testing.T) {
 	if err := d.append(spoolRecord(nil, big)); err == nil {
 		t.Fatal("capped append above SpoolMaxBytes must fail")
 	}
-	if err := d.appendUnbounded(spoolRecord(nil, big)); err != nil {
-		t.Fatal(err)
-	}
 	small := EncodePublishV2(Message{
 		Topic: "/spool/small", Readings: []sensor.Reading{{Value: 1, Time: 1}}, Epoch: 7, Seq: 2,
 	})
-	if err := d.appendUnbounded(spoolRecord(nil, small)); err != nil {
+	if err := d.rewrite([][]byte{big, small}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.close(); err != nil {
@@ -474,8 +474,9 @@ func TestDiskSpoolScanSurvivesUnboundedRecords(t *testing.T) {
 	var frame []byte
 	for want := uint64(1); want <= 2; want++ {
 		var seq uint64
-		if frame, _, seq, err = d2.load(frame); err != nil {
-			t.Fatal(err)
+		var lost int
+		if frame, _, seq, lost = d2.load(frame); lost != 0 {
+			t.Fatalf("record %d lost", want)
 		}
 		if seq != want {
 			t.Fatalf("loaded seq %d, want %d: records out of order or missing", seq, want)
@@ -575,6 +576,135 @@ func TestRefillKeepsRecordsAfterCorruption(t *testing.T) {
 	}
 	if got := rec.values["/rel/refill"]; !reflect.DeepEqual(got, want) {
 		t.Fatalf("delivered %v, want %v: every record but the corrupt one, then the later publish", got, want)
+	}
+}
+
+// TestOpenScanSkipsDamagedRecord: a spool record damaged while no
+// client ran costs that record alone. The open scan walks headers only,
+// so it keeps the record and every one after it; the refill finds its
+// CRC wrong, skips it and counts it in Abandoned, and records 0–9 and
+// 11–19 are delivered in order.
+func TestOpenScanSkipsDamagedRecord(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "pusher.spool")
+	d, err := openDiskSpool(path, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, bad = 20, 10
+	var badOff int64
+	for i := 0; i < n; i++ {
+		if i == bad {
+			badOff = d.size
+		}
+		p := EncodePublishV2(Message{
+			Topic: "/rel/scan", Readings: []sensor.Reading{{Value: float64(i), Time: int64(i)}}, Epoch: 7, Seq: uint64(i + 1),
+		})
+		if err := d.append(spoolRecord(nil, p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := flipByte(path, badOff+16); err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBroker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	rec := newRecorder()
+	b.SubscribeLocal(each(rec.handle))
+	c, err := DialOptions(b.Addr(), Options{SpoolBatches: 64, SpoolDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if st := c.Stats(); st.Abandoned != 1 {
+		t.Fatalf("Abandoned = %d, want 1: the damaged record alone", st.Abandoned)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	var want []float64
+	for i := 0; i < n; i++ {
+		if i != bad {
+			want = append(want, float64(i))
+		}
+	}
+	if got := rec.values["/rel/scan"]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("delivered %v, want every record but the damaged one", got)
+	}
+}
+
+// TestOldSpoolFormatRefused: testdata/spool-spl1.golden is a spool file
+// of three records in the format before the 8-byte frame, whose records
+// began with the magic "SPL1". Read as frames it locates nothing, so
+// the scan would truncate it as a torn tail; DialOptions refuses it
+// instead, naming the file and the format, and leaves its bytes alone.
+func TestOldSpoolFormatRefused(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "spool-spl1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "pusher.spool")
+	if err := os.WriteFile(path, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBroker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	c, err := DialOptions(b.Addr(), Options{SpoolBatches: 4, SpoolDir: dir})
+	if err == nil {
+		c.Close()
+		t.Fatal("DialOptions accepted a spool file in the old SPL1 format")
+	}
+	if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "SPL1") {
+		t.Fatalf("error %q does not name the file and the old format", err)
+	}
+	if kept, err := os.ReadFile(path); err != nil || !bytes.Equal(kept, golden) {
+		t.Fatalf("the refused file changed: %d of %d bytes kept (%v)", len(kept), len(golden), err)
+	}
+}
+
+// TestCloseWakesOnAck: Close waits for the queue to drain on the
+// queue's condition variable, so a QoS 1 Close whose last batch the
+// broker acks at once returns as soon as the ack lands, not at the next
+// tick of a poll. Of 20 such closes, each with one batch in flight, the
+// median takes under 1 ms.
+func TestCloseWakesOnAck(t *testing.T) {
+	b, err := NewBroker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	var took []time.Duration
+	for i := 0; i < 20; i++ {
+		c, err := DialOptions(b.Addr(), Options{SpoolBatches: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Publish("/rel/close", []sensor.Reading{{Value: 1, Time: int64(i)}}); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if err := c.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		took = append(took, time.Since(start))
+		if st := c.Stats(); st.Acked != 1 {
+			t.Fatalf("close %d returned with %d of 1 batches acked", i, st.Acked)
+		}
+	}
+	slices.Sort(took)
+	if med := took[len(took)/2]; med >= time.Millisecond {
+		t.Fatalf("median Close took %v, want under 1ms (all: %v)", med, took)
 	}
 }
 

@@ -2,11 +2,11 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math/rand"
 	"net"
@@ -14,6 +14,8 @@ import (
 	"path/filepath"
 	"slices"
 	"time"
+
+	"github.com/dcdb/wintermute/internal/reclog"
 )
 
 // ClientStats is a snapshot of a client's delivery counters, exposed
@@ -40,8 +42,9 @@ type ClientStats struct {
 	// live: discarded, never queued.
 	Dropped uint64
 	// Abandoned counts disk overflow records dropped unsent on refill: a
-	// record that fails its checksum or its delivery identity, and every
-	// record after one whose successor cannot be located.
+	// record past its length bound, or whose read, checksum or delivery
+	// identity fails, and every record not yet loaded once one cannot be
+	// located.
 	Abandoned uint64
 }
 
@@ -207,29 +210,21 @@ func (c *Client) sendLoop() {
 }
 
 // refillLocked loads overflow batches into the free slots at the tail
-// of the memory queue. A record that fails its checksum or its delivery
-// identity is skipped; once the next record cannot be located, the rest
-// of the overflow is given up. Either loss is counted in Abandoned.
-// Callers hold c.mu.
+// of the memory queue. The records load gives up — one it skips, or all
+// pending after one it cannot locate — are counted in Abandoned; they
+// were never acknowledged. Callers hold c.mu.
 func (c *Client) refillLocked() {
 	for c.disk != nil && c.disk.pending > 0 && c.n < c.opts.SpoolBatches {
 		s := c.at(c.n)
-		frame, epoch, seq, err := c.disk.load(s.frame)
+		frame, epoch, seq, lost := c.disk.load(s.frame)
 		s.frame = frame
-		switch {
-		case errors.Is(err, errSpoolRecordSkipped):
-			c.stats.Abandoned++
-		case err != nil:
-			// A torn or unreadable overflow tail: drop what cannot be
-			// parsed rather than wedging the sender. The loss is bounded
-			// to batches that were never acknowledged anyway.
-			c.stats.Abandoned += uint64(c.disk.pending)
-			c.disk.abandonPending()
-			c.space.Broadcast()
-		default:
+		if lost == 0 {
 			s.epoch, s.seq = epoch, seq
 			c.n++
+			continue
 		}
+		c.stats.Abandoned += uint64(lost)
+		c.space.Broadcast() // the overflow shrank: Close may be waiting for it to empty
 	}
 }
 
@@ -417,38 +412,30 @@ func jitter(d time.Duration) time.Duration {
 	return half + time.Duration(rand.Int63n(int64(half)))
 }
 
-// spoolMagic versions the overflow-file record framing.
-const spoolMagic = uint32(0x53504c31) // "SPL1"
+// oldSpoolPrefix begins a file of the spool's first format, whose
+// records began with the magic "SPL1" (u32le). Read as a record log it
+// locates nothing and would be truncated as a torn tail: it is refused.
+const oldSpoolPrefix = "1LPS"
 
-// spoolHeader is the size of a record's header: magic, payload length
-// and payload CRC, 4 bytes each.
-const spoolHeader = 12
-
-// errSpoolRecordSkipped reports a record load skipped: its header
-// located it, but its checksum or delivery identity did not hold.
-var errSpoolRecordSkipped = errors.New("transport: disk spool: corrupt record skipped")
-
-// maxSpoolRecord bounds a single record's payload during scan: spooled
-// payloads are v2 PUBLISH frames, so anything past the wire frame limit
-// (plus the delivery-identity prefix, generously) is corruption, not a
-// large batch. The configured SpoolMaxBytes cap must NOT bound this
-// check — Close's persistRemainder appends via appendUnbounded, which
-// deliberately ignores the cap, and those records (and everything after
-// them) must survive the next open's scan.
+// maxSpoolRecord bounds a record's payload at load: spooled payloads are
+// v2 PUBLISH frames, so anything past the wire frame limit (plus the
+// delivery-identity prefix, generously) is corruption, skipped unread.
+// SpoolMaxBytes must not bound it: Close persists its remainder past
+// that cap on purpose.
 const maxSpoolRecord = maxFrameSize + 2*binary.MaxVarintLen64
 
-// diskSpool is the append-only overflow file: CRC-framed v2 publish
-// payloads, appended at the tail, loaded in order from a read offset,
-// truncated to empty once every record has been loaded and
-// acknowledged. On open, existing records (a previous incarnation's
-// unacknowledged remainder) are validated and queued for replay; a torn
-// tail is cut off, mirroring the tsdb WAL's recovery contract.
+// diskSpool is the append-only overflow file: a record log (package
+// reclog) of v2 publish payloads, appended at the tail, loaded in order
+// from a read offset, truncated to empty once every record has been
+// loaded and acknowledged. On open, existing records (a previous
+// incarnation's unacknowledged remainder) are queued for replay and a
+// torn tail is cut off, by the same rule as the tsdb WAL's recovery.
 type diskSpool struct {
 	path    string
 	f       *os.File
 	pending int   // records on disk not yet loaded into memory
 	readOff int64 // offset of the next record to load
-	size    int64 // bytes of valid records
+	size    int64 // bytes of located records
 	max     int64
 	// rec is the client's scratch for encoding one record to append,
 	// reused like a queue slot's frame (see recycle).
@@ -473,66 +460,44 @@ func openDiskSpool(path string, max int64) (*diskSpool, error) {
 	return d, nil
 }
 
-// scan validates the file record by record, counting replayable entries
-// and truncating any torn tail. A body is checksummed as it passes
-// through the read buffer and kept nowhere, so the scan's memory is that
-// buffer whatever length a header declares.
+// scan walks the file's record headers, counting the located records for
+// replay and truncating the torn tail after the last one. It checks no
+// CRC — load does, record by record — and keeps no payload, so its
+// memory is the read buffer whatever length a header declares. A file in
+// the format before the 8-byte frame is refused and left as it is.
 func (d *diskSpool) scan() error {
-	br := bufio.NewReaderSize(io.NewSectionReader(d.f, 0, 1<<62), 64<<10)
-	var (
-		off int64
-		hdr [spoolHeader]byte
-	)
+	fi, err := d.f.Stat()
+	if err != nil {
+		return err
+	}
+	size := fi.Size()
+	br := bufio.NewReaderSize(io.NewSectionReader(d.f, 0, size), 64<<10)
+	if hdr, _ := br.Peek(reclog.HeaderSize); bytes.HasPrefix(hdr, []byte(oldSpoolPrefix)) {
+		return fmt.Errorf("transport: disk spool %s is in the old SPL1 format: drain it with the previous release, then remove it", d.path)
+	}
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		hdr, _ := br.Peek(reclog.HeaderSize)
+		n, ok := reclog.Locate(hdr, d.size, size)
+		if !ok {
 			break
 		}
-		if binary.LittleEndian.Uint32(hdr[0:4]) != spoolMagic {
-			break
+		if _, err := br.Discard(reclog.HeaderSize + int(n)); err != nil {
+			return err
 		}
-		n := binary.LittleEndian.Uint32(hdr[4:8])
-		if int64(n) > maxSpoolRecord {
-			break
-		}
-		crc, left := uint32(0), int(n)
-		for left > 0 {
-			chunk, _ := br.Peek(min(left, br.Size()))
-			if len(chunk) == 0 {
-				break // torn body
-			}
-			crc = crc32.Update(crc, crc32.IEEETable, chunk)
-			br.Discard(len(chunk))
-			left -= len(chunk)
-		}
-		if left > 0 || crc != binary.LittleEndian.Uint32(hdr[8:12]) {
-			break
-		}
-		off += int64(len(hdr)) + int64(n)
+		d.size += reclog.HeaderSize + n
 		d.pending++
 	}
-	d.size = off
-	d.readOff = 0
-	return d.f.Truncate(off)
+	return d.f.Truncate(d.size)
 }
 
-// append writes one record, honouring the size cap. rec is the whole
-// record: spoolHeader bytes of room, which append fills in, then the
-// payload.
+// append writes one record, header and payload in one write, honouring
+// the size cap. rec is the whole record: reclog.HeaderSize bytes of
+// room, which append fills in, then the payload.
 func (d *diskSpool) append(rec []byte) error {
 	if d.size+int64(len(rec)) > d.max {
 		return fmt.Errorf("transport: disk spool full (%d bytes)", d.size)
 	}
-	return d.appendUnbounded(rec)
-}
-
-// appendUnbounded writes one record (laid out as for append) regardless
-// of the cap, header and payload in one write; Close uses it so
-// persisting the final remainder cannot fail on the size limit.
-func (d *diskSpool) appendUnbounded(rec []byte) error {
-	payload := rec[spoolHeader:]
-	binary.LittleEndian.PutUint32(rec[0:4], spoolMagic)
-	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[8:12], crc32.ChecksumIEEE(payload))
+	reclog.Seal(rec)
 	if _, err := d.f.WriteAt(rec, d.size); err != nil {
 		return err
 	}
@@ -543,78 +508,61 @@ func (d *diskSpool) appendUnbounded(rec []byte) error {
 
 // load reads the record at the read offset into frame, reusing its
 // capacity, as the v2 PUBLISH frame it is sent as: the frame header,
-// then the payload. It returns the grown buffer whatever happens. A
-// record whose header locates it, but whose checksum or delivery
-// identity does not hold, is passed over with errSpoolRecordSkipped;
-// any other error means the next record cannot be located.
-func (d *diskSpool) load(frame []byte) (_ []byte, epoch, seq uint64, err error) {
-	var hdr [spoolHeader]byte
-	if _, err := d.f.ReadAt(hdr[:], d.readOff); err != nil {
-		return frame, 0, 0, err
+// then the payload. It returns the grown buffer whatever happens, and
+// how many records it gave up: one past the length bound, or whose read,
+// checksum or delivery identity fails, is skipped; if the record cannot
+// be located, no later one can be either, and every pending one goes.
+func (d *diskSpool) load(frame []byte) (_ []byte, epoch, seq uint64, lost int) {
+	var hdr [reclog.HeaderSize]byte
+	off := d.readOff
+	_, err := d.f.ReadAt(hdr[:], off)
+	sz, ok := reclog.Locate(hdr[:], off, d.size)
+	if err != nil || !ok {
+		lost, d.pending, d.readOff = d.pending, 0, d.size
+		return frame, 0, 0, lost
 	}
-	sz := int64(binary.LittleEndian.Uint32(hdr[4:8]))
-	if binary.LittleEndian.Uint32(hdr[0:4]) != spoolMagic || sz > maxSpoolRecord || d.readOff+spoolHeader+sz > d.size {
-		return frame, 0, 0, fmt.Errorf("transport: disk spool: bad record header at offset %d", d.readOff)
+	d.readOff += reclog.HeaderSize + sz
+	d.pending--
+	if sz > maxSpoolRecord {
+		return frame, 0, 0, 1
 	}
 	frame = slices.Grow(frame[:0], frameHeader+int(sz))[:frameHeader+int(sz)]
 	frame[0] = framePublishV2
 	binary.BigEndian.PutUint32(frame[1:frameHeader], uint32(sz))
 	payload := frame[frameHeader:]
-	if _, err := d.f.ReadAt(payload, d.readOff+spoolHeader); err != nil {
-		return frame, 0, 0, err
-	}
-	d.readOff += spoolHeader + sz
-	d.pending--
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[8:12]) {
-		return frame, 0, 0, errSpoolRecordSkipped
+	if _, err := d.f.ReadAt(payload, off+reclog.HeaderSize); err != nil || !reclog.Check(hdr[:], payload) {
+		return frame, 0, 0, 1
 	}
 	if epoch, seq, _, err = decodePublishV2Prefix(payload); err != nil {
-		return frame, 0, 0, errSpoolRecordSkipped
+		return frame, 0, 0, 1
 	}
-	return frame, epoch, seq, nil
+	return frame, epoch, seq, 0
 }
 
-// rewrite replaces the file's contents with the given payloads (in
-// order) followed by the not-yet-loaded tail records, which stay
-// newest: the queue being persisted always predates them.
+// rewrite replaces the file's contents, in one write, with records of
+// the given payloads (in order) followed by the not-yet-loaded tail
+// records, which stay newest: the queue being persisted always predates
+// them.
 func (d *diskSpool) rewrite(payloads [][]byte) error {
-	tailN := d.pending
-	tail := make([]byte, d.size-d.readOff)
-	if len(tail) > 0 {
-		if _, err := d.f.ReadAt(tail, d.readOff); err != nil {
-			return err
-		}
+	var buf []byte
+	for _, p := range payloads {
+		start := len(buf)
+		buf = append(append(buf, make([]byte, reclog.HeaderSize)...), p...)
+		reclog.Seal(buf[start:])
+	}
+	tail := len(buf)
+	buf = append(buf, make([]byte, d.size-d.readOff)...)
+	if _, err := d.f.ReadAt(buf[tail:], d.readOff); err != nil {
+		return err
 	}
 	if err := d.f.Truncate(0); err != nil {
 		return err
 	}
-	d.size, d.readOff, d.pending = 0, 0, 0
-	var err error
-	for _, p := range payloads {
-		d.rec = append(append(d.rec[:0], make([]byte, spoolHeader)...), p...)
-		if aerr := d.appendUnbounded(d.rec); aerr != nil && err == nil {
-			err = aerr
-		}
+	if _, err := d.f.WriteAt(buf, 0); err != nil {
+		return err
 	}
-	d.rec = recycle(d.rec)
-	if len(tail) > 0 {
-		if _, werr := d.f.WriteAt(tail, d.size); werr != nil {
-			if err == nil {
-				err = werr
-			}
-		} else {
-			d.size += int64(len(tail))
-			d.pending += tailN
-		}
-	}
-	return err
-}
-
-// abandonPending gives up on unloadable records (corrupt mid-file):
-// the read offset jumps to the tail so new appends still work.
-func (d *diskSpool) abandonPending() {
-	d.pending = 0
-	d.readOff = d.size
+	d.size, d.readOff, d.pending = int64(len(buf)), 0, d.pending+len(payloads)
+	return nil
 }
 
 // reset truncates a fully-drained file so it does not grow without

@@ -145,14 +145,14 @@ func TestTornBurstReplaysWholeRecordPrefix(t *testing.T) {
 	for cut := 0; cut <= len(file); cut++ {
 		whole := sort.SearchInts(ends, cut+1)
 		i := 0
-		err := replayWAL(memFS{data: file[:cut]}, "", func(topic sensor.Topic, rs []sensor.Reading) {
+		skipped, _, err := replayWAL(memFS{data: file[:cut]}, "", func(topic sensor.Topic, rs []sensor.Reading) {
 			if i >= whole || topic != want[i].Topic || !sameReadings(rs, want[i].Readings) {
 				t.Fatalf("cut at %d of %d: record %d is not the burst's (whole records before the cut: %d)", cut, len(file), i, whole)
 			}
 			i++
 		})
-		if err != nil || i != whole {
-			t.Fatalf("cut at %d of %d: replayed %d records (%v), want the %d whole ones", cut, len(file), i, err, whole)
+		if err != nil || i != whole || skipped != 0 {
+			t.Fatalf("cut at %d of %d: replayed %d records and skipped %d (%v), want the %d whole ones and no skip", cut, len(file), i, skipped, err, whole)
 		}
 	}
 }

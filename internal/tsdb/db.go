@@ -296,9 +296,9 @@ type replayRec struct {
 // seen. The caller's goroutine reads and decodes the files in order; one
 // inserter per CPU inserts the records of the head shards it owns, in
 // the order it receives them, so every topic's records — equal
-// timestamps included — go in in file order. A torn, corrupt or
-// malformed record ends its file's replay (replayWAL): nothing after it
-// is handed on.
+// timestamps included — go in in file order. A damaged record is
+// skipped, counted and logged, and a torn tail ends its file's replay
+// (replayWAL).
 func (db *DB) replay(files []walFile, coveredWAL uint64) (uint64, error) {
 	n := runtime.GOMAXPROCS(0)
 	// Each inserter has two batches queued and one in hand at most, and
@@ -353,7 +353,7 @@ func (db *DB) replay(files []walFile, coveredWAL uint64) (uint64, error) {
 			db.fs.Remove(wf.path) // flushed before the crash; leftover
 			continue
 		}
-		if err = replayWAL(db.fs, wf.path, func(topic sensor.Topic, rs []sensor.Reading) {
+		skipped, at, rerr := replayWAL(db.fs, wf.path, func(topic sensor.Topic, rs []sensor.Reading) {
 			// Drop readings below the persisted retention watermark: a
 			// pre-crash Prune already removed them, and replaying them
 			// into heads would skew head counts and later Prune totals.
@@ -369,9 +369,14 @@ func (db *DB) replay(files []walFile, coveredWAL uint64) (uint64, error) {
 			if len(rs) > 0 {
 				add(topic, rs)
 			}
-		}); err != nil {
-			err = fmt.Errorf("tsdb: replaying %s: %w", wf.path, err)
+		})
+		if rerr != nil {
+			err = fmt.Errorf("tsdb: replaying %s: %w", wf.path, rerr)
 			break
+		}
+		if skipped > 0 {
+			db.metrics.walSkipped.Add(uint64(skipped))
+			fmt.Fprintf(os.Stderr, "tsdb: WAL %s: skipped %d damaged records, the first at offset %d\n", wf.path, skipped, at)
 		}
 		maxWALSeq = max(maxWALSeq, wf.seq)
 	}
@@ -518,21 +523,16 @@ func loadFloor(fs FS, dir string) int64 {
 	return m.Floor
 }
 
-// saveFloor persists the watermark atomically. Best-effort: a crash
-// before the write merely resurrects already-expired readings until the
-// next retention pass.
+// saveFloor persists the watermark atomically and durably
+// (writeDurably). Best-effort: a failure merely resurrects
+// already-expired readings until the next retention pass.
 func saveFloor(fs FS, dir string, floor int64) {
 	raw, err := json.Marshal(metaFile{Floor: floor})
-	if err != nil {
-		return
-	}
-	tmp := metaPath(dir) + ".tmp"
-	if err := fs.WriteFile(tmp, raw, 0o644); err != nil {
-		fs.Remove(tmp)
-		return
-	}
-	if err := fs.Rename(tmp, metaPath(dir)); err != nil {
-		fs.Remove(tmp)
+	if err == nil {
+		_ = writeDurably(fs, metaPath(dir), func(f File) error {
+			_, err := f.Write(raw)
+			return err
+		})
 	}
 }
 

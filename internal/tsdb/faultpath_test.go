@@ -495,13 +495,16 @@ func TestSegmentWriterFailsCleanAtEveryStep(t *testing.T) {
 // walHookFS runs hooks on the write-ahead log's files: open before every
 // OpenFile of one, sync inside every Sync of one (its error fails the
 // Sync), write likewise for Write, and syncDir likewise for a SyncDir of
-// the WAL directory.
+// the WAL directory. meta, when set, sees every operation on the meta
+// file (meta.json and its temporary) and every SyncDir of another
+// directory, in order, named as op and the path's base name.
 type walHookFS struct {
 	tsdb.FS
 	open    func()
 	sync    func() error
 	write   func() error
 	syncDir func() error
+	meta    func(op, name string)
 }
 
 func (f *walHookFS) SyncDir(name string) error {
@@ -510,7 +513,55 @@ func (f *walHookFS) SyncDir(name string) error {
 			return err
 		}
 	}
+	if f.meta != nil && filepath.Base(name) != "wal" {
+		f.meta("syncdir", "")
+	}
 	return f.FS.SyncDir(name)
+}
+
+// metaOp reports an operation on name to the meta hook if name is the
+// meta file or its temporary.
+func (f *walHookFS) metaOp(op, name string) {
+	if f.meta != nil && strings.HasPrefix(filepath.Base(name), "meta.json") {
+		f.meta(op, filepath.Base(name))
+	}
+}
+
+func (f *walHookFS) Create(name string) (tsdb.File, error) {
+	f.metaOp("create", name)
+	file, err := f.FS.Create(name)
+	if err != nil || f.meta == nil {
+		return file, err
+	}
+	return &metaHookFile{File: file, fs: f, name: name}, nil
+}
+
+func (f *walHookFS) Rename(oldpath, newpath string) error {
+	f.metaOp("rename", oldpath)
+	return f.FS.Rename(oldpath, newpath)
+}
+
+// metaHookFile reports the writes, syncs and close of a created file to
+// the meta hook.
+type metaHookFile struct {
+	tsdb.File
+	fs   *walHookFS
+	name string
+}
+
+func (f *metaHookFile) Write(p []byte) (int, error) {
+	f.fs.metaOp("write", f.name)
+	return f.File.Write(p)
+}
+
+func (f *metaHookFile) Sync() error {
+	f.fs.metaOp("sync", f.name)
+	return f.File.Sync()
+}
+
+func (f *metaHookFile) Close() error {
+	f.fs.metaOp("close", f.name)
+	return f.File.Close()
 }
 
 func (f *walHookFS) OpenFile(name string, flag int, perm os.FileMode) (tsdb.File, error) {
@@ -781,6 +832,30 @@ func TestWALDirSyncedBeforeAck(t *testing.T) {
 		t.Fatalf("after the next flush: %+v; want two segments, empty heads, no error", st)
 	}
 	expectRange(t, db, topic, next)
+}
+
+// TestFloorSavedDurably: a prune persists the retention watermark by
+// writing the new meta file under a temporary name, syncing and closing
+// it, renaming it into place and then syncing the directory, so an OS
+// crash leaves either watermark whole, never an empty meta.json.
+func TestFloorSavedDurably(t *testing.T) {
+	var ops []string
+	fs := &walHookFS{FS: tsdb.OSFS}
+	fs.meta = func(op, name string) { ops = append(ops, strings.TrimSpace(op+" "+name)) }
+	db, err := tsdb.Open(t.TempDir(), tsdb.Options{FS: fs, FlushEvery: -1})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer db.Close()
+	fill(db, "/n01/power", 0, 10)
+	ops = nil
+	if removed := db.Prune(5); removed != 5 {
+		t.Fatalf("Prune removed %d readings, want 5", removed)
+	}
+	want := []string{"create meta.json.tmp", "write meta.json.tmp", "sync meta.json.tmp", "close meta.json.tmp", "rename meta.json.tmp", "syncdir"}
+	if !reflect.DeepEqual(ops, want) {
+		t.Fatalf("saving the watermark did %q, want %q", ops, want)
+	}
 }
 
 // segCountFS counts the segment files opened for reading and closed, and

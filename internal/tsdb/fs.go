@@ -29,8 +29,6 @@ type FS interface {
 	ReadDir(name string) ([]os.DirEntry, error)
 	// ReadFile slurps a file like os.ReadFile.
 	ReadFile(name string) ([]byte, error)
-	// WriteFile writes a whole file like os.WriteFile.
-	WriteFile(name string, data []byte, perm os.FileMode) error
 	// Rename atomically moves a file like os.Rename.
 	Rename(oldpath, newpath string) error
 	// Remove deletes a file like os.Remove.
@@ -72,10 +70,6 @@ func (osFS) Create(name string) (File, error) { return os.Create(name) }
 func (osFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
 
 func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
-
-func (osFS) WriteFile(name string, data []byte, perm os.FileMode) error {
-	return os.WriteFile(name, data, perm)
-}
 
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dcdb/wintermute/internal/reclog"
 	"github.com/dcdb/wintermute/internal/sensor"
 )
 
@@ -78,10 +79,18 @@ func sameReadings(a, b []sensor.Reading) bool {
 }
 
 // FuzzReplayWAL: data is replayed as a WAL file, and again as the
-// payload of one CRC-valid record.
+// payload of one CRC-valid record. Whatever replays re-encodes to a WAL
+// that replays the same records and skips none.
 func FuzzReplayWAL(f *testing.F) {
-	f.Add(appendWALRecord(appendWALRecord(nil, "/r01/c01/s01/power", fuzzSeries), "/r01/c01/s01/temp", fuzzSeries[:1]))
+	three := appendWALRecord(nil, "/r01/c01/s01/power", fuzzSeries)
+	three = appendWALRecord(three, "/r01/c01/s01/temp", fuzzSeries[:1])
+	three = appendWALRecord(three, "/r01/c01/s01/power", fuzzSeries[3:])
+	f.Add(three[:len(three):len(three)])
 	f.Add(appendWALRecord(nil, "", nil))
+	damaged := append([]byte(nil), three...)
+	damaged[len(appendWALRecord(nil, "/r01/c01/s01/power", fuzzSeries))+reclog.HeaderSize+3] ^= 0x40 // the middle record's CRC fails
+	f.Add(damaged)
+	f.Add(append(append(three[:len(three):len(three)], make([]byte, 64)...), three...)) // a zero hole ends the log
 	f.Fuzz(func(t *testing.T, data []byte) {
 		framed := binary.LittleEndian.AppendUint32(nil, uint32(len(data)))
 		framed = binary.LittleEndian.AppendUint32(framed, crc32.ChecksumIEEE(data))
@@ -94,7 +103,7 @@ func FuzzReplayWAL(f *testing.F) {
 			var recs []rec
 			var again []byte
 			total := 0
-			err := replayWAL(memFS{data: file}, "", func(topic sensor.Topic, rs []sensor.Reading) {
+			_, _, err := replayWAL(memFS{data: file}, "", func(topic sensor.Topic, rs []sensor.Reading) {
 				// rs is replay's decode buffer, reused for the next record.
 				recs = append(recs, rec{topic, append([]sensor.Reading(nil), rs...)})
 				again = appendWALRecord(again, topic, rs)
@@ -107,14 +116,14 @@ func FuzzReplayWAL(f *testing.F) {
 				t.Fatalf("replay produced %d bytes' worth of topics and readings from a %d-byte file", total, len(file))
 			}
 			i := 0
-			_ = replayWAL(memFS{data: again}, "", func(topic sensor.Topic, rs []sensor.Reading) {
+			skipped, _, _ := replayWAL(memFS{data: again}, "", func(topic sensor.Topic, rs []sensor.Reading) {
 				if i >= len(recs) || topic != recs[i].topic || !sameReadings(rs, recs[i].rs) {
 					t.Fatalf("record %d changed across re-encode", i)
 				}
 				i++
 			})
-			if i != len(recs) {
-				t.Fatalf("re-encoded WAL replays %d records, original %d", i, len(recs))
+			if i != len(recs) || skipped != 0 {
+				t.Fatalf("re-encoded WAL replays %d records and skips %d, original %d", i, skipped, len(recs))
 			}
 		}
 	})

@@ -17,6 +17,7 @@ type dbMetrics struct {
 	walCommits *telemetry.Counter   // WAL writes, one per burst
 	walCohort  *telemetry.Histogram // records per write: one burst's batches
 	walCommitS *telemetry.Histogram // seconds per fsync
+	walSkipped *telemetry.Counter   // damaged records replay passed over
 
 	flushes        *telemetry.Counter
 	flushFailures  *telemetry.Counter // flush cycles that returned an error
@@ -57,6 +58,8 @@ func newDBMetrics(reg *telemetry.Registry, db *DB) *dbMetrics {
 		walCommitS: reg.Histogram("dcdb_tsdb_wal_commit_seconds",
 			"Seconds per WAL fsync in sync mode; writes per fsync is dcdb_tsdb_wal_commits_total over this count.",
 			telemetry.DefDurationBuckets),
+		walSkipped: reg.Counter("dcdb_tsdb_wal_records_skipped_total",
+			"Damaged WAL records (CRC or payload failed) that Open's replay skipped; their readings are lost."),
 		flushes: reg.Counter("dcdb_tsdb_flushes_total",
 			"Head-to-segment flush cycles."),
 		flushFailures: reg.Counter("dcdb_tsdb_flush_failures_total",

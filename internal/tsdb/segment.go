@@ -113,10 +113,29 @@ func writeSegment(fs FS, dir string, seq, coveredWAL uint64, data map[sensor.Top
 	sort.Slice(topics, func(i, j int) bool { return topics[i] < topics[j] })
 
 	path := segPath(dir, seq)
+	if err := writeDurably(fs, path, func(f File) (err error) {
+		decimal, err = streamSegment(f, coveredWAL, topics, data)
+		return err
+	}); err != nil {
+		return nil, 0, err
+	}
+	if seg, err = openSegment(fs, path, seq); err != nil {
+		fs.Remove(path)
+		return nil, 0, err
+	}
+	return seg, decimal, nil
+}
+
+// writeDurably writes the file at path through write, under a .tmp
+// name first, fsyncing the file before the atomic rename and its
+// directory after it, so an OS crash leaves the old file or the whole
+// new one. A failure at any step leaves no file behind: neither the
+// .tmp nor, past the rename, the one at path.
+func writeDurably(fs FS, path string, write func(File) error) error {
 	tmp := path + ".tmp"
 	f, err := fs.Create(tmp)
 	if err == nil {
-		if decimal, err = streamSegment(f, coveredWAL, topics, data); err == nil {
+		if err = write(f); err == nil {
 			err = f.Sync()
 		}
 		if cerr := f.Close(); err == nil {
@@ -128,17 +147,13 @@ func writeSegment(fs FS, dir string, seq, coveredWAL uint64, data map[sensor.Top
 	}
 	if err != nil {
 		fs.Remove(tmp)
-		return nil, 0, err
+		return err
 	}
-	if err := fs.SyncDir(dir); err != nil {
+	if err := fs.SyncDir(filepath.Dir(path)); err != nil {
 		fs.Remove(path)
-		return nil, 0, err
+		return err
 	}
-	if seg, err = openSegment(fs, path, seq); err != nil {
-		fs.Remove(path)
-		return nil, 0, err
-	}
-	return seg, decimal, nil
+	return nil
 }
 
 // streamSegment writes header, chunks, index and footer to f through one

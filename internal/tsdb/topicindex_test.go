@@ -3,7 +3,6 @@ package tsdb
 import (
 	"fmt"
 	"maps"
-	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -121,11 +120,11 @@ type metaWriteFS struct {
 	hook func()
 }
 
-func (f *metaWriteFS) WriteFile(name string, data []byte, perm os.FileMode) error {
+func (f *metaWriteFS) Create(name string) (File, error) {
 	if f.hook != nil && strings.HasSuffix(name, "meta.json.tmp") {
 		f.hook()
 	}
-	return f.FS.WriteFile(name, data, perm)
+	return f.FS.Create(name)
 }
 
 // TestTopicListedAcrossHeadDrops: a topic is indexed when its head is

@@ -3,7 +3,6 @@ package tsdb
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -14,18 +13,15 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/dcdb/wintermute/internal/reclog"
 	"github.com/dcdb/wintermute/internal/sensor"
 	"github.com/dcdb/wintermute/internal/store"
 	"github.com/dcdb/wintermute/internal/telemetry"
 )
 
-// The write-ahead log is shared by every series: one record per ingest
-// batch, framed as
-//
-//	u32le payload length | u32le CRC-32 (IEEE) of payload | payload
-//
-// with the payload holding the topic and a delta-varint-compressed run of
-// readings. The unit of an append is the burst: a writer encodes the
+// The write-ahead log is shared by every series: a record log (package
+// reclog) of one record per ingest batch, its payload holding the topic
+// and a delta-varint-compressed run of readings. The unit of an append is the burst: a writer encodes the
 // records of every batch it was handed, concatenated, outside any lock,
 // and the whole group reaches the file in one Write under the WAL's
 // mutex. With syncEach the writer then waits for an fsync, which is
@@ -34,11 +30,9 @@ import (
 // covered together by the next one. Append therefore keeps its
 // durability meaning (a returned Append survives a process kill; with
 // syncEach an OS crash too) while the fsync cost is amortized across
-// every concurrent burst. Each record carries its own CRC, so replay
-// stops at the first torn or corrupt record — by construction that can
-// only be the interrupted tail, wherever in a burst it falls.
-
-const walHeaderSize = 8
+// every concurrent burst. Each record carries its own length and CRC, so
+// replay follows reclog's rule: it skips a damaged record alone and ends
+// at the torn tail, wherever in a burst a crash cut it.
 
 // walFile names one on-disk WAL file.
 type walFile struct {
@@ -91,8 +85,8 @@ type wal struct {
 	synced   uint64 // writes the last finished sync covers
 	syncing  bool   // a sync runs outside mu
 	// err is the sticky failure: the first write or sync that failed. The
-	// file may end in a torn record, and replay would silently drop
-	// anything written after it, so Append writes nothing while it is set.
+	// file may end in a torn record, which would misframe anything written
+	// after it, so Append writes nothing while it is set.
 	// rotate clears it.
 	err error
 }
@@ -292,7 +286,7 @@ func (w *wal) abandon() {
 // appendWALRecord frames one (topic, readings) batch into dst.
 func appendWALRecord(dst []byte, topic sensor.Topic, rs []sensor.Reading) []byte {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // header placeholder
+	dst = append(dst, make([]byte, reclog.HeaderSize)...)
 	dst = binary.AppendUvarint(dst, uint64(len(topic)))
 	dst = append(dst, topic...)
 	dst = binary.AppendUvarint(dst, uint64(len(rs)))
@@ -304,46 +298,41 @@ func appendWALRecord(dst []byte, topic sensor.Topic, rs []sensor.Reading) []byte
 		binary.LittleEndian.PutUint64(v[:], math.Float64bits(r.Value))
 		dst = append(dst, v[:]...)
 	}
-	payload := dst[start+walHeaderSize:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	reclog.Seal(dst[start:])
 	return dst
 }
 
-// replayWAL streams every intact record of one WAL file into fn. A torn
-// or corrupt tail record ends the replay silently: it is the expected
-// shape of a crash interrupting Append, and everything before it is
-// protected by its own CRC. The readings slice handed to fn is reused
-// for the next record: fn may reorder or truncate it but must copy what
-// it keeps.
-func replayWAL(fs FS, path string, fn func(topic sensor.Topic, rs []sensor.Reading)) error {
+// replayWAL streams every intact record of one WAL file into fn under
+// reclog's rule: a record whose CRC fails or whose payload does not
+// decode is skipped, and the first record that cannot be located — the
+// torn tail of a crash — ends the file. It returns how many records it
+// skipped and the offset of the first. The readings slice handed to fn
+// is reused for the next record: fn may reorder or truncate it but must
+// copy what it keeps.
+func replayWAL(fs FS, path string, fn func(topic sensor.Topic, rs []sensor.Reading)) (skipped int, first int64, err error) {
 	data, err := fs.ReadFile(path)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	var rs []sensor.Reading
-	for len(data) > 0 {
-		if len(data) < walHeaderSize {
-			return nil // torn header
+	for off, size := int64(0), int64(len(data)); ; {
+		n, ok := reclog.Locate(data[off:], off, size)
+		if !ok {
+			return skipped, first, nil
 		}
-		plen := binary.LittleEndian.Uint32(data)
-		crc := binary.LittleEndian.Uint32(data[4:])
-		rest := data[walHeaderSize:]
-		if uint64(plen) > uint64(len(rest)) {
-			return nil // torn payload
-		}
-		payload := rest[:plen]
-		if crc32.ChecksumIEEE(payload) != crc {
-			return nil // corrupt tail
-		}
+		payload := data[off+reclog.HeaderSize : off+reclog.HeaderSize+n]
+		derr := io.ErrUnexpectedEOF
 		var topic sensor.Topic
-		if topic, rs, err = decodeWALPayload(payload, rs[:0]); err != nil {
-			return nil // structurally invalid tail
+		if reclog.Check(data[off:], payload) {
+			topic, rs, derr = decodeWALPayload(payload, rs[:0])
 		}
-		fn(topic, rs)
-		data = rest[plen:]
+		if derr == nil {
+			fn(topic, rs)
+		} else if skipped++; skipped == 1 {
+			first = off
+		}
+		off += reclog.HeaderSize + n
 	}
-	return nil
 }
 
 // decodeWALPayload parses one record payload, appending its readings to
